@@ -124,26 +124,34 @@ class PathAlgebra:
             raise AlgebraError(
                 f"path explosion at degree {k}: {len(paths)} paths")
         pidx = {q: i for i, q in enumerate(paths)}
-        rows = []
-        if k >= 1 and self._computed_to() >= 0:
-            prev = self._ideal[k - 1] if k - 1 < len(self._ideal) else None
-            if prev is not None and prev.shape[0]:
-                for a in range(self.quiver.arrow_count):
-                    rows.append(self._arrow_shift(prev, k - 1, a, left=True, pidx=pidx, ncols=len(paths)))
-                    rows.append(self._arrow_shift(prev, k - 1, a, left=False, pidx=pidx, ncols=len(paths)))
-        for r in self._rels_by_degree.get(k, []):
-            rows.append(r.vector(self.quiver, p).reshape(1, -1))
-        if rows:
-            stacked = np.concatenate([r for r in rows if r.size], axis=0) \
-                if any(r.size for r in rows) else zeros(0, len(paths))
-        else:
-            stacked = zeros(0, len(paths))
+        # I_k = KQ_1 I_{k-1} + I_{k-1} KQ_1 + span(relations of degree k)
+        prev = self._ideal[k - 1] if k >= 1 else zeros(0, 0)
+        shifts = [self._arrow_shift(k - 1, a, left, pidx)
+                  for a in range(self.quiver.arrow_count)
+                  for left in (True, False)] if prev.shape[0] else []
+        rels = self._rels_by_degree.get(k, [])
+        m = prev.shape[0]
+        # every entry is written below: a shifted block or a relation row
+        stacked = np.empty((len(shifts) * m + len(rels), len(paths)),
+                           dtype=np.int64)
+        if shifts:
+            # an appended zero column: the source of columns a shift misses
+            prev = np.concatenate([prev, zeros(m, 1)], axis=1)
+        for b, src in enumerate(shifts):
+            # mode="clip" (the indices are in range) lets take write
+            # straight into the block instead of through a buffer
+            np.take(prev, src, axis=1, out=stacked[b * m:(b + 1) * m],
+                    mode="clip")
+        for i, r in enumerate(rels):
+            stacked[len(shifts) * m + i] = r.vector(self.quiver, p)
         red, pivots, rk = linalg.rref(stacked, p)
         self._paths.append(list(paths))
         self._pidx.append(pidx)
         self._ideal.append(red[:rk])
         self._pivots.append(pivots)
-        nonpiv = [c for c in range(len(paths)) if c not in set(pivots)]
+        is_free = np.ones(len(paths), dtype=bool)
+        is_free[pivots] = False
+        nonpiv = is_free.nonzero()[0].tolist()
         self._nonpivots.append(nonpiv)
         if len(nonpiv) == 0:
             self._vanished_from = k
@@ -152,16 +160,18 @@ class PathAlgebra:
             raise AlgebraError(
                 f"degree cap {cap} violated: component at degree {k} is nonzero")
 
-    def _arrow_shift(self, rows: np.ndarray, k: int, a: int, left: bool,
-                     pidx: dict, ncols: int) -> np.ndarray:
-        """Multiply ideal rows at degree k by arrow a on the given side."""
+    def _arrow_shift(self, k: int, a: int, left: bool, pidx: dict):
+        """Column map of multiplying by arrow a on the given side, from
+        degree k to degree k + 1.
+
+        Entry i is the path at degree k whose product with a is path i, or
+        the number of paths at degree k where there is none.  Prefixing or
+        suffixing an arrow is injective on paths, so the ideal rows at degree
+        k shift by one column gather through this map."""
         from .quiver import Path
-        out = zeros(rows.shape[0], ncols)
         q = self.quiver
+        src = np.full(len(pidx), len(self._paths[k]), dtype=np.intp)
         for j, pa in enumerate(self._paths[k]):
-            col = rows[:, j]
-            if not col.any():
-                continue
             if left:
                 if pa.source != q.arrow_target(a):
                     continue
@@ -170,8 +180,8 @@ class PathAlgebra:
                 if pa.target_in(q) != q.arrow_source(a):
                     continue
                 new = Path(pa.source, pa.arrows + (a,))
-            out[:, pidx[new]] = (out[:, pidx[new]] + col) % self.p
-        return out
+            src[pidx[new]] = j
+        return src
 
     # -- basic queries ------------------------------------------------------
 
@@ -636,14 +646,6 @@ class DegreeMap:
             raise AlgebraError(f"degree {d} not in the image of the regrading")
         k, rho = divmod(d - self.m, self.n)
         return 2 * k + rho
-
-
-def delta(dmap: DegreeMap, j: int) -> int:
-    return dmap.delta(j)
-
-
-def restrict_support(dual: PathAlgebra, n: int) -> USupportAlgebra:
-    return USupportAlgebra(dual, n)
 
 
 class YonedaAlgebra:

@@ -363,15 +363,15 @@ def in_G_star(c: ComplexOfGraded, params) -> bool:
     return True
 
 
-_COREG_CACHE: dict = {}
-
-
 def _coregular(lam) -> GradedModule:
-    """D(Lambda) as a right module, cogenerated in degree 0."""
-    key = id(lam)
-    if key not in _COREG_CACHE:
-        _COREG_CACHE[key] = cofree_module(lam, tuple(range(lam.nvert)))
-    return _COREG_CACHE[key]
+    """D(Lambda) as a right module, cogenerated in degree 0.
+
+    Cached on the algebra, so it lives and dies with it."""
+    cached = getattr(lam, "_coregular_module", None)
+    if cached is None:
+        cached = cofree_module(lam, tuple(range(lam.nvert)))
+        lam._coregular_module = cached
+    return cached
 
 
 # -- contractions ------------------------------------------------------------

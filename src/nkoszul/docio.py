@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .quiver import Path, PathSpaceElement, Quiver
-from .algebra import Presentation, build_slices
+from .algebra import Presentation
 from .grmod import GradedModule, GradedMorphism
 
 
@@ -196,12 +196,6 @@ def presentation_json(pres: Presentation) -> dict:
             for rel in pres.relations
         ],
     }
-
-
-def algebra_from_document(dom: dict, window_top=None):
-    top = window_top if window_top is not None else max(
-        abs(dom["window"][0]), abs(dom["window"][1]))
-    return build_slices(dom["presentation"], top)
 
 
 def dump_report(report: dict, path=None) -> str:

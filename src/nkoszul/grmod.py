@@ -275,10 +275,6 @@ class GradedMorphism:
         return GradedMorphism(self.target, self.source, mats)
 
 
-def identity_morphism(m: GradedModule) -> GradedMorphism:
-    return GradedMorphism(m, m, {d: linalg.eye(m.dim(d)) for d in m.degrees()})
-
-
 def hom_space(m: GradedModule, n: GradedModule):
     """Canonical basis of the degree-0 graded morphisms m -> n.
 
@@ -529,19 +525,18 @@ def quotient_module(mod: GradedModule, spans: dict):
     for d in mod.degrees():
         sub = subs.get(d, Subspace.zero(mod.dim(d), mod.p))
         red = sub.basis
-        pivots = [int(np.nonzero(r)[0][0]) for r in red if np.nonzero(r)[0].size]
-        keep = [i for i in range(mod.dim(d)) if i not in set(pivots)]
+        pivots = [int(row.nonzero()[0][0]) for row in red]
+        is_kept = np.ones(mod.dim(d), dtype=bool)
+        is_kept[pivots] = False
+        keep = is_kept.nonzero()[0].tolist()
         if not keep:
             continue
         comp[d] = keep
         verts[d] = tuple(mod.verts_at(d)[i] for i in keep)
         # projection: kill pivot coordinates via the RREF rows
         pr = zeros(mod.dim(d), len(keep))
-        for c, i in enumerate(keep):
-            pr[i, c] = 1
-        for r, row in zip(pivots, red):
-            for c, i in enumerate(keep):
-                pr[r, c] = (pr[r, c] - row[i]) % mod.p
+        pr[keep, range(len(keep))] = 1
+        pr[pivots] = (-red[:, keep]) % mod.p
         proj[d] = pr
     actions = {}
     for d, keep in comp.items():

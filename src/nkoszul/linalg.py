@@ -1,12 +1,20 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
 Everything downstream reduces to the handful of primitives in this module:
 reduced row echelon form, null spaces, linear solves and canonical subspace
 arithmetic.  Matrices are numpy int64 arrays with entries in [0, p); the
 reduction is Gauss-Jordan with lowest-index pivoting, so every derived basis
-is deterministic and two equal subspaces have bit-identical bases.  Products
-(`mat_mul`) run as float64 BLAS products while p*(p-1) < 2**53, which keeps
-them exact, and fall back to int64 and then Python integers above that.
+is deterministic and two equal subspaces have bit-identical bases.
+
+`rref` eliminates the columns in panels of 64.  While a panel is eliminated
+only the rows with a nonzero in it change, and a row operation reaches right
+of the panel only at the nonzeros of the pivot row, so the cost follows the
+nonzeros rather than rows x cols: the ideal slices and hom systems built
+here have one or two nonzeros per row and stay that sparse when reduced.
+Its row operations x - f*y are exact in int64 while p*(p-1) <= 2**63 - 1
+and run on Python integers above that.  Products (`mat_mul`) run as float64
+BLAS products while p*(p-1) < 2**53, which keeps them exact, and fall back
+to int64 and then Python integers above that.
 """
 from __future__ import annotations
 
@@ -85,35 +93,113 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
+# Width of the column panels rref eliminates one at a time.
+_PANEL = 64
+
+
 def rref(m, p: int):
     """Reduced row echelon form.
 
     Returns (reduced, pivots, rank).  The RREF over a field is unique, which
     makes it usable as a canonical form.
+
+    Panel-blocked, swap-free Gauss-Jordan whose cost follows the nonzeros.
+    The columns are taken in panels of _PANEL.  Only the rows with a nonzero
+    in a panel can change while it is eliminated, so their panel columns are
+    gathered once into a small block and eliminated there; each row
+    operation reaches right of the panel only at the nonzero columns of the
+    pivot row.  Pivot rows are not swapped into place during elimination but
+    are put in order at the end, in place.  Every value is x - f*y with
+    residues x, f, y, exact in int64 while p*(p-1) <= 2**63 - 1 (the bound
+    at which mat_mul leaves int64 too); above it the reduction runs on
+    Python integers.
     """
     a = as_matrix(m, p)  # a new array (`% p` copies), ours to modify
+    if p * (p - 1) > _INT64_MAX:
+        a = a.astype(object)
     rows, cols = a.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    order: list[int] = []  # the row of `a` holding each pivot
+    held = np.zeros(rows, dtype=bool)  # rows of `a` holding a pivot
+    for c0 in range(0, cols, _PANEL):
+        nfree = rows - len(order)
+        if not nfree:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        c1 = c0 + _PANEL
+        sel = a[:, c0:c1].any(axis=1).nonzero()[0]
+        if not sel.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        f = a[:, c].copy()
-        f[r] = 0
-        nzr = np.nonzero(f)[0]
-        if nzr.size:
-            a[nzr] = (a[nzr] - np.outer(f[nzr], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots, r
+        # all rows meet the panel: eliminate in `a` itself, gather nothing
+        blk = a[:, c0:c1] if sel.size == rows else a[sel, c0:c1]
+        free = ~held[sel]
+        start = len(order)
+        for k in range(blk.shape[1]):
+            col = blk[:, k]
+            nz = col.nonzero()[0]
+            if not nz.size:
+                continue
+            cand = nz[free[nz]]
+            if not cand.size:
+                continue
+            i = cand[0]
+            free[i] = False
+            row = blk[i, k:]
+            inv = pow(int(row[0]), -1, p)
+            if inv != 1:
+                row *= inv
+                row %= p
+            if nz.size > 1:
+                others = nz[nz != i]
+                f = col[others, None]
+                blk[others, k:] = (blk[others, k:] - f * row) % p
+            if c1 < cols:
+                tail = a[sel[i], c1:]
+                tc = (tail != 0).nonzero()[0]  # faster than on int64
+                if tc.size:
+                    tv = tail[tc]
+                    if inv != 1:
+                        tv = tv * inv % p
+                        tail[tc] = tv
+                    if nz.size > 1:
+                        at = np.ix_(sel[others], tc + c1)
+                        a[at] = (a[at] - f * tv) % p
+            pivots.append(c0 + k)
+            order.append(int(sel[i]))
+            nfree -= 1
+            if not nfree:
+                break
+        if len(order) > start and sel.size < rows:
+            a[sel, c0:c1] = blk
+        if c1 < cols:
+            held[order[start:]] = True
+    # rows holding no pivot are zero by now
+    _move_rows_to_front(a, order)
+    return a.astype(np.int64, copy=False), pivots, len(order)
+
+
+def _move_rows_to_front(a: np.ndarray, order: list) -> None:
+    """Make row i of `a` the row that was at order[i], in place.
+
+    The other rows go below in their old order.  The permutation is applied
+    cycle by cycle, so each row is copied once and only one row is buffered.
+    """
+    if order == list(range(len(order))):
+        return
+    placed = np.zeros(a.shape[0], dtype=bool)
+    placed[order] = True
+    perm = order + (~placed).nonzero()[0].tolist()  # row i <- row perm[i]
+    done = [False] * len(perm)
+    for start, src in enumerate(perm):
+        if done[start] or src == start:
+            continue
+        saved = a[start].copy()
+        i = start
+        while perm[i] != start:
+            done[i] = True
+            a[i] = a[perm[i]]
+            i = perm[i]
+        done[i] = True
+        a[i] = saved
 
 
 def rank(m, p: int) -> int:
@@ -126,47 +212,45 @@ def solve(a, b, p: int):
     Free variables are set to 0 under canonical pivoting, so the choice is
     deterministic.
     """
-    a = as_matrix(a, p)
-    bv = np.asarray(b, dtype=np.int64).reshape(-1) % p
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    bv = np.asarray(b, dtype=np.int64).reshape(-1, 1)
     if bv.shape[0] != a.shape[0]:
         raise LinAlgError("incompatible shapes in solve")
-    aug = np.concatenate([a, bv.reshape(-1, 1)], axis=1)
-    red, pivots, _ = rref(aug, p)
     n = a.shape[1]
-    if n in pivots:
+    # rref reduces the stack mod p in its own copy
+    red, pivots, r = rref(np.concatenate([a, bv], axis=1), p)
+    if r and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, n]
+    x[pivots] = red[:r, n]
     return x
 
 
 def solve_matrix(a, b, p: int):
     """Some X with a @ X = b for matrix right-hand side, or None."""
-    a = as_matrix(a, p)
-    b = as_matrix(b, p)
-    aug = np.concatenate([a, b], axis=1)
-    red, pivots, _ = rref(aug, p)
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.int64))
     n = a.shape[1]
-    if any(c >= n for c in pivots):
+    # rref reduces the stack mod p in its own copy
+    red, pivots, r = rref(np.concatenate([a, b], axis=1), p)
+    if r and pivots[-1] >= n:
         return None
     x = zeros(n, b.shape[1])
-    for i, c in enumerate(pivots):
-        x[c] = red[i, n:]
+    x[pivots] = red[:r, n:]
     return x
 
 
 def null_space(m, p: int) -> "Subspace":
     """Canonical basis of {x : m @ x = 0} as a Subspace of F_p^cols."""
-    a = as_matrix(m, p)
-    rows, cols = a.shape
-    red, pivots, r = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(len(free), cols)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-red[i, fc]) % p
+    red, pivots, r = rref(m, p)
+    cols = red.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    # free variable k set to 1, the pivot variables solved for
+    basis = zeros(free.size, cols)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-red[:r, free].T) % p
     return Subspace.from_rows(cols, basis, p)
 
 
@@ -195,10 +279,9 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows, p: int) -> "Subspace":
-        a = as_matrix(rows, p) if np.size(rows) else zeros(0, ambient_dim)
-        if a.shape[1] != ambient_dim:
+        red, _, r = rref(rows if np.size(rows) else zeros(0, ambient_dim), p)
+        if red.shape[1] != ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
-        red, _, r = rref(a, p)
         return Subspace(ambient_dim, p, red[:r])
 
     @staticmethod

@@ -35,11 +35,6 @@ def _all_path_relations(q: Quiver, n: int):
     return [PathSpaceElement(n, {pa: 1}) for pa in enumerate_paths(q, n)]
 
 
-def corpus_names():
-    return ["one_loop_n3", "two_loop_n3", "commutative_n2",
-            "two_vertex_n3", "two_vertex_n4"]
-
-
 def corpus(name: str) -> dict:
     """A named algebra with its dual and support-restricted dual, cached."""
     if name in _CORPUS_CACHE:

@@ -156,3 +156,25 @@ def test_windowed_dual_gate(capsys, tmp_path):
         capsys, ["functor", str(path), "--which", "nu", "--module", "M",
                  "--allow-windowed-dual"])
     assert code == 0
+
+
+@pytest.mark.parametrize("path", [COMMUTATIVE, ONE_LOOP, TWO_LOOP])
+def test_in_L_E_refuses_a_module_over_the_dual(capsys, path):
+    # M is a module over the dual algebra, which in_L_E cannot read
+    code, out, err = run(
+        capsys, ["check", path, "--predicate", "in_L_E", "--object", "M"])
+    assert code == 2
+    assert "Traceback" not in err and out == ""
+    assert "in_L_E needs a module over" in err
+
+
+@pytest.mark.parametrize("path", [ONE_LOOP, TWO_LOOP])
+def test_in_L_E_regrades_a_module_over_u(capsys, path):
+    # X is over the support-restricted dual; regraded, it answers as in_L
+    verdicts = {}
+    for pred in ("in_L", "in_L_E"):
+        code, rep = run_json(
+            capsys, ["check", path, "--predicate", pred, "--object", "X"])
+        assert code == 0
+        verdicts[pred] = rep["verdict"]
+    assert verdicts == {"in_L": True, "in_L_E": True}

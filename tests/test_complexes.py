@@ -163,3 +163,20 @@ def test_composite_diff_vanishes_at_n():
     for k in ks[:-e["n"]]:
         f = cx.composite_diff(c, k, e["n"])
         assert all(not mat.any() for mat in f.mats.values())
+
+
+def test_coregular_module_lives_and_dies_with_its_algebra():
+    import gc
+    import weakref
+    from nkoszul.algebra import Presentation, build_slices
+    from nkoszul.quiver import PathSpaceElement, Quiver, enumerate_paths
+
+    q = Quiver.make(1, [("x", 0, 0)])
+    rels = [PathSpaceElement(3, {pa: 1}) for pa in enumerate_paths(q, 3)]
+    lam = build_slices(Presentation.make(q, 3, rels), 4)
+    dlam = cx._coregular(lam)
+    assert cx._coregular(lam) is dlam and dlam.algebra is lam
+    ref = weakref.ref(lam)
+    del lam, dlam
+    gc.collect()
+    assert ref() is None

@@ -109,6 +109,29 @@ def test_submodule_and_quotient_dims_add_up():
         assert sub.dim(d) + quot.dim(d) == f.dim(d)
 
 
+def test_quotient_projection_matches_the_loop_construction():
+    e = entry("two_loop_n3")
+    f = free_module(e["lam"], [(0, 0)], 6)
+    spans = submodule_closure(f, {1: np.array([[3, 5]], dtype=np.int64)})
+    _, proj = quotient_module(f, spans)
+    checked = 0
+    for d, s in spans.items():
+        red = s.basis
+        pivots = [int(np.nonzero(r)[0][0]) for r in red]
+        keep = [i for i in range(f.dim(d)) if i not in pivots]
+        if not keep:
+            continue
+        want = np.zeros((f.dim(d), len(keep)), dtype=np.int64)
+        for c, i in enumerate(keep):
+            want[i, c] = 1
+        for r, row in zip(pivots, red):
+            for c, i in enumerate(keep):
+                want[r, c] = (want[r, c] - row[i]) % P
+        assert np.array_equal(proj.mat(d), want)
+        checked += 1
+    assert checked
+
+
 def test_projective_cover_of_simple():
     e = entry("two_vertex_n3")
     lam = e["lam"]

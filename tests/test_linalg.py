@@ -166,3 +166,203 @@ def test_subspace_containment():
     assert not s.contains_vector(np.array([0, 0, 1], dtype=np.int64))
     assert Subspace.full(3, P).contains(s)
     assert s.contains(Subspace.zero(3, P))
+
+
+# -- the panel elimination against the unblocked Gauss-Jordan it replaced --
+
+
+def reference_rref(m, p):
+    """The unblocked Gauss-Jordan rref that the panel elimination replaced:
+    one pivot at a time, swapping each pivot row into place."""
+    a = linalg.as_matrix(m, p)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        f = a[:, c].copy()
+        f[r] = 0
+        nzr = np.nonzero(f)[0]
+        if nzr.size:
+            a[nzr] = (a[nzr] - np.outer(f[nzr], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots, r
+
+
+def reference_null_space(m, p):
+    """Canonical null-space basis as the replaced null_space built it."""
+    a = linalg.as_matrix(m, p)
+    rows, cols = a.shape
+    red, pivots, r = reference_rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = linalg.zeros(len(free), cols)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, c in enumerate(pivots):
+            basis[k, c] = (-red[i, fc]) % p
+    red, _, r = reference_rref(basis, p)
+    return red[:r]
+
+
+def python_rref(m, p):
+    """Gauss-Jordan on Python integers: exact at every modulus."""
+    a = [[int(x) % p for x in row] for row in np.asarray(m).tolist()]
+    pivots = []
+    for c in range(np.shape(m)[1]):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for j, row in enumerate(a):
+            if j != r and row[c]:
+                f = row[c]
+                a[j] = [(x - f * y) % p for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return a, pivots, len(pivots)
+
+
+def draw_kernel_input(rng, p, rows, cols, kind):
+    """A matrix for the elimination kernel.
+
+    dense: uniform entries; sparse: at most 2 nonzeros per row; tall: a
+    rank-deficient stack of sparse combinations of a few sparse rows."""
+    if kind == "dense":
+        return rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    if kind == "sparse":
+        m = np.zeros((rows, cols), dtype=np.int64)
+        if cols:
+            for i in range(rows):
+                at = rng.integers(0, cols, size=2)
+                m[i, at] = rng.integers(0, p, size=2)
+        return m
+    base = draw_kernel_input(rng, p, max(cols // 3, 1), cols, "sparse")
+    coeffs = draw_kernel_input(rng, p, rows + cols, base.shape[0], "sparse")
+    return (coeffs @ base) % p
+
+
+@st.composite
+def kernel_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    kind = draw(st.sampled_from(["dense", "sparse", "tall"]))
+    rows = draw(st.integers(0, 90))
+    # 64 is the panel width: one panel, its edges, and several panels
+    cols = draw(st.sampled_from([0, 1, 7, 63, 64, 65, 129, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return p, draw_kernel_input(rng, p, rows, cols, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_inputs())
+def test_rref_matches_the_unblocked_reference(case):
+    p, m = case
+    before = m.copy()
+    red, pivots, rank = linalg.rref(m, p)
+    assert np.array_equal(m, before)  # the input is left alone
+    want, want_pivots, want_rank = reference_rref(m, p)
+    assert red.dtype == np.int64 and red.shape == m.shape
+    assert np.array_equal(red, want)
+    assert pivots == want_pivots and rank == want_rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs())
+def test_null_space_matches_the_reference(case):
+    p, m = case
+    ns = linalg.null_space(m, p)
+    assert np.array_equal(ns.basis, reference_null_space(m, p))
+    assert ns.ambient_dim == m.shape[1]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 130), (5, 0), (1, 64),
+                                   (200, 65), (130, 1)])
+def test_rref_edge_shapes(shape):
+    rng = np.random.default_rng(sum(shape))
+    for kind in ("dense", "sparse", "tall"):
+        m = draw_kernel_input(rng, 5, *shape, kind)
+        red, pivots, rank = linalg.rref(m, 5)
+        want, want_pivots, want_rank = reference_rref(m, 5)
+        assert red.shape == m.shape and np.array_equal(red, want)
+        assert pivots == want_pivots and rank == want_rank
+
+
+BIG_P = 4611686018427388039  # prime, and p*(p-1) is far past int64
+
+
+def test_rref_is_exact_past_the_int64_bound():
+    rng = np.random.default_rng(11)
+    for rows, cols, kind in [(6, 9, "dense"), (40, 150, "sparse"),
+                             (30, 70, "tall"), (90, 66, "dense")]:
+        m = draw_kernel_input(rng, BIG_P, rows, cols, kind)
+        red, pivots, rank = linalg.rref(m, BIG_P)
+        want, want_pivots, want_rank = python_rref(m, BIG_P)
+        assert red.dtype == np.int64
+        assert red.tolist() == want
+        assert pivots == want_pivots and rank == want_rank
+        ns = linalg.null_space(m, BIG_P)
+        assert ns.dim == cols - rank
+        prod = m.astype(object) @ ns.basis.astype(object).T
+        assert not (prod % BIG_P).any()
+
+
+def test_slices_match_the_reference_construction():
+    """The ideal slices of commutative_n2 and of its dual to degree 10 equal
+    the ones the replaced per-path shift and unblocked rref built."""
+    import os
+    from nkoszul.algebra import build_dual, build_slices
+    from nkoszul.docio import load_document
+    from nkoszul.quiver import Path, enumerate_paths
+
+    def reference_ideals(pres, top):
+        q, p = pres.quiver, pres.p
+        out, prev, prev_paths = [], None, []
+        for k in range(top + 1):
+            paths = enumerate_paths(q, k)
+            pidx = {pa: i for i, pa in enumerate(paths)}
+            blocks = []
+            if prev is not None and prev.shape[0]:
+                for a in range(q.arrow_count):
+                    for left in (True, False):
+                        out_ = linalg.zeros(prev.shape[0], len(paths))
+                        for j, pa in enumerate(prev_paths):
+                            if left and pa.source == q.arrow_target(a):
+                                new = Path(q.arrow_source(a), (a,) + pa.arrows)
+                            elif (not left
+                                  and pa.target_in(q) == q.arrow_source(a)):
+                                new = Path(pa.source, pa.arrows + (a,))
+                            else:
+                                continue
+                            c = pidx[new]
+                            out_[:, c] = (out_[:, c] + prev[:, j]) % p
+                        blocks.append(out_)
+            blocks += [r.vector(q, p).reshape(1, -1)
+                       for r in pres.relations if r.degree == k]
+            stacked = (np.concatenate(blocks) if blocks
+                       else linalg.zeros(0, len(paths)))
+            red, pivots, rank = reference_rref(stacked, p)
+            out.append((red[:rank], pivots))
+            prev, prev_paths = red[:rank], paths
+        return out
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "inputs", "commutative_n2.json")
+    lam = build_slices(load_document(path)["presentation"], 10)
+    dual = build_dual(lam, 10)
+    for alg in (lam, dual):
+        top = min(10, alg.vanishing_degree() or 10)
+        for k, (ideal, pivots) in enumerate(reference_ideals(alg.pres, top)):
+            assert np.array_equal(alg._ideal[k], ideal)
+            assert alg._pivots[k] == pivots
+    assert dual.vanishing_degree() is None and dual.dim(10) == 11
