@@ -153,16 +153,17 @@ def rref(m, p: int):
                 f = col[others, None]
                 blk[others, k:] = (blk[others, k:] - f * row) % p
             if c1 < cols:
+                # the pivot row right of the panel, at its nonzeros only
                 tail = a[sel[i], c1:]
-                tc = (tail != 0).nonzero()[0]  # faster than on int64
-                if tc.size:
-                    tv = tail[tc]
+                tail_nz = (tail != 0).nonzero()[0]  # faster than on int64
+                if tail_nz.size:
+                    vals = tail[tail_nz]
                     if inv != 1:
-                        tv = tv * inv % p
-                        tail[tc] = tv
+                        vals = vals * inv % p
+                        tail[tail_nz] = vals
                     if nz.size > 1:
-                        at = np.ix_(sel[others], tc + c1)
-                        a[at] = (a[at] - f * tv) % p
+                        at = np.ix_(sel[others], tail_nz + c1)
+                        a[at] = (a[at] - f * vals) % p
             pivots.append(c0 + k)
             order.append(int(sel[i]))
             nfree -= 1
