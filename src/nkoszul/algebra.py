@@ -145,9 +145,13 @@ class PathAlgebra:
         for i, r in enumerate(rels):
             stacked[len(shifts) * m + i] = r.vector(self.quiver, p)
         red, pivots, rk = linalg.rref(stacked, p)
+        if rk < len(red):
+            # keep the rank rows only: shrinking red in place frees the rest
+            # without the transient peak and the time of a copy
+            red.resize((rk, len(paths)))
         self._paths.append(list(paths))
         self._pidx.append(pidx)
-        self._ideal.append(red[:rk])
+        self._ideal.append(red)
         self._pivots.append(pivots)
         is_free = np.ones(len(paths), dtype=bool)
         is_free[pivots] = False
@@ -192,9 +196,6 @@ class PathAlgebra:
             return 0
         self.ensure_degree(d)
         return len(self._nonpivots[d])
-
-    def total_dim_through(self, d: int) -> int:
-        return sum(self.dim(k) for k in range(d + 1))
 
     def basis_paths(self, d: int):
         """Coset representatives: the non-pivot paths at degree d."""
@@ -298,11 +299,6 @@ class PathAlgebra:
                                   q.arrow_target(i), q.arrow_name(i)))
         return gens
 
-    def generator_vector(self, g: Generator) -> np.ndarray:
-        v = np.zeros(self.dim(g.degree), dtype=np.int64)
-        v[g.basis_index] = 1
-        return v
-
     def element_words(self, d: int):
         """Express each basis element of A_d as generator words."""
         if d < 1:
@@ -318,10 +314,6 @@ class PathAlgebra:
         # any arrow word representing an ideal element of higher slices is a
         # consequence of these via two-sided closure, so this list suffices
         return out
-
-    def word_degree(self, word) -> int:
-        gens = self.generators()
-        return sum(gens[i].degree for i in word)
 
 
 def build_slices(pres: Presentation, window_top: int) -> PathAlgebra:
@@ -622,10 +614,6 @@ class USupportAlgebra:
         self._relation_cache = out
         return out
 
-    def word_degree(self, word) -> int:
-        gens = self.generators()
-        return sum(gens[i].degree for i in word)
-
 
 @dataclass(frozen=True)
 class DegreeMap:
@@ -691,11 +679,6 @@ class YonedaAlgebra:
                                   g.name))
         return gens
 
-    def generator_vector(self, g: Generator) -> np.ndarray:
-        v = np.zeros(self.dim(g.degree), dtype=np.int64)
-        v[g.basis_index] = 1
-        return v
-
     def element_words(self, j: int):
         return self.ualg.element_words(self.dmap.delta(j))
 
@@ -710,10 +693,6 @@ class YonedaAlgebra:
             if rel:
                 out.append((e_degree(rel[0][0]), rel))
         return out
-
-    def word_degree(self, word) -> int:
-        gens = self.generators()
-        return sum(gens[i].degree for i in word)
 
 
 def yoneda_regrade(ualg: USupportAlgebra) -> YonedaAlgebra:

@@ -12,6 +12,14 @@ Positions index cochain degree; each component is a GradedModule over the
 base algebra and each differential a degree-0 morphism to the next
 position.  Complexes built here have honestly finite components, so the
 d^n = 0 and d^2 = 0 conditions are checked exactly.
+
+Every differential between (co)free modules here (the functors psi and nu,
+both differentials of the equivalence F, and the arrow actions of the
+cofree modules) is built by one helper, `_pair_matrix`.  The bases of such
+modules are indexed by pairs (u, v): an element of the base algebra and a
+basis element of a module component.  A differential is a sum of terms
+L (x) R, multiplication in the base algebra tensored with a module action,
+pulled back through the pair indices.
 """
 from __future__ import annotations
 
@@ -70,12 +78,6 @@ class ComplexOfGraded:
 
     def is_zero(self) -> bool:
         return not self.modules
-
-    def shift_positions(self, s: int) -> "ComplexOfGraded":
-        return ComplexOfGraded(
-            self.algebra, self.period,
-            {k + s: m for k, m in self.modules.items()},
-            {k + s: f for k, f in self.diffs.items()})
 
     def validate(self):
         issues = []
@@ -144,39 +146,51 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
     for k in mod.degrees():
         gens = [(v, -k) for v in mod.verts_at(k)]
         comps[k] = free_module(lam, gens, -k + top)
-    arrow_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                  if g.degree == 1}
     diffs = {}
     for k in mod.degrees():
         if (k + 1) not in comps:
             continue
         src, tgt = comps[k], comps[k + 1]
+        acts = _arrow_acts(mod, k, range(lam.quiver.arrow_count))
         mats = {}
-        for d in src.degrees():
-            if tgt.dim(d) == 0:
+        for d, rows in src.free_index.items():
+            cols = tgt.free_index.get(d)
+            if not cols:
                 continue
-            e1, e2 = d + k, d + k + 1
-            pos2 = {key: c for c, key in enumerate(tgt.free_index[d])}
-            m = zeros(src.dim(d), tgt.dim(d))
-            for ai in range(lam.quiver.arrow_count):
-                a_act = mod.act(arrow_gens[ai], k)  # M_k -> M_{k+1}
-                if not a_act.any():
-                    continue
-                vec = np.zeros(lam.dim(1), dtype=np.int64)
-                vec[ai] = 1
-                lmul = lam.left_mult_matrix(1, vec, e1)  # Lam_e1 -> Lam_e2
-                for r, (i, b) in enumerate(src.free_index[d]):
-                    for i2 in np.nonzero(a_act[i])[0]:
-                        for b2 in np.nonzero(lmul[b])[0]:
-                            key = (int(i2), int(b2))
-                            if key in pos2:
-                                cidx = pos2[key]
-                                m[r, cidx] = (m[r, cidx]
-                                              + a_act[i, i2] * lmul[b, b2]) % lam.p
+            lmul = lam.mult(1, d + k)  # lmul[a]: Lam_{d+k} -> Lam_{d+k+1}
+            m = _pair_matrix(rows, cols,
+                             [(act, lmul[ai]) for ai, act in enumerate(acts)],
+                             lam.p)
             if m.any():
                 mats[d] = m
         diffs[k] = GradedMorphism(src, tgt, mats)
     return ComplexOfGraded(lam, lam.pres.n, comps, diffs)
+
+
+def _pair_matrix(src_pairs, tgt_pairs, terms, p: int) -> np.ndarray:
+    """The matrix of a map between spaces whose bases are indexed by pairs.
+
+    Row r is the pair (u_r, v_r) and column c the pair (u'_c, v'_c); entry
+    (r, c) is the sum over (L, R) in `terms` of L[u_r, u'_c] * R[v_r, v'_c]
+    mod p, one gather of each factor per term.  The sum runs in int64 while
+    p*(p-1) <= 2**63 - 1, the bound of `linalg.rref` and `linalg.mat_mul`,
+    and on Python integers above it, so it is exact at every p < 2**63.
+    """
+    u, v = np.asarray(src_pairs, dtype=np.intp).reshape(-1, 2).T
+    u2, v2 = np.asarray(tgt_pairs, dtype=np.intp).reshape(-1, 2).T
+    dtype = np.int64 if p * (p - 1) <= linalg._INT64_MAX else object
+    out = np.zeros((u.size, u2.size), dtype=dtype)
+    for left, right in terms:
+        out = (out + left[np.ix_(u, u2)].astype(dtype, copy=False)
+               * right[np.ix_(v, v2)].astype(dtype, copy=False)) % p
+    return out.astype(np.int64)
+
+
+def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
+    """The actions M_d -> M_{d+1} of the given arrows, in that order."""
+    gen_of = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+              if g.degree == 1}
+    return [mod.act(gen_of[ai], d) for ai in arrows]
 
 
 def cofree_module(lam, vlist) -> GradedModule:
@@ -202,22 +216,15 @@ def cofree_module(lam, vlist) -> GradedModule:
             index[e] = pairs
             verts[e] = tuple(vs)
     actions = {}
+    ident = linalg.eye(len(vlist))
     for gi, g in enumerate(lam.generators()):
-        ai = g.basis_index
-        vec = np.zeros(lam.dim(1), dtype=np.int64)
-        vec[ai] = 1
-        for e in index:
-            e2 = e + 1
-            if e2 not in index:
+        for e, rows in index.items():
+            cols = index.get(e + 1)
+            if not cols:
                 continue
-            lmul = lam.left_mult_matrix(1, vec, -e2)  # Lam_{-e2} -> Lam_{-e}
-            pos2 = {key: c for c, key in enumerate(index[e2])}
-            m = zeros(len(index[e]), len(index[e2]))
-            for r, (b, x) in enumerate(index[e]):
-                for a in np.nonzero(lmul[:, b])[0]:
-                    key = (int(a), x)
-                    if key in pos2:
-                        m[r, pos2[key]] = lmul[a, b]
+            # arrow times Lam_{-e-1} -> Lam_{-e}, read backwards
+            lmul = lam.mult(1, -e - 1)[g.basis_index]
+            m = _pair_matrix(rows, cols, [(lmul.T, ident)], lam.p)
             if m.any():
                 actions[(gi, e)] = m
     out = GradedModule(lam, verts, actions)
@@ -237,8 +244,6 @@ def nu(mod: GradedModule, lam, allow_windowed: bool = False,
     if not mod.is_valid():
         raise ModuleError("module failed validation")
     _require_finite(lam, allow_windowed)
-    arrow_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                  if g.degree == 1}
     comps = {}
     bases = {}
     for j in mod.degrees():
@@ -251,35 +256,28 @@ def nu(mod: GradedModule, lam, allow_windowed: bool = False,
     for j in mod.degrees():
         if (j + 1) not in comps:
             continue
-        src, tgt = comps[j], comps[j + 1]
-        bsrc, btgt = bases[j], bases[j + 1]
-        mats = {}
-        for d in src.degrees():
-            if tgt.dim(d) == 0:
-                continue
-            e1, e2 = d + j, d + j + 1  # base degrees; -e holds Lam_{-e}
-            k1, k2 = -e1, -e2
-            pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
-            m = zeros(src.dim(d), tgt.dim(d))
-            for ai in range(nq):
-                vec = np.zeros(lam.dim(1), dtype=np.int64)
-                vec[ai] = 1
-                rmul = lam.right_mult_matrix(k2, 1, vec)  # Lam_k2 -> Lam_k1
-                a_act = mod.act(arrow_gens[twist[ai]], j)
-                if not a_act.any() or not rmul.any():
-                    continue
-                for r, (b, x) in enumerate(bsrc.hom_index[e1]):
-                    for a in np.nonzero(rmul[:, b])[0]:
-                        for x2 in np.nonzero(a_act[x])[0]:
-                            key = (int(a), int(x2))
-                            if key in pos2:
-                                cidx = pos2[key]
-                                m[r, cidx] = (m[r, cidx]
-                                              + rmul[a, b] * a_act[x, x2]) % lam.p
-            if m.any():
-                mats[d] = m
-        diffs[j] = GradedMorphism(src, tgt, mats)
+        mats = _hom_step(lam, _arrow_acts(mod, j, twist), j,
+                         bases[j], bases[j + 1])
+        diffs[j] = GradedMorphism(comps[j], comps[j + 1], mats)
     return ComplexOfGraded(lam, lam.pres.n, comps, diffs)
+
+
+def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
+    """The single Hom-functor step from the cofree model bsrc placed at s to
+    btgt placed at s + 1: (df)(a) = sum over arrows of f(a abar) acted on by
+    the arrow's action in `acts`.  Per-degree matrices."""
+    mats = {}
+    for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
+        cols = btgt.hom_index.get(e1 + 1)
+        if not cols:
+            continue
+        rmul = lam.mult(-e1 - 1, 1)  # rmul[:, a]: Lam_{-e1-1} -> Lam_{-e1}
+        m = _pair_matrix(rows, cols,
+                         [(rmul[:, ai].T, act) for ai, act in enumerate(acts)],
+                         lam.p)
+        if m.any():
+            mats[e1 - s] = m
+    return mats
 
 
 # -- linearity certificates --------------------------------------------------
@@ -463,79 +461,67 @@ def _mu1_data(mod: GradedModule, s: int):
     return t1, mu1, pre
 
 
-def _xi_matrices(mod: GradedModule, s: int, check: bool = True):
-    """Per path p of length n-1 in the base quiver: the matrix of
-    y (x) p^o -> decomposition of y through level s, then the degree-n
-    action of the class of (p alpha)^o.  Requires (and with `check`
-    asserts) independence of the chosen decomposition."""
-    from .quiver import Path, enumerate_paths, path_index
-    ualg = mod.algebra
-    dual = ualg.dual
-    n = ualg.n
-    p = mod.p
-    q = dual.quiver.opposite()
+def _mu1_pullbacks(mod: GradedModule, s: int, families) -> list:
+    """Maps through the degree-1 multiplication mu_1: X_s (x) dual_1 ->
+    X_{s+1}, linear in the degree-n action at s.
+
+    Stack that action as A: row w * dim X_s + i is row i of the action of
+    the w-th degree-n generator.  A family sends arrows a to vectors c_a
+    over the degree-n basis; its matrix Z has a row per pair r = (i, a) of
+    mu_1's domain, with c_a[w] in column w * dim X_s + i, so row r of Z @ A
+    is x_i acted on by c_a.  Returns per family (pre^T Z, K Z), where pre
+    is mu_1's canonical preimage and K a basis of ker(mu_1): pre^T Z @ A
+    acts on X_{s+1} through the preimage, and K Z @ A vanishes iff that
+    action does not depend on the preimage chosen."""
     t1, mu1, pre = _mu1_data(mod, s)
     if pre is None:
         raise ComplexError(
             f"level {s}: the degree-1 multiplication is not surjective")
-    n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-              if g.degree == n}
-    idx_op = path_index(dual.quiver, n)
-    nop = len(idx_op)
-    out = {}
-    ker = linalg.null_space(mu1.T, p) if check else None
-    for pi, pa in enumerate(enumerate_paths(q, n - 1)):
-        mat = zeros(mod.dim(s + 1), mod.dim(s + n))
-        cls_cache = {}
+    ker = linalg.null_space(mu1.T, mod.p).basis
+    ds = mod.dim(s)
+    out = []
+    for fam in families:
+        z = zeros(len(t1), mod.algebra.dual.dim(mod.algebra.n) * ds)
         for r, (i, ai) in enumerate(t1):
-            # (p alpha)^o = alpha^o p^o: valid only when t(p) = o(alpha)
-            if q.arrow_source(ai) != pa.target_in(q):
-                continue
-            if ai not in cls_cache:
-                v = np.zeros(nop, dtype=np.int64)
-                rev = Path(q.arrow_target(ai),
-                           (ai,) + tuple(reversed(pa.arrows)))
-                v[idx_op[rev]] = 1
-                cls = dual.reduce_vector(v, n)
-                act = zeros(mod.dim(s), mod.dim(s + n))
-                for w in np.nonzero(cls)[0]:
-                    act = (act + int(cls[w])
-                           * mod.act(n_gens[int(w)], s)) % p
-                cls_cache[ai] = act
-            act = cls_cache[ai]
-            # pre[:, c] is the chosen preimage of the c-th target basis
-            # element, with coordinates over the (element, arrow) pairs
-            for col in range(mod.dim(s + 1)):
-                coef = pre[r, col]
-                if coef:
-                    mat[col] = (mat[col] + int(coef) * act[i]) % p
-        if check and ker is not None and ker.dim:
-            # any mu1-kernel element must be annihilated by this xi branch
-            for row in ker.basis:
-                acc = np.zeros(mod.dim(s + n), dtype=np.int64)
-                for r in np.nonzero(row)[0]:
-                    i, ai = t1[int(r)]
-                    if q.arrow_source(ai) != pa.target_in(q):
-                        continue
-                    if ai in cls_cache:
-                        acc = (acc + int(row[r]) * cls_cache[ai][i]) % p
-                    else:
-                        v = np.zeros(nop, dtype=np.int64)
-                        rev = Path(q.arrow_target(ai),
-                                   (ai,) + tuple(reversed(pa.arrows)))
-                        v[idx_op[rev]] = 1
-                        cls = dual.reduce_vector(v, n)
-                        act = zeros(mod.dim(s), mod.dim(s + n))
-                        for w in np.nonzero(cls)[0]:
-                            act = (act + int(cls[w])
-                                   * mod.act(n_gens[int(w)], s)) % p
-                        cls_cache[ai] = act
-                        acc = (acc + int(row[r]) * act[i]) % p
-                if acc.any():
-                    raise ComplexError(
-                        f"level {s}: contraction map depends on the chosen "
-                        "decomposition (kernel condition fails)")
-        out[pi] = mat
+            if ai in fam:
+                z[r, i::ds] = fam[ai]
+        out.append((linalg.mat_mul(pre.T, z, mod.p),
+                    linalg.mat_mul(ker, z, mod.p)))
+    return out
+
+
+def _path_classes(ualg) -> list:
+    """Per path p of length n-1 in the base quiver: the class in the dual
+    of (p alpha)^o = alpha^o p^o for each arrow alpha with t(p) = o(alpha)."""
+    from .quiver import Path, enumerate_paths
+    dual, n = ualg.dual, ualg.n
+    q = dual.quiver.opposite()
+    return [{ai: dual.reduce_path_element(_path_elem(
+                Path(q.arrow_target(ai), (ai,) + tuple(reversed(pa.arrows))),
+                n))
+             for ai in range(q.arrow_count)
+             if q.arrow_source(ai) == pa.target_in(q)}
+            for pa in enumerate_paths(q, n - 1)]
+
+
+def _xi_matrices(mod: GradedModule, s: int) -> list:
+    """Per path p of length n-1 in the base quiver: the matrix of
+    y (x) p^o -> decomposition of y through level s, then the degree-n
+    action of the class of (p alpha)^o.  Raises unless the result does not
+    depend on the chosen decomposition."""
+    ualg = mod.algebra
+    n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+              if g.degree == ualg.n}
+    acts = np.concatenate(
+        [zeros(0, mod.dim(s + ualg.n))]
+        + [mod.act(n_gens[w], s) for w in range(ualg.dual.dim(ualg.n))])
+    out = []
+    for pre_z, ker_z in _mu1_pullbacks(mod, s, _path_classes(ualg)):
+        if linalg.mat_mul(ker_z, acts, mod.p).any():
+            raise ComplexError(
+                f"level {s}: contraction map depends on the chosen "
+                "decomposition (kernel condition fails)")
+        out.append(linalg.mat_mul(pre_z, acts, mod.p))
     return out
 
 
@@ -544,8 +530,6 @@ def equivalence_F(mod: GradedModule, lam, params,
     """The explicit equivalence: a distinguished module over the support-
     restricted dual becomes a 2-complex of almost injective modules."""
     from .grmod import in_L
-    from .quiver import enumerate_paths
-    ualg = mod.algebra
     n = params.n
     m = params.m
     if not in_L(mod, params):
@@ -571,75 +555,50 @@ def equivalence_F(mod: GradedModule, lam, params,
             bases[pos] = base
             comps[pos] = base.shift(s)
     diffs = {}
-    one_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                if g.degree == 1}
-    q = ualg.dual.quiver.opposite()
+    arrows = range(mod.algebra.quiver.arrow_count)
     for j in levels:
         s = m + j * n
-        # even differential: same shape as the Hom-functor single step
+        # even differential: the Hom-functor single step
         if 2 * j in comps and 2 * j + 1 in comps:
-            src, tgt = comps[2 * j], comps[2 * j + 1]
-            bsrc, btgt = bases[2 * j], bases[2 * j + 1]
-            mats = {}
-            for d in src.degrees():
-                if tgt.dim(d) == 0:
-                    continue
-                e1, e2 = d + s, d + s + 1
-                k2 = -e2
-                pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
-                mm = zeros(src.dim(d), tgt.dim(d))
-                for ai in range(q.arrow_count):
-                    vec = np.zeros(lam.dim(1), dtype=np.int64)
-                    vec[ai] = 1
-                    rmul = lam.right_mult_matrix(k2, 1, vec)
-                    a_act = mod.act(one_gens[ai], s)
-                    if not a_act.any() or not rmul.any():
-                        continue
-                    for r, (b, x) in enumerate(bsrc.hom_index[e1]):
-                        for a in np.nonzero(rmul[:, b])[0]:
-                            for x2 in np.nonzero(a_act[x])[0]:
-                                key = (int(a), int(x2))
-                                if key in pos2:
-                                    cx = pos2[key]
-                                    mm[r, cx] = (mm[r, cx]
-                                                 + rmul[a, b] * a_act[x, x2]) % lam.p
-                if mm.any():
-                    mats[d] = mm
-            diffs[2 * j] = GradedMorphism(src, tgt, mats)
+            mats = _hom_step(lam, _arrow_acts(mod, s, arrows), s,
+                             bases[2 * j], bases[2 * j + 1])
+            diffs[2 * j] = GradedMorphism(comps[2 * j], comps[2 * j + 1],
+                                          mats)
         # odd differential: contract through xi
         if 2 * j + 1 in comps and 2 * j + 2 in comps:
-            src, tgt = comps[2 * j + 1], comps[2 * j + 2]
-            bsrc, btgt = bases[2 * j + 1], bases[2 * j + 2]
-            xi = _xi_matrices(mod, s)
-            paths = enumerate_paths(q, n - 1)
-            mats = {}
-            for d in src.degrees():
-                if tgt.dim(d) == 0:
-                    continue
-                e1 = d + s + 1
-                e2 = d + s + n
-                k1, k2 = -e1, -e2
-                pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
-                mm = zeros(src.dim(d), tgt.dim(d))
-                for pi, pa in enumerate(paths):
-                    cls = lam.reduce_path_element(
-                        _path_elem(pa, n - 1))
-                    rmul = lam.right_mult_matrix(k2, n - 1, cls)
-                    ximat = xi[pi]
-                    if not rmul.any() or not ximat.any():
-                        continue
-                    for r, (b, x) in enumerate(bsrc.hom_index[e1]):
-                        for a in np.nonzero(rmul[:, b])[0]:
-                            for x2 in np.nonzero(ximat[x])[0]:
-                                key = (int(a), int(x2))
-                                if key in pos2:
-                                    cx = pos2[key]
-                                    mm[r, cx] = (mm[r, cx]
-                                                 + rmul[a, b] * ximat[x, x2]) % lam.p
-                if mm.any():
-                    mats[d] = mm
-            diffs[2 * j + 1] = GradedMorphism(src, tgt, mats)
+            mats = _model_odd_diff(mod, lam, s, bases[2 * j + 1],
+                                   bases[2 * j + 2])
+            diffs[2 * j + 1] = GradedMorphism(comps[2 * j + 1],
+                                              comps[2 * j + 2], mats)
     return ComplexOfGraded(lam, 2, comps, diffs)
+
+
+def _model_odd_diff(mod: GradedModule, lam, s: int, bsrc, btgt) -> dict:
+    """The odd differential of the explicit equivalence at level s, between
+    the given model spaces, as plain per-degree matrices."""
+    xi = _xi_matrices(mod, s)
+    mats = {}
+    for d, rows, cols, lefts in _odd_steps(lam, mod.algebra, s, bsrc, btgt):
+        m = _pair_matrix(rows, cols, list(zip(lefts, xi)), lam.p)
+        if m.any():
+            mats[d] = m
+    return mats
+
+
+def _odd_steps(lam, ualg, s: int, bsrc, btgt):
+    """Per degree d of the odd differential at level s between the cofree
+    models: d, the row and column pairs, and per path p of length n-1 in
+    the base quiver the transpose of right multiplication by p."""
+    from .quiver import enumerate_paths
+    n = ualg.n
+    classes = [lam.reduce_path_element(_path_elem(pa, n - 1))
+               for pa in enumerate_paths(ualg.dual.quiver.opposite(), n - 1)]
+    for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
+        cols = btgt.hom_index.get(e1 + n - 1)
+        if cols:
+            yield e1 - s - 1, rows, cols, [
+                lam.right_mult_matrix(-e1 - n + 1, n - 1, cls).T
+                for cls in classes]
 
 
 def _path_elem(pa, degree):
@@ -678,144 +637,101 @@ def extract_module(c: ComplexOfGraded, ualg, params,
     image: socles give the components, the even differentials give the
     degree-1 action, and the odd differentials determine the degree-n
     action by an exact linear solve."""
-    from .quiver import enumerate_paths
     lam = c.algebra
     n = params.n
-    m = params.m
-    dmap = DegreeMap(m, n)
+    dmap = DegreeMap(params.m, n)
     if c.is_zero():
         return zero_module(ualg)
     cert = _check_conditions_ab(c, params, seed=seed)
     if cert is None:
         raise ComplexError("complex fails the essential-image conditions")
-    if n == 2:
-        return _extract_module_n2(c, ualg, params, cert)
-    # transported differentials between the canonical models
+    # per position: the canonical cofree model, the witness, the vertices
     models = {}
     for k in c.positions():
-        s = dmap.delta(k)
         vlist = [v for v, _ in cert[k]["mults"]]
-        base = cofree_module(lam, vlist)
-        models[k] = (base, base.shift(s), cert[k]["witness"], vlist)
-    verts = {dmap.delta(k): tuple(models[k][3]) for k in c.positions()}
-    actions: dict = {}
+        models[k] = (cofree_module(lam, vlist), cert[k]["witness"], vlist)
+    verts = {dmap.delta(k): tuple(models[k][2]) for k in c.positions()}
+    actions = _degree_one_actions(c, models, dmap, ualg)
+    n_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
+              if g.degree == n}
+    if n == 2:
+        # the degree-2 generator actions are the induced products
+        prov = GradedModule(ualg.dual, verts,
+                            {(gi_arrow_index(ualg, gi), d): mmat
+                             for (gi, d), mmat in actions.items()})
+        for d in verts:
+            if d + 2 not in verts:
+                continue
+            for w, gi in n_gens.items():
+                a = prov.act_basis_element(2, w, d)
+                if a.any():
+                    actions[(gi, d)] = a
+    else:
+        _degree_n_actions(c, models, ualg, params, verts, actions, n_gens)
+    out = GradedModule(ualg, verts, actions)
+    bad = out.validate()
+    if bad:
+        raise ComplexError(f"extracted module fails validation: {bad[0]}")
+    return out
+
+
+def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
+    """The degree-1 actions, read off the transported differentials at the
+    positions whose successor sits one degree higher: the entry at
+    (arrow b, x) -> (vertex of x b^o, x2) is the coefficient of x2 in x b^o.
+    """
     one_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
                 if g.degree == 1}
     q = ualg.dual.quiver.opposite()
-    # degree-1 actions from the even differentials
+    actions = {}
     for k in c.positions():
-        if k % 2 or (k + 1) not in models:
-            continue
         s = dmap.delta(k)
-        T = _transported_diff(c, k, models)
-        mat = T.mat(-s - 1)
-        bsrc = models[k][0]
-        btgt = models[k + 1][0]
-        rows = bsrc.hom_index[-1]     # pairs (arrow b, x)
-        cols = btgt.hom_index[0]      # pairs (vertex idempotent, x2)
+        if (k + 1) not in models or dmap.delta(k + 1) != s + 1:
+            continue
+        mat = _transported_diff(c, k, models).mat(-s - 1)
+        rows = np.asarray(models[k][0].hom_index.get(-1, []),
+                          dtype=np.intp).reshape(-1, 2)   # (arrow b, x)
+        cols = np.asarray(models[k + 1][0].hom_index[0],
+                          dtype=np.intp).reshape(-1, 2)   # (vertex, x2)
         for ai in range(q.arrow_count):
-            a = zeros(len(models[k][3]), len(models[k + 1][3]))
-            v_tgt = q.arrow_source(ai)  # vertex of x a^o in the base quiver
-            for r, (b, x) in enumerate(rows):
-                if b != ai:
-                    continue
-                for cx, (vb, x2) in enumerate(cols):
-                    if vb == v_tgt:
-                        a[x, x2] = mat[r, cx]
+            r, cx = rows[:, 0] == ai, cols[:, 0] == q.arrow_source(ai)
+            a = zeros(len(models[k][2]), len(models[k + 1][2]))
+            a[np.ix_(rows[r, 1], cols[cx, 1])] = mat[np.ix_(r, cx)]
             if a.any():
                 actions[(one_gens[ai], s)] = a
-    # provisional module with the degree-1 structure only
-    prov = GradedModule(ualg, verts, dict(actions))
-    # degree-n actions from the odd differentials, by linear solve
-    n_gen_pos = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
-                 if g.degree == n}
+    return actions
+
+
+def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
+                      actions: dict, n_gens: dict) -> None:
+    """Add the degree-n actions (n > 2) to `actions`: at each level s by an
+    exact linear solve against the odd differential, and one degree above
+    it as forced by the relations."""
+    lam = c.algebra
+    p = lam.p
+    n, m = params.n, params.m
     dual = ualg.dual
+    nd = dual.dim(n)
+    prov = GradedModule(ualg, verts, dict(actions))
     for k in c.positions():
         if k % 2 == 0 or (k + 1) not in models:
             continue
-        j = (k - 1) // 2
-        s = m + j * n
-        dim_s = prov.dim(s)
-        dim_s1 = prov.dim(s + 1)
-        dim_sn = len(models[k + 1][3])
-        if dim_s1 == 0 or dim_sn == 0:
+        s = m + (k - 1) // 2 * n
+        dim_s, dim_sn = prov.dim(s), len(models[k + 1][2])
+        if prov.dim(s + 1) == 0 or nd * dim_s * dim_sn == 0:
             continue
-        nd = dual.dim(n)
-        unknowns = nd * dim_s * dim_sn
-        if dim_s == 0 or unknowns == 0:
-            continue
-        T = _transported_diff(c, k, models)
-        rows_sys = []
-        rhs_sys = []
-        basis_mats = []
-        for u in range(unknowns):
-            w, rest = divmod(u, dim_s * dim_sn)
-            i, r2 = divmod(rest, dim_sn)
-            trial = {(n_gen_pos[w], s): _unit_matrix(dim_s, dim_sn, i, r2)}
-            basis_mats.append(trial)
-        sys_cols = []
-        obs = _flatten_morphism(T)
-        for u in range(unknowns):
-            trial_actions = dict(actions)
-            for key, mmat in basis_mats[u].items():
-                trial_actions[key] = mmat
-            trial_mod = GradedModule(ualg, verts, trial_actions)
-            Dm = _model_odd_diff(trial_mod, lam, s, models[k][0],
-                                 models[k + 1][0], check=False)
-            sys_cols.append(_flatten_mats(Dm, T))
-        base_mod = GradedModule(ualg, verts, dict(actions))
-        D0 = _model_odd_diff(base_mod, lam, s, models[k][0],
-                             models[k + 1][0], check=False)
-        off = _flatten_mats(D0, T)
-        a_mat = np.stack([(col - off) % lam.p for col in sys_cols], axis=1) \
-            if unknowns else zeros(len(obs), 0)
-        rhs = (obs - off) % lam.p
-        # the odd differential alone can underdetermine the action; the
-        # membership condition ker(mu_1) * dual_{n-1} <= ker(mu_n) supplies
-        # the missing linear equations
-        t1, mu1, _ = _mu1_data(prov, s)
-        if t1:
-            kerz = linalg.null_space(mu1.T, lam.p)
-            mu_un = dual.mult(1, n - 1)
-            extra = []
-            for z in kerz.basis:
-                for ui in range(dual.dim(n - 1)):
-                    coeff = {}
-                    for r in np.nonzero(z)[0]:
-                        i, ai = t1[int(r)]
-                        vec = mu_un[ai, ui]
-                        for w in np.nonzero(vec)[0]:
-                            key = (int(w), int(i))
-                            coeff[key] = (coeff.get(key, 0)
-                                          + int(z[r]) * int(vec[w])) % lam.p
-                    if not any(coeff.values()):
-                        continue
-                    for r2 in range(dim_sn):
-                        row = np.zeros(unknowns, dtype=np.int64)
-                        for (w, i), cv in coeff.items():
-                            row[w * dim_s * dim_sn + i * dim_sn + r2] = cv
-                        extra.append(row)
-            if extra:
-                a_mat = np.concatenate([a_mat, np.stack(extra, axis=0)],
-                                       axis=0)
-                rhs = np.concatenate(
-                    [rhs, np.zeros(len(extra), dtype=np.int64)])
-        sol = linalg.solve(a_mat, rhs, lam.p)
+        sol = linalg.solve(*_odd_system(c, models, prov, k, s), p)
         if sol is None:
             raise ComplexError(
                 f"no degree-{n} action matches the odd differential at "
                 f"position {k}")
-        for u in np.nonzero(sol)[0]:
-            w, rest = divmod(int(u), dim_s * dim_sn)
-            i, r2 = divmod(rest, dim_sn)
-            key = (n_gen_pos[w], s)
-            cur = actions.get(key, zeros(dim_s, dim_sn))
-            cur = cur.copy()
-            cur[i, r2] = (cur[i, r2] + int(sol[u])) % lam.p
-            actions[key] = cur
+        for w, a in enumerate(sol.reshape(nd, dim_s, dim_sn)):
+            if a.any():
+                actions[(n_gens[w], s)] = a
     # the degree-n action one step above each level is forced by the
     # relations: for y = sum of x_a acted by arrows, y * w decomposes
     # through the degree-(n+1) component
+    dmap = DegreeMap(m, n)
     levels = sorted({m + ((dmap.delta(k) - m) // n) * n for k in c.positions()})
     for s in levels:
         cur_mod = GradedModule(ualg, verts, dict(actions))
@@ -825,163 +741,73 @@ def extract_module(c: ComplexOfGraded, ualg, params,
         if pre is None:
             raise ComplexError(
                 f"level {s}: the degree-1 multiplication is not surjective")
-        ker = linalg.null_space(mu1.T, lam.p)
-        for w in range(dual.dim(n)):
-            amat = zeros(cur_mod.dim(s + 1), cur_mod.dim(s + 1 + n))
+        ker = linalg.null_space(mu1.T, p)
+        for w in range(nd):
             acts = {}
             for _, ai in t1:
                 if ai not in acts:
                     vec = ualg.mult(1, n)[ai, w]
                     acts[ai] = cur_mod.act_element(n + 1, vec, s)
-            for r, (i, ai) in enumerate(t1):
-                for cidx in range(cur_mod.dim(s + 1)):
-                    if pre[r, cidx]:
-                        amat[cidx] = (amat[cidx]
-                                      + int(pre[r, cidx]) * acts[ai][i]) % lam.p
-            for row in ker.basis:
-                acc = np.zeros(cur_mod.dim(s + 1 + n), dtype=np.int64)
-                for r in np.nonzero(row)[0]:
-                    i, ai = t1[int(r)]
-                    acc = (acc + int(row[r]) * acts[ai][i]) % lam.p
-                if acc.any():
-                    raise ComplexError(
-                        f"level {s}: induced degree-{n} action is not "
-                        "well defined")
+            # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
+            y = np.stack([acts[ai][i] for i, ai in t1])
+            if linalg.mat_mul(ker.basis, y, p).any():
+                raise ComplexError(
+                    f"level {s}: induced degree-{n} action is not "
+                    "well defined")
+            amat = linalg.mat_mul(pre.T, y, p)
             if amat.any():
-                actions[(n_gen_pos[w], s + 1)] = amat
-    out = GradedModule(ualg, verts, actions)
-    bad = out.validate()
-    if bad:
-        raise ComplexError(f"extracted module fails validation: {bad[0]}")
-    return out
+                actions[(n_gens[w], s + 1)] = amat
 
 
-def _unit_matrix(r, c, i, j):
-    m = zeros(r, c)
-    m[i, j] = 1
-    return m
+def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
+                s: int):
+    """The linear system (matrix, right-hand side) for the degree-n action
+    at level s, from the odd differential at position k.
+
+    The odd differential is linear in the stacked degree-n action A at s
+    (see _mu1_pullbacks), with no constant term.  The unknowns are the
+    entries of A in row-major order: u = (w * dim_s + i) * dim_sn + r2.
+    Entry ((b, x), (a, x2)) of the differential is the sum over wi of
+    S[(b, x), (a, wi)] * A[wi, x2]; its rows come per degree, row-major."""
+    lam, ualg = c.algebra, prov.algebra
+    p, n, dual = lam.p, ualg.n, ualg.dual
+    dim_sn = len(models[k + 1][2])
+    nwi = dual.dim(n) * prov.dim(s)
+    classes = _path_classes(ualg)
+    mu = dual.mult(1, n - 1)
+    pulls = _mu1_pullbacks(prov, s, classes + [
+        {ai: mu[ai, ui] for ai in range(dual.dim(1))}
+        for ui in range(dual.dim(n - 1))])
+    coefs = [pre_z for pre_z, _ in pulls[:len(classes)]]
+    t = _transported_diff(c, k, models)
+    blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
+    for d, rows, cols, lefts in _odd_steps(lam, ualg, s, models[k][0],
+                                            models[k + 1][0]):
+        spread = _pair_matrix(
+            rows, [(a, wi) for a, _ in cols for wi in range(nwi)],
+            list(zip(lefts, coefs)), p)
+        hit = np.asarray([x2 for _, x2 in cols])[:, None] == np.arange(dim_sn)
+        blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
+                       * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
+        rhs.append(t.mat(d).reshape(-1))
+    # the odd differential alone can underdetermine the action; the
+    # membership condition ker(mu_1) * dual_{n-1} <= ker(mu_n) supplies the
+    # missing equations, one per (kernel element, basis element of
+    # dual_{n-1}, column of A)
+    kers = [ker_z for _, ker_z in pulls[len(classes):]]
+    if kers:
+        cond = np.stack(kers, axis=1).reshape(-1, nwi)
+        cond = cond[cond.any(axis=1)]
+        blocks.append(np.kron(cond, linalg.eye(dim_sn)))
+        rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
+    return np.concatenate(blocks), np.concatenate(rhs)
 
 
 def _transported_diff(c: ComplexOfGraded, k: int, models) -> GradedMorphism:
     """The differential at k conjugated into the canonical model spaces."""
-    w1 = models[k][2]
-    w2 = models[k + 1][2]
+    w1 = models[k][1]
+    w2 = models[k + 1][1]
     return w1.compose(c.diff(k)).compose(w2.inverse())
-
-
-def _flatten_morphism(f: GradedMorphism) -> np.ndarray:
-    parts = []
-    for d in sorted(set(f.source.degrees()) | set(f.target.degrees())):
-        parts.append(f.mat(d).reshape(-1))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _flatten_mats(mats: dict, like: GradedMorphism) -> np.ndarray:
-    parts = []
-    for d in sorted(set(like.source.degrees()) | set(like.target.degrees())):
-        m = mats.get(d)
-        if m is None:
-            m = zeros(like.source.dim(d), like.target.dim(d))
-        parts.append(np.asarray(m).reshape(-1))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _model_odd_diff(mod: GradedModule, lam, s: int, bsrc, btgt,
-                    check: bool = True) -> dict:
-    """The odd differential of the explicit equivalence at level s, between
-    the given model spaces, as plain per-degree matrices."""
-    from .quiver import enumerate_paths
-    ualg = mod.algebra
-    n = ualg.n
-    q = ualg.dual.quiver.opposite()
-    xi = _xi_matrices(mod, s, check=check)
-    paths = enumerate_paths(q, n - 1)
-    src = bsrc.shift(s + 1)
-    tgt = btgt.shift(s + n)
-    mats = {}
-    for d in src.degrees():
-        if tgt.dim(d) == 0:
-            continue
-        e1 = d + s + 1
-        e2 = d + s + n
-        k2 = -e2
-        pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
-        mm = zeros(src.dim(d), tgt.dim(d))
-        for pi, pa in enumerate(paths):
-            cls = lam.reduce_path_element(_path_elem(pa, n - 1))
-            rmul = lam.right_mult_matrix(k2, n - 1, cls)
-            ximat = xi[pi]
-            if not rmul.any() or not ximat.any():
-                continue
-            for r, (b, x) in enumerate(bsrc.hom_index[e1]):
-                for a in np.nonzero(rmul[:, b])[0]:
-                    for x2 in np.nonzero(ximat[x])[0]:
-                        key = (int(a), int(x2))
-                        if key in pos2:
-                            cx = pos2[key]
-                            mm[r, cx] = (mm[r, cx]
-                                         + rmul[a, b] * ximat[x, x2]) % lam.p
-        if mm.any():
-            mats[d] = mm
-    return mats
-
-
-def _extract_module_n2(c: ComplexOfGraded, ualg, params, cert) -> GradedModule:
-    """n = 2 inverse: read both generator degrees from the transported
-    single-step differentials."""
-    lam = c.algebra
-    m = params.m
-    dmap = DegreeMap(m, 2)
-    models = {}
-    for k in c.positions():
-        s = dmap.delta(k)
-        vlist = [v for v, _ in cert[k]["mults"]]
-        base = cofree_module(lam, vlist)
-        models[k] = (base, base.shift(s), cert[k]["witness"], vlist)
-    verts = {dmap.delta(k): tuple(models[k][3]) for k in c.positions()}
-    actions: dict = {}
-    one_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
-                if g.degree == 1}
-    q = ualg.dual.quiver.opposite()
-    for k in c.positions():
-        if (k + 1) not in models:
-            continue
-        s = dmap.delta(k)
-        T = _transported_diff(c, k, models)
-        mat = T.mat(-s - 1)
-        rows = models[k][0].hom_index.get(-1, [])
-        cols = models[k + 1][0].hom_index.get(0, [])
-        for ai in range(q.arrow_count):
-            a = zeros(len(models[k][3]), len(models[k + 1][3]))
-            v_tgt = q.arrow_source(ai)
-            for r, (b, x) in enumerate(rows):
-                if b != ai:
-                    continue
-                for cx, (vb, x2) in enumerate(cols):
-                    if vb == v_tgt:
-                        a[x, x2] = mat[r, cx]
-            if a.any():
-                actions[(one_gens[ai], s)] = a
-    # the degree-2 generator actions are the induced products
-    n_gen_pos = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
-                 if g.degree == 2}
-    prov = GradedModule(ualg.dual, verts,
-                        {(gi_arrow_index(ualg, gi), d): mmat
-                         for (gi, d), mmat in actions.items()})
-    for d in verts:
-        if d + 2 not in verts:
-            continue
-        for w, gi in n_gen_pos.items():
-            vec = np.zeros(ualg.dual.dim(2), dtype=np.int64)
-            vec[w] = 1
-            a = prov.act_element(2, vec, d)
-            if a.any():
-                actions[(gi, d)] = a
-    out = GradedModule(ualg, verts, actions)
-    bad = out.validate()
-    if bad:
-        raise ComplexError(f"extracted module fails validation: {bad[0]}")
-    return out
 
 
 def gi_arrow_index(ualg, gi: int) -> int:

@@ -57,9 +57,6 @@ class GradedModule:
     def support_top(self):
         return max(self.verts) if self.verts else None
 
-    def support_bottom(self):
-        return min(self.verts) if self.verts else None
-
     def act(self, gi: int, d: int) -> np.ndarray:
         g = self.gens[gi]
         m = self.actions.get((gi, d))
@@ -278,61 +275,54 @@ class GradedMorphism:
 def hom_space(m: GradedModule, n: GradedModule):
     """Canonical basis of the degree-0 graded morphisms m -> n.
 
-    Solved as one linear system: unknowns are the vertex-matching matrix
-    entries per degree, constraints are commutation with every generator.
+    Solved as one linear system, built in one preallocated matrix: the
+    unknowns are the matrix entries per degree whose row and column sit at
+    the same vertex (A_0-linearity forces the others to zero), the
+    constraints are commutation with every generator.
     """
     if m.algebra is not n.algebra and m.p != n.p:
         raise ModuleError("hom between modules over different fields")
     p = m.p
     degs = sorted(set(m.degrees()) | set(n.degrees()))
-    offs = {}
+    # per degree: the unknown's column for each matrix entry, or -1
+    cols = {}
     total = 0
     for d in degs:
-        offs[d] = total
-        total += m.dim(d) * n.dim(d)
+        match = np.equal.outer(np.asarray(m.verts_at(d), dtype=np.intp),
+                               np.asarray(n.verts_at(d), dtype=np.intp))
+        cols[d] = np.full(match.shape, -1, dtype=np.intp)
+        cols[d][match] = np.arange(total, total + match.sum())
+        total += int(match.sum())
     if total == 0:
         return []
-    eq_rows = []
-    # vertex mismatch entries are forced to zero (A_0-linearity)
-    for d in degs:
-        sv, tv = m.verts_at(d), n.verts_at(d)
-        nc = n.dim(d)
-        for i in range(m.dim(d)):
-            for j in range(nc):
-                if sv[i] != tv[j]:
-                    row = np.zeros(total, dtype=np.int64)
-                    row[offs[d] + i * nc + j] = 1
-                    eq_rows.append(row)
-    for gi, g in enumerate(m.gens):
-        for d in degs:
-            d2 = d + g.degree
-            r1, c1 = m.dim(d), n.dim(d)
-            c2 = n.dim(d2)
-            if r1 == 0 or c2 == 0:
-                continue
-            a = m.act(gi, d)          # r1 x r2
-            b = n.act(gi, d)          # c1 x c2
-            block = np.zeros((r1 * c2, total), dtype=np.int64)
-            if d2 in offs and a.size:
-                block[:, offs[d2]: offs[d2] + a.shape[1] * c2] = np.kron(a, linalg.eye(c2))
-            if d in offs and b.size:
-                block[:, offs[d]: offs[d] + r1 * c1] -= np.kron(linalg.eye(r1), b.T)
-            block %= p
-            if block.any():
-                eq_rows.append(block)
-    if eq_rows:
-        eq = np.concatenate(
-            [r.reshape(-1, total) for r in eq_rows], axis=0)
-        sol = linalg.null_space(eq, p)
-    else:
-        sol = Subspace.full(total, p)
+    blocks = [(gi, d, d + g.degree) for gi, g in enumerate(m.gens)
+              for d in degs if m.dim(d) and n.dim(d + g.degree)
+              and (m.act(gi, d).any() or n.act(gi, d).any())]
+    eq = np.zeros((sum(m.dim(d) * n.dim(d2) for _, d, d2 in blocks), total),
+                  dtype=np.int64)
+    top = 0
+    for gi, d, d2 in blocks:
+        a = m.act(gi, d)          # r1 x r2
+        b = n.act(gi, d)          # c1 x c2
+        r1, c2 = a.shape[0], b.shape[1]
+        rows = eq[top: top + r1 * c2]
+        top += r1 * c2
+        # row i * c2 + j of a f_{d2} - f_d b: the unknown f_{d2}[k, j]
+        # enters with a[i, k] and the unknown f_d[i, k] with -b[k, j]
+        k, j = np.nonzero(cols[d2] >= 0)
+        rows[np.arange(r1)[:, None] * c2 + j, cols[d2][k, j]] = a[:, k]
+        i, k = np.nonzero(cols[d] >= 0)
+        rows[i * c2 + np.arange(c2)[:, None], cols[d][i, k]] = -b[k].T % p
+    sol = linalg.null_space(eq, p)
     out = []
     for vec in sol.basis:
         mats = {}
         for d in degs:
-            r, c = m.dim(d), n.dim(d)
-            if r and c:
-                mats[d] = vec[offs[d]: offs[d] + r * c].reshape(r, c)
+            if cols[d].size:
+                mat = zeros(*cols[d].shape)
+                kept = cols[d] >= 0
+                mat[kept] = vec[cols[d][kept]]
+                mats[d] = mat
         out.append(GradedMorphism(m, n, mats))
     return out
 
@@ -426,14 +416,6 @@ def generated_in_degrees(mod: GradedModule, degree_set) -> bool:
     if not mod.is_valid():
         raise ModuleError("module failed validation")
     return all(d in degree_set for d in top_dims(mod))
-
-
-def generated_in_degrees_slow(mod: GradedModule, degree_set) -> bool:
-    """Oracle: close the chosen components under the action, compare dims."""
-    spans = {d: linalg.eye(mod.dim(d))
-             for d in mod.degrees() if d in degree_set}
-    closed = submodule_closure(mod, spans)
-    return sum(s.dim for s in closed.values()) == mod.total_dim()
 
 
 def cogenerated_in_degrees(mod: GradedModule, degree_set) -> bool:
@@ -817,19 +799,13 @@ def in_G(mod: GradedModule, params: TorsionParams) -> bool:
 def restrict_S(mod: GradedModule, ualg, params: TorsionParams) -> GradedModule:
     """(-)_S: keep the S-degree components; module over the support-
     restricted algebra, with degree-1 and degree-n generator actions."""
-    dual_gens = mod.gens
-    n = params.n
     verts = {d: v for d, v in mod.verts.items() if params.in_s(d)}
     actions: dict = {}
-    ual_gens = ualg.generators()
-    for gi, g in enumerate(ual_gens):
-        vec = np.zeros(ualg.dim(g.degree), dtype=np.int64)
-        vec[g.basis_index] = 1
+    for gi, g in enumerate(ualg.generators()):
         for d in verts:
-            d2 = d + g.degree
-            if d2 not in verts:
+            if d + g.degree not in verts:
                 continue
-            a = mod.act_element(g.degree, vec, d)
+            a = mod.act_basis_element(g.degree, g.basis_index, d)
             if a.any():
                 actions[(gi, d)] = a
     return GradedModule(ualg, verts, actions, "U")

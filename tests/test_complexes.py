@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nkoszul import complexes as cx
+from nkoszul import linalg
 from nkoszul import grmod as gm
 from nkoszul import verify
 from nkoszul.complexes import ComplexError
@@ -180,3 +181,392 @@ def test_coregular_module_lives_and_dies_with_its_algebra():
     del lam, dlam
     gc.collect()
     assert ref() is None
+
+
+# -- the replaced per-entry loops, kept as reference oracles -----------------
+# Each builds a differential entry by entry through a dict of target pairs;
+# the code under test builds the same matrices with cx._pair_matrix.
+
+
+def reference_psi_mats(mod, lam, k, src, tgt):
+    arrow_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+                  if g.degree == 1}
+    mats = {}
+    for d in src.degrees():
+        if tgt.dim(d) == 0:
+            continue
+        e1 = d + k
+        pos2 = {key: c for c, key in enumerate(tgt.free_index[d])}
+        m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
+        for ai in range(lam.quiver.arrow_count):
+            a_act = mod.act(arrow_gens[ai], k)
+            vec = np.zeros(lam.dim(1), dtype=np.int64)
+            vec[ai] = 1
+            lmul = lam.left_mult_matrix(1, vec, e1)
+            for r, (i, b) in enumerate(src.free_index[d]):
+                for i2 in np.nonzero(a_act[i])[0]:
+                    for b2 in np.nonzero(lmul[b])[0]:
+                        key = (int(i2), int(b2))
+                        if key in pos2:
+                            cidx = pos2[key]
+                            m[r, cidx] = (m[r, cidx]
+                                          + a_act[i, i2] * lmul[b, b2]) % lam.p
+        if m.any():
+            mats[d] = m
+    return mats
+
+
+def reference_cofree_actions(lam, index):
+    actions = {}
+    for gi, g in enumerate(lam.generators()):
+        vec = np.zeros(lam.dim(1), dtype=np.int64)
+        vec[g.basis_index] = 1
+        for e in index:
+            e2 = e + 1
+            if e2 not in index:
+                continue
+            lmul = lam.left_mult_matrix(1, vec, -e2)
+            pos2 = {key: c for c, key in enumerate(index[e2])}
+            m = np.zeros((len(index[e]), len(index[e2])), dtype=np.int64)
+            for r, (b, x) in enumerate(index[e]):
+                for a in np.nonzero(lmul[:, b])[0]:
+                    key = (int(a), x)
+                    if key in pos2:
+                        m[r, pos2[key]] = lmul[a, b]
+            if m.any():
+                actions[(gi, e)] = m
+    return actions
+
+
+def reference_hom_mats(lam, s, bsrc, btgt, acts):
+    """The nu step (also the even differential of F); acts[a] is the
+    action paired with arrow a."""
+    src, tgt = bsrc.shift(s), btgt.shift(s + 1)
+    mats = {}
+    for d in src.degrees():
+        if tgt.dim(d) == 0:
+            continue
+        e1, e2 = d + s, d + s + 1
+        pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
+        m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
+        for ai, a_act in enumerate(acts):
+            vec = np.zeros(lam.dim(1), dtype=np.int64)
+            vec[ai] = 1
+            rmul = lam.right_mult_matrix(-e2, 1, vec)
+            for r, (b, x) in enumerate(bsrc.hom_index[e1]):
+                for a in np.nonzero(rmul[:, b])[0]:
+                    for x2 in np.nonzero(a_act[x])[0]:
+                        key = (int(a), int(x2))
+                        if key in pos2:
+                            cidx = pos2[key]
+                            m[r, cidx] = (m[r, cidx]
+                                          + rmul[a, b] * a_act[x, x2]) % lam.p
+        if m.any():
+            mats[d] = m
+    return mats
+
+
+def reference_xi(mod, s):
+    from nkoszul.quiver import Path, enumerate_paths, path_index
+    ualg = mod.algebra
+    dual, n, p = ualg.dual, ualg.n, mod.p
+    q = dual.quiver.opposite()
+    t1, mu1, pre = cx._mu1_data(mod, s)
+    n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+              if g.degree == n}
+    idx_op = path_index(dual.quiver, n)
+    out = []
+    for pa in enumerate_paths(q, n - 1):
+        mat = np.zeros((mod.dim(s + 1), mod.dim(s + n)), dtype=np.int64)
+        for r, (i, ai) in enumerate(t1):
+            if q.arrow_source(ai) != pa.target_in(q):
+                continue
+            v = np.zeros(len(idx_op), dtype=np.int64)
+            v[idx_op[Path(q.arrow_target(ai),
+                          (ai,) + tuple(reversed(pa.arrows)))]] = 1
+            cls = dual.reduce_vector(v, n)
+            act = np.zeros((mod.dim(s), mod.dim(s + n)), dtype=np.int64)
+            for w in np.nonzero(cls)[0]:
+                act = (act + int(cls[w]) * mod.act(n_gens[int(w)], s)) % p
+            for col in range(mod.dim(s + 1)):
+                if pre[r, col]:
+                    mat[col] = (mat[col] + int(pre[r, col]) * act[i]) % p
+        out.append(mat)
+    return out
+
+
+def reference_odd_mats(mod, lam, s, bsrc, btgt):
+    from nkoszul.quiver import enumerate_paths
+    n = mod.algebra.n
+    xi = reference_xi(mod, s)
+    paths = enumerate_paths(mod.algebra.dual.quiver.opposite(), n - 1)
+    src, tgt = bsrc.shift(s + 1), btgt.shift(s + n)
+    mats = {}
+    for d in src.degrees():
+        if tgt.dim(d) == 0:
+            continue
+        e1, e2 = d + s + 1, d + s + n
+        pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
+        m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
+        for pa, ximat in zip(paths, xi):
+            cls = lam.reduce_path_element(cx._path_elem(pa, n - 1))
+            rmul = lam.right_mult_matrix(-e2, n - 1, cls)
+            for r, (b, x) in enumerate(bsrc.hom_index[e1]):
+                for a in np.nonzero(rmul[:, b])[0]:
+                    for x2 in np.nonzero(ximat[x])[0]:
+                        key = (int(a), int(x2))
+                        if key in pos2:
+                            cidx = pos2[key]
+                            m[r, cidx] = (m[r, cidx]
+                                          + rmul[a, b] * ximat[x, x2]) % lam.p
+        if m.any():
+            mats[d] = m
+    return mats
+
+
+def reference_odd_system(c, models, prov, k, s):
+    """The trial-module system: one module per unknown (a single entry of
+    one degree-n action set to 1), each rerunning the odd differential to
+    read off a column.  Returns the matrix, the right-hand side and the
+    offset column of the all-zero action."""
+    lam, ualg = c.algebra, prov.algebra
+    p, n, dual = lam.p, ualg.n, ualg.dual
+    n_gen_pos = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
+                 if g.degree == n}
+    dim_s, dim_sn = prov.dim(s), len(models[k + 1][2])
+    unknowns = dual.dim(n) * dim_s * dim_sn
+    t = cx._transported_diff(c, k, models)
+    degs = sorted(set(t.source.degrees()) | set(t.target.degrees()))
+
+    def flatten(mats):
+        return np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [np.asarray(mats.get(d, np.zeros((t.source.dim(d),
+                                                t.target.dim(d)),
+                                               dtype=np.int64))).reshape(-1)
+               for d in degs])
+
+    def model_diff(actions):
+        mod = gm.GradedModule(ualg, prov.verts, actions)
+        return flatten(reference_odd_mats(mod, lam, s, models[k][0],
+                                          models[k + 1][0]))
+
+    off = model_diff(dict(prov.actions))
+    cols = []
+    for u in range(unknowns):
+        w, rest = divmod(u, dim_s * dim_sn)
+        i, r2 = divmod(rest, dim_sn)
+        unit = np.zeros((dim_s, dim_sn), dtype=np.int64)
+        unit[i, r2] = 1
+        cols.append((model_diff({**prov.actions, (n_gen_pos[w], s): unit})
+                     - off) % p)
+    a_mat = np.stack(cols, axis=1)
+    rhs = (flatten({d: t.mat(d) for d in degs}) - off) % p
+    t1, mu1, _ = cx._mu1_data(prov, s)
+    kerz = linalg.null_space(mu1.T, p)
+    mu_un = dual.mult(1, n - 1)
+    extra = []
+    for z in kerz.basis:
+        for ui in range(dual.dim(n - 1)):
+            coeff = {}
+            for r in np.nonzero(z)[0]:
+                i, ai = t1[int(r)]
+                vec = mu_un[ai, ui]
+                for w in np.nonzero(vec)[0]:
+                    key = (int(w), int(i))
+                    coeff[key] = (coeff.get(key, 0)
+                                  + int(z[r]) * int(vec[w])) % p
+            if not any(coeff.values()):
+                continue
+            for r2 in range(dim_sn):
+                row = np.zeros(unknowns, dtype=np.int64)
+                for (w, i), cv in coeff.items():
+                    row[w * dim_s * dim_sn + i * dim_sn + r2] = cv
+                extra.append(row)
+    if extra:
+        a_mat = np.concatenate([a_mat, np.stack(extra)])
+        rhs = np.concatenate([rhs, np.zeros(len(extra), dtype=np.int64)])
+    return a_mat, rhs, off
+
+
+def reference_degree_one(c, models, dmap, ualg):
+    """The degree-1 read-off from the single-step differentials."""
+    one_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
+                if g.degree == 1}
+    q = ualg.dual.quiver.opposite()
+    actions = {}
+    for k in c.positions():
+        s = dmap.delta(k)
+        if k + 1 not in models or dmap.delta(k + 1) != s + 1:
+            continue
+        mat = cx._transported_diff(c, k, models).mat(-s - 1)
+        rows = models[k][0].hom_index.get(-1, [])
+        cols = models[k + 1][0].hom_index.get(0, [])
+        for ai in range(q.arrow_count):
+            a = np.zeros((len(models[k][2]), len(models[k + 1][2])),
+                         dtype=np.int64)
+            for r, (b, x) in enumerate(rows):
+                if b != ai:
+                    continue
+                for cidx, (vb, x2) in enumerate(cols):
+                    if vb == q.arrow_source(ai):
+                        a[x, x2] = mat[r, cidx]
+            if a.any():
+                actions[(one_gens[ai], s)] = a
+    return actions
+
+
+def small_entry(kind, p):
+    """A corpus-like algebra over F_p whose relations are all paths of
+    length n: two loops at one vertex (n = 3, or n = 2 for "loops_n2"), or
+    two vertices with an arrow each way (n = 3).  The duals are
+    relation-free."""
+    from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
+                                 build_slices)
+    from nkoszul.quiver import Quiver
+    if kind == "cycle":
+        q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
+    else:
+        q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    n = 2 if kind == "loops_n2" else 3
+    pres = Presentation.make(q, n, verify._all_path_relations(q, n), p=p)
+    lam = build_slices(pres, 12)
+    dual = build_dual(lam, 10)
+    return {"n": n, "lam": lam, "dual": dual,
+            "ualg": USupportAlgebra(dual, n)}
+
+
+SMALL = [(kind, p) for p in (2, 3, 5) for kind in ("loops", "cycle")]
+
+
+def case_entry(key, p):
+    if key in ("loops", "cycle", "loops_n2"):
+        return small_entry(key, p)
+    return verify.corpus(key)
+
+
+def assert_same_mats(got: dict, want: dict, where: str):
+    assert sorted(got) == sorted(want), where
+    for d in want:
+        assert np.array_equal(got[d], want[d]), f"{where}, degree {d}"
+
+
+@pytest.mark.parametrize("key,p", [
+    ("one_loop_n3", 101), ("two_loop_n3", 101), ("commutative_n2", 101),
+    ("two_vertex_n3", 101), ("loops_n2", 3)] + SMALL)
+def test_functors_match_the_replaced_loops(key, p):
+    e = case_entry(key, p)
+    lam, dual = e["lam"], e["dual"]
+    rng = np.random.default_rng(7)
+    for trial in range(3):
+        mod = verify.random_quotient_module(rng, dual, 0, 4)
+        c = cx.psi(mod, lam)
+        for k in c.positions():
+            if k + 1 in c.modules:
+                assert_same_mats(
+                    c.diff(k).mats,
+                    reference_psi_mats(mod, lam, k, c.modules[k],
+                                       c.modules[k + 1]),
+                    f"psi, trial {trial}, position {k}")
+        c = cx.nu(mod, lam)
+        for j in mod.degrees():
+            base = cx.cofree_module(lam, mod.verts_at(j))
+            assert_same_mats(base.actions,
+                             reference_cofree_actions(lam, base.hom_index),
+                             f"cofree, trial {trial}, degree {j}")
+            if j + 1 in c.modules:
+                acts = cx._arrow_acts(mod, j, range(lam.quiver.arrow_count))
+                want = reference_hom_mats(
+                    lam, j, base, cx.cofree_module(lam, mod.verts_at(j + 1)),
+                    acts)
+                assert_same_mats(c.diff(j).mats, want,
+                                 f"nu, trial {trial}, position {j}")
+
+
+@pytest.mark.parametrize("key,p", [
+    ("one_loop_n3", 101), ("two_loop_n3", 101), ("two_vertex_n3", 101),
+    ("loops_n2", 101), ("loops_n2", 3)] + SMALL)
+def test_equivalence_and_extraction_match_the_replaced_loops(key, p):
+    from nkoszul.algebra import DegreeMap
+    e = case_entry(key, p)
+    lam, ualg, n = e["lam"], e["ualg"], e["n"]
+    params = TorsionParams(n, 1, 0)
+    dmap = DegreeMap(0, n)
+    rng = np.random.default_rng(11)
+    systems = 0
+    for trial in range(3):
+        x = verify.random_distinguished_module(rng, e, params)
+        c = cx.equivalence_F(x, lam, params)
+        for k in c.positions():
+            if k + 1 not in c.modules:
+                continue
+            s = dmap.delta(k)
+            bsrc = cx.cofree_module(lam, x.verts_at(s))
+            btgt = cx.cofree_module(lam, x.verts_at(dmap.delta(k + 1)))
+            if n == 2 or k % 2 == 0:
+                acts = cx._arrow_acts(x, s, range(lam.quiver.arrow_count))
+                want = reference_hom_mats(lam, s, bsrc, btgt, acts)
+            else:
+                want = reference_odd_mats(x, lam, s - 1, bsrc, btgt)
+            assert_same_mats(c.diff(k).mats, want,
+                             f"F, trial {trial}, position {k}")
+        # the degree-n system of extract_module, built directly and from
+        # one trial module per unknown
+        cert = cx._check_conditions_ab(c, params)
+        if cert is None:
+            # a standing gap, not a builder difference: for n = 2, in_L
+            # accepts generators in odd degrees, whose images fail the odd
+            # socle condition (a simple module in degree 1 already does)
+            assert n == 2 and any(d % 2 for d in gm.top_dims(x))
+            continue
+        models = {}
+        for k in c.positions():
+            vlist = [v for v, _ in cert[k]["mults"]]
+            models[k] = (cx.cofree_module(lam, vlist), cert[k]["witness"],
+                         vlist)
+        verts = {dmap.delta(k): tuple(models[k][2]) for k in c.positions()}
+        actions = cx._degree_one_actions(c, models, dmap, ualg)
+        assert_same_mats(actions, reference_degree_one(c, models, dmap, ualg),
+                         f"degree-1 read-off, trial {trial}")
+        prov = gm.GradedModule(ualg, verts, actions)
+        for k in c.positions():
+            s = dmap.delta(k) - 1
+            if n == 2 or k % 2 == 0 or k + 1 not in models \
+                    or not prov.dim(s) or not prov.dim(s + 1):
+                continue
+            a_mat, rhs = cx._odd_system(c, models, prov, k, s)
+            ref_a, ref_rhs, off = reference_odd_system(c, models, prov, k, s)
+            assert not off.any()  # linear in the action, no offset
+            assert np.array_equal(a_mat, ref_a)
+            assert np.array_equal(rhs, ref_rhs)
+            systems += 1
+        y = cx.extract_module(c, ualg, params)
+        assert gm.iso_modules(y, x) is not None
+    assert systems or n == 2
+
+
+def python_pair_matrix(src_pairs, tgt_pairs, terms, p):
+    return np.array([[sum(int(L[u, u2]) * int(R[v, v2]) for L, R in terms) % p
+                      for u2, v2 in tgt_pairs] for u, v in src_pairs],
+                    dtype=np.int64).reshape(len(src_pairs), len(tgt_pairs))
+
+
+@pytest.mark.parametrize("p", [2, 101, 3037000493, 4611686018427388039])
+def test_pair_matrix_is_exact_at_every_accepted_modulus(p):
+    rng = np.random.default_rng(p % 1000)
+    for fill in ("random", "top"):
+        terms = []
+        for _ in range(3):
+            shapes = ((4, 5), (3, 6))
+            if fill == "random":
+                terms.append(tuple(rng.integers(0, p, size=sh, dtype=np.int64)
+                                   for sh in shapes))
+            else:
+                terms.append(tuple(np.full(sh, p - 1, dtype=np.int64)
+                                   for sh in shapes))
+        src = [(u, v) for u in range(4) for v in range(3) if (u + v) % 3]
+        tgt = [(u, v) for u in range(5) for v in range(6) if (u * v) % 4 != 1]
+        got = cx._pair_matrix(src, tgt, terms, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, python_pair_matrix(src, tgt, terms, p))
+    assert cx._pair_matrix([], [(0, 0)], terms, p).shape == (0, 1)

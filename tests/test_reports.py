@@ -1,0 +1,39 @@
+"""Byte-identical CLI reports: the behavioural contract of a refactor.
+
+`report_digests.json` pins, for a fixed set of commands on `inputs/*.json`,
+the exit code and the sha256 of stdout: `dual`, `functor --which psi|nu`,
+`contract` and `check` of the module predicates and of the complex
+predicates (in_Y and in_Yo included) on nu, psi and F of each module.  The
+digests were taken before the (co)free differentials moved onto one
+pair-indexed builder; a change to them is a change of behaviour.  Left out:
+`check --predicate in_Y --object "F(X)"` on two_loop_n3 (about 5 s; the
+`membership` benchmark workload checks its digest) and the six commands on
+F(M) of commutative_n2, which end in a traceback instead of a report.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+from nkoszul.cli import main
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(HERE, "tests", "report_digests.json")) as f:
+    DIGESTS = json.load(f)
+
+
+def test_cli_reports_are_byte_identical(monkeypatch):
+    # the report echoes the input path, so run from the repository root
+    monkeypatch.chdir(HERE)
+    assert len(DIGESTS) == 126
+    for entry in DIGESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(entry["argv"])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        cmd = "nkoszul " + " ".join(entry["argv"])
+        assert code == entry["exit"], f"{cmd}: exit code {code}"
+        assert digest == entry["sha256"], f"{cmd}: report changed"
