@@ -1,11 +1,15 @@
 """Graded components of path-algebra quotients and their n-homogeneous duals.
 
 A :class:`PathAlgebra` holds, degree by degree, the ideal slice I_k inside
-KQ_k, a canonical quotient basis of the degree-k component (the non-pivot
-paths of the RREF of I_k), and cached multiplication tensors.  On top of it
-sit the orthogonal of the degree-n relation space (computed two ways), the
-dual algebra, the support-restricted algebra on U = nZ u (nZ+1), and the
-regraded Yoneda-type algebra.
+KQ_k and a canonical quotient basis of the degree-k component (the non-pivot
+paths of the RREF of I_k).  The one map from paths to classes is the normal
+form NF_k (``normal_form``): row i is the class of path i, so NF_k is the
+identity at the non-pivot paths and minus the RREF's non-pivot columns at the
+pivot paths.  Reduction, the multiplication tensors, the (r, s, t) ordering
+of the orthogonal and every path class read downstream are rows of it.  On
+top sit the orthogonal of the degree-n relation space (computed two ways),
+the dual algebra, the support-restricted algebra on U = nZ u (nZ+1), and
+the regraded Yoneda-type algebra.
 
 All algebra flavours expose the same duck-typed surface used by the module
 layer: ``p``, ``nvert``, ``dim(d)``, ``basis_pairs(d)``, ``mult(d1, d2)``,
@@ -92,8 +96,8 @@ class PathAlgebra:
         self._pivots: list = []
         self._nonpivots: list = []
         self._vanished_from: int | None = None
+        self._nf: dict = {}             # per degree: NF_d, built on first use
         self._mult_cache: dict = {}
-        self._lmult_cache: dict = {}
         self._rels_by_degree: dict = {}
         for r in pres.relations:
             self._rels_by_degree.setdefault(r.degree, []).append(r)
@@ -235,18 +239,35 @@ class PathAlgebra:
 
     # -- reduction and multiplication ---------------------------------------
 
+    def normal_form(self, d: int) -> np.ndarray:
+        """NF_d: row i is the class of path i of KQ_d in the basis of A_d.
+
+        NF[nonpiv] = I and NF[piv] = -red[:, nonpiv] mod p.  Built on first
+        use: windows are often computed far past the degrees ever reduced."""
+        nf = self._nf.get(d)
+        if nf is None:
+            m = self.dim(d)
+            nf = zeros(self.path_count(d), m)
+            if m:
+                nonpiv = self._nonpivots[d]
+                nf[nonpiv, np.arange(m)] = 1
+                nf[self._pivots[d]] = -self._ideal[d][:, nonpiv] % self.p
+            self._nf[d] = nf
+        return nf
+
+    def path_classes(self, d: int, paths) -> np.ndarray:
+        """The classes in A_d of the given paths of length d, one per row."""
+        if self.dim(d) == 0:
+            return zeros(len(paths), 0)
+        pidx = self._pidx[d]
+        return self.normal_form(d)[[pidx[pa] for pa in paths]]
+
     def reduce_vector(self, v: np.ndarray, d: int) -> np.ndarray:
         """KQ_d coordinates -> quotient coordinates in the canonical basis."""
         if self.dim(d) == 0:
             return np.zeros(0, dtype=np.int64)
-        piv = self._pivots[d]
-        nonpiv = self._nonpivots[d]
-        red = self._ideal[d]
-        v = np.asarray(v, dtype=np.int64) % self.p
-        out = v[nonpiv].copy()
-        if piv:
-            out = (out - v[piv] @ red[:, nonpiv]) % self.p
-        return out
+        return linalg.mat_mul(np.reshape(v, (1, -1)), self.normal_form(d),
+                              self.p)[0]
 
     def reduce_path_element(self, el: PathSpaceElement) -> np.ndarray:
         v = el.vector(self.quiver, self.p)
@@ -262,31 +283,30 @@ class PathAlgebra:
         t = np.zeros((m1, m2, m3), dtype=np.int64)
         if m1 and m2 and m3:
             q = self.quiver
-            pidx = self._pidx[d1 + d2]
-            b1 = self.basis_paths(d1)
-            b2 = self.basis_paths(d2)
-            for i, pa in enumerate(b1):
-                for j, pb in enumerate(b2):
-                    if pa.target_in(q) != pb.source:
-                        continue
-                    concat = pa.compose(pb, q)
-                    v = np.zeros(len(self._paths[d1 + d2]), dtype=np.int64)
-                    v[pidx[concat]] = 1
-                    t[i, j] = self.reduce_vector(v, d1 + d2)
+            pairs = [(i, j, pa.compose(pb, q))
+                     for i, pa in enumerate(self.basis_paths(d1))
+                     for j, pb in enumerate(self.basis_paths(d2))
+                     if pa.target_in(q) == pb.source]
+            if pairs:
+                i, j, concat = zip(*pairs)
+                t[i, j] = self.path_classes(d1 + d2, concat)
         self._mult_cache[key] = t
         return t
 
     def left_mult_matrix(self, d_el: int, vec: np.ndarray, d: int) -> np.ndarray:
         """Matrix of x -> el * x from A_d to A_{d_el + d} (rows = A_d basis)."""
         t = self.mult(d_el, d)
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        return np.tensordot(vec, t, axes=(0, 0)) % self.p
+        k, m1, m2 = t.shape
+        return linalg.mat_mul(np.reshape(vec, (1, k)), t.reshape(k, m1 * m2),
+                              self.p).reshape(m1, m2)
 
     def right_mult_matrix(self, d: int, d_el: int, vec: np.ndarray) -> np.ndarray:
         """Matrix of x -> x * el from A_d to A_{d + d_el} (rows = A_d basis)."""
         t = self.mult(d, d_el)
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        return np.tensordot(t, vec, axes=(1, 0)) % self.p
+        m1, k, m2 = t.shape
+        return linalg.mat_mul(np.reshape(vec, (1, k)),
+                              t.transpose(1, 0, 2).reshape(k, m1 * m2),
+                              self.p).reshape(m1, m2)
 
     # -- generator / word interface -----------------------------------------
 
@@ -383,55 +403,26 @@ class DualData:
 
 
 def compute_orthogonal_via_ordering(alg: PathAlgebra) -> DualData:
-    """The orthogonal basis from the explicit (r, s, t) path ordering."""
+    """The orthogonal basis from the explicit (r, s, t) path ordering.
+
+    One RREF of NF_n^T: with lowest-index pivoting its pivot columns are the
+    greedy basis of path classes in path order (the r block), and the column
+    of an s path holds its coordinates lambda in the r classes."""
     pres = alg.pres
     n, p, q = pres.n, alg.p, pres.quiver
-    alg.ensure_degree(n)
     paths = enumerate_paths(q, n)
-    m = alg.dim(n)
-    r_block, s_block, t_block = [], [], []
-    images = []
-    basis_mat = zeros(0, m) if m else zeros(0, 0)
-    cur_rank = 0
-    for i, pa in enumerate(paths):
-        v = np.zeros(len(paths), dtype=np.int64)
-        v[i] = 1
-        img = alg.reduce_vector(v, n)
-        images.append(img)
-        if m == 0 or not img.any():
-            t_block.append(i)
-            continue
-        cand = np.concatenate([basis_mat, img.reshape(1, -1)], axis=0)
-        rk = linalg.rank(cand, p)
-        if rk > cur_rank:
-            r_block.append(i)
-            basis_mat = cand
-            cur_rank = rk
-        else:
-            s_block.append(i)
-    r, s = len(r_block), len(s_block)
-    lam = zeros(r, s)
-    if r and s:
-        vr = np.stack([images[i] for i in r_block], axis=0)  # r x m
-        for jj, j in enumerate(s_block):
-            sol = linalg.solve(vr.T, images[j], p)
-            if sol is None:
-                raise AlgebraError("inconsistent block decomposition")
-            lam[:, jj] = sol
-    qop = q.opposite()
-    h_basis = []
-    for ii, i in enumerate(r_block):
-        coeffs = {opposite_path(paths[i], q): 1}
-        for jj, j in enumerate(s_block):
-            if lam[ii, jj]:
-                coeffs[opposite_path(paths[j], q)] = int(lam[ii, jj])
-        h_basis.append(PathSpaceElement(n, coeffs))
-    nop = len(enumerate_paths(qop, n))
-    if h_basis:
-        rows = np.stack([h.vector(qop, p) for h in h_basis], axis=0)
-        orth = Subspace.from_rows(nop, rows, p)
-    else:
-        orth = Subspace.zero(nop, p)
+    nf = alg.normal_form(n)
+    reduced, r_block, r = linalg.rref(nf.T, p)
+    live = nf.any(axis=1)  # the paths outside the ideal
+    t_block = (~live).nonzero()[0].tolist()
+    live[r_block] = False
+    s_block = live.nonzero()[0].tolist()
+    lam = reduced[:r, s_block]
+    h_basis = [PathSpaceElement(n, {opposite_path(paths[j], q): int(c)
+                                    for j, c in zip([i] + s_block, [1, *row])})
+               for i, row in zip(r_block, lam)]
+    orth = Subspace.from_rows(
+        len(paths), [h.vector(q.opposite(), p) for h in h_basis], p)
     return DualData(r_block, s_block, t_block, lam, h_basis, orth)
 
 
@@ -490,11 +481,8 @@ class USupportAlgebra:
         return self.dual.mult(d1, d2)
 
     def generators(self):
-        gens = []
+        gens = self.dual.generators()
         q = self.quiver
-        for i in range(q.arrow_count):
-            gens.append(Generator(1, i, q.arrow_source(i),
-                                  q.arrow_target(i), q.arrow_name(i)))
         for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)):
             name = self.dual.basis_paths(self.n)[i].name_in(q)
             gens.append(Generator(self.n, i, u, v, name))
@@ -511,13 +499,11 @@ class USupportAlgebra:
         vec = None
         for gi in word:
             g = gens[gi]
-            gv = self.generator_vector(g)
             if vec is None:
-                deg, vec = g.degree, gv
+                deg, vec = g.degree, self.generator_vector(g)
             else:
-                t = self.mult(deg, g.degree)
-                vec = np.tensordot(vec, np.tensordot(t, gv, axes=(1, 0)),
-                                   axes=(0, 0)) % self.p
+                t = self.mult(deg, g.degree)[:, g.basis_index]
+                vec = linalg.mat_mul(vec.reshape(1, -1), t, self.p)[0]
                 deg += g.degree
         return deg, vec
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Subspace, zeros
-from .algebra import DegreeMap
+from .algebra import DegreeMap, USupportAlgebra
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -496,12 +496,14 @@ def _path_classes(ualg) -> list:
     from .quiver import Path, enumerate_paths
     dual, n = ualg.dual, ualg.n
     q = dual.quiver.opposite()
-    return [{ai: dual.reduce_path_element(_path_elem(
-                Path(q.arrow_target(ai), (ai,) + tuple(reversed(pa.arrows))),
-                n))
-             for ai in range(q.arrow_count)
-             if q.arrow_source(ai) == pa.target_in(q)}
-            for pa in enumerate_paths(q, n - 1)]
+    out = []
+    for pa in enumerate_paths(q, n - 1):
+        arrows = [ai for ai in range(q.arrow_count)
+                  if q.arrow_source(ai) == pa.target_in(q)]
+        out.append(dict(zip(arrows, dual.path_classes(n, [
+            Path(q.arrow_target(ai), (ai,) + tuple(reversed(pa.arrows)))
+            for ai in arrows]))))
+    return out
 
 
 def _xi_matrices(mod: GradedModule, s: int) -> list:
@@ -532,6 +534,9 @@ def equivalence_F(mod: GradedModule, lam, params,
     from .grmod import in_L
     n = params.n
     m = params.m
+    if not isinstance(mod.algebra, USupportAlgebra):
+        raise ComplexError(
+            "F needs a module over the support-restricted dual (tag 'u')")
     if not in_L(mod, params):
         raise ComplexError("module is not in the distinguished subcategory")
     _require_finite(lam, allow_windowed)
@@ -591,19 +596,14 @@ def _odd_steps(lam, ualg, s: int, bsrc, btgt):
     the base quiver the transpose of right multiplication by p."""
     from .quiver import enumerate_paths
     n = ualg.n
-    classes = [lam.reduce_path_element(_path_elem(pa, n - 1))
-               for pa in enumerate_paths(ualg.dual.quiver.opposite(), n - 1)]
+    classes = lam.path_classes(
+        n - 1, enumerate_paths(ualg.dual.quiver.opposite(), n - 1))
     for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
         cols = btgt.hom_index.get(e1 + n - 1)
         if cols:
             yield e1 - s - 1, rows, cols, [
                 lam.right_mult_matrix(-e1 - n + 1, n - 1, cls).T
                 for cls in classes]
-
-
-def _path_elem(pa, degree):
-    from .quiver import PathSpaceElement
-    return PathSpaceElement(degree, {pa: 1})
 
 
 # -- extraction (inverse direction) ------------------------------------------

@@ -95,19 +95,25 @@ class GradedModule:
             self._act_elem_cache[key] = out
             return out
         words = self.algebra.element_words(d_el)[b_index]
-        out = zeros(self.dim(d), self.dim(d + d_el))
-        for word, c in words:
-            out = (out + c * self.act_word(word, d)) % self.p
+        out = self._combine([c for _, c in words],
+                            [self.act_word(w, d) for w, _ in words], d, d_el)
         self._act_elem_cache[key] = out
         return out
 
     def act_element(self, d_el: int, vec, d: int) -> np.ndarray:
         """Action matrix of a general homogeneous algebra element."""
         vec = np.asarray(vec, dtype=np.int64) % self.p
-        out = zeros(self.dim(d), self.dim(d + d_el))
-        for b in np.nonzero(vec)[0]:
-            out = (out + int(vec[b]) * self.act_basis_element(d_el, int(b), d)) % self.p
-        return out
+        nz = vec.nonzero()[0].tolist()
+        return self._combine(vec[nz], [self.act_basis_element(d_el, b, d)
+                                       for b in nz], d, d_el)
+
+    def _combine(self, coeffs, mats, d: int, d_el: int) -> np.ndarray:
+        """sum_k coeffs[k] * mats[k] mod p: one product of the coefficient
+        row with the stacked matrices, each a map M_d -> M_{d + d_el}."""
+        shape = (self.dim(d), self.dim(d + d_el))
+        stacked = np.reshape(mats, (len(mats), shape[0] * shape[1]))
+        return linalg.mat_mul(np.reshape(coeffs, (1, len(mats))), stacked,
+                              self.p).reshape(shape)
 
     # -- validation ---------------------------------------------------------
 
@@ -630,16 +636,11 @@ def presented_in_degrees(mod: GradedModule, degree_set) -> bool:
 def _reversal_corr(a_from, a_to):
     """Coordinate map of path reversal: degree-d coordinates of `a_from`
     to the coordinates of the reversed element in `a_to`."""
-    from .quiver import opposite_path, path_index
+    from .quiver import opposite_path
 
     def corr(d: int) -> np.ndarray:
-        m = zeros(a_from.dim(d), a_to.dim(d))
-        for i, pa in enumerate(a_from.basis_paths(d)):
-            rev = opposite_path(pa, a_from.quiver)
-            v = np.zeros(a_to.path_count(d), dtype=np.int64)
-            v[path_index(a_to.quiver, d)[rev]] = 1
-            m[i] = a_to.reduce_vector(v, d)
-        return m
+        return a_to.path_classes(d, [opposite_path(pa, a_from.quiver)
+                                     for pa in a_from.basis_paths(d)])
 
     return corr
 
@@ -946,17 +947,11 @@ def comultiplication(mod: GradedModule, s: int, u: int) -> np.ndarray:
         raise ModuleError(f"comultiplication needs u in 0, 1, n; got {u}")
     pairs, plist = tensor_with_paths(mod, -s, u)
     out = zeros(mod.dim(-s - u), len(pairs))
-    dual = ualg.dual
-    from .quiver import enumerate_paths, opposite_path, path_index
-    q_op = dual.quiver
-    q = q_op.opposite()
+    from .quiver import opposite_path
+    q = ualg.dual.quiver.opposite()
+    classes = ualg.dual.path_classes(u, [opposite_path(pa, q) for pa in plist])
     for c, (i, pi) in enumerate(pairs):
-        pa = plist[pi]
-        rev = opposite_path(pa, q)
-        v = np.zeros(len(enumerate_paths(q_op, u)), dtype=np.int64)
-        v[path_index(q_op, u)[rev]] = 1
-        cls = dual.reduce_vector(v, u)
-        a = mod.act_element(u, cls, -s - u)  # X_{-s-u} -> X_{-s}
+        a = mod.act_element(u, classes[pi], -s - u)  # X_{-s-u} -> X_{-s}
         if a.size:
             out[:, c] = (out[:, c] + a[:, i]) % mod.p
     return out

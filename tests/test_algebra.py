@@ -169,3 +169,190 @@ def test_presentation_opposite_round_trip():
     op = lam.pres.opposite()
     lam_op = build_slices(op, 4)
     assert [lam_op.dim(k) for k in range(4)] == [1, 2, 1, 0]
+
+
+# -- normal form oracles ----------------------------------------------------
+#
+# The references below are the code NF_d replaced, run on Python integers so
+# that they are exact at every modulus: the pivot/tail reduction, the mult
+# loop that reduces one one-hot vector per basis pair, and the ordering that
+# runs one rank per path and one solve per s path.
+
+
+def reference_reduce(alg, v, d):
+    if alg.dim(d) == 0:
+        return np.zeros(0, dtype=np.int64)
+    piv, nonpiv, red = alg._pivots[d], alg._nonpivots[d], alg._ideal[d]
+    v = np.array([int(x) % alg.p for x in v], dtype=object)
+    out = v[nonpiv].copy()
+    if piv:
+        out = (out - v[piv] @ red[:, nonpiv].astype(object)) % alg.p
+    return out.astype(np.int64)
+
+
+def reference_mult(alg, d1, d2):
+    q = alg.quiver
+    t = np.zeros((alg.dim(d1), alg.dim(d2), alg.dim(d1 + d2)), dtype=np.int64)
+    if t.size:
+        pidx = alg._pidx[d1 + d2]
+        for i, pa in enumerate(alg.basis_paths(d1)):
+            for j, pb in enumerate(alg.basis_paths(d2)):
+                if pa.target_in(q) != pb.source:
+                    continue
+                v = np.zeros(alg.path_count(d1 + d2), dtype=np.int64)
+                v[pidx[pa.compose(pb, q)]] = 1
+                t[i, j] = reference_reduce(alg, v, d1 + d2)
+    return t
+
+
+def reference_ordering(alg):
+    from nkoszul.quiver import opposite_path
+    n, p, q = alg.pres.n, alg.p, alg.quiver
+    paths = enumerate_paths(q, n)
+    m = alg.dim(n)
+    r_block, s_block, t_block, images = [], [], [], []
+    basis_mat = linalg.zeros(0, m)
+    for i in range(len(paths)):
+        v = np.zeros(len(paths), dtype=np.int64)
+        v[i] = 1
+        img = reference_reduce(alg, v, n)
+        images.append(img)
+        if m == 0 or not img.any():
+            t_block.append(i)
+            continue
+        cand = np.concatenate([basis_mat, img.reshape(1, -1)], axis=0)
+        if linalg.rank(cand, p) > len(r_block):
+            r_block.append(i)
+            basis_mat = cand
+        else:
+            s_block.append(i)
+    lam = linalg.zeros(len(r_block), len(s_block))
+    for jj, j in enumerate(s_block):
+        lam[:, jj] = linalg.solve(basis_mat.T, images[j], p)
+    h_basis = []
+    for ii, i in enumerate(r_block):
+        coeffs = {opposite_path(paths[i], q): 1}
+        for jj, j in enumerate(s_block):
+            if lam[ii, jj]:
+                coeffs[opposite_path(paths[j], q)] = int(lam[ii, jj])
+        h_basis.append(PathSpaceElement(n, coeffs))
+    rows = [h.vector(q.opposite(), p) for h in h_basis]
+    orth = linalg.Subspace.from_rows(len(paths), rows, p)
+    return al.DualData(r_block, s_block, t_block, lam, h_basis, orth)
+
+
+def assert_normal_form_matches(alg, top):
+    for d in range(top + 1):
+        nf = alg.normal_form(d)
+        assert nf.shape == (alg.path_count(d), alg.dim(d))
+        rng = np.random.default_rng(d)
+        for i, row in enumerate(nf):
+            onehot = np.zeros(len(nf), dtype=np.int64)
+            onehot[i] = 1
+            assert np.array_equal(row, reference_reduce(alg, onehot, d))
+        v = rng.integers(0, alg.p, len(nf))
+        assert np.array_equal(alg.reduce_vector(v, d),
+                              reference_reduce(alg, v, d))
+    for d1 in range(top + 1):
+        for d2 in range(top + 1 - d1):
+            assert np.array_equal(alg.mult(d1, d2), reference_mult(alg, d1, d2))
+    got, want = compute_orthogonal_via_ordering(alg), reference_ordering(alg)
+    assert (got.r_block, got.s_block, got.t_block) == (
+        want.r_block, want.s_block, want.t_block)
+    assert got.lam.shape == want.lam.shape
+    assert np.array_equal(got.lam, want.lam)
+    assert [list(h.coeffs.items()) for h in got.h_basis] == [
+        list(h.coeffs.items()) for h in want.h_basis]
+    assert got.orthogonal == want.orthogonal
+
+
+@pytest.mark.parametrize("name", ["one_loop_n3", "two_loop_n3",
+                                  "commutative_n2", "two_vertex_n3",
+                                  "two_vertex_n4"])
+def test_normal_form_matches_the_reductions_it_replaced_on_the_corpus(name):
+    from nkoszul import verify
+    e = verify.corpus(name)
+    # lam vanishes from degree n on; the duals of the truncated algebras
+    # have no relations at all, and degree 1 never has one
+    assert e["lam"].vanishing_degree() == e["n"] or name == "commutative_n2"
+    assert_normal_form_matches(e["lam"], 6)
+    assert_normal_form_matches(e["dual"], 6)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_normal_form_matches_the_reductions_it_replaced_on_random_samples(p):
+    from nkoszul import verify
+    rng = np.random.default_rng(5)
+    vanished = 0
+    for _ in range(10):
+        pres = verify.random_presentation(rng)
+        pres = Presentation.make(pres.quiver, pres.n, pres.relations, p)
+        lam = build_slices(pres, pres.n + 1)
+        assert lam.p == p
+        assert_normal_form_matches(lam, pres.n + 1)
+        assert_normal_form_matches(build_dual(lam, pres.n + 1), pres.n + 1)
+        vanished += lam.vanishing_degree() is not None
+    assert vanished
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_normal_form_at_small_primes_past_the_vanishing_degree(p):
+    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 0)): p - 1}),
+            PathSpaceElement(2, {Path(0, (0, 0)): 1, Path(0, (1, 1)): 1}),
+            PathSpaceElement(3, {Path(0, (0, 0, 0)): 1})]
+    lam = build_slices(Presentation.make(q, 2, rels, p), 6)
+    assert lam.vanishing_degree() is not None and lam.vanishing_degree() < 6
+    assert_normal_form_matches(lam, 6)
+    assert_normal_form_matches(build_dual(lam, 6), 6)
+
+
+def big_coefficient_algebra(p):
+    """The quantum plane xy = c yx with c = 2 - p // 3, far from 0 and 1."""
+    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1,
+                                 Path(0, (1, 0)): p // 3 - 2})]
+    return build_slices(Presentation.make(q, 2, rels, p), 5)
+
+
+def py_combination(p, coeffs, mats):
+    """sum_k coeffs[k] * mats[k] mod p on Python integers."""
+    out = 0
+    for c, m in zip(coeffs, mats):
+        out = out + int(c) * np.asarray(m).astype(object)
+    return (np.asarray(out, dtype=object) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [101, 3037000493, 4611686018427388039])
+def test_algebra_products_are_exact_at_large_moduli(p):
+    from nkoszul.grmod import free_module
+    lam = big_coefficient_algebra(p)
+    assert [lam.dim(d) for d in range(5)] == [1, 2, 3, 4, 5]
+    rng = np.random.default_rng(3)
+    for d in range(1, 5):
+        v = rng.integers(p - 1000, p, lam.path_count(d))
+        assert np.array_equal(lam.reduce_vector(v, d),
+                              reference_reduce(lam, v, d))
+    for d1, d2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
+        t = lam.mult(d1, d2)
+        assert np.array_equal(t, reference_mult(lam, d1, d2))
+        v1 = rng.integers(p - 1000, p, lam.dim(d1))
+        v2 = rng.integers(p - 1000, p, lam.dim(d2))
+        assert np.array_equal(lam.left_mult_matrix(d1, v1, d2),
+                              py_combination(p, v1, t))
+        assert np.array_equal(lam.right_mult_matrix(d1, d2, v2),
+                              py_combination(p, v2, t.transpose(1, 0, 2)))
+    mod = free_module(lam, [(0, 0)], 5)
+    for d_el, d in [(1, 0), (2, 1), (3, 1)]:
+        vec = rng.integers(p - 1000, p, lam.dim(d_el))
+        mats = [mod.act_basis_element(d_el, b, d) for b in range(len(vec))]
+        assert np.array_equal(mod.act_element(d_el, vec, d),
+                              py_combination(p, vec, mats))
+    ualg = USupportAlgebra(build_dual(lam, 5), 2)
+    umod = free_module(ualg, [(0, 0)], 5)
+    for d_el in (2, 3, 4):
+        for b, words in enumerate(ualg.element_words(d_el)):
+            mats = [umod.act_word(w, 0) for w, _ in words]
+            assert np.array_equal(umod.act_basis_element(d_el, b, 0),
+                                  py_combination(p, [c for _, c in words],
+                                                 mats))

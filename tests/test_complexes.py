@@ -295,6 +295,11 @@ def reference_xi(mod, s):
     return out
 
 
+def _path_elem(pa, degree):
+    from nkoszul.quiver import PathSpaceElement
+    return PathSpaceElement(degree, {pa: 1})
+
+
 def reference_odd_mats(mod, lam, s, bsrc, btgt):
     from nkoszul.quiver import enumerate_paths
     n = mod.algebra.n
@@ -309,7 +314,7 @@ def reference_odd_mats(mod, lam, s, bsrc, btgt):
         pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for pa, ximat in zip(paths, xi):
-            cls = lam.reduce_path_element(cx._path_elem(pa, n - 1))
+            cls = lam.reduce_path_element(_path_elem(pa, n - 1))
             rmul = lam.right_mult_matrix(-e2, n - 1, cls)
             for r, (b, x) in enumerate(bsrc.hom_index[e1]):
                 for a in np.nonzero(rmul[:, b])[0]:

@@ -3,12 +3,14 @@
 `report_digests.json` pins, for a fixed set of commands on `inputs/*.json`,
 the exit code and the sha256 of stdout: `dual`, `functor --which psi|nu`,
 `contract` and `check` of the module predicates and of the complex
-predicates (in_Y and in_Yo included) on nu, psi and F of each module.  The
-digests were taken before the (co)free differentials moved onto one
-pair-indexed builder; a change to them is a change of behaviour.  Left out:
-`check --predicate in_Y --object "F(X)"` on two_loop_n3 (about 5 s; the
-`membership` benchmark workload checks its digest) and the six commands on
-F(M) of commutative_n2, which end in a traceback instead of a report.
+predicates (in_Y and in_Yo included) on nu, psi and F of each module, and
+`verify --seed 0` of the seven suites that run in about a second together.
+The digests were taken before the (co)free differentials moved onto one
+pair-indexed builder (the suites before the normal-form rewrite); a change
+to them is a change of behaviour.  Left out: `check --predicate in_Y
+--object "F(X)"` on two_loop_n3 (about 5 s; the `membership` benchmark
+workload checks its digest) and the koszulity, equivalence and
+dual_equivalence suites (1.5-4.4 s each).
 """
 import contextlib
 import hashlib
@@ -27,7 +29,7 @@ with open(os.path.join(HERE, "tests", "report_digests.json")) as f:
 def test_cli_reports_are_byte_identical(monkeypatch):
     # the report echoes the input path, so run from the repository root
     monkeypatch.chdir(HERE)
-    assert len(DIGESTS) == 126
+    assert len(DIGESTS) == 139
     for entry in DIGESTS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
