@@ -1,12 +1,14 @@
 """Graded components of path-algebra quotients and their n-homogeneous duals.
 
-A :class:`PathAlgebra` holds, degree by degree, the ideal slice I_k inside
-KQ_k and a canonical quotient basis of the degree-k component (the non-pivot
-paths of the RREF of I_k).  The one map from paths to classes is the normal
-form NF_k (``normal_form``): row i is the class of path i, so NF_k is the
-identity at the non-pivot paths and minus the RREF's non-pivot columns at the
-pivot paths.  Reduction, the multiplication tensors, the (r, s, t) ordering
-of the orthogonal and every path class read downstream are rows of it.  On
+A :class:`PathAlgebra` holds, degree by degree, a canonical quotient basis of
+the degree-k component A_k (the non-pivot paths of the RREF of the ideal
+slice I_k) and the classes of the pivot paths in it, the tail.  The one map
+from paths to classes is the normal form NF_k (``normal_form``): row i is
+the class of path i, so NF_k is the identity at the non-pivot paths and the
+tail at the pivot paths.  Degree k is built from degree k - 1 as a small
+cokernel in A_{k-1} (x) V; neither I_k nor NF_k is stored as a matrix over
+the paths.  Reduction, the multiplication tensors, the (r, s, t) ordering
+of the orthogonal and every path class read downstream are rows of NF_k.  On
 top sit the orthogonal of the degree-n relation space (computed two ways),
 the dual algebra, the support-restricted algebra on U = nZ u (nZ+1), and
 the regraded Yoneda-type algebra.
@@ -24,6 +26,7 @@ import numpy as np
 from . import linalg
 from .linalg import Subspace, zeros
 from .quiver import (
+    Path,
     PathSpaceElement,
     Quiver,
     enumerate_paths,
@@ -37,6 +40,41 @@ class AlgebraError(ValueError):
 
 
 MAX_PATHS_PER_DEGREE = 200_000
+# The largest dense array a slice may allocate: a normal-form tail, an NF_d
+# or a cokernel system.  Larger ones are refused before they are allocated.
+MAX_SLICE_BYTES = 1 << 28
+
+
+def _check_size(rows: int, cols: int, what: str, d: int) -> None:
+    need = rows * cols * np.dtype(np.int64).itemsize
+    if need > MAX_SLICE_BYTES:
+        raise AlgebraError(
+            f"{what} at degree {d} needs at least {rows}x{cols} entries "
+            f"({need / 2**30:.2f} GiB), over the "
+            f"{MAX_SLICE_BYTES / 2**30:g} GiB cap")
+
+
+def _slots(n: int, pivots, nonpivots) -> np.ndarray:
+    """Per item: its basis position if it is a non-pivot, else ~(its tail
+    row)."""
+    slot = np.empty(n, dtype=np.intp)
+    slot[nonpivots] = np.arange(len(nonpivots))
+    slot[pivots] = ~np.arange(len(pivots))
+    return slot
+
+
+def _times_classes(coef, slot, tail, m: int, p: int) -> np.ndarray:
+    """coef @ C mod p, where row k of C is the class of an item in a basis
+    of size m: basis element slot[k] if slot[k] >= 0, else tail row
+    ~slot[k].  Neither C nor its identity rows are built."""
+    basic = slot >= 0
+    out = zeros(coef.shape[0], m)
+    out[:, slot[basic]] = coef[:, basic]
+    if not basic.all():
+        prod = linalg.mat_mul(coef[:, ~basic], tail[~slot[~basic]], p)
+        out -= p - prod  # x + y mod p inside int64: x - (p - y) is in (-p, p)
+        out %= p
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,9 +130,9 @@ class PathAlgebra:
         self.nvert = pres.quiver.vertex_count
         self._paths: list = []          # per degree: list of Path
         self._pidx: list = []           # per degree: Path -> column index
-        self._ideal: list = []          # per degree: RREF rows over KQ_d coords
         self._pivots: list = []
         self._nonpivots: list = []
+        self._tail: list = []           # per degree: NF_d[pivots], rank x dim
         self._vanished_from: int | None = None
         self._nf: dict = {}             # per degree: NF_d, built on first use
         self._mult_cache: dict = {}
@@ -114,12 +152,11 @@ class PathAlgebra:
 
     def _extend_one(self) -> None:
         k = self._computed_to() + 1
-        p = self.p
         if self._vanished_from is not None and k >= self._vanished_from:
             # quotient is generated in degree 1: once a slice dies the rest do
             self._paths.append([])
             self._pidx.append({})
-            self._ideal.append(zeros(0, 0))
+            self._tail.append(zeros(0, 0))
             self._pivots.append([])
             self._nonpivots.append([])
             return
@@ -127,39 +164,16 @@ class PathAlgebra:
         if len(paths) > MAX_PATHS_PER_DEGREE:
             raise AlgebraError(
                 f"path explosion at degree {k}: {len(paths)} paths")
-        pidx = {q: i for i, q in enumerate(paths)}
-        # I_k = KQ_1 I_{k-1} + I_{k-1} KQ_1 + span(relations of degree k)
-        prev = self._ideal[k - 1] if k >= 1 else zeros(0, 0)
-        shifts = [self._arrow_shift(k - 1, a, left, pidx)
-                  for a in range(self.quiver.arrow_count)
-                  for left in (True, False)] if prev.shape[0] else []
-        rels = self._rels_by_degree.get(k, [])
-        m = prev.shape[0]
-        # every entry is written below: a shifted block or a relation row
-        stacked = np.empty((len(shifts) * m + len(rels), len(paths)),
-                           dtype=np.int64)
-        if shifts:
-            # an appended zero column: the source of columns a shift misses
-            prev = np.concatenate([prev, zeros(m, 1)], axis=1)
-        for b, src in enumerate(shifts):
-            # mode="clip" (the indices are in range) lets take write
-            # straight into the block instead of through a buffer
-            np.take(prev, src, axis=1, out=stacked[b * m:(b + 1) * m],
-                    mode="clip")
-        for i, r in enumerate(rels):
-            stacked[len(shifts) * m + i] = r.vector(self.quiver, p)
-        red, pivots, rk = linalg.rref(stacked, p)
-        if rk < len(red):
-            # keep the rank rows only: shrinking red in place frees the rest
-            # without the transient peak and the time of a copy
-            red.resize((rk, len(paths)))
+        if k <= 1:
+            # every relation has degree >= 2, so I_0 = I_1 = 0
+            pivots, nonpiv = [], list(range(len(paths)))
+            tail = zeros(0, len(paths))
+        else:
+            pivots, nonpiv, tail = self._cokernel(k)
         self._paths.append(list(paths))
-        self._pidx.append(pidx)
-        self._ideal.append(red)
+        self._pidx.append({q: i for i, q in enumerate(paths)})
+        self._tail.append(tail)
         self._pivots.append(pivots)
-        is_free = np.ones(len(paths), dtype=bool)
-        is_free[pivots] = False
-        nonpiv = is_free.nonzero()[0].tolist()
         self._nonpivots.append(nonpiv)
         if len(nonpiv) == 0:
             self._vanished_from = k
@@ -168,28 +182,135 @@ class PathAlgebra:
             raise AlgebraError(
                 f"degree cap {cap} violated: component at degree {k} is nonzero")
 
-    def _arrow_shift(self, k: int, a: int, left: bool, pidx: dict):
-        """Column map of multiplying by arrow a on the given side, from
-        degree k to degree k + 1.
+    def _cokernel(self, d: int):
+        """(pivots, non-pivots, tail) of degree d >= 2, built from degree d-1.
 
-        Entry i is the path at degree k whose product with a is path i, or
-        the number of paths at degree k where there is none.  Prefixing or
-        suffixing an arrow is injective on paths, so the ideal rows at degree
-        k shift by one column gather through this map."""
-        from .quiver import Path
-        q = self.quiver
-        src = np.full(len(pidx), len(self._paths[k]), dtype=np.intp)
-        for j, pa in enumerate(self._paths[k]):
-            if left:
-                if pa.source != q.arrow_target(a):
-                    continue
-                new = Path(q.arrow_source(a), (a,) + pa.arrows)
-            else:
-                if pa.target_in(q) != q.arrow_source(a):
-                    continue
-                new = Path(pa.source, pa.arrows + (a,))
-            src[pidx[new]] = j
-        return src
+        I_d = I_{d-1} V + sum_j V^{d-j} R_j, so KQ_d / I_{d-1} V is
+        A_{d-1} (x) V: its basis, the columns, are the paths b.a with a
+        non-pivot prefix b, and a path P.a with a pivot prefix has the class
+        tail_{d-1}[P] put under its last arrow a.  A_d is the cokernel of
+        the rows u.r, r a relation of degree j and u a basis path of A_{d-j}
+        (r itself when j = d), and of the rows of I_{d-1} V that no path P.a
+        leads (only relations that are not parallel make those); one rref
+        of that small system picks the pivots among the columns.  Every P.a
+        is a pivot: the paths of its class follow it in path order.  Paths
+        of degree d are ordered by (prefix, last arrow), so the path w.a has
+        index off[w] + arank[a].
+        """
+        q, p = self.quiver, self.p
+        piv0 = np.asarray(self._pivots[d - 1], dtype=np.intp)
+        np0 = np.asarray(self._nonpivots[d - 1], dtype=np.intp)
+        tail0 = self._tail[d - 1]
+        slot0 = _slots(len(self._paths[d - 1]), piv0, np0)
+        src = np.array([q.arrow_source(a) for a in range(q.arrow_count)],
+                       dtype=np.intp)
+        outdeg = np.bincount(src, minlength=self.nvert)
+        # the rank of each arrow among the arrows out of its source
+        arank = np.array([np.count_nonzero(src[:a] == src[a])
+                          for a in range(src.size)], dtype=np.intp)
+        tgt = np.array([pa.target_in(q) for pa in self._paths[d - 1]],
+                       dtype=np.intp)
+        off = np.cumsum(outdeg[tgt]) - outdeg[tgt]
+        # the columns: column col_off[j] + arank[a] is the path np0[j].a;
+        # cols[a] holds the j whose path ends where a starts, and their
+        # columns under a
+        width = outdeg[tgt[np0]]
+        col_off = np.cumsum(width) - width
+        col_path = (np.repeat(off[np0] - col_off, width)
+                    + np.arange(width.sum()))
+        ncols = col_path.size
+        cols = []
+        for a in range(src.size):
+            on = (tgt[np0] == src[a]).nonzero()[0]
+            cols.append((on, col_off[on] + arank[a]))
+        nrows, terms = self._relation_rows(d)
+        # a pivot row of I_{d-1} whose tail meets a non-pivot ending where
+        # its pivot P does not (the relations are not parallel) gives, times
+        # an arrow a out of that end, a row of I_{d-1} V with no path P.a
+        stray = [np.zeros(0, dtype=np.intp)] * src.size
+        if self.nvert > 1 and tail0.size:
+            meets = (tail0 != 0) & (tgt[np0] != tgt[piv0][:, None])
+            stray = [meets[:, on].any(axis=1).nonzero()[0] for on, _ in cols]
+        nstray = sum(i.size for i in stray)
+        # the pivots P.a with a pivot prefix P, arrow by arrow
+        prefixes = [(tgt[piv0] == src[a]).nonzero()[0]
+                    for a in range(src.size)]
+        # the tail has a row per P.a and a column per column no row kills
+        _check_size(sum(i.size for i in prefixes),
+                    ncols - nrows - nstray, "normal-form tail", d)
+        _check_size(nrows + nstray, ncols, "cokernel system", d)
+        system = zeros(nrows + nstray, ncols)
+        row = nrows
+        for (on, at_cols), i in zip(cols, stray):
+            system[row:row + i.size, at_cols] = tail0[np.ix_(i, on)]
+            row += i.size
+        for a, cell in terms.items():
+            (rows, pre), coef = zip(*cell), list(cell.values())
+            # np.unique would import numpy.ma, 2 MB and 40 ms on first use
+            pre_u = sorted(set(pre))
+            at = np.searchsorted(pre_u, pre)
+            pre = np.array(pre_u, dtype=np.intp)
+            cmat = zeros(nrows, pre.size)
+            cmat[rows, at] = coef
+            on, at_cols = cols[a]
+            system[:nrows, at_cols] = _times_classes(
+                cmat, slot0[pre], tail0, np0.size, p)[:, on]
+        red, pcols, rk = (linalg.rref(system, p) if system.size
+                          else (system, [], 0))
+        del system  # rref reduced a copy
+        is_piv = np.zeros(ncols, dtype=bool)
+        is_piv[pcols] = True
+        npcols = (~is_piv).nonzero()[0]
+        m = npcols.size
+        slot = _slots(ncols, pcols, npcols)
+        # the classes of the pivot columns: minus their rows of red
+        col_tail = red[:rk, npcols]
+        del red
+        np.negative(col_tail, out=col_tail)
+        col_tail %= p
+        # the pivots: the paths P.a, then the pivot columns
+        pivots = np.concatenate(
+            [off[piv0[i]] + arank[a] for a, i in enumerate(prefixes)]
+            + [col_path[pcols]])
+        order = np.argsort(pivots, kind="stable")
+        dest = np.empty_like(order)  # the tail row of each pivot
+        dest[order] = np.arange(order.size)
+        _check_size(pivots.size, m, "normal-form tail", d)
+        tail = np.empty((pivots.size, m), dtype=np.int64)
+        row = 0
+        for (on, at_cols), i in zip(cols, prefixes):
+            tail[dest[row:row + i.size]] = _times_classes(
+                tail0[np.ix_(i, on)], slot[at_cols], col_tail, m, p)
+            row += i.size
+        tail[dest[row:]] = col_tail
+        return (pivots[order].tolist(), col_path[npcols].tolist(), tail)
+
+    def _relation_rows(self, d: int):
+        """The rows u.r of degree d: r a relation of degree j <= d, u a basis
+        path of A_{d-j} (r itself when j = d).  Returns their number and,
+        per last arrow a, the map (row, prefix) -> coefficient of the paths
+        prefix.a of the rows."""
+        q, p, pidx = self.quiver, self.p, self._pidx[d - 1]
+        terms: dict = {}
+        nrows = 0
+        for j, rels in sorted(self._rels_by_degree.items()):
+            if j > d:
+                break
+            us = [None] if j == d else self.basis_paths(d - j)
+            for r in rels:
+                for u in us:
+                    for w, c in r.coeffs.items():
+                        if u is None:
+                            pa = w
+                        elif u.target_in(q) == w.source:
+                            pa = Path(u.source, u.arrows + w.arrows)
+                        else:
+                            continue
+                        key = (nrows, pidx[Path(pa.source, pa.arrows[:-1])])
+                        cell = terms.setdefault(pa.arrows[-1], {})
+                        cell[key] = (cell.get(key, 0) + c) % p
+                    nrows += 1
+        return nrows, terms
 
     # -- basic queries ------------------------------------------------------
 
@@ -211,14 +332,22 @@ class PathAlgebra:
         q = self.quiver
         return [(pa.source, pa.target_in(q)) for pa in self.basis_paths(d)]
 
-    def ideal_subspace(self, d: int) -> Subspace:
-        self.ensure_degree(d)
+    def ideal_rref(self, d: int) -> np.ndarray:
+        """The RREF of I_d over the paths of degree d, rebuilt from the
+        tail: the identity at the pivots and minus the tail at the
+        non-pivots (I_d = KQ_d once the quotient has vanished)."""
+        npaths = self.path_count(d)
         if self._vanished_from is not None and d >= self._vanished_from:
-            # I_d = KQ_d wholesale; materialize only if path list is small
-            paths = enumerate_paths(self.quiver, d)
-            return Subspace.full(len(paths), self.p)
-        return Subspace.from_rows(
-            len(self._paths[d]), self._ideal[d], self.p)
+            return linalg.eye(npaths)
+        piv = self._pivots[d]
+        _check_size(len(piv), npaths, "ideal matrix", d)
+        red = zeros(len(piv), npaths)
+        red[np.arange(len(piv)), piv] = 1
+        red[:, self._nonpivots[d]] = -self._tail[d] % self.p
+        return red
+
+    def ideal_subspace(self, d: int) -> Subspace:
+        return Subspace(self.path_count(d), self.p, self.ideal_rref(d))
 
     def path_count(self, d: int) -> int:
         self.ensure_degree(d)
@@ -242,25 +371,35 @@ class PathAlgebra:
     def normal_form(self, d: int) -> np.ndarray:
         """NF_d: row i is the class of path i of KQ_d in the basis of A_d.
 
-        NF[nonpiv] = I and NF[piv] = -red[:, nonpiv] mod p.  Built on first
-        use: windows are often computed far past the degrees ever reduced."""
+        NF[nonpiv] = I and NF[piv] = tail, the only rows the slice build
+        keeps.  Built from them on first use, for reduce_vector and the
+        ordered orthogonal; path_classes gathers its rows without it."""
         nf = self._nf.get(d)
         if nf is None:
-            m = self.dim(d)
-            nf = zeros(self.path_count(d), m)
-            if m:
-                nonpiv = self._nonpivots[d]
-                nf[nonpiv, np.arange(m)] = 1
-                nf[self._pivots[d]] = -self._ideal[d][:, nonpiv] % self.p
+            npaths = self.path_count(d)
+            nf = (self._classes(d, np.arange(npaths)) if self.dim(d)
+                  else zeros(npaths, 0))
             self._nf[d] = nf
         return nf
+
+    def _classes(self, d: int, idx) -> np.ndarray:
+        """NF_d[idx], gathered from the tail without building NF_d."""
+        slot = _slots(len(self._paths[d]), self._pivots[d],
+                      self._nonpivots[d])[idx]
+        _check_size(slot.size, self.dim(d), "normal form", d)
+        out = zeros(slot.size, self.dim(d))
+        basic = slot >= 0
+        out[basic.nonzero()[0], slot[basic]] = 1
+        out[~basic] = self._tail[d][~slot[~basic]]
+        return out
 
     def path_classes(self, d: int, paths) -> np.ndarray:
         """The classes in A_d of the given paths of length d, one per row."""
         if self.dim(d) == 0:
             return zeros(len(paths), 0)
         pidx = self._pidx[d]
-        return self.normal_form(d)[[pidx[pa] for pa in paths]]
+        return self._classes(d, np.array([pidx[pa] for pa in paths],
+                                         dtype=np.intp))
 
     def reduce_vector(self, v: np.ndarray, d: int) -> np.ndarray:
         """KQ_d coordinates -> quotient coordinates in the canonical basis."""
@@ -363,7 +502,7 @@ def compute_orthogonal(alg: PathAlgebra) -> Subspace:
     n = pres.n
     q = pres.quiver
     alg.ensure_degree(n)
-    ideal_rows = alg._ideal[n]
+    ideal_rows = alg.ideal_rref(n)
     paths = enumerate_paths(q, n)
     npaths = len(paths)
     sigma = opposite_permutation(q, n)

@@ -21,7 +21,8 @@ from .complexes import ComplexError
 from .grmod import (GradedModule, ModuleError, TorsionParams, graded_dual, in_G, in_L,
                     in_L_E, in_Lo, is_torsionfree, opposite_algebra,
                     regrade_U_to_E, torsion_submodule)
-from .quiver import QuiverError, enumerate_paths
+from .linalg import LinAlgError
+from .quiver import QuiverError
 
 
 def _window_top(dom, args) -> int:
@@ -332,11 +333,13 @@ def main(argv=None) -> int:
                 report, code = cmd_contract(ctx, args)
             else:
                 report, code = cmd_check(ctx, args)
-    except DocumentError as e:
+    except (DocumentError, ModuleError, ComplexError, AlgebraError,
+            QuiverError, LinAlgError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (ModuleError, ComplexError, AlgebraError, QuiverError) as e:
-        print(f"input error: {e}", file=sys.stderr)
+    except MemoryError:
+        print("input error: out of memory; try a smaller window",
+              file=sys.stderr)
         return 2
     report = {"command": args.func, "echo": _echo(args), **report}
     text = dump_report(report, args.report)

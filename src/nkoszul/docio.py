@@ -25,6 +25,36 @@ def _fail(where: str, msg: str):
     raise DocumentError(f"{where}: {msg}")
 
 
+# The kernels are exact for every prime modulus below this bound.
+MODULUS_BOUND = 2 ** 63
+# Miller-Rabin with these bases decides primality of every n below
+# 318665857834031151167461, far past 2**64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below 3.1e23."""
+    if n < 2:
+        return False
+    for b in _WITNESSES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def parse_path(q: Quiver, text: str, where: str) -> Path:
     names = [t for t in text.split(".") if t]
     if not names:
@@ -65,6 +95,10 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
     p = doc.get("modulus", default_modulus)
     if not (isinstance(p, int) and p >= 2):
         _fail("modulus", "must be an integer >= 2")
+    if p >= MODULUS_BOUND:
+        _fail("modulus", f"{p} is not below 2**63")
+    if not is_prime(p):
+        _fail("modulus", f"{p} is not a prime: F_p needs a prime modulus")
     nv = doc.get("vertices")
     if not (isinstance(nv, int) and nv >= 1):
         _fail("vertices", "must be a positive integer")

@@ -823,6 +823,27 @@ def _tensor_pairs(mod: GradedModule, d: int, pairs):
             for j, (src, tgt) in enumerate(pairs) if vs[i] == src]
 
 
+def _times_right(vecs, nx: int, t1, tn, t_mul, p: int) -> np.ndarray:
+    """The products v * y_b, one row per v in vecs and b, in X (x) A_{k+l}.
+
+    v is over the pairs t1 of X (x) A_k, y_b runs over the basis of A_l, and
+    t_mul = mult(k, l) gives (x_i (x) a_j) * y_b = x_i (x) sum_c
+    t_mul[j, b, c] a_c; the rows are read at the pairs tn.  One product of
+    the coefficients, regrouped by x_i, with the tensor, then a gather."""
+    nv, (nj, nb, nc) = len(vecs), t_mul.shape
+    coef = np.zeros((nv, nx, nj), dtype=np.int64)
+    if t1:
+        i, j = zip(*t1)
+        coef[:, i, j] = vecs
+    prod = linalg.mat_mul(coef.reshape(nv * nx, nj),
+                          t_mul.reshape(nj, nb * nc), p)
+    prod = prod.reshape(nv, nx, nb, nc)
+    i, c = zip(*tn) if tn else ((), ())
+    # (len(tn), nv, nb) -> one row per (v, b)
+    return prod[:, list(i), :, list(c)].transpose(1, 2, 0).reshape(
+        nv * nb, len(tn))
+
+
 def in_L(mod: GradedModule, params: TorsionParams) -> bool:
     """Membership in the distinguished subcategory over the support-
     restricted dual: generation in m + nZ plus the kernel condition
@@ -862,27 +883,12 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
             continue
         pairsn = dual.basis_pairs(n)
         tn = _tensor_pairs(mod, s, pairsn)
-        tn_pos = {key: c for c, key in enumerate(tn)}
         # multiply kernel elements by dual degree n-1 on the right factor
-        t_mul = dual.mult(1, n - 1)
-        prod_rows = []
-        for vrow in ker1.basis:
-            for b in range(dual.dim(n - 1)):
-                out = np.zeros(len(tn), dtype=np.int64)
-                for r, (i, j) in enumerate(t1):
-                    if not vrow[r]:
-                        continue
-                    comp = t_mul[j, b] if t_mul.size else np.zeros(0)
-                    for c in np.nonzero(comp)[0]:
-                        key = (i, int(c))
-                        if key in tn_pos:
-                            out[tn_pos[key]] = (out[tn_pos[key]]
-                                                + vrow[r] * comp[c]) % p
-                if out.any():
-                    prod_rows.append(out)
-        if not prod_rows:
+        prod_rows = _times_right(ker1.basis, mod.dim(s), t1, tn,
+                                 dual.mult(1, n - 1), p)
+        if not prod_rows.any():
             continue
-        prod = Subspace.from_rows(len(tn), np.stack(prod_rows), p)
+        prod = Subspace.from_rows(len(tn), prod_rows, p)
         # mu_{s,n}: X_s (x) dual_n -> X_{s+n}
         mun = zeros(len(tn), mod.dim(s + n))
         n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)

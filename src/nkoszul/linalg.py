@@ -9,8 +9,8 @@ is deterministic and two equal subspaces have bit-identical bases.
 `rref` eliminates the columns in panels of 64.  While a panel is eliminated
 only the rows with a nonzero in it change, and a row operation reaches right
 of the panel only at the nonzeros of the pivot row, so the cost follows the
-nonzeros rather than rows x cols: the ideal slices and hom systems built
-here have one or two nonzeros per row and stay that sparse when reduced.
+nonzeros rather than rows x cols: the hom systems built here have one or
+two nonzeros per row and stay that sparse when reduced.
 Its row operations x - f*y are exact in int64 while p*(p-1) <= 2**63 - 1
 and run on Python integers above that.  Products (`mat_mul`) run as float64
 BLAS products while p*(p-1) < 2**53, which keeps them exact, and fall back

@@ -182,7 +182,7 @@ def test_presentation_opposite_round_trip():
 def reference_reduce(alg, v, d):
     if alg.dim(d) == 0:
         return np.zeros(0, dtype=np.int64)
-    piv, nonpiv, red = alg._pivots[d], alg._nonpivots[d], alg._ideal[d]
+    piv, nonpiv, red = alg._pivots[d], alg._nonpivots[d], alg.ideal_rref(d)
     v = np.array([int(x) % alg.p for x in v], dtype=object)
     out = v[nonpiv].copy()
     if piv:
@@ -356,3 +356,133 @@ def test_algebra_products_are_exact_at_large_moduli(p):
             assert np.array_equal(umod.act_basis_element(d_el, b, 0),
                                   py_combination(p, [c for _, c in words],
                                                  mats))
+
+
+# -- the stacked slice build, as an oracle ----------------------------------
+#
+# The construction the cokernel build replaced: every arrow shift of I_{k-1},
+# on either side, and the relations of degree k stacked into one matrix over
+# the paths of degree k and row-reduced.  It materialises the whole ideal,
+# so it only runs at small sizes.
+
+
+def stacked_slices(pres, top):
+    """(pivots, non-pivots, RREF of I_k) for k = 0..top."""
+    q, p = pres.quiver, pres.p
+    out, prev, prev_paths = [], linalg.zeros(0, 0), []
+    for k in range(top + 1):
+        paths = enumerate_paths(q, k)
+        pidx = {pa: i for i, pa in enumerate(paths)}
+        # an appended zero column: the source of columns a shift misses
+        ext = np.concatenate([prev, linalg.zeros(len(prev), 1)], axis=1)
+        blocks = []
+        for a in range(q.arrow_count):
+            for left in (True, False):
+                src = np.full(len(paths), len(prev_paths), dtype=np.intp)
+                for j, pa in enumerate(prev_paths):
+                    if left and pa.source == q.arrow_target(a):
+                        new = Path(q.arrow_source(a), (a,) + pa.arrows)
+                    elif not left and pa.target_in(q) == q.arrow_source(a):
+                        new = Path(pa.source, pa.arrows + (a,))
+                    else:
+                        continue
+                    src[pidx[new]] = j
+                blocks.append(ext[:, src])
+        blocks += [r.vector(q, p).reshape(1, -1)
+                   for r in pres.relations if r.degree == k]
+        stacked = (np.concatenate(blocks) if blocks
+                   else linalg.zeros(0, len(paths)))
+        red, pivots, rank = linalg.rref(stacked, p)
+        nonpiv = sorted(set(range(len(paths))) - set(pivots))
+        out.append((pivots, nonpiv, red[:rank]))
+        prev, prev_paths = red[:rank], paths
+    return out
+
+
+def assert_slices_match_stacked(alg, top):
+    alg.ensure_degree(top)
+    vanished = alg.vanishing_degree()
+    for d, (pivots, nonpiv, red) in enumerate(stacked_slices(alg.pres, top)):
+        if vanished is None or d <= vanished:
+            assert alg._pivots[d] == pivots and alg._nonpivots[d] == nonpiv
+        assert alg.dim(d) == len(nonpiv)
+        nf = linalg.zeros(red.shape[1], len(nonpiv))
+        nf[nonpiv, np.arange(len(nonpiv))] = 1
+        nf[pivots] = -red[:, nonpiv] % alg.p
+        assert np.array_equal(alg.normal_form(d), nf)
+        assert np.array_equal(alg.ideal_rref(d), red)
+        assert alg.ideal_subspace(d) == linalg.Subspace.from_rows(
+            red.shape[1], red, alg.p)
+
+
+@pytest.mark.parametrize("name", ["one_loop_n3", "two_loop_n3",
+                                  "commutative_n2", "two_vertex_n3",
+                                  "two_vertex_n4"])
+def test_slices_match_the_stacked_build_on_the_corpus(name):
+    from nkoszul import verify
+    e = verify.corpus(name)
+    for alg in (e["lam"], e["dual"]):
+        assert_slices_match_stacked(alg, 8)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_slices_match_the_stacked_build_on_random_samples(p):
+    from nkoszul import verify
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        pres = verify.random_presentation(rng)
+        pres = Presentation.make(pres.quiver, pres.n, pres.relations, p)
+        top = pres.n + (1 if pres.quiver.arrow_count > 2 else 3)
+        lam = build_slices(pres, top)
+        assert_slices_match_stacked(lam, top)
+        assert_slices_match_stacked(build_dual(lam, top), top)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_slices_match_the_stacked_build_past_degree_n(p):
+    """Relations of degree n, n + 1 and n + 2 over two vertices, the last
+    one not parallel: the rows u.r come from every degree below d."""
+    q = Quiver.make(2, [("x", 0, 0), ("y", 0, 1), ("z", 1, 0), ("w", 1, 1)])
+    rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 3)): 1}),
+            PathSpaceElement(3, {Path(0, (0, 0, 0)): 1,
+                                 Path(0, (1, 2, 0)): p - 1}),
+            PathSpaceElement(4, {Path(1, (3, 3, 3, 3)): 1,
+                                 Path(0, (0, 0, 1, 2)): 1})]
+    dims = []
+    for k in (1, 2, 3):
+        lam = build_slices(Presentation.make(q, 2, rels[:k], p), 7)
+        assert_slices_match_stacked(lam, 7)
+        dims.append([lam.dim(d) for d in range(8)])
+    # each relation cuts the slices from its own degree on
+    assert dims[0][:3] == dims[1][:3] and dims[0][3] > dims[1][3]
+    assert dims[1][:4] == dims[2][:4] and dims[1][4] > dims[2][4]
+
+
+def test_slices_build_under_a_profiler():
+    """The build keeps no array a profiler's reference could pin: it once
+    shrank the ideal matrix in place, which raised under cProfile."""
+    import cProfile
+    from nkoszul import verify
+    lam = verify.corpus("commutative_n2")["lam"]
+    dual = cProfile.Profile().runcall(build_dual, lam, 10)
+    assert [dual.dim(d) for d in range(11)] == list(range(1, 12))
+
+
+def test_slices_refuse_an_oversized_tail_before_allocating_it():
+    """The third draw at rng 5 (four loops, n = 2) has dim A_8 = 22288: its
+    tail at degree 8 alone would be 43248 x 22288 entries, 7.18 GiB, and
+    the tail at degree 7 is already over the cap."""
+    import tracemalloc
+    from nkoszul import verify
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        pres = verify.random_presentation(rng)
+    assert (pres.quiver.arrow_count, pres.n) == (4, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(al.AlgebraError, match="over the .* cap"):
+            build_slices(pres, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < al.MAX_SLICE_BYTES

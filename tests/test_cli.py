@@ -4,6 +4,7 @@ import os
 import pytest
 
 from nkoszul.cli import main
+from nkoszul.linalg import LinAlgError
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE_LOOP = os.path.join(HERE, "inputs", "one_loop_n3.json")
@@ -178,3 +179,43 @@ def test_in_L_E_regrades_a_module_over_u(capsys, path):
         assert code == 0
         verdicts[pred] = rep["verdict"]
     assert verdicts == {"in_L": True, "in_L_E": True}
+
+
+@pytest.mark.parametrize("modulus, reason", [
+    (6, "6 is not a prime"),
+    (9, "9 is not a prime"),
+    (2 ** 64 - 59, "is not below 2**63"),  # a prime
+])
+def test_a_modulus_that_is_not_an_accepted_prime_exits_2(
+        capsys, tmp_path, modulus, reason):
+    with open(COMMUTATIVE) as fh:
+        doc = json.load(fh)
+    doc["modulus"] = modulus
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dual", str(path)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and reason in err
+
+
+def test_primality_is_exact_around_the_modulus_bound():
+    from nkoszul.docio import is_prime
+    assert [n for n in range(60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    assert is_prime(3037000493) and is_prime(4611686018427388039)
+    # strong pseudoprimes to several of the smallest bases
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert not is_prime(2 ** 63 - 1) and not is_prime(561)
+
+
+@pytest.mark.parametrize("error", [MemoryError(), LinAlgError("singular")])
+def test_memory_and_kernel_errors_exit_2(capsys, monkeypatch, error):
+    from nkoszul import cli
+
+    def fail(*args):
+        raise error
+    monkeypatch.setattr(cli, "build_slices", fail)
+    code, out, err = run(capsys, ["dual", COMMUTATIVE])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err

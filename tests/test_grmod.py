@@ -357,3 +357,51 @@ def test_generated_in_degrees_matches_the_closure_oracle():
                 assert gm.generated_in_degrees(mod, degree_set) == want
                 seen.add(want)
     assert seen == {True, False}
+
+
+def py_times_right(vecs, t1, tn, t_mul, p):
+    """The loop _times_right replaced, on Python integers."""
+    tn_pos = {key: c for c, key in enumerate(tn)}
+    rows = []
+    for v in vecs:
+        for b in range(t_mul.shape[1]):
+            out = [0] * len(tn)
+            for r, (i, j) in enumerate(t1):
+                for c in np.nonzero(t_mul[j, b])[0]:
+                    if (i, int(c)) in tn_pos:
+                        at = tn_pos[(i, int(c))]
+                        term = int(v[r]) * int(t_mul[j, b, c])
+                        out[at] = (out[at] + term) % p
+            rows.append(out)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(tn))
+
+
+@pytest.mark.parametrize("p", [101, 3037000493, 4611686018427388039])
+def test_in_L_products_are_exact_at_large_moduli(p):
+    from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
+                                 build_slices)
+    from nkoszul.quiver import Path, PathSpaceElement, Quiver
+    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    c = p // 3 - 2  # far from 0 and 1
+    rels = [PathSpaceElement(3, {Path(0, (0, 0, 1)): 1, Path(0, (0, 1, 0)): c,
+                                 Path(0, (1, 0, 0)): p - c}),
+            PathSpaceElement(3, {Path(0, (1, 1, 0)): 1,
+                                 Path(0, (0, 1, 1)): c})]
+    lam = build_slices(Presentation.make(q, 3, rels, p), 4)
+    dual = build_dual(lam, 4)
+    t_mul = dual.mult(1, 2)
+    assert t_mul.max() > p // 4
+    # a module X_s over one vertex of dimension 3: pairs x_i (x) a_j
+    nx = 3
+    t1 = [(i, j) for i in range(nx) for j in range(dual.dim(1))]
+    tn = [(i, c) for i in range(nx) for c in range(dual.dim(3))
+          if (i + c) % 4]  # leave some pairs out, as vertex matching does
+    rng = np.random.default_rng(4)
+    vecs = rng.integers(p - 1000, p, (4, len(t1)))
+    got = gm._times_right(vecs, nx, t1, tn, t_mul, p)
+    assert np.array_equal(got, py_times_right(vecs, t1, tn, t_mul, p))
+    # no pair of X_s (x) A_3: no product, and no failure
+    assert gm._times_right(vecs, nx, t1, [], t_mul, p).shape == (
+        len(vecs) * dual.dim(2), 0)
+    ualg = USupportAlgebra(dual, 3)
+    assert gm.in_L(GradedModule(ualg, {0: (0,)}, {}), TorsionParams(3, 1, 0))

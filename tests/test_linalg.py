@@ -363,6 +363,6 @@ def test_slices_match_the_reference_construction():
     for alg in (lam, dual):
         top = min(10, alg.vanishing_degree() or 10)
         for k, (ideal, pivots) in enumerate(reference_ideals(alg.pres, top)):
-            assert np.array_equal(alg._ideal[k], ideal)
+            assert np.array_equal(alg.ideal_rref(k), ideal)
             assert alg._pivots[k] == pivots
     assert dual.vanishing_degree() is None and dual.dim(10) == 11
