@@ -89,6 +89,11 @@ class Presentation:
 
     @staticmethod
     def make(quiver, n, relations, p=101, degree_cap=None) -> "Presentation":
+        """Check the degrees and store each relation r, reduced mod p, as its
+        parts e_v r e_w: one per (source, target) of its paths, in the order
+        they are first seen.  The ideal is unchanged, since r generates the
+        same two-sided ideal as its parts, and every stored relation is
+        parallel."""
         if n < 2:
             raise AlgebraError("homogeneity degree must be >= 2")
         rels = []
@@ -96,9 +101,11 @@ class Presentation:
             if r.degree < n:
                 raise AlgebraError(
                     f"relation of degree {r.degree} < n = {n}")
-            rr = r.reduced(p)
-            if rr.coeffs:
-                rels.append(rr)
+            parts: dict = {}
+            for pa, c in r.reduced(p).coeffs.items():
+                parts.setdefault((pa.source, pa.target_in(quiver)), {})[pa] = c
+            rels += [PathSpaceElement(r.degree, part)
+                     for part in parts.values()]
         return Presentation(quiver, n, tuple(rels), p, degree_cap)
 
     def opposite(self) -> "Presentation":
@@ -190,12 +197,13 @@ class PathAlgebra:
         non-pivot prefix b, and a path P.a with a pivot prefix has the class
         tail_{d-1}[P] put under its last arrow a.  A_d is the cokernel of
         the rows u.r, r a relation of degree j and u a basis path of A_{d-j}
-        (r itself when j = d), and of the rows of I_{d-1} V that no path P.a
-        leads (only relations that are not parallel make those); one rref
-        of that small system picks the pivots among the columns.  Every P.a
-        is a pivot: the paths of its class follow it in path order.  Paths
-        of degree d are ordered by (prefix, last arrow), so the path w.a has
-        index off[w] + arank[a].
+        (r itself when j = d); one rref of that small system picks the
+        pivots among the columns.  Every relation is parallel (see
+        `Presentation.make`), so the class of a pivot P holds only paths
+        ending where P does, and each row of I_{d-1} V is led by a path P.a.
+        Every P.a is a pivot: the paths of its class follow it in path
+        order.  Paths of degree d are ordered by (prefix, last arrow), so
+        the path w.a has index off[w] + arank[a].
         """
         q, p = self.quiver, self.p
         piv0 = np.asarray(self._pivots[d - 1], dtype=np.intp)
@@ -224,26 +232,14 @@ class PathAlgebra:
             on = (tgt[np0] == src[a]).nonzero()[0]
             cols.append((on, col_off[on] + arank[a]))
         nrows, terms = self._relation_rows(d)
-        # a pivot row of I_{d-1} whose tail meets a non-pivot ending where
-        # its pivot P does not (the relations are not parallel) gives, times
-        # an arrow a out of that end, a row of I_{d-1} V with no path P.a
-        stray = [np.zeros(0, dtype=np.intp)] * src.size
-        if self.nvert > 1 and tail0.size:
-            meets = (tail0 != 0) & (tgt[np0] != tgt[piv0][:, None])
-            stray = [meets[:, on].any(axis=1).nonzero()[0] for on, _ in cols]
-        nstray = sum(i.size for i in stray)
         # the pivots P.a with a pivot prefix P, arrow by arrow
         prefixes = [(tgt[piv0] == src[a]).nonzero()[0]
                     for a in range(src.size)]
         # the tail has a row per P.a and a column per column no row kills
         _check_size(sum(i.size for i in prefixes),
-                    ncols - nrows - nstray, "normal-form tail", d)
-        _check_size(nrows + nstray, ncols, "cokernel system", d)
-        system = zeros(nrows + nstray, ncols)
-        row = nrows
-        for (on, at_cols), i in zip(cols, stray):
-            system[row:row + i.size, at_cols] = tail0[np.ix_(i, on)]
-            row += i.size
+                    ncols - nrows, "normal-form tail", d)
+        _check_size(nrows, ncols, "cokernel system", d)
+        system = zeros(nrows, ncols)
         for a, cell in terms.items():
             (rows, pre), coef = zip(*cell), list(cell.values())
             # np.unique would import numpy.ma, 2 MB and 40 ms on first use

@@ -324,6 +324,7 @@ def main(argv=None) -> int:
             report, code = cmd_verify(args)
         else:
             dom = load_document(args.input, args.modulus)
+            args.modulus = dom["modulus"]  # the echo shows the one in effect
             ctx = _Context(dom, args)
             if args.func == "dual":
                 report, code = cmd_dual(ctx, args)

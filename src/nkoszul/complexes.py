@@ -32,17 +32,19 @@ from .grmod import (
     GradedModule,
     GradedMorphism,
     ModuleError,
+    combine_mats,
     free_module,
     graded_dual,
     hom_space,
     iso_modules,
     morphism_image,
     morphism_kernel,
+    multiplication_map,
     opposite_algebra,
+    projective_cover,
     radical_subspaces,
     socle_subspaces,
     submodule_as_module,
-    top_complements,
     zero_module,
 )
 
@@ -287,10 +289,14 @@ def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None,
                    seed: int = 0):
     """Certificates per position, or None if some component is not linear.
 
-    Projective flavour: generated purely in the stated degree, witnessed by
-    an isomorphism from a sum of shifted vertex projectives.  Almost
-    injective flavour: cogenerated purely in the stated degree, witnessed
-    from a sum of shifted co-projectives.
+    Projective flavour: generated purely in the stated degree.  The model is
+    the projective cover of the component truncated at its support top, a
+    sum of shifted vertex projectives on the generators of its top.  The
+    cover map is onto, so it is an isomorphism exactly when the dimensions
+    agree in every degree, and then it is the witness: no Hom space is
+    solved.  Almost injective flavour: cogenerated purely in the stated
+    degree, witnessed by an isomorphism from a sum of shifted
+    co-projectives, found in the Hom space (`iso_modules`, with the seed).
     """
     if degree_of is None:
         degree_of = lambda k: -k
@@ -300,15 +306,12 @@ def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None,
         comp = c.modules[k]
         want = degree_of(k)
         if flavor == "projective":
-            tops = top_complements(comp)
-            if set(tops) != {want}:
+            model, cover, gens = projective_cover(comp)
+            if {d for _, d in gens} != {want} or any(
+                    model.dim(d) != comp.dim(d)
+                    for d in set(model.degrees()) | set(comp.degrees())):
                 return None
-            gens = [(comp.verts_at(want)[i], want) for i in tops[want]]
-            model = free_module(lam, gens, comp.support_top())
-            psi_iso = iso_modules(model, comp, seed=seed)
-            if psi_iso is None:
-                return None
-            out[k] = {"mults": gens, "witness": psi_iso}
+            out[k] = {"mults": gens, "witness": cover}
         elif flavor == "injective":
             socs = socle_subspaces(comp)
             if set(socs) != {want}:
@@ -445,18 +448,7 @@ def _u_module_as_dual_module(mod: GradedModule) -> GradedModule:
 def _mu1_data(mod: GradedModule, s: int):
     """The multiplication X_s (x) dual_1 -> X_{s+1} and a canonical
     preimage matrix for its targets (None if not surjective)."""
-    dual = mod.algebra.dual
-    vs = mod.verts_at(s)
-    pairs1 = dual.basis_pairs(1)
-    t1 = [(i, j) for i in range(len(vs))
-          for j, (src, tgt) in enumerate(pairs1) if vs[i] == src]
-    one_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                if g.degree == 1}
-    mu1 = zeros(len(t1), mod.dim(s + 1))
-    for r, (i, j) in enumerate(t1):
-        a = mod.act(one_gens[j], s)
-        if a.size:
-            mu1[r] = a[i]
+    t1, mu1 = multiplication_map(mod, s, 1)
     pre = linalg.solve_matrix(mu1.T, linalg.eye(mod.dim(s + 1)), mod.p)
     return t1, mu1, pre
 
@@ -637,11 +629,18 @@ def extract_module(c: ComplexOfGraded, ualg, params,
     image: socles give the components, the even differentials give the
     degree-1 action, and the odd differentials determine the degree-n
     action by an exact linear solve."""
+    return _extract(c, ualg, params, seed)[0]
+
+
+def _extract(c: ComplexOfGraded, ualg, params, seed: int):
+    """`extract_module`, and the models it read the module through: per
+    position, the canonical cofree model, the certificate witness from the
+    model (shifted into place) onto the component, and the socle vertices."""
     lam = c.algebra
     n = params.n
     dmap = DegreeMap(params.m, n)
     if c.is_zero():
-        return zero_module(ualg)
+        return zero_module(ualg), {}
     cert = _check_conditions_ab(c, params, seed=seed)
     if cert is None:
         raise ComplexError("complex fails the essential-image conditions")
@@ -672,7 +671,7 @@ def extract_module(c: ComplexOfGraded, ualg, params,
     bad = out.validate()
     if bad:
         raise ComplexError(f"extracted module fails validation: {bad[0]}")
-    return out
+    return out, models
 
 
 def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
@@ -821,25 +820,31 @@ def gi_arrow_index(ualg, gi: int) -> int:
 
 
 def in_Y(c: ComplexOfGraded, ualg, params, seed: int = 0):
-    """Essential-image membership: the direct conditions plus the
-    round-trip through extraction.  Returns (verdict, witness module)."""
-    from .grmod import in_L
+    """Essential-image membership: c is in the image exactly when it is F
+    applied to the module x read back off it.  Returns (verdict, witness
+    module x).
+
+    The conditions are certified once, inside the extraction, whose
+    witnesses carry c onto the cofree models F(x) is built on.  So the
+    round trip needs no search: c is F(x) up to those witnesses exactly
+    when both have the same positions and every transported differential
+    equals the one of F(x) in every degree."""
     if c.is_zero():
         return True, zero_module(ualg)
-    if _check_conditions_ab(c, params, seed=seed) is None:
-        return False, None
     try:
-        x = extract_module(c, ualg, params, seed=seed)
+        x, models = _extract(c, ualg, params, seed)
+        fx = equivalence_F(x, c.algebra, params)
     except (ComplexError, ModuleError):
         return False, None
-    try:
-        if not in_L(x, params):
+    if fx.positions() != c.positions():
+        return False, None
+    for k in c.positions():
+        if k + 1 not in models:
+            continue
+        t, f = _transported_diff(c, k, models), fx.diff(k)
+        if not all(np.array_equal(t.mat(d), f.mat(d))
+                   for d in set(t.mats) | set(f.mats)):
             return False, None
-        c2 = equivalence_F(x, c.algebra, params)
-    except (ComplexError, ModuleError):
-        return False, None
-    if not iso_complexes(c, c2, seed=seed):
-        return False, None
     return True, x
 
 
@@ -865,8 +870,7 @@ def dualize_complex(c: ComplexOfGraded, op_data=None) -> ComplexOfGraded:
     return ComplexOfGraded(op_alg, c.period, comps, diffs)
 
 
-def equivalence_F_dual(mod: GradedModule, lam, params,
-                       seed: int = 0) -> ComplexOfGraded:
+def equivalence_F_dual(mod: GradedModule, lam, params) -> ComplexOfGraded:
     """The projective-side equivalence: transport through the duality,
     apply the injective-side construction over the opposite algebra, and
     dualize the resulting complex back."""
@@ -882,19 +886,19 @@ def equivalence_F_dual(mod: GradedModule, lam, params,
     c_inj = equivalence_F(xd, op_lam_data[0], params)
     c_proj = dualize_complex(c_inj)
     # assert the output conditions of the projective picture
-    ok, why = check_Yo_conditions(c_proj, params, seed=seed)
+    ok, why = check_Yo_conditions(c_proj, params)
     if not ok:
         raise ComplexError(f"projective output conditions failed: {why}")
     return c_proj
 
 
-def check_Yo_conditions(c: ComplexOfGraded, params, seed: int = 0):
+def check_Yo_conditions(c: ComplexOfGraded, params):
     """Conditions of the projective essential image: components projective
     generated in the regraded degrees, and odd kernels inside the radical
     (first condition only when n = 2)."""
     dmap = DegreeMap(params.m, params.n)
     cert = certify_linear(c, "projective",
-                          degree_of=lambda k: dmap.delta(-k), seed=seed)
+                          degree_of=lambda k: dmap.delta(-k))
     if cert is None:
         return False, "a component is not projective at the stated degree"
     if params.n == 2:
@@ -916,7 +920,7 @@ def in_Yo(c: ComplexOfGraded, ualg, params, seed: int = 0) -> bool:
     """Projective essential-image membership via the duality transport."""
     if c.is_zero():
         return True
-    ok, _ = check_Yo_conditions(c, params, seed=seed)
+    ok, _ = check_Yo_conditions(c, params)
     if not ok:
         return False
     c_inj = dualize_complex(c)
@@ -978,19 +982,10 @@ def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
         ker = linalg.null_space(sys_mat, p)
     else:
         ker = Subspace.full(total, p)
-    out = []
-    for coef in ker.basis:
-        fam = {}
-        for k, b in bases.items():
-            mats: dict = {}
-            for f, ci in zip(b, coef[offs[k]: offs[k] + len(b)]):
-                if not ci:
-                    continue
-                for d, mmat in f.mats.items():
-                    mats[d] = (mats.get(d, 0) + int(ci) * mmat) % p
-            fam[k] = GradedMorphism(c.component(k), c2.component(k), mats)
-        out.append(fam)
-    return out
+    return [{k: GradedMorphism(c.component(k), c2.component(k),
+                               combine_mats(coef[offs[k]: offs[k] + len(b)],
+                                            [f.mats for f in b], p))
+             for k, b in bases.items()} for coef in ker.basis]
 
 
 def _stack_entries(f: GradedMorphism, degs, src, tgt) -> np.ndarray:
@@ -1038,16 +1033,11 @@ def iso_complexes(c: ComplexOfGraded, c2: ComplexOfGraded,
     p = c.p
     for _ in range(64):
         coef = rng.integers(0, p, size=len(basis))
-        fam = {}
-        for k in positions:
-            mats: dict = {}
-            for bfam, ci in zip(basis, coef):
-                f = bfam.get(k)
-                if f is None or not ci:
-                    continue
-                for d, mmat in f.mats.items():
-                    mats[d] = (mats.get(d, 0) + int(ci) * mmat) % p
-            fam[k] = GradedMorphism(c.component(k), c2.component(k), mats)
+        fam = {k: GradedMorphism(
+            c.component(k), c2.component(k),
+            combine_mats(coef, [bfam[k].mats if k in bfam else {}
+                                for bfam in basis], p))
+            for k in positions}
         if invertible(fam):
             return True
     return False

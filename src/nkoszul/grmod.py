@@ -351,14 +351,27 @@ def iso_modules(m: GradedModule, n: GradedModule, seed: int = 0):
     rng = np.random.default_rng(seed)
     for _ in range(64):
         c = rng.integers(0, m.p, size=len(basis))
-        mats: dict = {}
-        for f, ci in zip(basis, c):
-            for d, mm in f.mats.items():
-                mats[d] = (mats.get(d, 0) + int(ci) * mm) % m.p
-        f = GradedMorphism(m, n, mats)
+        f = GradedMorphism(m, n, combine_mats(c, [b.mats for b in basis], m.p))
         if f.is_iso():
             return f
     return None
+
+
+def combine_mats(coef, mats_list, p: int) -> dict:
+    """Per degree, sum_i coef[i] * mats_list[i][d] mod p: the matrices of a
+    linear combination of morphisms, each given by its per-degree matrices.
+
+    One `linalg.mat_mul` per degree, so it is exact at every p < 2**63.  A
+    degree is kept when a term with a nonzero coefficient has a matrix there.
+    """
+    terms = [(int(ci), mats) for ci, mats in zip(coef, mats_list) if ci]
+    out = {}
+    for d in sorted({d for _, mats in terms for d in mats}):
+        have = [(ci, mats[d]) for ci, mats in terms if d in mats]
+        stacked = np.stack([mm.reshape(-1) for _, mm in have])
+        coefs = np.array([[ci for ci, _ in have]], dtype=np.int64)
+        out[d] = linalg.mat_mul(coefs, stacked, p).reshape(have[0][1].shape)
+    return out
 
 
 # -- socle / top / generation ----------------------------------------------
@@ -815,12 +828,25 @@ def restrict_S(mod: GradedModule, ualg, params: TorsionParams) -> GradedModule:
 # -- the L / L_E / L-dual membership tests -----------------------------------
 
 
-def _tensor_pairs(mod: GradedModule, d: int, pairs):
-    """Vertex-matched basis of M_d (x) span(pairs): indices (i, j) with the
-    vertex of x_i equal to the source of the j-th algebra element."""
-    vs = mod.verts_at(d)
-    return [(i, j) for i in range(len(vs))
-            for j, (src, tgt) in enumerate(pairs) if vs[i] == src]
+def multiplication_map(mod: GradedModule, s: int, k: int):
+    """mu_{s,k}: X_s (x) dual_k -> X_{s+k}, x_i (x) y_j -> x_i y_j, for a
+    module over the support-restricted dual and k = 1 or n.
+
+    Returns (pairs, matrix).  The pairs (i, j), with the vertex of x_i equal
+    to the source of y_j, are the vertex-matched basis of the tensor
+    product; the matrix has one row per pair."""
+    vs = mod.verts_at(s)
+    pairs = [(i, j) for i in range(len(vs))
+             for j, (src, _) in enumerate(mod.algebra.dual.basis_pairs(k))
+             if vs[i] == src]
+    gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+            if g.degree == k}
+    mu = zeros(len(pairs), mod.dim(s + k))
+    for r, (i, j) in enumerate(pairs):
+        a = mod.act(gens[j], s)
+        if a.size:
+            mu[r] = a[i]
+    return pairs, mu
 
 
 def _times_right(vecs, nx: int, t1, tn, t_mul, p: int) -> np.ndarray:
@@ -866,37 +892,19 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
             continue
         if mod.dim(s) == 0:
             continue
-        pairs1 = dual.basis_pairs(1)
-        t1 = _tensor_pairs(mod, s, pairs1)
+        t1, mu1 = multiplication_map(mod, s, 1)
         if not t1:
             continue
-        # mu_{s,1}: X_s (x) dual_1 -> X_{s+1}
-        mu1 = zeros(len(t1), mod.dim(s + 1))
-        one_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                    if g.degree == 1}
-        for r, (i, j) in enumerate(t1):
-            a = mod.act(one_gens[j], s)
-            if a.size:
-                mu1[r] = a[i]
         ker1 = linalg.null_space(mu1.T, p)
         if ker1.dim == 0:
             continue
-        pairsn = dual.basis_pairs(n)
-        tn = _tensor_pairs(mod, s, pairsn)
+        tn, mun = multiplication_map(mod, s, n)
         # multiply kernel elements by dual degree n-1 on the right factor
         prod_rows = _times_right(ker1.basis, mod.dim(s), t1, tn,
                                  dual.mult(1, n - 1), p)
         if not prod_rows.any():
             continue
         prod = Subspace.from_rows(len(tn), prod_rows, p)
-        # mu_{s,n}: X_s (x) dual_n -> X_{s+n}
-        mun = zeros(len(tn), mod.dim(s + n))
-        n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                  if g.degree == n}
-        for r, (i, j) in enumerate(tn):
-            a = mod.act(n_gens[j], s)
-            if a.size:
-                mun[r] = a[i]
         kern = linalg.null_space(mun.T, p)
         if not kern.contains(prod):
             return False

@@ -622,8 +622,8 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
             continue
         lo_members += 1
         op_lam = opposite_algebra(lam)[0]
-        g = cpx.equivalence_F_dual(dx, op_lam, params, seed=seed)
-        okc, why = cpx.check_Yo_conditions(g, params, seed=seed)
+        g = cpx.equivalence_F_dual(dx, op_lam, params)
+        okc, why = cpx.check_Yo_conditions(g, params)
         if not okc:
             failures.append(_fail_entry(
                 t, "dual-image-conditions", {"X": module_json(x),

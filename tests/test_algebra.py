@@ -486,3 +486,18 @@ def test_slices_refuse_an_oversized_tail_before_allocating_it():
     finally:
         tracemalloc.stop()
     assert peak < al.MAX_SLICE_BYTES
+
+
+def test_a_relation_that_is_not_parallel_is_split_by_its_end_vertices():
+    """x.y + w.w generates the ideal of x.y and w.w, not of the one sum."""
+    q = Quiver.make(2, [("x", 0, 0), ("y", 0, 1), ("z", 1, 0), ("w", 1, 1)])
+    xy, ww = Path(0, (0, 1)), Path(1, (3, 3))
+    joined = Presentation.make(q, 2, [PathSpaceElement(2, {xy: 1, ww: 1})])
+    apart = Presentation.make(q, 2, [PathSpaceElement(2, {xy: 1}),
+                                     PathSpaceElement(2, {ww: 1})])
+    assert ([r.coeffs for r in joined.relations]
+            == [r.coeffs for r in apart.relations] == [{xy: 1}, {ww: 1}])
+    for pres in (joined, apart):
+        lam = build_slices(pres, 4)
+        assert [lam.dim(d) for d in range(5)] == [2, 4, 6, 9, 13]
+        assert_slices_match_stacked(lam, 4)

@@ -219,3 +219,23 @@ def test_memory_and_kernel_errors_exit_2(capsys, monkeypatch, error):
     code, out, err = run(capsys, ["dual", COMMUTATIVE])
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc_modulus, flags, want", [
+    (1000000007, [], 1000000007),
+    (1000000007, ["--modulus", "7"], 1000000007),
+    (None, ["--modulus", "7"], 7),
+])
+def test_the_report_echoes_the_modulus_in_effect(
+        capsys, tmp_path, doc_modulus, flags, want):
+    with open(ONE_LOOP) as fh:
+        doc = json.load(fh)
+    doc.pop("modulus", None)
+    if doc_modulus is not None:
+        doc["modulus"] = doc_modulus
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, ["check", str(path), "--predicate", "in_L",
+                                  "--object", "X"] + flags)
+    assert code == 0
+    assert rep["echo"]["modulus"] == want

@@ -575,3 +575,197 @@ def test_pair_matrix_is_exact_at_every_accepted_modulus(p):
         assert got.dtype == np.int64
         assert np.array_equal(got, python_pair_matrix(src, tgt, terms, p))
     assert cx._pair_matrix([], [(0, 0)], terms, p).shape == (0, 1)
+
+
+# -- membership by an exact round trip, against the search it replaced ------
+
+
+def reference_in_Y(c, ualg, params, seed=0):
+    """The membership test with a search: the conditions certified on their
+    own and again inside the extraction, then a search for a chain
+    isomorphism from c to F of the extracted module."""
+    if c.is_zero():
+        return True, gm.zero_module(ualg)
+    if cx._check_conditions_ab(c, params, seed=seed) is None:
+        return False, None
+    try:
+        x = cx.extract_module(c, ualg, params, seed=seed)
+    except (ComplexError, gm.ModuleError):
+        return False, None
+    try:
+        if not gm.in_L(x, params):
+            return False, None
+        c2 = cx.equivalence_F(x, c.algebra, params)
+    except (ComplexError, gm.ModuleError):
+        return False, None
+    if not cx.iso_complexes(c, c2, seed=seed):
+        return False, None
+    return True, x
+
+
+def assert_in_Y_matches_reference(c, ualg, params, seed=0):
+    verdict, wit = cx.in_Y(c, ualg, params, seed=seed)
+    ref_verdict, ref_wit = reference_in_Y(c, ualg, params, seed=seed)
+    assert verdict == ref_verdict
+    if wit is None or ref_wit is None:
+        assert wit is ref_wit
+    else:
+        assert verify.module_json(wit) == verify.module_json(ref_wit)
+    return verdict
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_in_Y_matches_the_search_it_replaced_on_the_suite_trials(
+        monkeypatch, seed):
+    # suite_equivalence: F(X) of the first draw of each trial, and the
+    # negative controls built from the first image
+    e = entry()
+    params = TorsionParams(e["n"], 1, 0)
+    rng = np.random.default_rng(seed)
+    images = []
+    for _ in range(15):
+        x = verify.random_distinguished_module(rng, e, params)
+        assert verify.random_distinguished_module(rng, e, params) is not None
+        images.append(cx.equivalence_F(x, e["lam"], params))
+    controls = verify.negative_control_complexes(images[0], 5)
+    verdicts = [assert_in_Y_matches_reference(c, e["ualg"], params, seed)
+                for c in images + controls]
+    assert verdicts == [True] * 15 + [False] * 5
+    # suite_dual_equivalence: whatever in_Yo hands to in_Y
+    real, cases = cx.in_Y, []
+
+    def record(c, ualg, params, seed=0):
+        cases.append((c, ualg, params))
+        return real(c, ualg, params, seed=seed)
+    monkeypatch.setattr(cx, "in_Y", record)
+    assert verify.suite_dual_equivalence(seed=seed, duality_trials=0)["passed"]
+    monkeypatch.undo()
+    assert [assert_in_Y_matches_reference(*case, seed=seed)
+            for case in cases] == [True] * 15
+
+
+@pytest.mark.parametrize("key,p", [("commutative_n2", 101), ("loops_n2", 3)])
+def test_in_Y_matches_the_search_it_replaced_at_n_2(key, p):
+    e = case_entry(key, p)
+    params = TorsionParams(2, 1, 0)
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for _ in range(4):
+        x = verify.random_distinguished_module(rng, e, params)
+        c = cx.equivalence_F(x, e["lam"], params)
+        verdicts.append(assert_in_Y_matches_reference(c, e["ualg"], params))
+        for bad in verify.negative_control_complexes(c, 2):
+            assert not assert_in_Y_matches_reference(bad, e["ualg"], params)
+    assert True in verdicts
+
+
+def test_in_Y_certifies_once_and_searches_nothing(monkeypatch):
+    e = entry("two_vertex_n3")
+    params = TorsionParams(e["n"], 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)], 7), e["ualg"], params)
+    c = cx.equivalence_F(x, e["lam"], params)
+    real, calls = cx.certify_linear, []
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return real(*args, **kw)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("in_Y searched for a chain isomorphism")
+    monkeypatch.setattr(cx, "certify_linear", counted)
+    monkeypatch.setattr(cx, "hom_complexes", forbidden)
+    monkeypatch.setattr(cx, "iso_complexes", forbidden)
+    verdict, wit = cx.in_Y(c, e["ualg"], params)
+    assert verdict and calls == ["injective"]
+    assert gm.iso_modules(wit, x) is not None
+    calls.clear()
+    for bad in verify.negative_control_complexes(c, 3):
+        assert cx.in_Y(bad, e["ualg"], params) == (False, None)
+    assert calls == ["injective"] * 3
+
+
+def test_in_Y_rejects_a_round_trip_that_differs(monkeypatch):
+    """F(x) with one differential doubled, or one component dropped, is no
+    longer c: the exact comparison must see it."""
+    e = entry("two_vertex_n3")
+    params = TorsionParams(e["n"], 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)], 7), e["ualg"], params)
+    c = cx.equivalence_F(x, e["lam"], params)
+    real = cx.equivalence_F
+    k = min(c.diffs)
+
+    def doubled(*args, **kw):
+        fx = real(*args, **kw)
+        f = fx.diffs[k]
+        return cx.ComplexOfGraded(fx.algebra, 2, fx.modules, {
+            **fx.diffs, k: gm.GradedMorphism(
+                f.source, f.target, {d: 2 * m for d, m in f.mats.items()})})
+
+    def dropped(*args, **kw):
+        fx = real(*args, **kw)
+        return cx.ComplexOfGraded(
+            fx.algebra, 2, {j: m for j, m in fx.modules.items() if j != k},
+            {j: f for j, f in fx.diffs.items() if j not in (k - 1, k)})
+    assert cx.in_Y(c, e["ualg"], params)[0]
+    for fake in (doubled, dropped):
+        monkeypatch.setattr(cx, "equivalence_F", fake)
+        assert cx.in_Y(c, e["ualg"], params) == (False, None)
+
+
+def reference_projective_witness(comp, want, seed=0):
+    """The projective certificate by a search: an isomorphism onto the
+    component from the free module on the generators of its top."""
+    tops = gm.top_complements(comp)
+    if set(tops) != {want}:
+        return None
+    gens = [(comp.verts_at(want)[i], want) for i in tops[want]]
+    model = free_module(comp.algebra, gens, comp.support_top())
+    return gm.iso_modules(model, comp, seed=seed)
+
+
+def test_projective_certificate_is_the_cover_map(monkeypatch):
+    from nkoszul.algebra import DegreeMap
+    comps = []   # (component, degree it should be generated in)
+    for name in ("one_loop_n3", "two_loop_n3", "two_vertex_n3"):
+        e = entry(name)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            c = cx.psi(verify.random_quotient_module(rng, e["dual"], 0, 3),
+                       e["lam"])
+            comps += [(c.modules[k], -k) for k in c.positions()]
+    e = entry("two_vertex_n3")
+    params = TorsionParams(e["n"], 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)], 7), e["ualg"], params)
+    op_u = gm.opposite_algebra(e["ualg"])
+    g = cx.equivalence_F_dual(graded_dual(x, op_u),
+                              gm.opposite_algebra(e["lam"])[0], params)
+    dmap = DegreeMap(0, e["n"])
+    comps += [(g.modules[k], dmap.delta(-k)) for k in g.positions()]
+    # not linear: generated in the wrong degree, in two degrees, or
+    # generated in one degree but not free
+    lam = entry()["lam"]
+    f = free_module(lam, [(0, 0)], 3)
+    quo, _ = gm.quotient_module(f, gm.submodule_closure(
+        f, {1: gm.radical_subspaces(f)[1].basis[:1]}))
+    negatives = [(f, 1), (free_module(lam, [(0, 0), (0, 1)], 3), 0),
+                 (quo, 0)]
+    expected = [True] * len(comps) + [False] * len(negatives)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("the projective certificate solved a Hom space")
+    got = []
+    for comp, want in comps + negatives:
+        ref = reference_projective_witness(comp, want)
+        with monkeypatch.context() as mp:
+            mp.setattr(cx, "iso_modules", forbidden)
+            mp.setattr(cx, "hom_space", forbidden)
+            mp.setattr(gm, "hom_space", forbidden)
+            cert = cx.certify_linear(cx.stalk_complex(comp, 0, 2),
+                                     "projective", degree_of=lambda k: want)
+        assert (cert is None) == (ref is None)
+        got.append(cert is not None)
+        if cert is not None:
+            wit = cert[0]["witness"]
+            assert wit.target is comp and wit.is_iso() and wit.commutes()
+            assert cert[0]["mults"] == ref.source.free_gens
+    assert got == expected

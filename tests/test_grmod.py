@@ -405,3 +405,27 @@ def test_in_L_products_are_exact_at_large_moduli(p):
         len(vecs) * dual.dim(2), 0)
     ualg = USupportAlgebra(dual, 3)
     assert gm.in_L(GradedModule(ualg, {0: (0,)}, {}), TorsionParams(3, 1, 0))
+
+
+@pytest.mark.parametrize("p", [2, 101, 3037000493, 4611686018427388039])
+def test_combine_mats_is_exact_at_every_accepted_modulus(p):
+    rng = np.random.default_rng(p % 1000)
+
+    def mats(*degs):
+        return {d: rng.integers(0, p, size=(3, d + 1), dtype=np.int64)
+                for d in degs}
+    mats_list = [mats(0, 2), mats(0), mats(0, 2),
+                 {5: np.full((1, 3), p - 1, dtype=np.int64)}]
+    zero_last = rng.integers(0, p, size=4, dtype=np.int64)
+    zero_last[3] = 0
+    # a degree is kept only when a term with a nonzero coefficient has it
+    for coef, degs in ((zero_last, [0, 2]),
+                       (np.full(4, p - 1, dtype=np.int64), [0, 2, 5])):
+        got = gm.combine_mats(coef, mats_list, p)
+        assert sorted(got) == degs
+        for d, m in got.items():
+            want = [[sum(int(ci) * int(mm[d][r, c])
+                         for ci, mm in zip(coef, mats_list) if d in mm) % p
+                     for c in range(m.shape[1])] for r in range(m.shape[0])]
+            assert m.dtype == np.int64 and m.tolist() == want
+    assert gm.combine_mats([0, 0], mats_list[:2], p) == {}
