@@ -226,13 +226,12 @@ def cmd_check(ctx: _Context, args) -> tuple:
     elif pred in _COMPLEX_PREDICATES:
         c = ctx.complex(args.object)
         if pred == "in_Y":
-            ok, wit = cpx.in_Y(c, ctx.ualg, params, seed=args.seed)
+            ok, wit = cpx.in_Y(c, ctx.ualg, params)
             report["verdict"] = bool(ok)
             report["witness"] = module_json(wit) if ok else None
         elif pred == "in_Yo":
             report["verdict"] = bool(
-                cpx.in_Yo(c, opposite_algebra(ctx.ualg)[0], params,
-                          seed=args.seed))
+                cpx.in_Yo(c, opposite_algebra(ctx.ualg)[0], params))
         elif pred == "in_G_star":
             report["verdict"] = bool(cpx.in_G_star(c, params))
         else:

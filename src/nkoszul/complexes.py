@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Subspace, zeros
-from .algebra import DegreeMap, USupportAlgebra
+from .algebra import DegreeMap, USupportAlgebra, _check_size
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -36,7 +36,6 @@ from .grmod import (
     free_module,
     graded_dual,
     hom_space,
-    iso_modules,
     morphism_image,
     morphism_kernel,
     multiplication_map,
@@ -285,49 +284,61 @@ def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
 # -- linearity certificates --------------------------------------------------
 
 
-def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None,
-                   seed: int = 0):
+def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None):
     """Certificates per position, or None if some component is not linear.
 
-    Projective flavour: generated purely in the stated degree.  The model is
-    the projective cover of the component truncated at its support top, a
-    sum of shifted vertex projectives on the generators of its top.  The
-    cover map is onto, so it is an isomorphism exactly when the dimensions
-    agree in every degree, and then it is the witness: no Hom space is
-    solved.  Almost injective flavour: cogenerated purely in the stated
-    degree, witnessed by an isomorphism from a sum of shifted
-    co-projectives, found in the Hom space (`iso_modules`, with the seed).
-    """
+    Each witness is an isomorphism from a model onto the component, read off
+    one canonical map: no Hom space is solved.  Projective flavour:
+    generated purely in the stated degree.  The cover map from the
+    projective cover (truncated at the support top) is onto, so it is the
+    witness exactly when the dimensions agree in every degree.  Almost
+    injective flavour: cogenerated purely in the stated degree, where the
+    component must end.  The envelope map into the cofree module on that
+    degree is the identity there, so it is injective exactly when the socle
+    lies there; its inverse is the witness when the dimensions agree."""
     if degree_of is None:
         degree_of = lambda k: -k
-    lam = c.algebra
     out = {}
     for k in c.positions():
         comp = c.modules[k]
         want = degree_of(k)
         if flavor == "projective":
-            model, cover, gens = projective_cover(comp)
-            if {d for _, d in gens} != {want} or any(
-                    model.dim(d) != comp.dim(d)
-                    for d in set(model.degrees()) | set(comp.degrees())):
+            model, witness, mults = projective_cover(comp)
+            if {d for _, d in mults} != {want}:
                 return None
-            out[k] = {"mults": gens, "witness": cover}
         elif flavor == "injective":
-            socs = socle_subspaces(comp)
-            if set(socs) != {want}:
+            if comp.support_top() != want:
                 return None
-            vlist = []
-            for row in socs[want].basis:
-                nz = np.nonzero(row)[0]
-                vlist.append(comp.verts_at(want)[int(nz[0])])
-            model = cofree_module(lam, vlist).shift(-want)
-            psi_iso = iso_modules(model, comp, seed=seed)
-            if psi_iso is None:
-                return None
-            out[k] = {"mults": [(v, want) for v in vlist], "witness": psi_iso}
+            model, envelope, mults = _cofree_envelope(comp, want)
         else:
             raise ComplexError(f"unknown flavour {flavor!r}")
+        if any(model.dim(d) != comp.dim(d)
+               for d in set(model.degrees()) | set(comp.degrees())):
+            return None
+        if flavor == "injective":
+            try:
+                witness = envelope.inverse()
+            except ModuleError:
+                return None
+        out[k] = {"mults": mults, "witness": witness}
     return out
+
+
+def _cofree_envelope(comp: GradedModule, want: int):
+    """The cofree model I on the top of a component ending in degree
+    `want`, the envelope map comp -> I, m -> (b -> the top part of m.b), and
+    the top's (vertex, degree) pairs.  Entry (r, (b, x)) in degree d is
+    coordinate x of comp_d[r] times the basis element b of Lam_{want-d}."""
+    base = cofree_module(comp.algebra, comp.verts_at(want))
+    model = base.shift(-want)
+    mats = {}
+    for e, pairs in base.hom_index.items():
+        pairs = np.asarray(pairs, dtype=np.intp)
+        acts = np.stack([comp.act_basis_element(-e, b, e + want)
+                         for b in range(comp.algebra.dim(-e))])
+        mats[e + want] = acts[pairs[:, 0], :, pairs[:, 1]].T
+    mults = [(v, want) for v in comp.verts_at(want)]
+    return model, GradedMorphism(comp, model, mats), mults
 
 
 # -- torsion-side predicates on complexes ------------------------------------
@@ -354,13 +365,19 @@ def in_G_star(c: ComplexOfGraded, params) -> bool:
                 kmod, _ = submodule_as_module(comp, ker)
                 if hom_space(dlam.shift(j), kmod):
                     return False
-        if (j - params.m) % params.n != 0:
-            socs = socle_subspaces(comp)
-            img = morphism_image(c.diff(j - 1))
-            for d, s in socs.items():
-                tgt = img.get(d, Subspace.zero(comp.dim(d), comp.p))
-                if not tgt.contains(s):
-                    return False
+        if (j - params.m) % params.n != 0 and not _socles_hit(c, j):
+            return False
+    return True
+
+
+def _socles_hit(c: ComplexOfGraded, k: int) -> bool:
+    """The socle of the component at k lies in the image of d_{k-1}."""
+    comp = c.modules[k]
+    img = morphism_image(c.diff(k - 1))
+    for d, s in socle_subspaces(comp).items():
+        tgt = img.get(d, Subspace.zero(comp.dim(d), comp.p))
+        if not tgt.contains(s):
+            return False
     return True
 
 
@@ -446,11 +463,15 @@ def _u_module_as_dual_module(mod: GradedModule) -> GradedModule:
 
 
 def _mu1_data(mod: GradedModule, s: int):
-    """The multiplication X_s (x) dual_1 -> X_{s+1} and a canonical
-    preimage matrix for its targets (None if not surjective)."""
+    """The multiplication mu_1: X_s (x) dual_1 -> X_{s+1}: the pairs of its
+    domain, a canonical preimage matrix for its targets and a basis of its
+    kernel.  Raises unless mu_1 is surjective."""
     t1, mu1 = multiplication_map(mod, s, 1)
     pre = linalg.solve_matrix(mu1.T, linalg.eye(mod.dim(s + 1)), mod.p)
-    return t1, mu1, pre
+    if pre is None:
+        raise ComplexError(
+            f"level {s}: the degree-1 multiplication is not surjective")
+    return t1, pre, linalg.null_space(mu1.T, mod.p).basis
 
 
 def _mu1_pullbacks(mod: GradedModule, s: int, families) -> list:
@@ -465,11 +486,7 @@ def _mu1_pullbacks(mod: GradedModule, s: int, families) -> list:
     is mu_1's canonical preimage and K a basis of ker(mu_1): pre^T Z @ A
     acts on X_{s+1} through the preimage, and K Z @ A vanishes iff that
     action does not depend on the preimage chosen."""
-    t1, mu1, pre = _mu1_data(mod, s)
-    if pre is None:
-        raise ComplexError(
-            f"level {s}: the degree-1 multiplication is not surjective")
-    ker = linalg.null_space(mu1.T, mod.p).basis
+    t1, pre, ker = _mu1_data(mod, s)
     ds = mod.dim(s)
     out = []
     for fam in families:
@@ -601,47 +618,37 @@ def _odd_steps(lam, ualg, s: int, bsrc, btgt):
 # -- extraction (inverse direction) ------------------------------------------
 
 
-def _check_conditions_ab(c: ComplexOfGraded, params, seed: int = 0):
+def _check_conditions_ab(c: ComplexOfGraded, params):
     """Conditions of the essential-image description: components almost
     injective cogenerated at the regraded degrees, and odd socles inside
     the image of the previous differential.  Returns certificates."""
     dmap = DegreeMap(params.m, params.n)
     cert = certify_linear(c, "injective",
-                          degree_of=lambda k: -dmap.delta(k), seed=seed)
+                          degree_of=lambda k: -dmap.delta(k))
     if cert is None:
         return None
     for k in c.positions():
-        if k % 2 == 0:
-            continue
-        comp = c.modules[k]
-        socs = socle_subspaces(comp)
-        img = morphism_image(c.diff(k - 1))
-        for d, s in socs.items():
-            tgt = img.get(d, Subspace.zero(comp.dim(d), comp.p))
-            if not tgt.contains(s):
-                return None
+        if k % 2 == 1 and not _socles_hit(c, k):
+            return None
     return cert
 
 
-def extract_module(c: ComplexOfGraded, ualg, params,
-                   seed: int = 0) -> GradedModule:
+def extract_module(c: ComplexOfGraded, ualg, params) -> GradedModule:
     """Recover the distinguished module from a 2-complex in the essential
-    image: socles give the components, the even differentials give the
+    image: the tops give the components, the even differentials give the
     degree-1 action, and the odd differentials determine the degree-n
     action by an exact linear solve."""
-    return _extract(c, ualg, params, seed)[0]
+    return _extract(c, ualg, params)[0]
 
 
-def _extract(c: ComplexOfGraded, ualg, params, seed: int):
+def _extract(c: ComplexOfGraded, ualg, params):
     """`extract_module`, and the models it read the module through: per
     position, the canonical cofree model, the certificate witness from the
-    model (shifted into place) onto the component, and the socle vertices."""
+    model (shifted into place) onto the component, and the top vertices."""
     lam = c.algebra
     n = params.n
     dmap = DegreeMap(params.m, n)
-    if c.is_zero():
-        return zero_module(ualg), {}
-    cert = _check_conditions_ab(c, params, seed=seed)
+    cert = _check_conditions_ab(c, params)
     if cert is None:
         raise ComplexError("complex fails the essential-image conditions")
     # per position: the canonical cofree model, the witness, the vertices
@@ -736,11 +743,7 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
         cur_mod = GradedModule(ualg, verts, dict(actions))
         if cur_mod.dim(s + 1) == 0 or cur_mod.dim(s + 1 + n) == 0:
             continue
-        t1, mu1, pre = _mu1_data(cur_mod, s)
-        if pre is None:
-            raise ComplexError(
-                f"level {s}: the degree-1 multiplication is not surjective")
-        ker = linalg.null_space(mu1.T, p)
+        t1, pre, ker = _mu1_data(cur_mod, s)
         for w in range(nd):
             acts = {}
             for _, ai in t1:
@@ -749,7 +752,7 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
                     acts[ai] = cur_mod.act_element(n + 1, vec, s)
             # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
             y = np.stack([acts[ai][i] for i, ai in t1])
-            if linalg.mat_mul(ker.basis, y, p).any():
+            if linalg.mat_mul(ker, y, p).any():
                 raise ComplexError(
                     f"level {s}: induced degree-{n} action is not "
                     "well defined")
@@ -782,6 +785,7 @@ def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
     blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
     for d, rows, cols, lefts in _odd_steps(lam, ualg, s, models[k][0],
                                             models[k + 1][0]):
+        _check_size(len(rows) * len(cols), nwi * dim_sn, "degree-n system", d)
         spread = _pair_matrix(
             rows, [(a, wi) for a, _ in cols for wi in range(nwi)],
             list(zip(lefts, coefs)), p)
@@ -819,20 +823,21 @@ def gi_arrow_index(ualg, gi: int) -> int:
     raise ComplexError("no matching arrow generator")
 
 
-def in_Y(c: ComplexOfGraded, ualg, params, seed: int = 0):
+def in_Y(c: ComplexOfGraded, ualg, params):
     """Essential-image membership: c is in the image exactly when it is F
     applied to the module x read back off it.  Returns (verdict, witness
     module x).
 
     The conditions are certified once, inside the extraction, whose
-    witnesses carry c onto the cofree models F(x) is built on.  So the
-    round trip needs no search: c is F(x) up to those witnesses exactly
-    when both have the same positions and every transported differential
-    equals the one of F(x) in every degree."""
+    witnesses (inverse envelope maps) carry c onto the cofree models F(x) is
+    built on.  So the round trip needs no search: c is F(x) up to those
+    witnesses exactly when both have the same positions and every
+    transported differential equals the one of F(x) in every degree.  x is
+    read in the top bases, so F(x) gives back x, sorted by vertex."""
     if c.is_zero():
         return True, zero_module(ualg)
     try:
-        x, models = _extract(c, ualg, params, seed)
+        x, models = _extract(c, ualg, params)
         fx = equivalence_F(x, c.algebra, params)
     except (ComplexError, ModuleError):
         return False, None
@@ -916,7 +921,7 @@ def check_Yo_conditions(c: ComplexOfGraded, params):
     return True, ""
 
 
-def in_Yo(c: ComplexOfGraded, ualg, params, seed: int = 0) -> bool:
+def in_Yo(c: ComplexOfGraded, ualg, params) -> bool:
     """Projective essential-image membership via the duality transport."""
     if c.is_zero():
         return True
@@ -925,7 +930,7 @@ def in_Yo(c: ComplexOfGraded, ualg, params, seed: int = 0) -> bool:
         return False
     c_inj = dualize_complex(c)
     op_u = opposite_algebra(ualg)
-    verdict, _ = in_Y(c_inj, op_u[0], params, seed=seed)
+    verdict, _ = in_Y(c_inj, op_u[0], params)
     return verdict
 
 

@@ -258,12 +258,10 @@ class GradedMorphism:
         return GradedMorphism(self.source, other.target, mats)
 
     def is_iso(self) -> bool:
-        for d in set(self.source.degrees()) | set(self.target.degrees()):
-            m = self.mat(d)
-            if m.shape[0] != m.shape[1]:
-                return False
-            if m.shape[0] and linalg.inverse(m, self.p) is None:
-                return False
+        try:
+            self.inverse()
+        except (ModuleError, linalg.LinAlgError):
+            return False
         return True
 
     def inverse(self) -> "GradedMorphism":
@@ -273,8 +271,7 @@ class GradedMorphism:
             inv = linalg.inverse(m, self.p)
             if inv is None:
                 raise ModuleError("morphism is not invertible")
-            if inv.size:
-                mats[d] = inv
+            mats[d] = inv
         return GradedMorphism(self.target, self.source, mats)
 
 
@@ -286,7 +283,7 @@ def hom_space(m: GradedModule, n: GradedModule):
     the same vertex (A_0-linearity forces the others to zero), the
     constraints are commutation with every generator.
     """
-    if m.algebra is not n.algebra and m.p != n.p:
+    if m.p != n.p:
         raise ModuleError("hom between modules over different fields")
     p = m.p
     degs = sorted(set(m.degrees()) | set(n.degrees()))
@@ -917,7 +914,6 @@ def regrade_E_to_U(mod: GradedModule, ualg) -> GradedModule:
     dmap = mod.algebra.dmap
     verts = {dmap.delta(d): v for d, v in mod.verts.items()}
     actions = {}
-    u_gens = ualg.generators()
     for (gi, d), m in mod.actions.items():
         actions[(gi, dmap.delta(d))] = m
     return GradedModule(ualg, verts, actions, "U")

@@ -166,8 +166,7 @@ def is_n_cokoszul(mod: GradedModule, bound: int) -> bool:
     return True
 
 
-def is_H0_liftable_resolution(mod: GradedModule, ualg, bound: int,
-                              seed: int = 0):
+def is_H0_liftable_resolution(mod: GradedModule, ualg, bound: int):
     """Whether the minimal coresolution of the module lifts to a module
     over the support-restricted dual.  Returns (verdict, witness module).
 
@@ -176,4 +175,4 @@ def is_H0_liftable_resolution(mod: GradedModule, ualg, bound: int,
     """
     c = coresolution_complex(mod, bound)
     params = TorsionParams(mod.algebra.pres.n, 1, 0)
-    return in_Y(c, ualg, params, seed=seed)
+    return in_Y(c, ualg, params)

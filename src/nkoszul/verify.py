@@ -514,7 +514,7 @@ def suite_equivalence(trials: int = 15, seed: int = 0,
                 t, "hom-dimension-mismatch",
                 {"X": module_json(x), "X2": module_json(x2),
                  "dim_module_hom": d_mod, "dim_complex_hom": d_cpx}))
-        ok, wit = cpx.in_Y(fx, ualg, params, seed=seed)
+        ok, wit = cpx.in_Y(fx, ualg, params)
         if not ok or iso_modules(wit, x) is None:
             failures.append(_fail_entry(
                 t, "round-trip-module", {"X": module_json(x)}))
@@ -526,7 +526,7 @@ def suite_equivalence(trials: int = 15, seed: int = 0,
     if first_image is not None:
         for i, bad in enumerate(
                 negative_control_complexes(first_image, controls)):
-            ok, _ = cpx.in_Y(bad, ualg, params, seed=seed)
+            ok, _ = cpx.in_Y(bad, ualg, params)
             if ok:
                 failures.append(_fail_entry(
                     i, "negative-control-accepted",
@@ -628,7 +628,7 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
             failures.append(_fail_entry(
                 t, "dual-image-conditions", {"X": module_json(x),
                                              "reason": str(why)}))
-        elif not cpx.in_Yo(g, op_u[0], params, seed=seed):
+        elif not cpx.in_Yo(g, op_u[0], params):
             failures.append(_fail_entry(
                 t, "dual-image-membership", {"X": module_json(x)}))
     # duality square: D(Hom functor) ~ tensor functor of the dual module
@@ -715,8 +715,7 @@ def suite_dimensions(seed: int = 0) -> dict:
         entry = corpus(name)
         sem = ko.semisimple_module(entry["lam"])
         cok = ko.is_n_cokoszul(sem, 5)
-        ok, wit = ko.is_H0_liftable_resolution(sem, entry["ualg"], 5,
-                                               seed=seed)
+        ok, wit = ko.is_H0_liftable_resolution(sem, entry["ualg"], 5)
         baselines[name] = {
             "is_n_cokoszul": bool(cok),
             "lift_exists": bool(ok),

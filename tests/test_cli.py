@@ -239,3 +239,19 @@ def test_the_report_echoes_the_modulus_in_effect(
                                   "--object", "X"] + flags)
     assert code == 0
     assert rep["echo"]["modulus"] == want
+
+
+def test_in_Y_witness_of_F_is_the_module_at_every_seed(capsys):
+    from nkoszul.docio import module_json, parse_module
+    from nkoszul.verify import corpus
+    with open(TWO_LOOP) as f:
+        spec = dict(json.load(f)["modules"]["X"])
+    assert spec.pop("over") == "u"
+    want = module_json(parse_module(spec, corpus("two_loop_n3")["ualg"], "X"))
+    for seed in ("0", "1"):
+        code, rep = run_json(
+            capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
+                     "--object", "F(X)", "--seed", seed])
+        assert code == 0 and rep["verdict"] is True
+        assert rep["echo"]["seed"] == int(seed)
+        assert rep["witness"] == want

@@ -271,7 +271,7 @@ def reference_xi(mod, s):
     ualg = mod.algebra
     dual, n, p = ualg.dual, ualg.n, mod.p
     q = dual.quiver.opposite()
-    t1, mu1, pre = cx._mu1_data(mod, s)
+    t1, pre, _ = cx._mu1_data(mod, s)
     n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
               if g.degree == n}
     idx_op = path_index(dual.quiver, n)
@@ -367,7 +367,7 @@ def reference_odd_system(c, models, prov, k, s):
                      - off) % p)
     a_mat = np.stack(cols, axis=1)
     rhs = (flatten({d: t.mat(d) for d in degs}) - off) % p
-    t1, mu1, _ = cx._mu1_data(prov, s)
+    t1, mu1 = gm.multiplication_map(prov, s, 1)
     kerz = linalg.null_space(mu1.T, p)
     mu_un = dual.mult(1, n - 1)
     extra = []
@@ -545,8 +545,7 @@ def test_equivalence_and_extraction_match_the_replaced_loops(key, p):
             assert np.array_equal(a_mat, ref_a)
             assert np.array_equal(rhs, ref_rhs)
             systems += 1
-        y = cx.extract_module(c, ualg, params)
-        assert gm.iso_modules(y, x) is not None
+        assert_round_trip(c, x, ualg, params)
     assert systems or n == 2
 
 
@@ -586,10 +585,10 @@ def reference_in_Y(c, ualg, params, seed=0):
     isomorphism from c to F of the extracted module."""
     if c.is_zero():
         return True, gm.zero_module(ualg)
-    if cx._check_conditions_ab(c, params, seed=seed) is None:
+    if cx._check_conditions_ab(c, params) is None:
         return False, None
     try:
-        x = cx.extract_module(c, ualg, params, seed=seed)
+        x = cx.extract_module(c, ualg, params)
     except (ComplexError, gm.ModuleError):
         return False, None
     try:
@@ -603,8 +602,25 @@ def reference_in_Y(c, ualg, params, seed=0):
     return True, x
 
 
+def vertex_sorted(x):
+    """x with the basis of each degree stably sorted by vertex."""
+    perm = {d: np.argsort(x.verts_at(d), kind="stable") for d in x.degrees()}
+    verts = {d: tuple(x.verts_at(d)[i] for i in perm[d]) for d in perm}
+    actions = {(gi, d): m[np.ix_(perm[d], perm[d + x.gens[gi].degree])]
+               for (gi, d), m in x.actions.items()}
+    return gm.GradedModule(x.algebra, verts, actions)
+
+
+def assert_round_trip(c, x, ualg, params):
+    """in_Y reads c = F(x) back as x itself, read in the top basis of each
+    component, which sorts the basis of x by vertex."""
+    verdict, wit = cx.in_Y(c, ualg, params)
+    assert verdict
+    assert verify.module_json(wit) == verify.module_json(vertex_sorted(x))
+
+
 def assert_in_Y_matches_reference(c, ualg, params, seed=0):
-    verdict, wit = cx.in_Y(c, ualg, params, seed=seed)
+    verdict, wit = cx.in_Y(c, ualg, params)
     ref_verdict, ref_wit = reference_in_Y(c, ualg, params, seed=seed)
     assert verdict == ref_verdict
     if wit is None or ref_wit is None:
@@ -627,6 +643,7 @@ def test_in_Y_matches_the_search_it_replaced_on_the_suite_trials(
         x = verify.random_distinguished_module(rng, e, params)
         assert verify.random_distinguished_module(rng, e, params) is not None
         images.append(cx.equivalence_F(x, e["lam"], params))
+        assert_round_trip(images[-1], x, e["ualg"], params)
     controls = verify.negative_control_complexes(images[0], 5)
     verdicts = [assert_in_Y_matches_reference(c, e["ualg"], params, seed)
                 for c in images + controls]
@@ -634,9 +651,9 @@ def test_in_Y_matches_the_search_it_replaced_on_the_suite_trials(
     # suite_dual_equivalence: whatever in_Yo hands to in_Y
     real, cases = cx.in_Y, []
 
-    def record(c, ualg, params, seed=0):
+    def record(c, ualg, params):
         cases.append((c, ualg, params))
-        return real(c, ualg, params, seed=seed)
+        return real(c, ualg, params)
     monkeypatch.setattr(cx, "in_Y", record)
     assert verify.suite_dual_equivalence(seed=seed, duality_trials=0)["passed"]
     monkeypatch.undo()
@@ -671,13 +688,16 @@ def test_in_Y_certifies_once_and_searches_nothing(monkeypatch):
         return real(*args, **kw)
 
     def forbidden(*args, **kw):
-        raise AssertionError("in_Y searched for a chain isomorphism")
+        raise AssertionError("in_Y solved a Hom space or searched")
     monkeypatch.setattr(cx, "certify_linear", counted)
     monkeypatch.setattr(cx, "hom_complexes", forbidden)
     monkeypatch.setattr(cx, "iso_complexes", forbidden)
+    monkeypatch.setattr(cx, "hom_space", forbidden)
+    monkeypatch.setattr(gm, "hom_space", forbidden)
+    monkeypatch.setattr(gm, "iso_modules", forbidden)
     verdict, wit = cx.in_Y(c, e["ualg"], params)
     assert verdict and calls == ["injective"]
-    assert gm.iso_modules(wit, x) is not None
+    assert verify.module_json(wit) == verify.module_json(vertex_sorted(x))
     calls.clear()
     for bad in verify.negative_control_complexes(c, 3):
         assert cx.in_Y(bad, e["ualg"], params) == (False, None)
@@ -757,7 +777,7 @@ def test_projective_certificate_is_the_cover_map(monkeypatch):
     for comp, want in comps + negatives:
         ref = reference_projective_witness(comp, want)
         with monkeypatch.context() as mp:
-            mp.setattr(cx, "iso_modules", forbidden)
+            mp.setattr(gm, "iso_modules", forbidden)
             mp.setattr(cx, "hom_space", forbidden)
             mp.setattr(gm, "hom_space", forbidden)
             cert = cx.certify_linear(cx.stalk_complex(comp, 0, 2),
@@ -769,3 +789,161 @@ def test_projective_certificate_is_the_cover_map(monkeypatch):
             assert wit.target is comp and wit.is_iso() and wit.commutes()
             assert cert[0]["mults"] == ref.source.free_gens
     assert got == expected
+
+
+def reference_injective_witness(comp, want, seed=0):
+    """The almost injective certificate by a search: an isomorphism onto the
+    component from the cofree module on the vertices of its socle, found in
+    the Hom space."""
+    socs = gm.socle_subspaces(comp)
+    if set(socs) != {want}:
+        return None
+    vlist = [comp.verts_at(want)[int(np.nonzero(row)[0][0])]
+             for row in socs[want].basis]
+    model = cx.cofree_module(comp.algebra, vlist).shift(-want)
+    iso = gm.iso_modules(model, comp, seed=seed)
+    if iso is None:
+        return None
+    return {"mults": [(v, want) for v in vlist], "witness": iso}
+
+
+def injective_certificates(monkeypatch, comps):
+    """Per (component, degree): whether the envelope-map certificate exists.
+    It must exist exactly where the search finds one, be an isomorphism of
+    modules onto the component and list the same vertices, and it must
+    solve no Hom space."""
+    def forbidden(*args, **kw):
+        raise AssertionError("the injective certificate solved a Hom space")
+    got = []
+    for comp, want in comps:
+        ref = reference_injective_witness(comp, want)
+        with monkeypatch.context() as mp:
+            mp.setattr(gm, "iso_modules", forbidden)
+            mp.setattr(gm, "hom_space", forbidden)
+            mp.setattr(cx, "hom_space", forbidden)
+            cert = cx.certify_linear(cx.stalk_complex(comp, 0, 2),
+                                     "injective", degree_of=lambda k: want)
+        assert (cert is None) == (ref is None)
+        got.append(cert is not None)
+        if cert is not None:
+            wit = cert[0]["witness"]
+            assert wit.target is comp and wit.is_iso() and wit.commutes()
+            assert cert[0]["mults"] == ref["mults"]
+    return got
+
+
+@pytest.mark.parametrize("key,p", [
+    ("one_loop_n3", 101), ("two_loop_n3", 101), ("two_vertex_n3", 101),
+    ("commutative_n2", 101)] + SMALL)
+def test_injective_certificate_is_the_envelope_map(monkeypatch, key, p):
+    from nkoszul.algebra import DegreeMap
+    e = case_entry(key, p)
+    lam, n = e["lam"], e["n"]
+    params = TorsionParams(n, 1, 0)
+    dmap = DegreeMap(0, n)
+    rng = np.random.default_rng(13)
+    comps = []   # (component, degree it should be cogenerated in)
+    for _ in range(2):
+        mod = verify.random_quotient_module(rng, e["dual"], 0, 3)
+        c = cx.psi(mod, lam)
+        comps += [(m, m.support_top()) for m in c.modules.values()]
+        c = cx.nu(mod, lam)
+        comps += [(c.modules[k], -k + shift) for k in c.positions()
+                  for shift in (0, 1)]
+        x = verify.random_distinguished_module(rng, e, params)
+        c = cx.equivalence_F(x, lam, params)
+        comps += [(c.modules[k], -dmap.delta(k)) for k in c.positions()]
+    got = injective_certificates(monkeypatch, comps)
+    assert any(got) and not all(got)
+
+
+def test_injective_certificate_refuses_what_is_not_cofree(monkeypatch):
+    """Over k[x]/x^3: a socle in two degrees with the dimensions of the
+    cofree module, the cofree module at the wrong degree, and the cofree
+    module one dimension short."""
+    lam = entry("one_loop_n3")["lam"]
+    gx = next(gi for gi, g in enumerate(lam.generators()) if g.degree == 1)
+    cofree = cx.cofree_module(lam, [0])
+    assert {d: cofree.dim(d) for d in cofree.degrees()} == {-2: 1, -1: 1,
+                                                            0: 1}
+    split = gm.GradedModule(lam, {-2: (0,), -1: (0,), 0: (0,)},
+                            {(gx, -1): [[1]]})
+    short = gm.GradedModule(lam, {-1: (0,), 0: (0,)}, {(gx, -1): [[1]]})
+    comps = [(cofree, 0), (split, 0), (cofree, 1), (cofree, -1), (short, 0)]
+    assert injective_certificates(monkeypatch, comps) == [True] + [False] * 4
+
+
+def test_in_Y_reads_three_copies_back_over_F2(monkeypatch):
+    """Three copies of the free dual module over two loops at p = 2: the
+    search solved a Hom system of 46080 x 48384 entries here."""
+    e = small_entry("loops", 2)
+    params = TorsionParams(3, 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, 4), e["ualg"],
+                      params)
+    c = cx.equivalence_F(x, e["lam"], params)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("in_Y solved a Hom space")
+    for mod, name in ((gm, "hom_space"), (gm, "iso_modules"),
+                      (cx, "hom_space")):
+        monkeypatch.setattr(mod, name, forbidden)
+    assert_round_trip(c, x, e["ualg"], params)
+
+
+def test_degree_n_system_is_refused_before_it_is_allocated():
+    """Truncated at 7, the degree-3 system at one position would need
+    36864 x 36864 entries (10.1 GiB): the slice cap refuses it first, and
+    in_Y passes the refusal on rather than answering no."""
+    import time
+    from nkoszul.algebra import AlgebraError
+    e = small_entry("loops", 2)
+    params = TorsionParams(3, 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, 7), e["ualg"],
+                      params)
+    c = cx.equivalence_F(x, e["lam"], params)
+    start = time.monotonic()
+    with pytest.raises(AlgebraError, match="degree-n system"):
+        cx.in_Y(c, e["ualg"], params)
+    assert time.monotonic() - start < 60
+
+
+def test_repinned_in_Y_witness_is_isomorphic_to_the_searched_one(monkeypatch):
+    """`check inputs/commutative_n2.json --predicate in_Y --object nu(M)` is
+    the one pinned report whose witness the envelope map changed.  With the
+    search put back, the CLI prints the old pinned report again, and its
+    witness is isomorphic to the new one."""
+    import contextlib
+    import hashlib
+    import io
+    import json
+    import os
+    from nkoszul.cli import main
+    from nkoszul.docio import parse_module
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.chdir(here)
+    argv = ["check", "inputs/commutative_n2.json", "--predicate", "in_Y",
+            "--object", "nu(M)"]
+
+    def report():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        return out.getvalue()
+
+    def searched(c, flavor, degree_of):
+        certs = {k: reference_injective_witness(c.modules[k], degree_of(k))
+                 for k in c.positions()}
+        return None if None in certs.values() else certs
+    new = report()
+    monkeypatch.setattr(cx, "certify_linear", searched)
+    old = report()
+    assert hashlib.sha256(old.encode()).hexdigest() == (
+        "5e9dbc5eb1176fe85d48156176dc15383671c1a1c29b7a9310572174fb84619f")
+    assert hashlib.sha256(new.encode()).hexdigest() == (
+        "a484fedd7c0f41ec9455156d8f845275ad331f912283addbf2ffafc5fb9d44b9")
+    ualg = verify.corpus("commutative_n2")["ualg"]
+    old_x, new_x = (parse_module(json.loads(r)["witness"], ualg, "witness")
+                    for r in (old, new))
+    assert verify.module_json(old_x) != verify.module_json(new_x)
+    iso = gm.iso_modules(old_x, new_x)
+    assert iso is not None and iso.is_iso() and iso.commutes()

@@ -7,10 +7,13 @@ predicates (in_Y and in_Yo included) on nu, psi and F of each module, and
 `verify --seed 0` of the seven suites that run in about a second together.
 The digests were taken before the (co)free differentials moved onto one
 pair-indexed builder (the suites before the normal-form rewrite); a change
-to them is a change of behaviour.  Left out: `check --predicate in_Y
---object "F(X)"` on two_loop_n3 (about 5 s; the `membership` benchmark
-workload checks its digest) and the koszulity, equivalence and
-dual_equivalence suites (1.5-4.4 s each).
+to them is a change of behaviour.  One was re-pinned since: `check
+inputs/commutative_n2.json --predicate in_Y --object nu(M)`, whose witness
+is now read through the envelope map; `test_complexes` shows the old and
+new witnesses isomorphic.  Left out: `check --predicate in_Y --object
+"F(X)"` on two_loop_n3 (the `membership` benchmark workload checks its
+digest, and `test_cli` that its witness is X) and the koszulity,
+equivalence and dual_equivalence suites (1.5-4.4 s each).
 """
 import contextlib
 import hashlib
