@@ -32,7 +32,7 @@ class GradedModule:
         self.gens = algebra.generators()
         self.actions = {}
         for (gi, d), m in actions.items():
-            m = np.asarray(m, dtype=np.int64) % self.p
+            m = linalg.reduced_copy(m, self.p)
             if d in self.verts and m.size:
                 self.actions[(gi, d)] = m
         self._act_elem_cache: dict = {}
@@ -89,14 +89,17 @@ class GradedModule:
             # vertex idempotent: projection onto the matching block
             v = self.algebra.basis_pairs(0)[b_index][0]
             out = zeros(self.dim(d), self.dim(d))
-            for i, w in enumerate(self.verts_at(d)):
-                if w == v:
-                    out[i, i] = 1
+            at = (np.asarray(self.verts_at(d)) == v).nonzero()[0]
+            out[at, at] = 1
             self._act_elem_cache[key] = out
             return out
         words = self.algebra.element_words(d_el)[b_index]
-        out = self._combine([c for _, c in words],
-                            [self.act_word(w, d) for w, _ in words], d, d_el)
+        if len(words) == 1 and words[0][1] % self.p == 1:
+            out = self.act_word(words[0][0], d)  # a path: no combination
+        else:
+            out = self._combine([c for _, c in words],
+                                [self.act_word(w, d) for w, _ in words], d,
+                                d_el)
         self._act_elem_cache[key] = out
         return out
 
@@ -169,45 +172,62 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
     """Direct sum of shifted vertex projectives e_v A, truncated above hi.
 
     gen_list: (vertex, degree) pairs; the truncation is the honest quotient
-    by the tail submodule in degrees > hi.
+    by the tail submodule in degrees > hi.  Each degree lists, generator by
+    generator, the basis elements of A that start at the generator's
+    vertex.  Generators with the same vertex and degree have equal blocks,
+    so each action is one gather from `algebra.mult` per such class.
     """
-    p = algebra.p
     index: dict = {}   # degree -> list of (gen_no, basis_index)
     verts: dict = {}
-    for d in range(min((g[1] for g in gen_list), default=0), hi + 1):
-        entries = []
-        vs = []
-        for gno, (v, gd) in enumerate(gen_list):
-            k = d - gd
-            if k < 0:
-                continue
-            pairs = algebra.basis_pairs(k)
-            for bi, (src, tgt) in enumerate(pairs):
-                if src == v:
-                    entries.append((gno, bi))
-                    vs.append(tgt)
-        if entries:
-            index[d] = entries
-            verts[d] = tuple(vs)
+    offsets: dict = {}  # degree -> first row of each generator's block
+    gv = np.array([v for v, _ in gen_list], dtype=np.intp)
+    gd = np.array([d for _, d in gen_list], dtype=np.intp)
+    classes = sorted(set(zip(gv.tolist(), gd.tolist())))
+    members = [((gv == v) & (gd == e)).nonzero()[0] for v, e in classes]
+    starts: dict = {}  # (k, v) -> (basis indices of A_k at v, their targets)
+
+    def starting_at(k: int, v: int):
+        if (k, v) not in starts:
+            pairs = algebra.basis_pairs(k) if k >= 0 else []
+            at = [(bi, tgt) for bi, (src, tgt) in enumerate(pairs) if src == v]
+            starts[(k, v)] = (np.array([b for b, _ in at], dtype=np.intp),
+                              [t for _, t in at])
+        return starts[(k, v)]
+
+    for d in range(min((e for _, e in gen_list), default=0), hi + 1):
+        counts = np.zeros(len(gen_list), dtype=np.intp)
+        for (v, e), gs in zip(classes, members):
+            counts[gs] = starting_at(d - e, v)[0].size
+        if not counts.any():
+            continue
+        offs = np.cumsum(counts) - counts
+        entries, vs = [], []
+        for gno, (v, e) in enumerate(gen_list):
+            if counts[gno]:
+                bis, tgts = starting_at(d - e, v)
+                entries.extend(zip([gno] * bis.size, bis.tolist()))
+                vs.extend(tgts)
+        index[d] = entries
+        verts[d] = tuple(vs)
+        offsets[d] = offs
     actions: dict = {}
-    gens = algebra.generators()
-    for gi, g in enumerate(gens):
-        for d, entries in index.items():
+    for gi, g in enumerate(algebra.generators()):
+        for d in index:
             d2 = d + g.degree
             if d2 not in index:
                 continue
-            pos2 = {key: c for c, key in enumerate(index[d2])}
-            m = zeros(len(entries), len(index[d2]))
-            for r, (gno, bi) in enumerate(entries):
-                k = d - gen_list[gno][1]
-                t = algebra.mult(k, g.degree)
+            m = zeros(len(index[d]), len(index[d2]))
+            for (v, e), gs in zip(classes, members):
+                rows, cols = starting_at(d - e, v)[0], starting_at(d2 - e, v)[0]
+                if not (rows.size and cols.size):
+                    continue
+                t = algebra.mult(d - e, g.degree)
                 if t.size == 0:
                     continue
-                row = t[bi, g.basis_index]
-                for b2 in np.nonzero(row)[0]:
-                    key = (gno, int(b2))
-                    if key in pos2:
-                        m[r, pos2[key]] = row[b2]
+                block = t[np.ix_(rows, [g.basis_index], cols)][:, 0, :]
+                r = offsets[d][gs][:, None] + np.arange(rows.size)
+                c = offsets[d2][gs][:, None] + np.arange(cols.size)
+                m[r[:, :, None], c[:, None, :]] = block
             if m.any():
                 actions[(gi, d)] = m
     mod = GradedModule(algebra, verts, actions)
@@ -230,7 +250,7 @@ class GradedMorphism:
         self.p = source.p
         self.mats = {}
         for d, m in mats.items():
-            m = np.asarray(m, dtype=np.int64) % self.p
+            m = linalg.reduced_copy(m, self.p)
             if m.size:
                 self.mats[d] = m
 
@@ -412,12 +432,9 @@ def top_complements(mod: GradedModule) -> dict:
     for d, sub in rad.items():
         if sub.dim == mod.dim(d):
             continue
-        pivots = set()
-        for row in sub.basis:
-            nz = np.nonzero(row)[0]
-            if nz.size:
-                pivots.add(int(nz[0]))
-        comp = [i for i in range(mod.dim(d)) if i not in pivots]
+        is_comp = np.ones(mod.dim(d), dtype=bool)
+        is_comp[sub.pivots] = False
+        comp = is_comp.nonzero()[0].tolist()
         if comp:
             out[d] = comp
     return out
@@ -470,39 +487,49 @@ def submodule_closure(mod: GradedModule, spans: dict) -> dict:
 
 
 def submodule_as_module(mod: GradedModule, spans: dict):
-    """Realize an action-closed graded subspace family as a module.
+    """Realize an action-closed family of subspaces as a module.
 
-    Returns (sub_module, inclusion).  Each basis row must live in a single
-    vertex block, which holds for all families produced in this package.
+    `spans` maps degrees to Subspaces.  Returns (sub_module, inclusion).
+    Each basis row must live in a single vertex block, which holds for all
+    families produced in this package.  The bases are in RREF, so the
+    coordinates of an image row are its entries at the pivot columns; the
+    family is closed exactly when those coordinates give the row back.
     """
-    bases = {}
-    verts = {}
+    bases, verts, pivots, nonpivots = {}, {}, {}, {}
     for d, s in spans.items():
-        b = s.basis if isinstance(s, Subspace) else np.asarray(s) % mod.p
+        b = s.basis
         if not len(b):
             continue
-        vs = []
-        for row in b:
-            nz = np.nonzero(row)[0]
-            blocks = {mod.verts_at(d)[i] for i in nz}
-            if len(blocks) != 1:
-                raise ModuleError("submodule basis row mixes vertex blocks")
-            vs.append(blocks.pop())
-        bases[d] = np.asarray(b, dtype=np.int64) % mod.p
-        verts[d] = tuple(vs)
+        vs = np.asarray(mod.verts_at(d))
+        lead = s.pivots
+        if ((b != 0) & (vs != vs[lead][:, None])).any():
+            raise ModuleError("submodule basis row mixes vertex blocks")
+        bases[d] = b
+        verts[d] = tuple(vs[lead].tolist())
+        pivots[d] = lead
+        is_rest = np.ones(b.shape[1], dtype=bool)
+        is_rest[lead] = False
+        nonpivots[d] = is_rest.nonzero()[0]
     actions = {}
     for d, b in bases.items():
         for gi, g in enumerate(mod.gens):
             d2 = d + g.degree
-            if d2 not in bases:
+            if mod.dim(d2) == 0:
                 continue
             img = linalg.mat_mul(b, mod.act(gi, d), mod.p)
-            coords = linalg.solve_matrix(bases[d2].T, img.T, mod.p)
-            if coords is None:
+            if d2 not in bases:
+                if img.any():
+                    raise ModuleError("family is not closed under the action")
+                continue
+            # coords @ B equals img at the pivots, where B is the identity
+            coords = img[:, pivots[d2]]
+            rest = nonpivots[d2]
+            if not np.array_equal(
+                    linalg.mat_mul(coords, bases[d2][:, rest], mod.p),
+                    img[:, rest]):
                 raise ModuleError("family is not closed under the action")
-            m = coords.T % mod.p
-            if m.any():
-                actions[(gi, d)] = m
+            if coords.any():
+                actions[(gi, d)] = coords
     sub = GradedModule(mod.algebra, verts, actions, mod.kind)
     incl = GradedMorphism(sub, mod, dict(bases))
     return sub, incl
@@ -523,7 +550,7 @@ def quotient_module(mod: GradedModule, spans: dict):
     for d in mod.degrees():
         sub = subs.get(d, Subspace.zero(mod.dim(d), mod.p))
         red = sub.basis
-        pivots = [int(row.nonzero()[0][0]) for row in red]
+        pivots = sub.pivots
         is_kept = np.ones(mod.dim(d), dtype=bool)
         is_kept[pivots] = False
         keep = is_kept.nonzero()[0].tolist()
@@ -551,24 +578,34 @@ def quotient_module(mod: GradedModule, spans: dict):
 
 
 def morphism_kernel(f: GradedMorphism) -> dict:
-    """Per degree: the kernel subspace, computed per vertex block."""
+    """Per degree: the kernel subspace, one null space per vertex block.
+
+    The block kernels have disjoint supports, so set side by side and
+    ordered by leading column they already form the canonical RREF.
+    """
     m = f.source
     out = {}
     for d in m.degrees():
         mat = f.mat(d)
-        ker_rows = []
-        sv = m.verts_at(d)
-        for v in sorted(set(sv)):
-            idx = [i for i, w in enumerate(sv) if w == v]
-            block = mat[idx, :]
-            kb = linalg.null_space(block.T, m.p)
-            for row in kb.basis:
-                full = np.zeros(m.dim(d), dtype=np.int64)
-                full[idx] = row
-                ker_rows.append(full)
-        if ker_rows:
-            out[d] = Subspace.from_rows(m.dim(d), np.stack(ker_rows), m.p)
-    return {d: s for d, s in out.items() if s.dim}
+        sv = np.asarray(m.verts_at(d))
+        blocks = []
+        for v in np.unique(sv):
+            idx = (sv == v).nonzero()[0]
+            kb = linalg.null_space(mat[idx].T, m.p)
+            if kb.dim:
+                blocks.append((idx, kb.basis, idx[kb.pivots]))
+        if not blocks:
+            continue
+        lead = np.concatenate([ld for _, _, ld in blocks])
+        row_of = np.empty(lead.size, dtype=np.intp)
+        row_of[np.argsort(lead)] = np.arange(lead.size)
+        basis = zeros(lead.size, m.dim(d))
+        first = 0
+        for idx, kb, _ in blocks:
+            basis[np.ix_(row_of[first:first + len(kb)], idx)] = kb
+            first += len(kb)
+        out[d] = Subspace(m.dim(d), m.p, basis)
+    return out
 
 
 def morphism_image(f: GradedMorphism) -> dict:
@@ -609,14 +646,20 @@ def projective_cover(mod: GradedModule, hi: int | None = None):
     if hi is None:
         hi = mod.support_top()
     pmod = free_module(mod.algebra, gen_list, hi)
+    gen_deg = np.array([gd for gd, _ in reps], dtype=np.intp)
+    gen_row = np.array([i for _, i in reps], dtype=np.intp)
     mats = {}
     for d, entries in pmod.free_index.items():
         m = zeros(len(entries), mod.dim(d))
-        for r, (gno, bi) in enumerate(entries):
-            gd, gidx = reps[gno]
+        gnos, bis = np.array(entries, dtype=np.intp).T
+        degs = gen_deg[gnos]
+        # the entries x * b with one generator degree and one basis element
+        # b are rows of one action matrix: one gather each
+        for gd, bi in np.unique(np.stack([degs, bis], axis=1), axis=0).tolist():
+            rows = ((degs == gd) & (bis == bi)).nonzero()[0]
             a = mod.act_basis_element(d - gd, bi, gd)
             if a.size:
-                m[r] = a[gidx]
+                m[rows] = a[gen_row[gnos[rows]]]
         mats[d] = m
     phi = GradedMorphism(pmod, mod, mats)
     return pmod, phi, gen_list

@@ -6,7 +6,9 @@ generated purely in the alternating degree 0, 1, n, n+1, 2n, ...  The
 checkers here build the resolution segment honestly (the base algebra must
 be finite dimensional so free modules are complete), read off generator
 degrees, and reuse the duality and 2-complex machinery for the co-Koszul
-and liftability variants.
+and liftability variants.  A segment of length L builds the covers P_0 ..
+P_L and the L syzygies between them; the syzygy of P_L is never built,
+since nothing read off the segment depends on it.
 """
 from __future__ import annotations
 
@@ -72,7 +74,11 @@ def _cover_gen_degrees(mod: GradedModule):
 
 def minimal_projective_resolution(mod: GradedModule,
                                   length: int) -> ResolutionSegment:
-    """Iterated minimal covers; exact because free modules are complete."""
+    """Iterated minimal covers; exact because free modules are complete.
+
+    Takes `length` kernels: the cover of index `length` is the last term,
+    and its syzygy is not built.
+    """
     lam = mod.algebra
     _require_finite(lam)
     top = _lam_top(lam)
@@ -95,6 +101,8 @@ def minimal_projective_resolution(mod: GradedModule,
         pmods.append(pmod)
         gen_lists.append(gen_list)
         diffs.append(phi if incl is None else phi.compose(incl))
+        if j == length:
+            break
         ker = morphism_kernel(phi)
         if not ker:
             current = zero_module(lam)
@@ -104,25 +112,31 @@ def minimal_projective_resolution(mod: GradedModule,
     return ResolutionSegment(mod, pmods, diffs, gen_lists)
 
 
+def follows_degree_map(seg: ResolutionSegment, n: int) -> bool:
+    """Whether the j-th term of the segment is generated in degree delta(j)
+    of the alternating degree map 0, 1, n, n+1, 2n, ... for every j."""
+    dmap = DegreeMap(0, n)
+    return all(d == dmap.delta(j)
+               for j, gens in enumerate(seg.gen_lists) for _, d in gens)
+
+
+def segment_ext_dims(seg: ResolutionSegment) -> list:
+    """dim Ext^j(M, Lambda_0) for j = 0..length: for a minimal resolution,
+    the number of generators of the j-th term."""
+    return [len(gens) for gens in seg.gen_lists]
+
+
 def is_n_koszul(lam, bound: int) -> bool:
     """Generator degrees of the resolution of the degree-0 part follow the
     alternating degree map through the given homological bound."""
     seg = minimal_projective_resolution(semisimple_module(lam), bound)
-    dmap = DegreeMap(0, lam.pres.n)
-    for j, gens in enumerate(seg.gen_lists):
-        if any(d != dmap.delta(j) for _, d in gens):
-            return False
-    return True
+    return follows_degree_map(seg, lam.pres.n)
 
 
 def ext_dims(lam, bound: int) -> list:
-    """dim Ext^j of the degree-0 part against itself, for j = 0..bound.
-
-    For a minimal resolution the dimension is the number of generators of
-    the j-th term, which the construction guarantees.
-    """
+    """dim Ext^j of the degree-0 part against itself, for j = 0..bound."""
     seg = minimal_projective_resolution(semisimple_module(lam), bound)
-    return [len(gens) for gens in seg.gen_lists]
+    return segment_ext_dims(seg)
 
 
 def ext_dims_table(lam, bound: int) -> list:
@@ -159,11 +173,7 @@ def is_n_cokoszul(mod: GradedModule, bound: int) -> bool:
     op_data = opposite_algebra(mod.algebra)
     dm = graded_dual(mod, op_data)
     seg = minimal_projective_resolution(dm, bound)
-    dmap = DegreeMap(0, mod.algebra.pres.n)
-    for j, gens in enumerate(seg.gen_lists):
-        if any(d != dmap.delta(j) for _, d in gens):
-            return False
-    return True
+    return follows_degree_map(seg, mod.algebra.pres.n)
 
 
 def is_H0_liftable_resolution(mod: GradedModule, ualg, bound: int):

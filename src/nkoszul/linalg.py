@@ -37,6 +37,18 @@ def as_matrix(m, p: int) -> np.ndarray:
     return a % p
 
 
+def reduced_copy(m, p: int) -> np.ndarray:
+    """An int64 copy of m with entries in [0, p).
+
+    One comparison decides whether the entries are reduced already (a
+    negative entry is huge as uint64); a copy costs less than `% p`.
+    """
+    a = np.asarray(m, dtype=np.int64)
+    if (a.view(np.uint64) < p).all():
+        return a.copy()
+    return a % p
+
+
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
@@ -297,6 +309,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def pivots(self) -> np.ndarray:
+        """The leading column of each basis row."""
+        if not self.basis.size:
+            return np.zeros(self.dim, dtype=np.intp)
+        return (self.basis != 0).argmax(axis=1)
+
     def contains_vector(self, v) -> bool:
         v = np.asarray(v, dtype=np.int64).reshape(-1) % self.p
         if v.shape[0] != self.ambient_dim:
@@ -304,9 +323,16 @@ class Subspace:
         return solve(self.basis.T, v, self.p) is not None
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether every row of other's basis lies in this subspace.
+
+        The basis is in RREF, so a row x lies in the span exactly when x
+        equals x[pivots] @ basis: one product for all the rows at once.
+        """
         if other.ambient_dim != self.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
-        return all(self.contains_vector(row) for row in other.basis)
+        rows = other.basis % self.p
+        return bool(np.array_equal(
+            mat_mul(rows[:, self.pivots], self.basis, self.p), rows))
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:

@@ -666,9 +666,11 @@ def suite_koszulity(seed: int = 0, bound: int = 6) -> dict:
         entry = corpus(name)
         lam, dual, n = entry["lam"], entry["dual"], entry["n"]
         dmap = DegreeMap(0, n)
-        if not ko.is_n_koszul(lam, bound):
+        seg = ko.minimal_projective_resolution(ko.semisimple_module(lam),
+                                               bound)
+        if not ko.follows_degree_map(seg, n):
             failures.append(_fail_entry(0, f"{name}-not-n-koszul"))
-        ext = ko.ext_dims(lam, bound)
+        ext = ko.segment_ext_dims(seg)
         want = [dual.dim(dmap.delta(j)) for j in range(bound + 1)]
         tables[name] = {"ext_dims": ext, "dual_dims_at_delta": want,
                         "bound": bound}
@@ -680,9 +682,11 @@ def suite_koszulity(seed: int = 0, bound: int = 6) -> dict:
     rels = [PathSpaceElement(3, {pa: 1}) for pa in enumerate_paths(q, 3)
             if pa.arrows != keep]
     lam_bad = build_slices(Presentation.make(q, 3, rels), 12)
-    if ko.is_n_koszul(lam_bad, 5):
+    seg_bad = ko.minimal_projective_resolution(ko.semisimple_module(lam_bad),
+                                               5)
+    if ko.follows_degree_map(seg_bad, lam_bad.pres.n):
         failures.append(_fail_entry(0, "monomial-negative-accepted"))
-    tables["cubic_survivor"] = {"ext_dims": ko.ext_dims(lam_bad, 5),
+    tables["cubic_survivor"] = {"ext_dims": ko.segment_ext_dims(seg_bad),
                                 "is_n_koszul": False}
     return _report("koszulity", seed, 3, failures, tables=tables)
 

@@ -429,3 +429,216 @@ def test_combine_mats_is_exact_at_every_accepted_modulus(p):
                      for c in range(m.shape[1])] for r in range(m.shape[0])]
             assert m.dtype == np.int64 and m.tolist() == want
     assert gm.combine_mats([0, 0], mats_list[:2], p) == {}
+
+
+# -- syzygies and kernels against the solve and the stacked reduction ------
+
+
+def loops_algebra(kind, p):
+    """All length-3 paths killed, over two loops or a 2-cycle, at p."""
+    from nkoszul.algebra import Presentation, build_slices
+    from nkoszul.quiver import Quiver
+    if kind == "cycle":
+        q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
+    else:
+        q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    return build_slices(
+        Presentation.make(q, 3, verify._all_path_relations(q, 3), p=p), 12)
+
+
+def reference_submodule_as_module(mod, spans):
+    """The construction before the pivot gather: a solve per action."""
+    bases, verts = {}, {}
+    for d, s in spans.items():
+        if not s.dim:
+            continue
+        vs = []
+        for row in s.basis:
+            blocks = {mod.verts_at(d)[i] for i in np.nonzero(row)[0]}
+            if len(blocks) != 1:
+                raise gm.ModuleError("submodule basis row mixes vertex blocks")
+            vs.append(blocks.pop())
+        bases[d], verts[d] = s.basis, tuple(vs)
+    actions = {}
+    for d, b in bases.items():
+        for gi, g in enumerate(mod.gens):
+            if d + g.degree not in bases:
+                continue
+            img = linalg.mat_mul(b, mod.act(gi, d), mod.p)
+            coords = linalg.solve_matrix(bases[d + g.degree].T, img.T, mod.p)
+            if coords is None:
+                raise gm.ModuleError("family is not closed under the action")
+            if coords.any():
+                actions[(gi, d)] = coords.T % mod.p
+    return verts, actions, bases
+
+
+def reference_kernel(f):
+    """The kernel before the ordered merge: the block kernels stacked and
+    reduced once more."""
+    m = f.source
+    out = {}
+    for d in m.degrees():
+        rows = []
+        sv = m.verts_at(d)
+        for v in sorted(set(sv)):
+            idx = [i for i, w in enumerate(sv) if w == v]
+            for row in linalg.null_space(f.mat(d)[idx, :].T, m.p).basis:
+                full = np.zeros(m.dim(d), dtype=np.int64)
+                full[idx] = row
+                rows.append(full)
+        if rows:
+            s = linalg.Subspace.from_rows(m.dim(d), np.stack(rows), m.p)
+            if s.dim:
+                out[d] = s
+    return out
+
+
+def resolution_maps(lam, length):
+    """Every cover map and differential of the degree-0 resolution."""
+    from nkoszul import koszul as ko
+    seg = ko.minimal_projective_resolution(ko.semisimple_module(lam), length)
+    covers = [projective_cover(pm)[1] for pm in seg.pmods]
+    return seg.diffs + covers
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("kind", ["loops", "cycle"])
+def test_morphism_kernel_matches_the_stacked_reduction(kind, p):
+    checked = 0
+    for f in resolution_maps(loops_algebra(kind, p), 4):
+        got, want = gm.morphism_kernel(f), reference_kernel(f)
+        assert got == want
+        checked += sum(s.dim for s in got.values())
+    assert checked
+
+
+def test_submodule_as_module_matches_the_solve():
+    families = []
+    for lam in (loops_algebra("loops", 101), loops_algebra("cycle", 2),
+                entry("commutative_n2")["lam"]):
+        for f in resolution_maps(lam, 3):
+            ker = gm.morphism_kernel(f)
+            if ker:
+                families.append((f.source, ker))
+    rng = np.random.default_rng(0)
+    f = free_module(entry("two_vertex_n3")["lam"], [(0, 0), (1, 0), (0, 1)], 6)
+    for _ in range(5):
+        rows = rng.integers(0, P, size=(2, f.dim(2)))
+        rows[:, [v != 0 for v in f.verts_at(2)]] = 0  # one vertex block
+        families.append((f, submodule_closure(f, {2: rows})))
+    assert len(families) > 10
+    for mod, spans in families:
+        sub, incl = submodule_as_module(mod, spans)
+        verts, actions, bases = reference_submodule_as_module(mod, spans)
+        assert sub.verts == verts
+        assert set(sub.actions) == set(actions)
+        for key, m in actions.items():
+            assert np.array_equal(sub.actions[key], m)
+        assert set(incl.mats) == set(bases)
+        for d, b in bases.items():
+            assert np.array_equal(incl.mats[d], b)
+        assert sub.is_valid() and incl.commutes()
+
+
+def test_submodule_as_module_refuses_an_open_family():
+    f = free_module(entry("two_loop_n3")["lam"], [(0, 0)], 6)
+    x = linalg.Subspace.from_rows(f.dim(1), np.array([[1, 0]]), P)
+    y = linalg.Subspace.from_rows(f.dim(2), np.eye(f.dim(2))[1:], P)
+    # x * x = e_0 of degree 2 lies outside y, and outside a missing degree
+    for spans in ({1: x, 2: y}, {1: x}):
+        with pytest.raises(gm.ModuleError, match="not closed"):
+            submodule_as_module(f, spans)
+    with pytest.raises(gm.ModuleError, match="not closed"):
+        reference_submodule_as_module(f, {1: x, 2: y})
+
+
+def test_submodule_as_module_refuses_a_row_across_vertex_blocks():
+    f = free_module(entry("two_vertex_n3")["lam"], [(0, 0), (1, 0)], 6)
+    assert f.verts_at(0) == (0, 1)
+    mixed = linalg.Subspace.from_rows(2, np.array([[1, 1]]), P)
+    spans = submodule_closure(f, {0: mixed.basis})
+    for build in (submodule_as_module, reference_submodule_as_module):
+        with pytest.raises(gm.ModuleError, match="mixes vertex blocks"):
+            build(f, spans)
+
+
+# -- free modules and covers against the per-entry loops ---------------------
+
+
+def reference_free_actions(algebra, mod):
+    """The action matrices of a free module, one basis entry at a time."""
+    gen_list, index = mod.free_gens, mod.free_index
+    out = {}
+    for gi, g in enumerate(algebra.generators()):
+        for d, entries in index.items():
+            if d + g.degree not in index:
+                continue
+            pos2 = {key: c for c, key in enumerate(index[d + g.degree])}
+            m = np.zeros((len(entries), len(pos2)), dtype=np.int64)
+            for r, (gno, bi) in enumerate(entries):
+                t = algebra.mult(d - gen_list[gno][1], g.degree)
+                if t.size == 0:
+                    continue
+                row = t[bi, g.basis_index]
+                for b2 in np.nonzero(row)[0]:
+                    if (gno, int(b2)) in pos2:
+                        m[r, pos2[(gno, int(b2))]] = row[b2]
+            if m.any():
+                out[(gi, d)] = m % algebra.p
+    return out
+
+
+def reference_cover_mats(mod, pmod, gen_list):
+    """The cover map, one row x * b per basis entry of the free module."""
+    reps = {}
+    for d, idxs in gm.top_complements(mod).items():
+        for i in idxs:
+            reps[len(reps)] = (d, i)
+    out = {}
+    for d, entries in pmod.free_index.items():
+        m = np.zeros((len(entries), mod.dim(d)), dtype=np.int64)
+        for r, (gno, bi) in enumerate(entries):
+            gd, gidx = reps[gno]
+            a = mod.act_basis_element(d - gd, bi, gd)
+            if a.size:
+                m[r] = a[gidx]
+        out[d] = m
+    return out
+
+
+def test_free_module_matches_the_entry_loop():
+    from nkoszul.algebra import yoneda_regrade
+    e = entry("two_vertex_n3")
+    cases = [(e["lam"], [(0, 0), (1, 0), (0, 2), (1, 1), (0, 0)], 6),
+             (e["dual"], [(1, -1), (0, 0), (1, 0)], 5),
+             (e["ualg"], [(0, 0), (1, 1)], 8),
+             (yoneda_regrade(e["ualg"]), [(0, 0), (1, 1), (1, 1)], 5),
+             (entry("two_loop_n3")["lam"], [(0, 1), (0, 0), (0, 1)], 5),
+             (loops_algebra("cycle", 2), [(1, 0), (0, 3)], 6)]
+    for algebra, gens, hi in cases:
+        f = free_module(algebra, gens, hi)
+        want = reference_free_actions(algebra, f)
+        assert set(f.actions) == set(want)
+        for key, m in want.items():
+            assert np.array_equal(f.actions[key], m)
+        assert f.is_valid()
+
+
+def test_projective_cover_matches_the_entry_loop():
+    lam = entry("two_vertex_n3")["lam"]
+    f = free_module(lam, [(0, 0), (1, 1)], 6)
+    rng = np.random.default_rng(1)
+    rows = rng.integers(0, P, size=(1, f.dim(2)))
+    rows[:, [v != 1 for v in f.verts_at(2)]] = 0
+    quot, _ = quotient_module(f, submodule_closure(f, {2: rows}))
+    mods = [quot, f, gm.graded_dual(f, opposite_algebra(lam))]
+    seg_maps = resolution_maps(loops_algebra("loops", 3), 3)
+    mods += [g.source for g in seg_maps]
+    for mod in mods:
+        pmod, phi, gen_list = projective_cover(mod)
+        want = reference_cover_mats(mod, pmod, gen_list)
+        assert set(phi.mats) <= set(want)
+        for d, m in want.items():
+            assert np.array_equal(phi.mat(d), m)
+        assert phi.commutes()

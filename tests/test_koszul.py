@@ -101,3 +101,87 @@ def test_liftability_baseline_two_vertex():
     ok, wit = ko.is_H0_liftable_resolution(sem, e["ualg"], 5)
     assert ok
     assert wit.total_dim() == 12
+
+
+# -- the segment against the loop that also built the top syzygy -----------
+
+
+def resolution_with_top_syzygy(mod, length):
+    """The loop before the top syzygy was dropped: it takes a kernel and
+    realizes a syzygy after every cover, the last one included."""
+    from nkoszul.complexes import _lam_top
+    from nkoszul.grmod import (GradedMorphism, morphism_kernel,
+                               projective_cover, submodule_as_module,
+                               zero_module)
+    lam = mod.algebra
+    top = _lam_top(lam)
+    pmods, diffs, gen_lists = [], [], []
+    current, incl = mod, None
+    for j in range(length + 1):
+        if current.is_zero():
+            z = zero_module(lam)
+            pmods.append(z)
+            diffs.append(GradedMorphism(z, pmods[j - 1] if j else mod, {}))
+            gen_lists.append([])
+            current = z
+            continue
+        hi = max(d for _, d in ko._cover_gen_degrees(current)) + top
+        pmod, phi, gen_list = projective_cover(current, hi=hi)
+        pmods.append(pmod)
+        gen_lists.append(gen_list)
+        diffs.append(phi if incl is None else phi.compose(incl))
+        ker = morphism_kernel(phi)
+        if not ker:
+            current, incl = zero_module(lam), None
+            continue
+        current, incl = submodule_as_module(pmod, ker)
+    return ko.ResolutionSegment(mod, pmods, diffs, gen_lists)
+
+
+@pytest.mark.parametrize("name,bound", [("two_loop_n3", 5),
+                                        ("one_loop_n3", 6),
+                                        ("cubic_survivor", 4)])
+def test_segment_equals_the_loop_with_the_top_syzygy(name, bound):
+    lam = cubic_survivor() if name == "cubic_survivor" \
+        else verify.corpus(name)["lam"]
+    sem = ko.semisimple_module(lam)
+    seg = ko.minimal_projective_resolution(sem, bound)
+    ref = resolution_with_top_syzygy(sem, bound)
+    assert seg.gen_lists == ref.gen_lists
+    assert [pm.total_dim() for pm in seg.pmods] == \
+        [pm.total_dim() for pm in ref.pmods]
+    assert len(seg.diffs) == len(ref.diffs) == bound + 1
+    for f, g in zip(seg.diffs, ref.diffs):
+        assert set(f.mats) == set(g.mats)
+        for d in f.mats:
+            assert np.array_equal(f.mats[d], g.mats[d])
+
+
+@pytest.mark.parametrize("name,bound", [("one_loop_n3", 5),
+                                        ("two_loop_n3", 4),
+                                        ("two_vertex_n3", 3)])
+def test_a_segment_of_length_L_takes_L_kernels(monkeypatch, name, bound):
+    calls = []
+    kernel = ko.morphism_kernel
+
+    def counted(f):
+        calls.append(f)
+        return kernel(f)
+
+    monkeypatch.setattr(ko, "morphism_kernel", counted)
+    seg = ko.minimal_projective_resolution(
+        ko.semisimple_module(verify.corpus(name)["lam"]), bound)
+    assert seg.length() == bound
+    assert len(calls) == bound
+
+
+def test_koszulity_and_ext_dims_share_one_segment():
+    """The suite's verdict and Ext dimensions, read off one segment, equal
+    the public is_n_koszul and ext_dims."""
+    for lam, bound in [(verify.corpus("two_vertex_n3")["lam"], 5),
+                       (cubic_survivor(), 5)]:
+        seg = ko.minimal_projective_resolution(ko.semisimple_module(lam),
+                                               bound)
+        assert ko.follows_degree_map(seg, lam.pres.n) == \
+            ko.is_n_koszul(lam, bound)
+        assert ko.segment_ext_dims(seg) == ko.ext_dims(lam, bound)

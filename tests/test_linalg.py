@@ -168,6 +168,30 @@ def test_subspace_containment():
     assert s.contains(Subspace.zero(3, P))
 
 
+@pytest.mark.parametrize("p", [2, 101])
+def test_subspace_contains_matches_the_per_vector_oracle(p):
+    """One reduction against the pivots answers as a solve per row does."""
+    rng = np.random.default_rng(p)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(0, 9))
+        big = Subspace.from_rows(
+            n, rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n)), p)
+        # a subspace of `big` half the time, a random one otherwise
+        if big.dim and rng.integers(0, 2):
+            rows = linalg.mat_mul(
+                rng.integers(0, p, size=(int(rng.integers(1, 4)), big.dim)),
+                big.basis, p)
+        else:
+            rows = rng.integers(0, p, size=(int(rng.integers(0, 4)), n))
+        small = Subspace.from_rows(n, rows, p)
+        want = all(linalg.solve(big.basis.T, row, p) is not None
+                   for row in small.basis)
+        assert big.contains(small) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 # -- the panel elimination against the unblocked Gauss-Jordan it replaced --
 
 
