@@ -22,19 +22,36 @@ class ModuleError(ValueError):
 
 
 class GradedModule:
-    """A finitely supported graded right module over a graded algebra."""
+    """A finitely supported graded right module over a graded algebra.
+
+    A module owns its action matrices.  The public constructor copies each
+    one (reduced mod p), so no caller ever shares an array with a module.
+    The builders of this package (`free_module`, `quotient_module`, ...)
+    hand over the arrays they have just built, int64, reduced and held by
+    no one else, through `_adopt`, which takes them as they are.
+    """
 
     def __init__(self, algebra, verts: dict, actions: dict, kind: str | None = None):
+        self._fill(algebra, verts, {k: linalg.reduced_copy(m, algebra.p)
+                                    for k, m in actions.items()}, kind)
+
+    @classmethod
+    def _adopt(cls, algebra, verts: dict, actions: dict,
+               kind: str | None = None) -> "GradedModule":
+        """A module that takes the action arrays themselves: only for
+        arrays a builder has just made, int64, reduced and unshared."""
+        mod = cls.__new__(cls)
+        mod._fill(algebra, verts, actions, kind)
+        return mod
+
+    def _fill(self, algebra, verts: dict, actions: dict, kind) -> None:
         self.algebra = algebra
         self.p = algebra.p
         self.kind = kind
         self.verts = {d: tuple(v) for d, v in verts.items() if len(v)}
         self.gens = algebra.generators()
-        self.actions = {}
-        for (gi, d), m in actions.items():
-            m = linalg.reduced_copy(m, self.p)
-            if d in self.verts and m.size:
-                self.actions[(gi, d)] = m
+        self.actions = {(gi, d): m for (gi, d), m in actions.items()
+                        if d in self.verts and m.size}
         self._act_elem_cache: dict = {}
 
     # -- structure ----------------------------------------------------------
@@ -230,7 +247,7 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
                 m[r[:, :, None], c[:, None, :]] = block
             if m.any():
                 actions[(gi, d)] = m
-    mod = GradedModule(algebra, verts, actions)
+    mod = GradedModule._adopt(algebra, verts, actions)
     mod.free_index = index
     mod.free_gens = list(gen_list)
     return mod
@@ -242,17 +259,31 @@ def regular_module(algebra, hi: int) -> GradedModule:
 
 
 class GradedMorphism:
-    """A degree-0 morphism of graded modules: one matrix per degree."""
+    """A degree-0 morphism of graded modules: one matrix per degree.
+
+    Owns its matrices as a module owns its actions: the public constructor
+    copies them, the builders of this package hand theirs over by `_adopt`.
+    """
 
     def __init__(self, source: GradedModule, target: GradedModule, mats: dict):
+        self._fill(source, target, {d: linalg.reduced_copy(m, source.p)
+                                    for d, m in mats.items()})
+
+    @classmethod
+    def _adopt(cls, source: GradedModule, target: GradedModule,
+               mats: dict) -> "GradedMorphism":
+        """A morphism that takes the matrices themselves: only for arrays
+        a builder has just made, int64, reduced and unshared."""
+        f = cls.__new__(cls)
+        f._fill(source, target, mats)
+        return f
+
+    def _fill(self, source: GradedModule, target: GradedModule,
+              mats: dict) -> None:
         self.source = source
         self.target = target
         self.p = source.p
-        self.mats = {}
-        for d, m in mats.items():
-            m = linalg.reduced_copy(m, self.p)
-            if m.size:
-                self.mats[d] = m
+        self.mats = {d: m for d, m in mats.items() if m.size}
 
     def mat(self, d: int) -> np.ndarray:
         m = self.mats.get(d)
@@ -275,7 +306,7 @@ class GradedMorphism:
         mats = {}
         for d in set(self.mats) | set(other.mats):
             mats[d] = linalg.mat_mul(self.mat(d), other.mat(d), self.p)
-        return GradedMorphism(self.source, other.target, mats)
+        return GradedMorphism._adopt(self.source, other.target, mats)
 
     def is_iso(self) -> bool:
         try:
@@ -530,8 +561,10 @@ def submodule_as_module(mod: GradedModule, spans: dict):
                 raise ModuleError("family is not closed under the action")
             if coords.any():
                 actions[(gi, d)] = coords
-    sub = GradedModule(mod.algebra, verts, actions, mod.kind)
-    incl = GradedMorphism(sub, mod, dict(bases))
+    # the coordinates are gathers from fresh products; the bases belong to
+    # the caller's subspaces, so the inclusion copies them
+    sub = GradedModule._adopt(mod.algebra, verts, actions, mod.kind)
+    incl = GradedMorphism(sub, mod, bases)
     return sub, incl
 
 
@@ -573,8 +606,8 @@ def quotient_module(mod: GradedModule, spans: dict):
             m = linalg.mat_mul(a, proj[d2], mod.p)
             if m.any():
                 actions[(gi, d)] = m
-    quo = GradedModule(mod.algebra, verts, actions, mod.kind)
-    return quo, GradedMorphism(mod, quo, proj)
+    quo = GradedModule._adopt(mod.algebra, verts, actions, mod.kind)
+    return quo, GradedMorphism._adopt(mod, quo, proj)
 
 
 def morphism_kernel(f: GradedMorphism) -> dict:
@@ -589,7 +622,7 @@ def morphism_kernel(f: GradedMorphism) -> dict:
         mat = f.mat(d)
         sv = np.asarray(m.verts_at(d))
         blocks = []
-        for v in np.unique(sv):
+        for v in sorted(set(m.verts_at(d))):  # np.unique imports numpy.ma
             idx = (sv == v).nonzero()[0]
             kb = linalg.null_space(mat[idx].T, m.p)
             if kb.dim:
@@ -636,15 +669,21 @@ def projective_cover(mod: GradedModule, hi: int | None = None):
     if mod.is_zero():
         z = zero_module(mod.algebra)
         return z, GradedMorphism(z, mod, {}), []
-    comp = top_complements(mod)
+    if hi is None:
+        hi = mod.support_top()
+    return cover_on_top(mod, top_complements(mod), hi)
+
+
+def cover_on_top(mod: GradedModule, comp: dict, hi: int):
+    """`projective_cover` of a nonzero module whose `top_complements` the
+    caller has already computed: the cover generators are those basis
+    elements, in degree order."""
     gen_list = []
     reps = []
     for d in sorted(comp):
         for i in comp[d]:
             gen_list.append((mod.verts_at(d)[i], d))
             reps.append((d, i))
-    if hi is None:
-        hi = mod.support_top()
     pmod = free_module(mod.algebra, gen_list, hi)
     gen_deg = np.array([gd for gd, _ in reps], dtype=np.intp)
     gen_row = np.array([i for _, i in reps], dtype=np.intp)
@@ -654,14 +693,15 @@ def projective_cover(mod: GradedModule, hi: int | None = None):
         gnos, bis = np.array(entries, dtype=np.intp).T
         degs = gen_deg[gnos]
         # the entries x * b with one generator degree and one basis element
-        # b are rows of one action matrix: one gather each
-        for gd, bi in np.unique(np.stack([degs, bis], axis=1), axis=0).tolist():
+        # b are rows of one action matrix: one gather each (sorted(set()),
+        # as np.unique would import numpy.ma)
+        for gd, bi in sorted(set(zip(degs.tolist(), bis.tolist()))):
             rows = ((degs == gd) & (bis == bi)).nonzero()[0]
             a = mod.act_basis_element(d - gd, bi, gd)
             if a.size:
                 m[rows] = a[gen_row[gnos[rows]]]
         mats[d] = m
-    phi = GradedMorphism(pmod, mod, mats)
+    phi = GradedMorphism._adopt(pmod, mod, mats)
     return pmod, phi, gen_list
 
 

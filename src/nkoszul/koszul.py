@@ -27,10 +27,10 @@ from .grmod import (
     GradedMorphism,
     TorsionParams,
     cogenerated_in_degrees,
+    cover_on_top,
     graded_dual,
     morphism_kernel,
     opposite_algebra,
-    projective_cover,
     submodule_as_module,
     top_complements,
     zero_module,
@@ -64,14 +64,6 @@ def simple_module(lam, v: int) -> GradedModule:
     return GradedModule(lam, {0: (v,)}, {})
 
 
-def _cover_gen_degrees(mod: GradedModule):
-    out = []
-    for d, idxs in top_complements(mod).items():
-        for i in idxs:
-            out.append((mod.verts_at(d)[i], d))
-    return out
-
-
 def minimal_projective_resolution(mod: GradedModule,
                                   length: int) -> ResolutionSegment:
     """Iterated minimal covers; exact because free modules are complete.
@@ -96,8 +88,10 @@ def minimal_projective_resolution(mod: GradedModule,
             gen_lists.append([])
             current = z
             continue
-        hi = max(d for _, d in _cover_gen_degrees(current)) + top
-        pmod, phi, gen_list = projective_cover(current, hi=hi)
+        # one radical reduction per cover: it gives both the truncation
+        # degree and the generators
+        comp = top_complements(current)
+        pmod, phi, gen_list = cover_on_top(current, comp, max(comp) + top)
         pmods.append(pmod)
         gen_lists.append(gen_list)
         diffs.append(phi if incl is None else phi.compose(incl))

@@ -14,7 +14,13 @@ two nonzeros per row and stay that sparse when reduced.
 Its row operations x - f*y are exact in int64 while p*(p-1) <= 2**63 - 1
 and run on Python integers above that.  Products (`mat_mul`) run as float64
 BLAS products while p*(p-1) < 2**53, which keeps them exact, and fall back
-to int64 and then Python integers above that.
+to int64 and then Python integers above that.  While p*(p-1) <= 2**63 - 1
+two shortcuts come first, both exact in int64: a product of at most
+_SMALL_PRODUCT multiply-adds is one int64 product (numpy's per-call cost,
+not arithmetic, rules there), and a left operand with at most one nonzero
+per row (a cover map, an inclusion) makes the product a scaled row gather,
+each entry one product of two residues.  Operands already in [0, p) are
+not reduced again.
 """
 from __future__ import annotations
 
@@ -28,25 +34,31 @@ class LinAlgError(ValueError):
 
 
 def as_matrix(m, p: int) -> np.ndarray:
-    """Coerce to an int64 matrix with entries reduced mod p."""
-    a = np.asarray(m, dtype=np.int64)
+    """An int64 matrix with entries in [0, p), never sharing memory with m."""
+    a = reduced_copy(m, p)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise LinAlgError("expected a matrix")
+    return a
+
+
+def _reduced(a: np.ndarray, p: int) -> np.ndarray:
+    """The int64 array a itself when its entries lie in [0, p), else a % p.
+
+    One maximum decides (a negative entry is huge as uint64), and it costs
+    less than `% p`.
+    """
+    if not a.size or a.view(np.uint64).max() < p:
+        return a
     return a % p
 
 
 def reduced_copy(m, p: int) -> np.ndarray:
-    """An int64 copy of m with entries in [0, p).
-
-    One comparison decides whether the entries are reduced already (a
-    negative entry is huge as uint64); a copy costs less than `% p`.
-    """
+    """An int64 copy of m with entries in [0, p)."""
     a = np.asarray(m, dtype=np.int64)
-    if (a.view(np.uint64) < p).all():
-        return a.copy()
-    return a % p
+    r = _reduced(a, p)
+    return r.copy() if r is a else r
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -60,6 +72,10 @@ def eye(n: int) -> np.ndarray:
 # Every integer of magnitude up to these is exact in the dtype.
 _FLOAT64_EXACT = 2 ** 53 - 1
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Up to this many multiply-adds, a product costs numpy's per-call overhead,
+# not arithmetic: it runs as one int64 product with no casts.
+_SMALL_PRODUCT = 4096
 
 
 def _product_kernel(p: int):
@@ -79,23 +95,46 @@ def _product_kernel(p: int):
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p as an int64 matrix with entries in [0, p).
+    """a @ b mod p as a new int64 matrix with entries in [0, p).
 
-    The operands are reduced mod p and multiplied in chunks of the inner
-    dimension, reducing the sum mod p after each chunk (as in FFLAS-FFPACK),
-    so every intermediate is an exact integer:
+    While p*(p-1) <= 2**63 - 1 two shortcuts come first:
+    - a product of at most _SMALL_PRODUCT multiply-adds whose inner
+      dimension k keeps k*(p-1)**2 within int64 is one int64 product of
+      the reduced operands, exact by that bound;
+    - when every row of a has at most one nonzero (cover maps,
+      inclusions), the product is a scaled row gather,
+      out[r] = a[r, c] * b[c] mod p, exact in int64 since
+      (p-1)**2 < p*(p-1); the nonzeros of a alone choose this path.
+    Otherwise the operands are multiplied in chunks of the inner
+    dimension, reducing the sum mod p after each chunk (as in
+    FFLAS-FFPACK), so every intermediate is an exact integer:
     - float64, a BLAS product, while p*(p-1) < 2**53 (primes up to
       94906249); a chunk has (2**53 - p) // (p-1)**2 terms, about 9e11 at
       p = 101 and 1 at p = 94906249;
     - int64 while p*(p-1) <= 2**63 - 1 (primes up to 3037000493);
     - Python integers above that.
+    An operand is reduced mod p only when it has an entry outside [0, p).
     """
     dtype, chunk = _product_kernel(p)
-    # reduce and cast one operand at a time: only one int64 temporary is
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    rows, inner = a.shape
+    if inner != b.shape[0]:
+        raise LinAlgError(f"mat_mul of shapes {a.shape} and {b.shape}")
+    if dtype is not object and b.ndim == 2:
+        if (rows * inner * b.shape[1] <= _SMALL_PRODUCT
+                and inner * (p - 1) ** 2 <= _INT64_MAX):
+            out = (a % p) @ (b % p)
+            out %= p
+            return out
+        a = _reduced(a, p)
+        out = _row_gather(a, b, p)
+        if out is not None:
+            return out
+    # cast one operand at a time: at most one int64 temporary (`% p`) is
     # ever alive next to the cast copies
-    a = (np.asarray(a, dtype=np.int64) % p).astype(dtype, copy=False)
-    b = (np.asarray(b, dtype=np.int64) % p).astype(dtype, copy=False)
-    inner = a.shape[1]
+    a = _reduced(a, p).astype(dtype, copy=False)
+    b = _reduced(b, p).astype(dtype, copy=False)
     chunk = chunk or max(inner, 1)
     out = a[:, :chunk] @ b[:chunk]
     out %= p
@@ -103,6 +142,28 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out += a[:, k:k + chunk] @ b[k:k + chunk]
         out %= p
     return out.astype(np.int64, copy=False)
+
+
+def _row_gather(a: np.ndarray, b: np.ndarray, p: int):
+    """a @ b mod p for a reduced a with at most one nonzero per row, else
+    None.  Needs p*(p-1) <= 2**63 - 1."""
+    rows = a.shape[0]
+    nz = a != 0  # a bool scan is several times faster than one on int64
+    if np.count_nonzero(nz) > rows:
+        return None
+    # row-major: the nonzeros of one row are adjacent
+    r, c = np.divmod(np.flatnonzero(nz), max(a.shape[1], 1))
+    if r.size > 1 and not (r[1:] != r[:-1]).all():
+        return None
+    out = np.zeros((rows, b.shape[1]), dtype=np.int64)
+    if r.size:
+        g = _reduced(b[c], p)  # a gather is a new array, ours to scale
+        v = a[r, c]
+        if (v != 1).any():
+            g *= v[:, None]
+            g %= p
+        out[r] = g
+    return out
 
 
 # Width of the column panels rref eliminates one at a time.

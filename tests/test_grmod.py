@@ -642,3 +642,72 @@ def test_projective_cover_matches_the_entry_loop():
         for d, m in want.items():
             assert np.array_equal(phi.mat(d), m)
         assert phi.commutes()
+
+
+# -- ownership: public constructors copy, builders adopt ---------------------
+
+
+def test_public_constructors_do_not_alias_their_inputs():
+    lam = entry("two_vertex_n3")["lam"]
+    f = free_module(lam, [(0, 0), (1, 1)], 5)
+    actions = {k: m.copy() for k, m in f.actions.items()}
+    mod = GradedModule(lam, f.verts, actions)
+    mats = {d: np.eye(f.dim(d), dtype=np.int64) for d in f.degrees()}
+    ident = GradedMorphism(mod, mod, mats)
+    for m in list(actions.values()) + list(mats.values()):
+        m += 1
+    for key, m in f.actions.items():
+        assert np.array_equal(mod.actions[key], m)
+    for d in f.degrees():
+        assert np.array_equal(ident.mat(d), np.eye(f.dim(d)))
+    assert mod.is_valid() and ident.commutes()
+
+
+@pytest.fixture
+def adopted(monkeypatch):
+    """Every array handed to `_adopt`, with the modulus of its owner."""
+    seen = []
+    mod_adopt = GradedModule._adopt.__func__
+    mor_adopt = GradedMorphism._adopt.__func__
+
+    def mod_spy(cls, algebra, verts, actions, kind=None):
+        seen.extend((algebra.p, m) for m in actions.values())
+        return mod_adopt(cls, algebra, verts, actions, kind)
+
+    def mor_spy(cls, source, target, mats):
+        seen.extend((source.p, m) for m in mats.values())
+        return mor_adopt(cls, source, target, mats)
+
+    monkeypatch.setattr(GradedModule, "_adopt", classmethod(mod_spy))
+    monkeypatch.setattr(GradedMorphism, "_adopt", classmethod(mor_spy))
+    return seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
+    lam = loops_algebra("cycle", p)
+    f = free_module(lam, [(0, 0), (1, 1)], 6)
+    assert f.verts_at(1) == (1, 1)
+    spans = submodule_closure(f, {1: np.array([[1, p - 1]])})
+    assert spans[1].dim == 1 and len(spans) > 1
+    sub, incl = submodule_as_module(f, spans)
+    quot, proj = quotient_module(f, spans)
+    projective_cover(quot)
+    _, phi, _ = projective_cover(f)
+    # the caller's subspaces stay the caller's
+    held = [s.basis for s in spans.values()]
+    inputs = [m for g in (f, sub, quot) for m in g.actions.values()]
+    inputs += list(incl.mats.values()) + list(proj.mats.values())
+    before = len(adopted)
+    phi.compose(proj)
+    incl.compose(proj)
+    resolution_maps(lam, 4)
+    assert len(adopted) > before > 0
+    for i, (q, m) in enumerate(adopted):
+        assert q == p and m.dtype == np.int64
+        assert m.min(initial=0) >= 0 and m.max(initial=0) < p
+        for other in held + (inputs if i >= before else []):
+            assert not np.may_share_memory(m, other)
+    for i, (_, m) in enumerate(adopted):
+        for _, other in adopted[i + 1:]:
+            assert not np.may_share_memory(m, other)

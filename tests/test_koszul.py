@@ -112,7 +112,7 @@ def resolution_with_top_syzygy(mod, length):
     from nkoszul.complexes import _lam_top
     from nkoszul.grmod import (GradedMorphism, morphism_kernel,
                                projective_cover, submodule_as_module,
-                               zero_module)
+                               top_complements, zero_module)
     lam = mod.algebra
     top = _lam_top(lam)
     pmods, diffs, gen_lists = [], [], []
@@ -125,7 +125,7 @@ def resolution_with_top_syzygy(mod, length):
             gen_lists.append([])
             current = z
             continue
-        hi = max(d for _, d in ko._cover_gen_degrees(current)) + top
+        hi = max(top_complements(current)) + top
         pmod, phi, gen_list = projective_cover(current, hi=hi)
         pmods.append(pmod)
         gen_lists.append(gen_list)
@@ -185,3 +185,39 @@ def test_koszulity_and_ext_dims_share_one_segment():
         assert ko.follows_degree_map(seg, lam.pres.n) == \
             ko.is_n_koszul(lam, bound)
         assert ko.segment_ext_dims(seg) == ko.ext_dims(lam, bound)
+
+
+def test_resolution_reduces_each_radical_once(monkeypatch):
+    from nkoszul import grmod
+    calls = []
+    top = grmod.top_complements
+
+    def counted(mod):
+        calls.append(mod)
+        return top(mod)
+
+    monkeypatch.setattr(ko, "top_complements", counted)
+    monkeypatch.setattr(grmod, "top_complements", counted)
+    seg = ko.minimal_projective_resolution(
+        ko.semisimple_module(verify.corpus("two_loop_n3")["lam"]), 6)
+    assert [len(g) for g in seg.gen_lists] == [1, 2, 8, 16, 64, 128, 512]
+    assert len(calls) == 7
+
+
+def test_resolution_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma (about 40 ms) on first use."""
+    import os
+    import subprocess
+    import sys
+    import nkoszul
+    code = ("import sys\n"
+            "from nkoszul import koszul, verify\n"
+            "lam = verify.corpus('two_loop_n3')['lam']\n"
+            "koszul.minimal_projective_resolution("
+            "koszul.semisimple_module(lam), 6)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(nkoszul.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

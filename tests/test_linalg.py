@@ -141,6 +141,105 @@ def test_mat_mul_is_exact_on_both_sides_of_the_float_bound(p, dtype, chunk,
             assert np.array_equal(got, exact_product(a % p, b, p))
 
 
+# The row-gather path runs while p*(p-1) fits int64 (2, 3, 101 on float64
+# BLAS otherwise, 3037000493 on int64); 4611686018427388039 multiplies
+# Python integers and never gathers.
+GATHER_PRIMES = [2, 3, 101, 3037000493, 4611686018427388039]
+
+
+def small_product(a, b, p):
+    """Whether mat_mul takes its one-int64-product shortcut."""
+    return (linalg._product_kernel(p)[0] is not object
+            and a.shape[0] * a.shape[1] * b.shape[1] <= linalg._SMALL_PRODUCT
+            and a.shape[1] * (p - 1) ** 2 <= linalg._INT64_MAX)
+
+
+@pytest.mark.parametrize("p", GATHER_PRIMES)
+def test_row_gather_equals_the_dense_product(monkeypatch, p):
+    taken = []
+    gather = linalg._row_gather
+
+    def spy(a, b, q):
+        out = gather(a, b, q)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_row_gather", spy)
+    gathers = linalg._product_kernel(p)[0] is not object
+    rng = np.random.default_rng(p % 997)
+
+    def draw(r, c):
+        return rng.integers(0, p, size=(r, c), dtype=np.int64)
+
+    def monomial(r, c, values):
+        """At most one nonzero per row; every third row is zero."""
+        a = np.zeros((r, c), dtype=np.int64)
+        if c:
+            live = np.arange(r)[np.arange(r) % 3 != 0]
+            a[live, rng.integers(0, c, size=live.size)] = values[live]
+        return a
+
+    # 70 x 9 times 9 x 8 is past the small-product shortcut
+    rows, inner, cols = 70, 9, 8
+    assert rows * inner * cols > linalg._SMALL_PRODUCT
+    top = np.full(rows, p - 1, dtype=np.int64)
+    mono = monomial(rows, inner, rng.integers(1, p, size=rows, dtype=np.int64))
+    several = mono.copy()
+    several[1] = draw(1, inner)[0]
+    several[1, :2] = [1, p - 1]  # two nonzeros at least
+    b = draw(inner, cols)
+    cases = [  # (a, b, whether a is monomial)
+        (np.zeros((0, 5), dtype=np.int64), draw(5, 4), True),
+        (np.zeros((2, 0), dtype=np.int64), draw(0, 3), True),
+        (monomial(3, 4, top), draw(4, 0), True),
+        (np.zeros((rows, inner), dtype=np.int64), b, True),
+        (monomial(rows, inner, top), b, True),
+        (monomial(rows, inner, np.ones(rows, dtype=np.int64)), b, True),
+        (mono, b, True),
+        (mono - p, b + p, True),                # unreduced: -p..-1, p..2p-1
+        (monomial(rows, inner, top) - p, b - p, True),  # -1, negative rows
+        (several, b, False),
+        (several - p, b - p, False),
+    ]
+    for a, rhs, is_monomial in cases:
+        before = len(taken)
+        got = linalg.mat_mul(a, rhs, p)
+        assert got.dtype == np.int64
+        assert got.shape == (a.shape[0], rhs.shape[1])
+        assert np.array_equal(got, exact_product(a % p, rhs % p, p))
+        if gathers and not small_product(a, rhs, p):
+            assert taken[before:] == [is_monomial]
+        else:
+            assert len(taken) == before
+    # both outcomes were seen, or neither where the path never runs
+    assert (any(taken) and not all(taken)) if gathers else not taken
+
+
+@pytest.mark.parametrize("p", [2, 101, 94906249, 94906297, 3037000493])
+def test_small_products_are_exact_up_to_their_bound(p):
+    """The one-int64-product shortcut at its largest inner dimension, with
+    every term (p-1)**2, and one past it on the chunked path."""
+    k = min(linalg._INT64_MAX // (p - 1) ** 2, linalg._SMALL_PRODUCT)
+    for inner in (k, k + 1):
+        a = np.full((1, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 1), p - 1, dtype=np.int64)
+        assert small_product(a, b, p) == (inner == k)
+        for x, y in [(a, b), (a - p, b + p)]:
+            got = linalg.mat_mul(x, y, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == [[inner * (p - 1) ** 2 % p]]
+
+
+def test_mat_mul_and_as_matrix_never_return_their_operand():
+    a = np.eye(3, dtype=np.int64)
+    for got in (linalg.mat_mul(a, a, P), linalg.mat_mul(a * 0, a, P),
+                linalg.as_matrix(a, P), linalg.reduced_copy(a, P)):
+        assert not np.shares_memory(got, a)
+        got[0, 0] = 7
+    assert np.array_equal(a, np.eye(3, dtype=np.int64))
+    assert np.array_equal(linalg.as_matrix([[-1, 102]], P), [[100, 1]])
+
+
 def test_subspace_dimension_formula():
     rng = np.random.default_rng(7)
     for _ in range(25):
