@@ -6,7 +6,9 @@ flavour, almost injective terms), linearity certificates, the contraction
 of n-complexes to 2-complexes, the explicit equivalence between the
 distinguished module subcategory and the liftable 2-complexes (in both the
 injective and the projective pictures), module extraction back out of a
-2-complex, and Hom spaces of complexes.
+2-complex, Hom spaces of complexes, and the check that a given family of
+maps is an isomorphism of complexes.  No isomorphism is searched for: the
+callers know their witnesses.
 
 Positions index cochain degree; each component is a GradedModule over the
 base algebra and each differential a degree-0 morphism to the next
@@ -79,17 +81,6 @@ class ComplexOfGraded:
 
     def is_zero(self) -> bool:
         return not self.modules
-
-    def validate(self):
-        issues = []
-        for k, m in self.modules.items():
-            bad = m.validate()
-            if bad:
-                issues.append(f"component {k}: {bad[0]}")
-        for k in self.diffs:
-            if not self.diff(k).commutes():
-                issues.append(f"differential at {k} is not a graded morphism")
-        return issues
 
 
 def zero_complex(algebra, period: int) -> ComplexOfGraded:
@@ -194,6 +185,18 @@ def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
     return [mod.act(gen_of[ai], d) for ai in arrows]
 
 
+def cofree_index(lam, vlist) -> dict:
+    """The basis of `cofree_module(lam, vlist)`: per degree e, the pairs
+    (b, x) with b a basis element of Lambda_{-e} ending at the vertex of x."""
+    index = {}
+    for e in range(-_lam_top(lam), 1):
+        pairs = [(bi, xi) for bi, (_, v) in enumerate(lam.basis_pairs(-e))
+                 for xi, xv in enumerate(vlist) if xv == v]
+        if pairs:
+            index[e] = pairs
+    return index
+
+
 def cofree_module(lam, vlist) -> GradedModule:
     """Hom over the degree-0 part from Lambda into a vertex-labelled space.
 
@@ -201,21 +204,11 @@ def cofree_module(lam, vlist) -> GradedModule:
     at the vertex of x; the pair sits at the starting vertex of b.  The
     action of an arrow precomposes with left multiplication.
     """
-    top = _lam_top(lam)
-    index = {}
+    index = cofree_index(lam, vlist)
     verts = {}
-    for e in range(-top, 1):
-        k = -e
-        pairs = []
-        vs = []
-        for bi, (w, v) in enumerate(lam.basis_pairs(k)):
-            for xi, xv in enumerate(vlist):
-                if xv == v:
-                    pairs.append((bi, xi))
-                    vs.append(w)
-        if pairs:
-            index[e] = pairs
-            verts[e] = tuple(vs)
+    for e, pairs in index.items():
+        starts = lam.basis_pairs(-e)
+        verts[e] = tuple(starts[bi][0] for bi, _ in pairs)
     actions = {}
     ident = linalg.eye(len(vlist))
     for gi, g in enumerate(lam.generators()):
@@ -230,7 +223,6 @@ def cofree_module(lam, vlist) -> GradedModule:
                 actions[(gi, e)] = m
     out = GradedModule(lam, verts, actions)
     out.hom_index = index
-    out.cofree_verts = tuple(vlist)
     return out
 
 
@@ -398,49 +390,29 @@ def _coregular(lam) -> GradedModule:
 def contract_H(c: ComplexOfGraded, m: int, n: int) -> ComplexOfGraded:
     """Keep positions in the image of the regrading; odd differentials are
     the (n-1)-fold composites between consecutive kept positions."""
-    dmap = DegreeMap(m, n)
-    if not c.positions():
-        return zero_complex(c.algebra, 2)
-    lo, hi = min(c.positions()), max(c.positions())
-    comps = {}
-    diffs = {}
-    j_lo = (lo - m) // n - 1
-    j_hi = (hi - m) // n + 1
-    for j in range(j_lo, j_hi + 1):
-        for par in (0, 1):
-            pos = 2 * j + par
-            src_pos = dmap.delta(pos)
-            comp = c.component(src_pos)
-            if not comp.is_zero():
-                comps[pos] = comp
-            if par == 0:
-                diffs[pos] = c.diff(m + j * n)
-            else:
-                diffs[pos] = composite_diff(c, m + j * n + 1, n - 1)
-    return ComplexOfGraded(c.algebra, 2, comps, diffs)
+    return _contract(c, n, DegreeMap(m, n).delta)
 
 
 def contract_G(c: ComplexOfGraded, m: int, n: int) -> ComplexOfGraded:
     """Projective-side contraction: position 2j keeps -m + jn, position
     2j - 1 keeps -m + jn - 1; even differentials are (n-1)-fold composites."""
+    delta = DegreeMap(m, n).delta
+    return _contract(c, n, lambda pos: -delta(-pos))
+
+
+def _contract(c: ComplexOfGraded, n: int, src_of) -> ComplexOfGraded:
+    """Position j keeps the component of c at src_of(j), with the composite
+    of the differentials of c from there up to src_of(j + 1), where
+    src_of(j + 2) = src_of(j) + n."""
     if not c.positions():
         return zero_complex(c.algebra, 2)
-    lo, hi = min(c.positions()), max(c.positions())
-    comps = {}
-    diffs = {}
-    j_lo = (lo + m) // n - 1
-    j_hi = (hi + m) // n + 1
-    for j in range(j_lo, j_hi + 1):
-        for par in (0, -1):
-            pos = 2 * j + par
-            src_pos = -m + j * n + par
-            comp = c.component(src_pos)
-            if not comp.is_zero():
-                comps[pos] = comp
-            if par == -1:
-                diffs[pos] = c.diff(-m + j * n - 1)
-            else:
-                diffs[pos] = composite_diff(c, -m + j * n, n - 1)
+    lo, hi = (2 * ((k - src_of(0)) // n)
+              for k in (min(c.positions()), max(c.positions())))
+    comps, diffs = {}, {}
+    for pos in range(lo - 2, hi + 4):
+        src = src_of(pos)
+        comps[pos] = c.component(src)
+        diffs[pos] = composite_diff(c, src, src_of(pos + 1) - src)
     return ComplexOfGraded(c.algebra, 2, comps, diffs)
 
 
@@ -829,11 +801,11 @@ def in_Y(c: ComplexOfGraded, ualg, params):
     module x).
 
     The conditions are certified once, inside the extraction, whose
-    witnesses (inverse envelope maps) carry c onto the cofree models F(x) is
-    built on.  So the round trip needs no search: c is F(x) up to those
-    witnesses exactly when both have the same positions and every
-    transported differential equals the one of F(x) in every degree.  x is
-    read in the top bases, so F(x) gives back x, sorted by vertex."""
+    witnesses (inverse envelope maps) carry the cofree models F(x) is built
+    on onto c.  So the round trip needs no search: c is in the image
+    exactly when those witnesses form an isomorphism of complexes
+    F(x) -> c.  x is read in the top bases, so F(x) gives back x, sorted by
+    vertex."""
     if c.is_zero():
         return True, zero_module(ualg)
     try:
@@ -841,15 +813,8 @@ def in_Y(c: ComplexOfGraded, ualg, params):
         fx = equivalence_F(x, c.algebra, params)
     except (ComplexError, ModuleError):
         return False, None
-    if fx.positions() != c.positions():
+    if chain_iso_failure(fx, c, {k: w for k, (_, w, _) in models.items()}):
         return False, None
-    for k in c.positions():
-        if k + 1 not in models:
-            continue
-        t, f = _transported_diff(c, k, models), fx.diff(k)
-        if not all(np.array_equal(t.mat(d), f.mat(d))
-                   for d in set(t.mats) | set(f.mats)):
-            return False, None
     return True, x
 
 
@@ -953,40 +918,22 @@ def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
             total += len(b)
     if total == 0:
         return []
-    rows = []
     p = c.p
+    rows = [zeros(0, total)]
     for k in positions:
-        src = c.component(k)
-        tgt2 = c2.component(k + 1)
-        shape_degs = sorted(set(src.degrees()) | set(tgt2.degrees()))
-        n_entries = sum(src.dim(d) * tgt2.dim(d) for d in shape_degs)
-        if n_entries == 0:
-            continue
-        block = np.zeros((n_entries, total), dtype=np.int64)
-        nonzero = False
-        if (k + 1) in bases:
-            d1 = c.diff(k)
-            for i, f in enumerate(bases[k + 1]):
-                comp = d1.compose(f)
-                vec = _stack_entries(comp, shape_degs, src, tgt2)
-                if vec.any():
-                    nonzero = True
-                block[:, offs[k + 1] + i] = vec
-        if k in bases:
-            d2 = c2.diff(k)
-            for i, f in enumerate(bases[k]):
-                comp = f.compose(d2)
-                vec = _stack_entries(comp, shape_degs, src, tgt2)
-                if vec.any():
-                    nonzero = True
-                block[:, offs[k] + i] = (block[:, offs[k] + i] - vec) % p
-        if nonzero:
+        src, tgt2 = c.component(k), c2.component(k + 1)
+        degs = sorted(set(src.degrees()) | set(tgt2.degrees()))
+        # column j: the chain condition d f_{k+1} - f_k d' of basis map j
+        block = zeros(sum(src.dim(d) * tgt2.dim(d) for d in degs), total)
+        for i, f in enumerate(bases.get(k + 1, ())):
+            block[:, offs[k + 1] + i] = _stack_entries(c.diff(k).compose(f),
+                                                       degs, src, tgt2)
+        for i, f in enumerate(bases.get(k, ())):
+            block[:, offs[k] + i] -= _stack_entries(f.compose(c2.diff(k)),
+                                                    degs, src, tgt2)
+        if block.any():
             rows.append(block % p)
-    if rows:
-        sys_mat = np.concatenate(rows, axis=0)
-        ker = linalg.null_space(sys_mat, p)
-    else:
-        ker = Subspace.full(total, p)
+    ker = linalg.null_space(np.concatenate(rows), p)
     return [{k: GradedMorphism(c.component(k), c2.component(k),
                                combine_mats(coef[offs[k]: offs[k] + len(b)],
                                             [f.mats for f in b], p))
@@ -1003,46 +950,46 @@ def _stack_entries(f: GradedMorphism, degs, src, tgt) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def iso_complexes(c: ComplexOfGraded, c2: ComplexOfGraded,
-                  seed: int = 0) -> bool:
-    """Existence of an invertible chain map, decided exactly."""
-    positions = sorted(set(c.positions()) | set(c2.positions()))
-    for k in positions:
-        a, b = c.component(k), c2.component(k)
-        for d in set(a.degrees()) | set(b.degrees()):
-            if a.dim(d) != b.dim(d):
-                return False
-            if sorted(a.verts_at(d)) != sorted(b.verts_at(d)):
-                return False
-    if c.is_zero():
-        return True
-    basis = hom_complexes(c, c2)
-    if not basis:
-        return False
+# -- isomorphisms of complexes, checked on a known witness -------------------
 
-    def invertible(fam) -> bool:
-        for k in positions:
-            f = fam.get(k)
-            if f is None:
-                if not c.component(k).is_zero():
-                    return False
-                continue
-            if not f.is_iso():
-                return False
-        return True
 
-    for fam in basis:
-        if invertible(fam):
-            return True
-    rng = np.random.default_rng(seed)
-    p = c.p
-    for _ in range(64):
-        coef = rng.integers(0, p, size=len(basis))
-        fam = {k: GradedMorphism(
-            c.component(k), c2.component(k),
-            combine_mats(coef, [bfam[k].mats if k in bfam else {}
-                                for bfam in basis], p))
-            for k in positions}
-        if invertible(fam):
-            return True
-    return False
+def chain_iso_failure(c: ComplexOfGraded, c2: ComplexOfGraded, fam: dict):
+    """None when fam = {position k: map c_k -> c2_k} is an isomorphism of
+    complexes c -> c2, else the first failure: its condition, position and
+    degree.  Positions and degrees are scanned upwards, and the conditions
+    are, in order: "positions" (c and c2 are nonzero at different positions;
+    the degree is the lowest of the component without a partner),
+    "invertible" (the map's matrix in that degree), "module-map" (the map
+    mixes vertices in that degree, or does not commute with the action of a
+    generator from it), and, once every map passed, "differential"
+    (d f_{k+1} != f_k d' in that degree)."""
+    def failure(condition, k, d):
+        return {"condition": condition, "position": k, "degree": d}
+    pos = c.positions()
+    if pos != c2.positions():
+        k = min(set(pos) ^ set(c2.positions()))
+        return failure("positions", k, (c.modules.get(k) or c2.modules[k])
+                       .degrees()[0])
+    maps = {}
+    for k in pos:
+        a, b = c.modules[k], c2.modules[k]
+        f = GradedMorphism(a, b, fam[k].mats if k in fam else {})
+        for d in sorted(set(a.degrees()) | set(b.degrees())):
+            m = f.mat(d)
+            if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
+                    or linalg.inverse(m, c.p) is None:
+                return failure("invertible", k, d)
+            if m[np.not_equal.outer(a.verts_at(d), b.verts_at(d))].any():
+                return failure("module-map", k, d)
+        d = f.noncommuting_degree()
+        if d is not None:
+            return failure("module-map", k, d)
+        maps[k] = f
+    for k in pos:
+        if k + 1 in maps:
+            lhs = c.diff(k).compose(maps[k + 1])
+            rhs = maps[k].compose(c2.diff(k))
+            for d in c.modules[k].degrees():
+                if not np.array_equal(lhs.mat(d), rhs.mat(d)):
+                    return failure("differential", k, d)
+    return None

@@ -146,23 +146,22 @@ class GradedModule:
                 issues.append(
                     f"generator {g.name} at degree {d}: shape {m.shape}")
                 continue
-            sv = self.verts_at(d)
-            tv = self.verts_at(d + g.degree)
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    if m[i, j] and not (sv[i] == g.source and tv[j] == g.target):
-                        issues.append(
-                            f"generator {g.name} at degree {d}: entry "
-                            f"({i},{j}) breaks the vertex block structure")
+            # np.nonzero lists the entries row by row
+            off = (m != 0) & ~np.outer(
+                np.asarray(self.verts_at(d)) == g.source,
+                np.asarray(self.verts_at(d + g.degree)) == g.target)
+            issues += [f"generator {g.name} at degree {d}: entry ({i},{j}) "
+                       "breaks the vertex block structure"
+                       for i, j in zip(*np.nonzero(off))]
         if issues:
             return issues
         for rdeg, rel in self.algebra.relation_words():
             for d in self.degrees():
                 if self.dim(d + rdeg) == 0:
                     continue
-                acc = zeros(self.dim(d), self.dim(d + rdeg))
-                for word, c in rel:
-                    acc = (acc + c * self.act_word(word, d)) % self.p
+                acc = self._combine([c for _, c in rel],
+                                    [self.act_word(w, d) for w, _ in rel],
+                                    d, rdeg)
                 if acc.any():
                     issues.append(
                         f"relation of degree {rdeg} acts nontrivially "
@@ -292,14 +291,19 @@ class GradedMorphism:
         return m
 
     def commutes(self) -> bool:
+        return self.noncommuting_degree() is None
+
+    def noncommuting_degree(self):
+        """The lowest degree from which the action of some generator does
+        not commute with the map, or None when the map is a module map."""
         ms, mt = self.source, self.target
-        for gi, g in enumerate(ms.gens):
-            for d in set(ms.degrees()) | set(mt.degrees()):
+        for d in sorted(set(ms.degrees()) | set(mt.degrees())):
+            for gi, g in enumerate(ms.gens):
                 lhs = linalg.mat_mul(ms.act(gi, d), self.mat(d + g.degree), self.p)
                 rhs = linalg.mat_mul(self.mat(d), mt.act(gi, d), self.p)
                 if not np.array_equal(lhs, rhs):
-                    return False
-        return True
+                    return d
+        return None
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
         """self then other (source of other = target of self)."""
@@ -379,30 +383,6 @@ def hom_space(m: GradedModule, n: GradedModule):
                 mats[d] = mat
         out.append(GradedMorphism(m, n, mats))
     return out
-
-
-def iso_modules(m: GradedModule, n: GradedModule, seed: int = 0):
-    """An isomorphism m -> n, or None; deterministic given the seed."""
-    for d in set(m.degrees()) | set(n.degrees()):
-        if m.dim(d) != n.dim(d):
-            return None
-        if sorted(m.verts_at(d)) != sorted(n.verts_at(d)):
-            return None
-    if m.is_zero():
-        return GradedMorphism(m, n, {})
-    basis = hom_space(m, n)
-    if not basis:
-        return None
-    for f in basis:
-        if f.is_iso():
-            return f
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        c = rng.integers(0, m.p, size=len(basis))
-        f = GradedMorphism(m, n, combine_mats(c, [b.mats for b in basis], m.p))
-        if f.is_iso():
-            return f
-    return None
 
 
 def combine_mats(coef, mats_list, p: int) -> dict:

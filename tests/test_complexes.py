@@ -7,6 +7,7 @@ from nkoszul import grmod as gm
 from nkoszul import verify
 from nkoszul.complexes import ComplexError
 from nkoszul.grmod import TorsionParams, free_module, graded_dual
+from search_oracle import iso_complexes, iso_modules
 
 P = 101
 
@@ -109,8 +110,7 @@ def test_equivalence_F_image_in_Y_and_round_trip():
     assert cx.is_n_complex(c, 2)
     verdict, witness = cx.in_Y(c, ualg, params)
     assert verdict
-    wit = gm.iso_modules(witness, x, seed=0)
-    assert wit is not None
+    assert stalk_check(witness, x, verify.sorting_witness(x)) is None
 
 
 def test_in_Y_rejects_negative_controls():
@@ -129,7 +129,8 @@ def test_duality_square_commutes():
     m = dual_test_module(e)
     lhs = cx.dualize_complex(cx.nu(m, e["lam"]))
     rhs = cx.psi(graded_dual(m), gm.opposite_algebra(e["lam"])[0])
-    assert cx.iso_complexes(lhs, rhs, seed=0)
+    assert cx.chain_iso_failure(
+        lhs, rhs, verify.pairing_witness(lhs, rhs, m, e["lam"])) is None
 
 
 def test_dual_equivalence_satisfies_conditions():
@@ -153,7 +154,7 @@ def test_hom_complexes_contains_identity():
     c = cx.nu(m, e["lam"])
     homs = cx.hom_complexes(c, c)
     assert homs
-    assert cx.iso_complexes(c, c, seed=0)
+    assert cx.chain_iso_failure(c, c, verify.identity_witness(c, c)) is None
 
 
 def test_composite_diff_vanishes_at_n():
@@ -597,7 +598,7 @@ def reference_in_Y(c, ualg, params, seed=0):
         c2 = cx.equivalence_F(x, c.algebra, params)
     except (ComplexError, gm.ModuleError):
         return False, None
-    if not cx.iso_complexes(c, c2, seed=seed):
+    if not iso_complexes(c, c2, seed=seed):
         return False, None
     return True, x
 
@@ -691,10 +692,8 @@ def test_in_Y_certifies_once_and_searches_nothing(monkeypatch):
         raise AssertionError("in_Y solved a Hom space or searched")
     monkeypatch.setattr(cx, "certify_linear", counted)
     monkeypatch.setattr(cx, "hom_complexes", forbidden)
-    monkeypatch.setattr(cx, "iso_complexes", forbidden)
     monkeypatch.setattr(cx, "hom_space", forbidden)
     monkeypatch.setattr(gm, "hom_space", forbidden)
-    monkeypatch.setattr(gm, "iso_modules", forbidden)
     verdict, wit = cx.in_Y(c, e["ualg"], params)
     assert verdict and calls == ["injective"]
     assert verify.module_json(wit) == verify.module_json(vertex_sorted(x))
@@ -740,7 +739,7 @@ def reference_projective_witness(comp, want, seed=0):
         return None
     gens = [(comp.verts_at(want)[i], want) for i in tops[want]]
     model = free_module(comp.algebra, gens, comp.support_top())
-    return gm.iso_modules(model, comp, seed=seed)
+    return iso_modules(model, comp, seed=seed)
 
 
 def test_projective_certificate_is_the_cover_map(monkeypatch):
@@ -777,7 +776,6 @@ def test_projective_certificate_is_the_cover_map(monkeypatch):
     for comp, want in comps + negatives:
         ref = reference_projective_witness(comp, want)
         with monkeypatch.context() as mp:
-            mp.setattr(gm, "iso_modules", forbidden)
             mp.setattr(cx, "hom_space", forbidden)
             mp.setattr(gm, "hom_space", forbidden)
             cert = cx.certify_linear(cx.stalk_complex(comp, 0, 2),
@@ -801,7 +799,7 @@ def reference_injective_witness(comp, want, seed=0):
     vlist = [comp.verts_at(want)[int(np.nonzero(row)[0][0])]
              for row in socs[want].basis]
     model = cx.cofree_module(comp.algebra, vlist).shift(-want)
-    iso = gm.iso_modules(model, comp, seed=seed)
+    iso = iso_modules(model, comp, seed=seed)
     if iso is None:
         return None
     return {"mults": [(v, want) for v in vlist], "witness": iso}
@@ -818,7 +816,6 @@ def injective_certificates(monkeypatch, comps):
     for comp, want in comps:
         ref = reference_injective_witness(comp, want)
         with monkeypatch.context() as mp:
-            mp.setattr(gm, "iso_modules", forbidden)
             mp.setattr(gm, "hom_space", forbidden)
             mp.setattr(cx, "hom_space", forbidden)
             cert = cx.certify_linear(cx.stalk_complex(comp, 0, 2),
@@ -884,8 +881,7 @@ def test_in_Y_reads_three_copies_back_over_F2(monkeypatch):
 
     def forbidden(*args, **kw):
         raise AssertionError("in_Y solved a Hom space")
-    for mod, name in ((gm, "hom_space"), (gm, "iso_modules"),
-                      (cx, "hom_space")):
+    for mod, name in ((gm, "hom_space"), (cx, "hom_space")):
         monkeypatch.setattr(mod, name, forbidden)
     assert_round_trip(c, x, e["ualg"], params)
 
@@ -945,5 +941,150 @@ def test_repinned_in_Y_witness_is_isomorphic_to_the_searched_one(monkeypatch):
     old_x, new_x = (parse_module(json.loads(r)["witness"], ualg, "witness")
                     for r in (old, new))
     assert verify.module_json(old_x) != verify.module_json(new_x)
-    iso = gm.iso_modules(old_x, new_x)
+    iso = iso_modules(old_x, new_x)
     assert iso is not None and iso.is_iso() and iso.commutes()
+
+
+# -- known witnesses, checked rather than searched for -----------------------
+
+
+def duality_square(e, rng):
+    """D nu(M) and psi(DM) over the opposite algebra for a random M over
+    the dual, with the natural pairing between them."""
+    lam = e["lam"]
+    mod = verify.random_representation(rng, e["dual"], range(0, 2 * e["n"] + 2),
+                                       2)
+    d_nu = cx.dualize_complex(cx.nu(mod, lam))
+    dm = graded_dual(mod, gm.opposite_algebra(e["dual"]))
+    c_psi = cx.psi(dm, gm.opposite_algebra(lam)[0])
+    return d_nu, c_psi, verify.pairing_witness(d_nu, c_psi, mod, lam)
+
+
+def round_trip(e, x, params):
+    """in_Y's module w read back off F(x), F(w), F(x), the sorting witness
+    w -> x and its image under F."""
+    fx = cx.equivalence_F(x, e["lam"], params)
+    ok, w = cx.in_Y(fx, e["ualg"], params)
+    assert ok
+    perm = verify.sorting_witness(x)
+    fw = cx.equivalence_F(w, e["lam"], params)
+    return w, fw, fx, perm, verify.F_of_witness(fw, fx, w, x, perm, params)
+
+
+def stalk_check(w, x, mats):
+    return cx.chain_iso_failure(cx.stalk_complex(w, 0, 2),
+                                cx.stalk_complex(x, 0, 2),
+                                {0: gm.GradedMorphism(w, x, mats)})
+
+
+@pytest.mark.parametrize("kind,p", SMALL)
+def test_known_witnesses_pass_the_check_at_small_primes(kind, p):
+    e = small_entry(kind, p)
+    params = TorsionParams(e["n"], 1, 0)
+    rng = np.random.default_rng(p)
+    squares = 0
+    for _ in range(3):
+        d_nu, c_psi, fam = duality_square(e, rng)
+        assert cx.chain_iso_failure(d_nu, c_psi, fam) is None
+        squares += bool(fam)
+        x = verify.random_distinguished_module(rng, e, params)
+        w, fw, fx, perm, ffam = round_trip(e, x, params)
+        assert stalk_check(w, x, perm) is None
+        assert cx.chain_iso_failure(fw, fx, ffam) is None
+    assert squares
+
+
+@pytest.mark.parametrize("kind,p", SMALL)
+def test_mutated_witnesses_are_reported_where_they_fail(kind, p):
+    from nkoszul.algebra import DegreeMap
+    e = small_entry(kind, p)
+    params = TorsionParams(e["n"], 1, 0)
+    rng = np.random.default_rng(p)
+    for _ in range(10):
+        d_nu, c_psi, fam = duality_square(e, rng)
+        if c_psi.diffs:
+            break
+    assert c_psi.diffs
+    # one block doubled: over F_2 it vanishes; otherwise the map stays
+    # invertible but no longer commutes with the arrows into that degree
+    k = min(fam)
+    top = max(fam[k].mats)
+    assert top > min(fam[k].mats)
+    f = fam[k]
+    doubled = {**fam, k: gm.GradedMorphism(
+        f.source, f.target, {**f.mats, top: 2 * f.mats[top]})}
+    want = ("invertible", k, top) if p == 2 else ("module-map", k, top - 1)
+    bad = cx.chain_iso_failure(d_nu, c_psi, doubled)
+    assert (bad["condition"], bad["position"], bad["degree"]) == want
+    # one differential doubled: the first square through it fails in the
+    # lowest degree where that differential is nonzero
+    j = min(c_psi.diffs)
+    g = c_psi.diffs[j]
+    twice = cx.ComplexOfGraded(c_psi.algebra, c_psi.period, c_psi.modules, {
+        **c_psi.diffs,
+        j: gm.GradedMorphism(g.source, g.target,
+                             {d: 2 * m for d, m in g.mats.items()})})
+    bad = cx.chain_iso_failure(d_nu, twice, fam)
+    low = min(d for d, m in g.mats.items() if m.any())
+    assert bad == {"condition": "differential", "position": j, "degree": low}
+    # two rows of P swapped, in the lowest degree with two basis elements
+    # at one vertex: still a permutation, no longer a module map, and F of
+    # it no longer a chain map
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 2, 4), e["ualg"],
+                      params)
+    w, fw, fx, perm, _ = round_trip(e, x, params)
+    s, r0, r1 = min((s, r0, r1) for s in perm
+                    for r0 in range(w.dim(s)) for r1 in range(r0 + 1, w.dim(s))
+                    if w.verts_at(s)[r0] == w.verts_at(s)[r1])
+    swapped = {**perm, s: perm[s][[r1 if r == r0 else r0 if r == r1 else r
+                                   for r in range(w.dim(s))]]}
+    bad = stalk_check(w, x, swapped)
+    assert bad["condition"] == "module-map" and bad["position"] == 0
+    assert bad["degree"] in (s - 1, s)
+    bad = cx.chain_iso_failure(
+        fw, fx, verify.F_of_witness(fw, fx, w, x, swapped, params))
+    pos = DegreeMap(params.m, params.n).inverse(s)
+    assert bad["condition"] == "differential"
+    assert bad["position"] in (pos - 1, pos)
+    assert bad["degree"] in fw.modules[bad["position"]].degrees()
+
+
+def test_the_identity_passes_where_the_search_missed_over_F2():
+    """Three copies of each simple module on an 8-vertex linear quiver over
+    F_2: a random element of its endomorphisms is invertible with
+    probability (168/512)^8, about 1e-4, so the search's 64 draws miss."""
+    from nkoszul.algebra import Presentation, build_slices
+    from nkoszul.quiver import Quiver
+    q = Quiver.make(8, [(f"a{i}", i, i + 1) for i in range(7)])
+    lam = build_slices(Presentation.make(q, 2, [], p=2), 3)
+    m = gm.GradedModule(lam, {0: tuple(v for v in range(8) for _ in range(3))},
+                        {})
+    assert iso_modules(m, m) is None
+    s = cx.stalk_complex(m, 0, 2)
+    assert cx.chain_iso_failure(s, s, verify.identity_witness(s, s)) is None
+
+
+def test_chain_iso_failure_names_missing_positions_and_maps():
+    e = entry("one_loop_n3")
+    c = cx.nu(dual_test_module(e, hi=4), e["lam"])
+    k = max(c.positions())
+    short = cx.ComplexOfGraded(
+        c.algebra, c.period, {j: m for j, m in c.modules.items() if j != k},
+        {j: f for j, f in c.diffs.items() if j + 1 != k})
+    assert cx.chain_iso_failure(c, short, {}) == {
+        "condition": "positions", "position": k,
+        "degree": c.modules[k].degrees()[0]}
+    fam = verify.identity_witness(c, c)
+    del fam[k]
+    assert cx.chain_iso_failure(c, c, fam) == {
+        "condition": "invertible", "position": k,
+        "degree": c.modules[k].degrees()[0]}
+    # swapping the simple modules at the two vertices is invertible and
+    # commutes with every arrow (all act by zero), but is no module map
+    lam = entry("two_vertex_n3")["lam"]
+    s = cx.stalk_complex(gm.GradedModule(lam, {0: (0, 1)}, {}), 0, 2)
+    swap = gm.GradedMorphism(s.modules[0], s.modules[0],
+                             {0: np.array([[0, 1], [1, 0]])})
+    assert swap.commutes() and swap.is_iso()
+    assert cx.chain_iso_failure(s, s, {0: swap}) == {
+        "condition": "module-map", "position": 0, "degree": 0}
