@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import Subspace, zeros
+from .linalg import MAX_SLICE_BYTES, Subspace, zeros
 from .quiver import (
     Path,
     PathSpaceElement,
@@ -40,9 +40,9 @@ class AlgebraError(ValueError):
 
 
 MAX_PATHS_PER_DEGREE = 200_000
-# The largest dense array a slice may allocate: a normal-form tail, an NF_d
-# or a cokernel system.  Larger ones are refused before they are allocated.
-MAX_SLICE_BYTES = 1 << 28
+# MAX_SLICE_BYTES (from linalg) is the largest dense array a slice may
+# allocate: a normal-form tail, an NF_d or a cokernel system.  Larger ones
+# are refused before they are allocated.
 
 
 def _check_size(rows: int, cols: int, what: str, d: int) -> None:
@@ -143,6 +143,7 @@ class PathAlgebra:
         self._vanished_from: int | None = None
         self._nf: dict = {}             # per degree: NF_d, built on first use
         self._mult_cache: dict = {}
+        self._gens = None
         self._rels_by_degree: dict = {}
         for r in pres.relations:
             self._rels_by_degree.setdefault(r.degree, []).append(r)
@@ -446,13 +447,14 @@ class PathAlgebra:
     # -- generator / word interface -----------------------------------------
 
     def generators(self):
-        """Degree-1 generators: the arrows (Lambda_1 = KQ_1 always)."""
-        gens = []
-        q = self.quiver
-        for i in range(q.arrow_count):
-            gens.append(Generator(1, i, q.arrow_source(i),
-                                  q.arrow_target(i), q.arrow_name(i)))
-        return gens
+        """Degree-1 generators: the arrows (Lambda_1 = KQ_1 always), as a
+        tuple built once."""
+        if self._gens is None:
+            q = self.quiver
+            self._gens = tuple(
+                Generator(1, i, q.arrow_source(i), q.arrow_target(i),
+                          q.arrow_name(i)) for i in range(q.arrow_count))
+        return self._gens
 
     def element_words(self, d: int):
         """Express each basis element of A_d as generator words."""
@@ -592,6 +594,7 @@ class USupportAlgebra:
         self.quiver = dual.quiver
         self._word_cache: dict = {}
         self._relation_cache = None
+        self._gens = None
 
     def dim(self, d: int) -> int:
         if d < 0 or not in_support_u(d, self.n):
@@ -616,12 +619,15 @@ class USupportAlgebra:
         return self.dual.mult(d1, d2)
 
     def generators(self):
-        gens = self.dual.generators()
-        q = self.quiver
-        for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)):
-            name = self.dual.basis_paths(self.n)[i].name_in(q)
-            gens.append(Generator(self.n, i, u, v, name))
-        return gens
+        """The dual's generators, then one per degree-n basis element; a
+        tuple built once."""
+        if self._gens is None:
+            q = self.quiver
+            paths = self.dual.basis_paths(self.n)
+            self._gens = tuple(self.dual.generators()) + tuple(
+                Generator(self.n, i, u, v, paths[i].name_in(q))
+                for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)))
+        return self._gens
 
     def generator_vector(self, g: Generator) -> np.ndarray:
         v = np.zeros(self.dim(g.degree), dtype=np.int64)
@@ -771,6 +777,7 @@ class YonedaAlgebra:
         self.nvert = ualg.nvert
         self.quiver = ualg.quiver
         self.dmap = DegreeMap(0, ualg.n)
+        self._gens = None
 
     def dim(self, j: int) -> int:
         if j < 0:
@@ -793,12 +800,13 @@ class YonedaAlgebra:
         return t
 
     def generators(self):
-        gens = []
-        for g in self.ualg.generators():
-            deg = 1 if g.degree == 1 else 2
-            gens.append(Generator(deg, g.basis_index, g.source, g.target,
-                                  g.name))
-        return gens
+        """The support-restricted generators in degrees 1 and 2; a tuple
+        built once."""
+        if self._gens is None:
+            self._gens = tuple(
+                Generator(1 if g.degree == 1 else 2, g.basis_index, g.source,
+                          g.target, g.name) for g in self.ualg.generators())
+        return self._gens
 
     def element_words(self, j: int):
         return self.ualg.element_words(self.dmap.delta(j))

@@ -149,7 +149,8 @@ def cmd_functor(ctx: _Context, args) -> tuple:
     else:
         c = cpx.nu(mod, ctx.lam, allow_windowed=args.allow_windowed_dual)
     verdict = cpx.is_n_complex(c, n)
-    free_mod = GradedModule(ctx.freeop, dict(mod.verts), dict(mod.actions))
+    free_mod = GradedModule(ctx.freeop, dict(mod.verts),
+                            mod.stored_actions())
     oracle = vf.annihilates_orthogonal(free_mod, ctx.lam)
     report = {
         "functor": args.which,

@@ -64,7 +64,7 @@ class ComplexOfGraded:
         self.modules = {k: m for k, m in modules.items() if not m.is_zero()}
         self.diffs = {}
         for k, f in diffs.items():
-            if any(m.any() for m in f.mats.values()):
+            if any(m.any() for m in f.stored_mats().values()):
                 self.diffs[k] = f
 
     def positions(self):
@@ -103,7 +103,7 @@ def is_n_complex(c: ComplexOfGraded, n: int) -> bool:
     """Every n-fold composite of consecutive differentials vanishes."""
     for k in c.positions():
         f = composite_diff(c, k, n)
-        if any(m.any() for m in f.mats.values()):
+        if any(m.any() for m in f.stored_mats().values()):
             return False
     return True
 
@@ -425,10 +425,11 @@ def _u_module_as_dual_module(mod: GradedModule) -> GradedModule:
     ualg = mod.algebra
     dual = ualg.dual
     arrow_acts = {}
+    stored = mod.stored_actions()
     for gi, g in enumerate(mod.gens):
         if g.degree == 1:
             for d in mod.degrees():
-                a = mod.actions.get((gi, d))
+                a = stored.get((gi, d))
                 if a is not None:
                     arrow_acts[(g.basis_index, d)] = a
     return GradedModule(dual, dict(mod.verts), arrow_acts)
@@ -836,7 +837,7 @@ def dualize_complex(c: ComplexOfGraded, op_data=None) -> ComplexOfGraded:
         if src is None or tgt is None:
             continue
         diffs[-k - 1] = GradedMorphism(
-            src, tgt, {-d: mmat.T % c.p for d, mmat in f.mats.items()})
+            src, tgt, {-d: f.mat(d).T % c.p for d in f.stored_mats()})
     return ComplexOfGraded(op_alg, c.period, comps, diffs)
 
 
@@ -936,7 +937,7 @@ def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
     ker = linalg.null_space(np.concatenate(rows), p)
     return [{k: GradedMorphism(c.component(k), c2.component(k),
                                combine_mats(coef[offs[k]: offs[k] + len(b)],
-                                            [f.mats for f in b], p))
+                                            [f.stored_mats() for f in b], p))
              for k, b in bases.items()} for coef in ker.basis]
 
 
@@ -973,7 +974,7 @@ def chain_iso_failure(c: ComplexOfGraded, c2: ComplexOfGraded, fam: dict):
     maps = {}
     for k in pos:
         a, b = c.modules[k], c2.modules[k]
-        f = GradedMorphism(a, b, fam[k].mats if k in fam else {})
+        f = GradedMorphism(a, b, fam[k].stored_mats() if k in fam else {})
         for d in sorted(set(a.degrees()) | set(b.degrees())):
             m = f.mat(d)
             if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \

@@ -199,12 +199,12 @@ def module_json(mod: GradedModule) -> dict:
         "verts": {str(d): list(mod.verts_at(d))
                   for d in sorted(mod.degrees())},
         "actions": {f"{gens[gi].name}@{d}": mod.act(gi, d).tolist()
-                    for (gi, d) in sorted(mod.actions)},
+                    for (gi, d) in sorted(mod.stored_actions())},
     }
 
 
 def morphism_json(f: GradedMorphism) -> dict:
-    return {str(d): f.mats[d].tolist() for d in sorted(f.mats)}
+    return {str(d): f.mat(d).tolist() for d in sorted(f.stored_mats())}
 
 
 def complex_json(c) -> dict:

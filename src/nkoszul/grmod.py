@@ -6,6 +6,18 @@ honestly finite: a truncation of a free module is the genuine quotient by
 its tail submodule, so predicates quantified "for all degrees" are decided
 exactly on the (finite) support.
 
+An action or a morphism matrix is stored in one of two forms: a dense int64
+array, or a `linalg.Sparse` (row-sorted nonzeros).  Over a monomial algebra
+every map of a minimal resolution is combinatorial (Green, Happel &
+Zacharia, Illinois J. Math. 29, 1985), so the resolution path builds the
+sparse form and reads it directly: `free_module`, `cover_on_top`,
+`GradedMorphism.compose` and `submodule_as_module` make it, and
+`top_complements` and `morphism_kernel` eliminate on it.  `act()` and
+`mat()` are the dense accessors, densifying on demand under
+`linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` are the sparse
+ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
+a caller that relabels or copies them.
+
 Row-vector convention throughout: an element x of M_d is a coordinate row
 and x * g = x @ act(g, d).
 """
@@ -14,32 +26,43 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .linalg import Subspace, zeros
+from .linalg import Sparse, Subspace, zeros
 
 
 class ModuleError(ValueError):
     pass
 
 
+def _owned(m, p: int):
+    """A reduced matrix no caller shares: an array is copied; a Sparse is
+    read-only, so it is kept."""
+    if isinstance(m, Sparse):
+        return m.reduced(p)
+    return linalg.reduced_copy(m, p)
+
+
 class GradedModule:
     """A finitely supported graded right module over a graded algebra.
 
-    A module owns its action matrices.  The public constructor copies each
-    one (reduced mod p), so no caller ever shares an array with a module.
-    The builders of this package (`free_module`, `quotient_module`, ...)
-    hand over the arrays they have just built, int64, reduced and held by
-    no one else, through `_adopt`, which takes them as they are.
+    A module owns its action matrices, each a dense array or a
+    `linalg.Sparse`.  The public constructor copies each array (reduced mod
+    p), so no caller ever shares an array with a module; a Sparse is
+    read-only and is kept as it is.  The builders of this package
+    (`free_module`, `quotient_module`, ...) hand over the matrices they have
+    just built, int64, reduced and held by no one else, through `_adopt`,
+    which takes them as they are.  `act` reads an action as an array,
+    `sparse_act` as a Sparse, whichever form it is stored in.
     """
 
     def __init__(self, algebra, verts: dict, actions: dict, kind: str | None = None):
-        self._fill(algebra, verts, {k: linalg.reduced_copy(m, algebra.p)
+        self._fill(algebra, verts, {k: _owned(m, algebra.p)
                                     for k, m in actions.items()}, kind)
 
     @classmethod
     def _adopt(cls, algebra, verts: dict, actions: dict,
                kind: str | None = None) -> "GradedModule":
-        """A module that takes the action arrays themselves: only for
-        arrays a builder has just made, int64, reduced and unshared."""
+        """A module that takes the action matrices themselves: only for
+        matrices a builder has just made, int64, reduced and unshared."""
         mod = cls.__new__(cls)
         mod._fill(algebra, verts, actions, kind)
         return mod
@@ -50,9 +73,15 @@ class GradedModule:
         self.kind = kind
         self.verts = {d: tuple(v) for d, v in verts.items() if len(v)}
         self.gens = algebra.generators()
-        self.actions = {(gi, d): m for (gi, d), m in actions.items()
-                        if d in self.verts and m.size}
+        self._actions = {(gi, d): m for (gi, d), m in actions.items()
+                         if d in self.verts and m.size}
         self._act_elem_cache: dict = {}
+
+    def stored_actions(self) -> dict:
+        """A new dict of the stored actions, each in its stored form (an
+        array or a Sparse), for a caller that relabels or copies them; the
+        constructor takes either form."""
+        return dict(self._actions)
 
     # -- structure ----------------------------------------------------------
 
@@ -74,16 +103,31 @@ class GradedModule:
     def support_top(self):
         return max(self.verts) if self.verts else None
 
-    def act(self, gi: int, d: int) -> np.ndarray:
-        g = self.gens[gi]
-        m = self.actions.get((gi, d))
-        if m is None:
-            return zeros(self.dim(d), self.dim(d + g.degree))
-        if m.shape != (self.dim(d), self.dim(d + g.degree)):
+    def _action(self, gi: int, d: int):
+        """(shape, the stored action of generator gi from degree d in its
+        stored form or None)."""
+        shape = (self.dim(d), self.dim(d + self.gens[gi].degree))
+        m = self._actions.get((gi, d))
+        if m is not None and m.shape != shape:
             raise ModuleError(
                 f"action matrix for generator {gi} at degree {d} has shape "
-                f"{m.shape}, expected {(self.dim(d), self.dim(d + g.degree))}")
-        return m
+                f"{m.shape}, expected {shape}")
+        return shape, m
+
+    def act(self, gi: int, d: int) -> np.ndarray:
+        """The action as an array: the stored one, or a new one densified
+        from the sparse form (not cached), refused above the size cap."""
+        shape, m = self._action(gi, d)
+        return linalg.dense(m) if m is not None else linalg.dense_zeros(*shape)
+
+    def sparse_act(self, gi: int, d: int) -> Sparse:
+        return linalg.as_sparse(self._stored_action(gi, d), self.p)
+
+    def _stored_action(self, gi: int, d: int):
+        """The action in its stored form, a zero Sparse when none is
+        stored."""
+        shape, m = self._action(gi, d)
+        return m if m is not None else Sparse.zero(*shape)
 
     def act_word(self, word, d: int) -> np.ndarray:
         """Composite action matrix of a generator word starting at degree d."""
@@ -140,19 +184,19 @@ class GradedModule:
     def validate(self):
         """All structural violations, or an empty list for a valid module."""
         issues = []
-        for (gi, d), m in self.actions.items():
+        for (gi, d), m in self._actions.items():
             g = self.gens[gi]
             if m.shape != (self.dim(d), self.dim(d + g.degree)):
                 issues.append(
                     f"generator {g.name} at degree {d}: shape {m.shape}")
                 continue
-            # np.nonzero lists the entries row by row
-            off = (m != 0) & ~np.outer(
-                np.asarray(self.verts_at(d)) == g.source,
-                np.asarray(self.verts_at(d + g.degree)) == g.target)
+            # the nonzeros, row by row
+            r, c = linalg.nonzero(m)
+            off = ((np.asarray(self.verts_at(d))[r] != g.source)
+                   | (np.asarray(self.verts_at(d + g.degree))[c] != g.target))
             issues += [f"generator {g.name} at degree {d}: entry ({i},{j}) "
                        "breaks the vertex block structure"
-                       for i, j in zip(*np.nonzero(off))]
+                       for i, j in zip(r[off], c[off])]
         if issues:
             return issues
         for rdeg, rel in self.algebra.relation_words():
@@ -176,7 +220,7 @@ class GradedModule:
     def shift(self, s: int) -> "GradedModule":
         """M[s] with M[s]_d = M_{d+s}."""
         verts = {d - s: v for d, v in self.verts.items()}
-        actions = {(gi, d - s): m for (gi, d), m in self.actions.items()}
+        actions = {(gi, d - s): m for (gi, d), m in self._actions.items()}
         return GradedModule(self.algebra, verts, actions, self.kind)
 
 
@@ -191,7 +235,9 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
     by the tail submodule in degrees > hi.  Each degree lists, generator by
     generator, the basis elements of A that start at the generator's
     vertex.  Generators with the same vertex and degree have equal blocks,
-    so each action is one gather from `algebra.mult` per such class.
+    so each action is one gather from `algebra.mult` per such class, whose
+    nonzeros are repeated at each generator's offsets: the actions are
+    built sparse.
     """
     index: dict = {}   # degree -> list of (gen_no, basis_index)
     verts: dict = {}
@@ -232,7 +278,7 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
             d2 = d + g.degree
             if d2 not in index:
                 continue
-            m = zeros(len(index[d]), len(index[d2]))
+            parts = []
             for (v, e), gs in zip(classes, members):
                 rows, cols = starting_at(d - e, v)[0], starting_at(d2 - e, v)[0]
                 if not (rows.size and cols.size):
@@ -241,11 +287,16 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
                 if t.size == 0:
                     continue
                 block = t[np.ix_(rows, [g.basis_index], cols)][:, 0, :]
-                r = offsets[d][gs][:, None] + np.arange(rows.size)
-                c = offsets[d2][gs][:, None] + np.arange(cols.size)
-                m[r[:, :, None], c[:, None, :]] = block
-            if m.any():
-                actions[(gi, d)] = m
+                br, bc = np.nonzero(block)
+                parts.append(((offsets[d][gs][:, None] + br).ravel(),
+                              (offsets[d2][gs][:, None] + bc).ravel(),
+                              np.tile(block[br, bc], gs.size)))
+            if parts:
+                m = Sparse.from_entries(
+                    (len(index[d]), len(index[d2])),
+                    *(np.concatenate(x) for x in zip(*parts)), algebra.p)
+                if m.any():
+                    actions[(gi, d)] = m
     mod = GradedModule._adopt(algebra, verts, actions)
     mod.free_index = index
     mod.free_gens = list(gen_list)
@@ -260,12 +311,14 @@ def regular_module(algebra, hi: int) -> GradedModule:
 class GradedMorphism:
     """A degree-0 morphism of graded modules: one matrix per degree.
 
-    Owns its matrices as a module owns its actions: the public constructor
-    copies them, the builders of this package hand theirs over by `_adopt`.
+    Owns its matrices as a module owns its actions, each a dense array or a
+    `linalg.Sparse`: the public constructor copies the arrays, the builders
+    of this package hand theirs over by `_adopt`.  `mat` reads a matrix as
+    an array, `sparse_mat` as a Sparse.  `compose` builds the sparse form.
     """
 
     def __init__(self, source: GradedModule, target: GradedModule, mats: dict):
-        self._fill(source, target, {d: linalg.reduced_copy(m, source.p)
+        self._fill(source, target, {d: _owned(m, source.p)
                                     for d, m in mats.items()})
 
     @classmethod
@@ -282,12 +335,30 @@ class GradedMorphism:
         self.source = source
         self.target = target
         self.p = source.p
-        self.mats = {d: m for d, m in mats.items() if m.size}
+        self._mats = {d: m for d, m in mats.items() if m.size}
+
+    def stored_mats(self) -> dict:
+        """A new dict of the stored matrices, each in its stored form."""
+        return dict(self._mats)
 
     def mat(self, d: int) -> np.ndarray:
-        m = self.mats.get(d)
+        """The matrix in degree d as an array: the stored one, or a new one
+        densified from the sparse form (not cached), refused above the size
+        cap."""
+        m = self._mats.get(d)
         if m is None:
-            return zeros(self.source.dim(d), self.target.dim(d))
+            return linalg.dense_zeros(self.source.dim(d), self.target.dim(d))
+        return linalg.dense(m)
+
+    def sparse_mat(self, d: int) -> Sparse:
+        return linalg.as_sparse(self._stored(d), self.p)
+
+    def _stored(self, d: int):
+        """The matrix in degree d in its stored form, a zero Sparse when
+        none is stored."""
+        m = self._mats.get(d)
+        if m is None:
+            return Sparse.zero(self.source.dim(d), self.target.dim(d))
         return m
 
     def commutes(self) -> bool:
@@ -306,10 +377,11 @@ class GradedMorphism:
         return None
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
-        """self then other (source of other = target of self)."""
+        """self then other (source of other = target of self), sparse."""
         mats = {}
-        for d in set(self.mats) | set(other.mats):
-            mats[d] = linalg.mat_mul(self.mat(d), other.mat(d), self.p)
+        for d in set(self._mats) | set(other._mats):
+            mats[d] = linalg.sparse_mul(self._stored(d), other._stored(d),
+                                        self.p)
         return GradedMorphism._adopt(self.source, other.target, mats)
 
     def is_iso(self) -> bool:
@@ -395,7 +467,7 @@ def combine_mats(coef, mats_list, p: int) -> dict:
     terms = [(int(ci), mats) for ci, mats in zip(coef, mats_list) if ci]
     out = {}
     for d in sorted({d for _, mats in terms for d in mats}):
-        have = [(ci, mats[d]) for ci, mats in terms if d in mats]
+        have = [(ci, linalg.dense(mats[d])) for ci, mats in terms if d in mats]
         stacked = np.stack([mm.reshape(-1) for _, mm in have])
         coefs = np.array([[ci for ci, _ in have]], dtype=np.int64)
         out[d] = linalg.mat_mul(coefs, stacked, p).reshape(have[0][1].shape)
@@ -419,32 +491,32 @@ def socle_subspaces(mod: GradedModule) -> dict:
     return {d: s for d, s in out.items() if s.dim}
 
 
-def radical_subspaces(mod: GradedModule) -> dict:
-    """Per degree: sum of the images of all generator actions into it."""
+def _radical_rrefs(mod: GradedModule) -> dict:
+    """Per degree: the RREF basis (a Sparse) and the pivots of the sum of
+    the images of all generator actions into it, reduced on the sparse
+    rows of the stacked actions."""
     out = {}
     for d in mod.degrees():
-        rows = []
-        for gi, g in enumerate(mod.gens):
-            a = mod.actions.get((gi, d - g.degree))
-            if a is not None and a.any():
-                rows.append(a)
-        if rows:
-            cat = np.concatenate(rows, axis=0)
-            out[d] = Subspace.from_rows(mod.dim(d), cat, mod.p)
-        else:
-            out[d] = Subspace.zero(mod.dim(d), mod.p)
+        rows = [mod.sparse_act(gi, d - g.degree)
+                for gi, g in enumerate(mod.gens)
+                if (gi, d - g.degree) in mod._actions]
+        out[d] = (linalg.sparse_rref(Sparse.vstack(rows, mod.dim(d)), mod.p)
+                  if rows else (Sparse.zero(0, mod.dim(d)), []))
     return out
+
+
+def radical_subspaces(mod: GradedModule) -> dict:
+    """Per degree: sum of the images of all generator actions into it."""
+    return {d: Subspace(mod.dim(d), mod.p, basis.dense())
+            for d, (basis, _) in _radical_rrefs(mod).items()}
 
 
 def top_complements(mod: GradedModule) -> dict:
     """Per degree: basis indices spanning a canonical complement of MJ."""
-    rad = radical_subspaces(mod)
     out = {}
-    for d, sub in rad.items():
-        if sub.dim == mod.dim(d):
-            continue
+    for d, (_, pivots) in _radical_rrefs(mod).items():
         is_comp = np.ones(mod.dim(d), dtype=bool)
-        is_comp[sub.pivots] = False
+        is_comp[pivots] = False
         comp = is_comp.nonzero()[0].tolist()
         if comp:
             out[d] = comp
@@ -506,46 +578,49 @@ def submodule_as_module(mod: GradedModule, spans: dict):
     coordinates of an image row are its entries at the pivot columns; the
     family is closed exactly when those coordinates give the row back.
     """
-    bases, verts, pivots, nonpivots = {}, {}, {}, {}
-    for d, s in spans.items():
-        b = s.basis
-        if not len(b):
-            continue
+    return submodule_from_bases(mod, {d: Sparse.from_dense(s.basis, mod.p)
+                                      for d, s in spans.items() if s.dim})
+
+
+def submodule_from_bases(mod: GradedModule, bases: dict):
+    """`submodule_as_module` for bases given as Sparse RREF matrices, with
+    no zero one.  Every product is sparse: a basis times an action gathers,
+    per nonzero of the basis, a row of the action.  The sub-module's
+    actions and the inclusion, whose matrices are the bases, are sparse."""
+    verts, pivots, rests = {}, {}, {}
+    for d, b in bases.items():
         vs = np.asarray(mod.verts_at(d))
-        lead = s.pivots
-        if ((b != 0) & (vs != vs[lead][:, None])).any():
+        lead = b.leads()
+        if (vs[b.cols] != vs[lead][b.rows]).any():
             raise ModuleError("submodule basis row mixes vertex blocks")
-        bases[d] = b
         verts[d] = tuple(vs[lead].tolist())
         pivots[d] = lead
         is_rest = np.ones(b.shape[1], dtype=bool)
         is_rest[lead] = False
-        nonpivots[d] = is_rest.nonzero()[0]
+        rests[d] = is_rest.nonzero()[0]
+    rest_of: dict = {}  # degree -> the basis at the non-pivot columns
     actions = {}
     for d, b in bases.items():
         for gi, g in enumerate(mod.gens):
             d2 = d + g.degree
             if mod.dim(d2) == 0:
                 continue
-            img = linalg.mat_mul(b, mod.act(gi, d), mod.p)
+            img = linalg.sparse_mul(b, mod.sparse_act(gi, d), mod.p)
             if d2 not in bases:
                 if img.any():
                     raise ModuleError("family is not closed under the action")
                 continue
             # coords @ B equals img at the pivots, where B is the identity
-            coords = img[:, pivots[d2]]
-            rest = nonpivots[d2]
-            if not np.array_equal(
-                    linalg.mat_mul(coords, bases[d2][:, rest], mod.p),
-                    img[:, rest]):
+            coords = img.take_cols(pivots[d2])
+            if d2 not in rest_of:
+                rest_of[d2] = bases[d2].take_cols(rests[d2])
+            if (linalg.sparse_mul(coords, rest_of[d2], mod.p)
+                    != img.take_cols(rests[d2])):
                 raise ModuleError("family is not closed under the action")
             if coords.any():
                 actions[(gi, d)] = coords
-    # the coordinates are gathers from fresh products; the bases belong to
-    # the caller's subspaces, so the inclusion copies them
     sub = GradedModule._adopt(mod.algebra, verts, actions, mod.kind)
-    incl = GradedMorphism(sub, mod, bases)
-    return sub, incl
+    return sub, GradedMorphism._adopt(sub, mod, dict(bases))
 
 
 def quotient_module(mod: GradedModule, spans: dict):
@@ -591,7 +666,16 @@ def quotient_module(mod: GradedModule, spans: dict):
 
 
 def morphism_kernel(f: GradedMorphism) -> dict:
-    """Per degree: the kernel subspace, one null space per vertex block.
+    """Per degree: the kernel subspace."""
+    m = f.source
+    return {d: Subspace(m.dim(d), m.p, b.dense())
+            for d, b in kernel_bases(f).items()}
+
+
+def kernel_bases(f: GradedMorphism) -> dict:
+    """Per degree: the RREF basis of the kernel as a Sparse, from one
+    structured elimination (`linalg.sparse_left_kernel`) per vertex block
+    of the sparse rows.
 
     The block kernels have disjoint supports, so set side by side and
     ordered by leading column they already form the canonical RREF.
@@ -599,25 +683,20 @@ def morphism_kernel(f: GradedMorphism) -> dict:
     m = f.source
     out = {}
     for d in m.degrees():
-        mat = f.mat(d)
+        mat = f.sparse_mat(d)
         sv = np.asarray(m.verts_at(d))
-        blocks = []
+        parts = []
         for v in sorted(set(m.verts_at(d))):  # np.unique imports numpy.ma
             idx = (sv == v).nonzero()[0]
-            kb = linalg.null_space(mat[idx].T, m.p)
-            if kb.dim:
-                blocks.append((idx, kb.basis, idx[kb.pivots]))
-        if not blocks:
-            continue
-        lead = np.concatenate([ld for _, _, ld in blocks])
-        row_of = np.empty(lead.size, dtype=np.intp)
-        row_of[np.argsort(lead)] = np.arange(lead.size)
-        basis = zeros(lead.size, m.dim(d))
-        first = 0
-        for idx, kb, _ in blocks:
-            basis[np.ix_(row_of[first:first + len(kb)], idx)] = kb
-            first += len(kb)
-        out[d] = Subspace(m.dim(d), m.p, basis)
+            kb = linalg.sparse_left_kernel(
+                mat if idx.size == sv.size else mat.take_rows(idx), m.p)
+            if kb.nnz:
+                parts.append(Sparse((kb.shape[0], m.dim(d)), kb.rows,
+                                    idx[kb.cols], kb.vals))
+        if len(parts) == 1:
+            out[d] = parts[0]
+        elif parts:
+            out[d] = linalg.by_leads(Sparse.vstack(parts, m.dim(d)))
     return out
 
 
@@ -669,20 +748,48 @@ def cover_on_top(mod: GradedModule, comp: dict, hi: int):
     gen_row = np.array([i for _, i in reps], dtype=np.intp)
     mats = {}
     for d, entries in pmod.free_index.items():
-        m = zeros(len(entries), mod.dim(d))
         gnos, bis = np.array(entries, dtype=np.intp).T
         degs = gen_deg[gnos]
+        parts = []
         # the entries x * b with one generator degree and one basis element
         # b are rows of one action matrix: one gather each (sorted(set()),
         # as np.unique would import numpy.ma)
         for gd, bi in sorted(set(zip(degs.tolist(), bis.tolist()))):
             rows = ((degs == gd) & (bis == bi)).nonzero()[0]
-            a = mod.act_basis_element(d - gd, bi, gd)
+            a = _sparse_basis_action(mod, d - gd, bi, gd)
             if a.size:
-                m[rows] = a[gen_row[gnos[rows]]]
-        mats[d] = m
+                g = a.take_rows(gen_row[gnos[rows]])
+                parts.append((rows[g.rows], g.cols, g.vals))
+        mats[d] = (Sparse.from_entries(
+            (len(entries), mod.dim(d)),
+            *(np.concatenate(x) for x in zip(*parts)), mod.p) if parts
+            else Sparse.zero(len(entries), mod.dim(d)))
     phi = GradedMorphism._adopt(pmod, mod, mats)
     return pmod, phi, gen_list
+
+
+def _sparse_basis_action(mod: GradedModule, d_el: int, b_index: int,
+                         d: int) -> Sparse:
+    """`GradedModule.act_basis_element` in the sparse form, from sparse
+    products of the generator actions along the element's words."""
+    if d_el == 0:
+        # vertex idempotent: projection onto the matching block
+        v = mod.algebra.basis_pairs(0)[b_index][0]
+        at = (np.asarray(mod.verts_at(d)) == v).nonzero()[0]
+        return Sparse((mod.dim(d), mod.dim(d)), at, at,
+                      np.ones(at.size, dtype=np.int64))
+    coefs, mats = [], []
+    for word, c in mod.algebra.element_words(d_el)[b_index]:
+        out, cur = None, d
+        for gi in word:
+            a = mod._stored_action(gi, cur)
+            out = a if out is None else linalg.sparse_mul(out, a, mod.p)
+            cur += mod.gens[gi].degree
+        coefs.append(c)
+        mats.append(linalg.as_sparse(out, mod.p))
+    if len(mats) == 1 and coefs[0] % mod.p == 1:
+        return mats[0]  # a path: no combination
+    return linalg.sparse_combine(coefs, mats, mod.p)
 
 
 def presented_in_degrees(mod: GradedModule, degree_set) -> bool:
@@ -977,7 +1084,7 @@ def regrade_E_to_U(mod: GradedModule, ualg) -> GradedModule:
     dmap = mod.algebra.dmap
     verts = {dmap.delta(d): v for d, v in mod.verts.items()}
     actions = {}
-    for (gi, d), m in mod.actions.items():
+    for (gi, d), m in mod.stored_actions().items():
         actions[(gi, dmap.delta(d))] = m
     return GradedModule(ualg, verts, actions, "U")
 
@@ -986,7 +1093,7 @@ def regrade_U_to_E(mod: GradedModule, ealg) -> GradedModule:
     dmap = ealg.dmap
     verts = {dmap.inverse(d): v for d, v in mod.verts.items()}
     actions = {}
-    for (gi, d), m in mod.actions.items():
+    for (gi, d), m in mod.stored_actions().items():
         actions[(gi, dmap.inverse(d))] = m
     return GradedModule(ealg, verts, actions, "E")
 

@@ -29,9 +29,9 @@ from .grmod import (
     cogenerated_in_degrees,
     cover_on_top,
     graded_dual,
-    morphism_kernel,
+    kernel_bases,
     opposite_algebra,
-    submodule_as_module,
+    submodule_from_bases,
     top_complements,
     zero_module,
 )
@@ -69,7 +69,8 @@ def minimal_projective_resolution(mod: GradedModule,
     """Iterated minimal covers; exact because free modules are complete.
 
     Takes `length` kernels: the cover of index `length` is the last term,
-    and its syzygy is not built.
+    and its syzygy is not built.  Every term, cover map, kernel basis,
+    syzygy and differential stays in the sparse form of `linalg.Sparse`.
     """
     lam = mod.algebra
     _require_finite(lam)
@@ -97,12 +98,12 @@ def minimal_projective_resolution(mod: GradedModule,
         diffs.append(phi if incl is None else phi.compose(incl))
         if j == length:
             break
-        ker = morphism_kernel(phi)
+        ker = kernel_bases(phi)
         if not ker:
             current = zero_module(lam)
             incl = None
             continue
-        current, incl = submodule_as_module(pmod, ker)
+        current, incl = submodule_from_bases(pmod, ker)
     return ResolutionSegment(mod, pmods, diffs, gen_lists)
 
 

@@ -18,9 +18,20 @@ to int64 and then Python integers above that.  While p*(p-1) <= 2**63 - 1
 two shortcuts come first, both exact in int64: a product of at most
 _SMALL_PRODUCT multiply-adds is one int64 product (numpy's per-call cost,
 not arithmetic, rules there), and a left operand with at most one nonzero
-per row (a cover map, an inclusion) makes the product a scaled row gather,
-each entry one product of two residues.  Operands already in [0, p) are
-not reduced again.
+per row makes the product a scaled row gather, each entry one product of
+two residues.  Operands already in [0, p) are not reduced again.
+
+A matrix can also be held by its nonzeros: a :class:`Sparse` keeps
+row-sorted (row, column, value) int64 arrays, reduced mod p, and a shape.
+Over a monomial algebra the free-module actions, cover maps and inclusions
+of a resolution have a handful of nonzeros per row, and they are built,
+multiplied (`sparse_mul`, a row gather per nonzero of the left factor) and
+reduced (`sparse_rref`, `sparse_left_kernel`) in this form.  The
+eliminations are structured (LaMacchia & Odlyzko, CRYPTO '90): a row with
+one nonzero, or a column with one nonzero, settles a pivot or a kernel
+coordinate at once, and only what is left is compacted to a dense block
+for `rref`.  `Sparse.dense` is the way back to an array; it refuses before
+it allocates more than MAX_SLICE_BYTES.
 """
 from __future__ import annotations
 
@@ -31,6 +42,11 @@ import numpy as np
 
 class LinAlgError(ValueError):
     pass
+
+
+# The largest dense array a slice or a densified sparse matrix may take.
+# Larger ones are refused before they are allocated.
+MAX_SLICE_BYTES = 1 << 28
 
 
 def as_matrix(m, p: int) -> np.ndarray:
@@ -101,8 +117,8 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     - a product of at most _SMALL_PRODUCT multiply-adds whose inner
       dimension k keeps k*(p-1)**2 within int64 is one int64 product of
       the reduced operands, exact by that bound;
-    - when every row of a has at most one nonzero (cover maps,
-      inclusions), the product is a scaled row gather,
+    - when every row of a has at most one nonzero, the product is a
+      scaled row gather,
       out[r] = a[r, c] * b[c] mod p, exact in int64 since
       (p-1)**2 < p*(p-1); the nonzeros of a alone choose this path.
     Otherwise the operands are multiplied in chunks of the inner
@@ -187,7 +203,13 @@ def rref(m, p: int):
     at which mat_mul leaves int64 too); above it the reduction runs on
     Python integers.
     """
-    a = as_matrix(m, p)  # a new array (`% p` copies), ours to modify
+    return _rref(as_matrix(m, p), p)  # a new array (`% p` copies)
+
+
+def _rref(a: np.ndarray, p: int):
+    """`rref` of a 2-D int64 array that the caller has just built and hands
+    over: it is reduced mod p and eliminated in place, never copied first."""
+    a = _reduced(a, p)
     if p * (p - 1) > _INT64_MAX:
         a = a.astype(object)
     rows, cols = a.shape
@@ -291,8 +313,7 @@ def solve(a, b, p: int):
     if bv.shape[0] != a.shape[0]:
         raise LinAlgError("incompatible shapes in solve")
     n = a.shape[1]
-    # rref reduces the stack mod p in its own copy
-    red, pivots, r = rref(np.concatenate([a, bv], axis=1), p)
+    red, pivots, r = _rref(np.concatenate([a, bv], axis=1), p)
     if r and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.int64)
@@ -305,8 +326,7 @@ def solve_matrix(a, b, p: int):
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     b = np.atleast_2d(np.asarray(b, dtype=np.int64))
     n = a.shape[1]
-    # rref reduces the stack mod p in its own copy
-    red, pivots, r = rref(np.concatenate([a, b], axis=1), p)
+    red, pivots, r = _rref(np.concatenate([a, b], axis=1), p)
     if r and pivots[-1] >= n:
         return None
     x = zeros(n, b.shape[1])
@@ -316,7 +336,12 @@ def solve_matrix(a, b, p: int):
 
 def null_space(m, p: int) -> "Subspace":
     """Canonical basis of {x : m @ x = 0} as a Subspace of F_p^cols."""
-    red, pivots, r = rref(m, p)
+    return _null_space(as_matrix(m, p), p)
+
+
+def _null_space(a: np.ndarray, p: int) -> "Subspace":
+    """`null_space` of an int64 matrix handed over as to `_rref`."""
+    red, pivots, r = _rref(a, p)
     cols = red.shape[1]
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
@@ -399,7 +424,8 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
         stacked = np.concatenate([self.basis, other.basis], axis=0)
-        return Subspace.from_rows(self.ambient_dim, stacked, self.p)
+        red, _, r = _rref(stacked, self.p)
+        return Subspace(self.ambient_dim, self.p, red[:r])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -408,7 +434,7 @@ class Subspace:
             return Subspace.zero(self.ambient_dim, self.p)
         # x = u @ A = v @ B;  solve [A^T | -B^T] (u,v)^T = 0
         stacked = np.concatenate([self.basis.T, (-other.basis.T) % self.p], axis=1)
-        ker = null_space(stacked, self.p)
+        ker = _null_space(stacked, self.p)
         rows = mat_mul(ker.basis[:, : self.dim], self.basis, self.p)
         return Subspace.from_rows(self.ambient_dim, rows, self.p)
 
@@ -423,3 +449,358 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.p, self.basis.tobytes()))
+
+
+# -- sparse matrices ----------------------------------------------------------
+
+
+def _check_dense(rows: int, cols: int) -> None:
+    need = rows * cols * 8  # int64
+    if need > MAX_SLICE_BYTES:
+        raise LinAlgError(
+            f"a dense {rows}x{cols} matrix needs {need / 2**30:.2f} GiB, "
+            f"over the {MAX_SLICE_BYTES / 2**30:g} GiB cap")
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a * b mod p entrywise, for residues a and b."""
+    if (p - 1) ** 2 <= _INT64_MAX:
+        out = a * b
+        out %= p
+        return out
+    return (a.astype(object) * b.astype(object) % p).astype(np.int64)
+
+
+def _spans(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The positions start[i], ..., start[i] + count[i] - 1, for each i in
+    turn."""
+    total = int(count.sum())
+    skip = start - (np.cumsum(count) - count)
+    return np.repeat(skip, count) + np.arange(total)
+
+
+class Sparse:
+    """A matrix over F_p held by its nonzeros.
+
+    `shape` is a tuple of two ints.  `rows`, `cols` and `vals` are int64
+    arrays with one entry per nonzero, sorted by row and within a row by
+    column, with no position twice and every value in [1, p).  The
+    constructor takes arrays in that form as they are and makes them
+    read-only, so a Sparse is shared and never copied.  Two Sparse matrices
+    are equal when their shapes and entries are.
+    """
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray):
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        vals.setflags(write=False)
+        self.shape = shape
+        self.rows, self.cols, self.vals = rows, cols, vals
+
+    @staticmethod
+    def zero(rows: int, cols: int) -> "Sparse":
+        e = np.zeros(0, dtype=np.int64)
+        return Sparse((rows, cols), e, e, e)
+
+    @staticmethod
+    def from_dense(a, p: int) -> "Sparse":
+        a = _reduced(np.asarray(a, dtype=np.int64), p)
+        if a.ndim != 2:
+            raise LinAlgError("expected a matrix")
+        r, c = np.nonzero(a)  # row by row
+        return Sparse(a.shape, r, c, a[r, c])
+
+    @staticmethod
+    def from_entries(shape, rows, cols, vals, p: int) -> "Sparse":
+        """The matrix with the given entries, in any order; the values at
+        one position are summed mod p."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = _reduced(np.asarray(vals, dtype=np.int64), p)
+        key = rows * max(shape[1], 1) + cols
+        if key.size > 1 and not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, vals = key[order], vals[order]
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                starts = first.nonzero()[0]
+                # each sum has fewer than key.size terms below p
+                if key.size * (p - 1) <= _INT64_MAX:
+                    vals = np.add.reduceat(vals, starts) % p
+                else:
+                    vals = (np.add.reduceat(vals.astype(object), starts)
+                            % p).astype(np.int64)
+                key = key[starts]
+        nz = vals != 0
+        if not nz.all():
+            key, vals = key[nz], vals[nz]
+        r, c = np.divmod(key, max(shape[1], 1))
+        return Sparse(shape, r, c, vals)
+
+    @staticmethod
+    def vstack(parts, cols: int) -> "Sparse":
+        """The matrices one below the other."""
+        if len(parts) == 1:
+            return parts[0]
+        heights = [m.shape[0] for m in parts]
+        offs = np.cumsum([0] + heights[:-1])
+        rows = [m.rows + off for m, off in zip(parts, offs)]
+        cat = (lambda xs: np.concatenate(xs) if xs
+               else np.zeros(0, dtype=np.int64))
+        return Sparse((sum(heights), cols), cat(rows),
+                      cat([m.cols for m in parts]),
+                      cat([m.vals for m in parts]))
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nnz(self) -> int:
+        return self.vals.size
+
+    def any(self) -> bool:
+        return bool(self.vals.size)
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a new int64 array; refused above the cap before
+        anything is allocated."""
+        out = dense_zeros(*self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def reduced(self, p: int) -> "Sparse":
+        if not self.vals.size or self.vals.max() < p:
+            return self
+        return Sparse.from_entries(self.shape, self.rows, self.cols,
+                                   self.vals, p)
+
+    def row_starts(self) -> np.ndarray:
+        """Row i holds the entries row_starts[i] up to row_starts[i + 1]."""
+        out = np.zeros(self.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.rows, minlength=self.shape[0]),
+                  out=out[1:])
+        return out
+
+    def leads(self) -> np.ndarray:
+        """The column of the first nonzero of each row; every row must have
+        one."""
+        return self.cols[self.row_starts()[:-1]]
+
+    def take_rows(self, idx) -> "Sparse":
+        """Rows idx, in that order, as a len(idx)-row matrix."""
+        idx = np.asarray(idx, dtype=np.intp)
+        ptr = self.row_starts()
+        count = ptr[idx + 1] - ptr[idx]
+        at = _spans(ptr[idx], count)
+        return Sparse((idx.size, self.shape[1]),
+                      np.repeat(np.arange(idx.size), count), self.cols[at],
+                      self.vals[at])
+
+    def take_cols(self, idx) -> "Sparse":
+        """Columns idx, which must increase, as a len(idx)-column matrix."""
+        idx = np.asarray(idx, dtype=np.intp)
+        at = np.full(self.shape[1], -1, dtype=np.int64)
+        at[idx] = np.arange(idx.size)
+        new = at[self.cols]
+        kept = new >= 0
+        return Sparse((self.shape[0], idx.size), self.rows[kept], new[kept],
+                      self.vals[kept])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Sparse) and self.shape == other.shape
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.vals, other.vals))
+
+    __hash__ = None
+
+
+def dense_zeros(rows: int, cols: int) -> np.ndarray:
+    """`zeros`, refused above the cap before anything is allocated."""
+    _check_dense(rows, cols)
+    return zeros(rows, cols)
+
+
+def nonzero(m):
+    """(rows, cols) of the nonzeros of a matrix in either form, row by
+    row."""
+    return (m.rows, m.cols) if isinstance(m, Sparse) else np.nonzero(m)
+
+
+def dense(m) -> np.ndarray:
+    """A matrix in either form as an array: an array as it is, a Sparse
+    densified under the cap."""
+    return m.dense() if isinstance(m, Sparse) else m
+
+
+def as_sparse(m, p: int) -> Sparse:
+    """A matrix in either form as a Sparse."""
+    return m if isinstance(m, Sparse) else Sparse.from_dense(m, p)
+
+
+def sparse_mul(a, b, p: int) -> Sparse:
+    """a @ b mod p as a Sparse, for factors in either form.
+
+    Each nonzero a[r, k] meets the nonzeros of row k of b, and the products
+    at one position are summed.  When every row of a has at most one
+    nonzero (a cover map, an inclusion) the products are already in order,
+    with no position twice.  As in `mat_mul`, a product of at most
+    _SMALL_PRODUCT multiply-adds, of factors of at most as many entries, is
+    one int64 product of the dense factors (numpy's per-call cost, not
+    arithmetic, rules there), and two arrays are multiplied by `mat_mul`;
+    only the product's nonzeros are kept.
+    """
+    if a.shape[1] != b.shape[0]:
+        raise LinAlgError(f"mat_mul of shapes {a.shape} and {b.shape}")
+    shape = (a.shape[0], b.shape[1])
+    if (shape[0] * a.shape[1] * shape[1] <= _SMALL_PRODUCT
+            and max(a.size, b.size) <= _SMALL_PRODUCT
+            and a.shape[1] * (p - 1) ** 2 <= _INT64_MAX):
+        out = (_reduced(np.asarray(dense(a), dtype=np.int64), p)
+               @ _reduced(np.asarray(dense(b), dtype=np.int64), p))
+        out %= p
+        return Sparse.from_dense(out, p)
+    if not (isinstance(a, Sparse) or isinstance(b, Sparse)):
+        return Sparse.from_dense(mat_mul(a, b, p), p)
+    a, b = as_sparse(a, p), as_sparse(b, p)
+    ptr = b.row_starts()
+    count = ptr[a.cols + 1] - ptr[a.cols]
+    at = _spans(ptr[a.cols], count)
+    rows = np.repeat(a.rows, count)
+    vals = _mul_mod(np.repeat(a.vals, count), b.vals[at], p)
+    if a.rows.size < 2 or (a.rows[1:] != a.rows[:-1]).all():
+        nz = vals != 0  # only a composite modulus has zero divisors
+        return Sparse(shape, rows[nz], b.cols[at][nz], vals[nz])
+    return Sparse.from_entries(shape, rows, b.cols[at], vals, p)
+
+
+def sparse_combine(coefs, mats, p: int) -> Sparse:
+    """sum_k coefs[k] * mats[k] mod p, for matrices of one shape."""
+    vals = [_mul_mod(m.vals, np.full(m.nnz, int(c) % p, dtype=np.int64), p)
+            for c, m in zip(coefs, mats)]
+    return Sparse.from_entries(mats[0].shape,
+                               np.concatenate([m.rows for m in mats]),
+                               np.concatenate([m.cols for m in mats]),
+                               np.concatenate(vals), p)
+
+
+def by_leads(m: Sparse) -> Sparse:
+    """The rows of m, each nonzero and with its own leading column, in the
+    order of their leading columns."""
+    return _by_leads(m.shape[1], m.rows, m.cols, m.vals)
+
+
+def _by_leads(cols: int, rows, cs, vals) -> Sparse:
+    """The rows labelled `rows`, each nonempty and with its own leading
+    column, put in the order of their leading columns."""
+    order = np.lexsort((cs, rows))
+    rows, cs, vals = rows[order], cs[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    group = np.cumsum(first) - 1
+    rank = np.empty(int(first.sum()), dtype=np.int64)
+    rank[np.argsort(cs[first], kind="stable")] = np.arange(rank.size)
+    new = rank[group]
+    order = np.argsort(new, kind="stable")  # columns stay sorted in a row
+    return Sparse((rank.size, cols), new[order], cs[order], vals[order])
+
+
+def _with_units(units, rest, at, cols: int) -> Sparse:
+    """The unit rows of the columns `units` and the rows of the dense RREF
+    block `rest`, whose column j is column at[j], in RREF.  The two share
+    no column, so the rows in the order of their leading columns are the
+    RREF."""
+    if rest is None:  # the units alone, already in order
+        return Sparse((units.size, cols), np.arange(units.size), units,
+                      np.ones(units.size, dtype=np.int64))
+    rr, rc = np.nonzero(rest)
+    return _by_leads(
+        cols, np.concatenate([np.arange(units.size), rr + units.size]),
+        np.concatenate([units, at[rc]]),
+        np.concatenate([np.ones(units.size, dtype=np.int64), rest[rr, rc]]))
+
+
+def _compact(rows, cs, vals, nrows: int, ncols: int, transpose: bool):
+    """The block of the given entries on the rows and columns they touch,
+    as a new dense array (transposed on request), with those rows and
+    columns."""
+    used_r = np.zeros(nrows, dtype=bool)
+    used_r[rows] = True
+    used_c = np.zeros(ncols, dtype=bool)
+    used_c[cs] = True
+    at_r = np.cumsum(used_r) - 1
+    at_c = np.cumsum(used_c) - 1
+    keep_r, keep_c = used_r.nonzero()[0], used_c.nonzero()[0]
+    if transpose:
+        _check_dense(keep_c.size, keep_r.size)
+        block = zeros(keep_c.size, keep_r.size)
+        block[at_c[cs], at_r[rows]] = vals
+    else:
+        _check_dense(keep_r.size, keep_c.size)
+        block = zeros(keep_r.size, keep_c.size)
+        block[at_r[rows], at_c[cs]] = vals
+    return block, keep_r, keep_c
+
+
+def sparse_rref(m: Sparse, p: int):
+    """The RREF basis of the row space of m as a Sparse, one row per pivot,
+    and the pivot columns.
+
+    A row with one nonzero puts the unit vector of its column in the space:
+    that column is a pivot, its basis row is the unit vector, and it can be
+    cleared from every other row.  This repeats while such rows turn up;
+    the rest, compacted to the rows and columns it touches, goes to `rref`.
+    Unit rows and the rows of the rest share no column, so together, in
+    the order of their pivots, they are the RREF.
+    """
+    r, c, v = m.rows, m.cols, m.vals
+    unit = np.zeros(m.shape[1], dtype=bool)
+    while r.size:
+        single = np.bincount(r, minlength=m.shape[0])[r] == 1
+        if not single.any():
+            break
+        unit[c[single]] = True
+        kept = ~unit[c]
+        r, c, v = r[kept], c[kept], v[kept]
+    units = unit.nonzero()[0]
+    if not r.size:
+        return _with_units(units, None, None, m.shape[1]), units
+    block, _, keep_c = _compact(r, c, v, m.shape[0], m.shape[1], False)
+    red, _, rank = _rref(block, p)
+    basis = _with_units(units, red[:rank], keep_c, m.shape[1])
+    return basis, basis.leads()
+
+
+def sparse_left_kernel(m: Sparse, p: int) -> Sparse:
+    """The RREF basis of {x : x @ m = 0} as a Sparse, one row per vector.
+
+    A zero row of m gives its unit vector.  A column with one nonzero
+    forces x to vanish at that row, which then leaves the system; this
+    repeats while such columns turn up.  The rest, compacted to the rows
+    and columns it touches, goes to `null_space`.  Unit vectors and the
+    vectors of the rest share no coordinate, so together, in the order of
+    their leading coordinates, they are the RREF.
+    """
+    nrows = m.shape[0]
+    r, c, v = m.rows, m.cols, m.vals
+    zero = np.ones(nrows, dtype=bool)
+    zero[r] = False
+    while r.size:
+        single = np.bincount(c, minlength=m.shape[1])[c] == 1
+        if not single.any():
+            break
+        forced = np.zeros(nrows, dtype=bool)
+        forced[r[single]] = True
+        kept = ~forced[r]
+        r, c, v = r[kept], c[kept], v[kept]
+    units = zero.nonzero()[0]
+    if not r.size:
+        return _with_units(units, None, None, nrows)
+    block, keep_r, _ = _compact(r, c, v, nrows, m.shape[1], True)
+    return _with_units(units, _null_space(block, p).basis, keep_r, nrows)

@@ -364,7 +364,8 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0, mutate: bool = False,
                 dual = build_dual(lam, 3 * n + 2)
                 dm = random_quotient_module(rng, dual, 0, 3 * n)
                 freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
-                mod = GradedModule(freeop, dict(dm.verts), dict(dm.actions))
+                mod = GradedModule(freeop, dict(dm.verts),
+                                   dm.stored_actions())
                 break
             if compute_orthogonal(lam).dim == 0:
                 continue

@@ -31,7 +31,7 @@ def iso_modules(m: GradedModule, n: GradedModule, seed: int = 0):
     rng = np.random.default_rng(seed)
     for _ in range(64):
         c = rng.integers(0, m.p, size=len(basis))
-        f = GradedMorphism(m, n, combine_mats(c, [b.mats for b in basis], m.p))
+        f = GradedMorphism(m, n, combine_mats(c, [b.stored_mats() for b in basis], m.p))
         if f.is_iso():
             return f
     return None
@@ -74,7 +74,7 @@ def iso_complexes(c: ComplexOfGraded, c2: ComplexOfGraded,
         coef = rng.integers(0, p, size=len(basis))
         fam = {k: GradedMorphism(
             c.component(k), c2.component(k),
-            combine_mats(coef, [bfam[k].mats if k in bfam else {}
+            combine_mats(coef, [bfam[k].stored_mats() if k in bfam else {}
                                 for bfam in basis], p))
             for k in positions}
         if invertible(fam):

@@ -10,6 +10,7 @@ from nkoszul.grmod import (GradedModule, GradedMorphism, TorsionParams,
                            opposite_algebra, projective_cover, quotient_module,
                            regular_module, submodule_as_module,
                            submodule_closure, zero_module)
+from dense_oracle import dense_actions, dense_mats
 from search_oracle import iso_modules
 
 P = 101
@@ -94,7 +95,7 @@ def test_validate_is_exact_at_large_moduli(p):
         # the action conjugated by the diagonal basis change; `bump` scales
         # one entry by 2, which breaks the relation
         actions = {}
-        for (gi, d), m in f.actions.items():
+        for (gi, d), m in dense_actions(f).items():
             out = [[int(m[i, j]) * scale[d][i] * pow(scale[d + 1][j], -1, p)
                     % p for j in range(m.shape[1])] for i in range(m.shape[0])]
             if bump == (gi, d):
@@ -102,7 +103,7 @@ def test_validate_is_exact_at_large_moduli(p):
                 out[i][j] = 2 * out[i][j] % p
             actions[(gi, d)] = np.array(out, dtype=np.int64)
         return GradedModule(lam, dict(f.verts), actions)
-    assert max(int(m.max()) for m in rescaled().actions.values()) > p // 2
+    assert max(int(m.max()) for m in dense_actions(rescaled()).values()) > p // 2
     assert rescaled().validate() == []
     assert rescaled(bump=(0, 0)).validate() == [
         "relation of degree 2 acts nontrivially from degree 0"]
@@ -377,9 +378,10 @@ def test_hom_space_matches_the_identity_row_construction(name):
                 got, want = hom_space(m, n), reference_hom_space(m, n)
                 assert len(got) == len(want)
                 for f, g in zip(got, want):
-                    assert sorted(f.mats) == sorted(g.mats)
-                    for d in g.mats:
-                        assert np.array_equal(f.mats[d], g.mats[d])
+                    fm, gm_ = dense_mats(f), dense_mats(g)
+                    assert sorted(fm) == sorted(gm_)
+                    for d in gm_:
+                        assert np.array_equal(fm[d], gm_[d])
                 mismatches += sum(a != b for d in m.degrees()
                                   for a in m.verts_at(d)
                                   for b in n.verts_at(d))
@@ -582,12 +584,12 @@ def test_submodule_as_module_matches_the_solve():
         sub, incl = submodule_as_module(mod, spans)
         verts, actions, bases = reference_submodule_as_module(mod, spans)
         assert sub.verts == verts
-        assert set(sub.actions) == set(actions)
+        assert set(sub.stored_actions()) == set(actions)
         for key, m in actions.items():
-            assert np.array_equal(sub.actions[key], m)
-        assert set(incl.mats) == set(bases)
+            assert np.array_equal(sub.act(*key), m)
+        assert set(incl.stored_mats()) == set(bases)
         for d, b in bases.items():
-            assert np.array_equal(incl.mats[d], b)
+            assert np.array_equal(incl.mat(d), b)
         assert sub.is_valid() and incl.commutes()
 
 
@@ -669,9 +671,9 @@ def test_free_module_matches_the_entry_loop():
     for algebra, gens, hi in cases:
         f = free_module(algebra, gens, hi)
         want = reference_free_actions(algebra, f)
-        assert set(f.actions) == set(want)
+        assert set(f.stored_actions()) == set(want)
         for key, m in want.items():
-            assert np.array_equal(f.actions[key], m)
+            assert np.array_equal(f.act(*key), m)
         assert f.is_valid()
 
 
@@ -688,7 +690,7 @@ def test_projective_cover_matches_the_entry_loop():
     for mod in mods:
         pmod, phi, gen_list = projective_cover(mod)
         want = reference_cover_mats(mod, pmod, gen_list)
-        assert set(phi.mats) <= set(want)
+        assert set(phi.stored_mats()) <= set(want)
         for d, m in want.items():
             assert np.array_equal(phi.mat(d), m)
         assert phi.commutes()
@@ -700,32 +702,38 @@ def test_projective_cover_matches_the_entry_loop():
 def test_public_constructors_do_not_alias_their_inputs():
     lam = entry("two_vertex_n3")["lam"]
     f = free_module(lam, [(0, 0), (1, 1)], 5)
-    actions = {k: m.copy() for k, m in f.actions.items()}
+    actions = {k: m.copy() for k, m in dense_actions(f).items()}
     mod = GradedModule(lam, f.verts, actions)
     mats = {d: np.eye(f.dim(d), dtype=np.int64) for d in f.degrees()}
     ident = GradedMorphism(mod, mod, mats)
     for m in list(actions.values()) + list(mats.values()):
         m += 1
-    for key, m in f.actions.items():
-        assert np.array_equal(mod.actions[key], m)
+    for key, m in dense_actions(f).items():
+        assert np.array_equal(mod.act(*key), m)
     for d in f.degrees():
         assert np.array_equal(ident.mat(d), np.eye(f.dim(d)))
     assert mod.is_valid() and ident.commutes()
 
 
+def values_of(m):
+    """The value array of a matrix in either stored form."""
+    return m.vals if isinstance(m, linalg.Sparse) else m
+
+
 @pytest.fixture
 def adopted(monkeypatch):
-    """Every array handed to `_adopt`, with the modulus of its owner."""
+    """The values of every matrix handed to `_adopt` (the array itself, or
+    the values of a Sparse), with the modulus of its owner."""
     seen = []
     mod_adopt = GradedModule._adopt.__func__
     mor_adopt = GradedMorphism._adopt.__func__
 
     def mod_spy(cls, algebra, verts, actions, kind=None):
-        seen.extend((algebra.p, m) for m in actions.values())
+        seen.extend((algebra.p, values_of(m)) for m in actions.values())
         return mod_adopt(cls, algebra, verts, actions, kind)
 
     def mor_spy(cls, source, target, mats):
-        seen.extend((source.p, m) for m in mats.values())
+        seen.extend((source.p, values_of(m)) for m in mats.values())
         return mor_adopt(cls, source, target, mats)
 
     monkeypatch.setattr(GradedModule, "_adopt", classmethod(mod_spy))
@@ -746,8 +754,10 @@ def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
     _, phi, _ = projective_cover(f)
     # the caller's subspaces stay the caller's
     held = [s.basis for s in spans.values()]
-    inputs = [m for g in (f, sub, quot) for m in g.actions.values()]
-    inputs += list(incl.mats.values()) + list(proj.mats.values())
+    inputs = [values_of(m) for g in (f, sub, quot)
+              for m in g.stored_actions().values()]
+    inputs += [values_of(m) for g in (incl, proj)
+               for m in g.stored_mats().values()]
     before = len(adopted)
     phi.compose(proj)
     incl.compose(proj)
@@ -761,3 +771,31 @@ def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
     for i, (_, m) in enumerate(adopted):
         for _, other in adopted[i + 1:]:
             assert not np.may_share_memory(m, other)
+
+
+def test_stored_actions_carry_a_module_to_the_free_algebra():
+    """The copy sites of the CLI's functor command and of verify's functor
+    oracle: a module over the dual rebuilt over the free algebra from its
+    stored actions, dense (a quotient) or sparse (a free module).  Arrays
+    are copied, read-only Sparse matrices are kept, every action reads the
+    same, and the orthogonal oracle answers alike on both."""
+    e = entry("two_loop_n3")
+    lam, dual = e["lam"], e["dual"]
+    freeop = verify._free_op_algebra(lam.quiver, e["n"], 3 * e["n"] + 2)
+    rng = np.random.default_rng(4)
+    for mod in (verify.random_quotient_module(rng, dual, 0, 6),
+                free_module(dual, [(0, 0), (0, 2)], 6)):
+        stored = mod.stored_actions()
+        copy = GradedModule(freeop, dict(mod.verts), stored)
+        kept = copy.stored_actions()
+        assert set(kept) == set(stored)
+        for key, m in stored.items():
+            if isinstance(m, linalg.Sparse):
+                assert kept[key] is m
+            else:
+                assert not np.may_share_memory(kept[key], m)
+            assert np.array_equal(copy.act(*key), mod.act(*key))
+        dense_copy = GradedModule(freeop, dict(mod.verts), dense_actions(mod))
+        assert verify.annihilates_orthogonal(copy, lam) \
+            == verify.annihilates_orthogonal(dense_copy, lam)
+    assert any(isinstance(m, linalg.Sparse) for m in stored.values())

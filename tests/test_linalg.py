@@ -165,6 +165,12 @@ def test_row_gather_equals_the_dense_product(monkeypatch, p):
         return out
 
     monkeypatch.setattr(linalg, "_row_gather", spy)
+    # sparse_mul sorts and sums its products only for a left factor with
+    # two nonzeros in a row; a monomial one is a row gather at every p
+    sorted_sums = []
+    from_entries = linalg.Sparse.from_entries
+    monkeypatch.setattr(linalg.Sparse, "from_entries", staticmethod(
+        lambda *args: sorted_sums.append(args) or from_entries(*args)))
     gathers = linalg._product_kernel(p)[0] is not object
     rng = np.random.default_rng(p % 997)
 
@@ -211,6 +217,11 @@ def test_row_gather_equals_the_dense_product(monkeypatch, p):
             assert taken[before:] == [is_monomial]
         else:
             assert len(taken) == before
+        summed = len(sorted_sums)
+        prod = linalg.sparse_mul(linalg.Sparse.from_dense(a, p),
+                                 linalg.Sparse.from_dense(rhs, p), p)
+        assert len(sorted_sums) == summed + (not is_monomial)
+        assert np.array_equal(prod.dense(), got)
     # both outcomes were seen, or neither where the path never runs
     assert (any(taken) and not all(taken)) if gathers else not taken
 
@@ -438,6 +449,120 @@ def test_rref_is_exact_past_the_int64_bound():
         assert ns.dim == cols - rank
         prod = m.astype(object) @ ns.basis.astype(object).T
         assert not (prod % BIG_P).any()
+
+
+def draw_sparse_input(rng, p, rows, cols, kind):
+    """A matrix for the structured eliminations: the kernel inputs, plus
+    monomial rows (at most one nonzero each, columns hit several times) and
+    chains (rows e_i - e_{i+1} ending in one unit row, which the singleton
+    passes settle one row at a time)."""
+    m = np.zeros((rows, cols), dtype=np.int64)
+    if kind == "monomial":
+        if cols:
+            for i in range(rows):
+                if rng.random() < 0.8:
+                    m[i, rng.integers(0, cols)] = rng.integers(1, p)
+        return m
+    if kind == "chain":
+        for i in range(min(rows, cols)):
+            m[i, i] = 1
+            if i + 1 < min(rows, cols):
+                m[i, i + 1] = p - 1
+        return m
+    return draw_kernel_input(rng, p, rows, cols, kind)
+
+
+@st.composite
+def sparse_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    kind = draw(st.sampled_from(["dense", "sparse", "tall", "monomial",
+                                 "chain"]))
+    rows = draw(st.integers(0, 70))
+    cols = draw(st.sampled_from([0, 1, 7, 63, 64, 65, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return p, draw_sparse_input(rng, p, rows, cols, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_inputs())
+def test_sparse_rref_matches_rref(case):
+    p, m = case
+    basis, pivots = linalg.sparse_rref(linalg.Sparse.from_dense(m, p), p)
+    red, want_pivots, rank = linalg.rref(m, p)
+    assert basis.shape == (rank, m.shape[1])
+    assert np.array_equal(basis.dense(), red[:rank])
+    assert list(pivots) == want_pivots
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_inputs())
+def test_sparse_left_kernel_matches_the_null_space(case):
+    p, m = case
+    ker = linalg.sparse_left_kernel(linalg.Sparse.from_dense(m, p), p)
+    want = linalg.null_space(m.T, p).basis
+    assert ker.shape == want.shape
+    assert np.array_equal(ker.dense(), want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, BIG_P])
+def test_sparse_products_and_sums_match_the_dense_ones(p):
+    rng = np.random.default_rng(p % 1000)
+    for kind_a, kind_b in [("monomial", "sparse"), ("sparse", "monomial"),
+                           ("sparse", "dense"), ("dense", "sparse"),
+                           ("monomial", "monomial")]:
+        a = draw_sparse_input(rng, p, 40, 30, kind_a)
+        b = draw_sparse_input(rng, p, 30, 50, kind_b)
+        sa, sb = linalg.Sparse.from_dense(a, p), linalg.Sparse.from_dense(b, p)
+        prod = linalg.sparse_mul(sa, sb, p)
+        assert prod == linalg.Sparse.from_dense(linalg.mat_mul(a, b, p), p)
+        comb = linalg.sparse_combine([3, p - 1], [sa, sa], p)
+        want = (a.astype(object) * 2 % p).astype(np.int64)
+        assert np.array_equal(comb.dense(), want)
+        basis, pivots = linalg.sparse_rref(sa, p)
+        red, want_pivots, rank = linalg.rref(a, p)
+        assert np.array_equal(basis.dense(), red[:rank])
+        assert list(pivots) == want_pivots
+        assert np.array_equal(linalg.sparse_left_kernel(sa, p).dense(),
+                              linalg.null_space(a.T, p).basis)
+    with pytest.raises(linalg.LinAlgError):
+        linalg.sparse_mul(sa, sa, p)
+    # an empty product of a factor too large to densify
+    big = linalg.Sparse.from_entries((1 << 16, 1 << 16), [5], [7], [1], p)
+    assert linalg.sparse_mul(big, linalg.Sparse.zero(1 << 16, 0), p) \
+        == linalg.Sparse.zero(1 << 16, 0)
+
+
+def test_sparse_entries_gathers_and_stacks():
+    p = 7
+    s = linalg.Sparse.from_entries((3, 4), [2, 0, 2, 0, 1], [1, 3, 1, 0, 2],
+                                   [5, 1, 4, 7, 0], p)
+    # (2, 1) sums 5 + 4 = 2 mod 7; 7 and 0 vanish
+    assert np.array_equal(s.dense(), [[0, 0, 0, 1], [0, 0, 0, 0],
+                                      [0, 2, 0, 0]])
+    assert s.nnz == 2 and s.size == 12 and s.any()
+    assert np.array_equal(s.take_rows([2, 2, 1, 0]).dense(),
+                          s.dense()[[2, 2, 1, 0]])
+    assert np.array_equal(s.take_cols([1, 3]).dense(), s.dense()[:, [1, 3]])
+    both = linalg.Sparse.vstack([s, linalg.Sparse.zero(2, 4), s], 4)
+    assert np.array_equal(both.dense(),
+                          np.concatenate([s.dense(), np.zeros((2, 4)),
+                                          s.dense()]))
+    assert not s.vals.flags.writeable
+
+
+def test_densifying_an_over_cap_sparse_refuses_before_allocating():
+    import tracemalloc
+    n = 1 << 16  # 2**32 entries, 32 GiB dense
+    at = np.arange(4, dtype=np.int64)
+    big = linalg.Sparse((n, n), at, at, np.ones(4, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.LinAlgError, match="over the .* cap"):
+            big.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_slices_match_the_reference_construction():
