@@ -1,17 +1,28 @@
 """Graded components of path-algebra quotients and their n-homogeneous duals.
 
-A :class:`PathAlgebra` holds, degree by degree, a canonical quotient basis of
-the degree-k component A_k (the non-pivot paths of the RREF of the ideal
-slice I_k) and the classes of the pivot paths in it, the tail.  The one map
-from paths to classes is the normal form NF_k (``normal_form``): row i is
-the class of path i, so NF_k is the identity at the non-pivot paths and the
-tail at the pivot paths.  Degree k is built from degree k - 1 as a small
-cokernel in A_{k-1} (x) V; neither I_k nor NF_k is stored as a matrix over
-the paths.  Reduction, the multiplication tensors, the (r, s, t) ordering
-of the orthogonal and every path class read downstream are rows of NF_k.  On
-top sit the orthogonal of the degree-n relation space (computed two ways),
-the dual algebra, the support-restricted algebra on U = nZ u (nZ+1), and
-the regraded Yoneda-type algebra.
+A :class:`PathAlgebra` holds, degree by degree, the normal words of A_k (the
+paths that are not pivots of the RREF of the ideal slice I_k, a canonical
+quotient basis in path order) and the right action of each arrow
+A_{k-1} -> A_k.  The prefix of a normal word is a normal word, so the words
+of degree k are stored as (prefix, last arrow) pairs over those of degree
+k - 1.  An action is stored by slots: the class of w.a, w a normal word of
+degree k - 1 and a an arrow, is either a normal word of degree k or a row of
+the degree's tail, the classes of the words w.a that are pivots.  Degree k
+is built from degree k - 1 as a small cokernel in A_{k-1} (x) V whose
+columns are the words w.a; no degree enumerates its paths to do so.  The
+class of a path is its source vertex acted on by its arrows in turn
+(``path_classes``), and the multiplication tensors are rows of the composite
+actions of the basis words.  Only degree n, where the orthogonal pairs with
+all of KQ_n, enumerates paths: NF_n (``normal_form``, row i the class of
+path i) and the RREF of I_n (``ideal_rref``).  On top sit the orthogonal of
+the degree-n relation space (computed two ways), the dual algebra, the
+support-restricted algebra on U = nZ u (nZ+1), and the regraded
+Yoneda-type algebra.
+
+Each degree's state is refused before it is allocated when its words
+spelled out as arrays of arrows (what ``basis_paths`` hands out), its action
+slots and its tail together need more than MAX_SLICE_BYTES; so are the
+dense arrays a slice builds on the way.
 
 All algebra flavours expose the same duck-typed surface used by the module
 layer: ``p``, ``nvert``, ``dim(d)``, ``basis_pairs(d)``, ``mult(d1, d2)``,
@@ -39,28 +50,19 @@ class AlgebraError(ValueError):
     pass
 
 
-MAX_PATHS_PER_DEGREE = 200_000
-# MAX_SLICE_BYTES (from linalg) is the largest dense array a slice may
-# allocate: a normal-form tail, an NF_d or a cokernel system.  Larger ones
-# are refused before they are allocated.
+# The slot of a word w.a whose arrow a does not start where w ends.
+_NONE = np.iinfo(np.intp).min
 
 
-def _check_size(rows: int, cols: int, what: str, d: int) -> None:
-    need = rows * cols * np.dtype(np.int64).itemsize
+def _check_size(entries: int, what: str, d: int) -> None:
+    """Refuse `what` at degree d, of that many int64 entries, above
+    MAX_SLICE_BYTES."""
+    need = entries * np.dtype(np.int64).itemsize
     if need > MAX_SLICE_BYTES:
         raise AlgebraError(
-            f"{what} at degree {d} needs at least {rows}x{cols} entries "
+            f"{what} at degree {d} needs {entries} entries "
             f"({need / 2**30:.2f} GiB), over the "
             f"{MAX_SLICE_BYTES / 2**30:g} GiB cap")
-
-
-def _slots(n: int, pivots, nonpivots) -> np.ndarray:
-    """Per item: its basis position if it is a non-pivot, else ~(its tail
-    row)."""
-    slot = np.empty(n, dtype=np.intp)
-    slot[nonpivots] = np.arange(len(nonpivots))
-    slot[pivots] = ~np.arange(len(pivots))
-    return slot
 
 
 def _times_classes(coef, slot, tail, m: int, p: int) -> np.ndarray:
@@ -133,20 +135,30 @@ class PathAlgebra:
     def __init__(self, pres: Presentation):
         self.pres = pres
         self.p = pres.p
-        self.quiver = pres.quiver
-        self.nvert = pres.quiver.vertex_count
-        self._paths: list = []          # per degree: list of Path
-        self._pidx: list = []           # per degree: Path -> column index
-        self._pivots: list = []
-        self._nonpivots: list = []
-        self._tail: list = []           # per degree: NF_d[pivots], rank x dim
+        self.quiver = q = pres.quiver
+        self.nvert = q.vertex_count
+        self._src = np.array([q.arrow_source(a) for a in range(q.arrow_count)],
+                             dtype=np.intp)
+        self._tgt = np.array([q.arrow_target(a) for a in range(q.arrow_count)],
+                             dtype=np.intp)
+        # per degree d: the normal words, row i = (prefix, arrow) for the
+        # word `prefix` of degree d - 1 followed by `arrow`; at degree 0 the
+        # trivial paths, rows (vertex, -1)
+        self._paths: list = [np.stack([np.arange(self.nvert, dtype=np.intp),
+                                       np.full(self.nvert, -1, dtype=np.intp)],
+                                      axis=1)]
+        # per degree d >= 1: the slot of each word w.a, row w, column a
+        self._slots: list = [None]
+        self._tail: list = [None]       # per degree d >= 1: rank x dim A_d
         self._vanished_from: int | None = None
-        self._nf: dict = {}             # per degree: NF_d, built on first use
+        self._basis: dict = {}          # per degree: Paths, built on first use
         self._mult_cache: dict = {}
         self._gens = None
         self._rels_by_degree: dict = {}
         for r in pres.relations:
-            self._rels_by_degree.setdefault(r.degree, []).append(r)
+            if r.coeffs:
+                self._rels_by_degree.setdefault(r.degree, []).append(
+                    self._split_terms(r))
         self.ensure_degree(1)
 
     # -- construction -------------------------------------------------------
@@ -160,98 +172,90 @@ class PathAlgebra:
 
     def _extend_one(self) -> None:
         k = self._computed_to() + 1
-        if self._vanished_from is not None and k >= self._vanished_from:
+        narrows = self._src.size
+        if self._vanished_from is not None:
             # quotient is generated in degree 1: once a slice dies the rest do
-            self._paths.append([])
-            self._pidx.append({})
-            self._tail.append(zeros(0, 0))
-            self._pivots.append([])
-            self._nonpivots.append([])
-            return
-        paths = enumerate_paths(self.quiver, k)
-        if len(paths) > MAX_PATHS_PER_DEGREE:
-            raise AlgebraError(
-                f"path explosion at degree {k}: {len(paths)} paths")
-        if k <= 1:
-            # every relation has degree >= 2, so I_0 = I_1 = 0
-            pivots, nonpiv = [], list(range(len(paths)))
-            tail = zeros(0, len(paths))
+            words = np.zeros((0, 2), dtype=np.intp)
+            slots = np.full((0, narrows), _NONE, dtype=np.intp)
+            tail = zeros(0, 0)
+        elif k == 1:
+            # every relation has degree >= 2, so A_1 has the arrows, in order
+            words = np.stack([self._src, np.arange(narrows)], axis=1)
+            slots = np.full((self.nvert, narrows), _NONE, dtype=np.intp)
+            slots[self._src, np.arange(narrows)] = np.arange(narrows)
+            tail = zeros(0, narrows)
         else:
-            pivots, nonpiv, tail = self._cokernel(k)
-        self._paths.append(list(paths))
-        self._pidx.append({q: i for i, q in enumerate(paths)})
+            words, slots, tail = self._cokernel(k)
+        self._paths.append(words)
+        self._slots.append(slots)
         self._tail.append(tail)
-        self._pivots.append(pivots)
-        self._nonpivots.append(nonpiv)
-        if len(nonpiv) == 0:
+        if self._vanished_from is None and not len(words):
             self._vanished_from = k
         cap = self.pres.degree_cap
-        if cap is not None and k > cap and len(nonpiv) > 0:
+        if cap is not None and k > cap and len(words) > 0:
             raise AlgebraError(
                 f"degree cap {cap} violated: component at degree {k} is nonzero")
 
+    def _split_terms(self, r: PathSpaceElement):
+        """(source, prefixes, arrows, coef) of a relation whose paths all
+        leave one vertex: its term w.a has the coefficient
+        coef[arrows.index(a), prefixes.index(w)]."""
+        prefixes: dict = {}
+        arrows: dict = {}
+        terms = [(prefixes.setdefault(pa.arrows[:-1], len(prefixes)),
+                  arrows.setdefault(pa.arrows[-1], len(arrows)), c % self.p)
+                 for pa, c in r.coeffs.items()]
+        coef = zeros(len(arrows), len(prefixes))
+        for i, a, c in terms:
+            coef[a, i] = c
+        return (next(iter(r.coeffs)).source,
+                np.array(list(prefixes), dtype=np.intp).reshape(
+                    len(prefixes), r.degree - 1),
+                list(arrows), coef)
+
     def _cokernel(self, d: int):
-        """(pivots, non-pivots, tail) of degree d >= 2, built from degree d-1.
+        """(words, slots, tail) of degree d >= 2, built from degree d-1.
 
         I_d = I_{d-1} V + sum_j V^{d-j} R_j, so KQ_d / I_{d-1} V is
-        A_{d-1} (x) V: its basis, the columns, are the paths b.a with a
-        non-pivot prefix b, and a path P.a with a pivot prefix has the class
-        tail_{d-1}[P] put under its last arrow a.  A_d is the cokernel of
-        the rows u.r, r a relation of degree j and u a basis path of A_{d-j}
-        (r itself when j = d); one rref of that small system picks the
-        pivots among the columns.  Every relation is parallel (see
-        `Presentation.make`), so the class of a pivot P holds only paths
-        ending where P does, and each row of I_{d-1} V is led by a path P.a.
-        Every P.a is a pivot: the paths of its class follow it in path
-        order.  Paths of degree d are ordered by (prefix, last arrow), so
-        the path w.a has index off[w] + arank[a].
+        A_{d-1} (x) V: its basis, the columns, are the words w.a with w a
+        normal word of degree d-1, in path order.  A_d is the cokernel of
+        the rows u.r, r a relation of degree j and u a normal word of degree
+        d-j ending where r starts (a vertex when j = d); a term u.w.a of a
+        row is the class of u.w in A_{d-1} under the arrow a.  One rref of
+        that small system picks the pivots among the columns, and the other
+        columns are the normal words of degree d.  A path P.a whose prefix
+        P is not a normal word is a pivot too, since every path of the class
+        of P follows P in path order, so no other path is a normal word.
+        The slot of a column is its word's index if it is not a pivot, else
+        ~(its row of the tail), the classes of the pivot columns.
         """
-        q, p = self.quiver, self.p
-        piv0 = np.asarray(self._pivots[d - 1], dtype=np.intp)
-        np0 = np.asarray(self._nonpivots[d - 1], dtype=np.intp)
-        tail0 = self._tail[d - 1]
-        slot0 = _slots(len(self._paths[d - 1]), piv0, np0)
-        src = np.array([q.arrow_source(a) for a in range(q.arrow_count)],
-                       dtype=np.intp)
-        outdeg = np.bincount(src, minlength=self.nvert)
-        # the rank of each arrow among the arrows out of its source
-        arank = np.array([np.count_nonzero(src[:a] == src[a])
-                          for a in range(src.size)], dtype=np.intp)
-        tgt = np.array([pa.target_in(q) for pa in self._paths[d - 1]],
-                       dtype=np.intp)
-        off = np.cumsum(outdeg[tgt]) - outdeg[tgt]
-        # the columns: column col_off[j] + arank[a] is the path np0[j].a;
-        # cols[a] holds the j whose path ends where a starts, and their
-        # columns under a
-        width = outdeg[tgt[np0]]
-        col_off = np.cumsum(width) - width
-        col_path = (np.repeat(off[np0] - col_off, width)
-                    + np.arange(width.sum()))
-        ncols = col_path.size
-        cols = []
-        for a in range(src.size):
-            on = (tgt[np0] == src[a]).nonzero()[0]
-            cols.append((on, col_off[on] + arank[a]))
-        nrows, terms = self._relation_rows(d)
-        # the pivots P.a with a pivot prefix P, arrow by arrow
-        prefixes = [(tgt[piv0] == src[a]).nonzero()[0]
-                    for a in range(src.size)]
-        # the tail has a row per P.a and a column per column no row kills
-        _check_size(sum(i.size for i in prefixes),
-                    ncols - nrows, "normal-form tail", d)
-        _check_size(nrows, ncols, "cokernel system", d)
+        p, narrows = self.p, self._src.size
+        m0 = len(self._paths[d - 1])
+        _check_size(m0 * narrows, "arrow action", d)
+        # the columns: column c is the word pre[c].arr[c]
+        pre, arr = (self._targets(d - 1)[:, None] == self._src).nonzero()
+        ncols = pre.size
+        slots = np.full((m0, narrows), _NONE, dtype=np.intp)
+        slots[pre, arr] = np.arange(ncols)
+        # the rows u.r, relation by relation (their order leaves the RREF as
+        # it is)
+        rels = [(j, rel, (self._targets(d - j) == rel[0]).nonzero()[0])
+                for j, rs in self._rels_by_degree.items() if j <= d
+                for rel in rs]
+        nrows = sum(us.size for _, _, us in rels)
+        _check_size(nrows * ncols, "cokernel system", d)
         system = zeros(nrows, ncols)
-        for a, cell in terms.items():
-            (rows, pre), coef = zip(*cell), list(cell.values())
-            # np.unique would import numpy.ma, 2 MB and 40 ms on first use
-            pre_u = sorted(set(pre))
-            at = np.searchsorted(pre_u, pre)
-            pre = np.array(pre_u, dtype=np.intp)
-            cmat = zeros(nrows, pre.size)
-            cmat[rows, at] = coef
-            on, at_cols = cols[a]
-            system[:nrows, at_cols] = _times_classes(
-                cmat, slot0[pre], tail0, np0.size, p)[:, on]
+        row = 0
+        for j, (_, prefixes, arrows, coef), us in rels:
+            # the classes of the u.w, prefix by prefix, then their sums
+            # under each last arrow
+            cls = self._walk(d - j, np.tile(us, len(prefixes)),
+                             np.repeat(prefixes, us.size, axis=0))
+            sums = linalg.mat_mul(coef, cls.reshape(len(prefixes), -1), p)
+            for a, block in zip(arrows, sums.reshape(len(arrows), us.size, m0)):
+                on = (slots[:, a] != _NONE).nonzero()[0]
+                system[row:row + us.size, slots[on, a]] = block[:, on]
+            row += us.size
         red, pcols, rk = (linalg.rref(system, p) if system.size
                           else (system, [], 0))
         del system  # rref reduced a copy
@@ -259,55 +263,73 @@ class PathAlgebra:
         is_piv[pcols] = True
         npcols = (~is_piv).nonzero()[0]
         m = npcols.size
-        slot = _slots(ncols, pcols, npcols)
+        _check_size(m * d + m0 * narrows + rk * m, "slice state", d)
+        slot = np.empty(ncols, dtype=np.intp)
+        slot[npcols] = np.arange(m)
+        slot[pcols] = ~np.arange(rk)
+        slots[pre, arr] = slot
         # the classes of the pivot columns: minus their rows of red
-        col_tail = red[:rk, npcols]
+        tail = red[:rk, npcols]
         del red
-        np.negative(col_tail, out=col_tail)
-        col_tail %= p
-        # the pivots: the paths P.a, then the pivot columns
-        pivots = np.concatenate(
-            [off[piv0[i]] + arank[a] for a, i in enumerate(prefixes)]
-            + [col_path[pcols]])
-        order = np.argsort(pivots, kind="stable")
-        dest = np.empty_like(order)  # the tail row of each pivot
-        dest[order] = np.arange(order.size)
-        _check_size(pivots.size, m, "normal-form tail", d)
-        tail = np.empty((pivots.size, m), dtype=np.int64)
-        row = 0
-        for (on, at_cols), i in zip(cols, prefixes):
-            tail[dest[row:row + i.size]] = _times_classes(
-                tail0[np.ix_(i, on)], slot[at_cols], col_tail, m, p)
-            row += i.size
-        tail[dest[row:]] = col_tail
-        return (pivots[order].tolist(), col_path[npcols].tolist(), tail)
+        np.negative(tail, out=tail)
+        tail %= p
+        return np.stack([pre[npcols], arr[npcols]], axis=1), slots, tail
 
-    def _relation_rows(self, d: int):
-        """The rows u.r of degree d: r a relation of degree j <= d, u a basis
-        path of A_{d-j} (r itself when j = d).  Returns their number and,
-        per last arrow a, the map (row, prefix) -> coefficient of the paths
-        prefix.a of the rows."""
-        q, p, pidx = self.quiver, self.p, self._pidx[d - 1]
-        terms: dict = {}
-        nrows = 0
-        for j, rels in sorted(self._rels_by_degree.items()):
-            if j > d:
-                break
-            us = [None] if j == d else self.basis_paths(d - j)
-            for r in rels:
-                for u in us:
-                    for w, c in r.coeffs.items():
-                        if u is None:
-                            pa = w
-                        elif u.target_in(q) == w.source:
-                            pa = Path(u.source, u.arrows + w.arrows)
-                        else:
-                            continue
-                        key = (nrows, pidx[Path(pa.source, pa.arrows[:-1])])
-                        cell = terms.setdefault(pa.arrows[-1], {})
-                        cell[key] = (cell.get(key, 0) + c) % p
-                    nrows += 1
-        return nrows, terms
+    def _walk(self, d: int, start, words: np.ndarray) -> np.ndarray:
+        """The classes in A_{d+k} of the paths w_i.words[i], one per row,
+        for w_i the normal word start[i] of degree d and words a (rows x k)
+        array of arrows.  Each arrow is a slot lookup while the prefix is a
+        normal word; a row whose prefix is a pivot goes on from its tail
+        row by `_act`."""
+        rows, k = words.shape
+        m = len(self._paths[d + k])
+        _check_size(rows * m, "path classes", d + k)
+        out = zeros(rows, m)
+        live = np.arange(rows)
+        idx = np.asarray(start, dtype=np.intp)
+        for t in range(k):
+            e = d + t + 1
+            s = self._slots[e][idx, words[live, t]]
+            off = s < 0
+            if off.any():
+                r = live[off]
+                out[r] = self._act(e, ~s[off], words[r, t + 1:])
+                live, s = live[~off], s[~off]
+            idx = s
+        out[live, idx] = 1
+        return out
+
+    def _act(self, d: int, rows, words: np.ndarray) -> np.ndarray:
+        """The tail rows `rows` of degree d times the arrows words[:, t] in
+        turn, one class per row."""
+        _check_size(len(rows) * len(self._paths[d]), "path classes", d)
+        cls = self._tail[d][rows]
+        for t in range(words.shape[1]):
+            d += 1
+            slots, m = self._slots[d], len(self._paths[d])
+            _check_size(len(cls) * m, "path classes", d)
+            new = zeros(len(cls), m)
+            for a in sorted(set(words[:, t].tolist())):  # np.unique: numpy.ma
+                sel = (words[:, t] == a).nonzero()[0]
+                on = (slots[:, a] != _NONE).nonzero()[0]
+                new[sel] = _times_classes(cls[np.ix_(sel, on)], slots[on, a],
+                                          self._tail[d], m, self.p)
+            cls = new
+        return cls
+
+    def _targets(self, d: int) -> np.ndarray:
+        """The end vertex of each normal word of degree d."""
+        return (self._tgt[self._paths[d][:, 1]] if d
+                else self._paths[0][:, 0])
+
+    def _spelled(self, d: int):
+        """(sources, arrows): the normal words of degree d spelled out, a
+        source vertex and a row of d arrows each."""
+        idx = np.arange(len(self._paths[d]))
+        arrows = np.empty((idx.size, d), dtype=np.intp)
+        for e in range(d, 0, -1):
+            idx, arrows[:, e - 1] = self._paths[e][idx].T
+        return idx, arrows
 
     # -- basic queries ------------------------------------------------------
 
@@ -317,40 +339,44 @@ class PathAlgebra:
         if self._vanished_from is not None and d >= self._vanished_from:
             return 0
         self.ensure_degree(d)
-        return len(self._nonpivots[d])
+        return len(self._paths[d])
 
     def basis_paths(self, d: int):
-        """Coset representatives: the non-pivot paths at degree d."""
+        """Coset representatives: the normal words of degree d."""
         if self.dim(d) == 0:
             return []
-        return [self._paths[d][i] for i in self._nonpivots[d]]
+        paths = self._basis.get(d)
+        if paths is None:
+            src, arrows = self._spelled(d)
+            paths = self._basis[d] = [
+                Path(s, tuple(w)) for s, w in zip(src.tolist(),
+                                                  arrows.tolist())]
+        return list(paths)
 
     def basis_pairs(self, d: int):
         q = self.quiver
         return [(pa.source, pa.target_in(q)) for pa in self.basis_paths(d)]
 
     def ideal_rref(self, d: int) -> np.ndarray:
-        """The RREF of I_d over the paths of degree d, rebuilt from the
-        tail: the identity at the pivots and minus the tail at the
-        non-pivots (I_d = KQ_d once the quotient has vanished)."""
-        npaths = self.path_count(d)
-        if self._vanished_from is not None and d >= self._vanished_from:
-            return linalg.eye(npaths)
-        piv = self._pivots[d]
-        _check_size(len(piv), npaths, "ideal matrix", d)
-        red = zeros(len(piv), npaths)
-        red[np.arange(len(piv)), piv] = 1
-        red[:, self._nonpivots[d]] = -self._tail[d] % self.p
+        """The RREF of I_d over the paths of degree d: the identity at the
+        pivots, the paths that are not normal words, and minus their
+        classes at the normal words (I_d = KQ_d once the quotient has
+        vanished)."""
+        paths = enumerate_paths(self.quiver, d)
+        pidx = path_index(self.quiver, d)
+        nonpiv = [pidx[w] for w in self.basis_paths(d)]
+        is_piv = np.ones(len(paths), dtype=bool)
+        is_piv[nonpiv] = False
+        piv = is_piv.nonzero()[0]
+        _check_size(piv.size * len(paths), "ideal matrix", d)
+        red = zeros(piv.size, len(paths))
+        red[np.arange(piv.size), piv] = 1
+        red[:, nonpiv] = -self.path_classes(
+            d, [paths[i] for i in piv]) % self.p
         return red
 
-    def ideal_subspace(self, d: int) -> Subspace:
-        return Subspace(self.path_count(d), self.p, self.ideal_rref(d))
-
     def path_count(self, d: int) -> int:
-        self.ensure_degree(d)
-        if self._vanished_from is not None and d >= self._vanished_from:
-            return len(enumerate_paths(self.quiver, d))
-        return len(self._paths[d])
+        return len(enumerate_paths(self.quiver, d))
 
     def is_finite_dimensional(self, probe: int | None = None) -> bool:
         """True if some computed slice vanishes (all higher then vanish)."""
@@ -366,75 +392,37 @@ class PathAlgebra:
     # -- reduction and multiplication ---------------------------------------
 
     def normal_form(self, d: int) -> np.ndarray:
-        """NF_d: row i is the class of path i of KQ_d in the basis of A_d.
-
-        NF[nonpiv] = I and NF[piv] = tail, the only rows the slice build
-        keeps.  Built from them on first use, for reduce_vector and the
-        ordered orthogonal; path_classes gathers its rows without it."""
-        nf = self._nf.get(d)
-        if nf is None:
-            npaths = self.path_count(d)
-            nf = (self._classes(d, np.arange(npaths)) if self.dim(d)
-                  else zeros(npaths, 0))
-            self._nf[d] = nf
-        return nf
-
-    def _classes(self, d: int, idx) -> np.ndarray:
-        """NF_d[idx], gathered from the tail without building NF_d."""
-        slot = _slots(len(self._paths[d]), self._pivots[d],
-                      self._nonpivots[d])[idx]
-        _check_size(slot.size, self.dim(d), "normal form", d)
-        out = zeros(slot.size, self.dim(d))
-        basic = slot >= 0
-        out[basic.nonzero()[0], slot[basic]] = 1
-        out[~basic] = self._tail[d][~slot[~basic]]
-        return out
+        """NF_d: row i is the class of path i of KQ_d in the basis of A_d."""
+        return self.path_classes(d, enumerate_paths(self.quiver, d))
 
     def path_classes(self, d: int, paths) -> np.ndarray:
-        """The classes in A_d of the given paths of length d, one per row."""
+        """The classes in A_d of the given paths of length d, one per row:
+        each path's source vertex times its arrows in turn."""
         if self.dim(d) == 0:
             return zeros(len(paths), 0)
-        pidx = self._pidx[d]
-        return self._classes(d, np.array([pidx[pa] for pa in paths],
-                                         dtype=np.intp))
+        words = np.array([pa.arrows for pa in paths], dtype=np.intp)
+        return self._walk(0, [pa.source for pa in paths],
+                          words.reshape(len(paths), d))
 
     def reduce_vector(self, v: np.ndarray, d: int) -> np.ndarray:
         """KQ_d coordinates -> quotient coordinates in the canonical basis."""
-        if self.dim(d) == 0:
-            return np.zeros(0, dtype=np.int64)
         return linalg.mat_mul(np.reshape(v, (1, -1)), self.normal_form(d),
                               self.p)[0]
 
-    def reduce_path_element(self, el: PathSpaceElement) -> np.ndarray:
-        v = el.vector(self.quiver, self.p)
-        return self.reduce_vector(v, el.degree)
-
     def mult(self, d1: int, d2: int) -> np.ndarray:
-        """Tensor T with basis_i(d1) * basis_j(d2) = sum_k T[i,j,k] basis_k."""
+        """Tensor T with basis_i(d1) * basis_j(d2) = sum_k T[i,j,k] basis_k:
+        row i of the composite action of the word basis_j(d2)."""
         key = (d1, d2)
         if key in self._mult_cache:
             return self._mult_cache[key]
-        m1, m2 = self.dim(d1), self.dim(d2)
-        m3 = self.dim(d1 + d2)
-        t = np.zeros((m1, m2, m3), dtype=np.int64)
-        if m1 and m2 and m3:
-            q = self.quiver
-            pairs = [(i, j, pa.compose(pb, q))
-                     for i, pa in enumerate(self.basis_paths(d1))
-                     for j, pb in enumerate(self.basis_paths(d2))
-                     if pa.target_in(q) == pb.source]
-            if pairs:
-                i, j, concat = zip(*pairs)
-                t[i, j] = self.path_classes(d1 + d2, concat)
+        t = np.zeros((self.dim(d1), self.dim(d2), self.dim(d1 + d2)),
+                     dtype=np.int64)
+        if t.size:
+            src, words = self._spelled(d2)
+            i, j = (self._targets(d1)[:, None] == src).nonzero()
+            t[i, j] = self._walk(d1, i, words[j])
         self._mult_cache[key] = t
         return t
-
-    def left_mult_matrix(self, d_el: int, vec: np.ndarray, d: int) -> np.ndarray:
-        """Matrix of x -> el * x from A_d to A_{d_el + d} (rows = A_d basis)."""
-        t = self.mult(d_el, d)
-        k, m1, m2 = t.shape
-        return linalg.mat_mul(np.reshape(vec, (1, k)), t.reshape(k, m1 * m2),
-                              self.p).reshape(m1, m2)
 
     def right_mult_matrix(self, d: int, d_el: int, vec: np.ndarray) -> np.ndarray:
         """Matrix of x -> x * el from A_d to A_{d + d_el} (rows = A_d basis)."""

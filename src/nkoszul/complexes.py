@@ -758,7 +758,8 @@ def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
     blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
     for d, rows, cols, lefts in _odd_steps(lam, ualg, s, models[k][0],
                                             models[k + 1][0]):
-        _check_size(len(rows) * len(cols), nwi * dim_sn, "degree-n system", d)
+        _check_size(len(rows) * len(cols) * nwi * dim_sn, "degree-n system",
+                    d)
         spread = _pair_matrix(
             rows, [(a, wi) for a, _ in cols for wi in range(nwi)],
             list(zip(lefts, coefs)), p)

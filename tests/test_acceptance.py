@@ -4,13 +4,19 @@ Each test exercises one headline behavior of the library at full scale,
 with wall-clock budgets where speed is part of the contract.  The heavy
 suite reports are computed once per session and shared.
 """
+import contextlib
+import io
+import json
+import os
 import time
 
 import pytest
 
 from nkoszul import koszul as ko
 from nkoszul import verify
-from nkoszul.algebra import DegreeMap, yoneda_regrade
+from nkoszul.algebra import DegreeMap, build_dual, build_slices, yoneda_regrade
+from nkoszul.cli import main
+from nkoszul.docio import load_document
 from nkoszul.quiver import enumerate_paths
 
 
@@ -126,3 +132,22 @@ def test_12_mutation_detected_within_50_trials():
     rep = verify.suite_functor_oracle(trials=50, seed=0, mutate=True)
     assert not rep["passed"]
     assert min(f["trial"] for f in rep["failures"]) < 50
+
+
+def test_13_polynomial_dual_to_degree_64_under_5s():
+    """The dual of commutative_n2 is k[x, y]: d + 1 normal words in degree
+    d, among 2**d paths.  The window [-64, 64] answers, and the dual has
+    dimension d + 1 in every degree up to 64."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "inputs", "commutative_n2.json")
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["dual", path, "--window", "-64", "64"])
+    lam = build_slices(load_document(path)["presentation"], 64)
+    dual = build_dual(lam, 64)
+    dims = [dual.dim(d) for d in range(65)]
+    dt = time.monotonic() - t0
+    assert code == 0
+    assert json.loads(out.getvalue())["dual_dims"] == list(range(1, 14))
+    assert dims == [d + 1 for d in range(65)]
+    assert dt < 5.0

@@ -221,6 +221,37 @@ def test_memory_and_kernel_errors_exit_2(capsys, monkeypatch, error):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+def test_a_window_past_the_slice_cap_exits_2_naming_the_degree():
+    """The dual of two_loop_n3 is free: degree d has 2**d normal words.  At
+    window 40 the state of degree 21 (its words spelled out, its arrow
+    actions and its tail) would pass MAX_SLICE_BYTES, and it is refused
+    before it is allocated.  The refusal once came from a cap of 200,000
+    paths, at degree 18, and peaked at 167 MiB under tracemalloc and about
+    400 MB of resident memory; it must stay below both."""
+    import subprocess
+    import sys
+    probe = (
+        "import json, resource, sys, tracemalloc\n"
+        "from nkoszul.cli import main\n"
+        "tracemalloc.start()\n"
+        f"code = main(['dual', {TWO_LOOP!r}, '--window', '-40', '40'])\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([code, peak, rss]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(HERE, "src")] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    code, peak, rss_kb = json.loads(done.stdout.splitlines()[-1])
+    assert code == 2 and done.returncode == 0
+    assert done.stderr.startswith("input error: slice state at degree 21 ")
+    assert "over the 0.25 GiB cap" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert peak < 150 * 2**20
+    assert rss_kb < 300 * 1024
+
+
 @pytest.mark.parametrize("doc_modulus, flags, want", [
     (1000000007, [], 1000000007),
     (1000000007, ["--modulus", "7"], 1000000007),

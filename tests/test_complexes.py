@@ -7,6 +7,7 @@ from nkoszul import grmod as gm
 from nkoszul import verify
 from nkoszul.complexes import ComplexError
 from nkoszul.grmod import TorsionParams, free_module, graded_dual
+from algebra_oracle import left_mult_matrix, reduce_path_element
 from dense_oracle import dense_actions, dense_mats
 from search_oracle import iso_complexes, iso_modules
 
@@ -204,7 +205,7 @@ def reference_psi_mats(mod, lam, k, src, tgt):
             a_act = mod.act(arrow_gens[ai], k)
             vec = np.zeros(lam.dim(1), dtype=np.int64)
             vec[ai] = 1
-            lmul = lam.left_mult_matrix(1, vec, e1)
+            lmul = left_mult_matrix(lam, 1, vec, e1)
             for r, (i, b) in enumerate(src.free_index[d]):
                 for i2 in np.nonzero(a_act[i])[0]:
                     for b2 in np.nonzero(lmul[b])[0]:
@@ -227,7 +228,7 @@ def reference_cofree_actions(lam, index):
             e2 = e + 1
             if e2 not in index:
                 continue
-            lmul = lam.left_mult_matrix(1, vec, -e2)
+            lmul = left_mult_matrix(lam, 1, vec, -e2)
             pos2 = {key: c for c, key in enumerate(index[e2])}
             m = np.zeros((len(index[e]), len(index[e2])), dtype=np.int64)
             for r, (b, x) in enumerate(index[e]):
@@ -316,7 +317,7 @@ def reference_odd_mats(mod, lam, s, bsrc, btgt):
         pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for pa, ximat in zip(paths, xi):
-            cls = lam.reduce_path_element(_path_elem(pa, n - 1))
+            cls = reduce_path_element(lam, _path_elem(pa, n - 1))
             rmul = lam.right_mult_matrix(-e2, n - 1, cls)
             for r, (b, x) in enumerate(bsrc.hom_index[e1]):
                 for a in np.nonzero(rmul[:, b])[0]:
