@@ -15,9 +15,9 @@ class of a path is its source vertex acted on by its arrows in turn
 actions of the basis words.  Only degree n, where the orthogonal pairs with
 all of KQ_n, enumerates paths: NF_n (``normal_form``, row i the class of
 path i) and the RREF of I_n (``ideal_rref``).  On top sit the orthogonal of
-the degree-n relation space (computed two ways), the dual algebra, the
-support-restricted algebra on U = nZ u (nZ+1), and the regraded
-Yoneda-type algebra.
+the degree-n relation space (computed two ways), the dual algebra, and
+one class for the dual restricted to U = nZ u (nZ+1), read either in the
+dual's degrees (U) or regraded by delta_0 (E, the Yoneda-type algebra).
 
 Each degree's state is refused before it is allocated when its words
 spelled out as arrays of arrows (what ``basis_paths`` hands out), its action
@@ -30,6 +30,7 @@ layer: ``p``, ``nvert``, ``dim(d)``, ``basis_pairs(d)``, ``mult(d1, d2)``,
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -563,173 +564,6 @@ def build_dual(alg: PathAlgebra, window_top: int) -> PathAlgebra:
 # -- support restriction and regrading --------------------------------------
 
 
-def in_support_u(d: int, n: int) -> bool:
-    return d % n in (0, 1)
-
-
-class USupportAlgebra:
-    """The dual algebra with components outside U = nZ u (nZ+1) killed.
-
-    Products landing outside U are zero; the algebra is generated by the
-    degree-0, degree-1 and degree-n components.
-    """
-
-    def __init__(self, dual: PathAlgebra, n: int):
-        self.dual = dual
-        self.n = n
-        self.p = dual.p
-        self.nvert = dual.nvert
-        self.quiver = dual.quiver
-        self._word_cache: dict = {}
-        self._relation_cache = None
-        self._gens = None
-
-    def dim(self, d: int) -> int:
-        if d < 0 or not in_support_u(d, self.n):
-            return 0
-        return self.dual.dim(d)
-
-    def basis_pairs(self, d: int):
-        if self.dim(d) == 0:
-            return []
-        return self.dual.basis_pairs(d)
-
-    def basis_paths(self, d: int):
-        if self.dim(d) == 0:
-            return []
-        return self.dual.basis_paths(d)
-
-    def mult(self, d1: int, d2: int) -> np.ndarray:
-        m1, m2, m3 = self.dim(d1), self.dim(d2), self.dim(d1 + d2)
-        if not (in_support_u(d1, self.n) and in_support_u(d2, self.n)
-                and in_support_u(d1 + d2, self.n)):
-            return np.zeros((m1, m2, m3), dtype=np.int64)
-        return self.dual.mult(d1, d2)
-
-    def generators(self):
-        """The dual's generators, then one per degree-n basis element; a
-        tuple built once."""
-        if self._gens is None:
-            q = self.quiver
-            paths = self.dual.basis_paths(self.n)
-            self._gens = tuple(self.dual.generators()) + tuple(
-                Generator(self.n, i, u, v, paths[i].name_in(q))
-                for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)))
-        return self._gens
-
-    def generator_vector(self, g: Generator) -> np.ndarray:
-        v = np.zeros(self.dim(g.degree), dtype=np.int64)
-        v[g.basis_index] = 1
-        return v
-
-    def _word_product(self, word) -> tuple[int, np.ndarray]:
-        gens = self.generators()
-        deg = 0
-        vec = None
-        for gi in word:
-            g = gens[gi]
-            if vec is None:
-                deg, vec = g.degree, self.generator_vector(g)
-            else:
-                t = self.mult(deg, g.degree)[:, g.basis_index]
-                vec = linalg.mat_mul(vec.reshape(1, -1), t, self.p)[0]
-                deg += g.degree
-        return deg, vec
-
-    def element_words(self, d: int):
-        """Express the basis of the degree-d component in generator words.
-
-        Canonical shapes: degree kn uses k degree-n letters; degree kn+1
-        appends one degree-1 letter.
-        """
-        if d in self._word_cache:
-            return self._word_cache[d]
-        if d < 1 or self.dim(d) == 0:
-            out = [[] for _ in range(self.dim(d))]
-            self._word_cache[d] = out
-            return out
-        gens = self.generators()
-        one_idx = [i for i, g in enumerate(gens) if g.degree == 1]
-        n_idx = [i for i, g in enumerate(gens) if g.degree == self.n]
-        k, rho = divmod(d, self.n)
-        if rho not in (0, 1):
-            raise AlgebraError(f"degree {d} outside the support set")
-        import itertools
-        words = [w for w in itertools.product(n_idx, repeat=k)]
-        if rho == 1:
-            words = [w + (a,) for w in words for a in one_idx]
-        if d == 1:
-            words = [(a,) for a in one_idx]
-        prods = []
-        kept = []
-        for w in words:
-            _, vec = self._word_product(w)
-            if vec is not None and vec.any():
-                prods.append(vec)
-                kept.append(w)
-        if not prods:
-            raise AlgebraError(f"degree {d} not spanned by generator words")
-        pm = np.stack(prods, axis=0)  # |words| x dim
-        out = []
-        for i in range(self.dim(d)):
-            e = np.zeros(self.dim(d), dtype=np.int64)
-            e[i] = 1
-            sol = linalg.solve(pm.T, e, self.p)
-            if sol is None:
-                raise AlgebraError(
-                    f"basis element {i} at degree {d} not a word combination")
-            out.append([(kept[j], int(sol[j])) for j in range(len(kept))
-                        if sol[j]])
-        self._word_cache[d] = out
-        return out
-
-    def relation_words(self):
-        """Kernel of the word -> algebra map on short generator words.
-
-        Words of length <= 2 grouped by total degree; every combination that
-        vanishes in the algebra must annihilate any valid module.
-        """
-        if self._relation_cache is not None:
-            return self._relation_cache
-        gens = self.generators()
-        by_degree: dict = {}
-        for i, g in enumerate(gens):
-            by_degree.setdefault(g.degree, []).append((i,))
-        for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                if g.target == h.source:
-                    by_degree.setdefault(g.degree + h.degree, []).append((i, j))
-        # also record length-2 words with mismatched endpoints: they vanish
-        mismatched = [(g.degree + h.degree, (i, j))
-                      for i, g in enumerate(gens)
-                      for j, h in enumerate(gens) if g.target != h.source]
-        out = []
-        for deg, words in sorted(by_degree.items()):
-            if deg == 1:
-                continue
-            vecs = []
-            for w in words:
-                _, v = self._word_product(w)
-                if v is None or v.size == 0:
-                    v = np.zeros(max(self.dim(deg), 1), dtype=np.int64)[: self.dim(deg)]
-                vecs.append(v if v.size else np.zeros(self.dim(deg), dtype=np.int64))
-            if self.dim(deg) == 0:
-                for w in words:
-                    out.append((deg, [(w, 1)]))
-                continue
-            mat = np.stack(vecs, axis=0)
-            ker = linalg.left_null_space(mat, self.p)
-            for row in ker.basis:
-                rel = [(words[j], int(row[j])) for j in range(len(words))
-                       if row[j]]
-                if rel:
-                    out.append((deg, rel))
-        for deg, w in mismatched:
-            out.append((deg, [(w, 1)]))
-        self._relation_cache = out
-        return out
-
-
 @dataclass(frozen=True)
 class DegreeMap:
     """The strictly increasing regrading with image S = m + U."""
@@ -751,66 +585,196 @@ class DegreeMap:
         return 2 * k + rho
 
 
-class YonedaAlgebra:
-    """The support-restricted dual regraded by delta_0.
+def _identity(d: int) -> int:
+    return d
 
-    Component j is the delta(j)-component of the support-restricted dual;
-    generators sit in degrees 1 and 2.
+
+class USupportAlgebra:
+    """The dual algebra with components outside U = nZ u (nZ+1) killed, read
+    in one of two gradings.
+
+    Products landing outside U are zero; the algebra is generated by the
+    degree-0, degree-1 and degree-n components of the dual.  Degree j of
+    this algebra is degree ``dual_degree(j)`` of the dual, and
+    ``own_degree`` is the inverse: the identity for U itself, and
+    delta_0 = DegreeMap(0, n).delta for E, the Yoneda-type regrading that
+    ``yoneda_regrade`` makes, whose generators sit in degrees 1 and 2.
+    Everything is computed in the dual's grading and read through the map.
+    ``u`` is the algebra in the U grading: itself, or the U that E was
+    regraded from.
     """
 
-    def __init__(self, ualg: USupportAlgebra):
-        self.ualg = ualg
-        self.n = ualg.n
-        self.p = ualg.p
-        self.nvert = ualg.nvert
-        self.quiver = ualg.quiver
-        self.dmap = DegreeMap(0, ualg.n)
+    def __init__(self, dual: PathAlgebra, n: int, u=None):
+        self.dual = dual
+        self.n = n
+        self.p = dual.p
+        self.nvert = dual.nvert
+        self.quiver = dual.quiver
+        self._support = DegreeMap(0, n)
+        if u is None:
+            self.u = self
+            self.dual_degree = self.own_degree = _identity
+        else:
+            self.u = u
+            self.dual_degree = self._support.delta
+            self.own_degree = self._support.inverse
+        self._yoneda = None
+        self._word_cache: dict = {}
+        self._relation_cache = None
         self._gens = None
 
-    def dim(self, j: int) -> int:
-        if j < 0:
+    # -- in the dual's grading ----------------------------------------------
+
+    def _dim(self, d: int) -> int:
+        if d < 0 or not self._support.in_image(d):
             return 0
-        return self.ualg.dim(self.dmap.delta(j))
+        return self.dual.dim(d)
+
+    def _mult(self, d1: int, d2: int, d3: int) -> np.ndarray:
+        """The product of dual degrees d1 and d2 into dual degree d3.  A
+        regrading is additive exactly where the restricted product is
+        nonzero, so the product is the restricted product or zero."""
+        if d1 + d2 == d3 and all(map(self._support.in_image, (d1, d2, d3))):
+            return self.dual.mult(d1, d2)
+        return np.zeros((self._dim(d1), self._dim(d2), self._dim(d3)),
+                        dtype=np.int64)
+
+    def _word_product(self, word) -> np.ndarray:
+        """The class of a generator word in the dual."""
+        gens = self.generators()
+        g = gens[word[0]]
+        deg = self.dual_degree(g.degree)
+        vec = zeros(1, self._dim(deg))
+        vec[0, g.basis_index] = 1
+        for gi in word[1:]:
+            g = gens[gi]
+            e = self.dual_degree(g.degree)
+            vec = linalg.mat_mul(
+                vec, self._mult(deg, e, deg + e)[:, g.basis_index], self.p)
+            deg += e
+        return vec[0]
+
+    # -- in its own grading -------------------------------------------------
+
+    def dim(self, j: int) -> int:
+        return self._dim(self.dual_degree(j))
 
     def basis_pairs(self, j: int):
-        if j < 0:
-            return []
-        return self.ualg.basis_pairs(self.dmap.delta(j))
+        d = self.dual_degree(j)
+        return self.dual.basis_pairs(d) if self._dim(d) else []
+
+    def basis_paths(self, j: int):
+        d = self.dual_degree(j)
+        return self.dual.basis_paths(d) if self._dim(d) else []
 
     def mult(self, j1: int, j2: int) -> np.ndarray:
-        # delta is additive exactly where the support-restricted product is
-        # nonzero, so the regraded product is the restricted product
-        d1, d2 = self.dmap.delta(j1), self.dmap.delta(j2)
-        m3 = self.dim(j1 + j2)
-        t = self.ualg.mult(d1, d2)
-        if d1 + d2 != self.dmap.delta(j1 + j2):
-            return np.zeros((self.dim(j1), self.dim(j2), m3), dtype=np.int64)
-        return t
+        return self._mult(self.dual_degree(j1), self.dual_degree(j2),
+                          self.dual_degree(j1 + j2))
 
     def generators(self):
-        """The support-restricted generators in degrees 1 and 2; a tuple
-        built once."""
+        """The dual's generators, then one per degree-n basis element of the
+        dual; a tuple built once."""
         if self._gens is None:
-            self._gens = tuple(
-                Generator(1 if g.degree == 1 else 2, g.basis_index, g.source,
-                          g.target, g.name) for g in self.ualg.generators())
+            q = self.quiver
+            paths = self.dual.basis_paths(self.n)
+            deg = self.own_degree(self.n)
+            self._gens = tuple(self.dual.generators()) + tuple(
+                Generator(deg, i, u, v, paths[i].name_in(q))
+                for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)))
         return self._gens
 
     def element_words(self, j: int):
-        return self.ualg.element_words(self.dmap.delta(j))
+        """Express the basis of the degree-j component in generator words.
+
+        Canonical shapes: dual degree kn uses k degree-n letters; dual
+        degree kn+1 appends one degree-1 letter.
+        """
+        d = self.dual_degree(j)
+        if d in self._word_cache:
+            return self._word_cache[d]
+        dim = self._dim(d)
+        if d < 1 or dim == 0:
+            out = self._word_cache[d] = [[] for _ in range(dim)]
+            return out
+        narrows = len(self.dual.generators())
+        k, rho = divmod(d, self.n)
+        words = list(itertools.product(range(narrows, len(self.generators())),
+                                       repeat=k))
+        if rho == 1:
+            words = [w + (a,) for w in words for a in range(narrows)]
+        prods = []
+        kept = []
+        for w in words:
+            vec = self._word_product(w)
+            if vec.any():
+                prods.append(vec)
+                kept.append(w)
+        if not prods:
+            raise AlgebraError(f"degree {d} not spanned by generator words")
+        pm = np.stack(prods, axis=0)  # |words| x dim
+        out = []
+        for i, e in enumerate(linalg.eye(dim)):
+            sol = linalg.solve(pm.T, e, self.p)
+            if sol is None:
+                raise AlgebraError(
+                    f"basis element {i} at degree {d} not a word combination")
+            out.append([(kept[j], int(sol[j])) for j in range(len(kept))
+                        if sol[j]])
+        self._word_cache[d] = out
+        return out
 
     def relation_words(self):
+        """Kernel of the word -> algebra map on short generator words.
+
+        Words of length <= 2, grouped by their degree in the dual; every
+        combination that vanishes in the algebra must annihilate any valid
+        module.  Each relation is labelled with its degree in this
+        algebra's grading.
+        """
+        if self._relation_cache is not None:
+            return self._relation_cache
+        gens = self.generators()
+        dual_deg = [self.dual_degree(g.degree) for g in gens]
+
+        def label(word):
+            return sum(gens[i].degree for i in word)
+
+        by_degree: dict = {}
+        for i, e in enumerate(dual_deg):
+            by_degree.setdefault(e, []).append((i,))
+        for i, g in enumerate(gens):
+            for j, h in enumerate(gens):
+                if g.target == h.source:
+                    by_degree.setdefault(dual_deg[i] + dual_deg[j],
+                                         []).append((i, j))
+        # length-2 words with mismatched endpoints vanish
+        mismatched = [(i, j) for i, g in enumerate(gens)
+                      for j, h in enumerate(gens) if g.target != h.source]
         out = []
-        gens = self.ualg.generators()
-
-        def e_degree(word):
-            return sum(1 if gens[i].degree == 1 else 2 for i in word)
-
-        for _, rel in self.ualg.relation_words():
-            if rel:
-                out.append((e_degree(rel[0][0]), rel))
+        for deg, words in sorted(by_degree.items()):
+            if deg == 1:
+                continue
+            if self._dim(deg) == 0:
+                out += [(label(w), [(w, 1)]) for w in words]
+                continue
+            mat = np.stack([self._word_product(w) for w in words], axis=0)
+            for row in linalg.left_null_space(mat, self.p).basis:
+                rel = [(words[j], int(row[j])) for j in range(len(words))
+                       if row[j]]
+                out.append((label(rel[0][0]), rel))
+        out += [(label(w), [(w, 1)]) for w in mismatched]
+        self._relation_cache = out
         return out
 
 
-def yoneda_regrade(ualg: USupportAlgebra) -> YonedaAlgebra:
-    return YonedaAlgebra(ualg)
+def in_u_grading(alg) -> bool:
+    """True for the support-restricted dual in its own grading, U."""
+    return getattr(alg, "u", None) is alg
+
+
+def yoneda_regrade(ualg: USupportAlgebra) -> USupportAlgebra:
+    """E: the support-restricted dual ualg regraded by delta_0, built once
+    per ualg."""
+    if ualg._yoneda is None:
+        ualg._yoneda = USupportAlgebra(ualg.dual, ualg.n, ualg)
+    return ualg._yoneda

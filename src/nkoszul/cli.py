@@ -12,15 +12,15 @@ import sys
 
 from . import complexes as cpx
 from . import verify as vf
-from .algebra import (AlgebraError, USupportAlgebra, YonedaAlgebra, build_dual,
-                      build_slices, compute_orthogonal,
-                      compute_orthogonal_via_ordering, yoneda_regrade)
+from .algebra import (AlgebraError, USupportAlgebra, build_dual, build_slices,
+                      compute_orthogonal, compute_orthogonal_via_ordering,
+                      yoneda_regrade)
 from .docio import (DocumentError, complex_json, dump_report, load_document,
                     module_json, parse_module)
 from .complexes import ComplexError
 from .grmod import (GradedModule, ModuleError, TorsionParams, graded_dual, in_G, in_L,
                     in_L_E, in_Lo, is_torsionfree, opposite_algebra,
-                    regrade_U_to_E, torsion_submodule)
+                    regrade, torsion_submodule)
 from .linalg import LinAlgError
 from .quiver import QuiverError
 
@@ -42,7 +42,6 @@ class _Context:
         self.lam = build_slices(dom["presentation"], self.top)
         self._dual = None
         self._ualg = None
-        self._ealg = None
         self._freeop = None
 
     @property
@@ -59,9 +58,7 @@ class _Context:
 
     @property
     def ealg(self):
-        if self._ealg is None:
-            self._ealg = yoneda_regrade(self.ualg)
-        return self._ealg
+        return yoneda_regrade(self.ualg)
 
     @property
     def freeop(self):
@@ -205,14 +202,12 @@ def cmd_check(ctx: _Context, args) -> tuple:
             report["verdict"] = bool(in_L(mod, params))
         elif pred == "in_L_E":
             # in_L_E reads a module over the regraded algebra E
-            if isinstance(mod.algebra, USupportAlgebra):
-                mod = regrade_U_to_E(mod, ctx.ealg)
-            elif not isinstance(mod.algebra, YonedaAlgebra):
+            if not isinstance(mod.algebra, USupportAlgebra):
                 raise DocumentError(
                     f"in_L_E needs a module over the support-restricted "
                     f"dual (\"over\": \"u\") or its regrading (\"over\": "
                     f"\"e\"); {args.object!r} is not")
-            report["verdict"] = bool(in_L_E(mod))
+            report["verdict"] = bool(in_L_E(regrade(mod, ctx.ealg)))
         elif pred == "in_Lo":
             report["verdict"] = bool(in_Lo(mod, params))
         elif pred == "in_G":

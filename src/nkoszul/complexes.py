@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Subspace, zeros
-from .algebra import DegreeMap, USupportAlgebra, _check_size
+from .algebra import DegreeMap, _check_size, in_u_grading
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -203,7 +203,20 @@ def cofree_module(lam, vlist) -> GradedModule:
     Degree e holds pairs (b, x) with b a basis element of Lambda_{-e} ending
     at the vertex of x; the pair sits at the starting vertex of b.  The
     action of an arrow precomposes with left multiplication.
+
+    Built once per (algebra, vertex tuple) and memoized on the algebra, so
+    a model lives and dies with it; callers only read it.
     """
+    models = getattr(lam, "_cofree_models", None)
+    if models is None:
+        models = lam._cofree_models = {}
+    key = tuple(vlist)
+    if key not in models:
+        models[key] = _build_cofree(lam, key)
+    return models[key]
+
+
+def _build_cofree(lam, vlist) -> GradedModule:
     index = cofree_index(lam, vlist)
     verts = {}
     for e, pairs in index.items():
@@ -374,14 +387,8 @@ def _socles_hit(c: ComplexOfGraded, k: int) -> bool:
 
 
 def _coregular(lam) -> GradedModule:
-    """D(Lambda) as a right module, cogenerated in degree 0.
-
-    Cached on the algebra, so it lives and dies with it."""
-    cached = getattr(lam, "_coregular_module", None)
-    if cached is None:
-        cached = cofree_module(lam, tuple(range(lam.nvert)))
-        lam._coregular_module = cached
-    return cached
+    """D(Lambda) as a right module, cogenerated in degree 0."""
+    return cofree_module(lam, tuple(range(lam.nvert)))
 
 
 # -- contractions ------------------------------------------------------------
@@ -421,18 +428,13 @@ def _contract(c: ComplexOfGraded, n: int, src_of) -> ComplexOfGraded:
 
 def _u_module_as_dual_module(mod: GradedModule) -> GradedModule:
     """Reinterpret a module over the support-restricted algebra as a module
-    over the full dual (valid when n = 2, where the two coincide)."""
-    ualg = mod.algebra
-    dual = ualg.dual
-    arrow_acts = {}
-    stored = mod.stored_actions()
-    for gi, g in enumerate(mod.gens):
-        if g.degree == 1:
-            for d in mod.degrees():
-                a = stored.get((gi, d))
-                if a is not None:
-                    arrow_acts[(g.basis_index, d)] = a
-    return GradedModule(dual, dict(mod.verts), arrow_acts)
+    over the full dual (valid when n = 2, where the two coincide).  The
+    generators of U start with those of the dual, in order."""
+    dual = mod.algebra.dual
+    narrows = len(dual.generators())
+    return GradedModule(dual, dict(mod.verts),
+                        {(gi, d): a for (gi, d), a
+                         in mod.stored_actions().items() if gi < narrows})
 
 
 def _mu1_data(mod: GradedModule, s: int):
@@ -516,7 +518,7 @@ def equivalence_F(mod: GradedModule, lam, params,
     from .grmod import in_L
     n = params.n
     m = params.m
-    if not isinstance(mod.algebra, USupportAlgebra):
+    if not in_u_grading(mod.algebra):
         raise ComplexError(
             "F needs a module over the support-restricted dual (tag 'u')")
     if not in_L(mod, params):
@@ -635,9 +637,7 @@ def _extract(c: ComplexOfGraded, ualg, params):
               if g.degree == n}
     if n == 2:
         # the degree-2 generator actions are the induced products
-        prov = GradedModule(ualg.dual, verts,
-                            {(gi_arrow_index(ualg, gi), d): mmat
-                             for (gi, d), mmat in actions.items()})
+        prov = GradedModule(ualg.dual, verts, actions)
         for d in verts:
             if d + 2 not in verts:
                 continue
@@ -785,16 +785,6 @@ def _transported_diff(c: ComplexOfGraded, k: int, models) -> GradedMorphism:
     w1 = models[k][1]
     w2 = models[k + 1][1]
     return w1.compose(c.diff(k)).compose(w2.inverse())
-
-
-def gi_arrow_index(ualg, gi: int) -> int:
-    """Map a degree-1 generator position of the support-restricted algebra
-    to the corresponding generator position of the full dual."""
-    g = ualg.generators()[gi]
-    for gj, h in enumerate(ualg.dual.generators()):
-        if h.degree == 1 and h.basis_index == g.basis_index:
-            return gj
-    raise ComplexError("no matching arrow generator")
 
 
 def in_Y(c: ComplexOfGraded, ualg, params):

@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .algebra import (PathAlgebra, USupportAlgebra, in_u_grading,
+                      yoneda_regrade)
 from .linalg import Sparse, Subspace, zeros
 
 
@@ -54,23 +56,21 @@ class GradedModule:
     `sparse_act` as a Sparse, whichever form it is stored in.
     """
 
-    def __init__(self, algebra, verts: dict, actions: dict, kind: str | None = None):
+    def __init__(self, algebra, verts: dict, actions: dict):
         self._fill(algebra, verts, {k: _owned(m, algebra.p)
-                                    for k, m in actions.items()}, kind)
+                                    for k, m in actions.items()})
 
     @classmethod
-    def _adopt(cls, algebra, verts: dict, actions: dict,
-               kind: str | None = None) -> "GradedModule":
+    def _adopt(cls, algebra, verts: dict, actions: dict) -> "GradedModule":
         """A module that takes the action matrices themselves: only for
         matrices a builder has just made, int64, reduced and unshared."""
         mod = cls.__new__(cls)
-        mod._fill(algebra, verts, actions, kind)
+        mod._fill(algebra, verts, actions)
         return mod
 
-    def _fill(self, algebra, verts: dict, actions: dict, kind) -> None:
+    def _fill(self, algebra, verts: dict, actions: dict) -> None:
         self.algebra = algebra
         self.p = algebra.p
-        self.kind = kind
         self.verts = {d: tuple(v) for d, v in verts.items() if len(v)}
         self.gens = algebra.generators()
         self._actions = {(gi, d): m for (gi, d), m in actions.items()
@@ -221,7 +221,7 @@ class GradedModule:
         """M[s] with M[s]_d = M_{d+s}."""
         verts = {d - s: v for d, v in self.verts.items()}
         actions = {(gi, d - s): m for (gi, d), m in self._actions.items()}
-        return GradedModule(self.algebra, verts, actions, self.kind)
+        return GradedModule(self.algebra, verts, actions)
 
 
 def zero_module(algebra) -> GradedModule:
@@ -619,7 +619,7 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
                 raise ModuleError("family is not closed under the action")
             if coords.any():
                 actions[(gi, d)] = coords
-    sub = GradedModule._adopt(mod.algebra, verts, actions, mod.kind)
+    sub = GradedModule._adopt(mod.algebra, verts, actions)
     return sub, GradedMorphism._adopt(sub, mod, dict(bases))
 
 
@@ -661,7 +661,7 @@ def quotient_module(mod: GradedModule, spans: dict):
             m = linalg.mat_mul(a, proj[d2], mod.p)
             if m.any():
                 actions[(gi, d)] = m
-    quo = GradedModule._adopt(mod.algebra, verts, actions, mod.kind)
+    quo = GradedModule._adopt(mod.algebra, verts, actions)
     return quo, GradedMorphism._adopt(mod, quo, proj)
 
 
@@ -833,25 +833,17 @@ def opposite_algebra(algebra):
     element in the original algebra.  Results are memoized both ways, so
     opposing twice gives back the original object.
     """
-    from .algebra import PathAlgebra, USupportAlgebra, YonedaAlgebra
-
     cached = getattr(algebra, "_op_data", None)
     if cached is not None:
         return cached
     if isinstance(algebra, USupportAlgebra):
         op_dual, corr = opposite_algebra(algebra.dual)
-        op = USupportAlgebra(op_dual, algebra.n)
         back = opposite_algebra(op_dual)[1]
-        algebra._op_data = (op, corr)
-        op._op_data = (algebra, back)
-        return algebra._op_data
-    if isinstance(algebra, YonedaAlgebra):
-        op_u, corr = opposite_algebra(algebra.ualg)
-        op = YonedaAlgebra(op_u)
-        back = opposite_algebra(op_u)[1]
-        dmap = algebra.dmap
-        algebra._op_data = (op, (lambda j: corr(dmap.delta(j))))
-        op._op_data = (algebra, (lambda j: back(dmap.delta(j))))
+        op = (USupportAlgebra(op_dual, algebra.n) if in_u_grading(algebra)
+              else yoneda_regrade(opposite_algebra(algebra.u)[0]))
+        to_dual = algebra.dual_degree
+        algebra._op_data = (op, lambda j: corr(to_dual(j)))
+        op._op_data = (algebra, lambda j: back(to_dual(j)))
         return algebra._op_data
     if not isinstance(algebra, PathAlgebra):
         raise ModuleError("unsupported algebra flavour for opposition")
@@ -879,7 +871,7 @@ def graded_dual(mod: GradedModule, op_data=None) -> GradedModule:
             a = mod.act_element(g.degree, vec, e)  # M_e -> M_{e+gdeg} = M_{-d}
             if a.any():
                 actions[(gi, d)] = a.T % mod.p
-    return GradedModule(op_alg, verts, actions, mod.kind)
+    return GradedModule(op_alg, verts, actions)
 
 
 # -- torsion theory ----------------------------------------------------------
@@ -989,7 +981,7 @@ def restrict_S(mod: GradedModule, ualg, params: TorsionParams) -> GradedModule:
             a = mod.act_basis_element(g.degree, g.basis_index, d)
             if a.any():
                 actions[(gi, d)] = a
-    return GradedModule(ualg, verts, actions, "U")
+    return GradedModule(ualg, verts, actions)
 
 
 # -- the L / L_E / L-dual membership tests -----------------------------------
@@ -1037,12 +1029,21 @@ def _times_right(vecs, nx: int, t1, tn, t_mul, p: int) -> np.ndarray:
         nv * nb, len(tn))
 
 
+def _require_u_grading(mod: GradedModule, pred: str, n: int) -> None:
+    """Past n = 2, in_L and in_Lo read a module over U in its own grading; at
+    n = 2, U is the whole dual and they read any module."""
+    if n > 2 and not in_u_grading(mod.algebra):
+        raise ModuleError(
+            f"{pred} at n = {n} needs a module over the support-restricted "
+            "dual in its own grading (\"over\": \"u\")")
+
+
 def in_L(mod: GradedModule, params: TorsionParams) -> bool:
     """Membership in the distinguished subcategory over the support-
     restricted dual: generation in m + nZ plus the kernel condition
     Ker(mu_{s,1}) * (degree n-1 of the dual) inside Ker(mu_{s,n})."""
-    ualg = mod.algebra
     n = params.n
+    _require_u_grading(mod, "in_L", n)
     if not mod.is_valid():
         raise ModuleError("module failed validation")
     for d in mod.degrees():
@@ -1052,7 +1053,7 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
         return False
     if n == 2:
         return True
-    dual = ualg.dual
+    dual = mod.algebra.dual
     p = mod.p
     for s in mod.degrees():
         if (s - params.m) % n != 0:
@@ -1078,24 +1079,16 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
     return True
 
 
-def regrade_E_to_U(mod: GradedModule, ualg) -> GradedModule:
-    """Transport a module over the regraded algebra back to the support-
-    restricted grading (degree j becomes delta_0(j))."""
-    dmap = mod.algebra.dmap
-    verts = {dmap.delta(d): v for d, v in mod.verts.items()}
-    actions = {}
-    for (gi, d), m in mod.stored_actions().items():
-        actions[(gi, dmap.delta(d))] = m
-    return GradedModule(ualg, verts, actions, "U")
-
-
-def regrade_U_to_E(mod: GradedModule, ealg) -> GradedModule:
-    dmap = ealg.dmap
-    verts = {dmap.inverse(d): v for d, v in mod.verts.items()}
-    actions = {}
-    for (gi, d), m in mod.stored_actions().items():
-        actions[(gi, dmap.inverse(d))] = m
-    return GradedModule(ealg, verts, actions, "E")
+def regrade(mod: GradedModule, alg) -> GradedModule:
+    """The module `mod` over the support-restricted dual, read over `alg`,
+    the same dual in another grading: each degree goes to the degree of alg
+    at the same dual degree.  The generators of both are the same, in the
+    same order."""
+    src = mod.algebra
+    degree = {d: alg.own_degree(src.dual_degree(d)) for d in mod.degrees()}
+    return GradedModule(alg, {degree[d]: v for d, v in mod.verts.items()},
+                        {(gi, degree[d]): m for (gi, d), m
+                         in mod.stored_actions().items()})
 
 
 def in_L_E(mod: GradedModule) -> bool:
@@ -1109,8 +1102,7 @@ def in_L_E(mod: GradedModule) -> bool:
         return True
     if not all(d % 2 == 0 for d in top_dims(mod)):
         return False
-    u_mod = regrade_E_to_U(mod, ealg.ualg)
-    return in_L(u_mod, TorsionParams(n, 1, 0))
+    return in_L(regrade(mod, ealg.u), TorsionParams(n, 1, 0))
 
 
 def comultiplication(mod: GradedModule, s: int, u: int) -> np.ndarray:
@@ -1153,9 +1145,9 @@ def tensor_with_paths(mod: GradedModule, d: int, u: int):
 def in_Lo(mod: GradedModule, params: TorsionParams) -> bool:
     """The dual-side membership: cogeneration in -(S:U) plus solvability of
     the comultiplication square at every level."""
-    ualg = mod.algebra
     n = params.n
     m = params.m
+    _require_u_grading(mod, "in_Lo", n)
     if not mod.is_valid():
         raise ModuleError("module failed validation")
     for d in mod.degrees():
@@ -1168,8 +1160,7 @@ def in_Lo(mod: GradedModule, params: TorsionParams) -> bool:
         return True
     p = mod.p
     from .quiver import enumerate_paths
-    dual = ualg.dual
-    q = dual.quiver.opposite()
+    q = mod.algebra.dual.quiver.opposite()
     levels = sorted({(-d - m) // n - 1 for d in mod.degrees()
                      if (-d - m) % n == 0})
     for k in levels:

@@ -182,7 +182,7 @@ def submodule_as_module(mod, spans):
                 raise ModuleError("family is not closed under the action")
             if coords.any():
                 actions[(gi, d)] = coords
-    sub = GradedModule(mod.algebra, verts, actions, mod.kind)
+    sub = GradedModule(mod.algebra, verts, actions)
     return sub, GradedMorphism(sub, mod, bases)
 
 

@@ -4,9 +4,8 @@ import pytest
 from nkoszul import algebra as al
 from nkoszul import linalg
 from nkoszul.algebra import (DegreeMap, Presentation, USupportAlgebra,
-                             YonedaAlgebra, build_dual, build_slices,
-                             compute_orthogonal, compute_orthogonal_via_ordering,
-                             yoneda_regrade)
+                             build_dual, build_slices, compute_orthogonal,
+                             compute_orthogonal_via_ordering, yoneda_regrade)
 from nkoszul.quiver import (Path, PathSpaceElement, Quiver, enumerate_paths,
                             path_index)
 from algebra_oracle import ideal_subspace, left_mult_matrix, reduce_path_element
@@ -538,3 +537,47 @@ def test_a_relation_that_is_not_parallel_is_split_by_its_end_vertices():
         lam = build_slices(pres, 4)
         assert [lam.dim(d) for d in range(5)] == [2, 4, 6, 9, 13]
         assert_slices_match_stacked(lam, 4)
+
+
+# -- one class for U and E against the two classes it replaced ---------------
+
+
+FLAVOUR_CASES = ["one_loop_n3", "two_loop_n3", "commutative_n2",
+                 "two_vertex_n3", "two_vertex_n4"] + [
+    f"{kind}@{p}" for p in (2, 3, 5) for kind in ("loops", "cycle")]
+
+
+def flavour_dual(case):
+    """(dual, n) of a corpus algebra, or of two loops at a vertex or a
+    two-vertex cycle with all paths of length 3 as relations over F_p, for
+    a case written kind@p."""
+    from nkoszul import verify
+    if "@" not in case:
+        e = verify.corpus(case)
+        return e["dual"], e["n"]
+    kind, p = case.split("@")
+    q = (Quiver.make(1, [("x", 0, 0), ("y", 0, 0)]) if kind == "loops"
+         else Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]))
+    pres = Presentation.make(q, 3, verify._all_path_relations(q, 3), p=int(p))
+    return build_dual(build_slices(pres, 8), 8), 3
+
+
+@pytest.mark.parametrize("case", FLAVOUR_CASES)
+def test_one_support_class_reads_as_the_u_and_e_classes(case):
+    from flavour_oracle import USupportAlgebra as OldU, YonedaAlgebra as OldE
+    dual, n = flavour_dual(case)
+    new_u = USupportAlgebra(dual, n)
+    old_u = OldU(dual, n)
+    # U to degree 2n + 1, and E to its image: delta(5) = 2n + 1
+    for new, old, top in [(new_u, old_u, 2 * n + 2),
+                          (yoneda_regrade(new_u), OldE(old_u), 6)]:
+        assert new.generators() == old.generators()
+        assert new.relation_words() == old.relation_words()
+        for j in range(-2, top):
+            assert new.dim(j) == old.dim(j)
+            assert new.basis_pairs(j) == old.basis_pairs(j)
+            if j >= 0:
+                assert new.element_words(j) == old.element_words(j)
+            for j2 in range(-1, top - max(j, 0)):
+                t, t_old = new.mult(j, j2), old.mult(j, j2)
+                assert t.shape == t_old.shape and np.array_equal(t, t_old)

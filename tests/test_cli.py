@@ -181,6 +181,38 @@ def test_in_L_E_regrades_a_module_over_u(capsys, path):
     assert verdicts == {"in_L": True, "in_L_E": True}
 
 
+@pytest.mark.parametrize("over", ["dual", "algebra", "free", "e"])
+def test_in_L_and_in_Lo_past_n_2_refuse_a_module_not_over_u(
+        capsys, tmp_path, over):
+    # at n = 3 both read the support-restricted dual in its own grading
+    with open(ONE_LOOP) as fh:
+        doc = json.load(fh)
+    doc["modules"] = {"N": {"over": over, "verts": {"0": [0]},
+                            "actions": {}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for pred in ("in_L", "in_Lo"):
+        code, out, err = run(
+            capsys, ["check", str(path), "--predicate", pred,
+                     "--object", "N"])
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and '"over": "u"' in err
+    code, out, err = run(
+        capsys, ["check", str(path), "--predicate", "in_Y",
+                 "--object", "F(N)"])
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+def test_an_e_module_that_breaks_a_relation_names_its_e_degree(capsys):
+    # the relation x.X - X.x has degree 4 in U and degree 3 in E
+    path = os.path.join(HERE, "tests", "one_loop_n3_e.json")
+    code, out, err = run(
+        capsys, ["check", path, "--predicate", "in_L_E", "--object", "B"])
+    assert code == 2 and out == ""
+    assert err == ("input error: modules.B: module is not valid: relation "
+                   "of degree 3 acts nontrivially from degree 0\n")
+
+
 @pytest.mark.parametrize("modulus, reason", [
     (6, "6 is not a prime"),
     (9, "9 is not a prime"),

@@ -180,10 +180,30 @@ def test_coregular_module_lives_and_dies_with_its_algebra():
     lam = build_slices(Presentation.make(q, 3, rels), 4)
     dlam = cx._coregular(lam)
     assert cx._coregular(lam) is dlam and dlam.algebra is lam
-    ref = weakref.ref(lam)
-    del lam, dlam
+    # D(Lambda) is the cofree model on the vertices, from the same memo
+    model = cx.cofree_module(lam, [0, 0])
+    assert cx.cofree_module(lam, (0,)) is dlam
+    assert cx.cofree_module(lam, (0, 0)) is model is not dlam
+    refs = [weakref.ref(x) for x in (lam, dlam, model)]
+    del lam, dlam, model
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
+
+
+def test_one_membership_check_builds_each_cofree_model_once(monkeypatch):
+    import os
+    from nkoszul.cli import main
+    built = []
+    build = cx._build_cofree
+
+    def spy(lam, vlist):
+        built.append(vlist)
+        return build(lam, vlist)
+    monkeypatch.setattr(cx, "_build_cofree", spy)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    doc = os.path.join(root, "inputs", "two_loop_n3.json")
+    assert main(["check", doc, "--predicate", "in_Y", "--object", "F(X)"]) == 0
+    assert len(built) == len(set(built)) == 4
 
 
 # -- the replaced per-entry loops, kept as reference oracles -----------------

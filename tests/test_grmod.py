@@ -272,8 +272,8 @@ def test_regrade_round_trip():
     f = free_module(e["dual"], [(0, 0)], 7)
     x = gm.restrict_S(f, ualg, params)
     ealg = verify_yoneda(e)
-    y = gm.regrade_U_to_E(x, ealg)
-    back = gm.regrade_E_to_U(y, ualg)
+    y = gm.regrade(x, ealg)
+    back = gm.regrade(y, ualg)
     assert identity_iso_failure(back, x) is None
 
 
@@ -728,9 +728,9 @@ def adopted(monkeypatch):
     mod_adopt = GradedModule._adopt.__func__
     mor_adopt = GradedMorphism._adopt.__func__
 
-    def mod_spy(cls, algebra, verts, actions, kind=None):
+    def mod_spy(cls, algebra, verts, actions):
         seen.extend((algebra.p, values_of(m)) for m in actions.values())
-        return mod_adopt(cls, algebra, verts, actions, kind)
+        return mod_adopt(cls, algebra, verts, actions)
 
     def mor_spy(cls, source, target, mats):
         seen.extend((source.p, values_of(m)) for m in mats.values())
