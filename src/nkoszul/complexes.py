@@ -836,14 +836,10 @@ def equivalence_F_dual(mod: GradedModule, lam, params) -> ComplexOfGraded:
     """The projective-side equivalence: transport through the duality,
     apply the injective-side construction over the opposite algebra, and
     dualize the resulting complex back."""
-    from .grmod import in_L, in_Lo
-    ualg = mod.algebra
+    from .grmod import in_Lo
     if not in_Lo(mod, params):
         raise ComplexError("module is not in the dual distinguished class")
-    op_u = opposite_algebra(ualg)
-    xd = graded_dual(mod, op_u)
-    if not in_L(xd, params):
-        raise ComplexError("dual transport left the distinguished class")
+    xd = graded_dual(mod)
     op_lam_data = opposite_algebra(lam)
     c_inj = equivalence_F(xd, op_lam_data[0], params)
     c_proj = dualize_complex(c_inj)

@@ -685,12 +685,7 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
             continue
         op_u = opposite_algebra(ualg)
         dx = graded_dual(x, op_u)
-        member = in_Lo(dx, params)
-        back = in_L(graded_dual(dx, opposite_algebra(op_u[0])), params)
-        if member != back:
-            failures.append(_fail_entry(
-                t, "duality-transport-mismatch", {"X": module_json(x)}))
-        if not member:
+        if not in_Lo(dx, params):
             failures.append(_fail_entry(
                 t, "dual-not-member", {"X": module_json(x)}))
             continue

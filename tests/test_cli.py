@@ -213,6 +213,22 @@ def test_an_e_module_that_breaks_a_relation_names_its_e_degree(capsys):
                    "of degree 3 acts nontrivially from degree 0\n")
 
 
+def test_the_torsion_predicates_refuse_a_module_over_e(capsys):
+    # they test degrees against S in the grading of U; Y over "e" is the
+    # X of one_loop_n3 over "u", which they read
+    path = os.path.join(HERE, "tests", "one_loop_n3_e.json")
+    for pred in ("in_G", "is_torsionfree", "torsion_submodule"):
+        code, out, err = run(
+            capsys, ["check", path, "--predicate", pred, "--object", "Y"])
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert pred in err and '"over": "e"' in err
+    for pred in ("in_G", "is_torsionfree"):
+        code, rep = run_json(
+            capsys, ["check", ONE_LOOP, "--predicate", pred, "--object", "X"])
+        assert code == 0 and rep["verdict"] is True
+
+
 @pytest.mark.parametrize("modulus, reason", [
     (6, "6 is not a prime"),
     (9, "9 is not a prime"),

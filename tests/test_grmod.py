@@ -309,6 +309,69 @@ def test_in_Lo_of_dualized_member():
     assert gm.in_Lo(dx, params)
 
 
+def all_paths_ualg(name, p):
+    """A corpus quiver with every degree-n path a relation, over F_p: its
+    dual (relation-free) and the support-restricted dual."""
+    from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
+                                 build_slices)
+    e = entry(name)
+    n = e["n"]
+    pres = Presentation.make(e["quiver"], n, e["pres"].relations, p)
+    dual = build_dual(build_slices(pres, n), 3 * n + 2)
+    return dual, USupportAlgebra(dual, n)
+
+
+def degree_n_only_module(rng, ualg, params):
+    """A module over ualg in degrees m and m + n on which only the degree-n
+    generators act: it is generated in m + nZ, and it breaks the kernel
+    condition wherever a degree-n generator acts."""
+    m, n = params.m, params.n
+    lo, hi = (rng.integers(0, ualg.nvert, int(rng.integers(1, 3)))
+              for _ in range(2))
+    actions = {}
+    for gi, g in enumerate(ualg.generators()):
+        if g.degree == n:
+            mask = np.logical_and.outer(lo == g.source, hi == g.target)
+            actions[(gi, m)] = rng.integers(0, ualg.p, mask.shape) * mask
+    return GradedModule(ualg, {m: lo.tolist(), m + n: hi.tolist()}, actions)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_in_Lo_through_the_dual_matches_the_comultiplication_square(p):
+    """in_Lo, as in_L of D, against the hand-written square it replaced:
+    duals of restricted representations, and duals of modules with only
+    degree-n actions, which pass cogeneration and fail only the square."""
+    from comultiplication_oracle import in_Lo as square_in_Lo
+    rng = np.random.default_rng(p)
+    verdicts = []
+    square_only = 0
+    for name in ("one_loop_n3", "two_loop_n3", "two_vertex_n3",
+                 "two_vertex_n4"):
+        dual, ualg = all_paths_ualg(name, p)
+        op_u = opposite_algebra(ualg)
+        n = ualg.n
+        for m in range(n):
+            for r in (0, 1):
+                params = TorsionParams(n, r, m)
+                mods = [gm.restrict_S(verify.random_representation(
+                            rng, dual, range(m, m + 2 * n + 2), 2, mindim=1),
+                            ualg, params) for _ in range(3)]
+                mods += [degree_n_only_module(rng, ualg, params)
+                         for _ in range(3)]
+                for x in mods:
+                    assert x.is_valid()
+                    dx = graded_dual(x, op_u)
+                    got = gm.in_Lo(dx, params)
+                    assert got == square_in_Lo(dx, params), (name, m, r)
+                    verdicts.append(got)
+                    cogenerated = all(
+                        params.gen_degrees_contains(-d)
+                        for d in gm.socle_subspaces(dx))
+                    square_only += cogenerated and not got
+    assert True in verdicts and False in verdicts
+    assert square_only
+
+
 def reference_hom_space(m, n):
     """The replaced construction: every matrix entry is an unknown, each
     vertex-mismatch entry pinned to zero by its own identity row, and the
