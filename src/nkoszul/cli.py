@@ -18,7 +18,7 @@ from .algebra import (AlgebraError, USupportAlgebra, build_dual, build_slices,
 from .docio import (DocumentError, complex_json, dump_report, load_document,
                     module_json, parse_module)
 from .complexes import ComplexError
-from .grmod import (GradedModule, ModuleError, TorsionParams, graded_dual, in_G, in_L,
+from .grmod import (GradedModule, ModuleError, TorsionParams, in_G, in_L,
                     in_L_E, in_Lo, is_torsionfree, opposite_algebra,
                     regrade, torsion_submodule)
 from .linalg import LinAlgError
@@ -257,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "path-algebra quotients over a prime field.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="JSON input document")
+    def common(p):
+        p.add_argument("input", help="JSON input document")
         p.add_argument("--modulus", type=int, default=101,
                        help="field modulus when the document omits one")
         p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"),

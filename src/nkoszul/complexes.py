@@ -147,7 +147,7 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
         mats = {}
         for d, rows in src.free_index.items():
             cols = tgt.free_index.get(d)
-            if not cols:
+            if cols is None:
                 continue
             lmul = lam.mult(1, d + k)  # lmul[a]: Lam_{d+k} -> Lam_{d+k+1}
             m = _pair_matrix(rows, cols,

@@ -228,50 +228,70 @@ def zero_module(algebra) -> GradedModule:
     return GradedModule(algebra, {}, {})
 
 
+def _groups(key: np.ndarray):
+    """The distinct values of an integer array, ascending; the positions
+    sorted by value, stably; and the bounds of each value's run among them:
+    one stable sort (np.unique would import numpy.ma)."""
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    cut = np.flatnonzero(sk[1:] != sk[:-1]) + 1
+    starts = np.concatenate(([0], cut)) if key.size else cut
+    return sk[starts], order, np.append(starts, key.size).tolist()
+
+
 def free_module(algebra, gen_list, hi: int) -> GradedModule:
     """Direct sum of shifted vertex projectives e_v A, truncated above hi.
 
     gen_list: (vertex, degree) pairs; the truncation is the honest quotient
     by the tail submodule in degrees > hi.  Each degree lists, generator by
     generator, the basis elements of A that start at the generator's
-    vertex.  Generators with the same vertex and degree have equal blocks,
-    so each action is one gather from `algebra.mult` per such class, whose
-    nonzeros are repeated at each generator's offsets: the actions are
-    built sparse.
+    vertex: `free_index[d]` is an (E, 2) array of (generator, basis index)
+    rows.  Generators with the same vertex and degree have equal blocks, so
+    the index, the vertex labels and each action are built once per such
+    class and scattered to each generator's offsets: the actions are
+    sparse.
     """
-    index: dict = {}   # degree -> list of (gen_no, basis_index)
-    verts: dict = {}
-    offsets: dict = {}  # degree -> first row of each generator's block
-    gv = np.array([v for v, _ in gen_list], dtype=np.intp)
-    gd = np.array([d for _, d in gen_list], dtype=np.intp)
-    classes = sorted(set(zip(gv.tolist(), gd.tolist())))
-    members = [((gv == v) & (gd == e)).nonzero()[0] for v, e in classes]
-    starts: dict = {}  # (k, v) -> (basis indices of A_k at v, their targets)
+    gv, gd = np.array(gen_list, dtype=np.intp).reshape(-1, 2).T
+    ngen, nv, p = gv.size, algebra.nvert, algebra.p
+    lo = int(gd.min()) if ngen else 0
+    keys, order, bounds = _groups((gd - lo) * nv + gv)
+    classes = [(k % nv, k // nv + lo, order[a:b])
+               for k, a, b in zip(keys.tolist(), bounds, bounds[1:])]
+    pairs_of: dict = {}  # k -> (source, target) of each basis element of A_k
 
     def starting_at(k: int, v: int):
-        if (k, v) not in starts:
-            pairs = algebra.basis_pairs(k) if k >= 0 else []
-            at = [(bi, tgt) for bi, (src, tgt) in enumerate(pairs) if src == v]
-            starts[(k, v)] = (np.array([b for b, _ in at], dtype=np.intp),
-                              [t for _, t in at])
-        return starts[(k, v)]
+        """The basis indices of A_k that start at v, and their targets."""
+        if k not in pairs_of:
+            pairs_of[k] = np.array(algebra.basis_pairs(k) if k >= 0 else [],
+                                   dtype=np.intp).reshape(-1, 2)
+        at = (pairs_of[k][:, 0] == v).nonzero()[0]
+        return at, pairs_of[k][at, 1]
 
-    for d in range(min((e for _, e in gen_list), default=0), hi + 1):
-        counts = np.zeros(len(gen_list), dtype=np.intp)
-        for (v, e), gs in zip(classes, members):
-            counts[gs] = starting_at(d - e, v)[0].size
+    index: dict = {}   # degree -> (E, 2) array of (gen_no, basis_index)
+    verts: dict = {}
+    offsets: dict = {}  # degree -> first row of each generator's block
+    class_bases: dict = {}  # degree -> per class, its basis indices
+    for d in range(lo, hi + 1):
+        counts = np.zeros(ngen, dtype=np.intp)
+        layout = []
+        for v, e, gs in classes:
+            bis, tgts = starting_at(d - e, v)
+            counts[gs] = bis.size
+            layout.append((gs, bis, tgts))
         if not counts.any():
             continue
         offs = np.cumsum(counts) - counts
-        entries, vs = [], []
-        for gno, (v, e) in enumerate(gen_list):
-            if counts[gno]:
-                bis, tgts = starting_at(d - e, v)
-                entries.extend(zip([gno] * bis.size, bis.tolist()))
-                vs.extend(tgts)
+        entries = np.empty((int(offs[-1] + counts[-1]), 2), dtype=np.intp)
+        entries[:, 0] = np.repeat(np.arange(ngen), counts)
+        vs = np.empty(len(entries), dtype=np.intp)
+        for gs, bis, tgts in layout:
+            at = offs[gs][:, None] + np.arange(bis.size)
+            entries[at, 1] = bis
+            vs[at] = tgts
         index[d] = entries
-        verts[d] = tuple(vs)
+        verts[d] = tuple(vs.tolist())
         offsets[d] = offs
+        class_bases[d] = [bis for _, bis, _ in layout]
     actions: dict = {}
     for gi, g in enumerate(algebra.generators()):
         for d in index:
@@ -279,33 +299,30 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
             if d2 not in index:
                 continue
             parts = []
-            for (v, e), gs in zip(classes, members):
-                rows, cols = starting_at(d - e, v)[0], starting_at(d2 - e, v)[0]
-                if not (rows.size and cols.size):
+            for (v, e, gs), bis, bis2 in zip(classes, class_bases[d],
+                                             class_bases[d2]):
+                if not (bis.size and bis2.size):
                     continue
                 t = algebra.mult(d - e, g.degree)
                 if t.size == 0:
                     continue
-                block = t[np.ix_(rows, [g.basis_index], cols)][:, 0, :]
+                block = t[bis, g.basis_index][:, bis2] % p
                 br, bc = np.nonzero(block)
-                parts.append(((offsets[d][gs][:, None] + br).ravel(),
-                              (offsets[d2][gs][:, None] + bc).ravel(),
-                              np.tile(block[br, bc], gs.size)))
-            if parts:
-                m = Sparse.from_entries(
+                if br.size:
+                    parts.append(((offsets[d][gs][:, None] + br).ravel(),
+                                  (offsets[d2][gs][:, None] + bc).ravel(),
+                                  np.tile(block[br, bc], gs.size)))
+            if len(parts) == 1:  # one class: its entries are in order
+                actions[(gi, d)] = Sparse((len(index[d]), len(index[d2])),
+                                          *parts[0])
+            elif parts:
+                actions[(gi, d)] = Sparse.from_entries(
                     (len(index[d]), len(index[d2])),
-                    *(np.concatenate(x) for x in zip(*parts)), algebra.p)
-                if m.any():
-                    actions[(gi, d)] = m
+                    *(np.concatenate(x) for x in zip(*parts)), p)
     mod = GradedModule._adopt(algebra, verts, actions)
     mod.free_index = index
     mod.free_gens = list(gen_list)
     return mod
-
-
-def regular_module(algebra, hi: int) -> GradedModule:
-    """The algebra as a right module over itself, truncated above hi."""
-    return free_module(algebra, [(v, 0) for v in range(algebra.nvert)], hi)
 
 
 class GradedMorphism:
@@ -512,26 +529,20 @@ def radical_subspaces(mod: GradedModule) -> dict:
 
 
 def top_complements(mod: GradedModule) -> dict:
-    """Per degree: basis indices spanning a canonical complement of MJ."""
+    """Per degree: basis indices spanning a canonical complement of MJ, an
+    ascending intp array."""
     out = {}
     for d, (_, pivots) in _radical_rrefs(mod).items():
         is_comp = np.ones(mod.dim(d), dtype=bool)
         is_comp[pivots] = False
-        comp = is_comp.nonzero()[0].tolist()
-        if comp:
+        comp = is_comp.nonzero()[0]
+        if comp.size:
             out[d] = comp
     return out
 
 
 def top_dims(mod: GradedModule) -> dict:
     return {d: len(c) for d, c in top_complements(mod).items()}
-
-
-def generated_in_degrees(mod: GradedModule, degree_set) -> bool:
-    """True iff the top of the module is supported inside the degree set."""
-    if not mod.is_valid():
-        raise ModuleError("module failed validation")
-    return all(d in degree_set for d in top_dims(mod))
 
 
 def cogenerated_in_degrees(mod: GradedModule, degree_set) -> bool:
@@ -736,60 +747,75 @@ def projective_cover(mod: GradedModule, hi: int | None = None):
 def cover_on_top(mod: GradedModule, comp: dict, hi: int):
     """`projective_cover` of a nonzero module whose `top_complements` the
     caller has already computed: the cover generators are those basis
-    elements, in degree order."""
-    gen_list = []
-    reps = []
-    for d in sorted(comp):
-        for i in comp[d]:
-            gen_list.append((mod.verts_at(d)[i], d))
-            reps.append((d, i))
+    elements, in degree order.  The entries x * b of one generator degree
+    and one basis element b are the generators' rows of the action of b,
+    built along b's words: one gather per word, from the word without its
+    last letter."""
+    degs = sorted(comp)
+    gen_row = np.concatenate([np.asarray(comp[d], dtype=np.intp)
+                              for d in degs])
+    gen_deg = np.repeat(np.array(degs, dtype=np.intp),
+                        [len(comp[d]) for d in degs])
+    gen_vert = np.concatenate([
+        np.array(mod.verts_at(d), dtype=np.intp)[comp[d]] for d in degs])
+    gen_list = list(zip(gen_vert.tolist(), gen_deg.tolist()))
     pmod = free_module(mod.algebra, gen_list, hi)
-    gen_deg = np.array([gd for gd, _ in reps], dtype=np.intp)
-    gen_row = np.array([i for _, i in reps], dtype=np.intp)
+    products: dict = {}  # (generator degree, vertex) -> {word: rows * word}
     mats = {}
     for d, entries in pmod.free_index.items():
-        gnos, bis = np.array(entries, dtype=np.intp).T
-        degs = gen_deg[gnos]
+        gnos, bis = entries.T
+        nb = int(bis.max()) + 1
+        keys, order, bounds = _groups(gen_deg[gnos] * nb + bis)
         parts = []
-        # the entries x * b with one generator degree and one basis element
-        # b are rows of one action matrix: one gather each (sorted(set()),
-        # as np.unique would import numpy.ma)
-        for gd, bi in sorted(set(zip(degs.tolist(), bis.tolist()))):
-            rows = ((degs == gd) & (bis == bi)).nonzero()[0]
-            a = _sparse_basis_action(mod, d - gd, bi, gd)
-            if a.size:
-                g = a.take_rows(gen_row[gnos[rows]])
-                parts.append((rows[g.rows], g.cols, g.vals))
-        mats[d] = (Sparse.from_entries(
+        for key, a, b in zip(keys.tolist(), bounds, bounds[1:]):
+            gd, bi = divmod(key, nb)
+            rows = order[a:b]
+            gens = gnos[rows]  # the generators at bi's starting vertex
+            g = _rows_times_basis_element(
+                mod, gen_row[gens], d - gd, bi, gd,
+                products.setdefault((gd, gen_vert[gens[0]]), {}))
+            parts.append((rows[g.rows], g.cols, g.vals))
+        mats[d] = Sparse.from_entries(
             (len(entries), mod.dim(d)),
-            *(np.concatenate(x) for x in zip(*parts)), mod.p) if parts
-            else Sparse.zero(len(entries), mod.dim(d)))
+            *(np.concatenate(x) for x in zip(*parts)), mod.p)
     phi = GradedMorphism._adopt(pmod, mod, mats)
     return pmod, phi, gen_list
 
 
-def _sparse_basis_action(mod: GradedModule, d_el: int, b_index: int,
-                         d: int) -> Sparse:
-    """`GradedModule.act_basis_element` in the sparse form, from sparse
-    products of the generator actions along the element's words."""
-    if d_el == 0:
-        # vertex idempotent: projection onto the matching block
-        v = mod.algebra.basis_pairs(0)[b_index][0]
-        at = (np.asarray(mod.verts_at(d)) == v).nonzero()[0]
-        return Sparse((mod.dim(d), mod.dim(d)), at, at,
-                      np.ones(at.size, dtype=np.int64))
-    coefs, mats = [], []
-    for word, c in mod.algebra.element_words(d_el)[b_index]:
-        out, cur = None, d
-        for gi in word:
-            a = mod._stored_action(gi, cur)
-            out = a if out is None else linalg.sparse_mul(out, a, mod.p)
-            cur += mod.gens[gi].degree
-        coefs.append(c)
-        mats.append(linalg.as_sparse(out, mod.p))
-    if len(mats) == 1 and coefs[0] % mod.p == 1:
+def _rows_times_basis_element(mod: GradedModule, rows, d_el: int,
+                              b_index: int, d: int, products: dict) -> Sparse:
+    """Rows `rows` of `GradedModule.act_basis_element(d_el, b_index, d)` as
+    a Sparse, for `rows` basis elements of M_d at the element's starting
+    vertex.  `products` holds the rows times the words met so far, by word,
+    for these rows."""
+    if d_el == 0:  # the vertex idempotent fixes each row
+        return Sparse((rows.size, mod.dim(d)), np.arange(rows.size), rows,
+                      np.ones(rows.size, dtype=np.int64))
+    terms = mod.algebra.element_words(d_el)[b_index]
+    mats = [_rows_times_word(mod, rows, tuple(w), d, products)
+            for w, _ in terms]
+    if len(mats) == 1 and terms[0][1] % mod.p == 1:
         return mats[0]  # a path: no combination
-    return linalg.sparse_combine(coefs, mats, mod.p)
+    return linalg.sparse_combine([c for _, c in terms], mats, mod.p)
+
+
+def _rows_times_word(mod: GradedModule, rows, word: tuple, d: int,
+                     products: dict) -> Sparse:
+    """Rows `rows` of M_d times a generator word: the rows times the word
+    without its last letter, times that letter's action, memoized in
+    `products` by word."""
+    if word not in products:
+        if len(word) == 1:
+            a = mod._stored_action(word[0], d)
+            out = (a.take_rows(rows) if isinstance(a, Sparse)
+                   else Sparse.from_dense(a[rows], mod.p))
+        else:
+            head = _rows_times_word(mod, rows, word[:-1], d, products)
+            at = d + sum(mod.gens[gi].degree for gi in word[:-1])
+            out = linalg.sparse_mul(head, mod._stored_action(word[-1], at),
+                                    mod.p)
+        products[word] = out
+    return products[word]
 
 
 def presented_in_degrees(mod: GradedModule, degree_set) -> bool:

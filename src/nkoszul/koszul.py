@@ -134,18 +134,6 @@ def ext_dims(lam, bound: int) -> list:
     return segment_ext_dims(seg)
 
 
-def ext_dims_table(lam, bound: int) -> list:
-    """Per vertex pair: entry (v, w) of table j counts the generators at
-    vertex w in the j-th resolution term of the simple at v."""
-    out = [dict() for _ in range(bound + 1)]
-    for v in range(lam.nvert):
-        seg = minimal_projective_resolution(simple_module(lam, v), bound)
-        for j, gens in enumerate(seg.gen_lists):
-            for w, _ in gens:
-                out[j][(v, w)] = out[j].get((v, w), 0) + 1
-    return out
-
-
 def coresolution_complex(mod: GradedModule, bound: int) -> ComplexOfGraded:
     """Minimal almost-injective coresolution of the module, as the dual of
     a projective resolution of its graded dual over the opposite algebra."""

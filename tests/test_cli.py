@@ -275,16 +275,22 @@ def test_a_window_past_the_slice_cap_exits_2_naming_the_degree():
     actions and its tail) would pass MAX_SLICE_BYTES, and it is refused
     before it is allocated.  The refusal once came from a cap of 200,000
     paths, at degree 18, and peaked at 167 MiB under tracemalloc and about
-    400 MB of resident memory; it must stay below both."""
+    400 MB of resident memory; it must stay below both.
+
+    The resident peak is the child's VmHWM, which starts afresh at exec.
+    Its ru_maxrss would not do: a child started by fork and exec inherits
+    the high-water mark of its parent, here the test process."""
     import subprocess
     import sys
     probe = (
-        "import json, resource, sys, tracemalloc\n"
+        "import json, tracemalloc\n"
         "from nkoszul.cli import main\n"
         "tracemalloc.start()\n"
         f"code = main(['dual', {TWO_LOOP!r}, '--window', '-40', '40'])\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
-        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    rss = next(int(line.split()[1]) for line in fh\n"
+        "               if line.startswith('VmHWM:'))\n"
         "print(json.dumps([code, peak, rss]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(HERE, "src")] + os.environ.get("PYTHONPATH", "").split(

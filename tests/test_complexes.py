@@ -219,7 +219,7 @@ def reference_psi_mats(mod, lam, k, src, tgt):
         if tgt.dim(d) == 0:
             continue
         e1 = d + k
-        pos2 = {key: c for c, key in enumerate(tgt.free_index[d])}
+        pos2 = {tuple(row): c for c, row in enumerate(tgt.free_index[d])}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for ai in range(lam.quiver.arrow_count):
             a_act = mod.act(arrow_gens[ai], k)

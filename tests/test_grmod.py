@@ -8,8 +8,8 @@ from nkoszul import verify
 from nkoszul.grmod import (GradedModule, GradedMorphism, TorsionParams,
                            free_module, graded_dual, hom_space,
                            opposite_algebra, projective_cover, quotient_module,
-                           regular_module, submodule_as_module,
-                           submodule_closure, zero_module)
+                           submodule_as_module, submodule_closure,
+                           zero_module)
 from dense_oracle import dense_actions, dense_mats
 from search_oracle import iso_modules
 
@@ -36,6 +36,19 @@ def test_free_module_dims_match_algebra():
                                if pa.source == 0)
     assert f.is_valid()
     assert f.free_gens == [(0, 0)]
+
+
+def regular_module(algebra, hi: int) -> GradedModule:
+    """The algebra as a right module over itself, truncated above hi."""
+    return free_module(algebra, [(v, 0) for v in range(algebra.nvert)], hi)
+
+
+def generated_in_degrees(mod, degree_set) -> bool:
+    """True iff the top of the module is supported inside the degree set,
+    read off `top_dims`."""
+    if not mod.is_valid():
+        raise gm.ModuleError("module failed validation")
+    return all(d in degree_set for d in gm.top_dims(mod))
 
 
 def test_regular_module_is_valid_and_full():
@@ -143,8 +156,8 @@ def test_socle_radical_top():
 def test_generated_and_cogenerated():
     e = entry("one_loop_n3")
     f = free_module(e["lam"], [(0, 0)], 6)
-    assert gm.generated_in_degrees(f, {0})
-    assert not gm.generated_in_degrees(f, {1})
+    assert generated_in_degrees(f, {0})
+    assert not generated_in_degrees(f, {1})
     assert gm.cogenerated_in_degrees(f, {2})
     assert not gm.cogenerated_in_degrees(f, {1})
 
@@ -469,7 +482,7 @@ def test_generated_in_degrees_matches_the_closure_oracle():
             mod = verify.random_quotient_module(rng, alg, 0, 4, max_gens=3)
             for degree_set in ({0}, {0, 1}, {0, 2, 4}, set(range(5))):
                 want = generated_in_degrees_by_closure(mod, degree_set)
-                assert gm.generated_in_degrees(mod, degree_set) == want
+                assert generated_in_degrees(mod, degree_set) == want
                 seen.add(want)
     assert seen == {True, False}
 
@@ -550,11 +563,14 @@ def test_combine_mats_is_exact_at_every_accepted_modulus(p):
 
 
 def loops_algebra(kind, p):
-    """All length-3 paths killed, over two loops or a 2-cycle, at p."""
+    """All length-3 paths killed, over two loops, a 2-cycle or a fork (a
+    loop at each of two vertices and an arrow between them), at p."""
     from nkoszul.algebra import Presentation, build_slices
     from nkoszul.quiver import Quiver
     if kind == "cycle":
         q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
+    elif kind == "fork":
+        q = Quiver.make(2, [("x", 0, 0), ("y", 0, 1), ("z", 1, 1)])
     else:
         q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
     return build_slices(
@@ -689,7 +705,8 @@ def reference_free_actions(algebra, mod):
         for d, entries in index.items():
             if d + g.degree not in index:
                 continue
-            pos2 = {key: c for c, key in enumerate(index[d + g.degree])}
+            pos2 = {tuple(row): c
+                    for c, row in enumerate(index[d + g.degree])}
             m = np.zeros((len(entries), len(pos2)), dtype=np.int64)
             for r, (gno, bi) in enumerate(entries):
                 t = algebra.mult(d - gen_list[gno][1], g.degree)
@@ -722,22 +739,101 @@ def reference_cover_mats(mod, pmod, gen_list):
     return out
 
 
+def reference_free_index(algebra, gen_list, hi):
+    """The basis of a free module, one generator and one basis element at a
+    time: per degree, the (generator, basis index) pairs and the vertex
+    labels."""
+    index, verts = {}, {}
+    for d in range(min((e for _, e in gen_list), default=0), hi + 1):
+        rows = [(g, b, tgt) for g, (v, e) in enumerate(gen_list) if d >= e
+                for b, (src, tgt) in enumerate(algebra.basis_pairs(d - e))
+                if src == v]
+        if rows:
+            index[d] = [(g, b) for g, b, _ in rows]
+            verts[d] = tuple(t for _, _, t in rows)
+    return index, verts
+
+
+def assert_free_module_matches_the_entry_loop(algebra, gens, hi):
+    f = free_module(algebra, gens, hi)
+    index, verts = reference_free_index(algebra, gens, hi)
+    assert f.free_gens == gens
+    assert f.verts == verts
+    assert all(type(v) is int for vs in f.verts.values() for v in vs)
+    assert sorted(f.free_index) == sorted(index)
+    for d, entries in f.free_index.items():
+        assert entries.dtype == np.intp and entries.shape == (len(index[d]), 2)
+        assert [tuple(row) for row in entries.tolist()] == index[d]
+    want = reference_free_actions(algebra, f)
+    assert set(f.stored_actions()) == set(want)
+    for key, m in want.items():
+        assert np.array_equal(f.act(*key), m)
+    assert f.is_valid()
+
+
 def test_free_module_matches_the_entry_loop():
     from nkoszul.algebra import yoneda_regrade
     e = entry("two_vertex_n3")
+    cycle = loops_algebra("cycle", 2)
     cases = [(e["lam"], [(0, 0), (1, 0), (0, 2), (1, 1), (0, 0)], 6),
              (e["dual"], [(1, -1), (0, 0), (1, 0)], 5),
              (e["ualg"], [(0, 0), (1, 1)], 8),
              (yoneda_regrade(e["ualg"]), [(0, 0), (1, 1), (1, 1)], 5),
              (entry("two_loop_n3")["lam"], [(0, 1), (0, 0), (0, 1)], 5),
-             (loops_algebra("cycle", 2), [(1, 0), (0, 3)], 6)]
+             (cycle, [(1, 0), (0, 3)], 6),
+             (loops_algebra("fork", P), [(0, 0), (1, 1), (0, 1), (0, 0)], 5),
+             # no generators; generators above the truncation
+             (cycle, [], 4),
+             (cycle, [(0, 0), (1, 6), (0, 2), (1, 9)], 4)]
     for algebra, gens, hi in cases:
-        f = free_module(algebra, gens, hi)
-        want = reference_free_actions(algebra, f)
-        assert set(f.stored_actions()) == set(want)
-        for key, m in want.items():
-            assert np.array_equal(f.act(*key), m)
-        assert f.is_valid()
+        assert_free_module_matches_the_entry_loop(algebra, gens, hi)
+
+
+def commutative_tower(p):
+    """k<x, y>/(xy - yx, xx, yy) at p, with a coefficient p - 1 in its
+    relations; its dual k[x, y] to degree 6; the support-restricted dual."""
+    from nkoszul.algebra import (Path, PathSpaceElement, Presentation,
+                                 USupportAlgebra, build_dual, build_slices)
+    from nkoszul.quiver import Quiver
+    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 0)): p - 1}),
+            PathSpaceElement(2, {Path(0, (0, 0)): 1}),
+            PathSpaceElement(2, {Path(0, (1, 1)): 1})]
+    lam = build_slices(Presentation.make(q, 2, rels, p=p), 8)
+    dual = build_dual(lam, 6)
+    return lam, dual, USupportAlgebra(dual, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_free_module_matches_the_entry_loop_at_small_primes(p):
+    from nkoszul.algebra import USupportAlgebra, build_dual, yoneda_regrade
+    lam, dual, ualg = commutative_tower(p)
+    cycle = loops_algebra("cycle", p)
+    cycle_dual = build_dual(cycle, 8)
+    cases = [(lam, [(0, 0), (0, 2), (0, 1), (0, 0)], 4),
+             (dual, [(0, -1), (0, 0), (0, 0)], 4),
+             (ualg, [(0, 0), (0, 1)], 5),
+             (yoneda_regrade(ualg), [(0, 0), (0, 1), (0, 0)], 4),
+             (cycle, [(1, 0), (0, 3), (1, 0), (0, 1)], 6),
+             (cycle_dual, [(0, 0), (1, 2), (1, -1)], 5),
+             (USupportAlgebra(cycle_dual, 3), [(1, 0), (0, 1), (1, 1)], 6),
+             (loops_algebra("loops", p), [(0, 1), (0, 0), (0, 1)], 5),
+             (loops_algebra("fork", p), [(1, 0), (0, 1), (0, 0), (0, 1)], 6),
+             # no generators; generators above the truncation
+             (lam, [], 3),
+             (cycle, [(0, 0), (1, 6), (0, 2), (1, 9)], 4)]
+    for algebra, gens, hi in cases:
+        assert_free_module_matches_the_entry_loop(algebra, gens, hi)
+
+
+def assert_cover_matches_the_entry_loop(mod, hi=None):
+    pmod, phi, gen_list = projective_cover(mod, hi)
+    assert all(type(x) is int for g in gen_list for x in g)
+    want = reference_cover_mats(mod, pmod, gen_list)
+    assert set(phi.stored_mats()) <= set(want)
+    for d, m in want.items():
+        assert np.array_equal(phi.mat(d), m)
+    return phi
 
 
 def test_projective_cover_matches_the_entry_loop():
@@ -751,12 +847,25 @@ def test_projective_cover_matches_the_entry_loop():
     seg_maps = resolution_maps(loops_algebra("loops", 3), 3)
     mods += [g.source for g in seg_maps]
     for mod in mods:
-        pmod, phi, gen_list = projective_cover(mod)
-        want = reference_cover_mats(mod, pmod, gen_list)
-        assert set(phi.stored_mats()) <= set(want)
-        for d, m in want.items():
-            assert np.array_equal(phi.mat(d), m)
-        assert phi.commutes()
+        assert assert_cover_matches_the_entry_loop(mod).commutes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_projective_cover_matches_the_entry_loop_at_small_primes(p):
+    lam, dual, _ = commutative_tower(p)
+    rng = np.random.default_rng(p)
+    mods = []
+    for algebra in (lam, dual):
+        f = free_module(algebra, [(0, 0), (0, 1)], 3)
+        rows = rng.integers(0, p, size=(2, f.dim(2)))
+        quot, _ = quotient_module(f, submodule_closure(f, {2: rows}))
+        mods += [quot, f, gm.graded_dual(f, opposite_algebra(algebra))]
+    for kind in ("loops", "cycle", "fork"):
+        mods += [g.source for g in resolution_maps(loops_algebra(kind, p), 3)]
+    for mod in mods:
+        assert assert_cover_matches_the_entry_loop(mod).commutes()
+        # truncated at the lowest degree, below the other generators
+        assert_cover_matches_the_entry_loop(mod, min(mod.degrees()))
 
 
 # -- ownership: public constructors copy, builders adopt ---------------------
