@@ -242,8 +242,10 @@ def _groups(key: np.ndarray):
 def free_module(algebra, gen_list, hi: int) -> GradedModule:
     """Direct sum of shifted vertex projectives e_v A, truncated above hi.
 
-    gen_list: (vertex, degree) pairs; the truncation is the honest quotient
-    by the tail submodule in degrees > hi.  Each degree lists, generator by
+    gen_list: (vertex, degree) pairs, or an (N, 2) intp array of them;
+    `free_gens` lists them as Python-int pairs.  The truncation is the
+    honest quotient by the tail submodule in degrees > hi.  Each degree
+    lists, generator by
     generator, the basis elements of A that start at the generator's
     vertex: `free_index[d]` is an (E, 2) array of (generator, basis index)
     rows.  Generators with the same vertex and degree have equal blocks, so
@@ -251,7 +253,7 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
     class and scattered to each generator's offsets: the actions are
     sparse.
     """
-    gv, gd = np.array(gen_list, dtype=np.intp).reshape(-1, 2).T
+    gv, gd = np.asarray(gen_list, dtype=np.intp).reshape(-1, 2).T
     ngen, nv, p = gv.size, algebra.nvert, algebra.p
     lo = int(gd.min()) if ngen else 0
     keys, order, bounds = _groups((gd - lo) * nv + gv)
@@ -306,22 +308,19 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
                 t = algebra.mult(d - e, g.degree)
                 if t.size == 0:
                     continue
-                block = t[bis, g.basis_index][:, bis2] % p
+                block = t[bis, g.basis_index][:, bis2]
                 br, bc = np.nonzero(block)
                 if br.size:
                     parts.append(((offsets[d][gs][:, None] + br).ravel(),
                                   (offsets[d2][gs][:, None] + bc).ravel(),
                                   np.tile(block[br, bc], gs.size)))
-            if len(parts) == 1:  # one class: its entries are in order
-                actions[(gi, d)] = Sparse((len(index[d]), len(index[d2])),
-                                          *parts[0])
-            elif parts:
+            if parts:
                 actions[(gi, d)] = Sparse.from_entries(
                     (len(index[d]), len(index[d2])),
                     *(np.concatenate(x) for x in zip(*parts)), p)
     mod = GradedModule._adopt(algebra, verts, actions)
     mod.free_index = index
-    mod.free_gens = list(gen_list)
+    mod.free_gens = list(zip(gv.tolist(), gd.tolist()))
     return mod
 
 
@@ -758,8 +757,8 @@ def cover_on_top(mod: GradedModule, comp: dict, hi: int):
                         [len(comp[d]) for d in degs])
     gen_vert = np.concatenate([
         np.array(mod.verts_at(d), dtype=np.intp)[comp[d]] for d in degs])
-    gen_list = list(zip(gen_vert.tolist(), gen_deg.tolist()))
-    pmod = free_module(mod.algebra, gen_list, hi)
+    pmod = free_module(mod.algebra, np.stack((gen_vert, gen_deg), axis=1),
+                       hi)
     products: dict = {}  # (generator degree, vertex) -> {word: rows * word}
     mats = {}
     for d, entries in pmod.free_index.items():
@@ -779,7 +778,7 @@ def cover_on_top(mod: GradedModule, comp: dict, hi: int):
             (len(entries), mod.dim(d)),
             *(np.concatenate(x) for x in zip(*parts)), mod.p)
     phi = GradedMorphism._adopt(pmod, mod, mats)
-    return pmod, phi, gen_list
+    return pmod, phi, list(pmod.free_gens)
 
 
 def _rows_times_basis_element(mod: GradedModule, rows, d_el: int,
