@@ -34,18 +34,21 @@ from .grmod import (
     GradedModule,
     GradedMorphism,
     ModuleError,
+    _radical_rrefs,
+    checked_dual,
     combine_mats,
     free_module,
     graded_dual,
     hom_space,
+    kernel_bases,
+    l_condition,
     morphism_image,
-    morphism_kernel,
     multiplication_map,
     opposite_algebra,
     projective_cover,
-    radical_subspaces,
     socle_subspaces,
-    submodule_as_module,
+    stacked_action,
+    submodule_from_bases,
     zero_module,
 )
 
@@ -365,9 +368,9 @@ def in_G_star(c: ComplexOfGraded, params) -> bool:
     for j in c.positions():
         comp = c.modules[j]
         if not params.in_s(j):
-            ker = morphism_kernel(c.diff(j))
+            ker = kernel_bases(c.diff(j))
             if ker:
-                kmod, _ = submodule_as_module(comp, ker)
+                kmod, _ = submodule_from_bases(comp, ker)
                 if hom_space(dlam.shift(j), kmod):
                     return False
         if (j - params.m) % params.n != 0 and not _socles_hit(c, j):
@@ -441,7 +444,7 @@ def _mu1_data(mod: GradedModule, s: int):
     """The multiplication mu_1: X_s (x) dual_1 -> X_{s+1}: the pairs of its
     domain, a canonical preimage matrix for its targets and a basis of its
     kernel.  Raises unless mu_1 is surjective."""
-    t1, mu1 = multiplication_map(mod, s, 1)
+    t1, mu1 = multiplication_map(mod, s)
     pre = linalg.solve_matrix(mu1.T, linalg.eye(mod.dim(s + 1)), mod.p)
     if pre is None:
         raise ComplexError(
@@ -449,28 +452,25 @@ def _mu1_data(mod: GradedModule, s: int):
     return t1, pre, linalg.null_space(mu1.T, mod.p).basis
 
 
-def _mu1_pullbacks(mod: GradedModule, s: int, families) -> list:
-    """Maps through the degree-1 multiplication mu_1: X_s (x) dual_1 ->
-    X_{s+1}, linear in the degree-n action at s.
+def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
+    """Per path p of length n-1 in the base quiver (`_path_classes`): the
+    matrix P such that P @ A is the map X_{s+1} -> X_{s+n} that decomposes
+    y through the degree-1 multiplication mu_1: X_s (x) dual_1 -> X_{s+1}
+    by its canonical preimage pre, then acts by the class of (p alpha)^o.
+    A is the stacked degree-n action at s (`grmod.stacked_action`).
 
-    Stack that action as A: row w * dim X_s + i is row i of the action of
-    the w-th degree-n generator.  A family sends arrows a to vectors c_a
-    over the degree-n basis; its matrix Z has a row per pair r = (i, a) of
-    mu_1's domain, with c_a[w] in column w * dim X_s + i, so row r of Z @ A
-    is x_i acted on by c_a.  Returns per family (pre^T Z, K Z), where pre
-    is mu_1's canonical preimage and K a basis of ker(mu_1): pre^T Z @ A
-    acts on X_{s+1} through the preimage, and K Z @ A vanishes iff that
-    action does not depend on the preimage chosen."""
-    t1, pre, ker = _mu1_data(mod, s)
+    The family of p sends arrows a to vectors c_a over the degree-n basis;
+    its matrix Z has a row per pair r = (i, a) of mu_1's domain t1, with
+    c_a[w] in column w * dim X_s + i, so row r of Z @ A is x_i acted on by
+    c_a; P = pre^T Z."""
     ds = mod.dim(s)
     out = []
-    for fam in families:
+    for fam in _path_classes(mod.algebra):
         z = zeros(len(t1), mod.algebra.dual.dim(mod.algebra.n) * ds)
         for r, (i, ai) in enumerate(t1):
             if ai in fam:
                 z[r, i::ds] = fam[ai]
-        out.append((linalg.mat_mul(pre.T, z, mod.p),
-                    linalg.mat_mul(ker, z, mod.p)))
+        out.append(linalg.mat_mul(pre.T, z, mod.p))
     return out
 
 
@@ -494,21 +494,16 @@ def _xi_matrices(mod: GradedModule, s: int) -> list:
     """Per path p of length n-1 in the base quiver: the matrix of
     y (x) p^o -> decomposition of y through level s, then the degree-n
     action of the class of (p alpha)^o.  Raises unless the result does not
-    depend on the chosen decomposition."""
-    ualg = mod.algebra
-    n_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-              if g.degree == ualg.n}
-    acts = np.concatenate(
-        [zeros(0, mod.dim(s + ualg.n))]
-        + [mod.act(n_gens[w], s) for w in range(ualg.dual.dim(ualg.n))])
-    out = []
-    for pre_z, ker_z in _mu1_pullbacks(mod, s, _path_classes(ualg)):
-        if linalg.mat_mul(ker_z, acts, mod.p).any():
-            raise ComplexError(
-                f"level {s}: contraction map depends on the chosen "
-                "decomposition (kernel condition fails)")
-        out.append(linalg.mat_mul(pre_z, acts, mod.p))
-    return out
+    depend on the chosen decomposition: the kernel condition
+    (`grmod.l_condition`)."""
+    t1, pre, ker = _mu1_data(mod, s)
+    acts = stacked_action(mod, s)
+    if linalg.mat_mul(l_condition(mod, s, t1, ker), acts, mod.p).any():
+        raise ComplexError(
+            f"level {s}: contraction map depends on the chosen "
+            "decomposition (kernel condition fails)")
+    return [linalg.mat_mul(pz, acts, mod.p)
+            for pz in _mu1_pullbacks(mod, s, t1, pre)]
 
 
 def equivalence_F(mod: GradedModule, lam, params,
@@ -516,13 +511,23 @@ def equivalence_F(mod: GradedModule, lam, params,
     """The explicit equivalence: a distinguished module over the support-
     restricted dual becomes a 2-complex of almost injective modules."""
     from .grmod import in_L
-    n = params.n
-    m = params.m
+    _require_u_module(mod)
+    if not in_L(mod, params):
+        raise ComplexError("module is not in the distinguished subcategory")
+    return _F_of_member(mod, lam, params, allow_windowed)
+
+
+def _require_u_module(mod: GradedModule) -> None:
     if not in_u_grading(mod.algebra):
         raise ComplexError(
             "F needs a module over the support-restricted dual (tag 'u')")
-    if not in_L(mod, params):
-        raise ComplexError("module is not in the distinguished subcategory")
+
+
+def _F_of_member(mod: GradedModule, lam, params,
+                 allow_windowed: bool) -> ComplexOfGraded:
+    """`equivalence_F` of a module over U already known to be in L."""
+    n = params.n
+    m = params.m
     _require_finite(lam, allow_windowed)
     if n == 2:
         c = nu(_u_module_as_dual_module(mod), lam,
@@ -740,20 +745,17 @@ def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
     at level s, from the odd differential at position k.
 
     The odd differential is linear in the stacked degree-n action A at s
-    (see _mu1_pullbacks), with no constant term.  The unknowns are the
-    entries of A in row-major order: u = (w * dim_s + i) * dim_sn + r2.
+    (`grmod.stacked_action`, see _mu1_pullbacks), with no constant term.
+    The unknowns are the entries of A in row-major order:
+    u = (w * dim_s + i) * dim_sn + r2.
     Entry ((b, x), (a, x2)) of the differential is the sum over wi of
     S[(b, x), (a, wi)] * A[wi, x2]; its rows come per degree, row-major."""
     lam, ualg = c.algebra, prov.algebra
     p, n, dual = lam.p, ualg.n, ualg.dual
     dim_sn = len(models[k + 1][2])
     nwi = dual.dim(n) * prov.dim(s)
-    classes = _path_classes(ualg)
-    mu = dual.mult(1, n - 1)
-    pulls = _mu1_pullbacks(prov, s, classes + [
-        {ai: mu[ai, ui] for ai in range(dual.dim(1))}
-        for ui in range(dual.dim(n - 1))])
-    coefs = [pre_z for pre_z, _ in pulls[:len(classes)]]
+    t1, pre, ker = _mu1_data(prov, s)
+    coefs = _mu1_pullbacks(prov, s, t1, pre)
     t = _transported_diff(c, k, models)
     blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
     for d, rows, cols, lefts in _odd_steps(lam, ualg, s, models[k][0],
@@ -767,16 +769,13 @@ def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
         blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
                        * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
         rhs.append(t.mat(d).reshape(-1))
-    # the odd differential alone can underdetermine the action; the
-    # membership condition ker(mu_1) * dual_{n-1} <= ker(mu_n) supplies the
-    # missing equations, one per (kernel element, basis element of
-    # dual_{n-1}, column of A)
-    kers = [ker_z for _, ker_z in pulls[len(classes):]]
-    if kers:
-        cond = np.stack(kers, axis=1).reshape(-1, nwi)
-        cond = cond[cond.any(axis=1)]
-        blocks.append(np.kron(cond, linalg.eye(dim_sn)))
-        rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
+    # the odd differential alone can underdetermine the action; the kernel
+    # condition C @ A = 0 (`grmod.l_condition`) supplies the missing
+    # equations, one per nonzero row of C and column of A
+    cond = l_condition(prov, s, t1, ker)
+    cond = cond[cond.any(axis=1)]
+    blocks.append(np.kron(cond, linalg.eye(dim_sn)))
+    rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
     return np.concatenate(blocks), np.concatenate(rhs)
 
 
@@ -835,13 +834,14 @@ def dualize_complex(c: ComplexOfGraded, op_data=None) -> ComplexOfGraded:
 def equivalence_F_dual(mod: GradedModule, lam, params) -> ComplexOfGraded:
     """The projective-side equivalence: transport through the duality,
     apply the injective-side construction over the opposite algebra, and
-    dualize the resulting complex back."""
-    from .grmod import in_Lo
-    if not in_Lo(mod, params):
+    dualize the resulting complex back.  D(mod) is built once, and in_L
+    (which in_Lo decides on it) is decided once."""
+    from .grmod import in_L
+    xd = checked_dual(mod, params)
+    if not in_L(xd, params):
         raise ComplexError("module is not in the dual distinguished class")
-    xd = graded_dual(mod)
-    op_lam_data = opposite_algebra(lam)
-    c_inj = equivalence_F(xd, op_lam_data[0], params)
+    _require_u_module(xd)
+    c_inj = _F_of_member(xd, opposite_algebra(lam)[0], params, False)
     c_proj = dualize_complex(c_inj)
     # assert the output conditions of the projective picture
     ok, why = check_Yo_conditions(c_proj, params)
@@ -864,12 +864,11 @@ def check_Yo_conditions(c: ComplexOfGraded, params):
     for k in c.positions():
         if k % 2 == 0:
             continue
-        comp = c.modules[k]
-        ker = morphism_kernel(c.diff(k))
-        rad = radical_subspaces(comp)
-        for d, s in ker.items():
-            tgt = rad.get(d, Subspace.zero(comp.dim(d), comp.p))
-            if not tgt.contains(s):
+        rad = _radical_rrefs(c.modules[k])
+        for d, ker in kernel_bases(c.diff(k)).items():
+            basis, pivots = rad[d]
+            # the RREF basis spans x exactly when x = x[:, pivots] @ basis
+            if linalg.sparse_mul(ker.take_cols(pivots), basis, c.p) != ker:
                 return False, f"kernel at position {k} escapes the radical"
     return True, ""
 

@@ -11,8 +11,10 @@ array, or a `linalg.Sparse` (row-sorted nonzeros).  Over a monomial algebra
 every map of a minimal resolution is combinatorial (Green, Happel &
 Zacharia, Illinois J. Math. 29, 1985), so the resolution path builds the
 sparse form and reads it directly: `free_module`, `cover_on_top`,
-`GradedMorphism.compose` and `submodule_as_module` make it, and
-`top_complements` and `morphism_kernel` eliminate on it.  `act()` and
+`GradedMorphism.compose` and `submodule_from_bases` make it, and
+`top_complements` and `kernel_bases` eliminate on it.  Kernels and radicals
+stay Sparse RREF bases (`kernel_bases`, `_radical_rrefs`), and a row x lies
+in such a span exactly when x equals x[:, pivots] @ basis.  `act()` and
 `mat()` are the dense accessors, densifying on demand under
 `linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` are the sparse
 ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
@@ -521,12 +523,6 @@ def _radical_rrefs(mod: GradedModule) -> dict:
     return out
 
 
-def radical_subspaces(mod: GradedModule) -> dict:
-    """Per degree: sum of the images of all generator actions into it."""
-    return {d: Subspace(mod.dim(d), mod.p, basis.dense())
-            for d, (basis, _) in _radical_rrefs(mod).items()}
-
-
 def top_complements(mod: GradedModule) -> dict:
     """Per degree: basis indices spanning a canonical complement of MJ, an
     ascending intp array."""
@@ -579,24 +575,17 @@ def submodule_closure(mod: GradedModule, spans: dict) -> dict:
 # -- sub / quotient / kernel as modules -------------------------------------
 
 
-def submodule_as_module(mod: GradedModule, spans: dict):
+def submodule_from_bases(mod: GradedModule, bases: dict):
     """Realize an action-closed family of subspaces as a module.
 
-    `spans` maps degrees to Subspaces.  Returns (sub_module, inclusion).
-    Each basis row must live in a single vertex block, which holds for all
-    families produced in this package.  The bases are in RREF, so the
-    coordinates of an image row are its entries at the pivot columns; the
-    family is closed exactly when those coordinates give the row back.
-    """
-    return submodule_from_bases(mod, {d: Sparse.from_dense(s.basis, mod.p)
-                                      for d, s in spans.items() if s.dim})
-
-
-def submodule_from_bases(mod: GradedModule, bases: dict):
-    """`submodule_as_module` for bases given as Sparse RREF matrices, with
-    no zero one.  Every product is sparse: a basis times an action gathers,
-    per nonzero of the basis, a row of the action.  The sub-module's
-    actions and the inclusion, whose matrices are the bases, are sparse."""
+    `bases` maps degrees to Sparse RREF bases, with no zero one (as
+    `kernel_bases` gives them).  Returns (sub_module, inclusion).  Each basis
+    row must live in a single vertex block.  The coordinates of an image
+    row are its entries at the pivot columns; the family is closed exactly
+    when those coordinates give the row back.  Every product is sparse: a
+    basis times an action gathers, per nonzero of the basis, a row of the
+    action.  The sub-module's actions and the inclusion, whose matrices are
+    the bases, are sparse."""
     verts, pivots, rests = {}, {}, {}
     for d, b in bases.items():
         vs = np.asarray(mod.verts_at(d))
@@ -673,13 +662,6 @@ def quotient_module(mod: GradedModule, spans: dict):
                 actions[(gi, d)] = m
     quo = GradedModule._adopt(mod.algebra, verts, actions)
     return quo, GradedMorphism._adopt(mod, quo, proj)
-
-
-def morphism_kernel(f: GradedMorphism) -> dict:
-    """Per degree: the kernel subspace."""
-    m = f.source
-    return {d: Subspace(m.dim(d), m.p, b.dense())
-            for d, b in kernel_bases(f).items()}
 
 
 def kernel_bases(f: GradedMorphism) -> dict:
@@ -828,10 +810,10 @@ def presented_in_degrees(mod: GradedModule, degree_set) -> bool:
     pmod, phi, gen_list = projective_cover(mod, hi=hi_ext)
     if any(d not in degree_set for _, d in gen_list):
         return False
-    ker = morphism_kernel(phi)
+    ker = kernel_bases(phi)
     if not ker:
         return True
-    kmod, _ = submodule_as_module(pmod, ker)
+    kmod, _ = submodule_from_bases(pmod, ker)
     return all(d in degree_set for d in top_dims(kmod))
 
 
@@ -1024,20 +1006,20 @@ def restrict_S(mod: GradedModule, ualg, params: TorsionParams) -> GradedModule:
 # -- the L / L_E / L-dual membership tests -----------------------------------
 
 
-def multiplication_map(mod: GradedModule, s: int, k: int):
-    """mu_{s,k}: X_s (x) dual_k -> X_{s+k}, x_i (x) y_j -> x_i y_j, for a
-    module over the support-restricted dual and k = 1 or n.
+def multiplication_map(mod: GradedModule, s: int):
+    """mu_1: X_s (x) dual_1 -> X_{s+1}, x_i (x) y_j -> x_i y_j, for a module
+    over the support-restricted dual.
 
     Returns (pairs, matrix).  The pairs (i, j), with the vertex of x_i equal
     to the source of y_j, are the vertex-matched basis of the tensor
     product; the matrix has one row per pair."""
     vs = mod.verts_at(s)
     pairs = [(i, j) for i in range(len(vs))
-             for j, (src, _) in enumerate(mod.algebra.dual.basis_pairs(k))
+             for j, (src, _) in enumerate(mod.algebra.dual.basis_pairs(1))
              if vs[i] == src]
     gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-            if g.degree == k}
-    mu = zeros(len(pairs), mod.dim(s + k))
+            if g.degree == 1}
+    mu = zeros(len(pairs), mod.dim(s + 1))
     for r, (i, j) in enumerate(pairs):
         a = mod.act(gens[j], s)
         if a.size:
@@ -1045,25 +1027,40 @@ def multiplication_map(mod: GradedModule, s: int, k: int):
     return pairs, mu
 
 
-def _times_right(vecs, nx: int, t1, tn, t_mul, p: int) -> np.ndarray:
-    """The products v * y_b, one row per v in vecs and b, in X (x) A_{k+l}.
+def stacked_action(mod: GradedModule, s: int) -> np.ndarray:
+    """The degree-n action at s as one matrix A: row w * dim X_s + i is x_i
+    acted on by the w-th degree-n generator."""
+    n = mod.algebra.n
+    gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+            if g.degree == n}
+    return np.concatenate(
+        [zeros(0, mod.dim(s + n))]
+        + [mod.act(gens[w], s) for w in range(mod.algebra.dual.dim(n))])
 
-    v is over the pairs t1 of X (x) A_k, y_b runs over the basis of A_l, and
-    t_mul = mult(k, l) gives (x_i (x) a_j) * y_b = x_i (x) sum_c
-    t_mul[j, b, c] a_c; the rows are read at the pairs tn.  One product of
-    the coefficients, regrouped by x_i, with the tensor, then a gather."""
-    nv, (nj, nb, nc) = len(vecs), t_mul.shape
+
+def l_condition(mod: GradedModule, s: int, t1, ker) -> np.ndarray:
+    """The kernel condition of the distinguished subcategory at level s
+    (each product of Ker(mu_1) with dual_{n-1}, in X_s (x) dual_n, goes to
+    zero in X_{s+n}) as a matrix C over the stacked action A
+    (`stacked_action`): it holds iff C @ A = 0.
+
+    `ker` is a basis of Ker(mu_1), over its pairs t1 (`multiplication_map`).
+    Row v * dim dual_{n-1} + b of C is the v-th kernel vector times y_b, the
+    b-th basis element of dual_{n-1}: with t = mult(1, n - 1),
+    (x_i (x) y_j) y_b = x_i (x) sum_w t[j, b, w] y_w, and x_i (x) y_w acts
+    as row w * dim X_s + i of A.  One product of the coefficients, regrouped
+    by x_i, with the tensor."""
+    alg = mod.algebra
+    t_mul = alg.dual.mult(1, alg.n - 1)
+    nv, nx, (nj, nb, nw) = len(ker), mod.dim(s), t_mul.shape
     coef = np.zeros((nv, nx, nj), dtype=np.int64)
     if t1:
         i, j = zip(*t1)
-        coef[:, i, j] = vecs
+        coef[:, i, j] = ker
     prod = linalg.mat_mul(coef.reshape(nv * nx, nj),
-                          t_mul.reshape(nj, nb * nc), p)
-    prod = prod.reshape(nv, nx, nb, nc)
-    i, c = zip(*tn) if tn else ((), ())
-    # (len(tn), nv, nb) -> one row per (v, b)
-    return prod[:, list(i), :, list(c)].transpose(1, 2, 0).reshape(
-        nv * nb, len(tn))
+                          t_mul.reshape(nj, nb * nw), mod.p)
+    return prod.reshape(nv, nx, nb, nw).transpose(0, 2, 3, 1).reshape(
+        nv * nb, nw * nx)
 
 
 def _require_u_grading(mod: GradedModule, pred: str, n: int) -> None:
@@ -1079,7 +1076,7 @@ def _require_u_grading(mod: GradedModule, pred: str, n: int) -> None:
 def in_L(mod: GradedModule, params: TorsionParams) -> bool:
     """Membership in the distinguished subcategory over the support-
     restricted dual: generation in m + nZ plus the kernel condition
-    Ker(mu_{s,1}) * (degree n-1 of the dual) inside Ker(mu_{s,n})."""
+    (`l_condition`) at each level s in m + nZ with X_{s+n} nonzero."""
     n = params.n
     _require_u_grading(mod, "in_L", n)
     if not mod.is_valid():
@@ -1091,28 +1088,13 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
         return False
     if n == 2:
         return True
-    dual = mod.algebra.dual
-    p = mod.p
     for s in mod.degrees():
-        if (s - params.m) % n != 0:
+        if (s - params.m) % n or mod.dim(s + n) == 0:
             continue
-        if mod.dim(s) == 0:
-            continue
-        t1, mu1 = multiplication_map(mod, s, 1)
-        if not t1:
-            continue
-        ker1 = linalg.null_space(mu1.T, p)
-        if ker1.dim == 0:
-            continue
-        tn, mun = multiplication_map(mod, s, n)
-        # multiply kernel elements by dual degree n-1 on the right factor
-        prod_rows = _times_right(ker1.basis, mod.dim(s), t1, tn,
-                                 dual.mult(1, n - 1), p)
-        if not prod_rows.any():
-            continue
-        prod = Subspace.from_rows(len(tn), prod_rows, p)
-        kern = linalg.null_space(mun.T, p)
-        if not kern.contains(prod):
+        t1, mu1 = multiplication_map(mod, s)
+        ker = linalg.null_space(mu1.T, mod.p).basis
+        if ker.size and linalg.mat_mul(l_condition(mod, s, t1, ker),
+                                       stacked_action(mod, s), mod.p).any():
             return False
     return True
 
@@ -1143,15 +1125,20 @@ def in_L_E(mod: GradedModule) -> bool:
     return in_L(regrade(mod, ealg.u), TorsionParams(n, 1, 0))
 
 
-def in_Lo(mod: GradedModule, params: TorsionParams) -> bool:
-    """The dual-side membership, decided as in_L of the graded dual D(mod):
-    the comultiplication square is the transpose of the multiplication
-    square, and cogeneration in -(S:U) is generation of D(mod) in (S:U)."""
-    n = params.n
-    _require_u_grading(mod, "in_Lo", n)
+def checked_dual(mod: GradedModule, params: TorsionParams) -> GradedModule:
+    """The graded dual D(mod) that in_Lo decides in_L on, once the module
+    has passed in_Lo's own checks."""
+    _require_u_grading(mod, "in_Lo", params.n)
     if not mod.is_valid():
         raise ModuleError("module failed validation")
     for d in mod.degrees():
         if not params.in_s(-d):
             raise ModuleError(f"support degree {d} outside -S")
-    return in_L(graded_dual(mod), params)
+    return graded_dual(mod)
+
+
+def in_Lo(mod: GradedModule, params: TorsionParams) -> bool:
+    """The dual-side membership, decided as in_L of the graded dual D(mod):
+    the comultiplication square is the transpose of the multiplication
+    square, and cogeneration in -(S:U) is generation of D(mod) in (S:U)."""
+    return in_L(checked_dual(mod, params), params)

@@ -344,8 +344,8 @@ def suite_dual_agreement(trials: int = 24, seed: int = 0) -> dict:
                    counts={"orthogonal_dims": dims})
 
 
-def suite_functor_oracle(trials: int = 60, seed: int = 0, mutate: bool = False,
-                 stop_on_failure: bool = False) -> dict:
+def suite_functor_oracle(trials: int = 60, seed: int = 0,
+                         mutate: bool = False) -> dict:
     """is_n_complex of both functor images iff the orthogonal annihilates
     the representation.  `mutate` wires the deliberate arrow mismatch into
     the Hom-functor differential (the negative control)."""
@@ -395,8 +395,6 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0, mutate: bool = False,
                  "annihilates": bool(ann),
                  "psi_n_complex": bool(v_psi),
                  "nu_n_complex": bool(v_nu)}))
-            if stop_on_failure:
-                break
     return _report("functor_oracle", seed, trials, failures,
                    counts={"annihilating": n_ann, "non_annihilating": n_free,
                            "mutated": bool(mutate)})

@@ -124,7 +124,8 @@ def compose(f, g):
 
 
 def morphism_kernel(f):
-    """`grmod.morphism_kernel` by one dense null space per vertex block."""
+    """`grmod.kernel_bases`, as dense Subspaces, by one dense null space per
+    vertex block."""
     m = f.source
     out = {}
     for d in m.degrees():
@@ -151,8 +152,8 @@ def morphism_kernel(f):
 
 
 def submodule_as_module(mod, spans):
-    """`grmod.submodule_as_module` by dense products of the bases with the
-    dense actions."""
+    """`grmod.submodule_from_bases`, for a family of dense Subspaces, by
+    dense products of the bases with the dense actions."""
     bases, verts, pivots, rests = {}, {}, {}, {}
     for d, s in spans.items():
         if not s.dim:

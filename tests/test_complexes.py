@@ -150,6 +150,81 @@ def test_dual_equivalence_satisfies_conditions():
     assert cx.in_Yo(c, op_u[0], params)
 
 
+def dual_class_module(gen_degree: int):
+    """D of the restriction to S of a free dual module over two_vertex_n3
+    generated in gen_degree: in the dual distinguished class exactly when
+    gen_degree is 0 mod n."""
+    e = entry("two_vertex_n3")
+    params = TorsionParams(e["n"], 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, gen_degree)], 7),
+                      e["ualg"], params)
+    dx = graded_dual(x, gm.opposite_algebra(e["ualg"]))
+    return dx, gm.opposite_algebra(e["lam"])[0], params
+
+
+@pytest.mark.parametrize("gen_degree", [0, 1])
+def test_equivalence_F_dual_builds_the_dual_and_decides_in_L_once(
+        monkeypatch, gen_degree):
+    dx, op_lam, params = dual_class_module(gen_degree)
+    calls = {"in_L": 0, "D(mod)": 0}
+    in_L, dual = gm.in_L, gm.graded_dual
+
+    def count_in_L(*args):
+        calls["in_L"] += 1
+        return in_L(*args)
+
+    def count_dual(mod, *args):
+        calls["D(mod)"] += mod is dx
+        return dual(mod, *args)
+    monkeypatch.setattr(gm, "in_L", count_in_L)
+    for module in (gm, cx):
+        monkeypatch.setattr(module, "graded_dual", count_dual)
+    if gen_degree == 0:
+        cx.equivalence_F_dual(dx, op_lam, params)
+    else:
+        with pytest.raises(ComplexError,
+                           match="not in the dual distinguished class"):
+            cx.equivalence_F_dual(dx, op_lam, params)
+    assert calls == {"in_L": 1, "D(mod)": 1}
+
+
+def dense_Yo_escape(c):
+    """The first odd position whose kernel leaves the radical of its
+    component, or None: the check on dense Subspaces, each kernel a null
+    space and each radical the span of the images of the actions."""
+    for k in c.positions():
+        if k % 2 == 0:
+            continue
+        comp, f = c.modules[k], c.diff(k)
+        for d in comp.degrees():
+            images = [comp.act(gi, d - g.degree)
+                      for gi, g in enumerate(comp.gens)]
+            rad = linalg.Subspace.from_rows(
+                comp.dim(d), np.concatenate(
+                    [linalg.zeros(0, comp.dim(d))] + images), c.p)
+            if not rad.contains(linalg.null_space(f.mat(d).T, c.p)):
+                return k
+    return None
+
+
+def test_check_Yo_reports_a_kernel_escaping_the_radical():
+    dx, op_lam, params = dual_class_module(0)
+    g = cx.equivalence_F_dual(dx, op_lam, params)
+    assert cx.check_Yo_conditions(g, params) == (True, "")
+    assert dense_Yo_escape(g) is None
+    odd = [k for k in g.diffs if k % 2]
+    assert odd
+    for k in odd:
+        # with d_k zero, the whole component at k is its kernel
+        cut = cx.ComplexOfGraded(
+            g.algebra, 2, g.modules,
+            {j: f for j, f in g.diffs.items() if j != k})
+        want = dense_Yo_escape(cut)
+        assert want == k
+        assert cx.check_Yo_conditions(cut, params) == (
+            False, f"kernel at position {want} escapes the radical")
+
+
 def test_hom_complexes_contains_identity():
     e = entry("one_loop_n3")
     m = dual_test_module(e, hi=4)
@@ -390,7 +465,7 @@ def reference_odd_system(c, models, prov, k, s):
                      - off) % p)
     a_mat = np.stack(cols, axis=1)
     rhs = (flatten({d: t.mat(d) for d in degs}) - off) % p
-    t1, mu1 = gm.multiplication_map(prov, s, 1)
+    t1, mu1 = gm.multiplication_map(prov, s)
     kerz = linalg.null_space(mu1.T, p)
     mu_un = dual.mult(1, n - 1)
     extra = []
@@ -787,7 +862,7 @@ def test_projective_certificate_is_the_cover_map(monkeypatch):
     lam = entry()["lam"]
     f = free_module(lam, [(0, 0)], 3)
     quo, _ = gm.quotient_module(f, gm.submodule_closure(
-        f, {1: gm.radical_subspaces(f)[1].basis[:1]}))
+        f, {1: gm._radical_rrefs(f)[1][0].dense()[:1]}))
     negatives = [(f, 1), (free_module(lam, [(0, 0), (0, 1)], 3), 0),
                  (quo, 0)]
     expected = [True] * len(comps) + [False] * len(negatives)

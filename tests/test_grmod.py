@@ -8,8 +8,7 @@ from nkoszul import verify
 from nkoszul.grmod import (GradedModule, GradedMorphism, TorsionParams,
                            free_module, graded_dual, hom_space,
                            opposite_algebra, projective_cover, quotient_module,
-                           submodule_as_module, submodule_closure,
-                           zero_module)
+                           submodule_closure, zero_module)
 from dense_oracle import dense_actions, dense_mats
 from search_oracle import iso_modules
 
@@ -49,6 +48,26 @@ def generated_in_degrees(mod, degree_set) -> bool:
     if not mod.is_valid():
         raise gm.ModuleError("module failed validation")
     return all(d in degree_set for d in gm.top_dims(mod))
+
+
+def sparse_bases(spans: dict, p: int) -> dict:
+    """A family of Subspaces as the Sparse RREF bases that
+    `submodule_from_bases` takes, with no zero one."""
+    return {d: linalg.Sparse.from_dense(s.basis, p)
+            for d, s in spans.items() if s.dim}
+
+
+def as_subspaces(mod, bases: dict) -> dict:
+    """Sparse RREF bases, as `kernel_bases` gives them, as dense
+    Subspaces."""
+    return {d: linalg.Subspace(mod.dim(d), mod.p, b.dense())
+            for d, b in bases.items()}
+
+
+def realize(mod, spans: dict):
+    """The submodule spanned by a family of Subspaces, as a module, with its
+    inclusion."""
+    return gm.submodule_from_bases(mod, sparse_bases(spans, mod.p))
 
 
 def test_regular_module_is_valid_and_full():
@@ -148,8 +167,8 @@ def test_socle_radical_top():
     f = free_module(lam, [(0, 0)], 6)
     soc = gm.socle_subspaces(f)
     assert sorted(soc) == [2]
-    rad = gm.radical_subspaces(f)
-    assert sorted(d for d, s in rad.items() if s.dim) == [1, 2]
+    rad = gm._radical_rrefs(f)
+    assert [d for d in sorted(rad) if rad[d][0].shape[0]] == [1, 2]
     assert gm.top_dims(f) == {0: 1}
 
 
@@ -169,7 +188,7 @@ def test_submodule_and_quotient_dims_add_up():
     row = np.zeros(f.dim(1), dtype=np.int64)
     row[0] = 1
     spans = submodule_closure(f, {1: row.reshape(1, -1)})
-    sub, _ = submodule_as_module(f, spans)
+    sub, _ = realize(f, spans)
     quot, _ = quotient_module(f, spans)
     assert sub.is_valid() and quot.is_valid()
     for d in f.degrees():
@@ -385,6 +404,43 @@ def test_in_Lo_through_the_dual_matches_the_comultiplication_square(p):
     assert square_only
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_in_L_as_one_product_matches_the_null_space_containment(p):
+    """in_L, its kernel condition one product C @ A, against the test it
+    replaced (products with dual_{n-1} inside the null space of mu_{s,n}):
+    the suites' candidates (restricted random representations), restricted
+    quotients of free dual modules, and modules with only degree-n actions,
+    which are generated in m + nZ and fail only the kernel condition."""
+    from l_condition_oracle import in_L as containment_in_L
+    rng = np.random.default_rng(10 + p)
+    verdicts = []
+    kernel_only = 0
+    for name in ("one_loop_n3", "two_loop_n3", "two_vertex_n3",
+                 "two_vertex_n4"):
+        dual, ualg = all_paths_ualg(name, p)
+        n = ualg.n
+        for m in range(n):
+            for r in (0, 1):
+                params = TorsionParams(n, r, m)
+                mods = [gm.restrict_S(verify.random_representation(
+                            rng, dual, range(m, m + 2 * n + 2), 2, mindim=1),
+                            ualg, params) for _ in range(3)]
+                mods += [degree_n_only_module(rng, ualg, params)
+                         for _ in range(2)]
+                mods += [gm.restrict_S(verify.random_quotient_module(
+                            rng, dual, m, m + 2 * n + 1), ualg, params)
+                         for _ in range(2)]
+                for x in mods:
+                    got = gm.in_L(x, params)
+                    assert got == containment_in_L(x, params), (name, m, r)
+                    verdicts.append(got)
+                    generated = all(params.gen_degrees_contains(d)
+                                    for d in gm.top_dims(x))
+                    kernel_only += generated and not got
+    assert True in verdicts and False in verdicts
+    assert kernel_only
+
+
 def reference_hom_space(m, n):
     """The replaced construction: every matrix entry is an unknown, each
     vertex-mismatch entry pinned to zero by its own identity row, and the
@@ -487,21 +543,20 @@ def test_generated_in_degrees_matches_the_closure_oracle():
     assert seen == {True, False}
 
 
-def py_times_right(vecs, t1, tn, t_mul, p):
-    """The loop _times_right replaced, on Python integers."""
-    tn_pos = {key: c for c, key in enumerate(tn)}
+def py_l_condition(ker, nx, t1, t_mul, p):
+    """`gm.l_condition` as a loop on Python integers: row (v, b), column
+    w * nx + i sums ker[v, r] * t_mul[j, b, w] over the pairs r = (i, j)."""
+    nj, nb, nw = t_mul.shape
     rows = []
-    for v in vecs:
-        for b in range(t_mul.shape[1]):
-            out = [0] * len(tn)
+    for v in ker:
+        for b in range(nb):
+            out = [0] * (nw * nx)
             for r, (i, j) in enumerate(t1):
-                for c in np.nonzero(t_mul[j, b])[0]:
-                    if (i, int(c)) in tn_pos:
-                        at = tn_pos[(i, int(c))]
-                        term = int(v[r]) * int(t_mul[j, b, c])
-                        out[at] = (out[at] + term) % p
+                for w in np.nonzero(t_mul[j, b])[0]:
+                    at = int(w) * nx + i
+                    out[at] = (out[at] + int(v[r]) * int(t_mul[j, b, w])) % p
             rows.append(out)
-    return np.array(rows, dtype=np.int64).reshape(-1, len(tn))
+    return np.array(rows, dtype=np.int64).reshape(-1, nw * nx)
 
 
 @pytest.mark.parametrize("p", [101, 3037000493, 4611686018427388039])
@@ -517,21 +572,24 @@ def test_in_L_products_are_exact_at_large_moduli(p):
                                  Path(0, (0, 1, 1)): c})]
     lam = build_slices(Presentation.make(q, 3, rels, p), 4)
     dual = build_dual(lam, 4)
+    ualg = USupportAlgebra(dual, 3)
     t_mul = dual.mult(1, 2)
     assert t_mul.max() > p // 4
-    # a module X_s over one vertex of dimension 3: pairs x_i (x) a_j
+    # X_0 over one vertex of dimension 3; the pairs x_i (x) a_j, some left
+    # out as vertex matching leaves them out
     nx = 3
-    t1 = [(i, j) for i in range(nx) for j in range(dual.dim(1))]
-    tn = [(i, c) for i in range(nx) for c in range(dual.dim(3))
-          if (i + c) % 4]  # leave some pairs out, as vertex matching does
+    mod = GradedModule(ualg, {0: (0,) * nx}, {})
+    t1 = [(i, j) for i in range(nx) for j in range(dual.dim(1))
+          if (i + j) % 4]
     rng = np.random.default_rng(4)
-    vecs = rng.integers(p - 1000, p, (4, len(t1)))
-    got = gm._times_right(vecs, nx, t1, tn, t_mul, p)
-    assert np.array_equal(got, py_times_right(vecs, t1, tn, t_mul, p))
-    # no pair of X_s (x) A_3: no product, and no failure
-    assert gm._times_right(vecs, nx, t1, [], t_mul, p).shape == (
-        len(vecs) * dual.dim(2), 0)
-    ualg = USupportAlgebra(dual, 3)
+    ker = rng.integers(p - 1000, p, (4, len(t1)))
+    got = gm.l_condition(mod, 0, t1, ker)
+    assert got.shape == (len(ker) * dual.dim(2), dual.dim(3) * nx)
+    assert np.array_equal(got, py_l_condition(ker, nx, t1, t_mul, p))
+    # no pair of X_0 (x) A_1: no product, and no failure
+    none = gm.l_condition(mod, 0, [], np.zeros((2, 0), dtype=np.int64))
+    assert none.shape == (2 * dual.dim(2), dual.dim(3) * nx)
+    assert not none.any()
     assert gm.in_L(GradedModule(ualg, {0: (0,)}, {}), TorsionParams(3, 1, 0))
 
 
@@ -638,7 +696,8 @@ def resolution_maps(lam, length):
 def test_morphism_kernel_matches_the_stacked_reduction(kind, p):
     checked = 0
     for f in resolution_maps(loops_algebra(kind, p), 4):
-        got, want = gm.morphism_kernel(f), reference_kernel(f)
+        got = as_subspaces(f.source, gm.kernel_bases(f))
+        want = reference_kernel(f)
         assert got == want
         checked += sum(s.dim for s in got.values())
     assert checked
@@ -649,7 +708,7 @@ def test_submodule_as_module_matches_the_solve():
     for lam in (loops_algebra("loops", 101), loops_algebra("cycle", 2),
                 entry("commutative_n2")["lam"]):
         for f in resolution_maps(lam, 3):
-            ker = gm.morphism_kernel(f)
+            ker = gm.kernel_bases(f)
             if ker:
                 families.append((f.source, ker))
     rng = np.random.default_rng(0)
@@ -657,11 +716,13 @@ def test_submodule_as_module_matches_the_solve():
     for _ in range(5):
         rows = rng.integers(0, P, size=(2, f.dim(2)))
         rows[:, [v != 0 for v in f.verts_at(2)]] = 0  # one vertex block
-        families.append((f, submodule_closure(f, {2: rows})))
+        families.append((f, sparse_bases(submodule_closure(f, {2: rows}),
+                                         P)))
     assert len(families) > 10
-    for mod, spans in families:
-        sub, incl = submodule_as_module(mod, spans)
-        verts, actions, bases = reference_submodule_as_module(mod, spans)
+    for mod, ker in families:
+        sub, incl = gm.submodule_from_bases(mod, ker)
+        verts, actions, bases = reference_submodule_as_module(
+            mod, as_subspaces(mod, ker))
         assert sub.verts == verts
         assert set(sub.stored_actions()) == set(actions)
         for key, m in actions.items():
@@ -679,7 +740,7 @@ def test_submodule_as_module_refuses_an_open_family():
     # x * x = e_0 of degree 2 lies outside y, and outside a missing degree
     for spans in ({1: x, 2: y}, {1: x}):
         with pytest.raises(gm.ModuleError, match="not closed"):
-            submodule_as_module(f, spans)
+            realize(f, spans)
     with pytest.raises(gm.ModuleError, match="not closed"):
         reference_submodule_as_module(f, {1: x, 2: y})
 
@@ -689,7 +750,7 @@ def test_submodule_as_module_refuses_a_row_across_vertex_blocks():
     assert f.verts_at(0) == (0, 1)
     mixed = linalg.Subspace.from_rows(2, np.array([[1, 1]]), P)
     spans = submodule_closure(f, {0: mixed.basis})
-    for build in (submodule_as_module, reference_submodule_as_module):
+    for build in (realize, reference_submodule_as_module):
         with pytest.raises(gm.ModuleError, match="mixes vertex blocks"):
             build(f, spans)
 
@@ -920,7 +981,7 @@ def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
     assert f.verts_at(1) == (1, 1)
     spans = submodule_closure(f, {1: np.array([[1, p - 1]])})
     assert spans[1].dim == 1 and len(spans) > 1
-    sub, incl = submodule_as_module(f, spans)
+    sub, incl = realize(f, spans)
     quot, proj = quotient_module(f, spans)
     projective_cover(quot)
     _, phi, _ = projective_cover(f)

@@ -124,8 +124,8 @@ def resolution_with_top_syzygy(mod, length):
     """The loop before the top syzygy was dropped: it takes a kernel and
     realizes a syzygy after every cover, the last one included."""
     from nkoszul.complexes import _lam_top
-    from nkoszul.grmod import (GradedMorphism, morphism_kernel,
-                               projective_cover, submodule_as_module,
+    from nkoszul.grmod import (GradedMorphism, kernel_bases,
+                               projective_cover, submodule_from_bases,
                                top_complements, zero_module)
     lam = mod.algebra
     top = _lam_top(lam)
@@ -144,11 +144,11 @@ def resolution_with_top_syzygy(mod, length):
         pmods.append(pmod)
         gen_lists.append(gen_list)
         diffs.append(phi if incl is None else phi.compose(incl))
-        ker = morphism_kernel(phi)
+        ker = kernel_bases(phi)
         if not ker:
             current, incl = zero_module(lam), None
             continue
-        current, incl = submodule_as_module(pmod, ker)
+        current, incl = submodule_from_bases(pmod, ker)
     return ko.ResolutionSegment(mod, pmods, diffs, gen_lists)
 
 
