@@ -154,6 +154,9 @@ class PathAlgebra:
         self._vanished_from: int | None = None
         self._basis: dict = {}          # per degree: Paths, built on first use
         self._mult_cache: dict = {}
+        # the free-module blocks of grmod, per (vertex, degree[, generator])
+        self._free_blocks: dict = {}
+        self._dual_data = None  # compute_orthogonal_via_ordering, made once
         self._gens = None
         self._rels_by_degree: dict = {}
         for r in pres.relations:
@@ -533,7 +536,15 @@ def compute_orthogonal_via_ordering(alg: PathAlgebra) -> DualData:
 
     One RREF of NF_n^T: with lowest-index pivoting its pivot columns are the
     greedy basis of path classes in path order (the r block), and the column
-    of an s path holds its coordinates lambda in the r classes."""
+    of an s path holds its coordinates lambda in the r classes.  Computed
+    once per algebra and kept on it, as `yoneda_regrade` keeps E: callers
+    share it and do not change it."""
+    if alg._dual_data is None:
+        alg._dual_data = _ordered_orthogonal(alg)
+    return alg._dual_data
+
+
+def _ordered_orthogonal(alg: PathAlgebra) -> DualData:
     pres = alg.pres
     n, p, q = pres.n, alg.p, pres.quiver
     paths = enumerate_paths(q, n)
@@ -621,6 +632,8 @@ class USupportAlgebra:
         self._yoneda = None
         self._word_cache: dict = {}
         self._relation_cache = None
+        # the free-module blocks of grmod, per (vertex, degree[, generator])
+        self._free_blocks: dict = {}
         self._gens = None
 
     # -- in the dual's grading ----------------------------------------------

@@ -18,12 +18,17 @@ in such a span exactly when x equals x[:, pivots] @ basis.  `act()` and
 `mat()` are the dense accessors, densifying on demand under
 `linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` are the sparse
 ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
-a caller that relabels or copies them.
+a caller that relabels or copies them.  A builder may leave the actions or
+matrices to be built on first read (`_BuiltOnRead`): `free_module` and
+`cover_on_top` do, and the blocks of the vertex projectives e_v A that free
+modules are made of are cached on the algebra.
 
 Row-vector convention throughout: an element x of M_d is a coordinate row
 and x * g = x @ act(g, d).
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -45,7 +50,42 @@ def _owned(m, p: int):
     return linalg.reduced_copy(m, p)
 
 
-class GradedModule:
+class _BuiltOnRead:
+    """Attributes that a builder may defer.  `_defer(name, build)` has the
+    attribute `name` built by `build(owner)` on its first read, once
+    (`__getattr__` is reached only while the attribute is unset); the build
+    is dropped before it runs.  A build takes the owner as its argument,
+    so it need not hold the owner: a deferred attribute makes no reference
+    cycle.  `_store` takes the stored matrices, named by `_STORE`, as a
+    dict or as a callable that returns one from the owner."""
+
+    _STORE = ""
+
+    def _store(self, mats) -> None:
+        if callable(mats):
+            self._defer(self._STORE, lambda owner: owner._kept(mats(owner)))
+        else:
+            setattr(self, self._STORE, self._kept(mats))
+
+    def _defer(self, name: str, build) -> None:
+        self.__dict__.setdefault("_builds", {})[name] = build
+
+    def _deferred(self, name: str) -> bool:
+        return name in self.__dict__.get("_builds", ())
+
+    def __getattr__(self, name):
+        build = self.__dict__.get("_builds", {}).pop(name, None)
+        if build is None:
+            raise AttributeError(name)
+        try:
+            setattr(self, name, build(self))
+        except BaseException:
+            self._builds[name] = build
+            raise
+        return self.__dict__[name]
+
+
+class GradedModule(_BuiltOnRead):
     """A finitely supported graded right module over a graded algebra.
 
     A module owns its action matrices, each a dense array or a
@@ -54,30 +94,49 @@ class GradedModule:
     read-only and is kept as it is.  The builders of this package
     (`free_module`, `quotient_module`, ...) hand over the matrices they have
     just built, int64, reduced and held by no one else, through `_adopt`,
-    which takes them as they are.  `act` reads an action as an array,
-    `sparse_act` as a Sparse, whichever form it is stored in.
+    which takes them as they are, or a callable that builds them on first
+    read.  `act` reads an action as an array, `sparse_act` as a Sparse,
+    whichever form it is stored in.
+
+    `verts[d]` holds the vertex labels of degree d as a tuple of Python
+    ints; `vert_array(d)` reads them as a read-only intp array, the one a
+    builder passed (the public constructor copies it) or one made on first
+    use.
     """
 
+    _STORE = "_actions"
+
     def __init__(self, algebra, verts: dict, actions: dict):
-        self._fill(algebra, verts, {k: _owned(m, algebra.p)
-                                    for k, m in actions.items()})
+        self._fill(algebra, {d: np.array(v, dtype=np.intp)
+                             if isinstance(v, np.ndarray)
+                             else v for d, v in verts.items()},
+                   {k: _owned(m, algebra.p) for k, m in actions.items()})
 
     @classmethod
-    def _adopt(cls, algebra, verts: dict, actions: dict) -> "GradedModule":
-        """A module that takes the action matrices themselves: only for
-        matrices a builder has just made, int64, reduced and unshared."""
+    def _adopt(cls, algebra, verts: dict, actions) -> "GradedModule":
+        """A module that takes the action matrices themselves, or a
+        callable that builds them on first read: only for matrices a
+        builder has just made, int64, reduced and unshared."""
         mod = cls.__new__(cls)
         mod._fill(algebra, verts, actions)
         return mod
 
-    def _fill(self, algebra, verts: dict, actions: dict) -> None:
+    def _fill(self, algebra, verts: dict, actions) -> None:
         self.algebra = algebra
         self.p = algebra.p
-        self.verts = {d: tuple(v) for d, v in verts.items() if len(v)}
+        self.verts = {d: tuple(v.tolist() if isinstance(v, np.ndarray) else v)
+                      for d, v in verts.items() if len(v)}
+        self._vert_arrays = {d: v for d, v in verts.items()
+                             if isinstance(v, np.ndarray) and v.size}
+        for v in self._vert_arrays.values():
+            v.setflags(write=False)
         self.gens = algebra.generators()
-        self._actions = {(gi, d): m for (gi, d), m in actions.items()
-                         if d in self.verts and m.size}
+        self._store(actions)
         self._act_elem_cache: dict = {}
+
+    def _kept(self, actions: dict) -> dict:
+        return {(gi, d): m for (gi, d), m in actions.items()
+                if d in self.verts and m.size}
 
     def stored_actions(self) -> dict:
         """A new dict of the stored actions, each in its stored form (an
@@ -95,6 +154,15 @@ class GradedModule:
 
     def verts_at(self, d: int):
         return self.verts.get(d, ())
+
+    def vert_array(self, d: int) -> np.ndarray:
+        out = self._vert_arrays.get(d)
+        if out is None:
+            out = np.array(self.verts_at(d), dtype=np.intp)
+            out.setflags(write=False)
+            if d in self.verts:
+                self._vert_arrays[d] = out
+        return out
 
     def total_dim(self) -> int:
         return sum(len(v) for v in self.verts.values())
@@ -152,7 +220,7 @@ class GradedModule:
             # vertex idempotent: projection onto the matching block
             v = self.algebra.basis_pairs(0)[b_index][0]
             out = zeros(self.dim(d), self.dim(d))
-            at = (np.asarray(self.verts_at(d)) == v).nonzero()[0]
+            at = (self.vert_array(d) == v).nonzero()[0]
             out[at, at] = 1
             self._act_elem_cache[key] = out
             return out
@@ -194,8 +262,8 @@ class GradedModule:
                 continue
             # the nonzeros, row by row
             r, c = linalg.nonzero(m)
-            off = ((np.asarray(self.verts_at(d))[r] != g.source)
-                   | (np.asarray(self.verts_at(d + g.degree))[c] != g.target))
+            off = ((self.vert_array(d)[r] != g.source)
+                   | (self.vert_array(d + g.degree)[c] != g.target))
             issues += [f"generator {g.name} at degree {d}: entry ({i},{j}) "
                        "breaks the vertex block structure"
                        for i, j in zip(r[off], c[off])]
@@ -241,99 +309,154 @@ def _groups(key: np.ndarray):
     return sk[starts], order, np.append(starts, key.size).tolist()
 
 
+def _starting_at(algebra, k: int, v: int):
+    """The basis indices of A_k that start at vertex v, and their targets:
+    read-only intp arrays, cached on the algebra per (v, k) for every
+    vertex at once."""
+    blocks = algebra._free_blocks
+    if (v, k) not in blocks:
+        pairs = np.array(algebra.basis_pairs(k) if k >= 0 else [],
+                         dtype=np.intp).reshape(-1, 2)
+        for w in range(algebra.nvert):
+            at = (pairs[:, 0] == w).nonzero()[0]
+            tgts = pairs[at, 1]
+            at.setflags(write=False)
+            tgts.setflags(write=False)
+            blocks[(w, k)] = (at, tgts)
+    return blocks[(v, k)]
+
+
+def _generator_block(algebra, v: int, k: int, gi: int):
+    """The nonzeros (rows, cols, vals) of generator gi acting on e_v A from
+    degree k, rows and cols counting the basis elements that start at v
+    (`_starting_at`): cached on the algebra per (v, k, gi)."""
+    blocks = algebra._free_blocks
+    key = (v, k, gi)
+    if key not in blocks:
+        g = algebra.generators()[gi]
+        bis = _starting_at(algebra, k, v)[0]
+        bis2 = _starting_at(algebra, k + g.degree, v)[0]
+        if bis.size and bis2.size:
+            block = algebra.mult(k, g.degree)[bis, g.basis_index][:, bis2]
+            br, bc = np.nonzero(block)
+            blocks[key] = (br, bc, block[br, bc])
+        else:
+            e = np.zeros(0, dtype=np.intp)
+            blocks[key] = (e, e, np.zeros(0, dtype=np.int64))
+    return blocks[key]
+
+
 def free_module(algebra, gen_list, hi: int) -> GradedModule:
     """Direct sum of shifted vertex projectives e_v A, truncated above hi.
 
     gen_list: (vertex, degree) pairs, or an (N, 2) intp array of them;
-    `free_gens` lists them as Python-int pairs.  The truncation is the
-    honest quotient by the tail submodule in degrees > hi.  Each degree
-    lists, generator by
-    generator, the basis elements of A that start at the generator's
-    vertex: `free_index[d]` is an (E, 2) array of (generator, basis index)
-    rows.  Generators with the same vertex and degree have equal blocks, so
-    the index, the vertex labels and each action are built once per such
-    class and scattered to each generator's offsets: the actions are
-    sparse.
+    `free_gens` lists them as Python-int pairs, one tuple per class shared
+    by its generators.  The truncation is the honest quotient by the tail
+    submodule in degrees > hi.  Each degree lists, generator by generator,
+    the basis elements of A that start at the generator's vertex:
+    `free_index[d]` is an (E, 2) array of (generator, basis index) rows.
+    Generators with the same vertex and degree form a class and have equal
+    blocks: `free_classes` lists the classes as (vertex, degree, generator
+    numbers), and `free_layout[d]` lists (class number, first row of each
+    of its generators' blocks, its basis indices) for each class present
+    in degree d.  The vertex labels and the layout are built here; the
+    sparse actions, scattered from the blocks the algebra caches
+    (`_starting_at`, `_generator_block`), and `free_index` are built on
+    first read.
     """
     gv, gd = np.asarray(gen_list, dtype=np.intp).reshape(-1, 2).T
-    ngen, nv, p = gv.size, algebra.nvert, algebra.p
+    ngen, nv = gv.size, algebra.nvert
     lo = int(gd.min()) if ngen else 0
     keys, order, bounds = _groups((gd - lo) * nv + gv)
     classes = [(k % nv, k // nv + lo, order[a:b])
                for k, a, b in zip(keys.tolist(), bounds, bounds[1:])]
-    pairs_of: dict = {}  # k -> (source, target) of each basis element of A_k
-
-    def starting_at(k: int, v: int):
-        """The basis indices of A_k that start at v, and their targets."""
-        if k not in pairs_of:
-            pairs_of[k] = np.array(algebra.basis_pairs(k) if k >= 0 else [],
-                                   dtype=np.intp).reshape(-1, 2)
-        at = (pairs_of[k][:, 0] == v).nonzero()[0]
-        return at, pairs_of[k][at, 1]
-
-    index: dict = {}   # degree -> (E, 2) array of (gen_no, basis_index)
     verts: dict = {}
-    offsets: dict = {}  # degree -> first row of each generator's block
-    class_bases: dict = {}  # degree -> per class, its basis indices
+    layout: dict = {}  # degree -> [(class, first rows, basis indices)]
     for d in range(lo, hi + 1):
         counts = np.zeros(ngen, dtype=np.intp)
-        layout = []
+        blocks = []
         for v, e, gs in classes:
-            bis, tgts = starting_at(d - e, v)
+            bis, tgts = _starting_at(algebra, d - e, v)
             counts[gs] = bis.size
-            layout.append((gs, bis, tgts))
+            blocks.append((bis, tgts))
         if not counts.any():
             continue
         offs = np.cumsum(counts) - counts
-        entries = np.empty((int(offs[-1] + counts[-1]), 2), dtype=np.intp)
-        entries[:, 0] = np.repeat(np.arange(ngen), counts)
-        vs = np.empty(len(entries), dtype=np.intp)
-        for gs, bis, tgts in layout:
-            at = offs[gs][:, None] + np.arange(bis.size)
-            entries[at, 1] = bis
-            vs[at] = tgts
-        index[d] = entries
-        verts[d] = tuple(vs.tolist())
-        offsets[d] = offs
-        class_bases[d] = [bis for _, bis, _ in layout]
-    actions: dict = {}
-    for gi, g in enumerate(algebra.generators()):
-        for d in index:
-            d2 = d + g.degree
-            if d2 not in index:
-                continue
-            parts = []
-            for (v, e, gs), bis, bis2 in zip(classes, class_bases[d],
-                                             class_bases[d2]):
-                if not (bis.size and bis2.size):
-                    continue
-                t = algebra.mult(d - e, g.degree)
-                if t.size == 0:
-                    continue
-                block = t[bis, g.basis_index][:, bis2]
-                br, bc = np.nonzero(block)
-                if br.size:
-                    parts.append(((offsets[d][gs][:, None] + br).ravel(),
-                                  (offsets[d2][gs][:, None] + bc).ravel(),
-                                  np.tile(block[br, bc], gs.size)))
-            if parts:
-                actions[(gi, d)] = Sparse.from_entries(
-                    (len(index[d]), len(index[d2])),
-                    *(np.concatenate(x) for x in zip(*parts)), p)
-    mod = GradedModule._adopt(algebra, verts, actions)
-    mod.free_index = index
-    mod.free_gens = list(zip(gv.tolist(), gd.tolist()))
+        vs = np.empty(int(offs[-1] + counts[-1]), dtype=np.intp)
+        layout[d] = []
+        for c, ((_, _, gs), (bis, tgts)) in enumerate(zip(classes, blocks)):
+            if bis.size:
+                first = offs[gs]
+                vs[first[:, None] + np.arange(bis.size)] = tgts
+                layout[d].append((c, first, bis))
+        verts[d] = vs
+    mod = GradedModule._adopt(algebra, verts, _free_actions)
+    mod._defer("free_index", _free_index)
+    mod.free_classes = classes
+    mod.free_layout = layout
+    # one (vertex, degree) tuple per class, shared by its generators
+    class_of = np.empty(ngen, dtype=np.intp)
+    for c, (_, _, gs) in enumerate(classes):
+        class_of[gs] = c
+    pairs = [(v, e) for v, e, _ in classes]
+    mod.free_gens = [pairs[c] for c in class_of.tolist()]
     return mod
 
 
-class GradedMorphism:
+def _free_index(mod: GradedModule) -> dict:
+    """`free_index` of a free module, from its layout."""
+    ngen = len(mod.free_gens)
+    out = {}
+    for d, present in mod.free_layout.items():
+        counts = np.zeros(ngen, dtype=np.intp)
+        entries = np.empty((mod.dim(d), 2), dtype=np.intp)
+        for c, first, bis in present:
+            counts[mod.free_classes[c][2]] = bis.size
+            entries[first[:, None] + np.arange(bis.size), 1] = bis
+        entries[:, 0] = np.repeat(np.arange(ngen), counts)
+        out[d] = entries
+    return out
+
+
+def _free_actions(mod: GradedModule) -> dict:
+    """The actions of a free module (`free_module`): per generator and
+    degree, each class's block scattered to its generators' rows."""
+    algebra, classes, layout = mod.algebra, mod.free_classes, mod.free_layout
+    actions: dict = {}
+    for gi, g in enumerate(algebra.generators()):
+        for d, present in layout.items():
+            d2 = d + g.degree
+            if d2 not in layout:
+                continue
+            first2 = {c: first for c, first, _ in layout[d2]}
+            parts = []
+            for c, first, _ in present:
+                if c not in first2:
+                    continue
+                v, e, gs = classes[c]
+                br, bc, vals = _generator_block(algebra, v, d - e, gi)
+                if br.size:
+                    parts.append(((first[:, None] + br).ravel(),
+                                  (first2[c][:, None] + bc).ravel(),
+                                  np.tile(vals, gs.size)))
+            if parts:
+                actions[(gi, d)] = Sparse.from_entries(
+                    (mod.dim(d), mod.dim(d2)),
+                    *(np.concatenate(x) for x in zip(*parts)), algebra.p)
+    return actions
+
+
+class GradedMorphism(_BuiltOnRead):
     """A degree-0 morphism of graded modules: one matrix per degree.
 
     Owns its matrices as a module owns its actions, each a dense array or a
     `linalg.Sparse`: the public constructor copies the arrays, the builders
-    of this package hand theirs over by `_adopt`.  `mat` reads a matrix as
-    an array, `sparse_mat` as a Sparse.  `compose` builds the sparse form.
+    of this package hand theirs over by `_adopt`, or a callable that builds
+    them on first read.  `mat` reads a matrix as an array, `sparse_mat` as
+    a Sparse.  `compose` builds the sparse form.
     """
+
+    _STORE = "_mats"
 
     def __init__(self, source: GradedModule, target: GradedModule, mats: dict):
         self._fill(source, target, {d: _owned(m, source.p)
@@ -341,19 +464,23 @@ class GradedMorphism:
 
     @classmethod
     def _adopt(cls, source: GradedModule, target: GradedModule,
-               mats: dict) -> "GradedMorphism":
-        """A morphism that takes the matrices themselves: only for arrays
-        a builder has just made, int64, reduced and unshared."""
+               mats) -> "GradedMorphism":
+        """A morphism that takes the matrices themselves, or a callable that
+        builds them on first read: only for arrays a builder has just made,
+        int64, reduced and unshared."""
         f = cls.__new__(cls)
         f._fill(source, target, mats)
         return f
 
     def _fill(self, source: GradedModule, target: GradedModule,
-              mats: dict) -> None:
+              mats) -> None:
         self.source = source
         self.target = target
         self.p = source.p
-        self._mats = {d: m for d, m in mats.items() if m.size}
+        self._store(mats)
+
+    def _kept(self, mats: dict) -> dict:
+        return {d: m for d, m in mats.items() if m.size}
 
     def stored_mats(self) -> dict:
         """A new dict of the stored matrices, each in its stored form."""
@@ -396,11 +523,13 @@ class GradedMorphism:
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
         """self then other (source of other = target of self), sparse."""
-        mats = {}
-        for d in set(self._mats) | set(other._mats):
-            mats[d] = linalg.sparse_mul(self._stored(d), other._stored(d),
-                                        self.p)
-        return GradedMorphism._adopt(self.source, other.target, mats)
+        return GradedMorphism._adopt(self.source, other.target,
+                                     self._composed(other))
+
+    def _composed(self, other: "GradedMorphism") -> dict:
+        """The matrices of `compose`."""
+        return {d: linalg.sparse_mul(self._stored(d), other._stored(d), self.p)
+                for d in set(self._mats) | set(other._mats)}
 
     def is_iso(self) -> bool:
         try:
@@ -436,8 +565,7 @@ def hom_space(m: GradedModule, n: GradedModule):
     cols = {}
     total = 0
     for d in degs:
-        match = np.equal.outer(np.asarray(m.verts_at(d), dtype=np.intp),
-                               np.asarray(n.verts_at(d), dtype=np.intp))
+        match = np.equal.outer(m.vert_array(d), n.vert_array(d))
         cols[d] = np.full(match.shape, -1, dtype=np.intp)
         cols[d][match] = np.arange(total, total + match.sum())
         total += int(match.sum())
@@ -588,11 +716,11 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
     the bases, are sparse."""
     verts, pivots, rests = {}, {}, {}
     for d, b in bases.items():
-        vs = np.asarray(mod.verts_at(d))
+        vs = mod.vert_array(d)
         lead = b.leads()
         if (vs[b.cols] != vs[lead][b.rows]).any():
             raise ModuleError("submodule basis row mixes vertex blocks")
-        verts[d] = tuple(vs[lead].tolist())
+        verts[d] = vs[lead]
         pivots[d] = lead
         is_rest = np.ones(b.shape[1], dtype=bool)
         is_rest[lead] = False
@@ -676,9 +804,10 @@ def kernel_bases(f: GradedMorphism) -> dict:
     out = {}
     for d in m.degrees():
         mat = f.sparse_mat(d)
-        sv = np.asarray(m.verts_at(d))
+        sv = m.vert_array(d)
         parts = []
-        for v in sorted(set(m.verts_at(d))):  # np.unique imports numpy.ma
+        # the vertices present, ascending (np.unique imports numpy.ma)
+        for v in np.flatnonzero(np.bincount(sv)).tolist():
             idx = (sv == v).nonzero()[0]
             kb = linalg.sparse_left_kernel(
                 mat if idx.size == sv.size else mat.take_rows(idx), m.p)
@@ -728,39 +857,75 @@ def projective_cover(mod: GradedModule, hi: int | None = None):
 def cover_on_top(mod: GradedModule, comp: dict, hi: int):
     """`projective_cover` of a nonzero module whose `top_complements` the
     caller has already computed: the cover generators are those basis
-    elements, in degree order.  The entries x * b of one generator degree
-    and one basis element b are the generators' rows of the action of b,
-    built along b's words: one gather per word, from the word without its
-    last letter."""
+    elements, in degree order.  The cover map is built on first read
+    (`_cover_mats`)."""
     degs = sorted(comp)
     gen_row = np.concatenate([np.asarray(comp[d], dtype=np.intp)
                               for d in degs])
     gen_deg = np.repeat(np.array(degs, dtype=np.intp),
                         [len(comp[d]) for d in degs])
-    gen_vert = np.concatenate([
-        np.array(mod.verts_at(d), dtype=np.intp)[comp[d]] for d in degs])
+    gen_vert = np.concatenate([mod.vert_array(d)[comp[d]] for d in degs])
     pmod = free_module(mod.algebra, np.stack((gen_vert, gen_deg), axis=1),
                        hi)
-    products: dict = {}  # (generator degree, vertex) -> {word: rows * word}
-    mats = {}
-    for d, entries in pmod.free_index.items():
-        gnos, bis = entries.T
-        nb = int(bis.max()) + 1
-        keys, order, bounds = _groups(gen_deg[gnos] * nb + bis)
-        parts = []
-        for key, a, b in zip(keys.tolist(), bounds, bounds[1:]):
-            gd, bi = divmod(key, nb)
-            rows = order[a:b]
-            gens = gnos[rows]  # the generators at bi's starting vertex
-            g = _rows_times_basis_element(
-                mod, gen_row[gens], d - gd, bi, gd,
-                products.setdefault((gd, gen_vert[gens[0]]), {}))
-            parts.append((rows[g.rows], g.cols, g.vals))
-        mats[d] = Sparse.from_entries(
-            (len(entries), mod.dim(d)),
-            *(np.concatenate(x) for x in zip(*parts)), mod.p)
-    phi = GradedMorphism._adopt(pmod, mod, mats)
+    phi = GradedMorphism._adopt(pmod, mod, lambda f: _cover_mats(f, gen_row))
     return pmod, phi, list(pmod.free_gens)
+
+
+def deferred_differential(phi: GradedMorphism, incl) -> GradedMorphism:
+    """phi then incl (phi itself when incl is None), for a cover map phi
+    fresh from `cover_on_top`, with its matrices deferred together with the
+    actions of the free module P = phi.source: the first read of either
+    builds both, and the cover map, once.  P holds the differential only
+    by a weak reference, so no reference cycle keeps an unread term
+    alive."""
+    pmod = phi.source
+    diff = phi if incl is None else GradedMorphism._adopt(
+        pmod, incl.target, lambda f: phi._composed(incl))
+    link = weakref.ref(diff)
+    build_actions = pmod._builds[pmod._STORE]
+    build_mats = diff._builds[diff._STORE]
+
+    def actions(mod):
+        _complete(link())
+        return build_actions(mod)
+
+    def mats(f):
+        _complete(pmod)
+        return build_mats(f)
+
+    pmod._defer(pmod._STORE, actions)
+    diff._defer(diff._STORE, mats)
+    return diff
+
+
+def _complete(owner) -> None:
+    """Build the stored matrices of a module or morphism, if deferred."""
+    if owner is not None and owner._deferred(owner._STORE):
+        getattr(owner, owner._STORE)
+
+
+def _cover_mats(phi: GradedMorphism, gen_row) -> dict:
+    """The matrices of a cover map from a free module P onto M that sends
+    the generators of P to the rows `gen_row` of M.  Class by class of P,
+    the entries x * b of each basis element b are the class's generator
+    rows of the action of b, built along b's words: one gather per word,
+    from the word without its last letter, shared by the class."""
+    pmod, mod = phi.source, phi.target
+    products = [{} for _ in pmod.free_classes]  # per class: {word: rows}
+    mats = {}
+    for d, present in pmod.free_layout.items():
+        parts = []
+        for c, first, bis in present:
+            _, e, gs = pmod.free_classes[c]
+            rows = gen_row[gs]
+            for t, bi in enumerate(bis.tolist()):
+                g = _rows_times_basis_element(mod, rows, d - e, bi, e,
+                                              products[c])
+                parts.append((first[g.rows] + t, g.cols, g.vals))
+        mats[d] = Sparse.from_entries(
+            (pmod.dim(d), mod.dim(d)),
+            *(np.concatenate(x) for x in zip(*parts)), mod.p)
+    return mats
 
 
 def _rows_times_basis_element(mod: GradedModule, rows, d_el: int,

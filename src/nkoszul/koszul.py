@@ -7,8 +7,13 @@ checkers here build the resolution segment honestly (the base algebra must
 be finite dimensional so free modules are complete), read off generator
 degrees, and reuse the duality and 2-complex machinery for the co-Koszul
 and liftability variants.  A segment of length L builds the covers P_0 ..
-P_L and the L syzygies between them; the syzygy of P_L is never built,
-since nothing read off the segment depends on it.
+P_{L-1} with their maps and the L syzygies between them.  Of the last term
+P_L it builds only what the generator degrees need: its generators and
+vertex labels.  P_L's actions, its cover map and the last differential are
+built on the first read of P_L's actions or of that differential's
+matrices, so the Koszulity and Ext checkers, which read only generator
+lists, never build them.  The syzygy of P_L is never built, since nothing
+read off the segment depends on it.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ from .grmod import (
     TorsionParams,
     cogenerated_in_degrees,
     cover_on_top,
+    deferred_differential,
     graded_dual,
     kernel_bases,
     opposite_algebra,
@@ -44,6 +50,10 @@ class ResolutionSegment:
     ``pmods[j]`` covers the j-th syzygy; ``diffs[0]`` is the augmentation
     onto the resolved module and ``diffs[j]`` maps pmods[j] to pmods[j-1].
     ``gen_lists[j]`` holds the (vertex, degree) generators of pmods[j].
+    The actions of the last term and the matrices of the last differential
+    are built together on the first read of either, once
+    (`grmod.deferred_differential`); the generators, vertex labels and
+    dimensions of every term are built with the segment.
     """
 
     module: GradedModule
@@ -69,8 +79,9 @@ def minimal_projective_resolution(mod: GradedModule,
     """Iterated minimal covers; exact because free modules are complete.
 
     Takes `length` kernels: the cover of index `length` is the last term,
-    and its syzygy is not built.  Every term, cover map, kernel basis,
-    syzygy and differential stays in the sparse form of `linalg.Sparse`.
+    its maps are built on first read and its syzygy is not built.  Every
+    term, cover map, kernel basis, syzygy and differential stays in the
+    sparse form of `linalg.Sparse`.
     """
     lam = mod.algebra
     _require_finite(lam)
@@ -95,9 +106,10 @@ def minimal_projective_resolution(mod: GradedModule,
         pmod, phi, gen_list = cover_on_top(current, comp, max(comp) + top)
         pmods.append(pmod)
         gen_lists.append(gen_list)
-        diffs.append(phi if incl is None else phi.compose(incl))
         if j == length:
+            diffs.append(deferred_differential(phi, incl))
             break
+        diffs.append(phi if incl is None else phi.compose(incl))
         ker = kernel_bases(phi)
         if not ker:
             current = zero_module(lam)

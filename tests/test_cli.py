@@ -39,6 +39,23 @@ def test_dual_command_two_loop_dims(capsys):
     assert rep["dual_dims"][:5] == [1, 2, 4, 8, 16]
 
 
+def test_dual_command_orders_the_orthogonal_once(capsys, monkeypatch):
+    """The report and the dual algebra read one ordered orthogonal, kept on
+    the algebra."""
+    from nkoszul import algebra
+    calls = []
+    ordered = algebra._ordered_orthogonal
+
+    def counted(alg):
+        calls.append(alg)
+        return ordered(alg)
+
+    monkeypatch.setattr(algebra, "_ordered_orthogonal", counted)
+    code, rep = run_json(capsys, ["dual", COMMUTATIVE, "--window", "-6", "6"])
+    assert code == 0 and rep["agreement"] is True
+    assert len(calls) == 1
+
+
 def test_functor_command_both_directions(capsys):
     for which in ("psi", "nu"):
         code, rep = run_json(

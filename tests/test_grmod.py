@@ -929,6 +929,63 @@ def test_projective_cover_matches_the_entry_loop_at_small_primes(p):
         assert_cover_matches_the_entry_loop(mod, min(mod.degrees()))
 
 
+# -- free modules against the builder before the block cache ----------------
+
+
+def two_vertex_tower(n, p):
+    """Arrows a: 0 -> 1 and b: 1 -> 0 with every length-n path killed, at
+    p; its dual, and the support-restricted dual U."""
+    from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
+                                 build_slices)
+    from nkoszul.quiver import Quiver
+    q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
+    lam = build_slices(
+        Presentation.make(q, n, verify._all_path_relations(q, n), p=p),
+        2 * n)
+    dual = build_dual(lam, 2 * n + 2)
+    return lam, dual, USupportAlgebra(dual, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_free_module_equals_the_builder_before_the_block_cache(p):
+    """Over the two-vertex towers at n = 3 and 4, k<x, y>/(xy - yx, xx, yy)
+    and the fork at p, with generators of several (vertex, degree) classes
+    in mixed order, none, and some above the truncation."""
+    import free_module_oracle as old
+    from nkoszul.algebra import yoneda_regrade
+    cases = []
+    for n in (3, 4):
+        lam, dual, ualg = two_vertex_tower(n, p)
+        cases += [
+            (lam, [(0, 0), (1, 0), (0, 2), (1, 1), (0, 0), (1, 1)], n + 2),
+            (dual, [(1, -1), (0, 0), (1, 0), (0, 2), (1, -1)], n + 2),
+            (ualg, [(0, 0), (1, 1), (0, n), (1, 0), (1, 1)], 2 * n + 1),
+            (yoneda_regrade(ualg), [(0, 0), (1, 1), (1, 2), (0, 0)], 4),
+            (lam, [(0, 0), (1, 5), (1, 1), (0, 9)], 4)]
+    lam, dual, ualg = commutative_tower(p)
+    cases += [(lam, [(0, 1), (0, 0), (0, 1)], 4),
+              (yoneda_regrade(ualg), [(0, 0), (0, 1), (0, 0)], 4),
+              (loops_algebra("fork", p), [(1, 0), (0, 1), (0, 0), (0, 1)], 6),
+              (dual, [], 3)]
+    for algebra, gens, hi in cases:
+        # the second call reads the blocks the first one cached
+        for _ in range(2):
+            f, want = free_module(algebra, gens, hi), old.free_module(
+                algebra, gens, hi)
+            assert f.free_gens == want.free_gens
+            assert all(type(x) is int for g in f.free_gens for x in g)
+            assert f.verts == want.verts
+            for d, vs in want.verts.items():
+                got = f.vert_array(d)
+                assert got.dtype == np.intp and not got.flags.writeable
+                assert got.tolist() == list(vs)
+            assert f.stored_actions() == want.stored_actions()
+            assert sorted(f.free_index) == sorted(want.free_index)
+            for d, entries in want.free_index.items():
+                assert f.free_index[d].dtype == np.intp
+                assert np.array_equal(f.free_index[d], entries)
+
+
 # -- ownership: public constructors copy, builders adopt ---------------------
 
 
@@ -956,18 +1013,28 @@ def values_of(m):
 @pytest.fixture
 def adopted(monkeypatch):
     """The values of every matrix handed to `_adopt` (the array itself, or
-    the values of a Sparse), with the modulus of its owner."""
+    the values of a Sparse), with the modulus of its owner; a matrix that
+    `_adopt` takes as a deferred build is recorded when the build runs."""
     seen = []
     mod_adopt = GradedModule._adopt.__func__
     mor_adopt = GradedMorphism._adopt.__func__
 
+    def spied(p, mats):
+        if not callable(mats):
+            seen.extend((p, values_of(m)) for m in mats.values())
+            return mats
+
+        def build(owner):
+            out = mats(owner)
+            seen.extend((p, values_of(m)) for m in out.values())
+            return out
+        return build
+
     def mod_spy(cls, algebra, verts, actions):
-        seen.extend((algebra.p, values_of(m)) for m in actions.values())
-        return mod_adopt(cls, algebra, verts, actions)
+        return mod_adopt(cls, algebra, verts, spied(algebra.p, actions))
 
     def mor_spy(cls, source, target, mats):
-        seen.extend((source.p, values_of(m)) for m in mats.values())
-        return mor_adopt(cls, source, target, mats)
+        return mor_adopt(cls, source, target, spied(source.p, mats))
 
     monkeypatch.setattr(GradedModule, "_adopt", classmethod(mod_spy))
     monkeypatch.setattr(GradedMorphism, "_adopt", classmethod(mor_spy))

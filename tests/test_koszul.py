@@ -238,6 +238,125 @@ def test_resolution_does_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
+# -- the last term, built on first read ---------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The free modules whose actions, and the morphisms whose cover maps,
+    are built, and the sources of the composites taken, in call order."""
+    from nkoszul import grmod
+    seen = {"actions": [], "cover": [], "composite": []}
+    free_actions, cover_mats = grmod._free_actions, grmod._cover_mats
+    composed = grmod.GradedMorphism._composed
+
+    def counted_actions(mod):
+        seen["actions"].append(mod)
+        return free_actions(mod)
+
+    def counted_cover(phi, gen_row):
+        seen["cover"].append(phi.source)
+        return cover_mats(phi, gen_row)
+
+    def counted_composite(f, g):
+        seen["composite"].append(f.source)
+        return composed(f, g)
+
+    monkeypatch.setattr(grmod, "_free_actions", counted_actions)
+    monkeypatch.setattr(grmod, "_cover_mats", counted_cover)
+    monkeypatch.setattr(grmod.GradedMorphism, "_composed", counted_composite)
+    return seen
+
+
+def built_for(seen, mod) -> list:
+    """How many times each kind of build ran for the module."""
+    return [sum(m is mod for m in seen[k])
+            for k in ("actions", "cover", "composite")]
+
+
+@pytest.mark.parametrize("first", ["diffs", "actions"])
+@pytest.mark.parametrize("name,bound", [("two_loop_n3", 5),
+                                        ("one_loop_n3", 0),
+                                        ("two_vertex_n4", 4),
+                                        ("cubic_survivor", 4)])
+def test_the_last_term_equals_the_eager_loop_whichever_is_read_first(
+        builds, first, name, bound):
+    lam = cubic_survivor() if name == "cubic_survivor" \
+        else verify.corpus(name)["lam"]
+    sem = ko.semisimple_module(lam)
+    seg = ko.minimal_projective_resolution(sem, bound)
+    top, last = seg.pmods[-1], seg.diffs[-1]
+    assert built_for(builds, top) == [0, 0, 0]
+    # one read builds the term's actions, its cover map and the
+    # differential, once
+    if first == "diffs":
+        got_mats = last.stored_mats()
+    else:
+        got_actions = top.stored_actions()
+    assert built_for(builds, top) == [1, 1, int(bound > 0)]
+    if first == "diffs":
+        got_actions = top.stored_actions()
+    else:
+        got_mats = last.stored_mats()
+    assert top.stored_actions() == got_actions
+    assert last.stored_mats() == got_mats
+    assert built_for(builds, top) == [1, 1, int(bound > 0)]
+    ref = resolution_with_top_syzygy(sem, bound)
+    want_actions = ref.pmods[-1].stored_actions()
+    assert set(got_actions) == set(want_actions)
+    for key, m in want_actions.items():
+        assert np.array_equal(top.act(*key), ref.pmods[-1].act(*key))
+    want = dense_mats(ref.diffs[-1])
+    assert set(dense_mats(last)) == set(want)
+    for d, m in want.items():
+        assert np.array_equal(last.mat(d), m)
+    assert last.commutes()
+
+
+@pytest.mark.parametrize("bound", [4, 7])
+def test_koszulity_and_ext_dims_never_build_the_last_term(monkeypatch,
+                                                          builds, bound):
+    segs = []
+    resolve = ko.minimal_projective_resolution
+
+    def kept(mod, length):
+        segs.append(resolve(mod, length))
+        return segs[-1]
+
+    monkeypatch.setattr(ko, "minimal_projective_resolution", kept)
+    lam = verify.corpus("two_loop_n3")["lam"]
+    assert ko.is_n_koszul(lam, bound)
+    assert ko.ext_dims(lam, bound) == [1, 2, 8, 16, 64, 128, 512,
+                                       1024][:bound + 1]
+    assert len(segs) == 2
+    for seg in segs:
+        assert built_for(builds, seg.pmods[-1]) == [0, 0, 0]
+        # every other cover map is read by its kernel, and composed but
+        # the first
+        for pm in seg.pmods[:-1]:
+            assert built_for(builds, pm)[1:] == [1, int(pm is not
+                                                        seg.pmods[0])]
+    assert len(builds["cover"]) == len(builds["composite"]) + 2 == 2 * bound
+
+
+def test_ext_dims_to_bound_10_stays_small():
+    """ext_dims reads only generator lists.  The two_loop_n3 resolution to
+    bound 10 with its last term's actions, cover map and differential
+    built peaked at 26.6 MiB under tracemalloc; without them ext_dims
+    peaks at about 13.7 MiB."""
+    import tracemalloc
+    lam = verify.corpus("two_loop_n3")["lam"]
+    ko.minimal_projective_resolution(ko.semisimple_module(lam), 2)
+    tracemalloc.start()
+    try:
+        dims = ko.ext_dims(lam, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [1, 2, 8, 16, 64, 128, 512, 1024, 4096, 8192, 32768]
+    assert peak < 18 * 2 ** 20
+
+
 # -- the sparse resolution against the dense builders it replaced -------------
 
 
