@@ -652,20 +652,20 @@ class USupportAlgebra:
         return np.zeros((self._dim(d1), self._dim(d2), self._dim(d3)),
                         dtype=np.int64)
 
-    def _word_product(self, word) -> np.ndarray:
-        """The class of a generator word in the dual."""
-        gens = self.generators()
-        g = gens[word[0]]
-        deg = self.dual_degree(g.degree)
-        vec = zeros(1, self._dim(deg))
-        vec[0, g.basis_index] = 1
-        for gi in word[1:]:
-            g = gens[gi]
-            e = self.dual_degree(g.degree)
-            vec = linalg.mat_mul(
-                vec, self._mult(deg, e, deg + e)[:, g.basis_index], self.p)
+    def _word_classes(self, steps) -> np.ndarray:
+        """The classes in the dual of all words whose letters have the dual
+        degrees `steps` in turn, one row per word, in itertools.product
+        order of the generators of each degree.  A first letter's class is
+        its basis element, and each later letter takes one product with the
+        mult tensor of its degree."""
+        cls = linalg.eye(self._dim(steps[0]))
+        deg = steps[0]
+        for e in steps[1:]:
+            t = self._mult(deg, e, deg + e)
+            cls = linalg.mat_mul(cls, t.reshape(t.shape[0], -1),
+                                 self.p).reshape(-1, t.shape[2])
             deg += e
-        return vec[0]
+        return cls
 
     # -- in its own grading -------------------------------------------------
 
@@ -715,24 +715,19 @@ class USupportAlgebra:
                                        repeat=k))
         if rho == 1:
             words = [w + (a,) for w in words for a in range(narrows)]
-        prods = []
-        kept = []
-        for w in words:
-            vec = self._word_product(w)
-            if vec.any():
-                prods.append(vec)
-                kept.append(w)
-        if not prods:
+        cls = self._word_classes([self.n] * k + [1] * rho)
+        live = cls.any(axis=1)
+        if not live.any():
             raise AlgebraError(f"degree {d} not spanned by generator words")
-        pm = np.stack(prods, axis=0)  # |words| x dim
-        out = []
-        for i, e in enumerate(linalg.eye(dim)):
-            sol = linalg.solve(pm.T, e, self.p)
-            if sol is None:
-                raise AlgebraError(
-                    f"basis element {i} at degree {d} not a word combination")
-            out.append([(kept[j], int(sol[j])) for j in range(len(kept))
-                        if sol[j]])
+        kept = [w for w, on in zip(words, live.tolist()) if on]
+        # column i: the coefficients of the kept words in basis element i
+        sol = linalg.solve_matrix(cls[live].T, linalg.eye(dim), self.p)
+        if sol is None:
+            raise AlgebraError(
+                f"a basis element at degree {d} is not a word combination")
+        out = [[(kept[j], int(c)) for j, c in zip(col.nonzero()[0].tolist(),
+                                                  col[col != 0].tolist())]
+               for col in sol.T]
         self._word_cache[d] = out
         return out
 
@@ -770,7 +765,20 @@ class USupportAlgebra:
             if self._dim(deg) == 0:
                 out += [(label(w), [(w, 1)]) for w in words]
                 continue
-            mat = np.stack([self._word_product(w) for w in words], axis=0)
+            # a letter's class is its basis element, a pair's a gather from
+            # the mult tensor of its letters' degrees
+            mat = zeros(len(words), self._dim(deg))
+            pairs: dict = {}  # letter degrees -> [(row, basis indices)]
+            for r, w in enumerate(words):
+                if len(w) == 1:
+                    mat[r, gens[w[0]].basis_index] = 1
+                else:
+                    pairs.setdefault((dual_deg[w[0]], dual_deg[w[1]]),
+                                     []).append((r, gens[w[0]].basis_index,
+                                                 gens[w[1]].basis_index))
+            for (e1, e2), at in pairs.items():
+                rows, b1, b2 = np.array(at, dtype=np.intp).T
+                mat[rows] = self._mult(e1, e2, deg)[b1, b2]
             for row in linalg.left_null_space(mat, self.p).basis:
                 rel = [(words[j], int(row[j])) for j in range(len(words))
                        if row[j]]

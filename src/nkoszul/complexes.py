@@ -41,9 +41,12 @@ from .grmod import (
     graded_dual,
     hom_space,
     kernel_bases,
+    kernel_condition_holds,
     l_condition,
     morphism_image,
-    multiplication_map,
+    mu1,
+    mu1_kernel,
+    mu1_preimage,
     opposite_algebra,
     projective_cover,
     socle_subspaces,
@@ -237,7 +240,7 @@ def _build_cofree(lam, vlist) -> GradedModule:
             m = _pair_matrix(rows, cols, [(lmul.T, ident)], lam.p)
             if m.any():
                 actions[(gi, e)] = m
-    out = GradedModule(lam, verts, actions)
+    out = GradedModule._adopt(lam, verts, actions)
     out.hom_index = index
     return out
 
@@ -267,7 +270,7 @@ def nu(mod: GradedModule, lam, allow_windowed: bool = False,
             continue
         mats = _hom_step(lam, _arrow_acts(mod, j, twist), j,
                          bases[j], bases[j + 1])
-        diffs[j] = GradedMorphism(comps[j], comps[j + 1], mats)
+        diffs[j] = GradedMorphism._adopt(comps[j], comps[j + 1], mats)
     return ComplexOfGraded(lam, lam.pres.n, comps, diffs)
 
 
@@ -303,7 +306,9 @@ def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None):
     injective flavour: cogenerated purely in the stated degree, where the
     component must end.  The envelope map into the cofree module on that
     degree is the identity there, so it is injective exactly when the socle
-    lies there; its inverse is the witness when the dimensions agree."""
+    lies there; its inverse is the witness when the dimensions agree, and
+    the certificate keeps the envelope too (None in the projective
+    flavour)."""
     if degree_of is None:
         degree_of = lambda k: -k
     out = {}
@@ -312,6 +317,7 @@ def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None):
         want = degree_of(k)
         if flavor == "projective":
             model, witness, mults = projective_cover(comp)
+            envelope = None
             if {d for _, d in mults} != {want}:
                 return None
         elif flavor == "injective":
@@ -328,7 +334,7 @@ def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None):
                 witness = envelope.inverse()
             except ModuleError:
                 return None
-        out[k] = {"mults": mults, "witness": witness}
+        out[k] = {"mults": mults, "witness": witness, "envelope": envelope}
     return out
 
 
@@ -346,7 +352,7 @@ def _cofree_envelope(comp: GradedModule, want: int):
                          for b in range(comp.algebra.dim(-e))])
         mats[e + want] = acts[pairs[:, 0], :, pairs[:, 1]].T
     mults = [(v, want) for v in comp.verts_at(want)]
-    return model, GradedMorphism(comp, model, mats), mults
+    return model, GradedMorphism._adopt(comp, model, mats), mults
 
 
 # -- torsion-side predicates on complexes ------------------------------------
@@ -443,13 +449,13 @@ def _u_module_as_dual_module(mod: GradedModule) -> GradedModule:
 def _mu1_data(mod: GradedModule, s: int):
     """The multiplication mu_1: X_s (x) dual_1 -> X_{s+1}: the pairs of its
     domain, a canonical preimage matrix for its targets and a basis of its
-    kernel.  Raises unless mu_1 is surjective."""
-    t1, mu1 = multiplication_map(mod, s)
-    pre = linalg.solve_matrix(mu1.T, linalg.eye(mod.dim(s + 1)), mod.p)
+    kernel, as the module keeps them (`grmod.mu1`).  Raises unless mu_1 is
+    surjective."""
+    pre = mu1_preimage(mod, s)
     if pre is None:
         raise ComplexError(
             f"level {s}: the degree-1 multiplication is not surjective")
-    return t1, pre, linalg.null_space(mu1.T, mod.p).basis
+    return mu1(mod, s)[0], pre, mu1_kernel(mod, s)
 
 
 def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
@@ -476,7 +482,16 @@ def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
 
 def _path_classes(ualg) -> list:
     """Per path p of length n-1 in the base quiver: the class in the dual
-    of (p alpha)^o = alpha^o p^o for each arrow alpha with t(p) = o(alpha)."""
+    of (p alpha)^o = alpha^o p^o for each arrow alpha with t(p) = o(alpha).
+    Built once per algebra and kept on it, as `cofree_module` keeps its
+    models; callers only read it."""
+    cached = getattr(ualg, "_path_class_rows", None)
+    if cached is None:
+        cached = ualg._path_class_rows = _build_path_classes(ualg)
+    return cached
+
+
+def _build_path_classes(ualg) -> list:
     from .quiver import Path, enumerate_paths
     dual, n = ualg.dual, ualg.n
     q = dual.quiver.opposite()
@@ -496,12 +511,12 @@ def _xi_matrices(mod: GradedModule, s: int) -> list:
     action of the class of (p alpha)^o.  Raises unless the result does not
     depend on the chosen decomposition: the kernel condition
     (`grmod.l_condition`)."""
-    t1, pre, ker = _mu1_data(mod, s)
-    acts = stacked_action(mod, s)
-    if linalg.mat_mul(l_condition(mod, s, t1, ker), acts, mod.p).any():
+    t1, pre, _ = _mu1_data(mod, s)
+    if not kernel_condition_holds(mod, s):
         raise ComplexError(
             f"level {s}: contraction map depends on the chosen "
             "decomposition (kernel condition fails)")
+    acts = stacked_action(mod, s)
     return [linalg.mat_mul(pz, acts, mod.p)
             for pz in _mu1_pullbacks(mod, s, t1, pre)]
 
@@ -556,14 +571,14 @@ def _F_of_member(mod: GradedModule, lam, params,
         if 2 * j in comps and 2 * j + 1 in comps:
             mats = _hom_step(lam, _arrow_acts(mod, s, arrows), s,
                              bases[2 * j], bases[2 * j + 1])
-            diffs[2 * j] = GradedMorphism(comps[2 * j], comps[2 * j + 1],
-                                          mats)
+            diffs[2 * j] = GradedMorphism._adopt(comps[2 * j],
+                                                 comps[2 * j + 1], mats)
         # odd differential: contract through xi
         if 2 * j + 1 in comps and 2 * j + 2 in comps:
             mats = _model_odd_diff(mod, lam, s, bases[2 * j + 1],
                                    bases[2 * j + 2])
-            diffs[2 * j + 1] = GradedMorphism(comps[2 * j + 1],
-                                              comps[2 * j + 2], mats)
+            diffs[2 * j + 1] = GradedMorphism._adopt(comps[2 * j + 1],
+                                                     comps[2 * j + 2], mats)
     return ComplexOfGraded(lam, 2, comps, diffs)
 
 
@@ -622,20 +637,14 @@ def extract_module(c: ComplexOfGraded, ualg, params) -> GradedModule:
 
 
 def _extract(c: ComplexOfGraded, ualg, params):
-    """`extract_module`, and the models it read the module through: per
-    position, the canonical cofree model, the certificate witness from the
-    model (shifted into place) onto the component, and the top vertices."""
-    lam = c.algebra
+    """`extract_module`, and the models it read the module through
+    (`_models`)."""
     n = params.n
     dmap = DegreeMap(params.m, n)
     cert = _check_conditions_ab(c, params)
     if cert is None:
         raise ComplexError("complex fails the essential-image conditions")
-    # per position: the canonical cofree model, the witness, the vertices
-    models = {}
-    for k in c.positions():
-        vlist = [v for v, _ in cert[k]["mults"]]
-        models[k] = (cofree_module(lam, vlist), cert[k]["witness"], vlist)
+    models = _models(c, cert)
     verts = {dmap.delta(k): tuple(models[k][2]) for k in c.positions()}
     actions = _degree_one_actions(c, models, dmap, ualg)
     n_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
@@ -657,6 +666,22 @@ def _extract(c: ComplexOfGraded, ualg, params):
     if bad:
         raise ComplexError(f"extracted module fails validation: {bad[0]}")
     return out, models
+
+
+def _models(c: ComplexOfGraded, cert) -> dict:
+    """Per position of c: the canonical cofree model on the top vertices of
+    its certificate, the witness from the model (shifted into place) onto
+    the component, the top vertices, and the inverse of the witness, which
+    is the envelope map the certificate kept (inverted here only for a
+    certificate that kept none)."""
+    models = {}
+    for k in c.positions():
+        vlist = [v for v, _ in cert[k]["mults"]]
+        witness, back = cert[k]["witness"], cert[k].get("envelope")
+        if back is None:
+            back = witness.inverse()
+        models[k] = (cofree_module(c.algebra, vlist), witness, vlist, back)
+    return models
 
 
 def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
@@ -714,14 +739,16 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
                 actions[(n_gens[w], s)] = a
     # the degree-n action one step above each level is forced by the
     # relations: for y = sum of x_a acted by arrows, y * w decomposes
-    # through the degree-(n+1) component
+    # through the degree-(n+1) component.  y reads the degree-n actions at
+    # the levels, found above; mu_1 reads the degree-1 actions alone, so it
+    # is prov's.
     dmap = DegreeMap(m, n)
     levels = sorted({m + ((dmap.delta(k) - m) // n) * n for k in c.positions()})
+    cur_mod = GradedModule(ualg, verts, dict(actions))
     for s in levels:
-        cur_mod = GradedModule(ualg, verts, dict(actions))
         if cur_mod.dim(s + 1) == 0 or cur_mod.dim(s + 1 + n) == 0:
             continue
-        t1, pre, ker = _mu1_data(cur_mod, s)
+        t1, pre, ker = _mu1_data(prov, s)
         for w in range(nd):
             acts = {}
             for _, ai in t1:
@@ -780,10 +807,10 @@ def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
 
 
 def _transported_diff(c: ComplexOfGraded, k: int, models) -> GradedMorphism:
-    """The differential at k conjugated into the canonical model spaces."""
-    w1 = models[k][1]
-    w2 = models[k + 1][1]
-    return w1.compose(c.diff(k)).compose(w2.inverse())
+    """The differential at k conjugated into the canonical model spaces:
+    the witness at k, then the differential, then the inverse of the
+    witness at k + 1 (`_models`)."""
+    return models[k][1].compose(c.diff(k)).compose(models[k + 1][3])
 
 
 def in_Y(c: ComplexOfGraded, ualg, params):
@@ -804,7 +831,7 @@ def in_Y(c: ComplexOfGraded, ualg, params):
         fx = equivalence_F(x, c.algebra, params)
     except (ComplexError, ModuleError):
         return False, None
-    if chain_iso_failure(fx, c, {k: w for k, (_, w, _) in models.items()}):
+    if chain_iso_failure(fx, c, {k: w for k, (_, w, _, _) in models.items()}):
         return False, None
     return True, x
 

@@ -23,6 +23,16 @@ matrices to be built on first read (`_BuiltOnRead`): `free_module` and
 `cover_on_top` do, and the blocks of the vertex projectives e_v A that free
 modules are made of are cached on the algebra.
 
+Modules and morphisms never change once built.  Every stored array is made
+read-only (a Sparse is read-only already), so `act()`, `mat()` and
+`stored_actions()` hand out the stored arrays themselves, and a module can
+keep what it derives from them (`GradedModule._memo`): its `validate()`
+verdict, the action of each algebra basis element, and per level s the
+data of mu_1 (`mu1`, `mu1_kernel`, `mu1_preimage`), the stacked degree-n
+action and the verdict of the kernel condition.  So `in_L`, the
+contraction maps of F and the extraction of a module from a complex share
+one build of each, and a second `validate()` of a module costs nothing.
+
 Row-vector convention throughout: an element x of M_d is a coordinate row
 and x * g = x @ act(g, d).
 """
@@ -48,6 +58,14 @@ def _owned(m, p: int):
     if isinstance(m, Sparse):
         return m.reduced(p)
     return linalg.reduced_copy(m, p)
+
+
+def _frozen(m):
+    """m, made read-only if it is an array (a Sparse is read-only
+    already)."""
+    if isinstance(m, np.ndarray):
+        m.setflags(write=False)
+    return m
 
 
 class _BuiltOnRead:
@@ -96,7 +114,8 @@ class GradedModule(_BuiltOnRead):
     just built, int64, reduced and held by no one else, through `_adopt`,
     which takes them as they are, or a callable that builds them on first
     read.  `act` reads an action as an array, `sparse_act` as a Sparse,
-    whichever form it is stored in.
+    whichever form it is stored in.  A module never changes: every stored
+    array is made read-only, so `act` hands out the stored array itself.
 
     `verts[d]` holds the vertex labels of degree d as a tuple of Python
     ints; `vert_array(d)` reads them as a read-only intp array, the one a
@@ -116,7 +135,8 @@ class GradedModule(_BuiltOnRead):
     def _adopt(cls, algebra, verts: dict, actions) -> "GradedModule":
         """A module that takes the action matrices themselves, or a
         callable that builds them on first read: only for matrices a
-        builder has just made, int64, reduced and unshared."""
+        builder has just made, int64, reduced and unshared, or for those
+        another module stores, which are read-only (`shift`)."""
         mod = cls.__new__(cls)
         mod._fill(algebra, verts, actions)
         return mod
@@ -132,11 +152,20 @@ class GradedModule(_BuiltOnRead):
             v.setflags(write=False)
         self.gens = algebra.generators()
         self._store(actions)
-        self._act_elem_cache: dict = {}
+        self._memos: dict = {}
 
     def _kept(self, actions: dict) -> dict:
-        return {(gi, d): m for (gi, d), m in actions.items()
+        return {(gi, d): _frozen(m) for (gi, d), m in actions.items()
                 if d in self.verts and m.size}
+
+    def _memo(self, key: tuple, build):
+        """build(), run once per key and kept, made read-only if it is an
+        array: the module never changes, so a kept value never goes
+        stale."""
+        memos = self._memos
+        if key not in memos:
+            memos[key] = _frozen(build())
+        return memos[key]
 
     def stored_actions(self) -> dict:
         """A new dict of the stored actions, each in its stored form (an
@@ -185,8 +214,9 @@ class GradedModule(_BuiltOnRead):
         return shape, m
 
     def act(self, gi: int, d: int) -> np.ndarray:
-        """The action as an array: the stored one, or a new one densified
-        from the sparse form (not cached), refused above the size cap."""
+        """The action as an array: the stored one, read-only, or a new one
+        densified from the sparse form (not cached), refused above the size
+        cap."""
         shape, m = self._action(gi, d)
         return linalg.dense(m) if m is not None else linalg.dense_zeros(*shape)
 
@@ -212,27 +242,25 @@ class GradedModule(_BuiltOnRead):
         return out
 
     def act_basis_element(self, d_el: int, b_index: int, d: int) -> np.ndarray:
-        """Action matrix of the b-th algebra basis element of degree d_el."""
-        key = (d_el, b_index, d)
-        if key in self._act_elem_cache:
-            return self._act_elem_cache[key]
+        """Action matrix of the b-th algebra basis element of degree d_el,
+        built once per module and kept read-only."""
+        return self._memo(("element", d_el, b_index, d),
+                          lambda: self._basis_element_action(d_el, b_index, d))
+
+    def _basis_element_action(self, d_el: int, b_index: int,
+                              d: int) -> np.ndarray:
         if d_el == 0:
             # vertex idempotent: projection onto the matching block
             v = self.algebra.basis_pairs(0)[b_index][0]
             out = zeros(self.dim(d), self.dim(d))
             at = (self.vert_array(d) == v).nonzero()[0]
             out[at, at] = 1
-            self._act_elem_cache[key] = out
             return out
         words = self.algebra.element_words(d_el)[b_index]
         if len(words) == 1 and words[0][1] % self.p == 1:
-            out = self.act_word(words[0][0], d)  # a path: no combination
-        else:
-            out = self._combine([c for _, c in words],
-                                [self.act_word(w, d) for w, _ in words], d,
-                                d_el)
-        self._act_elem_cache[key] = out
-        return out
+            return self.act_word(words[0][0], d)  # a path: no combination
+        return self._combine([c for _, c in words],
+                             [self.act_word(w, d) for w, _ in words], d, d_el)
 
     def act_element(self, d_el: int, vec, d: int) -> np.ndarray:
         """Action matrix of a general homogeneous algebra element."""
@@ -252,7 +280,11 @@ class GradedModule(_BuiltOnRead):
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """All structural violations, or an empty list for a valid module."""
+        """All structural violations, or an empty list for a valid module:
+        found once per module, which never changes."""
+        return list(self._memo(("issues",), self._issues))
+
+    def _issues(self) -> list:
         issues = []
         for (gi, d), m in self._actions.items():
             g = self.gens[gi]
@@ -267,20 +299,7 @@ class GradedModule(_BuiltOnRead):
             issues += [f"generator {g.name} at degree {d}: entry ({i},{j}) "
                        "breaks the vertex block structure"
                        for i, j in zip(r[off], c[off])]
-        if issues:
-            return issues
-        for rdeg, rel in self.algebra.relation_words():
-            for d in self.degrees():
-                if self.dim(d + rdeg) == 0:
-                    continue
-                acc = self._combine([c for _, c in rel],
-                                    [self.act_word(w, d) for w, _ in rel],
-                                    d, rdeg)
-                if acc.any():
-                    issues.append(
-                        f"relation of degree {rdeg} acts nontrivially "
-                        f"from degree {d}")
-        return issues
+        return issues or _relation_issues(self)
 
     def is_valid(self) -> bool:
         return not self.validate()
@@ -288,14 +307,61 @@ class GradedModule(_BuiltOnRead):
     # -- constructions ------------------------------------------------------
 
     def shift(self, s: int) -> "GradedModule":
-        """M[s] with M[s]_d = M_{d+s}."""
+        """M[s] with M[s]_d = M_{d+s}, sharing the stored matrices, which
+        never change."""
         verts = {d - s: v for d, v in self.verts.items()}
         actions = {(gi, d - s): m for (gi, d), m in self._actions.items()}
-        return GradedModule(self.algebra, verts, actions)
+        return GradedModule._adopt(self.algebra, verts, actions)
 
 
 def zero_module(algebra) -> GradedModule:
     return GradedModule(algebra, {}, {})
+
+
+def _relation_issues(mod: GradedModule) -> list:
+    """One issue per relation of the algebra and degree d of the module from
+    which the relation acts nontrivially, in relation order.  The relations
+    of one degree are checked together, by one product of their
+    coefficient rows with the stacked actions of their words, and each
+    (word, degree) action is built once, from the action of its prefix."""
+    rels = mod.algebra.relation_words()
+    p, gens = mod.p, mod.gens
+    groups = []  # per relation degree: it, its relations, words, coefficients
+    for rdeg in sorted({rdeg for rdeg, _ in rels}):
+        which = [i for i, (e, _) in enumerate(rels) if e == rdeg]
+        words: dict = {}  # word -> column
+        for i in which:
+            for w, _ in rels[i][1]:
+                words.setdefault(w, len(words))
+        coef = zeros(len(which), len(words))
+        for row, i in enumerate(which):
+            for w, c in rels[i][1]:
+                coef[row, words[w]] = (coef[row, words[w]] + c) % p
+        if words:
+            groups.append((rdeg, which, words, coef))
+    failed = set()  # (relation number, degree)
+    for d in mod.degrees():
+        acting: dict = {}  # word -> its action from degree d
+
+        def action(word):
+            if word not in acting:
+                if len(word) == 1:
+                    acting[word] = mod.act(word[0], d)
+                else:
+                    at = d + sum(gens[gi].degree for gi in word[:-1])
+                    acting[word] = linalg.mat_mul(
+                        action(word[:-1]), mod.act(word[-1], at), p)
+            return acting[word]
+
+        for rdeg, which, words, coef in groups:
+            if mod.dim(d + rdeg) == 0:
+                continue
+            stacked = np.stack([action(w).reshape(-1) for w in words])
+            acts = linalg.mat_mul(coef, stacked, p).any(axis=1)
+            failed.update((i, d) for i, bad in zip(which, acts) if bad)
+    return [f"relation of degree {rdeg} acts nontrivially from degree {d}"
+            for i, (rdeg, _) in enumerate(rels) for d in mod.degrees()
+            if (i, d) in failed]
 
 
 def _groups(key: np.ndarray):
@@ -480,7 +546,7 @@ class GradedMorphism(_BuiltOnRead):
         self._store(mats)
 
     def _kept(self, mats: dict) -> dict:
-        return {d: m for d, m in mats.items() if m.size}
+        return {d: _frozen(m) for d, m in mats.items() if m.size}
 
     def stored_mats(self) -> dict:
         """A new dict of the stored matrices, each in its stored form."""
@@ -546,7 +612,7 @@ class GradedMorphism(_BuiltOnRead):
             if inv is None:
                 raise ModuleError("morphism is not invertible")
             mats[d] = inv
-        return GradedMorphism(self.target, self.source, mats)
+        return GradedMorphism._adopt(self.target, self.source, mats)
 
 
 def hom_space(m: GradedModule, n: GradedModule):
@@ -1177,7 +1243,8 @@ def multiplication_map(mod: GradedModule, s: int):
 
     Returns (pairs, matrix).  The pairs (i, j), with the vertex of x_i equal
     to the source of y_j, are the vertex-matched basis of the tensor
-    product; the matrix has one row per pair."""
+    product; the matrix has one row per pair.  `mu1` keeps them on the
+    module."""
     vs = mod.verts_at(s)
     pairs = [(i, j) for i in range(len(vs))
              for j, (src, _) in enumerate(mod.algebra.dual.basis_pairs(1))
@@ -1185,22 +1252,48 @@ def multiplication_map(mod: GradedModule, s: int):
     gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
             if g.degree == 1}
     mu = zeros(len(pairs), mod.dim(s + 1))
-    for r, (i, j) in enumerate(pairs):
-        a = mod.act(gens[j], s)
-        if a.size:
-            mu[r] = a[i]
+    if mu.size:
+        acts = {j: mod.act(gens[j], s) for j in {j for _, j in pairs}}
+        for r, (i, j) in enumerate(pairs):
+            mu[r] = acts[j][i]
     return pairs, mu
+
+
+def mu1(mod: GradedModule, s: int):
+    """`multiplication_map(mod, s)`, built once per module and level."""
+    def build():
+        pairs, mu = multiplication_map(mod, s)
+        return pairs, _frozen(mu)
+    return mod._memo(("mu1", s), build)
+
+
+def mu1_kernel(mod: GradedModule, s: int) -> np.ndarray:
+    """The canonical basis of Ker(mu_1) at level s, over the pairs of `mu1`,
+    one row per vector: built once per module and level."""
+    return mod._memo(("mu1 kernel", s), lambda: linalg.null_space(
+        mu1(mod, s)[1].T, mod.p).basis)
+
+
+def mu1_preimage(mod: GradedModule, s: int):
+    """The canonical preimage of X_{s+1} under mu_1 at level s, a matrix P
+    with P^T mu_1 = I (column y of P over the pairs of `mu1`), or None when
+    mu_1 is not onto: decided once per module and level."""
+    return mod._memo(("mu1 preimage", s), lambda: linalg.solve_matrix(
+        mu1(mod, s)[1].T, linalg.eye(mod.dim(s + 1)), mod.p))
 
 
 def stacked_action(mod: GradedModule, s: int) -> np.ndarray:
     """The degree-n action at s as one matrix A: row w * dim X_s + i is x_i
-    acted on by the w-th degree-n generator."""
-    n = mod.algebra.n
-    gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-            if g.degree == n}
-    return np.concatenate(
-        [zeros(0, mod.dim(s + n))]
-        + [mod.act(gens[w], s) for w in range(mod.algebra.dual.dim(n))])
+    acted on by the w-th degree-n generator.  Built once per module and
+    level."""
+    def build():
+        n = mod.algebra.n
+        gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+                if g.degree == n}
+        return np.concatenate(
+            [zeros(0, mod.dim(s + n))]
+            + [mod.act(gens[w], s) for w in range(mod.algebra.dual.dim(n))])
+    return mod._memo(("stacked action", s), build)
 
 
 def l_condition(mod: GradedModule, s: int, t1, ker) -> np.ndarray:
@@ -1238,6 +1331,17 @@ def _require_u_grading(mod: GradedModule, pred: str, n: int) -> None:
             "dual in its own grading (\"over\": \"u\")")
 
 
+def kernel_condition_holds(mod: GradedModule, s: int) -> bool:
+    """Whether the kernel condition (`l_condition`) holds at level s:
+    decided once per module and level."""
+    def check():
+        ker = mu1_kernel(mod, s)
+        return not (ker.size and linalg.mat_mul(
+            l_condition(mod, s, mu1(mod, s)[0], ker), stacked_action(mod, s),
+            mod.p).any())
+    return mod._memo(("kernel condition", s), check)
+
+
 def in_L(mod: GradedModule, params: TorsionParams) -> bool:
     """Membership in the distinguished subcategory over the support-
     restricted dual: generation in m + nZ plus the kernel condition
@@ -1253,15 +1357,8 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
         return False
     if n == 2:
         return True
-    for s in mod.degrees():
-        if (s - params.m) % n or mod.dim(s + n) == 0:
-            continue
-        t1, mu1 = multiplication_map(mod, s)
-        ker = linalg.null_space(mu1.T, mod.p).basis
-        if ker.size and linalg.mat_mul(l_condition(mod, s, t1, ker),
-                                       stacked_action(mod, s), mod.p).any():
-            return False
-    return True
+    return all(kernel_condition_holds(mod, s) for s in mod.degrees()
+               if (s - params.m) % n == 0 and mod.dim(s + n))
 
 
 def regrade(mod: GradedModule, alg) -> GradedModule:

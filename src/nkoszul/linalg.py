@@ -359,13 +359,23 @@ def left_null_space(m, p: int) -> "Subspace":
 
 
 def inverse(m, p: int):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular.
+
+    A monomial matrix, one nonzero in each row and in each column (a
+    permutation matrix scaled row by row, as the envelope maps of cofree
+    models are), is inverted with no elimination: entry (r, c) = v becomes
+    entry (c, r) = 1/v."""
     a = as_matrix(m, p)
     n = a.shape[0]
     if a.shape[1] != n:
         raise LinAlgError("inverse of non-square matrix")
-    x = solve_matrix(a, eye(n), p)
-    return x
+    r, c = np.nonzero(a)
+    if (r.size == n and (np.bincount(r, minlength=n) == 1).all()
+            and (np.bincount(c, minlength=n) == 1).all()):
+        x = zeros(n, n)
+        x[c, r] = [pow(v, -1, p) for v in a[r, c].tolist()]
+        return x
+    return solve_matrix(a, eye(n), p)
 
 
 @dataclass(frozen=True)

@@ -444,6 +444,33 @@ def test_slices_match_the_stacked_build_on_the_corpus(name):
         assert_slices_match_stacked(alg, 8)
 
 
+INPUTS = ["commutative_n2.json", "one_loop_n3.json", "two_loop_n3.json"]
+
+
+@pytest.mark.parametrize("source", CORPUS + INPUTS)
+def test_word_tables_match_the_per_word_oracle(source):
+    """U's and E's element and relation words, from the mult tensors and
+    one solve per degree, equal the tables built word by word with one
+    solve per basis element, on every corpus algebra and every input."""
+    import os
+    import algebra_oracle as oracle
+    from nkoszul import verify
+    from nkoszul.docio import load_document
+    if source in CORPUS:
+        ualg = verify.corpus(source)["ualg"]
+    else:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        dom = load_document(os.path.join(root, "inputs", source))
+        top = max(*map(abs, dom["window"]), dom["n"] + 1)
+        lam = build_slices(dom["presentation"], top)
+        ualg = USupportAlgebra(build_dual(lam, top), dom["n"])
+    # U through dual degree 2n + 1, and E to its image: delta(5) = 2n + 1
+    for alg, top in [(ualg, 2 * ualg.n + 2), (yoneda_regrade(ualg), 6)]:
+        assert alg.relation_words() == oracle.relation_words(alg)
+        for j in range(top):
+            assert alg.element_words(j) == oracle.element_words(alg, j)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_slices_match_the_stacked_build_on_the_corpus_at_small_primes(p):
     """The corpus presentations, whose coefficients are 1 and -1, over F_p."""

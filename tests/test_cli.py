@@ -357,3 +357,64 @@ def test_in_Y_witness_of_F_is_the_module_at_every_seed(capsys):
         assert code == 0 and rep["verdict"] is True
         assert rep["echo"]["seed"] == int(seed)
         assert rep["witness"] == want
+
+
+def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):
+    """`check --predicate in_Y --object "F(X)"` on two_loop_n3 validates two
+    modules, X and the module read back off F(X), and runs the relation
+    check once on each.  It decides the kernel condition once per level on
+    the same two, and tests mu_1 for surjectivity once per level on them
+    and on the provisional module of the extraction.  mu_1 is built once
+    per module and level; the only morphisms inverted are the four
+    envelope maps of the certificate, one per position; the chain
+    isomorphism is checked once; and the word tables of the algebra are
+    solved with no per-element solve."""
+    import sys
+    from nkoszul import complexes as cx, grmod as gm, linalg
+    calls: dict = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kw):
+            calls.setdefault(name, []).append(args)
+            return real(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in [(gm, "_relation_issues"), (gm, "multiplication_map"),
+                        (gm.GradedMorphism, "inverse"),
+                        (cx, "chain_iso_failure")]:
+        count(owner, name)
+    kept = []  # (module, key) of each value a module kept
+    real_memo = gm.GradedModule._memo
+
+    def memo(mod, key, build):
+        if key not in mod._memos:
+            kept.append((mod, key))
+        return real_memo(mod, key, build)
+    monkeypatch.setattr(gm.GradedModule, "_memo", memo)
+    solved_in = []
+    real_solve = linalg.solve
+
+    def solve(*args, **kw):
+        solved_in.append(sys._getframe(1).f_code.co_name)
+        return real_solve(*args, **kw)
+    monkeypatch.setattr(linalg, "solve", solve)
+    code, rep = run_json(capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
+                                  "--object", "F(X)", "--seed", "0"])
+    assert code == 0 and rep["verdict"] is True
+
+    def modules(what):
+        return {id(mod) for mod, key in kept if key[0] == what}
+
+    checked = [id(args[0]) for args in calls["_relation_issues"]]
+    assert len(checked) == len(set(checked)) == 2
+    assert modules("issues") == set(checked)
+    assert modules("kernel condition") == set(checked)
+    onto = modules("mu1 preimage")
+    assert len(onto) == 3 and set(checked) < onto
+    built = [(id(mod), s) for mod, s in calls["multiplication_map"]]
+    assert len(built) <= 4 and len(set(built)) == len(built)
+    assert len(calls["inverse"]) == 4
+    assert len(calls["chain_iso_failure"]) == 1
+    assert "element_words" not in solved_in

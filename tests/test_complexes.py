@@ -622,11 +622,7 @@ def test_equivalence_and_extraction_match_the_replaced_loops(key, p):
             # socle condition (a simple module in degree 1 already does)
             assert n == 2 and any(d % 2 for d in gm.top_dims(x))
             continue
-        models = {}
-        for k in c.positions():
-            vlist = [v for v, _ in cert[k]["mults"]]
-            models[k] = (cx.cofree_module(lam, vlist), cert[k]["witness"],
-                         vlist)
+        models = cx._models(c, cert)
         verts = {dmap.delta(k): tuple(models[k][2]) for k in c.positions()}
         actions = cx._degree_one_actions(c, models, dmap, ualg)
         assert_same_mats(actions, reference_degree_one(c, models, dmap, ualg),

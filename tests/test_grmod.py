@@ -1005,6 +1005,34 @@ def test_public_constructors_do_not_alias_their_inputs():
     assert mod.is_valid() and ident.commutes()
 
 
+def test_stored_arrays_are_read_only():
+    """A module or a morphism never changes: `act`, `mat` and the kept
+    action of a basis element hand out read-only arrays, from the public
+    constructors and from the builders alike, so no verdict or product a
+    module keeps can go stale.  The public constructors leave the caller's
+    arrays writable."""
+    lam = entry("two_loop_n3")["lam"]
+    f = free_module(lam, [(0, 0)], 6)
+    actions = dense_actions(f)
+    mod = GradedModule(lam, f.verts, actions)
+    mats = {d: np.eye(f.dim(d), dtype=np.int64) for d in f.degrees()}
+    ident = GradedMorphism(mod, mod, mats)
+    assert mod.is_valid()
+    spans = submodule_closure(mod, {1: np.array([[3, 5]], dtype=np.int64)})
+    quot, proj = quotient_module(mod, spans)
+    arrays = [m.act(*key) for m in (mod, quot) for key in m.stored_actions()]
+    arrays += [g.mat(d) for g in (ident, proj) for d in g.stored_mats()]
+    arrays += [mod.act_basis_element(k, 0, 0) for k in range(3)]
+    assert len(arrays) > 10
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+    for m in list(actions.values()) + list(mats.values()):
+        m[0, 0] = m[0, 0]
+    assert mod.validate() == [] and quot.validate() == []
+    assert ident.commutes() and proj.commutes()
+
+
 def values_of(m):
     """The value array of a matrix in either stored form."""
     return m.vals if isinstance(m, linalg.Sparse) else m

@@ -87,6 +87,29 @@ def test_inverse_round_trip():
         assert np.array_equal(linalg.mat_mul(m, inv, P), linalg.eye(4))
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 3037000493, 4611686018427388039])
+def test_inverse_of_a_monomial_matrix_is_the_solved_one(p):
+    """A monomial matrix is inverted with no elimination; the inverse is the
+    one the elimination gives, and a matrix one entry away from monomial,
+    singular or not, still goes through the elimination."""
+    rng = np.random.default_rng(p % 997)
+    for n in (1, 2, 5, 9):
+        m = np.zeros((n, n), dtype=np.int64)
+        m[np.arange(n), rng.permutation(n)] = rng.integers(1, min(p, 2**62),
+                                                           size=n)
+        inv = linalg.inverse(m, p)
+        assert np.array_equal(inv, linalg.solve_matrix(m, linalg.eye(n), p))
+        assert np.array_equal(linalg.mat_mul(m, inv, p), linalg.eye(n))
+        if n > 1:
+            two = m.copy()
+            two[0] += m[1]  # two nonzeros in row 0: still invertible
+            assert np.array_equal(linalg.inverse(two, p), linalg.solve_matrix(
+                two, linalg.eye(n), p))
+            two[1] = 0  # a zero row: singular
+            assert linalg.inverse(two, p) is None
+    assert linalg.inverse(np.zeros((0, 0), dtype=np.int64), p).shape == (0, 0)
+
+
 def test_mat_mul_matches_numpy_mod():
     rng = np.random.default_rng(0)
     a, b = rand_matrix(rng, 3, 5), rand_matrix(rng, 5, 2)

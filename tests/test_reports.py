@@ -21,10 +21,14 @@ over "e" answered false from E degrees read as U degrees, and now exits 2
 with empty stdout.  The last three, `check` of in_Lo on DX and K and of
 in_L on KL (`tests/one_loop_n3_lo.json`), were pinned before in_Lo became
 in_L of the graded dual: DX is a member, K fails only the
-comultiplication square, KL fails only the kernel condition.  Left
-out: `check --predicate in_Y --object "F(X)"` on two_loop_n3 (the
-`membership` benchmark workload checks its digest, and `test_cli` that its
-witness is X) and the koszulity suite (4.4 s).
+comultiplication square, KL fails only the kernel condition.  The last
+three, `check inputs/two_loop_n3.json --predicate in_Y --object "F(X)"`
+at seeds 0, 1 and 2 (the `membership` benchmark command; `test_cli` checks
+that its witness is X), were pinned before one in_Y check came to build
+each derived object once.  The benchmark's own reference,
+`perfbench/reference.json`, still holds a digest from before the witness
+was read in the top bases, so this file is the one that pins these
+reports.  Left out: the koszulity suite (4.4 s).
 """
 import contextlib
 import hashlib
@@ -43,7 +47,7 @@ with open(os.path.join(HERE, "tests", "report_digests.json")) as f:
 def test_cli_reports_are_byte_identical(monkeypatch):
     # the report echoes the input path, so run from the repository root
     monkeypatch.chdir(HERE)
-    assert len(DIGESTS) == 150
+    assert len(DIGESTS) == 153
     for entry in DIGESTS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
