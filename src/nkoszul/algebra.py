@@ -408,6 +408,7 @@ class PathAlgebra:
         return self._walk(0, [pa.source for pa in paths],
                           words.reshape(len(paths), d))
 
+    # No caller in src/; it stays because perfbench/spans.py wraps it.
     def reduce_vector(self, v: np.ndarray, d: int) -> np.ndarray:
         """KQ_d coordinates -> quotient coordinates in the canonical basis."""
         return linalg.mat_mul(np.reshape(v, (1, -1)), self.normal_form(d),
@@ -779,7 +780,7 @@ class USupportAlgebra:
             for (e1, e2), at in pairs.items():
                 rows, b1, b2 = np.array(at, dtype=np.intp).T
                 mat[rows] = self._mult(e1, e2, deg)[b1, b2]
-            for row in linalg.left_null_space(mat, self.p).basis:
+            for row in linalg.left_null_space(mat, self.p).basis.dense():
                 rel = [(words[j], int(row[j])) for j in range(len(words))
                        if row[j]]
                 out.append((label(rel[0][0]), rel))

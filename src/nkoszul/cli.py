@@ -126,7 +126,7 @@ def cmd_dual(ctx: _Context, args) -> tuple:
     report = {
         "agreement": bool(agree),
         "orthogonal_rank": int(direct.dim),
-        "orthogonal_basis_kernel": direct.basis.tolist(),
+        "orthogonal_basis_kernel": direct.basis.dense().tolist(),
         "orthogonal_basis_ordered": [
             {pa.name_in(qop): int(cv) for pa, cv in h.coeffs.items()}
             for h in data.h_basis],

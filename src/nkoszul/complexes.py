@@ -729,7 +729,7 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
         dim_s, dim_sn = prov.dim(s), len(models[k + 1][2])
         if prov.dim(s + 1) == 0 or nd * dim_s * dim_sn == 0:
             continue
-        sol = linalg.solve(*_odd_system(c, models, prov, k, s), p)
+        sol = _odd_solution(c, models, prov, k, s)
         if sol is None:
             raise ComplexError(
                 f"no degree-{n} action matches the odd differential at "
@@ -757,7 +757,7 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
                     acts[ai] = cur_mod.act_element(n + 1, vec, s)
             # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
             y = np.stack([acts[ai][i] for i, ai in t1])
-            if linalg.mat_mul(ker, y, p).any():
+            if linalg.sparse_mul(ker.basis, y, p).any():
                 raise ComplexError(
                     f"level {s}: induced degree-{n} action is not "
                     "well defined")
@@ -766,44 +766,50 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
                 actions[(n_gens[w], s + 1)] = amat
 
 
-def _odd_system(c: ComplexOfGraded, models, prov: GradedModule, k: int,
-                s: int):
-    """The linear system (matrix, right-hand side) for the degree-n action
-    at level s, from the odd differential at position k.
+def _odd_solution(c: ComplexOfGraded, models, prov: GradedModule, k: int,
+                  s: int):
+    """The stacked degree-n action A at level s (`grmod.stacked_action`)
+    that the odd differential at position k asks for, or None if none does.
 
-    The odd differential is linear in the stacked degree-n action A at s
-    (`grmod.stacked_action`, see _mu1_pullbacks), with no constant term.
-    The unknowns are the entries of A in row-major order:
-    u = (w * dim_s + i) * dim_sn + r2.
-    Entry ((b, x), (a, x2)) of the differential is the sum over wi of
-    S[(b, x), (a, wi)] * A[wi, x2]; its rows come per degree, row-major."""
+    Entry ((b, x), (a, x2)) of the differential in degree d is the sum over
+    wi of S[(b, x), (a, wi)] * A[wi, x2] (see _mu1_pullbacks), and for all
+    x2 at one vertex v the pairs (a, x2) run over the same a.  So the
+    columns A_v of A at v solve [C; S_v] @ A_v = [0; T_v], one right-hand
+    side per x2, where C @ A = 0 is the kernel condition
+    (`grmod.l_condition`).  Free unknowns are 0, as in one solve over every
+    entry of A, whose unknowns split into these blocks in the same order."""
     lam, ualg = c.algebra, prov.algebra
-    p, n, dual = lam.p, ualg.n, ualg.dual
-    dim_sn = len(models[k + 1][2])
-    nwi = dual.dim(n) * prov.dim(s)
+    p, dual = lam.p, ualg.dual
+    nwi = dual.dim(ualg.n) * prov.dim(s)
+    x2_vert = np.asarray(models[k + 1][2], dtype=np.intp)
     t1, pre, ker = _mu1_data(prov, s)
     coefs = _mu1_pullbacks(prov, s, t1, pre)
     t = _transported_diff(c, k, models)
-    blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
-    for d, rows, cols, lefts in _odd_steps(lam, ualg, s, models[k][0],
-                                            models[k + 1][0]):
-        _check_size(len(rows) * len(cols) * nwi * dim_sn, "degree-n system",
-                    d)
-        spread = _pair_matrix(
-            rows, [(a, wi) for a, _ in cols for wi in range(nwi)],
-            list(zip(lefts, coefs)), p)
-        hit = np.asarray([x2 for _, x2 in cols])[:, None] == np.arange(dim_sn)
-        blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
-                       * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
-        rhs.append(t.mat(d).reshape(-1))
-    # the odd differential alone can underdetermine the action; the kernel
-    # condition C @ A = 0 (`grmod.l_condition`) supplies the missing
-    # equations, one per nonzero row of C and column of A
+    steps = [(d, rows, np.asarray(cols, dtype=np.intp), lefts, t.mat(d))
+             for d, rows, cols, lefts in _odd_steps(
+                 lam, ualg, s, models[k][0], models[k + 1][0])]
     cond = l_condition(prov, s, t1, ker)
     cond = cond[cond.any(axis=1)]
-    blocks.append(np.kron(cond, linalg.eye(dim_sn)))
-    rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
-    return np.concatenate(blocks), np.concatenate(rhs)
+    out = zeros(nwi, x2_vert.size)
+    for v in np.flatnonzero(np.bincount(x2_vert)).tolist():
+        at = np.flatnonzero(x2_vert == v)
+        lhs, rhs, size = [cond], [zeros(len(cond), at.size)], 0
+        for d, rows, cols, lefts, mat in steps:
+            # the pairs (a, x2) come a by a, and for one a by ascending x2
+            grid = np.flatnonzero(x2_vert[cols[:, 1]] == v).reshape(-1,
+                                                                    at.size)
+            size += len(rows) * grid.shape[0] * (nwi + at.size)
+            _check_size(size, "degree-n system", d)
+            lhs.append(_pair_matrix(
+                rows, [(a, wi) for a in cols[grid[:, 0], 0].tolist()
+                       for wi in range(nwi)], list(zip(lefts, coefs)),
+                p).reshape(-1, nwi))
+            rhs.append(mat[:, grid].reshape(-1, at.size))
+        sol = linalg.solve_matrix(np.concatenate(lhs), np.concatenate(rhs), p)
+        if sol is None:
+            return None
+        out[:, at] = sol
+    return out
 
 
 def _transported_diff(c: ComplexOfGraded, k: int, models) -> GradedMorphism:
@@ -893,9 +899,7 @@ def check_Yo_conditions(c: ComplexOfGraded, params):
             continue
         rad = _radical_rrefs(c.modules[k])
         for d, ker in kernel_bases(c.diff(k)).items():
-            basis, pivots = rad[d]
-            # the RREF basis spans x exactly when x = x[:, pivots] @ basis
-            if linalg.sparse_mul(ker.take_cols(pivots), basis, c.p) != ker:
+            if not rad[d].contains(ker):
                 return False, f"kernel at position {k} escapes the radical"
     return True, ""
 
@@ -951,7 +955,7 @@ def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
     return [{k: GradedMorphism(c.component(k), c2.component(k),
                                combine_mats(coef[offs[k]: offs[k] + len(b)],
                                             [f.stored_mats() for f in b], p))
-             for k, b in bases.items()} for coef in ker.basis]
+             for k, b in bases.items()} for coef in ker.basis.dense()]
 
 
 def _stack_entries(f: GradedMorphism, degs, src, tgt) -> np.ndarray:

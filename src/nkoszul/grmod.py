@@ -12,9 +12,9 @@ every map of a minimal resolution is combinatorial (Green, Happel &
 Zacharia, Illinois J. Math. 29, 1985), so the resolution path builds the
 sparse form and reads it directly: `free_module`, `cover_on_top`,
 `GradedMorphism.compose` and `submodule_from_bases` make it, and
-`top_complements` and `kernel_bases` eliminate on it.  Kernels and radicals
-stay Sparse RREF bases (`kernel_bases`, `_radical_rrefs`), and a row x lies
-in such a span exactly when x equals x[:, pivots] @ basis.  `act()` and
+`top_complements` and `kernel_bases` eliminate on it.  Every subspace of a
+degree (kernels, radicals, socles, images, torsion and closures) is a
+`linalg.Subspace`, a canonical RREF basis stored Sparse.  `act()` and
 `mat()` are the dense accessors, densifying on demand under
 `linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` are the sparse
 ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
@@ -655,9 +655,8 @@ def hom_space(m: GradedModule, n: GradedModule):
         rows[np.arange(r1)[:, None] * c2 + j, cols[d2][k, j]] = a[:, k]
         i, k = np.nonzero(cols[d] >= 0)
         rows[i * c2 + np.arange(c2)[:, None], cols[d][i, k]] = -b[k].T % p
-    sol = linalg.null_space(eq, p)
     out = []
-    for vec in sol.basis:
+    for vec in linalg.null_space(eq, p).basis.dense():
         mats = {}
         for d in degs:
             if cols[d].size:
@@ -693,27 +692,23 @@ def socle_subspaces(mod: GradedModule) -> dict:
     """Per degree: the joint kernel of all positive-degree generator actions."""
     out = {}
     for d in mod.degrees():
-        stacked = [mod.act(gi, d) for gi in range(len(mod.gens))]
-        stacked = [s for s in stacked if s.shape[1]]
-        if not stacked:
-            out[d] = Subspace.full(mod.dim(d), mod.p)
-            continue
-        cat = np.concatenate(stacked, axis=1)
-        out[d] = linalg.left_null_space(cat, mod.p)
+        acts = [mod.act(gi, d) for gi in range(len(mod.gens))]
+        acts = [a for a in acts if a.shape[1]]
+        out[d] = (linalg.left_null_space(np.concatenate(acts, axis=1), mod.p)
+                  if acts else Subspace.full(mod.dim(d), mod.p))
     return {d: s for d, s in out.items() if s.dim}
 
 
 def _radical_rrefs(mod: GradedModule) -> dict:
-    """Per degree: the RREF basis (a Sparse) and the pivots of the sum of
-    the images of all generator actions into it, reduced on the sparse
-    rows of the stacked actions."""
+    """Per degree: the sum of the images of all generator actions into it,
+    reduced on the sparse rows of the stacked actions."""
     out = {}
     for d in mod.degrees():
         rows = [mod.sparse_act(gi, d - g.degree)
                 for gi, g in enumerate(mod.gens)
                 if (gi, d - g.degree) in mod._actions]
         out[d] = (linalg.sparse_rref(Sparse.vstack(rows, mod.dim(d)), mod.p)
-                  if rows else (Sparse.zero(0, mod.dim(d)), []))
+                  if rows else Subspace.zero(mod.dim(d), mod.p))
     return out
 
 
@@ -721,9 +716,9 @@ def top_complements(mod: GradedModule) -> dict:
     """Per degree: basis indices spanning a canonical complement of MJ, an
     ascending intp array."""
     out = {}
-    for d, (_, pivots) in _radical_rrefs(mod).items():
+    for d, rad in _radical_rrefs(mod).items():
         is_comp = np.ones(mod.dim(d), dtype=bool)
-        is_comp[pivots] = False
+        is_comp[rad.pivots] = False
         comp = is_comp.nonzero()[0]
         if comp.size:
             out[d] = comp
@@ -742,9 +737,9 @@ def cogenerated_in_degrees(mod: GradedModule, degree_set) -> bool:
 
 
 def submodule_closure(mod: GradedModule, spans: dict) -> dict:
-    """Smallest action-closed family of subspaces containing the spans."""
-    cur = {d: (s if isinstance(s, Subspace)
-               else Subspace.from_rows(mod.dim(d), s, mod.p))
+    """Smallest action-closed family of subspaces containing the spans,
+    given per degree by spanning rows (an array or a Sparse)."""
+    cur = {d: Subspace.from_rows(mod.dim(d), s, mod.p)
            for d, s in spans.items()}
     changed = True
     while changed:
@@ -757,9 +752,11 @@ def submodule_closure(mod: GradedModule, spans: dict) -> dict:
                 d2 = d + g.degree
                 if mod.dim(d2) == 0:
                     continue
-                img = linalg.mat_mul(sub.basis, mod.act(gi, d), mod.p)
+                img = linalg.sparse_mul(sub.basis, mod._stored_action(gi, d),
+                                        mod.p)
                 tgt = cur.get(d2, Subspace.zero(mod.dim(d2), mod.p))
-                new = tgt.sum(Subspace.from_rows(mod.dim(d2), img, mod.p))
+                new = linalg.sparse_rref(
+                    Sparse.vstack([tgt.basis, img], mod.dim(d2)), mod.p)
                 if new.dim != tgt.dim:
                     cur[d2] = new
                     changed = True
@@ -772,8 +769,8 @@ def submodule_closure(mod: GradedModule, spans: dict) -> dict:
 def submodule_from_bases(mod: GradedModule, bases: dict):
     """Realize an action-closed family of subspaces as a module.
 
-    `bases` maps degrees to Sparse RREF bases, with no zero one (as
-    `kernel_bases` gives them).  Returns (sub_module, inclusion).  Each basis
+    `bases` maps degrees to Subspaces, with no zero one (as `kernel_bases`
+    gives them).  Returns (sub_module, inclusion).  Each basis
     row must live in a single vertex block.  The coordinates of an image
     row are its entries at the pivot columns; the family is closed exactly
     when those coordinates give the row back.  Every product is sparse: a
@@ -781,9 +778,8 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
     action.  The sub-module's actions and the inclusion, whose matrices are
     the bases, are sparse."""
     verts, pivots, rests = {}, {}, {}
-    for d, b in bases.items():
-        vs = mod.vert_array(d)
-        lead = b.leads()
+    for d, s in bases.items():
+        vs, b, lead = mod.vert_array(d), s.basis, s.pivots
         if (vs[b.cols] != vs[lead][b.rows]).any():
             raise ModuleError("submodule basis row mixes vertex blocks")
         verts[d] = vs[lead]
@@ -793,12 +789,12 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
         rests[d] = is_rest.nonzero()[0]
     rest_of: dict = {}  # degree -> the basis at the non-pivot columns
     actions = {}
-    for d, b in bases.items():
+    for d, s in bases.items():
         for gi, g in enumerate(mod.gens):
             d2 = d + g.degree
             if mod.dim(d2) == 0:
                 continue
-            img = linalg.sparse_mul(b, mod.sparse_act(gi, d), mod.p)
+            img = linalg.sparse_mul(s.basis, mod.sparse_act(gi, d), mod.p)
             if d2 not in bases:
                 if img.any():
                     raise ModuleError("family is not closed under the action")
@@ -806,43 +802,39 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
             # coords @ B equals img at the pivots, where B is the identity
             coords = img.take_cols(pivots[d2])
             if d2 not in rest_of:
-                rest_of[d2] = bases[d2].take_cols(rests[d2])
+                rest_of[d2] = bases[d2].basis.take_cols(rests[d2])
             if (linalg.sparse_mul(coords, rest_of[d2], mod.p)
                     != img.take_cols(rests[d2])):
                 raise ModuleError("family is not closed under the action")
             if coords.any():
                 actions[(gi, d)] = coords
     sub = GradedModule._adopt(mod.algebra, verts, actions)
-    return sub, GradedMorphism._adopt(sub, mod, dict(bases))
+    return sub, GradedMorphism._adopt(
+        sub, mod, {d: s.basis for d, s in bases.items()})
 
 
 def quotient_module(mod: GradedModule, spans: dict):
     """Quotient by an action-closed subspace family.
 
-    Returns (quotient, projection); the quotient basis is the canonical
-    complement (non-pivot standard vectors of the subspace RREF).
+    `spans` maps degrees to Subspaces.  Returns (quotient, projection); the
+    quotient basis is the canonical complement (non-pivot standard vectors
+    of the subspace RREF).
     """
-    subs = {d: (s if isinstance(s, Subspace)
-                else Subspace.from_rows(mod.dim(d), s, mod.p))
-            for d, s in spans.items()}
-    comp = {}
-    proj = {}
-    verts = {}
+    comp, proj, verts = {}, {}, {}
     for d in mod.degrees():
-        sub = subs.get(d, Subspace.zero(mod.dim(d), mod.p))
-        red = sub.basis
-        pivots = sub.pivots
+        sub = spans.get(d, Subspace.zero(mod.dim(d), mod.p))
         is_kept = np.ones(mod.dim(d), dtype=bool)
-        is_kept[pivots] = False
-        keep = is_kept.nonzero()[0].tolist()
-        if not keep:
+        is_kept[sub.pivots] = False
+        keep = is_kept.nonzero()[0]
+        if not keep.size:
             continue
-        comp[d] = keep
-        verts[d] = tuple(mod.verts_at(d)[i] for i in keep)
+        comp[d] = keep.tolist()
+        verts[d] = tuple(mod.verts_at(d)[i] for i in comp[d])
         # projection: kill pivot coordinates via the RREF rows
-        pr = zeros(mod.dim(d), len(keep))
-        pr[keep, range(len(keep))] = 1
-        pr[pivots] = (-red[:, keep]) % mod.p
+        pr = zeros(mod.dim(d), keep.size)
+        pr[keep, np.arange(keep.size)] = 1
+        rest = sub.basis.take_cols(keep)
+        pr[sub.pivots[rest.rows], rest.cols] = (-rest.vals) % mod.p
         proj[d] = pr
     actions = {}
     for d, keep in comp.items():
@@ -859,12 +851,12 @@ def quotient_module(mod: GradedModule, spans: dict):
 
 
 def kernel_bases(f: GradedMorphism) -> dict:
-    """Per degree: the RREF basis of the kernel as a Sparse, from one
-    structured elimination (`linalg.sparse_left_kernel`) per vertex block
-    of the sparse rows.
+    """Per degree with a nonzero kernel: the kernel, from one structured
+    elimination (`linalg.sparse_left_kernel`) per vertex block of the
+    sparse rows.
 
-    The block kernels have disjoint supports, so set side by side and
-    ordered by leading column they already form the canonical RREF.
+    The block kernels have disjoint supports, so their sum needs no
+    further elimination (`linalg.disjoint_sum`).
     """
     m = f.source
     out = {}
@@ -875,27 +867,21 @@ def kernel_bases(f: GradedMorphism) -> dict:
         # the vertices present, ascending (np.unique imports numpy.ma)
         for v in np.flatnonzero(np.bincount(sv)).tolist():
             idx = (sv == v).nonzero()[0]
-            kb = linalg.sparse_left_kernel(
-                mat if idx.size == sv.size else mat.take_rows(idx), m.p)
-            if kb.nnz:
-                parts.append(Sparse((kb.shape[0], m.dim(d)), kb.rows,
-                                    idx[kb.cols], kb.vals))
-        if len(parts) == 1:
-            out[d] = parts[0]
-        elif parts:
-            out[d] = linalg.by_leads(Sparse.vstack(parts, m.dim(d)))
+            if idx.size == sv.size:
+                parts.append(linalg.sparse_left_kernel(mat, m.p))
+            else:
+                parts.append(linalg.sparse_left_kernel(
+                    mat.take_rows(idx), m.p).embed(idx, m.dim(d)))
+        ker = linalg.disjoint_sum(parts, m.dim(d), m.p)
+        if ker.dim:
+            out[d] = ker
     return out
 
 
 def morphism_image(f: GradedMorphism) -> dict:
-    out = {}
-    for d in f.target.degrees():
-        mat = f.mat(d)
-        if mat.size and mat.any():
-            s = Subspace.from_rows(f.target.dim(d), mat, f.target.p)
-            if s.dim:
-                out[d] = s
-    return out
+    """Per degree with a nonzero image: the image."""
+    return {d: Subspace.from_rows(f.target.dim(d), m, f.p)
+            for d, m in f.stored_mats().items() if m.any()}
 
 
 # -- projective covers and presentations ------------------------------------
@@ -1150,10 +1136,8 @@ def torsion_submodule(mod: GradedModule, params: TorsionParams) -> dict:
     _refuse_e_grading(mod, "torsion_submodule")
     if not mod.is_valid():
         raise ModuleError("module failed validation")
-    cur = {}
-    for d in mod.degrees():
-        cur[d] = (Subspace.zero(mod.dim(d), mod.p) if params.in_s(d)
-                  else Subspace.full(mod.dim(d), mod.p))
+    cur = {d: Subspace.zero(mod.dim(d), mod.p) if params.in_s(d)
+           else Subspace.full(mod.dim(d), mod.p) for d in mod.degrees()}
     changed = True
     while changed:
         changed = False
@@ -1170,23 +1154,20 @@ def torsion_submodule(mod: GradedModule, params: TorsionParams) -> dict:
 
 def _restrict_stable(mod, cur, d, sub: Subspace) -> Subspace:
     """{x in sub : x g lies in cur[d + deg g] for every generator g}."""
-    b = sub.basis
-    keep = Subspace.from_rows(sub.ambient_dim, b, mod.p)
+    keep = sub
     for gi, g in enumerate(mod.gens):
         d2 = d + g.degree
         if mod.dim(d2) == 0:
             continue
-        a = mod.act(gi, d)
         tgt = cur.get(d2, Subspace.zero(mod.dim(d2), mod.p))
-        # x stays iff x a lies in the row space of tgt: kernel formulation
-        t = tgt.basis
-        stacked = np.concatenate(
-            [linalg.mat_mul(keep.basis, a, mod.p).T,
-             (-t.T) % mod.p if t.size else zeros(a.shape[1], 0)], axis=1)
-        ker = linalg.null_space(stacked, mod.p)
-        coef = ker.basis[:, : keep.dim]
-        new_rows = linalg.mat_mul(coef, keep.basis, mod.p)
-        keep = Subspace.from_rows(sub.ambient_dim, new_rows, mod.p)
+        # x = u @ keep stays iff x g = v @ tgt for some v: a null space
+        # over (u, v)
+        img = linalg.mat_mul(keep.basis.dense(), mod.act(gi, d), mod.p)
+        ker = linalg.null_space(np.concatenate(
+            [img.T, (-tgt.basis.dense().T) % mod.p], axis=1), mod.p)
+        keep = linalg.sparse_rref(linalg.sparse_mul(
+            ker.basis.take_cols(np.arange(keep.dim)), keep.basis, mod.p),
+            mod.p)
         if keep.dim == 0:
             break
     return keep
@@ -1201,12 +1182,9 @@ def is_torsionfree(mod: GradedModule, params: TorsionParams) -> bool:
         if params.in_s(d):
             continue
         deg1 = [mod.act(gi, d) for gi, g in enumerate(mod.gens)
-                if g.degree == 1]
-        deg1 = [a for a in deg1 if a.shape[1]]
-        if not deg1:
-            return False
-        cat = np.concatenate(deg1, axis=1)
-        if linalg.left_null_space(cat, mod.p).dim:
+                if g.degree == 1 and mod.dim(d + 1)]
+        if not deg1 or linalg.left_null_space(np.concatenate(deg1, axis=1),
+                                              mod.p).dim:
             return False
     return True
 
@@ -1267,11 +1245,11 @@ def mu1(mod: GradedModule, s: int):
     return mod._memo(("mu1", s), build)
 
 
-def mu1_kernel(mod: GradedModule, s: int) -> np.ndarray:
-    """The canonical basis of Ker(mu_1) at level s, over the pairs of `mu1`,
-    one row per vector: built once per module and level."""
-    return mod._memo(("mu1 kernel", s), lambda: linalg.null_space(
-        mu1(mod, s)[1].T, mod.p).basis)
+def mu1_kernel(mod: GradedModule, s: int) -> Subspace:
+    """Ker(mu_1) at level s, over the pairs of `mu1`: built once per module
+    and level."""
+    return mod._memo(("mu1 kernel", s), lambda: linalg.left_null_space(
+        mu1(mod, s)[1], mod.p))
 
 
 def mu1_preimage(mod: GradedModule, s: int):
@@ -1302,19 +1280,20 @@ def l_condition(mod: GradedModule, s: int, t1, ker) -> np.ndarray:
     zero in X_{s+n}) as a matrix C over the stacked action A
     (`stacked_action`): it holds iff C @ A = 0.
 
-    `ker` is a basis of Ker(mu_1), over its pairs t1 (`multiplication_map`).
-    Row v * dim dual_{n-1} + b of C is the v-th kernel vector times y_b, the
+    `ker` is Ker(mu_1), a Subspace over its pairs t1 (`multiplication_map`).
+    Row v * dim dual_{n-1} + b of C is the v-th basis vector times y_b, the
     b-th basis element of dual_{n-1}: with t = mult(1, n - 1),
     (x_i (x) y_j) y_b = x_i (x) sum_w t[j, b, w] y_w, and x_i (x) y_w acts
     as row w * dim X_s + i of A.  One product of the coefficients, regrouped
     by x_i, with the tensor."""
     alg = mod.algebra
     t_mul = alg.dual.mult(1, alg.n - 1)
-    nv, nx, (nj, nb, nw) = len(ker), mod.dim(s), t_mul.shape
+    nv, nx, (nj, nb, nw) = ker.dim, mod.dim(s), t_mul.shape
     coef = np.zeros((nv, nx, nj), dtype=np.int64)
     if t1:
-        i, j = zip(*t1)
-        coef[:, i, j] = ker
+        i, j = np.asarray(t1, dtype=np.intp).T
+        b = ker.basis
+        coef[b.rows, i[b.cols], j[b.cols]] = b.vals
     prod = linalg.mat_mul(coef.reshape(nv * nx, nj),
                           t_mul.reshape(nj, nb * nw), mod.p)
     return prod.reshape(nv, nx, nb, nw).transpose(0, 2, 3, 1).reshape(
@@ -1336,7 +1315,7 @@ def kernel_condition_holds(mod: GradedModule, s: int) -> bool:
     decided once per module and level."""
     def check():
         ker = mu1_kernel(mod, s)
-        return not (ker.size and linalg.mat_mul(
+        return not (ker.dim and linalg.mat_mul(
             l_condition(mod, s, mu1(mod, s)[0], ker), stacked_action(mod, s),
             mod.p).any())
     return mod._memo(("kernel condition", s), check)

@@ -1,16 +1,27 @@
 """Exact linear algebra over a prime field F_p.
 
 Everything downstream reduces to the handful of primitives in this module:
-reduced row echelon form, null spaces, linear solves and canonical subspace
-arithmetic.  Matrices are numpy int64 arrays with entries in [0, p); the
-reduction is Gauss-Jordan with lowest-index pivoting, so every derived basis
-is deterministic and two equal subspaces have bit-identical bases.
+reduced row echelon form, null spaces, linear solves and canonical
+subspaces.  A matrix is a numpy int64 array with entries in [0, p), or a
+`Sparse` held by its nonzeros.  The reduction is Gauss-Jordan with
+lowest-index pivoting, so the RREF is unique and serves as a canonical form.
 
-`rref` eliminates the columns in panels of 64.  While a panel is eliminated
-only the rows with a nonzero in it change, and a row operation reaches right
-of the panel only at the nonzeros of the pivot row, so the cost follows the
-nonzeros rather than rows x cols: the hom systems built here have one or
-two nonzeros per row and stay that sparse when reduced.
+A subspace has one form, :class:`Subspace`: its canonical basis, the rows of
+its RREF stored as a `Sparse`, and the pivot columns that the elimination
+found.  Each producer makes it from one elimination: `Subspace.from_rows`
+and `sparse_rref` (row spaces), `null_space`, `left_null_space` and
+`sparse_left_kernel` (kernels).  A row x lies in a subspace exactly when
+x = x[pivots] @ basis, which is how `Subspace.contains` decides.  Dense
+arrays are used only inside an elimination, and where a reader multiplies
+a basis through `Sparse.dense`, which refuses before it allocates more
+than MAX_SLICE_BYTES.
+
+`rref` eliminates the columns in panels of 64, and it is the kernel of every
+elimination.  While a panel is eliminated only the rows with a nonzero in it
+change, and a row operation reaches right of the panel only at the nonzeros
+of the pivot row, so the cost follows the nonzeros rather than rows x cols:
+the hom systems built here have one or two nonzeros per row and stay that
+sparse when reduced.
 Its row operations x - f*y are exact in int64 while p*(p-1) <= 2**63 - 1
 and run on Python integers above that.  Products (`mat_mul`) run as float64
 BLAS products while p*(p-1) < 2**53, which keeps them exact, and fall back
@@ -21,21 +32,17 @@ not arithmetic, rules there), and a left operand with at most one nonzero
 per row makes the product a scaled row gather, each entry one product of
 two residues.  Operands already in [0, p) are not reduced again.
 
-A matrix can also be held by its nonzeros: a :class:`Sparse` keeps
-row-sorted (row, column, value) int64 arrays, reduced mod p, and a shape.
-Over a monomial algebra the free-module actions, cover maps and inclusions
-of a resolution have a handful of nonzeros per row, and they are built,
-multiplied (`sparse_mul`, a row gather per nonzero of the left factor) and
-reduced (`sparse_rref`, `sparse_left_kernel`) in this form.  The
-eliminations are structured (LaMacchia & Odlyzko, CRYPTO '90): a row with
-one nonzero, or a column with one nonzero, settles a pivot or a kernel
-coordinate at once, and only what is left is compacted to a dense block
-for `rref`.  `Sparse.dense` is the way back to an array; it refuses before
-it allocates more than MAX_SLICE_BYTES.
+A `Sparse` keeps row-sorted (row, column, value) int64 arrays, reduced mod
+p, and a shape.  Over a monomial algebra the free-module actions, cover
+maps and inclusions of a resolution have a handful of nonzeros per row, and
+they are built, multiplied (`sparse_mul`, a row gather per nonzero of the
+left factor) and reduced (`sparse_rref`, `sparse_left_kernel`) in this
+form.  The sparse eliminations are structured (LaMacchia & Odlyzko, CRYPTO
+'90): a row with one nonzero, or a column with one nonzero, settles a pivot
+or a kernel coordinate at once, and only what is left is compacted to a
+dense block for `rref`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -335,27 +342,46 @@ def solve_matrix(a, b, p: int):
 
 
 def null_space(m, p: int) -> "Subspace":
-    """Canonical basis of {x : m @ x = 0} as a Subspace of F_p^cols."""
+    """{x : m @ x = 0} as a Subspace of F_p^cols."""
     return _null_space(as_matrix(m, p), p)
 
 
 def _null_space(a: np.ndarray, p: int) -> "Subspace":
-    """`null_space` of an int64 matrix handed over as to `_rref`."""
-    red, pivots, r = _rref(a, p)
-    cols = red.shape[1]
+    """`null_space` of an int64 matrix handed over as to `_rref`, from one
+    elimination of the columns in reverse order.  Its basis with the free
+    columns as the identity, read with the columns back in order, is the
+    RREF: a vector's first nonzero is the 1 at its free column, which no
+    other vector touches, and its other entries are at pivots right of it.
+    """
+    cols = a.shape[1]
+    red, pivots, r = _rref(a[:, ::-1], p)
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
-    free = is_free.nonzero()[0]
-    # free variable k set to 1, the pivot variables solved for
-    basis = zeros(free.size, cols)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-red[:r, free].T) % p
-    return Subspace.from_rows(cols, basis, p)
+    free = is_free.nonzero()[0][::-1]  # reversed, so ascending columns
+    # row k: the 1 at free column k, then minus the pivot rows' entries in
+    # that column, the last pivot row first, so again ascending columns
+    rows = zeros(free.size, r + 1)
+    rows[:, 0] = 1
+    rows[:, 1:] = (-red[:r][::-1, free].T) % p
+    k, j = rows.nonzero()  # row by row, the 1 first
+    lead = j == 0
+    at = np.empty(k.size, dtype=np.intp)
+    at[lead] = cols - 1 - free
+    at[~lead] = cols - 1 - np.asarray(pivots, dtype=np.intp)[r - j[~lead]]
+    return Subspace(cols, p, Sparse((free.size, cols), k, at, rows[k, j]),
+                    cols - 1 - free)
 
 
 def left_null_space(m, p: int) -> "Subspace":
-    """Canonical basis of {x : x @ m = 0} (row vectors)."""
+    """{x : x @ m = 0}, of row vectors, as a Subspace."""
     return null_space(as_matrix(m, p).T, p)
+
+
+def _row_space(a: np.ndarray, p: int) -> "Subspace":
+    """The row space of a 2-D int64 array handed over as to `_rref`."""
+    red, pivots, r = _rref(a, p)
+    return Subspace(a.shape[1], p, Sparse.from_dense(red[:r], p),
+                    np.asarray(pivots, dtype=np.intp))
 
 
 def inverse(m, p: int):
@@ -378,87 +404,92 @@ def inverse(m, p: int):
     return solve_matrix(a, eye(n), p)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_p^ambient_dim in canonical RREF row form."""
+    """A subspace of F_p^ambient_dim, held by its canonical basis: `basis`,
+    the rows of its RREF as a `Sparse`, and `pivots`, the column of each
+    row's leading 1, ascending, as an elimination found them.  A row x lies
+    in the subspace exactly when x = x[pivots] @ basis.  Equal subspaces
+    have equal bases."""
 
-    ambient_dim: int
-    p: int
-    basis: np.ndarray = field(compare=False)
+    __slots__ = ("ambient_dim", "p", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, p: int, basis: "Sparse",
+                 pivots: np.ndarray):
+        self.ambient_dim, self.p = ambient_dim, p
+        self.basis, self.pivots = basis, pivots
 
     @staticmethod
     def from_rows(ambient_dim: int, rows, p: int) -> "Subspace":
-        red, _, r = rref(rows if np.size(rows) else zeros(0, ambient_dim), p)
-        if red.shape[1] != ambient_dim:
+        """The span of rows, an array or a Sparse, of ambient_dim
+        columns."""
+        if isinstance(rows, Sparse):
+            out = sparse_rref(rows, p)
+        else:
+            out = _row_space(as_matrix(rows, p) if np.size(rows)
+                             else zeros(0, ambient_dim), p)
+        if out.ambient_dim != ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
-        return Subspace(ambient_dim, p, red[:r])
+        return out
 
     @staticmethod
     def zero(ambient_dim: int, p: int) -> "Subspace":
-        return Subspace(ambient_dim, p, zeros(0, ambient_dim))
+        return Subspace(ambient_dim, p, Sparse.zero(0, ambient_dim),
+                        np.zeros(0, dtype=np.intp))
 
     @staticmethod
     def full(ambient_dim: int, p: int) -> "Subspace":
-        return Subspace(ambient_dim, p, eye(ambient_dim))
+        return _units(np.arange(ambient_dim), ambient_dim, p)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def pivots(self) -> np.ndarray:
-        """The leading column of each basis row."""
-        if not self.basis.size:
-            return np.zeros(self.dim, dtype=np.intp)
-        return (self.basis != 0).argmax(axis=1)
+    def embed(self, at: np.ndarray, ambient_dim: int) -> "Subspace":
+        """This subspace with its coordinate j put at coordinate at[j] of
+        F_p^ambient_dim, for an increasing `at`."""
+        b = self.basis
+        return Subspace(ambient_dim, self.p, Sparse(
+            (self.dim, ambient_dim), b.rows, at[b.cols], b.vals),
+            at[self.pivots])
 
-    def contains_vector(self, v) -> bool:
-        v = np.asarray(v, dtype=np.int64).reshape(-1) % self.p
-        if v.shape[0] != self.ambient_dim:
+    def _check_ambient(self, other: "Subspace") -> None:
+        if other.ambient_dim != self.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
-        return solve(self.basis.T, v, self.p) is not None
+
+    # No caller in src/; it stays because perfbench/spans.py wraps it.
+    def contains_vector(self, v) -> bool:
+        return self.contains(Subspace.from_rows(
+            self.ambient_dim, np.reshape(v, (1, -1)), self.p))
 
     def contains(self, other: "Subspace") -> bool:
-        """Whether every row of other's basis lies in this subspace.
+        """Whether other lies in this subspace: whether each row x of
+        other's basis equals x[pivots] @ basis, one product for all."""
+        self._check_ambient(other)
+        return sparse_mul(other.basis.take_cols(self.pivots), self.basis,
+                          self.p) == other.basis
 
-        The basis is in RREF, so a row x lies in the span exactly when x
-        equals x[pivots] @ basis: one product for all the rows at once.
-        """
-        if other.ambient_dim != self.ambient_dim:
-            raise LinAlgError("ambient dimension mismatch")
-        rows = other.basis % self.p
-        return bool(np.array_equal(
-            mat_mul(rows[:, self.pivots], self.basis, self.p), rows))
-
+    # No caller in src/; it stays because perfbench/spans.py wraps it.
     def sum(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise LinAlgError("ambient dimension mismatch")
-        stacked = np.concatenate([self.basis, other.basis], axis=0)
-        red, _, r = _rref(stacked, self.p)
-        return Subspace(self.ambient_dim, self.p, red[:r])
+        self._check_ambient(other)
+        return sparse_rref(Sparse.vstack([self.basis, other.basis],
+                                         self.ambient_dim), self.p)
 
+    # No caller in src/; it stays because perfbench/spans.py wraps it.
     def intersect(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise LinAlgError("ambient dimension mismatch")
+        self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim, self.p)
         # x = u @ A = v @ B;  solve [A^T | -B^T] (u,v)^T = 0
-        stacked = np.concatenate([self.basis.T, (-other.basis.T) % self.p], axis=1)
-        ker = _null_space(stacked, self.p)
-        rows = mat_mul(ker.basis[:, : self.dim], self.basis, self.p)
-        return Subspace.from_rows(self.ambient_dim, rows, self.p)
+        ker = _null_space(np.concatenate(
+            [self.basis.dense().T, (-other.basis.dense().T) % self.p],
+            axis=1), self.p)
+        coef = ker.basis.take_cols(np.arange(self.dim))
+        return sparse_rref(sparse_mul(coef, self.basis, self.p), self.p)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.p == other.p
-            and self.basis.shape == other.basis.shape
-            and bool(np.array_equal(self.basis, other.basis))
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.p, self.basis.tobytes()))
+        if type(other) is not Subspace:
+            return NotImplemented
+        return self.p == other.p and self.basis == other.basis
 
 
 # -- sparse matrices ----------------------------------------------------------
@@ -597,11 +628,6 @@ class Sparse:
                   out=out[1:])
         return out
 
-    def leads(self) -> np.ndarray:
-        """The column of the first nonzero of each row; every row must have
-        one."""
-        return self.cols[self.row_starts()[:-1]]
-
     def take_rows(self, idx) -> "Sparse":
         """Rows idx, in that order, as a len(idx)-row matrix."""
         idx = np.asarray(idx, dtype=np.intp)
@@ -700,40 +726,32 @@ def sparse_combine(coefs, mats, p: int) -> Sparse:
                                np.concatenate(vals), p)
 
 
-def by_leads(m: Sparse) -> Sparse:
-    """The rows of m, each nonzero and with its own leading column, in the
-    order of their leading columns."""
-    return _by_leads(m.shape[1], m.rows, m.cols, m.vals)
+def disjoint_sum(parts, ambient_dim: int, p: int) -> Subspace:
+    """The sum of Subspaces whose bases share no column: their rows in the
+    order of their pivots are the RREF, with no elimination."""
+    parts = [s for s in parts if s.dim]
+    if len(parts) < 2:
+        return parts[0] if parts else Subspace.zero(ambient_dim, p)
+    offs = np.cumsum([0] + [s.dim for s in parts[:-1]])
+    rows = np.concatenate([s.basis.rows + off for s, off in zip(parts, offs)])
+    pivots = np.concatenate([s.pivots for s in parts])
+    by_pivot = np.argsort(pivots, kind="stable")
+    rank = np.empty(pivots.size, dtype=np.intp)
+    rank[by_pivot] = np.arange(pivots.size)
+    rows = rank[rows]
+    order = np.argsort(rows, kind="stable")  # a row stays sorted
+    return Subspace(ambient_dim, p, Sparse(
+        (pivots.size, ambient_dim), rows[order],
+        np.concatenate([s.basis.cols for s in parts])[order],
+        np.concatenate([s.basis.vals for s in parts])[order]),
+        pivots[by_pivot])
 
 
-def _by_leads(cols: int, rows, cs, vals) -> Sparse:
-    """The rows labelled `rows`, each nonempty and with its own leading
-    column, put in the order of their leading columns."""
-    order = np.lexsort((cs, rows))
-    rows, cs, vals = rows[order], cs[order], vals[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    group = np.cumsum(first) - 1
-    rank = np.empty(int(first.sum()), dtype=np.int64)
-    rank[np.argsort(cs[first], kind="stable")] = np.arange(rank.size)
-    new = rank[group]
-    order = np.argsort(new, kind="stable")  # columns stay sorted in a row
-    return Sparse((rank.size, cols), new[order], cs[order], vals[order])
-
-
-def _with_units(units, rest, at, cols: int) -> Sparse:
-    """The unit rows of the columns `units` and the rows of the dense RREF
-    block `rest`, whose column j is column at[j], in RREF.  The two share
-    no column, so the rows in the order of their leading columns are the
-    RREF."""
-    if rest is None:  # the units alone, already in order
-        return Sparse((units.size, cols), np.arange(units.size), units,
-                      np.ones(units.size, dtype=np.int64))
-    rr, rc = np.nonzero(rest)
-    return _by_leads(
-        cols, np.concatenate([np.arange(units.size), rr + units.size]),
-        np.concatenate([units, at[rc]]),
-        np.concatenate([np.ones(units.size, dtype=np.int64), rest[rr, rc]]))
+def _units(cols: np.ndarray, ambient_dim: int, p: int) -> Subspace:
+    """The span of the unit vectors of the increasing columns `cols`."""
+    return Subspace(ambient_dim, p, Sparse(
+        (cols.size, ambient_dim), np.arange(cols.size), cols,
+        np.ones(cols.size, dtype=np.int64)), cols)
 
 
 def _compact(rows, cs, vals, nrows: int, ncols: int, transpose: bool):
@@ -758,16 +776,13 @@ def _compact(rows, cs, vals, nrows: int, ncols: int, transpose: bool):
     return block, keep_r, keep_c
 
 
-def sparse_rref(m: Sparse, p: int):
-    """The RREF basis of the row space of m as a Sparse, one row per pivot,
-    and the pivot columns.
+def sparse_rref(m: Sparse, p: int) -> Subspace:
+    """The row space of m.
 
     A row with one nonzero puts the unit vector of its column in the space:
     that column is a pivot, its basis row is the unit vector, and it can be
     cleared from every other row.  This repeats while such rows turn up;
     the rest, compacted to the rows and columns it touches, goes to `rref`.
-    Unit rows and the rows of the rest share no column, so together, in
-    the order of their pivots, they are the RREF.
     """
     r, c, v = m.rows, m.cols, m.vals
     unit = np.zeros(m.shape[1], dtype=bool)
@@ -778,24 +793,21 @@ def sparse_rref(m: Sparse, p: int):
         unit[c[single]] = True
         kept = ~unit[c]
         r, c, v = r[kept], c[kept], v[kept]
-    units = unit.nonzero()[0]
+    units = _units(unit.nonzero()[0], m.shape[1], p)
     if not r.size:
-        return _with_units(units, None, None, m.shape[1]), units
+        return units
     block, _, keep_c = _compact(r, c, v, m.shape[0], m.shape[1], False)
-    red, _, rank = _rref(block, p)
-    basis = _with_units(units, red[:rank], keep_c, m.shape[1])
-    return basis, basis.leads()
+    rest = _row_space(block, p).embed(keep_c, m.shape[1])
+    return disjoint_sum([units, rest], m.shape[1], p)
 
 
-def sparse_left_kernel(m: Sparse, p: int) -> Sparse:
-    """The RREF basis of {x : x @ m = 0} as a Sparse, one row per vector.
+def sparse_left_kernel(m: Sparse, p: int) -> Subspace:
+    """{x : x @ m = 0}, of row vectors.
 
     A zero row of m gives its unit vector.  A column with one nonzero
     forces x to vanish at that row, which then leaves the system; this
     repeats while such columns turn up.  The rest, compacted to the rows
-    and columns it touches, goes to `null_space`.  Unit vectors and the
-    vectors of the rest share no coordinate, so together, in the order of
-    their leading coordinates, they are the RREF.
+    and columns it touches, goes to `null_space`.
     """
     nrows = m.shape[0]
     r, c, v = m.rows, m.cols, m.vals
@@ -809,8 +821,9 @@ def sparse_left_kernel(m: Sparse, p: int) -> Sparse:
         forced[r[single]] = True
         kept = ~forced[r]
         r, c, v = r[kept], c[kept], v[kept]
-    units = zero.nonzero()[0]
+    units = _units(zero.nonzero()[0], nrows, p)
     if not r.size:
-        return _with_units(units, None, None, nrows)
+        return units
     block, keep_r, _ = _compact(r, c, v, nrows, m.shape[1], True)
-    return _with_units(units, _null_space(block, p).basis, keep_r, nrows)
+    return disjoint_sum([units, _null_space(block, p).embed(keep_r, nrows)],
+                        nrows, p)

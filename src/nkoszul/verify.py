@@ -230,11 +230,9 @@ def _free_op_algebra(q: Quiver, n: int, top: int):
 def annihilates_orthogonal(mod: GradedModule, lam) -> bool:
     """Whether every element of the degree-n relation orthogonal acts as
     zero on the representation (i.e. it descends to the dual algebra)."""
-    orth = compute_orthogonal(lam)
-    if orth.dim == 0:
-        return True
+    orth = compute_orthogonal(lam).basis.dense()
     for d in sorted(mod.degrees()):
-        for row in orth.basis:
+        for row in orth:
             a = mod.act_element(lam.pres.n, row, d)
             if a.any():
                 return False

@@ -11,7 +11,7 @@ import numpy as np
 
 from nkoszul import linalg
 from nkoszul.algebra import AlgebraError
-from nkoszul.linalg import Subspace, zeros
+from nkoszul.linalg import Sparse, Subspace, zeros
 
 
 def reduce_path_element(alg, el) -> np.ndarray:
@@ -28,8 +28,12 @@ def left_mult_matrix(alg, d_el: int, vec: np.ndarray, d: int) -> np.ndarray:
 
 
 def ideal_subspace(alg, d: int) -> Subspace:
-    """I_d in the coordinates of the paths of degree d."""
-    return Subspace(alg.path_count(d), alg.p, alg.ideal_rref(d))
+    """I_d in the coordinates of the paths of degree d, read off the
+    stored RREF with no elimination."""
+    red = alg.ideal_rref(d)
+    return Subspace(alg.path_count(d), alg.p, Sparse.from_dense(red, alg.p),
+                    np.array([np.flatnonzero(row)[0] for row in red],
+                             dtype=np.intp))
 
 
 def word_product(ualg, word) -> np.ndarray:
@@ -107,7 +111,7 @@ def relation_words(ualg) -> list:
             out += [(label(w), [(w, 1)]) for w in words]
             continue
         mat = np.stack([word_product(ualg, w) for w in words], axis=0)
-        for row in linalg.left_null_space(mat, ualg.p).basis:
+        for row in linalg.left_null_space(mat, ualg.p).basis.dense():
             rel = [(words[j], int(row[j])) for j in range(len(words))
                    if row[j]]
             out.append((label(rel[0][0]), rel))

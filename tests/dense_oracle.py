@@ -5,14 +5,36 @@ sub-modules in the sparse form of `linalg.Sparse`.  These are the dense
 builders it replaced, one int64 array per action and per degree, with the
 dense eliminations they used; `dense_resolution` chains them as
 `koszul.minimal_projective_resolution` does.  Tests compare the library's
-output, densified, with theirs array by array.
+output, densified, with theirs array by array.  `null_space` is the null
+space as it was built with two eliminations, before `linalg.null_space`
+read the canonical basis off one, and `odd_system` the extraction's
+degree-n system over every entry of the action at once, before
+`complexes._odd_solution` solved it per vertex block.
 """
 import numpy as np
 
+from nkoszul import complexes as cx
 from nkoszul import linalg
+from nkoszul.algebra import _check_size
 from nkoszul.complexes import _lam_top
 from nkoszul.grmod import GradedModule, GradedMorphism, ModuleError
 from nkoszul.linalg import Subspace, zeros
+
+
+def null_space(m, p: int) -> np.ndarray:
+    """The canonical basis of {x : m @ x = 0} as `linalg.null_space` built
+    it with two eliminations: the basis with the free columns as the
+    identity, then the RREF of that basis."""
+    red, pivots, r = linalg.rref(m, p)
+    cols = red.shape[1]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    basis = zeros(free.size, cols)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-red[:r, free].T) % p
+    red, _, r = linalg.rref(basis, p)
+    return red[:r]
 
 
 def free_module(algebra, gen_list, hi):
@@ -124,8 +146,8 @@ def compose(f, g):
 
 
 def morphism_kernel(f):
-    """`grmod.kernel_bases`, as dense Subspaces, by one dense null space per
-    vertex block."""
+    """`grmod.kernel_bases`, by one dense null space per vertex block, set
+    side by side in a dense basis."""
     m = f.source
     out = {}
     for d in m.degrees():
@@ -136,7 +158,7 @@ def morphism_kernel(f):
             idx = (sv == v).nonzero()[0]
             kb = linalg.null_space(mat[idx].T, m.p)
             if kb.dim:
-                blocks.append((idx, kb.basis, idx[kb.pivots]))
+                blocks.append((idx, kb.basis.dense(), idx[kb.pivots]))
         if not blocks:
             continue
         lead = np.concatenate([ld for _, _, ld in blocks])
@@ -147,22 +169,22 @@ def morphism_kernel(f):
         for idx, kb, _ in blocks:
             basis[np.ix_(row_of[first:first + len(kb)], idx)] = kb
             first += len(kb)
-        out[d] = Subspace(m.dim(d), m.p, basis)
+        out[d] = Subspace.from_rows(m.dim(d), basis, m.p)
     return out
 
 
 def submodule_as_module(mod, spans):
-    """`grmod.submodule_from_bases`, for a family of dense Subspaces, by
-    dense products of the bases with the dense actions."""
+    """`grmod.submodule_from_bases`, for a family of Subspaces, by dense
+    products of the densified bases with the dense actions."""
     bases, verts, pivots, rests = {}, {}, {}, {}
     for d, s in spans.items():
         if not s.dim:
             continue
         vs = np.asarray(mod.verts_at(d))
-        bases[d] = s.basis
+        bases[d] = s.basis.dense()
         verts[d] = tuple(vs[s.pivots].tolist())
         pivots[d] = s.pivots
-        is_rest = np.ones(s.basis.shape[1], dtype=bool)
+        is_rest = np.ones(s.ambient_dim, dtype=bool)
         is_rest[s.pivots] = False
         rests[d] = is_rest.nonzero()[0]
     actions = {}
@@ -225,3 +247,40 @@ def dense_actions(mod):
 def dense_mats(f):
     """The stored matrices of a morphism, each densified."""
     return {d: f.mat(d) for d in f.stored_mats()}
+
+
+def odd_system(c, models, prov, k, s):
+    """The linear system (matrix, right-hand side) for the degree-n action
+    at level s, from the odd differential at position k, over every entry
+    of the stacked degree-n action A at once.
+
+    The unknowns are the entries of A in row-major order:
+    u = (w * dim_s + i) * dim_sn + r2.
+    Entry ((b, x), (a, x2)) of the differential is the sum over wi of
+    S[(b, x), (a, wi)] * A[wi, x2]; its rows come per degree, row-major.
+    The `hit` mask spreads S over the columns x2, and the kernel condition
+    C @ A = 0 comes as kron(C, I)."""
+    lam, ualg = c.algebra, prov.algebra
+    p, n, dual = lam.p, ualg.n, ualg.dual
+    dim_sn = len(models[k + 1][2])
+    nwi = dual.dim(n) * prov.dim(s)
+    t1, pre, ker = cx._mu1_data(prov, s)
+    coefs = cx._mu1_pullbacks(prov, s, t1, pre)
+    t = cx._transported_diff(c, k, models)
+    blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
+    for d, rows, cols, lefts in cx._odd_steps(lam, ualg, s, models[k][0],
+                                               models[k + 1][0]):
+        _check_size(len(rows) * len(cols) * nwi * dim_sn, "degree-n system",
+                    d)
+        spread = cx._pair_matrix(
+            rows, [(a, wi) for a, _ in cols for wi in range(nwi)],
+            list(zip(lefts, coefs)), p)
+        hit = np.asarray([x2 for _, x2 in cols])[:, None] == np.arange(dim_sn)
+        blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
+                       * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
+        rhs.append(t.mat(d).reshape(-1))
+    cond = cx.l_condition(prov, s, t1, ker)
+    cond = cond[cond.any(axis=1)]
+    blocks.append(np.kron(cond, linalg.eye(dim_sn)))
+    rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
+    return np.concatenate(blocks), np.concatenate(rhs)

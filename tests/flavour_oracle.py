@@ -166,7 +166,7 @@ class USupportAlgebra:
                 continue
             mat = np.stack(vecs, axis=0)
             ker = linalg.left_null_space(mat, self.p)
-            for row in ker.basis:
+            for row in ker.basis.dense():
                 rel = [(words[j], int(row[j])) for j in range(len(words))
                        if row[j]]
                 if rel:

@@ -72,7 +72,7 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
         if ker1.dim == 0:
             continue
         tn, mun = multiplication_map(mod, s, n)
-        prod_rows = times_right(ker1.basis, mod.dim(s), t1, tn,
+        prod_rows = times_right(ker1.basis.dense(), mod.dim(s), t1, tn,
                                 dual.mult(1, n - 1), p)
         if not prod_rows.any():
             continue

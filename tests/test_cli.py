@@ -359,6 +359,24 @@ def test_in_Y_witness_of_F_is_the_module_at_every_seed(capsys):
         assert rep["witness"] == want
 
 
+def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
+    """`check --predicate in_Y --object "F(X)"` on two_loop_n3 at seed 0
+    runs 22 eliminations (`linalg._rref`).  It ran 32 while `null_space`
+    built a basis with the free columns as the identity and
+    `Subspace.from_rows` reduced that basis a second time, once for each
+    of its 10 null spaces; the canonical basis is now read off the one
+    elimination of the reversed columns."""
+    from nkoszul import linalg
+    shapes = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda a, p: shapes.append(a.shape) or real(a, p))
+    code, rep = run_json(capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
+                                  "--object", "F(X)", "--seed", "0"])
+    assert code == 0 and rep["verdict"] is True
+    assert len(shapes) == 22
+
+
 def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):
     """`check --predicate in_Y --object "F(X)"` on two_loop_n3 validates two
     modules, X and the module read back off F(X), and runs the relation

@@ -8,6 +8,7 @@ from nkoszul import verify
 from nkoszul.complexes import ComplexError
 from nkoszul.grmod import TorsionParams, free_module, graded_dual
 from algebra_oracle import left_mult_matrix, reduce_path_element
+import dense_oracle
 from dense_oracle import dense_actions, dense_mats
 from search_oracle import iso_complexes, iso_modules
 
@@ -190,7 +191,7 @@ def test_equivalence_F_dual_builds_the_dual_and_decides_in_L_once(
 
 def dense_Yo_escape(c):
     """The first odd position whose kernel leaves the radical of its
-    component, or None: the check on dense Subspaces, each kernel a null
+    component, or None: the check on dense matrices, each kernel a null
     space and each radical the span of the images of the actions."""
     for k in c.positions():
         if k % 2 == 0:
@@ -469,7 +470,7 @@ def reference_odd_system(c, models, prov, k, s):
     kerz = linalg.null_space(mu1.T, p)
     mu_un = dual.mult(1, n - 1)
     extra = []
-    for z in kerz.basis:
+    for z in kerz.basis.dense():
         for ui in range(dual.dim(n - 1)):
             coeff = {}
             for r in np.nonzero(z)[0]:
@@ -633,14 +634,43 @@ def test_equivalence_and_extraction_match_the_replaced_loops(key, p):
             if n == 2 or k % 2 == 0 or k + 1 not in models \
                     or not prov.dim(s) or not prov.dim(s + 1):
                 continue
-            a_mat, rhs = cx._odd_system(c, models, prov, k, s)
+            a_mat, rhs = dense_oracle.odd_system(c, models, prov, k, s)
             ref_a, ref_rhs, off = reference_odd_system(c, models, prov, k, s)
             assert not off.any()  # linear in the action, no offset
             assert np.array_equal(a_mat, ref_a)
             assert np.array_equal(rhs, ref_rhs)
+            # solved per vertex block, the same solution as the whole system
+            want = linalg.solve(a_mat, rhs, lam.p)
+            got = cx._odd_solution(c, models, prov, k, s)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.reshape(-1), want)
             systems += 1
         assert_round_trip(c, x, ualg, params)
     assert systems or n == 2
+
+
+def test_odd_solution_matches_the_whole_system_on_the_suite_trials(
+        monkeypatch):
+    """On every degree-n extraction that the seed-0 equivalence suites run,
+    the action solved per vertex block is the solution of the system over
+    every entry of the action at once (`dense_oracle.odd_system`)."""
+    real = cx._odd_solution
+    checked = []
+
+    def compared(c, models, prov, k, s):
+        got = real(c, models, prov, k, s)
+        want = linalg.solve(*dense_oracle.odd_system(c, models, prov, k, s),
+                            c.p)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.reshape(-1), want)
+        checked.append(got is not None)
+        return got
+    monkeypatch.setattr(cx, "_odd_solution", compared)
+    for name in ("equivalence", "dual_equivalence"):
+        assert verify.run_suite(name, seed=0)["passed"]
+    assert any(checked)
 
 
 def python_pair_matrix(src_pairs, tgt_pairs, terms, p):
@@ -858,7 +888,7 @@ def test_projective_certificate_is_the_cover_map(monkeypatch):
     lam = entry()["lam"]
     f = free_module(lam, [(0, 0)], 3)
     quo, _ = gm.quotient_module(f, gm.submodule_closure(
-        f, {1: gm._radical_rrefs(f)[1][0].dense()[:1]}))
+        f, {1: gm._radical_rrefs(f)[1].basis.dense()[:1]}))
     negatives = [(f, 1), (free_module(lam, [(0, 0), (0, 1)], 3), 0),
                  (quo, 0)]
     expected = [True] * len(comps) + [False] * len(negatives)
@@ -890,7 +920,7 @@ def reference_injective_witness(comp, want, seed=0):
     if set(socs) != {want}:
         return None
     vlist = [comp.verts_at(want)[int(np.nonzero(row)[0][0])]
-             for row in socs[want].basis]
+             for row in socs[want].basis.dense()]
     model = cx.cofree_module(comp.algebra, vlist).shift(-want)
     iso = iso_modules(model, comp, seed=seed)
     if iso is None:
@@ -979,21 +1009,44 @@ def test_in_Y_reads_three_copies_back_over_F2(monkeypatch):
     assert_round_trip(c, x, e["ualg"], params)
 
 
-def test_degree_n_system_is_refused_before_it_is_allocated():
-    """Truncated at 7, the degree-3 system at one position would need
-    36864 x 36864 entries (10.1 GiB): the slice cap refuses it first, and
-    in_Y passes the refusal on rather than answering no."""
-    import time
-    from nkoszul.algebra import AlgebraError
+def truncated_free_F(t):
+    """Three copies of the free dual module over two loops at n = 3 and
+    p = 2, restricted to S and truncated at t; with F of it."""
     e = small_entry("loops", 2)
     params = TorsionParams(3, 1, 0)
-    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, 7), e["ualg"],
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, t), e["ualg"],
                       params)
-    c = cx.equivalence_F(x, e["lam"], params)
-    start = time.monotonic()
+    return e, params, cx.equivalence_F(x, e["lam"], params)
+
+
+def test_in_Y_of_F_answers_past_truncation_5():
+    """Truncated at 7, the degree-3 system over every entry of the action
+    at once would need 36864 x 36864 entries (10.1 GiB); solved per vertex
+    block it has at most 73728 entries, and in_Y answers."""
+    e, params, c = truncated_free_F(7)
+    assert cx.in_Y(c, e["ualg"], params)[0]
+
+
+def test_degree_n_system_is_refused_before_it_is_allocated(monkeypatch):
+    """With the slice cap below one vertex block's system, the cap refuses
+    the block before its matrix is built, and in_Y passes the refusal on
+    rather than answering no."""
+    from nkoszul import algebra
+    from nkoszul.algebra import AlgebraError
+    e, params, c = truncated_free_F(7)
+    cap = 1 << 16
+    monkeypatch.setattr(algebra, "MAX_SLICE_BYTES", cap)
+    built = []
+    pair_matrix = cx._pair_matrix
+
+    def recorded(*args):
+        out = pair_matrix(*args)
+        built.append(out.nbytes)
+        return out
+    monkeypatch.setattr(cx, "_pair_matrix", recorded)
     with pytest.raises(AlgebraError, match="degree-n system"):
         cx.in_Y(c, e["ualg"], params)
-    assert time.monotonic() - start < 60
+    assert built and max(built) <= cap
 
 
 def test_repinned_in_Y_witness_is_isomorphic_to_the_searched_one(monkeypatch):

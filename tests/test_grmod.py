@@ -50,26 +50,6 @@ def generated_in_degrees(mod, degree_set) -> bool:
     return all(d in degree_set for d in gm.top_dims(mod))
 
 
-def sparse_bases(spans: dict, p: int) -> dict:
-    """A family of Subspaces as the Sparse RREF bases that
-    `submodule_from_bases` takes, with no zero one."""
-    return {d: linalg.Sparse.from_dense(s.basis, p)
-            for d, s in spans.items() if s.dim}
-
-
-def as_subspaces(mod, bases: dict) -> dict:
-    """Sparse RREF bases, as `kernel_bases` gives them, as dense
-    Subspaces."""
-    return {d: linalg.Subspace(mod.dim(d), mod.p, b.dense())
-            for d, b in bases.items()}
-
-
-def realize(mod, spans: dict):
-    """The submodule spanned by a family of Subspaces, as a module, with its
-    inclusion."""
-    return gm.submodule_from_bases(mod, sparse_bases(spans, mod.p))
-
-
 def test_regular_module_is_valid_and_full():
     e = entry("one_loop_n3")
     lam = e["lam"]
@@ -168,7 +148,7 @@ def test_socle_radical_top():
     soc = gm.socle_subspaces(f)
     assert sorted(soc) == [2]
     rad = gm._radical_rrefs(f)
-    assert [d for d in sorted(rad) if rad[d][0].shape[0]] == [1, 2]
+    assert [d for d in sorted(rad) if rad[d].dim] == [1, 2]
     assert gm.top_dims(f) == {0: 1}
 
 
@@ -188,7 +168,7 @@ def test_submodule_and_quotient_dims_add_up():
     row = np.zeros(f.dim(1), dtype=np.int64)
     row[0] = 1
     spans = submodule_closure(f, {1: row.reshape(1, -1)})
-    sub, _ = realize(f, spans)
+    sub, _ = gm.submodule_from_bases(f, spans)
     quot, _ = quotient_module(f, spans)
     assert sub.is_valid() and quot.is_valid()
     for d in f.degrees():
@@ -202,7 +182,7 @@ def test_quotient_projection_matches_the_loop_construction():
     _, proj = quotient_module(f, spans)
     checked = 0
     for d, s in spans.items():
-        red = s.basis
+        red = s.basis.dense()
         pivots = [int(np.nonzero(r)[0][0]) for r in red]
         keep = [i for i in range(f.dim(d)) if i not in pivots]
         if not keep:
@@ -486,7 +466,7 @@ def reference_hom_space(m, n):
     else:
         sol = linalg.Subspace.full(total, p)
     out = []
-    for vec in sol.basis:
+    for vec in sol.basis.dense():
         mats = {}
         for d in degs:
             r, c = m.dim(d), n.dim(d)
@@ -582,14 +562,16 @@ def test_in_L_products_are_exact_at_large_moduli(p):
     t1 = [(i, j) for i in range(nx) for j in range(dual.dim(1))
           if (i + j) % 4]
     rng = np.random.default_rng(4)
-    ker = rng.integers(p - 1000, p, (4, len(t1)))
+    ker = linalg.Subspace.from_rows(
+        len(t1), rng.integers(p - 1000, p, (4, len(t1))), p)
+    assert ker.dim == 4 and ker.basis.vals.max() > p // 4
     got = gm.l_condition(mod, 0, t1, ker)
-    assert got.shape == (len(ker) * dual.dim(2), dual.dim(3) * nx)
-    assert np.array_equal(got, py_l_condition(ker, nx, t1, t_mul, p))
+    assert got.shape == (ker.dim * dual.dim(2), dual.dim(3) * nx)
+    assert np.array_equal(got, py_l_condition(ker.basis.dense(), nx, t1,
+                                              t_mul, p))
     # no pair of X_0 (x) A_1: no product, and no failure
-    none = gm.l_condition(mod, 0, [], np.zeros((2, 0), dtype=np.int64))
-    assert none.shape == (2 * dual.dim(2), dual.dim(3) * nx)
-    assert not none.any()
+    none = gm.l_condition(mod, 0, [], linalg.Subspace.zero(0, p))
+    assert none.shape == (0, dual.dim(3) * nx)
     assert gm.in_L(GradedModule(ualg, {0: (0,)}, {}), TorsionParams(3, 1, 0))
 
 
@@ -642,12 +624,12 @@ def reference_submodule_as_module(mod, spans):
         if not s.dim:
             continue
         vs = []
-        for row in s.basis:
+        for row in s.basis.dense():
             blocks = {mod.verts_at(d)[i] for i in np.nonzero(row)[0]}
             if len(blocks) != 1:
                 raise gm.ModuleError("submodule basis row mixes vertex blocks")
             vs.append(blocks.pop())
-        bases[d], verts[d] = s.basis, tuple(vs)
+        bases[d], verts[d] = s.basis.dense(), tuple(vs)
     actions = {}
     for d, b in bases.items():
         for gi, g in enumerate(mod.gens):
@@ -672,7 +654,8 @@ def reference_kernel(f):
         sv = m.verts_at(d)
         for v in sorted(set(sv)):
             idx = [i for i, w in enumerate(sv) if w == v]
-            for row in linalg.null_space(f.mat(d)[idx, :].T, m.p).basis:
+            for row in linalg.null_space(f.mat(d)[idx, :].T,
+                                         m.p).basis.dense():
                 full = np.zeros(m.dim(d), dtype=np.int64)
                 full[idx] = row
                 rows.append(full)
@@ -696,7 +679,7 @@ def resolution_maps(lam, length):
 def test_morphism_kernel_matches_the_stacked_reduction(kind, p):
     checked = 0
     for f in resolution_maps(loops_algebra(kind, p), 4):
-        got = as_subspaces(f.source, gm.kernel_bases(f))
+        got = gm.kernel_bases(f)
         want = reference_kernel(f)
         assert got == want
         checked += sum(s.dim for s in got.values())
@@ -716,13 +699,11 @@ def test_submodule_as_module_matches_the_solve():
     for _ in range(5):
         rows = rng.integers(0, P, size=(2, f.dim(2)))
         rows[:, [v != 0 for v in f.verts_at(2)]] = 0  # one vertex block
-        families.append((f, sparse_bases(submodule_closure(f, {2: rows}),
-                                         P)))
+        families.append((f, submodule_closure(f, {2: rows})))
     assert len(families) > 10
     for mod, ker in families:
         sub, incl = gm.submodule_from_bases(mod, ker)
-        verts, actions, bases = reference_submodule_as_module(
-            mod, as_subspaces(mod, ker))
+        verts, actions, bases = reference_submodule_as_module(mod, ker)
         assert sub.verts == verts
         assert set(sub.stored_actions()) == set(actions)
         for key, m in actions.items():
@@ -740,7 +721,7 @@ def test_submodule_as_module_refuses_an_open_family():
     # x * x = e_0 of degree 2 lies outside y, and outside a missing degree
     for spans in ({1: x, 2: y}, {1: x}):
         with pytest.raises(gm.ModuleError, match="not closed"):
-            realize(f, spans)
+            gm.submodule_from_bases(f, spans)
     with pytest.raises(gm.ModuleError, match="not closed"):
         reference_submodule_as_module(f, {1: x, 2: y})
 
@@ -750,7 +731,7 @@ def test_submodule_as_module_refuses_a_row_across_vertex_blocks():
     assert f.verts_at(0) == (0, 1)
     mixed = linalg.Subspace.from_rows(2, np.array([[1, 1]]), P)
     spans = submodule_closure(f, {0: mixed.basis})
-    for build in (realize, reference_submodule_as_module):
+    for build in (gm.submodule_from_bases, reference_submodule_as_module):
         with pytest.raises(gm.ModuleError, match="mixes vertex blocks"):
             build(f, spans)
 
@@ -1076,7 +1057,7 @@ def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
     assert f.verts_at(1) == (1, 1)
     spans = submodule_closure(f, {1: np.array([[1, p - 1]])})
     assert spans[1].dim == 1 and len(spans) > 1
-    sub, incl = realize(f, spans)
+    sub, incl = gm.submodule_from_bases(f, spans)
     quot, proj = quotient_module(f, spans)
     projective_cover(quot)
     _, phi, _ = projective_cover(f)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
 from nkoszul import linalg
 from nkoszul.linalg import Subspace
 
@@ -39,7 +40,7 @@ def test_rank_nullity(m):
     rk = linalg.rank(m, P)
     ns = linalg.null_space(m, P)
     assert rk + ns.dim == m.shape[1]
-    for v in ns.basis:
+    for v in ns.basis.dense():
         assert not ((m @ v) % P).any()
 
 
@@ -48,7 +49,7 @@ def test_rank_nullity(m):
 def test_left_null_space_annihilates(m):
     ns = linalg.left_null_space(m, P)
     assert ns.dim == m.shape[0] - linalg.rank(m, P)
-    for v in ns.basis:
+    for v in ns.basis.dense():
         assert not ((v @ m) % P).any()
 
 
@@ -314,12 +315,12 @@ def test_subspace_contains_matches_the_per_vector_oracle(p):
         if big.dim and rng.integers(0, 2):
             rows = linalg.mat_mul(
                 rng.integers(0, p, size=(int(rng.integers(1, 4)), big.dim)),
-                big.basis, p)
+                big.basis.dense(), p)
         else:
             rows = rng.integers(0, p, size=(int(rng.integers(0, 4)), n))
         small = Subspace.from_rows(n, rows, p)
-        want = all(linalg.solve(big.basis.T, row, p) is not None
-                   for row in small.basis)
+        want = all(linalg.solve(big.basis.dense().T, row, p) is not None
+                   for row in small.basis.dense())
         assert big.contains(small) == want
         seen.add(want)
     assert seen == {True, False}
@@ -439,8 +440,39 @@ def test_rref_matches_the_unblocked_reference(case):
 def test_null_space_matches_the_reference(case):
     p, m = case
     ns = linalg.null_space(m, p)
-    assert np.array_equal(ns.basis, reference_null_space(m, p))
+    assert np.array_equal(ns.basis.dense(), reference_null_space(m, p))
     assert ns.ambient_dim == m.shape[1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_null_space_in_one_elimination_matches_the_two_elimination_oracle(
+        p, monkeypatch):
+    """The basis read off one elimination of the reversed columns is the
+    RREF that a second elimination of the free-columns-as-identity basis
+    gave, bit for bit, with its pivots; and `null_space` eliminates once."""
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda a, p: calls.append(a.shape) or rref(a, p))
+    rng = np.random.default_rng(p)
+    # empty, zero and full-rank (a zero null space) matrices, a wide one
+    cases = [np.zeros(shape, dtype=np.int64)
+             for shape in ((0, 0), (0, 5), (4, 0), (3, 6))]
+    cases += [np.eye(6, dtype=np.int64), draw_kernel_input(rng, p, 5, 9,
+                                                           "dense")]
+    for _ in range(300):
+        kind = ("dense", "sparse", "tall")[int(rng.integers(0, 3))]
+        cases.append(draw_kernel_input(rng, p, int(rng.integers(0, 12)),
+                                       int(rng.integers(0, 12)), kind))
+    for m in cases:
+        calls.clear()
+        ns = linalg.null_space(m, p)
+        assert len(calls) == 1
+        want = dense_oracle.null_space(m, p)
+        assert ns.basis.shape == want.shape
+        assert np.array_equal(ns.basis.dense(), want)
+        assert ns.pivots.tolist() == [int(np.flatnonzero(row)[0])
+                                      for row in want]
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 130), (5, 0), (1, 64),
@@ -470,7 +502,7 @@ def test_rref_is_exact_past_the_int64_bound():
         assert pivots == want_pivots and rank == want_rank
         ns = linalg.null_space(m, BIG_P)
         assert ns.dim == cols - rank
-        prod = m.astype(object) @ ns.basis.astype(object).T
+        prod = m.astype(object) @ ns.basis.dense().astype(object).T
         assert not (prod % BIG_P).any()
 
 
@@ -510,11 +542,11 @@ def sparse_inputs(draw):
 @given(sparse_inputs())
 def test_sparse_rref_matches_rref(case):
     p, m = case
-    basis, pivots = linalg.sparse_rref(linalg.Sparse.from_dense(m, p), p)
+    got = linalg.sparse_rref(linalg.Sparse.from_dense(m, p), p)
     red, want_pivots, rank = linalg.rref(m, p)
-    assert basis.shape == (rank, m.shape[1])
-    assert np.array_equal(basis.dense(), red[:rank])
-    assert list(pivots) == want_pivots
+    assert got.basis.shape == (rank, m.shape[1])
+    assert np.array_equal(got.basis.dense(), red[:rank])
+    assert got.pivots.tolist() == want_pivots
 
 
 @settings(max_examples=80, deadline=None)
@@ -522,9 +554,10 @@ def test_sparse_rref_matches_rref(case):
 def test_sparse_left_kernel_matches_the_null_space(case):
     p, m = case
     ker = linalg.sparse_left_kernel(linalg.Sparse.from_dense(m, p), p)
-    want = linalg.null_space(m.T, p).basis
-    assert ker.shape == want.shape
-    assert np.array_equal(ker.dense(), want)
+    want = linalg.null_space(m.T, p)
+    assert ker.basis.shape == want.basis.shape
+    assert ker == want
+    assert np.array_equal(ker.pivots, want.pivots)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, BIG_P])
@@ -541,12 +574,11 @@ def test_sparse_products_and_sums_match_the_dense_ones(p):
         comb = linalg.sparse_combine([3, p - 1], [sa, sa], p)
         want = (a.astype(object) * 2 % p).astype(np.int64)
         assert np.array_equal(comb.dense(), want)
-        basis, pivots = linalg.sparse_rref(sa, p)
+        got = linalg.sparse_rref(sa, p)
         red, want_pivots, rank = linalg.rref(a, p)
-        assert np.array_equal(basis.dense(), red[:rank])
-        assert list(pivots) == want_pivots
-        assert np.array_equal(linalg.sparse_left_kernel(sa, p).dense(),
-                              linalg.null_space(a.T, p).basis)
+        assert np.array_equal(got.basis.dense(), red[:rank])
+        assert got.pivots.tolist() == want_pivots
+        assert linalg.sparse_left_kernel(sa, p) == linalg.null_space(a.T, p)
     with pytest.raises(linalg.LinAlgError):
         linalg.sparse_mul(sa, sa, p)
     # an empty product of a factor too large to densify
