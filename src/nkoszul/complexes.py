@@ -34,6 +34,7 @@ from .grmod import (
     GradedModule,
     GradedMorphism,
     ModuleError,
+    _frozen,
     _radical_rrefs,
     checked_dual,
     combine_mats,
@@ -142,8 +143,9 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
     top = _lam_top(lam)
     comps = {}
     for k in mod.degrees():
-        gens = [(v, -k) for v in mod.verts_at(k)]
-        comps[k] = free_module(lam, gens, -k + top)
+        vs = mod.verts_at(k)
+        comps[k] = free_module(lam, np.stack((vs, np.full_like(vs, -k)), 1),
+                               -k + top)
     diffs = {}
     for k in mod.degrees():
         if (k + 1) not in comps:
@@ -168,14 +170,15 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
 def _pair_matrix(src_pairs, tgt_pairs, terms, p: int) -> np.ndarray:
     """The matrix of a map between spaces whose bases are indexed by pairs.
 
-    Row r is the pair (u_r, v_r) and column c the pair (u'_c, v'_c); entry
-    (r, c) is the sum over (L, R) in `terms` of L[u_r, u'_c] * R[v_r, v'_c]
-    mod p, one gather of each factor per term.  The sum runs in int64 while
+    The pairs are (E, 2) intp arrays (`free_index`, `hom_index`): row r
+    is the pair (u_r, v_r) and column c the pair (u'_c, v'_c); entry (r, c)
+    is the sum over (L, R) in `terms` of L[u_r, u'_c] * R[v_r, v'_c] mod p,
+    one gather of each factor per term.  The sum runs in int64 while
     p*(p-1) <= 2**63 - 1, the bound of `linalg.rref` and `linalg.mat_mul`,
     and on Python integers above it, so it is exact at every p < 2**63.
     """
-    u, v = np.asarray(src_pairs, dtype=np.intp).reshape(-1, 2).T
-    u2, v2 = np.asarray(tgt_pairs, dtype=np.intp).reshape(-1, 2).T
+    u, v = src_pairs.T
+    u2, v2 = tgt_pairs.T
     dtype = np.int64 if p * (p - 1) <= linalg._INT64_MAX else object
     out = np.zeros((u.size, u2.size), dtype=dtype)
     for left, right in terms:
@@ -193,13 +196,15 @@ def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
 
 def cofree_index(lam, vlist) -> dict:
     """The basis of `cofree_module(lam, vlist)`: per degree e, the pairs
-    (b, x) with b a basis element of Lambda_{-e} ending at the vertex of x."""
+    (b, x) with b a basis element of Lambda_{-e} ending at the vertex of x,
+    b by b and for one b by ascending x, as a read-only (E, 2) intp array."""
+    labels = np.asarray(vlist, dtype=np.intp)
     index = {}
     for e in range(-_lam_top(lam), 1):
-        pairs = [(bi, xi) for bi, (_, v) in enumerate(lam.basis_pairs(-e))
-                 for xi, xv in enumerate(vlist) if xv == v]
-        if pairs:
-            index[e] = pairs
+        ends = np.array([v for _, v in lam.basis_pairs(-e)], dtype=np.intp)
+        b, x = np.nonzero(ends[:, None] == labels)
+        if b.size:
+            index[e] = _frozen(np.stack((b, x), 1))
     return index
 
 
@@ -208,15 +213,15 @@ def cofree_module(lam, vlist) -> GradedModule:
 
     Degree e holds pairs (b, x) with b a basis element of Lambda_{-e} ending
     at the vertex of x; the pair sits at the starting vertex of b.  The
-    action of an arrow precomposes with left multiplication.
+    action of an arrow precomposes with left multiplication.  `hom_index`
+    holds the pairs (`cofree_index`), in the form of `free_index`.
 
-    Built once per (algebra, vertex tuple) and memoized on the algebra, so
-    a model lives and dies with it; callers only read it.
+    Built once per (algebra, vertex labels) and memoized on the algebra,
+    keyed by the labels as Python ints, so a model lives and dies with it;
+    callers only read it.
     """
-    models = getattr(lam, "_cofree_models", None)
-    if models is None:
-        models = lam._cofree_models = {}
-    key = tuple(vlist)
+    models = vars(lam).setdefault("_cofree_models", {})
+    key = tuple(np.asarray(vlist, dtype=np.intp).tolist())
     if key not in models:
         models[key] = _build_cofree(lam, key)
     return models[key]
@@ -224,16 +229,14 @@ def cofree_module(lam, vlist) -> GradedModule:
 
 def _build_cofree(lam, vlist) -> GradedModule:
     index = cofree_index(lam, vlist)
-    verts = {}
-    for e, pairs in index.items():
-        starts = lam.basis_pairs(-e)
-        verts[e] = tuple(starts[bi][0] for bi, _ in pairs)
+    verts = {e: np.array([u for u, _ in lam.basis_pairs(-e)], dtype=np.intp)
+             [pairs[:, 0]] for e, pairs in index.items()}
     actions = {}
     ident = linalg.eye(len(vlist))
     for gi, g in enumerate(lam.generators()):
         for e, rows in index.items():
             cols = index.get(e + 1)
-            if not cols:
+            if cols is None:
                 continue
             # arrow times Lam_{-e-1} -> Lam_{-e}, read backwards
             lmul = lam.mult(1, -e - 1)[g.basis_index]
@@ -281,7 +284,7 @@ def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
     mats = {}
     for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
         cols = btgt.hom_index.get(e1 + 1)
-        if not cols:
+        if cols is None:
             continue
         rmul = lam.mult(-e1 - 1, 1)  # rmul[:, a]: Lam_{-e1-1} -> Lam_{-e1}
         m = _pair_matrix(rows, cols,
@@ -347,11 +350,10 @@ def _cofree_envelope(comp: GradedModule, want: int):
     model = base.shift(-want)
     mats = {}
     for e, pairs in base.hom_index.items():
-        pairs = np.asarray(pairs, dtype=np.intp)
         acts = np.stack([comp.act_basis_element(-e, b, e + want)
                          for b in range(comp.algebra.dim(-e))])
         mats[e + want] = acts[pairs[:, 0], :, pairs[:, 1]].T
-    mults = [(v, want) for v in comp.verts_at(want)]
+    mults = [(v, want) for v in comp.verts_at(want).tolist()]
     return model, GradedMorphism._adopt(comp, model, mats), mults
 
 
@@ -604,7 +606,7 @@ def _odd_steps(lam, ualg, s: int, bsrc, btgt):
         n - 1, enumerate_paths(ualg.dual.quiver.opposite(), n - 1))
     for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
         cols = btgt.hom_index.get(e1 + n - 1)
-        if cols:
+        if cols is not None:
             yield e1 - s - 1, rows, cols, [
                 lam.right_mult_matrix(-e1 - n + 1, n - 1, cls).T
                 for cls in classes]
@@ -645,7 +647,7 @@ def _extract(c: ComplexOfGraded, ualg, params):
     if cert is None:
         raise ComplexError("complex fails the essential-image conditions")
     models = _models(c, cert)
-    verts = {dmap.delta(k): tuple(models[k][2]) for k in c.positions()}
+    verts = {dmap.delta(k): models[k][2] for k in c.positions()}
     actions = _degree_one_actions(c, models, dmap, ualg)
     n_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
               if g.degree == n}
@@ -671,12 +673,12 @@ def _extract(c: ComplexOfGraded, ualg, params):
 def _models(c: ComplexOfGraded, cert) -> dict:
     """Per position of c: the canonical cofree model on the top vertices of
     its certificate, the witness from the model (shifted into place) onto
-    the component, the top vertices, and the inverse of the witness, which
-    is the envelope map the certificate kept (inverted here only for a
-    certificate that kept none)."""
+    the component, the top vertices as an intp array, and the inverse of
+    the witness, which is the envelope map the certificate kept (inverted
+    here only for a certificate that kept none)."""
     models = {}
     for k in c.positions():
-        vlist = [v for v, _ in cert[k]["mults"]]
+        vlist = np.array([v for v, _ in cert[k]["mults"]], dtype=np.intp)
         witness, back = cert[k]["witness"], cert[k].get("envelope")
         if back is None:
             back = witness.inverse()
@@ -697,11 +699,11 @@ def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
         s = dmap.delta(k)
         if (k + 1) not in models or dmap.delta(k + 1) != s + 1:
             continue
+        rows = models[k][0].hom_index.get(-1)  # (arrow b, x)
+        if rows is None:
+            continue
+        cols = models[k + 1][0].hom_index[0]   # (vertex, x2)
         mat = _transported_diff(c, k, models).mat(-s - 1)
-        rows = np.asarray(models[k][0].hom_index.get(-1, []),
-                          dtype=np.intp).reshape(-1, 2)   # (arrow b, x)
-        cols = np.asarray(models[k + 1][0].hom_index[0],
-                          dtype=np.intp).reshape(-1, 2)   # (vertex, x2)
         for ai in range(q.arrow_count):
             r, cx = rows[:, 0] == ai, cols[:, 0] == q.arrow_source(ai)
             a = zeros(len(models[k][2]), len(models[k + 1][2]))
@@ -781,11 +783,11 @@ def _odd_solution(c: ComplexOfGraded, models, prov: GradedModule, k: int,
     lam, ualg = c.algebra, prov.algebra
     p, dual = lam.p, ualg.dual
     nwi = dual.dim(ualg.n) * prov.dim(s)
-    x2_vert = np.asarray(models[k + 1][2], dtype=np.intp)
+    x2_vert = models[k + 1][2]
     t1, pre, ker = _mu1_data(prov, s)
     coefs = _mu1_pullbacks(prov, s, t1, pre)
     t = _transported_diff(c, k, models)
-    steps = [(d, rows, np.asarray(cols, dtype=np.intp), lefts, t.mat(d))
+    steps = [(d, rows, cols, lefts, t.mat(d))
              for d, rows, cols, lefts in _odd_steps(
                  lam, ualg, s, models[k][0], models[k + 1][0])]
     cond = l_condition(prov, s, t1, ker)
@@ -800,10 +802,11 @@ def _odd_solution(c: ComplexOfGraded, models, prov: GradedModule, k: int,
                                                                     at.size)
             size += len(rows) * grid.shape[0] * (nwi + at.size)
             _check_size(size, "degree-n system", d)
+            a = cols[grid[:, 0], 0]
             lhs.append(_pair_matrix(
-                rows, [(a, wi) for a in cols[grid[:, 0], 0].tolist()
-                       for wi in range(nwi)], list(zip(lefts, coefs)),
-                p).reshape(-1, nwi))
+                rows, np.stack((np.repeat(a, nwi),
+                                np.tile(np.arange(nwi), a.size)), 1),
+                list(zip(lefts, coefs)), p).reshape(-1, nwi))
             rhs.append(mat[:, grid].reshape(-1, at.size))
         sol = linalg.solve_matrix(np.concatenate(lhs), np.concatenate(rhs), p)
         if sol is None:
@@ -993,11 +996,12 @@ def chain_iso_failure(c: ComplexOfGraded, c2: ComplexOfGraded, fam: dict):
         a, b = c.modules[k], c2.modules[k]
         f = GradedMorphism(a, b, fam[k].stored_mats() if k in fam else {})
         for d in sorted(set(a.degrees()) | set(b.degrees())):
-            m = f.mat(d)
+            m = f._stored(d)  # densified only when it is not monomial
             if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
                     or linalg.inverse(m, c.p) is None:
                 return failure("invertible", k, d)
-            if m[np.not_equal.outer(a.verts_at(d), b.verts_at(d))].any():
+            r, col = linalg.nonzero(m)
+            if (a.verts_at(d)[r] != b.verts_at(d)[col]).any():
                 return failure("module-map", k, d)
         d = f.noncommuting_degree()
         if d is not None:

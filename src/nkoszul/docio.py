@@ -170,7 +170,7 @@ def parse_module(spec, algebra, where: str) -> GradedModule:
                 and all(isinstance(v, int) for v in vs)):
             _fail(f"{where}.verts[{dk}]", "expected a list of vertices")
         if vs:
-            verts[d] = tuple(vs)
+            verts[d] = vs
     gens = {g.name: gi for gi, g in enumerate(algebra.generators())}
     actions = {}
     for key, mat in (spec.get("actions", {}) or {}).items():
@@ -196,7 +196,7 @@ def parse_module(spec, algebra, where: str) -> GradedModule:
 def module_json(mod: GradedModule) -> dict:
     gens = mod.algebra.generators()
     return {
-        "verts": {str(d): list(mod.verts_at(d))
+        "verts": {str(d): mod.verts_at(d).tolist()
                   for d in sorted(mod.degrees())},
         "actions": {f"{gens[gi].name}@{d}": mod.act(gi, d).tolist()
                     for (gi, d) in sorted(mod.stored_actions())},
@@ -245,6 +245,4 @@ def _coerce(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")

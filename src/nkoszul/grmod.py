@@ -68,6 +68,9 @@ def _frozen(m):
     return m
 
 
+_NO_LABELS = _frozen(np.zeros(0, dtype=np.intp))  # of an absent degree
+
+
 class _BuiltOnRead:
     """Attributes that a builder may defer.  `_defer(name, build)` has the
     attribute `name` built by `build(owner)` on its first read, once
@@ -117,26 +120,25 @@ class GradedModule(_BuiltOnRead):
     whichever form it is stored in.  A module never changes: every stored
     array is made read-only, so `act` hands out the stored array itself.
 
-    `verts[d]` holds the vertex labels of degree d as a tuple of Python
-    ints; `vert_array(d)` reads them as a read-only intp array, the one a
-    builder passed (the public constructor copies it) or one made on first
-    use.
+    `verts[d]` holds the vertex labels of the basis of degree d, one
+    read-only intp array per nonzero degree; `verts_at(d)` reads it, or an
+    empty one.  The public constructor copies any sequence of ints; `_adopt`
+    takes a builder's arrays as they are, or another module's (`shift`).
     """
 
     _STORE = "_actions"
 
     def __init__(self, algebra, verts: dict, actions: dict):
         self._fill(algebra, {d: np.array(v, dtype=np.intp)
-                             if isinstance(v, np.ndarray)
-                             else v for d, v in verts.items()},
+                             for d, v in verts.items()},
                    {k: _owned(m, algebra.p) for k, m in actions.items()})
 
     @classmethod
     def _adopt(cls, algebra, verts: dict, actions) -> "GradedModule":
-        """A module that takes the action matrices themselves, or a
-        callable that builds them on first read: only for matrices a
-        builder has just made, int64, reduced and unshared, or for those
-        another module stores, which are read-only (`shift`)."""
+        """A module that takes the intp label arrays and the action
+        matrices themselves, or a callable that builds the matrices on
+        first read: only for what a builder has just made (matrices int64,
+        reduced and unshared), or what another module stores (`shift`)."""
         mod = cls.__new__(cls)
         mod._fill(algebra, verts, actions)
         return mod
@@ -144,12 +146,7 @@ class GradedModule(_BuiltOnRead):
     def _fill(self, algebra, verts: dict, actions) -> None:
         self.algebra = algebra
         self.p = algebra.p
-        self.verts = {d: tuple(v.tolist() if isinstance(v, np.ndarray) else v)
-                      for d, v in verts.items() if len(v)}
-        self._vert_arrays = {d: v for d, v in verts.items()
-                             if isinstance(v, np.ndarray) and v.size}
-        for v in self._vert_arrays.values():
-            v.setflags(write=False)
+        self.verts = {d: _frozen(v) for d, v in verts.items() if v.size}
         self.gens = algebra.generators()
         self._store(actions)
         self._memos: dict = {}
@@ -179,22 +176,13 @@ class GradedModule(_BuiltOnRead):
         return sorted(self.verts)
 
     def dim(self, d: int) -> int:
-        return len(self.verts.get(d, ()))
+        return self.verts_at(d).size
 
-    def verts_at(self, d: int):
-        return self.verts.get(d, ())
-
-    def vert_array(self, d: int) -> np.ndarray:
-        out = self._vert_arrays.get(d)
-        if out is None:
-            out = np.array(self.verts_at(d), dtype=np.intp)
-            out.setflags(write=False)
-            if d in self.verts:
-                self._vert_arrays[d] = out
-        return out
+    def verts_at(self, d: int) -> np.ndarray:
+        return self.verts.get(d, _NO_LABELS)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self.verts.values())
+        return sum(v.size for v in self.verts.values())
 
     def is_zero(self) -> bool:
         return not self.verts
@@ -252,10 +240,7 @@ class GradedModule(_BuiltOnRead):
         if d_el == 0:
             # vertex idempotent: projection onto the matching block
             v = self.algebra.basis_pairs(0)[b_index][0]
-            out = zeros(self.dim(d), self.dim(d))
-            at = (self.vert_array(d) == v).nonzero()[0]
-            out[at, at] = 1
-            return out
+            return np.diag((self.verts_at(d) == v).astype(np.int64))
         words = self.algebra.element_words(d_el)[b_index]
         if len(words) == 1 and words[0][1] % self.p == 1:
             return self.act_word(words[0][0], d)  # a path: no combination
@@ -294,8 +279,8 @@ class GradedModule(_BuiltOnRead):
                 continue
             # the nonzeros, row by row
             r, c = linalg.nonzero(m)
-            off = ((self.vert_array(d)[r] != g.source)
-                   | (self.vert_array(d + g.degree)[c] != g.target))
+            off = ((self.verts_at(d)[r] != g.source)
+                   | (self.verts_at(d + g.degree)[c] != g.target))
             issues += [f"generator {g.name} at degree {d}: entry ({i},{j}) "
                        "breaks the vertex block structure"
                        for i, j in zip(r[off], c[off])]
@@ -416,19 +401,19 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
     """Direct sum of shifted vertex projectives e_v A, truncated above hi.
 
     gen_list: (vertex, degree) pairs, or an (N, 2) intp array of them;
-    `free_gens` lists them as Python-int pairs, one tuple per class shared
-    by its generators.  The truncation is the honest quotient by the tail
-    submodule in degrees > hi.  Each degree lists, generator by generator,
-    the basis elements of A that start at the generator's vertex:
-    `free_index[d]` is an (E, 2) array of (generator, basis index) rows.
+    `free_gens` lists them as Python-int pairs, for reports, one tuple per
+    class shared by its generators.  The truncation is the honest quotient
+    by the tail submodule in degrees > hi.  Each degree lists, generator by
+    generator, the basis elements of A that start at the generator's vertex,
+    in read-only intp arrays: `verts[d]` holds their end vertices and
+    `free_index[d]` their (generator, basis index) rows, an (E, 2) array.
     Generators with the same vertex and degree form a class and have equal
     blocks: `free_classes` lists the classes as (vertex, degree, generator
     numbers), and `free_layout[d]` lists (class number, first row of each
     of its generators' blocks, its basis indices) for each class present
-    in degree d.  The vertex labels and the layout are built here; the
-    sparse actions, scattered from the blocks the algebra caches
-    (`_starting_at`, `_generator_block`), and `free_index` are built on
-    first read.
+    in degree d.  The labels and the layout are built here; the sparse
+    actions, scattered from the blocks the algebra caches (`_starting_at`,
+    `_generator_block`), and `free_index` are built on first read.
     """
     gv, gd = np.asarray(gen_list, dtype=np.intp).reshape(-1, 2).T
     ngen, nv = gv.size, algebra.nvert
@@ -480,7 +465,7 @@ def _free_index(mod: GradedModule) -> dict:
             counts[mod.free_classes[c][2]] = bis.size
             entries[first[:, None] + np.arange(bis.size), 1] = bis
         entries[:, 0] = np.repeat(np.arange(ngen), counts)
-        out[d] = entries
+        out[d] = _frozen(entries)
     return out
 
 
@@ -577,13 +562,25 @@ class GradedMorphism(_BuiltOnRead):
 
     def noncommuting_degree(self):
         """The lowest degree from which the action of some generator does
-        not commute with the map, or None when the map is a module map."""
-        ms, mt = self.source, self.target
+        not commute with the map, or None when the map is a module map.
+        The generators of one degree e are checked by one sparse product
+        per side: their source actions stacked, times the map at d + e, and
+        the map at d times their target actions side by side, regrouped."""
+        ms, mt, p = self.source, self.target, self.p
         for d in sorted(set(ms.degrees()) | set(mt.degrees())):
-            for gi, g in enumerate(ms.gens):
-                lhs = linalg.mat_mul(ms.act(gi, d), self.mat(d + g.degree), self.p)
-                rhs = linalg.mat_mul(self.mat(d), mt.act(gi, d), self.p)
-                if not np.array_equal(lhs, rhs):
+            for e in sorted({g.degree for g in ms.gens}):
+                gis = [gi for gi, g in enumerate(ms.gens) if g.degree == e]
+                ds, dt = ms.dim(d), mt.dim(d + e)
+                if not (ds and dt):
+                    continue
+                lhs = linalg.sparse_mul(
+                    np.concatenate([ms.act(gi, d) for gi in gis]),
+                    self._stored(d + e), p)
+                rhs = linalg.sparse_mul(self._stored(d), np.concatenate(
+                    [mt.act(gi, d) for gi in gis], axis=1), p)
+                block, col = np.divmod(rhs.cols, dt)
+                if lhs != Sparse.from_entries(
+                        lhs.shape, block * ds + rhs.rows, col, rhs.vals, p):
                     return d
         return None
 
@@ -605,10 +602,11 @@ class GradedMorphism(_BuiltOnRead):
         return True
 
     def inverse(self) -> "GradedMorphism":
+        """The inverse, a monomial matrix read off its nonzeros
+        (`linalg.inverse`)."""
         mats = {}
         for d in set(self.source.degrees()) | set(self.target.degrees()):
-            m = self.mat(d)
-            inv = linalg.inverse(m, self.p)
+            inv = linalg.inverse(self._stored(d), self.p)
             if inv is None:
                 raise ModuleError("morphism is not invertible")
             mats[d] = inv
@@ -631,7 +629,7 @@ def hom_space(m: GradedModule, n: GradedModule):
     cols = {}
     total = 0
     for d in degs:
-        match = np.equal.outer(m.vert_array(d), n.vert_array(d))
+        match = np.equal.outer(m.verts_at(d), n.verts_at(d))
         cols[d] = np.full(match.shape, -1, dtype=np.intp)
         cols[d][match] = np.arange(total, total + match.sum())
         total += int(match.sum())
@@ -779,7 +777,7 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
     the bases, are sparse."""
     verts, pivots, rests = {}, {}, {}
     for d, s in bases.items():
-        vs, b, lead = mod.vert_array(d), s.basis, s.pivots
+        vs, b, lead = mod.verts_at(d), s.basis, s.pivots
         if (vs[b.cols] != vs[lead][b.rows]).any():
             raise ModuleError("submodule basis row mixes vertex blocks")
         verts[d] = vs[lead]
@@ -828,8 +826,8 @@ def quotient_module(mod: GradedModule, spans: dict):
         keep = is_kept.nonzero()[0]
         if not keep.size:
             continue
-        comp[d] = keep.tolist()
-        verts[d] = tuple(mod.verts_at(d)[i] for i in comp[d])
+        comp[d] = keep
+        verts[d] = mod.verts_at(d)[keep]
         # projection: kill pivot coordinates via the RREF rows
         pr = zeros(mod.dim(d), keep.size)
         pr[keep, np.arange(keep.size)] = 1
@@ -862,7 +860,7 @@ def kernel_bases(f: GradedMorphism) -> dict:
     out = {}
     for d in m.degrees():
         mat = f.sparse_mat(d)
-        sv = m.vert_array(d)
+        sv = m.verts_at(d)
         parts = []
         # the vertices present, ascending (np.unique imports numpy.ma)
         for v in np.flatnonzero(np.bincount(sv)).tolist():
@@ -916,7 +914,7 @@ def cover_on_top(mod: GradedModule, comp: dict, hi: int):
                               for d in degs])
     gen_deg = np.repeat(np.array(degs, dtype=np.intp),
                         [len(comp[d]) for d in degs])
-    gen_vert = np.concatenate([mod.vert_array(d)[comp[d]] for d in degs])
+    gen_vert = np.concatenate([mod.verts_at(d)[comp[d]] for d in degs])
     pmod = free_module(mod.algebra, np.stack((gen_vert, gen_deg), axis=1),
                        hi)
     phi = GradedMorphism._adopt(pmod, mod, lambda f: _cover_mats(f, gen_row))
@@ -1223,18 +1221,15 @@ def multiplication_map(mod: GradedModule, s: int):
     to the source of y_j, are the vertex-matched basis of the tensor
     product; the matrix has one row per pair.  `mu1` keeps them on the
     module."""
-    vs = mod.verts_at(s)
-    pairs = [(i, j) for i in range(len(vs))
-             for j, (src, _) in enumerate(mod.algebra.dual.basis_pairs(1))
-             if vs[i] == src]
+    srcs = np.array([src for src, _ in mod.algebra.dual.basis_pairs(1)],
+                    dtype=np.intp)
+    i, j = np.nonzero(mod.verts_at(s)[:, None] == srcs)
     gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
             if g.degree == 1}
-    mu = zeros(len(pairs), mod.dim(s + 1))
+    mu = zeros(i.size, mod.dim(s + 1))
     if mu.size:
-        acts = {j: mod.act(gens[j], s) for j in {j for _, j in pairs}}
-        for r, (i, j) in enumerate(pairs):
-            mu[r] = acts[j][i]
-    return pairs, mu
+        mu = np.stack([mod.act(gens[a], s) for a in range(srcs.size)])[j, i]
+    return list(zip(i.tolist(), j.tolist())), mu
 
 
 def mu1(mod: GradedModule, s: int):

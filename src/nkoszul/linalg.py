@@ -385,23 +385,26 @@ def _row_space(a: np.ndarray, p: int) -> "Subspace":
 
 
 def inverse(m, p: int):
-    """Inverse of a square matrix, or None if singular.
+    """Inverse of a square matrix in either form, or None if singular.
 
     A monomial matrix, one nonzero in each row and in each column (a
     permutation matrix scaled row by row, as the envelope maps of cofree
-    models are), is inverted with no elimination: entry (r, c) = v becomes
-    entry (c, r) = 1/v."""
-    a = as_matrix(m, p)
+    models are), is inverted from its nonzeros, as a Sparse: entry
+    (r, c) = v becomes entry (c, r) = 1/v.  Any other is densified, under
+    the cap, and eliminated."""
+    a = m if isinstance(m, Sparse) else as_matrix(m, p)
     n = a.shape[0]
     if a.shape[1] != n:
         raise LinAlgError("inverse of non-square matrix")
-    r, c = np.nonzero(a)
-    if (r.size == n and (np.bincount(r, minlength=n) == 1).all()
+    r, c = nonzero(a)
+    if not (r.size == n and (np.bincount(r, minlength=n) == 1).all()
             and (np.bincount(c, minlength=n) == 1).all()):
-        x = zeros(n, n)
-        x[c, r] = [pow(v, -1, p) for v in a[r, c].tolist()]
-        return x
-    return solve_matrix(a, eye(n), p)
+        return solve_matrix(dense(a), eye(n), p)
+    vals = a.vals if isinstance(a, Sparse) else a[r, c]
+    at = np.empty_like(c)  # the nonzero in each column
+    at[c] = np.arange(n)
+    return Sparse(a.shape, np.arange(n), r[at], np.array(
+        [pow(v, -1, p) for v in vals[at].tolist()], dtype=np.int64))
 
 
 class Subspace:

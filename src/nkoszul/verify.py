@@ -175,9 +175,8 @@ def random_quotient_module(rng, alg, lo: int, hi: int,
                 # each generating row must live in a single vertex block
                 v = vs[int(rng.integers(0, len(vs)))]
                 row = np.zeros(f.dim(d), dtype=np.int64)
-                for i, vi in enumerate(vs):
-                    if vi == v:
-                        row[i] = int(rng.integers(0, P))
+                for i in np.flatnonzero(vs == v).tolist():
+                    row[i] = int(rng.integers(0, P))
                 if row.any():
                     rows.append(row)
             if rows:

@@ -9,7 +9,12 @@ output, densified, with theirs array by array.  `null_space` is the null
 space as it was built with two eliminations, before `linalg.null_space`
 read the canonical basis off one, and `odd_system` the extraction's
 degree-n system over every entry of the action at once, before
-`complexes._odd_solution` solved it per vertex block.
+`complexes._odd_solution` solved it per vertex block.  `cofree_index` is
+the cofree basis as a list of (b, x) pairs from a double loop, before it
+became an (E, 2) array, and `noncommuting_degree` and `chain_iso_failure`
+are the checks of a module map and of a chain isomorphism on dense copies
+of the maps, one product per generator and a dense vertex mask, before
+they read the stored nonzeros.
 """
 import numpy as np
 
@@ -249,6 +254,12 @@ def dense_mats(f):
     return {d: f.mat(d) for d in f.stored_mats()}
 
 
+def label_lists(verts: dict) -> dict:
+    """Vertex labels per degree as lists of Python ints, from the label
+    arrays of a module or from sequences."""
+    return {d: np.asarray(v).tolist() for d, v in verts.items()}
+
+
 def odd_system(c, models, prov, k, s):
     """The linear system (matrix, right-hand side) for the degree-n action
     at level s, from the odd differential at position k, over every entry
@@ -273,7 +284,8 @@ def odd_system(c, models, prov, k, s):
         _check_size(len(rows) * len(cols) * nwi * dim_sn, "degree-n system",
                     d)
         spread = cx._pair_matrix(
-            rows, [(a, wi) for a, _ in cols for wi in range(nwi)],
+            rows, np.array([(a, wi) for a, _ in cols.tolist()
+                            for wi in range(nwi)]).reshape(-1, 2),
             list(zip(lefts, coefs)), p)
         hit = np.asarray([x2 for _, x2 in cols])[:, None] == np.arange(dim_sn)
         blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
@@ -284,3 +296,64 @@ def odd_system(c, models, prov, k, s):
     blocks.append(np.kron(cond, linalg.eye(dim_sn)))
     rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
     return np.concatenate(blocks), np.concatenate(rhs)
+
+
+def cofree_index(lam, vlist) -> dict:
+    """Per degree e, the pairs (b, x) with b a basis element of
+    Lambda_{-e} ending at the vertex of x, as a list of tuples."""
+    index = {}
+    for e in range(-_lam_top(lam), 1):
+        pairs = [(bi, xi) for bi, (_, v) in enumerate(lam.basis_pairs(-e))
+                 for xi, xv in enumerate(vlist) if xv == v]
+        if pairs:
+            index[e] = pairs
+    return index
+
+
+def noncommuting_degree(f):
+    """`GradedMorphism.noncommuting_degree` with two dense products per
+    degree and generator."""
+    ms, mt = f.source, f.target
+    for d in sorted(set(ms.degrees()) | set(mt.degrees())):
+        for gi, g in enumerate(ms.gens):
+            lhs = linalg.mat_mul(ms.act(gi, d), f.mat(d + g.degree), f.p)
+            rhs = linalg.mat_mul(f.mat(d), mt.act(gi, d), f.p)
+            if not np.array_equal(lhs, rhs):
+                return d
+    return None
+
+
+def chain_iso_failure(c, c2, fam: dict):
+    """`complexes.chain_iso_failure` on dense copies of the maps: the
+    inverse of each densified matrix, a dense mask of mismatched vertex
+    labels, and `noncommuting_degree` above."""
+    def failure(condition, k, d):
+        return {"condition": condition, "position": k, "degree": d}
+    pos = c.positions()
+    if pos != c2.positions():
+        k = min(set(pos) ^ set(c2.positions()))
+        return failure("positions", k, (c.modules.get(k) or c2.modules[k])
+                       .degrees()[0])
+    maps = {}
+    for k in pos:
+        a, b = c.modules[k], c2.modules[k]
+        f = GradedMorphism(a, b, fam[k].stored_mats() if k in fam else {})
+        for d in sorted(set(a.degrees()) | set(b.degrees())):
+            m = f.mat(d)
+            if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
+                    or linalg.inverse(m, c.p) is None:
+                return failure("invertible", k, d)
+            if m[np.not_equal.outer(a.verts_at(d), b.verts_at(d))].any():
+                return failure("module-map", k, d)
+        d = noncommuting_degree(f)
+        if d is not None:
+            return failure("module-map", k, d)
+        maps[k] = f
+    for k in pos:
+        if k + 1 in maps:
+            lhs = c.diff(k).compose(maps[k + 1])
+            rhs = maps[k].compose(c2.diff(k))
+            for d in c.modules[k].degrees():
+                if not np.array_equal(lhs.mat(d), rhs.mat(d)):
+                    return failure("differential", k, d)
+    return None

@@ -49,7 +49,7 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
             entries[at, 1] = bis
             vs[at] = tgts
         index[d] = entries
-        verts[d] = tuple(vs.tolist())
+        verts[d] = vs
         offsets[d] = offs
         class_bases[d] = [bis for _, bis, _ in layout]
     actions: dict = {}

@@ -287,6 +287,11 @@ def test_one_membership_check_builds_each_cofree_model_once(monkeypatch):
 # the code under test builds the same matrices with cx._pair_matrix.
 
 
+def pair_keys(pairs):
+    """The rows of an (E, 2) pair index as tuples of Python ints."""
+    return [tuple(row) for row in pairs.tolist()]
+
+
 def reference_psi_mats(mod, lam, k, src, tgt):
     arrow_gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
                   if g.degree == 1}
@@ -325,9 +330,9 @@ def reference_cofree_actions(lam, index):
             if e2 not in index:
                 continue
             lmul = left_mult_matrix(lam, 1, vec, -e2)
-            pos2 = {key: c for c, key in enumerate(index[e2])}
+            pos2 = {key: c for c, key in enumerate(pair_keys(index[e2]))}
             m = np.zeros((len(index[e]), len(index[e2])), dtype=np.int64)
-            for r, (b, x) in enumerate(index[e]):
+            for r, (b, x) in enumerate(pair_keys(index[e])):
                 for a in np.nonzero(lmul[:, b])[0]:
                     key = (int(a), x)
                     if key in pos2:
@@ -346,13 +351,13 @@ def reference_hom_mats(lam, s, bsrc, btgt, acts):
         if tgt.dim(d) == 0:
             continue
         e1, e2 = d + s, d + s + 1
-        pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
+        pos2 = {key: c for c, key in enumerate(pair_keys(btgt.hom_index[e2]))}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for ai, a_act in enumerate(acts):
             vec = np.zeros(lam.dim(1), dtype=np.int64)
             vec[ai] = 1
             rmul = lam.right_mult_matrix(-e2, 1, vec)
-            for r, (b, x) in enumerate(bsrc.hom_index[e1]):
+            for r, (b, x) in enumerate(pair_keys(bsrc.hom_index[e1])):
                 for a in np.nonzero(rmul[:, b])[0]:
                     for x2 in np.nonzero(a_act[x])[0]:
                         key = (int(a), int(x2))
@@ -410,12 +415,12 @@ def reference_odd_mats(mod, lam, s, bsrc, btgt):
         if tgt.dim(d) == 0:
             continue
         e1, e2 = d + s + 1, d + s + n
-        pos2 = {key: c for c, key in enumerate(btgt.hom_index[e2])}
+        pos2 = {key: c for c, key in enumerate(pair_keys(btgt.hom_index[e2]))}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for pa, ximat in zip(paths, xi):
             cls = reduce_path_element(lam, _path_elem(pa, n - 1))
             rmul = lam.right_mult_matrix(-e2, n - 1, cls)
-            for r, (b, x) in enumerate(bsrc.hom_index[e1]):
+            for r, (b, x) in enumerate(pair_keys(bsrc.hom_index[e1])):
                 for a in np.nonzero(rmul[:, b])[0]:
                     for x2 in np.nonzero(ximat[x])[0]:
                         key = (int(a), int(x2))
@@ -694,10 +699,11 @@ def test_pair_matrix_is_exact_at_every_accepted_modulus(p):
                                    for sh in shapes))
         src = [(u, v) for u in range(4) for v in range(3) if (u + v) % 3]
         tgt = [(u, v) for u in range(5) for v in range(6) if (u * v) % 4 != 1]
-        got = cx._pair_matrix(src, tgt, terms, p)
+        got = cx._pair_matrix(np.array(src), np.array(tgt), terms, p)
         assert got.dtype == np.int64
         assert np.array_equal(got, python_pair_matrix(src, tgt, terms, p))
-    assert cx._pair_matrix([], [(0, 0)], terms, p).shape == (0, 1)
+    assert cx._pair_matrix(np.zeros((0, 2), dtype=np.intp), np.array([(0, 0)]),
+                           terms, p).shape == (0, 1)
 
 
 # -- membership by an exact round trip, against the search it replaced ------
@@ -1235,3 +1241,154 @@ def test_chain_iso_failure_names_missing_positions_and_maps():
     assert swap.commutes() and swap.is_iso()
     assert cx.chain_iso_failure(s, s, {0: swap}) == {
         "condition": "module-map", "position": 0, "degree": 0}
+
+
+# -- labels and pair indices as read-only arrays -----------------------------
+
+
+def corpus_lam_at(name, p):
+    """The base algebra of a corpus entry, rebuilt over F_p to the same
+    degree."""
+    from nkoszul.algebra import Presentation, build_slices
+    from nkoszul.quiver import Path, PathSpaceElement
+    e = entry(name)
+    q, n = e["quiver"], e["n"]
+    rels = verify._all_path_relations(q, n)
+    if name == "commutative_n2":
+        rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1,
+                                     Path(0, (1, 0)): p - 1}),
+                PathSpaceElement(2, {Path(0, (0, 0)): 1}),
+                PathSpaceElement(2, {Path(0, (1, 1)): 1})]
+    return build_slices(Presentation.make(q, n, rels, p=p),
+                        e["lam"]._computed_to())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_cofree_index_matches_the_pair_loop(p):
+    """On every corpus algebra rebuilt over F_p, the (E, 2) array index of
+    the cofree basis lists the pairs of the double loop it replaced, in
+    its order, for labels in any order, repeated, or none; and the model
+    is memoized on the labels whatever sequence holds them."""
+    rng = np.random.default_rng(p)
+    for name in ("one_loop_n3", "two_loop_n3", "commutative_n2",
+                 "two_vertex_n3", "two_vertex_n4"):
+        lam = corpus_lam_at(name, p)
+        nv = lam.nvert
+        vlists = [[], list(range(nv)), [nv - 1] * 3, list(range(nv))[::-1]]
+        vlists += [rng.integers(0, nv, size=int(rng.integers(1, 8))).tolist()
+                   for _ in range(4)]
+        for vlist in vlists:
+            got = cx.cofree_index(lam, np.array(vlist, dtype=np.intp))
+            want = dense_oracle.cofree_index(lam, vlist)
+            assert sorted(got) == sorted(want)
+            for e, pairs in got.items():
+                assert pairs.dtype == np.intp and not pairs.flags.writeable
+                assert pair_keys(pairs) == want[e]
+            model = cx.cofree_module(lam, np.array(vlist, dtype=np.intp))
+            assert model is cx.cofree_module(lam, tuple(vlist))
+            assert {e: pair_keys(a) for e, a in model.hom_index.items()} \
+                == want
+
+
+def label_test_modules():
+    """Modules from every builder that makes labels, over two_vertex_n3,
+    with the cofree models of F(x) and the extracted module of in_Y."""
+    from nkoszul import docio
+    e = entry("two_vertex_n3")
+    params = TorsionParams(e["n"], 1, 0)
+    f = free_module(e["dual"], [(0, 0), (1, 1)], 6)
+    rad = {d: s for d, s in gm._radical_rrefs(f).items() if s.dim}
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0), (1, 0)], 7),
+                      e["ualg"], params)
+    c = cx.equivalence_F(x, e["lam"], params)
+    ok, w = cx.in_Y(c, e["ualg"], params)
+    assert ok
+    quo = gm.quotient_module(f, rad)[0]
+    mods = [f, f.shift(2), quo, gm.submodule_from_bases(f, rad)[0],
+            graded_dual(f), x, w, gm.projective_cover(quo)[0],
+            docio.parse_module(docio.module_json(x), e["ualg"], "x"),
+            gm.GradedModule(e["lam"], {0: [1, 0, 1], 2: (0,)}, {})]
+    mods += list(c.modules.values())
+    mods += list(cx.psi(f, e["lam"]).modules.values())
+    models = [cx.cofree_module(e["lam"], x.verts_at(s)) for s in x.degrees()]
+    return mods + models, c, w
+
+
+def test_labels_and_pair_indices_are_held_once_as_read_only_arrays():
+    mods, _, _ = label_test_modules()
+    free = [m for m in mods if "free_layout" in m.__dict__]
+    cofree = [m for m in mods if "hom_index" in m.__dict__]
+    assert free and cofree
+    for mod in mods:
+        assert mod.verts and mod.verts_at(10 ** 6).size == 0
+        for d, vs in mod.verts.items():
+            assert type(vs) is np.ndarray and vs.dtype == np.intp
+            assert vs.ndim == 1 and vs.size and not vs.flags.writeable
+            assert mod.verts_at(d) is vs and mod.verts_at(d) is vs
+        none = mod.verts_at(min(mod.degrees()) - 1)
+        assert none.dtype == np.intp and not none.flags.writeable
+        assert none is mod.verts_at(max(mod.degrees()) + 1)
+    for mod in free:
+        for d, rows in mod.free_index.items():
+            assert rows.dtype == np.intp and rows.shape == (mod.dim(d), 2)
+            assert not rows.flags.writeable
+    for mod in cofree:
+        for e, pairs in mod.hom_index.items():
+            assert type(pairs) is np.ndarray and pairs.dtype == np.intp
+            assert pairs.shape == (mod.dim(e), 2) and not pairs.flags.writeable
+    f = mods[0]
+    # a shift shares the arrays; the public constructor copies its input
+    assert all(mods[1].verts[d - 2] is vs for d, vs in f.verts.items())
+    mine = np.array([0, 1, 1], dtype=np.intp)
+    mod = gm.GradedModule(f.algebra, {0: mine}, {})
+    mine[0] = 1
+    assert mine.flags.writeable and mod.verts_at(0).tolist() == [0, 1, 1]
+
+
+def test_reports_read_labels_as_python_ints():
+    """json.dumps, with no default, raises on a NumPy integer: the module
+    reports, the generator lists of a resolution, the free generators and
+    the certificates' top vertices hold Python ints only."""
+    import json
+    from nkoszul import docio
+    from nkoszul import koszul as ko
+    mods, c, w = label_test_modules()
+    for mod in mods:
+        text = json.dumps(docio.module_json(mod))
+        assert json.loads(text)["verts"] == {
+            str(d): vs.tolist() for d, vs in mod.verts.items()}
+    json.dumps(docio.complex_json(c))
+    seg = ko.minimal_projective_resolution(
+        ko.semisimple_module(entry("two_vertex_n3")["lam"]), 4)
+    assert json.loads(json.dumps(seg.gen_lists)) == [
+        [list(g) for g in gens] for gens in seg.gen_lists]
+    json.dumps([m.free_gens for m in mods if "free_gens" in m.__dict__])
+    from nkoszul.algebra import DegreeMap
+    dmap = DegreeMap(0, 3)
+    cert = cx.certify_linear(c, "injective",
+                             degree_of=lambda k: -dmap.delta(k))
+    assert cert and json.dumps({k: v["mults"] for k, v in cert.items()})
+
+
+def test_chain_iso_failure_matches_the_dense_check(monkeypatch):
+    """Every call of chain_iso_failure in the seed-0 equivalence,
+    dual_equivalence and contraction suites, and in the tests of mutated
+    witnesses, missing maps and F_2 identities, gives the failure, or
+    None, that the check on dense copies of the maps gives."""
+    real, seen = cx.chain_iso_failure, []
+
+    def compared(c, c2, fam):
+        got = real(c, c2, fam)
+        assert got == dense_oracle.chain_iso_failure(c, c2, fam)
+        seen.append(got)
+        return got
+    monkeypatch.setattr(cx, "chain_iso_failure", compared)
+    for name in ("equivalence", "dual_equivalence", "contraction"):
+        assert verify.run_suite(name, seed=0)["passed"]
+    for kind, p in SMALL:
+        test_mutated_witnesses_are_reported_where_they_fail(kind, p)
+    test_chain_iso_failure_names_missing_positions_and_maps()
+    test_the_identity_passes_where_the_search_missed_over_F2()
+    assert None in seen
+    assert {bad["condition"] for bad in seen if bad} == {
+        "positions", "invertible", "module-map", "differential"}

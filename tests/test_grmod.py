@@ -9,7 +9,7 @@ from nkoszul.grmod import (GradedModule, GradedMorphism, TorsionParams,
                            free_module, graded_dual, hom_space,
                            opposite_algebra, projective_cover, quotient_module,
                            submodule_closure, zero_module)
-from dense_oracle import dense_actions, dense_mats
+from dense_oracle import dense_actions, dense_mats, label_lists
 from search_oracle import iso_modules
 
 P = 101
@@ -206,7 +206,7 @@ def test_projective_cover_of_simple():
     assert f.commutes()
     assert gen_list == [(0, 0)]
     assert gm.top_dims(cover) == {0: 1}
-    assert cover.dim(0) == 1 and cover.verts_at(0) == (0,)
+    assert cover.dim(0) == 1 and cover.verts_at(0).tolist() == [0]
 
 
 def test_presented_in_degrees_free_module():
@@ -390,8 +390,10 @@ def test_in_L_as_one_product_matches_the_null_space_containment(p):
     replaced (products with dual_{n-1} inside the null space of mu_{s,n}):
     the suites' candidates (restricted random representations), restricted
     quotients of free dual modules, and modules with only degree-n actions,
-    which are generated in m + nZ and fail only the kernel condition."""
+    which are generated in m + nZ and fail only the kernel condition.  At
+    each level mu_1 and its vertex-matched pairs are the loop's."""
     from l_condition_oracle import in_L as containment_in_L
+    from l_condition_oracle import multiplication_map
     rng = np.random.default_rng(10 + p)
     verdicts = []
     kernel_only = 0
@@ -411,6 +413,11 @@ def test_in_L_as_one_product_matches_the_null_space_containment(p):
                             rng, dual, m, m + 2 * n + 1), ualg, params)
                          for _ in range(2)]
                 for x in mods:
+                    for s in x.degrees():
+                        pairs, mu = gm.multiplication_map(x, s)
+                        want_pairs, want_mu = multiplication_map(x, s, 1)
+                        assert pairs == want_pairs
+                        assert np.array_equal(mu, want_mu)
                     got = gm.in_L(x, params)
                     assert got == containment_in_L(x, params), (name, m, r)
                     verdicts.append(got)
@@ -704,7 +711,7 @@ def test_submodule_as_module_matches_the_solve():
     for mod, ker in families:
         sub, incl = gm.submodule_from_bases(mod, ker)
         verts, actions, bases = reference_submodule_as_module(mod, ker)
-        assert sub.verts == verts
+        assert label_lists(sub.verts) == label_lists(verts)
         assert set(sub.stored_actions()) == set(actions)
         for key, m in actions.items():
             assert np.array_equal(sub.act(*key), m)
@@ -728,7 +735,7 @@ def test_submodule_as_module_refuses_an_open_family():
 
 def test_submodule_as_module_refuses_a_row_across_vertex_blocks():
     f = free_module(entry("two_vertex_n3")["lam"], [(0, 0), (1, 0)], 6)
-    assert f.verts_at(0) == (0, 1)
+    assert f.verts_at(0).tolist() == [0, 1]
     mixed = linalg.Subspace.from_rows(2, np.array([[1, 1]]), P)
     spans = submodule_closure(f, {0: mixed.basis})
     for build in (gm.submodule_from_bases, reference_submodule_as_module):
@@ -800,8 +807,9 @@ def assert_free_module_matches_the_entry_loop(algebra, gens, hi):
     f = free_module(algebra, gens, hi)
     index, verts = reference_free_index(algebra, gens, hi)
     assert f.free_gens == gens
-    assert f.verts == verts
-    assert all(type(v) is int for vs in f.verts.values() for v in vs)
+    assert label_lists(f.verts) == label_lists(verts)
+    assert all(vs.dtype == np.intp and not vs.flags.writeable
+               for vs in f.verts.values())
     assert sorted(f.free_index) == sorted(index)
     for d, entries in f.free_index.items():
         assert entries.dtype == np.intp and entries.shape == (len(index[d]), 2)
@@ -955,11 +963,10 @@ def test_free_module_equals_the_builder_before_the_block_cache(p):
                 algebra, gens, hi)
             assert f.free_gens == want.free_gens
             assert all(type(x) is int for g in f.free_gens for x in g)
-            assert f.verts == want.verts
-            for d, vs in want.verts.items():
-                got = f.vert_array(d)
+            assert label_lists(f.verts) == label_lists(want.verts)
+            for d in want.verts:
+                got = f.verts_at(d)
                 assert got.dtype == np.intp and not got.flags.writeable
-                assert got.tolist() == list(vs)
             assert f.stored_actions() == want.stored_actions()
             assert sorted(f.free_index) == sorted(want.free_index)
             for d, entries in want.free_index.items():
@@ -1054,7 +1061,7 @@ def adopted(monkeypatch):
 def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
     lam = loops_algebra("cycle", p)
     f = free_module(lam, [(0, 0), (1, 1)], 6)
-    assert f.verts_at(1) == (1, 1)
+    assert f.verts_at(1).tolist() == [1, 1]
     spans = submodule_closure(f, {1: np.array([[1, p - 1]])})
     assert spans[1].dim == 1 and len(spans) > 1
     sub, incl = gm.submodule_from_bases(f, spans)
@@ -1108,3 +1115,44 @@ def test_stored_actions_carry_a_module_to_the_free_algebra():
         assert verify.annihilates_orthogonal(copy, lam) \
             == verify.annihilates_orthogonal(dense_copy, lam)
     assert any(isinstance(m, linalg.Sparse) for m in stored.values())
+
+
+# -- module maps checked by one product per side and generator degree --------
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_noncommuting_degree_matches_the_per_generator_loop(p):
+    """One product per side and generator degree finds the degree the loop
+    of two products per generator finds: on module maps stored dense and
+    Sparse (identities, projections, inclusions, resolution maps), and on
+    each of them with one degree replaced by a random map that keeps the
+    vertex blocks, over algebras whose generators have degree 1, and over
+    U, where they have degrees 1 and n."""
+    import dense_oracle
+    rng = np.random.default_rng(p)
+    lam, dual, ualg = two_vertex_tower(3, p)
+    x = gm.restrict_S(free_module(dual, [(0, 0), (1, 0)], 7), ualg,
+                      TorsionParams(3, 1, 0))
+    f = free_module(lam, [(0, 0), (1, 1)], 5)
+    rad = {d: s for d, s in gm._radical_rrefs(f).items() if s.dim}
+    maps = [gm.submodule_from_bases(f, rad)[1], quotient_module(f, rad)[1]]
+    maps += resolution_maps(loops_algebra("fork", p), 3)
+    for m in (x, f, graded_dual(f)):
+        eye = {d: np.eye(m.dim(d), dtype=np.int64) for d in m.degrees()}
+        maps += [GradedMorphism(m, m, eye), GradedMorphism(
+            m, m, {d: linalg.Sparse.from_dense(a, p) for d, a in eye.items()})]
+    found = set()
+    for g in maps:
+        assert g.noncommuting_degree() is None
+        assert dense_oracle.noncommuting_degree(g) is None
+        for d in g.source.degrees():
+            vs, ws = g.source.verts_at(d), g.target.verts_at(d)
+            r = rng.integers(0, p, size=(vs.size, ws.size)) * (
+                vs[:, None] == ws)
+            for mat in (r, linalg.Sparse.from_dense(r, p)):
+                h = GradedMorphism(g.source, g.target,
+                                   {**g.stored_mats(), d: mat})
+                want = dense_oracle.noncommuting_degree(h)
+                assert h.noncommuting_degree() == want
+                found.add(want)
+    assert None in found and len(found) > 3

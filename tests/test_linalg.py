@@ -90,15 +90,19 @@ def test_inverse_round_trip():
 
 @pytest.mark.parametrize("p", [2, 3, 101, 3037000493, 4611686018427388039])
 def test_inverse_of_a_monomial_matrix_is_the_solved_one(p):
-    """A monomial matrix is inverted with no elimination; the inverse is the
-    one the elimination gives, and a matrix one entry away from monomial,
-    singular or not, still goes through the elimination."""
+    """A monomial matrix, dense or Sparse, is inverted with no elimination,
+    as a Sparse; the inverse is the one the elimination gives, and a matrix
+    one entry away from monomial, singular or not, still goes through the
+    elimination."""
     rng = np.random.default_rng(p % 997)
     for n in (1, 2, 5, 9):
         m = np.zeros((n, n), dtype=np.int64)
         m[np.arange(n), rng.permutation(n)] = rng.integers(1, min(p, 2**62),
                                                            size=n)
         inv = linalg.inverse(m, p)
+        assert isinstance(inv, linalg.Sparse)
+        assert inv == linalg.inverse(linalg.Sparse.from_dense(m, p), p)
+        inv = inv.dense()
         assert np.array_equal(inv, linalg.solve_matrix(m, linalg.eye(n), p))
         assert np.array_equal(linalg.mat_mul(m, inv, p), linalg.eye(n))
         if n > 1:
