@@ -1324,7 +1324,7 @@ def test_labels_and_pair_indices_are_held_once_as_read_only_arrays():
         for d, vs in mod.verts.items():
             assert type(vs) is np.ndarray and vs.dtype == np.intp
             assert vs.ndim == 1 and vs.size and not vs.flags.writeable
-            assert mod.verts_at(d) is vs and mod.verts_at(d) is vs
+            assert mod.verts_at(d) is vs  # on every call
         none = mod.verts_at(min(mod.degrees()) - 1)
         assert none.dtype == np.intp and not none.flags.writeable
         assert none is mod.verts_at(max(mod.degrees()) + 1)
