@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 
 from . import complexes as cpx
 from . import verify as vf
@@ -40,32 +41,22 @@ class _Context:
         self.args = args
         self.top = _window_top(dom, args)
         self.lam = build_slices(dom["presentation"], self.top)
-        self._dual = None
-        self._ualg = None
-        self._freeop = None
 
-    @property
+    @cached_property
     def dual(self):
-        if self._dual is None:
-            self._dual = build_dual(self.lam, self.top)
-        return self._dual
+        return build_dual(self.lam, self.top)
 
-    @property
+    @cached_property
     def ualg(self):
-        if self._ualg is None:
-            self._ualg = USupportAlgebra(self.dual, self.dom["n"])
-        return self._ualg
+        return USupportAlgebra(self.dual, self.dom["n"])
 
     @property
     def ealg(self):
         return yoneda_regrade(self.ualg)
 
-    @property
+    @cached_property
     def freeop(self):
-        if self._freeop is None:
-            self._freeop = vf._free_op_algebra(
-                self.dom["quiver"], self.dom["n"], self.top)
-        return self._freeop
+        return vf._free_op_algebra(self.dom["quiver"], self.dom["n"], self.top)
 
     def params(self) -> TorsionParams:
         m = self.args.m if self.args.m is not None else self.dom["m"]
@@ -76,12 +67,12 @@ class _Context:
         specs = self.dom["modules"]
         if name not in specs:
             raise DocumentError(f"no module named {name!r} in the input")
-        spec = dict(specs[name])
-        over = spec.pop("over", "dual")
+        spec = specs[name]
+        over = spec.get("over", "dual") if isinstance(spec, dict) else "dual"
         algebras = {"dual": lambda: self.dual, "free": lambda: self.freeop,
                     "u": lambda: self.ualg, "e": lambda: self.ealg,
                     "algebra": lambda: self.lam}
-        if over not in algebras:
+        if not isinstance(over, str) or over not in algebras:
             raise DocumentError(
                 f"module {name!r}: unknown algebra tag {over!r} "
                 "(expected dual, free, u, e, or algebra)")

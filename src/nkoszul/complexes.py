@@ -39,6 +39,7 @@ from .grmod import (
     checked_dual,
     combine_mats,
     free_module,
+    generators_of_degree,
     graded_dual,
     hom_space,
     kernel_bases,
@@ -189,8 +190,7 @@ def _pair_matrix(src_pairs, tgt_pairs, terms, p: int) -> np.ndarray:
 
 def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
     """The actions M_d -> M_{d+1} of the given arrows, in that order."""
-    gen_of = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-              if g.degree == 1}
+    gen_of = generators_of_degree(mod.algebra, 1)
     return [mod.act(gen_of[ai], d) for ai in arrows]
 
 
@@ -649,8 +649,7 @@ def _extract(c: ComplexOfGraded, ualg, params):
     models = _models(c, cert)
     verts = {dmap.delta(k): models[k][2] for k in c.positions()}
     actions = _degree_one_actions(c, models, dmap, ualg)
-    n_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
-              if g.degree == n}
+    n_gens = generators_of_degree(ualg, n)
     if n == 2:
         # the degree-2 generator actions are the induced products
         prov = GradedModule(ualg.dual, verts, actions)
@@ -691,8 +690,7 @@ def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
     positions whose successor sits one degree higher: the entry at
     (arrow b, x) -> (vertex of x b^o, x2) is the coefficient of x2 in x b^o.
     """
-    one_gens = {g.basis_index: gi for gi, g in enumerate(ualg.generators())
-                if g.degree == 1}
+    one_gens = generators_of_degree(ualg, 1)
     q = ualg.dual.quiver.opposite()
     actions = {}
     for k in c.positions():

@@ -131,6 +131,8 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
     r = doc.get("r", 1)
     if not (isinstance(m, int) and isinstance(r, int) and r >= 1):
         _fail("m/r", "must be integers with r >= 1")
+    if not isinstance(doc.get("modules") or {}, dict):
+        _fail("modules", "must be an object")
     pres = Presentation.make(q, n, rels, p)
     return {
         "modulus": p, "quiver": q, "n": n, "relations": rels,
@@ -156,41 +158,67 @@ def parse_module(spec, algebra, where: str) -> GradedModule:
     """A graded module from {"verts": {...}, "actions": {...}}.
 
     Action keys are "name@degree" with the generator names of the target
-    algebra; matrices are row-indexed by the source degree basis.
+    algebra; matrices are row-indexed by the source degree basis.  The
+    rules each entry must meet are stated in FORMAT.md.
     """
     if not isinstance(spec, dict):
         _fail(where, "module spec must be an object")
     verts = {}
-    for dk, vs in (spec.get("verts", {}) or {}).items():
+    for dk, vs in _members(spec, "verts", where).items():
         try:
             d = int(dk)
         except ValueError:
             _fail(f"{where}.verts", f"bad degree key {dk!r}")
-        if not (isinstance(vs, list)
-                and all(isinstance(v, int) for v in vs)):
+        if not isinstance(vs, list):
             _fail(f"{where}.verts[{dk}]", "expected a list of vertices")
+        for i, v in enumerate(vs):
+            if not (type(v) is int and 0 <= v < algebra.nvert):
+                _fail(f"{where}.verts[{dk}][{i}]", f"vertex {v!r} is not "
+                      f"an integer in [0, {algebra.nvert})")
         if vs:
             verts[d] = vs
     gens = {g.name: gi for gi, g in enumerate(algebra.generators())}
     actions = {}
-    for key, mat in (spec.get("actions", {}) or {}).items():
+    for key, mat in _members(spec, "actions", where).items():
         try:
             name, dk = key.rsplit("@", 1)
             d = int(dk)
         except ValueError:
             _fail(f"{where}.actions", f"bad action key {key!r}")
+        at = f"{where}.actions[{key}]"
         if name not in gens:
-            _fail(f"{where}.actions[{key}]", f"unknown generator {name!r}")
-        a = np.asarray(mat, dtype=np.int64) % algebra.p
-        if a.ndim != 2:
-            _fail(f"{where}.actions[{key}]", "matrix must be 2-dimensional")
+            _fail(at, f"unknown generator {name!r}")
+        a = _matrix(mat, algebra.p, at)
         if a.any():
+            if d not in verts:
+                _fail(at, f"nonzero action from degree {d}, which is "
+                          "outside the support")
             actions[(gens[name], d)] = a
     mod = GradedModule(algebra, verts, actions)
     bad = mod.validate()
     if bad:
         _fail(where, f"module is not valid: {bad[0]}")
     return mod
+
+
+def _members(spec: dict, key: str, where: str) -> dict:
+    """The object spec[key], empty when absent."""
+    obj = spec.get(key) or {}
+    if not isinstance(obj, dict):
+        _fail(f"{where}.{key}", "must be an object")
+    return obj
+
+
+def _matrix(mat, p: int, where: str) -> np.ndarray:
+    """An int64 matrix from a non-empty list of rows of one length, each
+    entry an integer, reduced mod p on Python integers."""
+    a = np.array(mat, dtype=object) if isinstance(mat, list) else None
+    if a is None or a.ndim != 2:
+        _fail(where, "matrix must be a non-empty list of rows of one length")
+    for (i, j), v in np.ndenumerate(a):
+        if type(v) is not int:  # JSON reads true and false as bool
+            _fail(f"{where}[{i}][{j}]", f"entry {v!r} is not an integer")
+    return (a % p).astype(np.int64)
 
 
 def module_json(mod: GradedModule) -> dict:

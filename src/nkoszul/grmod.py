@@ -27,11 +27,20 @@ Modules and morphisms never change once built.  Every stored array is made
 read-only (a Sparse is read-only already), so `act()`, `mat()` and
 `stored_actions()` hand out the stored arrays themselves, and a module can
 keep what it derives from them (`GradedModule._memo`): its `validate()`
-verdict, the action of each algebra basis element, and per level s the
-data of mu_1 (`mu1`, `mu1_kernel`, `mu1_preimage`), the stacked degree-n
-action and the verdict of the kernel condition.  So `in_L`, the
+verdict ("issues"), the dense action of each algebra basis element
+("element"), and per level s the data of mu_1 ("mu1", "mu1 kernel",
+"mu1 preimage"), the stacked degree-n action ("stacked action") and the
+verdict of the kernel condition ("kernel condition").  So `in_L`, the
 contraction maps of F and the extraction of a module from a complex share
 one build of each, and a second `validate()` of a module costs nothing.
+
+An algebra element acts along one word chain, `_rows_times_word`: rows
+of M_d times a generator word, from the first letter's rows in their
+stored form, by `linalg.mat_mul` while both factors are arrays and by
+`linalg.sparse_mul` otherwise.  `_rows_times_basis_element` keeps the rows
+at a vertex idempotent's vertex and combines any other element's words by
+`_combine`; `act_basis_element`, `_relation_issues` and the cover maps
+read it.
 
 Row-vector convention throughout: an element x of M_d is a coordinate row
 and x * g = x @ act(g, d).
@@ -190,77 +199,43 @@ class GradedModule(_BuiltOnRead):
     def support_top(self):
         return max(self.verts) if self.verts else None
 
-    def _action(self, gi: int, d: int):
-        """(shape, the stored action of generator gi from degree d in its
-        stored form or None)."""
-        shape = (self.dim(d), self.dim(d + self.gens[gi].degree))
-        m = self._actions.get((gi, d))
-        if m is not None and m.shape != shape:
-            raise ModuleError(
-                f"action matrix for generator {gi} at degree {d} has shape "
-                f"{m.shape}, expected {shape}")
-        return shape, m
-
     def act(self, gi: int, d: int) -> np.ndarray:
         """The action as an array: the stored one, read-only, or a new one
         densified from the sparse form (not cached), refused above the size
         cap."""
-        shape, m = self._action(gi, d)
-        return linalg.dense(m) if m is not None else linalg.dense_zeros(*shape)
+        return linalg.dense(self._stored_action(gi, d))
 
     def sparse_act(self, gi: int, d: int) -> Sparse:
         return linalg.as_sparse(self._stored_action(gi, d), self.p)
 
     def _stored_action(self, gi: int, d: int):
-        """The action in its stored form, a zero Sparse when none is
-        stored."""
-        shape, m = self._action(gi, d)
-        return m if m is not None else Sparse.zero(*shape)
-
-    def act_word(self, word, d: int) -> np.ndarray:
-        """Composite action matrix of a generator word starting at degree d."""
-        out = None
-        cur = d
-        for gi in word:
-            m = self.act(gi, cur)
-            out = m if out is None else linalg.mat_mul(out, m, self.p)
-            cur += self.gens[gi].degree
-        if out is None:
-            return linalg.eye(self.dim(d))
-        return out
+        """The action of generator gi from degree d in its stored form, a
+        zero Sparse when none is stored."""
+        shape = (self.dim(d), self.dim(d + self.gens[gi].degree))
+        m = self._actions.get((gi, d))
+        if m is None:
+            return Sparse.zero(*shape)
+        if m.shape != shape:
+            raise ModuleError(
+                f"action matrix for generator {gi} at degree {d} has shape "
+                f"{m.shape}, expected {shape}")
+        return m
 
     def act_basis_element(self, d_el: int, b_index: int, d: int) -> np.ndarray:
         """Action matrix of the b-th algebra basis element of degree d_el,
-        built once per module and kept read-only."""
+        built once per module by `_rows_times_basis_element` and kept
+        read-only."""
         return self._memo(("element", d_el, b_index, d),
-                          lambda: self._basis_element_action(d_el, b_index, d))
-
-    def _basis_element_action(self, d_el: int, b_index: int,
-                              d: int) -> np.ndarray:
-        if d_el == 0:
-            # vertex idempotent: projection onto the matching block
-            v = self.algebra.basis_pairs(0)[b_index][0]
-            return np.diag((self.verts_at(d) == v).astype(np.int64))
-        words = self.algebra.element_words(d_el)[b_index]
-        if len(words) == 1 and words[0][1] % self.p == 1:
-            return self.act_word(words[0][0], d)  # a path: no combination
-        return self._combine([c for _, c in words],
-                             [self.act_word(w, d) for w, _ in words], d, d_el)
+                          lambda: linalg.dense(_rows_times_basis_element(
+                              self, None, d_el, b_index, d, {})))
 
     def act_element(self, d_el: int, vec, d: int) -> np.ndarray:
         """Action matrix of a general homogeneous algebra element."""
         vec = np.asarray(vec, dtype=np.int64) % self.p
         nz = vec.nonzero()[0].tolist()
-        return self._combine(vec[nz], [self.act_basis_element(d_el, b, d)
-                                       for b in nz], d, d_el)
-
-    def _combine(self, coeffs, mats, d: int, d_el: int) -> np.ndarray:
-        """sum_k coeffs[k] * mats[k] mod p: one product of the coefficient
-        row with the stacked matrices, each a map M_d -> M_{d + d_el}."""
-        shape = (self.dim(d), self.dim(d + d_el))
-        stacked = np.reshape(mats, (len(mats), shape[0] * shape[1]))
-        return linalg.mat_mul(np.reshape(coeffs, (1, len(mats))), stacked,
-                              self.p).reshape(shape)
+        return _combine(vec[nz], [self.act_basis_element(d_el, b, d)
+                                  for b in nz],
+                        (self.dim(d), self.dim(d + d_el)), self.p)
 
     # -- validation ---------------------------------------------------------
 
@@ -303,50 +278,98 @@ def zero_module(algebra) -> GradedModule:
     return GradedModule(algebra, {}, {})
 
 
+def generators_of_degree(algebra, e: int) -> dict:
+    """{basis index: generator number} of the algebra's generators of
+    degree e."""
+    return {g.basis_index: gi for gi, g in enumerate(algebra.generators())
+            if g.degree == e}
+
+
 def _relation_issues(mod: GradedModule) -> list:
     """One issue per relation of the algebra and degree d of the module from
     which the relation acts nontrivially, in relation order.  The relations
     of one degree are checked together, by one product of their
-    coefficient rows with the stacked actions of their words, and each
-    (word, degree) action is built once, from the action of its prefix."""
+    coefficient rows with the stacked actions of their words, read from
+    one word chain per degree d (`_rows_times_word`)."""
     rels = mod.algebra.relation_words()
-    p, gens = mod.p, mod.gens
+    p = mod.p
     groups = []  # per relation degree: it, its relations, words, coefficients
     for rdeg in sorted({rdeg for rdeg, _ in rels}):
         which = [i for i, (e, _) in enumerate(rels) if e == rdeg]
-        words: dict = {}  # word -> column
-        for i in which:
-            for w, _ in rels[i][1]:
-                words.setdefault(w, len(words))
+        words = dict.fromkeys(w for i in which for w, _ in rels[i][1])
+        col = {w: k for k, w in enumerate(words)}
         coef = zeros(len(which), len(words))
         for row, i in enumerate(which):
             for w, c in rels[i][1]:
-                coef[row, words[w]] = (coef[row, words[w]] + c) % p
+                coef[row, col[w]] = (coef[row, col[w]] + c) % p
         if words:
             groups.append((rdeg, which, words, coef))
     failed = set()  # (relation number, degree)
     for d in mod.degrees():
-        acting: dict = {}  # word -> its action from degree d
-
-        def action(word):
-            if word not in acting:
-                if len(word) == 1:
-                    acting[word] = mod.act(word[0], d)
-                else:
-                    at = d + sum(gens[gi].degree for gi in word[:-1])
-                    acting[word] = linalg.mat_mul(
-                        action(word[:-1]), mod.act(word[-1], at), p)
-            return acting[word]
-
+        products: dict = {}  # word -> its action from degree d
         for rdeg, which, words, coef in groups:
             if mod.dim(d + rdeg) == 0:
                 continue
-            stacked = np.stack([action(w).reshape(-1) for w in words])
+            stacked = np.stack([
+                linalg.dense(_rows_times_word(mod, None, w, d, products))
+                .reshape(-1) for w in words])
             acts = linalg.mat_mul(coef, stacked, p).any(axis=1)
             failed.update((i, d) for i, bad in zip(which, acts) if bad)
     return [f"relation of degree {rdeg} acts nontrivially from degree {d}"
             for i, (rdeg, _) in enumerate(rels) for d in mod.degrees()
             if (i, d) in failed]
+
+
+def _rows_times_basis_element(mod: GradedModule, rows, d_el: int,
+                              b_index: int, d: int, products: dict):
+    """Rows `rows` of M_d (every row when None) times the b-th algebra
+    basis element of degree d_el; `products` keeps the word prefixes."""
+    if d_el == 0:  # the vertex idempotent keeps the rows at its vertex
+        v = mod.algebra.basis_pairs(0)[b_index][0]
+        at = np.arange(mod.dim(d)) if rows is None else rows
+        keep = np.flatnonzero(mod.verts_at(d)[at] == v)
+        return Sparse((at.size, mod.dim(d)), keep, at[keep],
+                      np.ones(keep.size, dtype=np.int64))
+    terms = mod.algebra.element_words(d_el)[b_index]
+    mats = [_rows_times_word(mod, rows, tuple(w), d, products)
+            for w, _ in terms]
+    if len(mats) == 1 and terms[0][1] % mod.p == 1:
+        return mats[0]  # a path: no combination
+    return _combine([c for _, c in terms], mats, mats[0].shape, mod.p)
+
+
+def _rows_times_word(mod: GradedModule, rows, word: tuple, d: int,
+                     products: dict):
+    """Rows `rows` of M_d (every row when None) times a generator word:
+    the rows times the word without its last letter, memoized in
+    `products` by word, times that letter's action."""
+    if word not in products:
+        if len(word) == 1:
+            out = mod._stored_action(word[0], d)
+            if rows is not None:
+                out = (out.take_rows(rows) if isinstance(out, Sparse)
+                       else out[rows])
+        else:
+            head = _rows_times_word(mod, rows, word[:-1], d, products)
+            at = d + sum(mod.gens[gi].degree for gi in word[:-1])
+            last = mod._stored_action(word[-1], at)
+            mul = (linalg.mat_mul if isinstance(head, np.ndarray)
+                   and isinstance(last, np.ndarray) else linalg.sparse_mul)
+            out = mul(head, last, mod.p)
+        products[word] = out
+    return products[word]
+
+
+def _combine(coeffs, mats, shape, p: int):
+    """sum_k coeffs[k] * mats[k] mod p, for matrices of one shape: an array
+    by one product of the coefficient row with the stacked matrices when
+    all are arrays (or none is given), else a Sparse."""
+    if all(isinstance(m, np.ndarray) for m in mats):
+        stacked = np.reshape(mats, (len(mats), shape[0] * shape[1]))
+        return linalg.mat_mul(np.reshape(coeffs, (1, len(mats))), stacked,
+                              p).reshape(shape)
+    return linalg.sparse_combine(coeffs, [linalg.as_sparse(m, p)
+                                          for m in mats], p)
 
 
 def _groups(key: np.ndarray):
@@ -541,10 +564,7 @@ class GradedMorphism(_BuiltOnRead):
         """The matrix in degree d as an array: the stored one, or a new one
         densified from the sparse form (not cached), refused above the size
         cap."""
-        m = self._mats.get(d)
-        if m is None:
-            return linalg.dense_zeros(self.source.dim(d), self.target.dim(d))
-        return linalg.dense(m)
+        return linalg.dense(self._stored(d))
 
     def sparse_mat(self, d: int) -> Sparse:
         return linalg.as_sparse(self._stored(d), self.p)
@@ -670,16 +690,16 @@ def combine_mats(coef, mats_list, p: int) -> dict:
     """Per degree, sum_i coef[i] * mats_list[i][d] mod p: the matrices of a
     linear combination of morphisms, each given by its per-degree matrices.
 
-    One `linalg.mat_mul` per degree, so it is exact at every p < 2**63.  A
-    degree is kept when a term with a nonzero coefficient has a matrix there.
+    One `_combine` per degree, so it is exact at every p < 2**63: an array
+    when every term there is one, else a Sparse.  A degree is kept when a
+    term with a nonzero coefficient has a matrix there.
     """
     terms = [(int(ci), mats) for ci, mats in zip(coef, mats_list) if ci]
     out = {}
     for d in sorted({d for _, mats in terms for d in mats}):
-        have = [(ci, linalg.dense(mats[d])) for ci, mats in terms if d in mats]
-        stacked = np.stack([mm.reshape(-1) for _, mm in have])
-        coefs = np.array([[ci for ci, _ in have]], dtype=np.int64)
-        out[d] = linalg.mat_mul(coefs, stacked, p).reshape(have[0][1].shape)
+        have = [(ci, mats[d]) for ci, mats in terms if d in mats]
+        out[d] = _combine([ci for ci, _ in have], [m for _, m in have],
+                          have[0][1].shape, p)
     return out
 
 
@@ -969,49 +989,13 @@ def _cover_mats(phi: GradedMorphism, gen_row) -> dict:
             _, e, gs = pmod.free_classes[c]
             rows = gen_row[gs]
             for t, bi in enumerate(bis.tolist()):
-                g = _rows_times_basis_element(mod, rows, d - e, bi, e,
-                                              products[c])
+                g = linalg.as_sparse(_rows_times_basis_element(
+                    mod, rows, d - e, bi, e, products[c]), mod.p)
                 parts.append((first[g.rows] + t, g.cols, g.vals))
         mats[d] = Sparse.from_entries(
             (pmod.dim(d), mod.dim(d)),
             *(np.concatenate(x) for x in zip(*parts)), mod.p)
     return mats
-
-
-def _rows_times_basis_element(mod: GradedModule, rows, d_el: int,
-                              b_index: int, d: int, products: dict) -> Sparse:
-    """Rows `rows` of `GradedModule.act_basis_element(d_el, b_index, d)` as
-    a Sparse, for `rows` basis elements of M_d at the element's starting
-    vertex.  `products` holds the rows times the words met so far, by word,
-    for these rows."""
-    if d_el == 0:  # the vertex idempotent fixes each row
-        return Sparse((rows.size, mod.dim(d)), np.arange(rows.size), rows,
-                      np.ones(rows.size, dtype=np.int64))
-    terms = mod.algebra.element_words(d_el)[b_index]
-    mats = [_rows_times_word(mod, rows, tuple(w), d, products)
-            for w, _ in terms]
-    if len(mats) == 1 and terms[0][1] % mod.p == 1:
-        return mats[0]  # a path: no combination
-    return linalg.sparse_combine([c for _, c in terms], mats, mod.p)
-
-
-def _rows_times_word(mod: GradedModule, rows, word: tuple, d: int,
-                     products: dict) -> Sparse:
-    """Rows `rows` of M_d times a generator word: the rows times the word
-    without its last letter, times that letter's action, memoized in
-    `products` by word."""
-    if word not in products:
-        if len(word) == 1:
-            a = mod._stored_action(word[0], d)
-            out = (a.take_rows(rows) if isinstance(a, Sparse)
-                   else Sparse.from_dense(a[rows], mod.p))
-        else:
-            head = _rows_times_word(mod, rows, word[:-1], d, products)
-            at = d + sum(mod.gens[gi].degree for gi in word[:-1])
-            out = linalg.sparse_mul(head, mod._stored_action(word[-1], at),
-                                    mod.p)
-        products[word] = out
-    return products[word]
 
 
 def presented_in_degrees(mod: GradedModule, degree_set) -> bool:
@@ -1224,8 +1208,7 @@ def multiplication_map(mod: GradedModule, s: int):
     srcs = np.array([src for src, _ in mod.algebra.dual.basis_pairs(1)],
                     dtype=np.intp)
     i, j = np.nonzero(mod.verts_at(s)[:, None] == srcs)
-    gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-            if g.degree == 1}
+    gens = generators_of_degree(mod.algebra, 1)
     mu = zeros(i.size, mod.dim(s + 1))
     if mu.size:
         mu = np.stack([mod.act(gens[a], s) for a in range(srcs.size)])[j, i]
@@ -1261,8 +1244,7 @@ def stacked_action(mod: GradedModule, s: int) -> np.ndarray:
     level."""
     def build():
         n = mod.algebra.n
-        gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
-                if g.degree == n}
+        gens = generators_of_degree(mod.algebra, n)
         return np.concatenate(
             [zeros(0, mod.dim(s + n))]
             + [mod.act(gens[w], s) for w in range(mod.algebra.dual.dim(n))])

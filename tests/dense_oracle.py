@@ -14,7 +14,11 @@ the cofree basis as a list of (b, x) pairs from a double loop, before it
 became an (E, 2) array, and `noncommuting_degree` and `chain_iso_failure`
 are the checks of a module map and of a chain isomorphism on dense copies
 of the maps, one product per generator and a dense vertex mask, before
-they read the stored nonzeros.
+they read the stored nonzeros.  `word_action` and `basis_element_action`
+are the action of a generator word and of an algebra basis element as
+products of the dense letter actions, with no memo, and the vertex
+idempotent as a diagonal projection, before the module read them off one
+word chain (`grmod._rows_times_basis_element`).
 """
 import numpy as np
 
@@ -252,6 +256,29 @@ def dense_actions(mod):
 def dense_mats(f):
     """The stored matrices of a morphism, each densified."""
     return {d: f.mat(d) for d in f.stored_mats()}
+
+
+def word_action(mod, word, d: int) -> np.ndarray:
+    """The action of a generator word from degree d: the dense letter
+    actions multiplied in order, the identity for the empty word."""
+    out = linalg.eye(mod.dim(d))
+    for gi in word:
+        out = linalg.mat_mul(out, mod.act(gi, d), mod.p)
+        d += mod.gens[gi].degree
+    return out
+
+
+def basis_element_action(mod, d_el: int, b_index: int, d: int) -> np.ndarray:
+    """The action of the b-th algebra basis element of degree d_el from
+    degree d: the diagonal projection onto the vertex block for a vertex
+    idempotent, else its words' actions combined on Python integers."""
+    if d_el == 0:
+        v = mod.algebra.basis_pairs(0)[b_index][0]
+        return np.diag((mod.verts_at(d) == v).astype(np.int64))
+    out = np.zeros((mod.dim(d), mod.dim(d + d_el)), dtype=object)
+    for w, c in mod.algebra.element_words(d_el)[b_index]:
+        out = out + int(c) * word_action(mod, w, d).astype(object)
+    return (out % mod.p).astype(np.int64)
 
 
 def label_lists(verts: dict) -> dict:

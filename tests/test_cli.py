@@ -131,6 +131,54 @@ def test_bad_input_file_exits_2(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+
+@pytest.mark.parametrize("field, key, value, message", [
+    ("verts", "7", [5], "verts[7][0]: vertex 5 is not an integer in [0, 1)"),
+    ("verts", "0", [True],
+     "verts[0][0]: vertex True is not an integer in [0, 1)"),
+    ("actions", "x@0", [[1.5]], "actions[x@0][0][0]: entry 1.5 is not an "
+                                "integer"),
+    ("actions", "x@0", [["a"]], "actions[x@0][0][0]: entry 'a' is not an "
+                                "integer"),
+    ("actions", "x@0", [[True]], "actions[x@0][0][0]: entry True is not an "
+                                 "integer"),
+    ("actions", "x@0", [[1], [0, 1]], "actions[x@0]: matrix must be a "
+                                      "non-empty list of rows of one length"),
+    ("actions", "x@0", [], "actions[x@0]: matrix must be a non-empty list "
+                           "of rows of one length"),
+    ("actions", "x@0", [[[1]]], "actions[x@0]: matrix must be a non-empty "
+                                "list of rows of one length"),
+    ("actions", None, [1], "actions: must be an object"),
+    ("verts", None, [[0]], "verts: must be an object"),
+    ("actions", "x@99", [[1]], "actions[x@99]: nonzero action from degree "
+                               "99, which is outside the support"),
+    # past int64 an entry is still an integer, reduced mod 101 exactly
+    ("actions", "x@0", [[1 + 101 * 2 ** 70]], None),
+    ("actions", "x@0", [[1 - 101 * 2 ** 70]], None),
+])
+def test_a_malformed_module_spec_exits_2_naming_the_entry(
+        capsys, tmp_path, field, key, value, message):
+    with open(ONE_LOOP) as fh:
+        doc = json.load(fh)
+    spec = doc["modules"]["M"]
+    assert spec["actions"]["x@0"] == [[1]]
+    if key is None:
+        spec[field] = value
+    else:
+        spec[field][key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["functor", str(path), "--which", "nu",
+                                  "--module", "M"])
+    if message is not None:
+        assert (code, out) == (2, "")
+        assert err == f"input error: modules.M.{message}\n"
+        return
+    _, want = run_json(capsys, ["functor", ONE_LOOP, "--which", "nu",
+                                "--module", "M"])
+    got = json.loads(out)
+    assert code == 0 and got.pop("echo") != want.pop("echo") and got == want
+
 def test_verify_command(capsys):
     code, rep = run_json(
         capsys, ["verify", "--suite", "dual_agreement", "--trials", "6"])

@@ -1290,6 +1290,46 @@ def test_cofree_index_matches_the_pair_loop(p):
                 == want
 
 
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_one_word_chain_matches_the_dense_products(p):
+    """On every corpus algebra rebuilt over F_p, free modules over the
+    dual, U and E, stored Sparse and stored dense, act by every basis
+    element (the vertex idempotents of the two-vertex algebras included)
+    as the dense letter products of the oracle do: on every row, as
+    `act_basis_element` keeps it, and on the rows of each vertex block,
+    as the cover maps read it."""
+    from nkoszul.algebra import USupportAlgebra, build_dual, yoneda_regrade
+    checked = 0
+    for name in ("one_loop_n3", "two_loop_n3", "commutative_n2",
+                 "two_vertex_n3", "two_vertex_n4"):
+        lam = corpus_lam_at(name, p)
+        n = lam.pres.n
+        dual = build_dual(lam, 3 * n)
+        ualg = USupportAlgebra(dual, n)
+        for alg, hi in ((dual, 2 * n), (ualg, 2 * n),
+                        (yoneda_regrade(ualg), 4)):
+            f = free_module(alg, [(v, 0) for v in range(alg.nvert)]
+                            + [(0, 1)], hi)
+            for mod in (f, gm.GradedModule(alg, f.verts, dense_actions(f))):
+                top = mod.support_top()
+                for d in mod.degrees():
+                    blocks = [np.flatnonzero(mod.verts_at(d) == v)
+                              for v in range(alg.nvert)]
+                    for d_el in range(top - d + 1):
+                        for b in range(alg.dim(d_el)):
+                            want = dense_oracle.basis_element_action(
+                                mod, d_el, b, d)
+                            assert np.array_equal(
+                                mod.act_basis_element(d_el, b, d), want)
+                            for rows in blocks:
+                                got = gm._rows_times_basis_element(
+                                    mod, rows, d_el, b, d, {})
+                                assert np.array_equal(linalg.dense(got),
+                                                      want[rows])
+                            checked += 1
+    assert checked > 1000
+
 def label_test_modules():
     """Modules from every builder that makes labels, over two_vertex_n3,
     with the cofree models of F(x) and the extracted module of in_Y."""
