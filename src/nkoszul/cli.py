@@ -26,6 +26,19 @@ from .linalg import LinAlgError
 from .quiver import QuiverError
 
 
+def _check_flags(args) -> None:
+    """A flag obeys the rule of the document field it overrides (a window
+    has lo <= hi, r >= 1), and a suite runs at least one trial."""
+    lo, hi = getattr(args, "window", None) or (0, 0)
+    r, trials = getattr(args, "r", None), getattr(args, "trials", None)
+    if lo > hi:
+        raise DocumentError(f"--window {lo} {hi}: need LO <= HI")
+    if r is not None and r < 1:
+        raise DocumentError(f"--r {r}: need r >= 1")
+    if trials is not None and trials < 1:
+        raise DocumentError(f"--trials {trials}: need at least 1 trial")
+
+
 def _window_top(dom, args) -> int:
     lo, hi = dom["window"]
     if args.window:
@@ -305,6 +318,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_flags(args)
         if args.func == "verify":
             report, code = cmd_verify(args)
         else:

@@ -21,7 +21,13 @@ cofree modules) is built by one helper, `_pair_matrix`.  The bases of such
 modules are indexed by pairs (u, v): an element of the base algebra and a
 basis element of a module component.  A differential is a sum of terms
 L (x) R, multiplication in the base algebra tensored with a module action,
-pulled back through the pair indices.
+pulled back through the pair indices.  The complexes of cofree models,
+nu and F at every n, are laid out by one builder, `_cofree_complex`:
+position k holds the cofree model on the module's labels in degree s_k
+(k for nu, delta(k) for F), shifted to s_k, and the differential to k + 1
+is the Hom step when s_{k+1} = s_k + 1, else F's odd differential through
+xi from level s_k - 1.  So at n = 2, where delta(k) = m + k, every step of
+F is a Hom step.
 """
 from __future__ import annotations
 
@@ -259,22 +265,30 @@ def nu(mod: GradedModule, lam, allow_windowed: bool = False,
     if not mod.is_valid():
         raise ModuleError("module failed validation")
     _require_finite(lam, allow_windowed)
-    comps = {}
-    bases = {}
-    for j in mod.degrees():
-        base = cofree_module(lam, mod.verts_at(j))
-        bases[j] = base
-        comps[j] = base.shift(j)  # component degree d holds base at d + j
+    arrows = range(lam.quiver.arrow_count) if _twist is None else _twist
+    return _cofree_complex(mod, lam, lam.pres.n,
+                           {d: d for d in mod.degrees()}, arrows)
+
+
+def _cofree_complex(mod: GradedModule, lam, period: int, degree_at: dict,
+                    arrows) -> ComplexOfGraded:
+    """The complex of cofree models of `nu` and F, position k in degree
+    degree_at[k] (see the module docstring); the Hom steps (`_hom_step`)
+    act by `arrows` in that order, the others are `_model_odd_diff`."""
+    bases = {k: cofree_module(lam, mod.verts_at(s))
+             for k, s in degree_at.items() if mod.dim(s)}
+    comps = {k: base.shift(degree_at[k]) for k, base in bases.items()}
     diffs = {}
-    nq = lam.quiver.arrow_count
-    twist = list(_twist) if _twist is not None else list(range(nq))
-    for j in mod.degrees():
-        if (j + 1) not in comps:
+    for k, s in degree_at.items():
+        if k not in bases or k + 1 not in bases:
             continue
-        mats = _hom_step(lam, _arrow_acts(mod, j, twist), j,
-                         bases[j], bases[j + 1])
-        diffs[j] = GradedMorphism._adopt(comps[j], comps[j + 1], mats)
-    return ComplexOfGraded(lam, lam.pres.n, comps, diffs)
+        if degree_at[k + 1] == s + 1:
+            mats = _hom_step(lam, _arrow_acts(mod, s, arrows), s,
+                             bases[k], bases[k + 1])
+        else:
+            mats = _model_odd_diff(mod, lam, s - 1, bases[k], bases[k + 1])
+        diffs[k] = GradedMorphism._adopt(comps[k], comps[k + 1], mats)
+    return ComplexOfGraded(lam, period, comps, diffs)
 
 
 def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
@@ -437,17 +451,6 @@ def _contract(c: ComplexOfGraded, n: int, src_of) -> ComplexOfGraded:
 # -- the explicit equivalence (injective picture) ----------------------------
 
 
-def _u_module_as_dual_module(mod: GradedModule) -> GradedModule:
-    """Reinterpret a module over the support-restricted algebra as a module
-    over the full dual (valid when n = 2, where the two coincide).  The
-    generators of U start with those of the dual, in order."""
-    dual = mod.algebra.dual
-    narrows = len(dual.generators())
-    return GradedModule(dual, dict(mod.verts),
-                        {(gi, d): a for (gi, d), a
-                         in mod.stored_actions().items() if gi < narrows})
-
-
 def _mu1_data(mod: GradedModule, s: int):
     """The multiplication mu_1: X_s (x) dual_1 -> X_{s+1}: the pairs of its
     domain, a canonical preimage matrix for its targets and a basis of its
@@ -542,46 +545,34 @@ def _require_u_module(mod: GradedModule) -> None:
 
 def _F_of_member(mod: GradedModule, lam, params,
                  allow_windowed: bool) -> ComplexOfGraded:
-    """`equivalence_F` of a module over U already known to be in L."""
-    n = params.n
-    m = params.m
+    """`equivalence_F` of a module over U already known to be in L: the
+    cofree models at the positions of the regrading (`_cofree_complex`)."""
     _require_finite(lam, allow_windowed)
-    if n == 2:
-        c = nu(_u_module_as_dual_module(mod), lam,
-               allow_windowed=allow_windowed)
-        return ComplexOfGraded(
-            lam, 2,
-            {k - m: mm for k, mm in c.modules.items()},
-            {k - m: f for k, f in c.diffs.items()})
-    levels = sorted({(d - m) // n for d in mod.degrees()})
-    comps = {}
-    bases = {}
-    for j in levels:
-        for par in (0, 1):
-            s = m + j * n + par
-            if mod.dim(s) == 0:
-                continue
-            base = cofree_module(lam, mod.verts_at(s))
-            pos = 2 * j + par
-            bases[pos] = base
-            comps[pos] = base.shift(s)
-    diffs = {}
-    arrows = range(mod.algebra.quiver.arrow_count)
-    for j in levels:
-        s = m + j * n
-        # even differential: the Hom-functor single step
-        if 2 * j in comps and 2 * j + 1 in comps:
-            mats = _hom_step(lam, _arrow_acts(mod, s, arrows), s,
-                             bases[2 * j], bases[2 * j + 1])
-            diffs[2 * j] = GradedMorphism._adopt(comps[2 * j],
-                                                 comps[2 * j + 1], mats)
-        # odd differential: contract through xi
-        if 2 * j + 1 in comps and 2 * j + 2 in comps:
-            mats = _model_odd_diff(mod, lam, s, bases[2 * j + 1],
-                                   bases[2 * j + 2])
-            diffs[2 * j + 1] = GradedMorphism._adopt(comps[2 * j + 1],
-                                                     comps[2 * j + 2], mats)
-    return ComplexOfGraded(lam, 2, comps, diffs)
+    dmap = DegreeMap(params.m, params.n)
+    return _cofree_complex(
+        mod, lam, 2, {dmap.inverse(d): d for d in mod.degrees()
+                      if dmap.in_image(d)},
+        range(mod.algebra.quiver.arrow_count))
+
+
+def equivalence_F_map(f: GradedMorphism, fw: ComplexOfGraded,
+                      fx: ComplexOfGraded, params) -> dict:
+    """F of the module map f: w -> x, on fw = F(w) -> fx = F(x): per
+    position k, (b, i) -> sum_j P[i, j] (b, j) on the cofree component, P
+    the matrix of f in degree s = delta(k), over the pairs of the cofree
+    models the components are built on."""
+    lam, dmap = fw.algebra, DegreeMap(params.m, params.n)
+    fam = {}
+    for k, comp in fw.modules.items():
+        s = dmap.delta(k)
+        mat = f.mat(s)
+        rows = cofree_module(lam, f.source.verts_at(s)).hom_index
+        cols = cofree_module(lam, f.target.verts_at(s)).hom_index
+        fam[k] = GradedMorphism(comp, fx.component(k), {
+            e - s: _pair_matrix(pairs, cols[e],
+                                [(linalg.eye(lam.dim(-e)), mat)], lam.p)
+            for e, pairs in rows.items() if e in cols})
+    return fam
 
 
 def _model_odd_diff(mod: GradedModule, lam, s: int, bsrc, btgt) -> dict:

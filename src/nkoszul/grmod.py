@@ -27,12 +27,12 @@ Modules and morphisms never change once built.  Every stored array is made
 read-only (a Sparse is read-only already), so `act()`, `mat()` and
 `stored_actions()` hand out the stored arrays themselves, and a module can
 keep what it derives from them (`GradedModule._memo`): its `validate()`
-verdict ("issues"), the dense action of each algebra basis element
-("element"), and per level s the data of mu_1 ("mu1", "mu1 kernel",
-"mu1 preimage"), the stacked degree-n action ("stacked action") and the
-verdict of the kernel condition ("kernel condition").  So `in_L`, the
-contraction maps of F and the extraction of a module from a complex share
-one build of each, and a second `validate()` of a module costs nothing.
+verdict ("issues"), and per level s the data of mu_1 ("mu1", "mu1
+kernel", "mu1 preimage"), the stacked degree-n action ("stacked action")
+and the verdict of the kernel condition ("kernel condition").  So `in_L`,
+the contraction maps of F and the extraction of a module from a complex
+share one build of each, and a second `validate()` of a module costs
+nothing.
 
 An algebra element acts along one word chain, `_rows_times_word`: rows
 of M_d times a generator word, from the first letter's rows in their
@@ -223,18 +223,19 @@ class GradedModule(_BuiltOnRead):
 
     def act_basis_element(self, d_el: int, b_index: int, d: int) -> np.ndarray:
         """Action matrix of the b-th algebra basis element of degree d_el,
-        built once per module by `_rows_times_basis_element` and kept
-        read-only."""
-        return self._memo(("element", d_el, b_index, d),
-                          lambda: linalg.dense(_rows_times_basis_element(
-                              self, None, d_el, b_index, d, {})))
+        read-only, built by `_rows_times_basis_element` on each call: a
+        caller that reads it again keeps it."""
+        return _frozen(linalg.dense(_rows_times_basis_element(
+            self, None, d_el, b_index, d, {})))
 
     def act_element(self, d_el: int, vec, d: int) -> np.ndarray:
-        """Action matrix of a general homogeneous algebra element."""
+        """Action matrix of a general homogeneous algebra element: its
+        basis elements' actions, from one word chain, combined."""
         vec = np.asarray(vec, dtype=np.int64) % self.p
         nz = vec.nonzero()[0].tolist()
-        return _combine(vec[nz], [self.act_basis_element(d_el, b, d)
-                                  for b in nz],
+        products: dict = {}
+        return _combine(vec[nz], [linalg.dense(_rows_times_basis_element(
+            self, None, d_el, b, d, products)) for b in nz],
                         (self.dim(d), self.dim(d + d_el)), self.p)
 
     # -- validation ---------------------------------------------------------
@@ -342,7 +343,8 @@ def _rows_times_word(mod: GradedModule, rows, word: tuple, d: int,
                      products: dict):
     """Rows `rows` of M_d (every row when None) times a generator word:
     the rows times the word without its last letter, memoized in
-    `products` by word, times that letter's action."""
+    `products` by word, times that letter's action.  A last letter with no
+    stored action gives the zero product in the form of the head."""
     if word not in products:
         if len(word) == 1:
             out = mod._stored_action(word[0], d)
@@ -353,9 +355,15 @@ def _rows_times_word(mod: GradedModule, rows, word: tuple, d: int,
             head = _rows_times_word(mod, rows, word[:-1], d, products)
             at = d + sum(mod.gens[gi].degree for gi in word[:-1])
             last = mod._stored_action(word[-1], at)
-            mul = (linalg.mat_mul if isinstance(head, np.ndarray)
-                   and isinstance(last, np.ndarray) else linalg.sparse_mul)
-            out = mul(head, last, mod.p)
+            if (word[-1], at) not in mod._actions:
+                shape = (head.shape[0], last.shape[1])
+                out = (zeros(*shape) if isinstance(head, np.ndarray)
+                       else Sparse.zero(*shape))
+            else:
+                mul = (linalg.mat_mul if isinstance(head, np.ndarray)
+                       and isinstance(last, np.ndarray)
+                       else linalg.sparse_mul)
+                out = mul(head, last, mod.p)
         products[word] = out
     return products[word]
 

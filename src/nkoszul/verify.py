@@ -230,11 +230,15 @@ def annihilates_orthogonal(mod: GradedModule, lam) -> bool:
     """Whether every element of the degree-n relation orthogonal acts as
     zero on the representation (i.e. it descends to the dual algebra)."""
     orth = compute_orthogonal(lam).basis.dense()
-    for d in sorted(mod.degrees()):
-        for row in orth:
-            a = mod.act_element(lam.pres.n, row, d)
-            if a.any():
-                return False
+    n = lam.pres.n
+    read = np.flatnonzero(orth.any(axis=0)).tolist()  # basis elements used
+    for d in mod.degrees():
+        if not read or not mod.dim(d + n):
+            continue
+        acts = np.stack([mod.act_basis_element(n, b, d).reshape(-1)
+                         for b in read])
+        if linalg.mat_mul(orth[:, read], acts, mod.p).any():
+            return False
     return True
 
 
@@ -285,23 +289,6 @@ def sorting_witness(x) -> dict:
     of x_d (the basis `in_Y` reads x back in)."""
     return {d: linalg.eye(x.dim(d))[np.argsort(x.verts_at(d), kind="stable")]
             for d in x.degrees()}
-
-
-def F_of_witness(fw, fx, w, x, mats: dict, params) -> dict:
-    """F of the module map w -> x with per-degree matrices `mats`, on
-    fw = F(w) -> fx = F(x): (b, i) -> sum_j P_s[i, j] (b, j) on the cofree
-    component at position k, P_s the matrix in degree s = delta(k)."""
-    lam, dmap = fw.algebra, DegreeMap(params.m, params.n)
-    fam = {}
-    for k, comp in fw.modules.items():
-        s = dmap.delta(k)
-        cols = cpx.cofree_index(lam, x.verts_at(s))
-        fam[k] = GradedMorphism(comp, fx.component(k), {
-            e - s: cpx._pair_matrix(rows, cols[e], [
-                (linalg.eye(lam.dim(-e)), mats[s])], lam.p)
-            for e, rows in cpx.cofree_index(lam, w.verts_at(s)).items()
-            if e in cols})
-    return fam
 
 
 def pairing_witness(d_nu, c_psi, mod, lam) -> dict:
@@ -363,6 +350,7 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0,
                 freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
                 mod = GradedModule(freeop, dict(dm.verts),
                                    dm.stored_actions())
+                ann = annihilates_orthogonal(mod, lam)
                 break
             if compute_orthogonal(lam).dim == 0:
                 continue
@@ -370,12 +358,11 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0,
             cand = random_representation(rng, freeop, range(0, 3 * n + 1), 3,
                                          mindim=1)
             if not annihilates_orthogonal(cand, lam):
-                mod = cand
+                mod, ann = cand, False
                 break
         if mod is None:
             continue
         n = pres.n
-        ann = annihilates_orthogonal(mod, lam)
         n_ann += ann
         n_free += not ann
         v_psi = cpx.is_n_complex(cpx.psi(mod, lam), n)
@@ -578,18 +565,17 @@ def suite_equivalence(trials: int = 15, seed: int = 0,
             failures.append(_fail_entry(
                 t, "round-trip-module", {"X": module_json(x)}))
             continue
-        perm = sorting_witness(x)
+        sort = GradedMorphism(wit, x, sorting_witness(x))
         bad = _fail_iso(t, "round-trip-module", {"X": module_json(x)},
                         cpx.stalk_complex(wit, 0, 2),
-                        cpx.stalk_complex(x, 0, 2),
-                        {0: GradedMorphism(wit, x, perm)})
+                        cpx.stalk_complex(x, 0, 2), {0: sort})
         if bad:
             failures += bad
             continue
         fw = cpx.equivalence_F(wit, lam, params)
         failures += _fail_iso(t, "round-trip-complex", {"X": module_json(x)},
-                              fw, fx, F_of_witness(fw, fx, wit, x, perm,
-                                                   params))
+                              fw, fx, cpx.equivalence_F_map(sort, fw, fx,
+                                                            params))
     rejected = 0
     if first_image is not None:
         for i, bad in enumerate(

@@ -18,7 +18,10 @@ they read the stored nonzeros.  `word_action` and `basis_element_action`
 are the action of a generator word and of an algebra basis element as
 products of the dense letter actions, with no memo, and the vertex
 idempotent as a diagonal projection, before the module read them off one
-word chain (`grmod._rows_times_basis_element`).
+word chain (`grmod._rows_times_basis_element`).  `F_at_n2` is F at n = 2
+as it was built before `nu` and F came from one builder: the module copied
+onto the dual, nu of the copy by nu's own loop, every position shifted by
+-m.
 """
 import numpy as np
 
@@ -384,3 +387,27 @@ def chain_iso_failure(c, c2, fam: dict):
                 if not np.array_equal(lhs.mat(d), rhs.mat(d)):
                     return failure("differential", k, d)
     return None
+
+
+def F_at_n2(mod, lam, m: int):
+    """F of a module over U at n = 2 as its own branch built it: U is the
+    whole dual there, and its generators start with the dual's, in order,
+    so the module is copied onto the dual; then nu of the copy, by the
+    loop nu ran then (one cofree model per degree j, the Hom step between
+    adjacent degrees), with every position shifted by -m."""
+    dual = mod.algebra.dual
+    narrows = len(dual.generators())
+    copy = GradedModule(dual, dict(mod.verts),
+                        {(gi, d): a for (gi, d), a
+                         in mod.stored_actions().items() if gi < narrows})
+    bases = {j: cx.cofree_module(lam, copy.verts_at(j))
+             for j in copy.degrees()}
+    comps = {j - m: base.shift(j) for j, base in bases.items()}
+    diffs = {}
+    for j in copy.degrees():
+        if j + 1 in bases:
+            acts = cx._arrow_acts(copy, j, range(lam.quiver.arrow_count))
+            diffs[j - m] = GradedMorphism(
+                comps[j - m], comps[j + 1 - m],
+                cx._hom_step(lam, acts, j, bases[j], bases[j + 1]))
+    return cx.ComplexOfGraded(lam, 2, comps, diffs)

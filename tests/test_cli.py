@@ -187,6 +187,24 @@ def test_verify_command(capsys):
     assert rep["suite"] == "dual_agreement"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "contraction", "--trials", "-1"],
+     "--trials -1: need at least 1 trial"),
+    (["verify", "--suite", "equivalence", "--trials", "0"],
+     "--trials 0: need at least 1 trial"),
+    (["dual", COMMUTATIVE, "--window", "5", "-5"],
+     "--window 5 -5: need LO <= HI"),
+    (["check", COMMUTATIVE, "--predicate", "torsion_submodule", "--object",
+      "M", "--r", "0"], "--r 0: need r >= 1"),
+])
+def test_a_flag_that_breaks_a_document_rule_exits_2(capsys, argv, message):
+    """A flag obeys the rule of the document field it overrides (a window
+    has lo <= hi, r >= 1), and a suite runs at least one trial."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])

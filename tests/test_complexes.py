@@ -806,6 +806,28 @@ def test_in_Y_matches_the_search_it_replaced_at_n_2(key, p):
     assert True in verdicts
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_F_at_n_2_is_nu_over_the_dual_shifted(m):
+    """At n = 2 every step of F is a Hom step, so F is the Hom functor nu
+    over the dual with positions shifted by -m, as its own branch built it
+    (`dense_oracle.F_at_n2`): on the simple modules in degrees 1 and 3 of
+    the n = 2 disagreement, and on modules generated in even degrees (and
+    one in an odd degree), whose odd positions have differentials."""
+    e = entry("commutative_n2")
+    params = TorsionParams(2, 1, m)
+    dual, ualg = e["dual"], e["ualg"]
+    mods = [gm.GradedModule(ualg, {d: [0]}, {}) for d in (1, 3)]
+    mods += [gm.restrict_S(free_module(dual, gens, 5), ualg, params)
+             for gens in ([(0, 0)], [(0, 2)], [(0, 0), (0, 2)], [(0, 1)])]
+    diffs = 0
+    for x in mods:
+        got = cx.equivalence_F(x, e["lam"], params)
+        want = dense_oracle.F_at_n2(x, e["lam"], m)
+        assert verify.complex_json(got) == verify.complex_json(want)
+        diffs += sum(k % 2 for k in got.diffs)
+    assert diffs
+
+
 def test_in_Y_certifies_once_and_searches_nothing(monkeypatch):
     e = entry("two_vertex_n3")
     params = TorsionParams(e["n"], 1, 0)
@@ -1120,7 +1142,8 @@ def round_trip(e, x, params):
     assert ok
     perm = verify.sorting_witness(x)
     fw = cx.equivalence_F(w, e["lam"], params)
-    return w, fw, fx, perm, verify.F_of_witness(fw, fx, w, x, perm, params)
+    return w, fw, fx, perm, cx.equivalence_F_map(
+        gm.GradedMorphism(w, x, perm), fw, fx, params)
 
 
 def stalk_check(w, x, mats):
@@ -1195,7 +1218,8 @@ def test_mutated_witnesses_are_reported_where_they_fail(kind, p):
     assert bad["condition"] == "module-map" and bad["position"] == 0
     assert bad["degree"] in (s - 1, s)
     bad = cx.chain_iso_failure(
-        fw, fx, verify.F_of_witness(fw, fx, w, x, swapped, params))
+        fw, fx, cx.equivalence_F_map(gm.GradedMorphism(w, x, swapped), fw,
+                                     fx, params))
     pos = DegreeMap(params.m, params.n).inverse(s)
     assert bad["condition"] == "differential"
     assert bad["position"] in (pos - 1, pos)
