@@ -88,10 +88,9 @@ class Presentation:
     n: int
     relations: tuple
     p: int = 101
-    degree_cap: int | None = None
 
     @staticmethod
-    def make(quiver, n, relations, p=101, degree_cap=None) -> "Presentation":
+    def make(quiver, n, relations, p=101) -> "Presentation":
         """Check the degrees and store each relation r, reduced mod p, as its
         parts e_v r e_w: one per (source, target) of its paths, in the order
         they are first seen.  The ideal is unchanged, since r generates the
@@ -109,14 +108,13 @@ class Presentation:
                 parts.setdefault((pa.source, pa.target_in(quiver)), {})[pa] = c
             rels += [PathSpaceElement(r.degree, part)
                      for part in parts.values()]
-        return Presentation(quiver, n, tuple(rels), p, degree_cap)
+        return Presentation(quiver, n, tuple(rels), p)
 
     def opposite(self) -> "Presentation":
         q = self.quiver
         return Presentation(
             q.opposite(), self.n,
-            tuple(r.opposite(q) for r in self.relations),
-            self.p, self.degree_cap)
+            tuple(r.opposite(q) for r in self.relations), self.p)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,6 @@ class PathAlgebra:
         self._tail.append(tail)
         if self._vanished_from is None and not len(words):
             self._vanished_from = k
-        cap = self.pres.degree_cap
-        if cap is not None and k > cap and len(words) > 0:
-            raise AlgebraError(
-                f"degree cap {cap} violated: component at degree {k} is nonzero")
 
     def _split_terms(self, r: PathSpaceElement):
         """(source, prefixes, arrows, coef) of a relation whose paths all
@@ -571,6 +565,14 @@ def build_dual(alg: PathAlgebra, window_top: int) -> PathAlgebra:
     dual_pres = Presentation.make(
         pres.quiver.opposite(), pres.n, data.h_basis, pres.p)
     return build_slices(dual_pres, max(window_top, pres.n))
+
+
+def build_free_opposite(quiver: Quiver, n: int, top: int,
+                        p: int) -> PathAlgebra:
+    """Slices of the free path algebra KQ^op (no relations) over F_p through
+    degree top: a representation of Q^op over it need not descend to the
+    dual."""
+    return build_slices(Presentation.make(quiver.opposite(), n, [], p), top)
 
 
 # -- support restriction and regrading --------------------------------------

@@ -4,6 +4,9 @@ Subcommands: dual, functor, contract, check, verify.  Inputs are JSON
 documents (see FORMAT.md); reports are JSON, deterministic for a fixed
 (input, seed) pair.  Exit codes: 0 success, 1 verification failure,
 2 input error.
+
+Each subcommand is one entry of `COMMANDS`: its help, its options and its
+handler.  Only `verify` loads the property suites, when it runs.
 """
 from __future__ import annotations
 
@@ -11,11 +14,11 @@ import argparse
 import sys
 from functools import cached_property
 
+from . import SUITE_NAMES
 from . import complexes as cpx
-from . import verify as vf
-from .algebra import (AlgebraError, USupportAlgebra, build_dual, build_slices,
-                      compute_orthogonal, compute_orthogonal_via_ordering,
-                      yoneda_regrade)
+from .algebra import (AlgebraError, USupportAlgebra, build_dual,
+                      build_free_opposite, build_slices, compute_orthogonal,
+                      compute_orthogonal_via_ordering, yoneda_regrade)
 from .docio import (DocumentError, complex_json, dump_report, load_document,
                     module_json, parse_module)
 from .complexes import ComplexError
@@ -39,21 +42,17 @@ def _check_flags(args) -> None:
         raise DocumentError(f"--trials {trials}: need at least 1 trial")
 
 
-def _window_top(dom, args) -> int:
-    lo, hi = dom["window"]
-    if args.window:
-        lo, hi = args.window
-    return max(abs(lo), abs(hi), dom["n"] + 1)
-
-
 class _Context:
-    """Lazily built algebra tower for one input document."""
+    """The input document of one command and its lazily built algebra
+    tower."""
 
-    def __init__(self, dom, args):
-        self.dom = dom
+    def __init__(self, args):
+        self.dom = load_document(args.input, args.modulus)
+        args.modulus = self.dom["modulus"]  # the echo shows the one in effect
         self.args = args
-        self.top = _window_top(dom, args)
-        self.lam = build_slices(dom["presentation"], self.top)
+        lo, hi = args.window or self.dom["window"]
+        self.top = max(abs(lo), abs(hi), self.dom["n"] + 1)
+        self.lam = build_slices(self.dom["presentation"], self.top)
 
     @cached_property
     def dual(self):
@@ -69,7 +68,8 @@ class _Context:
 
     @cached_property
     def freeop(self):
-        return vf._free_op_algebra(self.dom["quiver"], self.dom["n"], self.top)
+        return build_free_opposite(self.dom["quiver"], self.dom["n"],
+                                   self.top, self.dom["modulus"])
 
     def params(self) -> TorsionParams:
         m = self.args.m if self.args.m is not None else self.dom["m"]
@@ -94,26 +94,23 @@ class _Context:
     def complex(self, name: str):
         """A named complex, or a functor image written nu(M) / psi(M) /
         F(M)."""
-        for fn_name in ("nu", "psi", "F"):
+        allow = self.args.allow_windowed_dual
+        functors = {
+            "nu": lambda mod: cpx.nu(mod, self.lam, allow_windowed=allow),
+            "psi": lambda mod: cpx.psi(mod, self.lam, allow_windowed=allow),
+            "F": lambda mod: cpx.equivalence_F(mod, self.lam, self.params(),
+                                               allow_windowed=allow)}
+        for fn_name, functor in functors.items():
             if name.startswith(fn_name + "(") and name.endswith(")"):
-                inner = name[len(fn_name) + 1:-1]
-                mod = self.module(inner)
-                allow = self.args.allow_windowed_dual
-                if fn_name == "nu":
-                    return cpx.nu(mod, self.lam, allow_windowed=allow)
-                if fn_name == "psi":
-                    return cpx.psi(mod, self.lam, allow_windowed=allow)
-                return cpx.equivalence_F(mod, self.lam, self.params(),
-                                         allow_windowed=allow)
+                return functor(self.module(name[len(fn_name) + 1:-1]))
         raise DocumentError(
             f"unknown complex {name!r}: use nu(MODULE), psi(MODULE) or "
             "F(MODULE)")
 
 
 def _echo(args) -> dict:
-    skip = {"report", "func"}
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
+            if k != "report" and v is not None}
 
 
 def cmd_dual(ctx: _Context, args) -> tuple:
@@ -123,9 +120,6 @@ def cmd_dual(ctx: _Context, args) -> tuple:
     data = compute_orthogonal_via_ordering(lam)
     agree = direct == data.orthogonal
     top = min(ctx.top, 12)
-    dual = ctx.dual
-    ualg = ctx.ualg
-    ealg = ctx.ealg
     qop = ctx.dom["quiver"].opposite()
     report = {
         "agreement": bool(agree),
@@ -134,9 +128,9 @@ def cmd_dual(ctx: _Context, args) -> tuple:
         "orthogonal_basis_ordered": [
             {pa.name_in(qop): int(cv) for pa, cv in h.coeffs.items()}
             for h in data.h_basis],
-        "dual_dims": [int(dual.dim(k)) for k in range(top + 1)],
-        "support_dims": [int(ualg.dim(k)) for k in range(top + 1)],
-        "yoneda_dims": [int(ealg.dim(j))
+        "dual_dims": [int(ctx.dual.dim(k)) for k in range(top + 1)],
+        "support_dims": [int(ctx.ualg.dim(k)) for k in range(top + 1)],
+        "yoneda_dims": [int(ctx.ealg.dim(j))
                         for j in range(2 * (top // n) + 1)],
     }
     return report, (0 if agree else 1)
@@ -144,15 +138,12 @@ def cmd_dual(ctx: _Context, args) -> tuple:
 
 def cmd_functor(ctx: _Context, args) -> tuple:
     mod = ctx.module(args.module)
-    n = ctx.dom["n"]
-    if args.which == "psi":
-        c = cpx.psi(mod, ctx.lam, allow_windowed=args.allow_windowed_dual)
-    else:
-        c = cpx.nu(mod, ctx.lam, allow_windowed=args.allow_windowed_dual)
-    verdict = cpx.is_n_complex(c, n)
+    functor = cpx.psi if args.which == "psi" else cpx.nu
+    c = functor(mod, ctx.lam, allow_windowed=args.allow_windowed_dual)
+    verdict = cpx.is_n_complex(c, ctx.dom["n"])
     free_mod = GradedModule(ctx.freeop, dict(mod.verts),
                             mod.stored_actions())
-    oracle = vf.annihilates_orthogonal(free_mod, ctx.lam)
+    oracle = cpx.annihilates_orthogonal(free_mod, ctx.lam)
     report = {
         "functor": args.which,
         "module": args.module,
@@ -170,10 +161,8 @@ def cmd_contract(ctx: _Context, args) -> tuple:
     if not cpx.is_n_complex(c, n):
         raise DocumentError(
             f"{args.complex} is not an {n}-complex; contraction needs one")
-    if args.direction == "H":
-        out = cpx.contract_H(c, params.m, n)
-    else:
-        out = cpx.contract_G(c, params.m, n)
+    contract = cpx.contract_H if args.direction == "H" else cpx.contract_G
+    out = contract(c, params.m, n)
     squares = cpx.is_n_complex(out, 2)
     report = {
         "complex": args.complex,
@@ -187,9 +176,46 @@ def cmd_contract(ctx: _Context, args) -> tuple:
     return report, (0 if squares else 1)
 
 
-_MODULE_PREDICATES = {"in_L", "in_L_E", "in_Lo", "in_G", "is_torsionfree",
-                      "torsion_submodule"}
-_COMPLEX_PREDICATES = {"in_Y", "in_Yo", "in_G_star", "in_T_star"}
+def _in_L_E(ctx: _Context, mod, params, report):
+    # in_L_E reads a module over the regraded algebra E
+    if not isinstance(mod.algebra, USupportAlgebra):
+        raise DocumentError(
+            f"in_L_E needs a module over the support-restricted "
+            f"dual (\"over\": \"u\") or its regrading (\"over\": "
+            f"\"e\"); {ctx.args.object!r} is not")
+    return in_L_E(regrade(mod, ctx.ealg))
+
+
+def _torsion_submodule(ctx: _Context, mod, params, report):
+    t = torsion_submodule(mod, params)
+    report["torsion_dims"] = {str(d): int(s.dim) for d, s in sorted(t.items())}
+    return t
+
+
+def _in_Y(ctx: _Context, c, params, report):
+    ok, wit = cpx.in_Y(c, ctx.ualg, params)
+    report["witness"] = module_json(wit) if ok else None
+    return ok
+
+
+# predicate -> (reader of the named object, test of (context, object,
+# params, report) that returns the verdict and adds any other field)
+_PREDICATES = {
+    "in_L": (_Context.module, lambda ctx, x, pr, rep: in_L(x, pr)),
+    "in_L_E": (_Context.module, _in_L_E),
+    "in_Lo": (_Context.module, lambda ctx, x, pr, rep: in_Lo(x, pr)),
+    "in_G": (_Context.module, lambda ctx, x, pr, rep: in_G(x, pr)),
+    "is_torsionfree": (_Context.module,
+                       lambda ctx, x, pr, rep: is_torsionfree(x, pr)),
+    "torsion_submodule": (_Context.module, _torsion_submodule),
+    "in_Y": (_Context.complex, _in_Y),
+    "in_Yo": (_Context.complex, lambda ctx, c, pr, rep: cpx.in_Yo(
+        c, opposite_algebra(ctx.ualg)[0], pr)),
+    "in_G_star": (_Context.complex,
+                  lambda ctx, c, pr, rep: cpx.in_G_star(c, pr)),
+    "in_T_star": (_Context.complex,
+                  lambda ctx, c, pr, rep: cpx.in_T_star(c, pr)),
+}
 _TORSION_PREDICATES = {"is_torsionfree", "torsion_submodule", "in_G"}
 
 
@@ -199,59 +225,77 @@ def cmd_check(ctx: _Context, args) -> tuple:
     if params.r != 1 and pred not in _TORSION_PREDICATES:
         raise DocumentError(
             f"r = {params.r} is only accepted by torsion predicates")
-    report = {"predicate": pred, "object": args.object}
-    if pred in _MODULE_PREDICATES:
-        mod = ctx.module(args.object)
-        if pred == "in_L":
-            report["verdict"] = bool(in_L(mod, params))
-        elif pred == "in_L_E":
-            # in_L_E reads a module over the regraded algebra E
-            if not isinstance(mod.algebra, USupportAlgebra):
-                raise DocumentError(
-                    f"in_L_E needs a module over the support-restricted "
-                    f"dual (\"over\": \"u\") or its regrading (\"over\": "
-                    f"\"e\"); {args.object!r} is not")
-            report["verdict"] = bool(in_L_E(regrade(mod, ctx.ealg)))
-        elif pred == "in_Lo":
-            report["verdict"] = bool(in_Lo(mod, params))
-        elif pred == "in_G":
-            report["verdict"] = bool(in_G(mod, params))
-        elif pred == "is_torsionfree":
-            report["verdict"] = bool(is_torsionfree(mod, params))
-        else:
-            t = torsion_submodule(mod, params)
-            report["verdict"] = bool(t)
-            report["torsion_dims"] = {str(d): int(s.dim)
-                                      for d, s in sorted(t.items())}
-    elif pred in _COMPLEX_PREDICATES:
-        c = ctx.complex(args.object)
-        if pred == "in_Y":
-            ok, wit = cpx.in_Y(c, ctx.ualg, params)
-            report["verdict"] = bool(ok)
-            report["witness"] = module_json(wit) if ok else None
-        elif pred == "in_Yo":
-            report["verdict"] = bool(
-                cpx.in_Yo(c, opposite_algebra(ctx.ualg)[0], params))
-        elif pred == "in_G_star":
-            report["verdict"] = bool(cpx.in_G_star(c, params))
-        else:
-            report["verdict"] = bool(cpx.in_T_star(c, params))
-    else:
+    if pred not in _PREDICATES:
+        modules = [p for p, (read, _) in _PREDICATES.items()
+                   if read is _Context.module]
         raise DocumentError(
             f"unknown predicate {pred!r}; module predicates: "
-            + ", ".join(sorted(_MODULE_PREDICATES))
-            + "; complex predicates: "
-            + ", ".join(sorted(_COMPLEX_PREDICATES)))
+            + ", ".join(sorted(modules)) + "; complex predicates: "
+            + ", ".join(sorted(_PREDICATES.keys() - modules)))
+    read, test = _PREDICATES[pred]
+    report = {"predicate": pred, "object": args.object}
+    report["verdict"] = bool(test(ctx, read(ctx, args.object), params,
+                                  report))
     return report, 0
 
 
-def cmd_verify(args) -> tuple:
+def cmd_verify(ctx, args) -> tuple:
+    from . import verify
     try:
-        report = vf.run_suite(args.suite, trials=args.trials,
-                              seed=args.seed)
+        report = verify.run_suite(args.suite, trials=args.trials,
+                                  seed=args.seed)
     except ValueError as e:
         raise DocumentError(str(e))
     return report, (0 if report["passed"] else 1)
+
+
+# The options of every subcommand that reads an input document, as
+# (name, add_argument keywords).
+_DOCUMENT = (
+    ("input", {"help": "JSON input document"}),
+    ("--modulus", {"type": int, "default": 101,
+                   "help": "field modulus when the document omits one"}),
+    ("--window", {"type": int, "nargs": 2, "metavar": ("LO", "HI"),
+                  "help": "override the degree window"}),
+    ("--m", {"type": int,
+             "help": "support offset (default from the document)"}),
+    ("--r", {"type": int, "help": "support width, torsion predicates only"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--report", {"metavar": "PATH",
+                  "help": "also write the JSON report to this file"}),
+    ("--allow-windowed-dual", {
+        "action": "store_true",
+        "help": "permit windowed functor images over an "
+                "infinite-dimensional algebra"}),
+)
+
+# subcommand -> (help, options, handler of (context, args) -> (report, exit
+# code)).  The context is that of the input document; `verify` reads none
+# and gets None.
+COMMANDS = {
+    "dual": ("dual algebra from both algorithms", _DOCUMENT, cmd_dual),
+    "functor": ("apply a complex-valued functor", _DOCUMENT + (
+        ("--which", {"choices": ("psi", "nu"), "required": True}),
+        ("--module", {"required": True,
+                      "help": "module name from the input document"}),
+    ), cmd_functor),
+    "contract": ("contract an n-complex to period 2", _DOCUMENT + (
+        ("--complex", {"required": True,
+                       "help": "nu(MODULE), psi(MODULE) or F(MODULE)"}),
+        ("--direction", {"choices": ("H", "G"), "default": "H"}),
+    ), cmd_contract),
+    "check": ("run a membership predicate", _DOCUMENT + (
+        ("--predicate", {"required": True}),
+        ("--object", {"required": True,
+                      "help": "module name, or nu/psi/F of one"}),
+    ), cmd_check),
+    "verify": ("run a seeded property suite on the built-in corpus", (
+        ("--suite", {"required": True, "choices": sorted(SUITE_NAMES)}),
+        ("--trials", {"type": int}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--report", {"metavar": "PATH"}),
+    ), cmd_verify),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,79 +304,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact duality computations for n-homogeneous "
                     "path-algebra quotients over a prime field.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("input", help="JSON input document")
-        p.add_argument("--modulus", type=int, default=101,
-                       help="field modulus when the document omits one")
-        p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"),
-                       help="override the degree window")
-        p.add_argument("--m", type=int, default=None,
-                       help="support offset (default from the document)")
-        p.add_argument("--r", type=int, default=None,
-                       help="support width, torsion predicates only")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--report", metavar="PATH",
-                       help="also write the JSON report to this file")
-        p.add_argument("--allow-windowed-dual", action="store_true",
-                       help="permit windowed functor images over an "
-                            "infinite-dimensional algebra")
-
-    p = sub.add_parser("dual", help="dual algebra from both algorithms")
-    common(p)
-    p.set_defaults(func="dual")
-
-    p = sub.add_parser("functor", help="apply a complex-valued functor")
-    common(p)
-    p.add_argument("--which", choices=("psi", "nu"), required=True)
-    p.add_argument("--module", required=True,
-                   help="module name from the input document")
-    p.set_defaults(func="functor")
-
-    p = sub.add_parser("contract", help="contract an n-complex to period 2")
-    common(p)
-    p.add_argument("--complex", required=True,
-                   help="nu(MODULE), psi(MODULE) or F(MODULE)")
-    p.add_argument("--direction", choices=("H", "G"), default="H")
-    p.set_defaults(func="contract")
-
-    p = sub.add_parser("check", help="run a membership predicate")
-    common(p)
-    p.add_argument("--predicate", required=True)
-    p.add_argument("--object", required=True,
-                   help="module name, or nu/psi/F of one")
-    p.set_defaults(func="check")
-
-    p = sub.add_parser("verify", help="run a seeded property suite on the "
-                                      "built-in corpus")
-    p.add_argument("--suite", required=True,
-                   choices=sorted(vf.SUITES))
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", metavar="PATH")
-    p.set_defaults(func="verify")
+    for name, (help_text, options, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        if args.func == "verify":
-            report, code = cmd_verify(args)
-        else:
-            dom = load_document(args.input, args.modulus)
-            args.modulus = dom["modulus"]  # the echo shows the one in effect
-            ctx = _Context(dom, args)
-            if args.func == "dual":
-                report, code = cmd_dual(ctx, args)
-            elif args.func == "functor":
-                report, code = cmd_functor(ctx, args)
-            elif args.func == "contract":
-                report, code = cmd_contract(ctx, args)
-            else:
-                report, code = cmd_check(ctx, args)
+        handler = COMMANDS[args.command][2]
+        report, code = handler(_Context(args) if "input" in args else None,
+                               args)
+        report = {"command": args.command, "echo": _echo(args), **report}
+        text = dump_report(report, args.report)
     except (DocumentError, ModuleError, ComplexError, AlgebraError,
             QuiverError, LinAlgError) as e:
         print(f"input error: {e}", file=sys.stderr)
@@ -341,8 +328,6 @@ def main(argv=None) -> int:
         print("input error: out of memory; try a smaller window",
               file=sys.stderr)
         return 2
-    report = {"command": args.func, "echo": _echo(args), **report}
-    text = dump_report(report, args.report)
     print(text)
     return code
 

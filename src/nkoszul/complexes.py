@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Subspace, zeros
-from .algebra import DegreeMap, _check_size, in_u_grading
+from .algebra import DegreeMap, _check_size, compute_orthogonal, in_u_grading
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -268,6 +268,23 @@ def nu(mod: GradedModule, lam, allow_windowed: bool = False,
     arrows = range(lam.quiver.arrow_count) if _twist is None else _twist
     return _cofree_complex(mod, lam, lam.pres.n,
                            {d: d for d in mod.degrees()}, arrows)
+
+
+def annihilates_orthogonal(mod: GradedModule, lam) -> bool:
+    """Whether every element of the degree-n relation orthogonal acts as
+    zero on the representation (i.e. it descends to the dual algebra): the
+    oracle for `psi` and `nu` giving n-complexes."""
+    orth = compute_orthogonal(lam).basis.dense()
+    n = lam.pres.n
+    read = np.flatnonzero(orth.any(axis=0)).tolist()  # basis elements used
+    for d in mod.degrees():
+        if not read or not mod.dim(d + n):
+            continue
+        acts = np.stack([mod.act_basis_element(n, b, d).reshape(-1)
+                         for b in read])
+        if linalg.mat_mul(orth[:, read], acts, mod.p).any():
+            return False
+    return True
 
 
 def _cofree_complex(mod: GradedModule, lam, period: int, degree_at: dict,

@@ -263,8 +263,11 @@ def presentation_json(pres: Presentation) -> dict:
 def dump_report(report: dict, path=None) -> str:
     text = json.dumps(report, indent=2, sort_keys=True, default=_coerce)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise DocumentError(f"cannot write {path}: {e}")
     return text
 
 

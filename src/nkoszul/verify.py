@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import SUITE_NAMES
 from . import complexes as cpx
 from . import koszul as ko
 from . import linalg
 from .algebra import (DegreeMap, Presentation, USupportAlgebra, build_dual,
-                      build_slices, compute_orthogonal,
+                      build_free_opposite, build_slices, compute_orthogonal,
                       compute_orthogonal_via_ordering, yoneda_regrade)
 from .docio import complex_json, module_json, presentation_json
 from .grmod import (GradedModule, GradedMorphism, TorsionParams, free_module,
@@ -221,25 +222,8 @@ def _is_torsion(mod: GradedModule, params: TorsionParams) -> bool:
 def _free_op_algebra(q: Quiver, n: int, top: int):
     key = (q, n, top)
     if key not in _CORPUS_CACHE:
-        _CORPUS_CACHE[key] = build_slices(
-            Presentation.make(q.opposite(), n, []), top)
+        _CORPUS_CACHE[key] = build_free_opposite(q, n, top, P)
     return _CORPUS_CACHE[key]
-
-
-def annihilates_orthogonal(mod: GradedModule, lam) -> bool:
-    """Whether every element of the degree-n relation orthogonal acts as
-    zero on the representation (i.e. it descends to the dual algebra)."""
-    orth = compute_orthogonal(lam).basis.dense()
-    n = lam.pres.n
-    read = np.flatnonzero(orth.any(axis=0)).tolist()  # basis elements used
-    for d in mod.degrees():
-        if not read or not mod.dim(d + n):
-            continue
-        acts = np.stack([mod.act_basis_element(n, b, d).reshape(-1)
-                         for b in read])
-        if linalg.mat_mul(orth[:, read], acts, mod.p).any():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +282,7 @@ def pairing_witness(d_nu, c_psi, mod, lam) -> dict:
     corr = opposite_algebra(opposite_algebra(lam)[0])[1]
     fam = {}
     for k in d_nu.modules.keys() & c_psi.modules.keys():
-        rows = cpx.cofree_index(lam, mod.verts_at(-k))
+        rows = cpx.cofree_module(lam, mod.verts_at(-k)).hom_index
         tgt = c_psi.modules[k]
         fam[k] = GradedMorphism(d_nu.modules[k], tgt, {
             dd: cpx._pair_matrix(rows[-dd - k], cols[:, ::-1], [
@@ -350,14 +334,14 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0,
                 freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
                 mod = GradedModule(freeop, dict(dm.verts),
                                    dm.stored_actions())
-                ann = annihilates_orthogonal(mod, lam)
+                ann = cpx.annihilates_orthogonal(mod, lam)
                 break
             if compute_orthogonal(lam).dim == 0:
                 continue
             freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
             cand = random_representation(rng, freeop, range(0, 3 * n + 1), 3,
                                          mindim=1)
-            if not annihilates_orthogonal(cand, lam):
+            if not cpx.annihilates_orthogonal(cand, lam):
                 mod, ann = cand, False
                 break
         if mod is None:
@@ -778,18 +762,12 @@ def suite_dimensions(seed: int = 0) -> dict:
     return _report("dimensions", seed, 2, failures, tables=tables)
 
 
-SUITES = {
-    "dual_agreement": suite_dual_agreement,
-    "functor_oracle": suite_functor_oracle,
-    "torsion_classes": suite_torsion_classes,
-    "torsion_transport": suite_torsion_transport,
-    "contraction": suite_contraction,
-    "equivalence": suite_equivalence,
-    "even_presentation": suite_even_presentation,
-    "dual_equivalence": suite_dual_equivalence,
-    "koszulity": suite_koszulity,
-    "dimensions": suite_dimensions,
-}
+# suite_NAME for each NAME of SUITE_NAMES, in that order
+SUITES = dict(zip(SUITE_NAMES, (
+    suite_dual_agreement, suite_functor_oracle, suite_torsion_classes,
+    suite_torsion_transport, suite_contraction, suite_equivalence,
+    suite_even_presentation, suite_dual_equivalence, suite_koszulity,
+    suite_dimensions)))
 
 
 def run_suite(name: str, trials=None, seed: int = 0, **kw) -> dict:

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -218,6 +221,86 @@ def test_report_flag_writes_identical_bytes(capsys, tmp_path):
                                   "--report", str(p)])
         assert code == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["dual", COMMUTATIVE],
+                                  ["verify", "--suite", "dimensions"]])
+def test_a_report_path_that_cannot_be_written_exits_2(capsys, tmp_path,
+                                                      argv):
+    """Exit 1 means a verification failed; a report that cannot be written
+    is an input error, refused like an unreadable input."""
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, argv + ["--report", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+# sha256 of `nkoszul [CMD] --help` at 80 columns, taken before the parser
+# was built from one table of subcommands.  Python 3.10 to 3.12 print the
+# same bytes; 3.13 formats the choices of an option differently.
+HELP_DIGESTS = {
+    "": "efb09870a987a6eac80dc0901c76683a521b4f3b0cae0f05d8e9d251607aa771",
+    "dual": "fe0944077139397eac1d1b874ec1e5e04efc1e0a5306ea07feff70ca87db63c3",
+    "functor":
+        "6883991c0d067e2921b5deda3086b6eb2b6d281624c0453cb556f35a3b2aef86",
+    "contract":
+        "2a02bcd6259e3a82d71081f8b7746e76980e4aaeee6f6abee7632fe8c30a2eb5",
+    "check":
+        "889f53bb65ccb8468856bd8b64cdd6b7ab5a414585a845adc42e21a31d312919",
+    "verify":
+        "560966fedabbddbef23deaae38342b17697bc1c062f1a9f028ed0fe0207a7735",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse formats choices differently from 3.13")
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_the_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+def test_importing_the_cli_leaves_the_suites_unloaded():
+    probe = ("import json, sys, nkoszul.cli\n"
+             "print(json.dumps([m for m in sys.modules\n"
+             "                  if m.startswith('nkoszul')]))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, "src"))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    loaded = json.loads(done.stdout)
+    assert "nkoszul.cli" in loaded
+    assert "nkoszul.verify" not in loaded and "nkoszul.koszul" not in loaded
+
+
+def test_the_suite_choices_are_the_suites():
+    from nkoszul import verify
+    from nkoszul.cli import COMMANDS
+    options = dict(COMMANDS["verify"][1])
+    assert options["--suite"]["choices"] == sorted(verify.SUITES)
+    assert all(fn.__name__ == f"suite_{name}"
+               for name, fn in verify.SUITES.items())
+
+
+def test_the_functor_oracle_reads_the_document_modulus(capsys, tmp_path):
+    """`functor` copies the module onto the free algebra KQ^op for its
+    oracle.  That algebra was once built over F_101 whatever the document's
+    modulus, so at p = 3 the oracle said that the orthogonal does not
+    annihilate M of commutative_n2, and the command exited 1."""
+    with open(COMMUTATIVE) as fh:
+        doc = json.load(fh)
+    doc["modulus"] = 3
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for which in ("psi", "nu"):
+        code, rep = run_json(capsys, ["functor", str(path), "--which", which,
+                                      "--module", "M"])
+        assert code == 0
+        assert rep["is_n_complex"] is rep["orthogonal_annihilates"] is True
 
 
 def test_windowed_dual_gate(capsys, tmp_path):

@@ -1112,8 +1112,8 @@ def test_stored_actions_carry_a_module_to_the_free_algebra():
                 assert not np.may_share_memory(kept[key], m)
             assert np.array_equal(copy.act(*key), mod.act(*key))
         dense_copy = GradedModule(freeop, dict(mod.verts), dense_actions(mod))
-        assert verify.annihilates_orthogonal(copy, lam) \
-            == verify.annihilates_orthogonal(dense_copy, lam)
+        assert cx.annihilates_orthogonal(copy, lam) \
+            == cx.annihilates_orthogonal(dense_copy, lam)
     assert any(isinstance(m, linalg.Sparse) for m in stored.values())
 
 
