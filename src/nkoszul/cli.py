@@ -11,6 +11,7 @@ handler.  Only `verify` loads the property suites, when it runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cached_property
 
@@ -31,9 +32,15 @@ from .quiver import QuiverError
 
 def _check_flags(args) -> None:
     """A flag obeys the rule of the document field it overrides (a window
-    has lo <= hi, r >= 1), and a suite runs at least one trial."""
+    has lo <= hi, r >= 1), a suite runs at least one trial, and a report
+    path names a file, not yet opened, in a directory that exists."""
     lo, hi = getattr(args, "window", None) or (0, 0)
     r, trials = getattr(args, "r", None), getattr(args, "trials", None)
+    path = args.report
+    if path and (os.path.isdir(path)
+                 or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise DocumentError(
+            f"cannot write {path}: not a file in an existing directory")
     if lo > hi:
         raise DocumentError(f"--window {lo} {hi}: need LO <= HI")
     if r is not None and r < 1:

@@ -2,13 +2,18 @@
 
 Holds the two functors from graded modules over the dual into complexes of
 modules over the base algebra (tensor flavour, projective terms; Hom
-flavour, almost injective terms), linearity certificates, the contraction
-of n-complexes to 2-complexes, the explicit equivalence between the
-distinguished module subcategory and the liftable 2-complexes (in both the
-injective and the projective pictures), module extraction back out of a
-2-complex, Hom spaces of complexes, and the check that a given family of
-maps is an isomorphism of complexes.  No isomorphism is searched for: the
-callers know their witnesses.
+flavour, almost injective terms), the one (injective) linearity
+certificate, the contraction of n-complexes to 2-complexes, the explicit
+equivalence between the distinguished module subcategory and the liftable
+2-complexes, module extraction back out of a 2-complex, Hom spaces of
+complexes, and the check that a given family of maps is an isomorphism of
+complexes.  No isomorphism is searched for: the callers know their
+witnesses.
+
+The projective picture is read through the graded duality D and nothing
+is certified on its side: its equivalence is D of the injective one over
+the opposite algebra, checked before the dualization, and its membership
+is that of D(c) in the injective picture (`dual_image_failure`, `in_Yo`).
 
 Positions index cochain degree; each component is a GradedModule over the
 base algebra and each differential a degree-0 morphism to the next
@@ -41,7 +46,6 @@ from .grmod import (
     GradedMorphism,
     ModuleError,
     _frozen,
-    _radical_rrefs,
     checked_dual,
     combine_mats,
     free_module,
@@ -56,7 +60,6 @@ from .grmod import (
     mu1_kernel,
     mu1_preimage,
     opposite_algebra,
-    projective_cover,
     socle_subspaces,
     stacked_action,
     submodule_from_bases,
@@ -329,45 +332,35 @@ def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
 # -- linearity certificates --------------------------------------------------
 
 
-def certify_linear(c: ComplexOfGraded, flavor: str, degree_of=None):
-    """Certificates per position, or None if some component is not linear.
+def certify_linear(c: ComplexOfGraded, degree_of=None):
+    """Certificates per position, or None if some component is not almost
+    injective cogenerated purely in the stated degree, where it must end.
 
-    Each witness is an isomorphism from a model onto the component, read off
-    one canonical map: no Hom space is solved.  Projective flavour:
-    generated purely in the stated degree.  The cover map from the
-    projective cover (truncated at the support top) is onto, so it is the
-    witness exactly when the dimensions agree in every degree.  Almost
-    injective flavour: cogenerated purely in the stated degree, where the
-    component must end.  The envelope map into the cofree module on that
-    degree is the identity there, so it is injective exactly when the socle
-    lies there; its inverse is the witness when the dimensions agree, and
-    the certificate keeps the envelope too (None in the projective
-    flavour)."""
+    This is the one linearity certificate: the projective picture is read
+    through the graded duality D, which turns a component projective
+    generated in degree e into one almost injective cogenerated in -e
+    (`in_Yo`, `dual_image_failure`).  Each witness is an isomorphism from a
+    model onto the component, read off one canonical map: no Hom space is
+    solved.  The envelope map into the cofree module on the stated degree is
+    the identity there, so it is injective exactly when the socle lies
+    there; its inverse is the witness when the dimensions agree, and the
+    certificate keeps the envelope too."""
     if degree_of is None:
         degree_of = lambda k: -k
     out = {}
     for k in c.positions():
         comp = c.modules[k]
         want = degree_of(k)
-        if flavor == "projective":
-            model, witness, mults = projective_cover(comp)
-            envelope = None
-            if {d for _, d in mults} != {want}:
-                return None
-        elif flavor == "injective":
-            if comp.support_top() != want:
-                return None
-            model, envelope, mults = _cofree_envelope(comp, want)
-        else:
-            raise ComplexError(f"unknown flavour {flavor!r}")
+        if comp.support_top() != want:
+            return None
+        model, envelope, mults = _cofree_envelope(comp, want)
         if any(model.dim(d) != comp.dim(d)
                for d in set(model.degrees()) | set(comp.degrees())):
             return None
-        if flavor == "injective":
-            try:
-                witness = envelope.inverse()
-            except ModuleError:
-                return None
+        try:
+            witness = envelope.inverse()
+        except ModuleError:
+            return None
         out[k] = {"mults": mults, "witness": witness, "envelope": envelope}
     return out
 
@@ -628,8 +621,7 @@ def _check_conditions_ab(c: ComplexOfGraded, params):
     injective cogenerated at the regraded degrees, and odd socles inside
     the image of the previous differential.  Returns certificates."""
     dmap = DegreeMap(params.m, params.n)
-    cert = certify_linear(c, "injective",
-                          degree_of=lambda k: -dmap.delta(k))
+    cert = certify_linear(c, degree_of=lambda k: -dmap.delta(k))
     if cert is None:
         return None
     for k in c.positions():
@@ -876,54 +868,52 @@ def dualize_complex(c: ComplexOfGraded, op_data=None) -> ComplexOfGraded:
 def equivalence_F_dual(mod: GradedModule, lam, params) -> ComplexOfGraded:
     """The projective-side equivalence: transport through the duality,
     apply the injective-side construction over the opposite algebra, and
-    dualize the resulting complex back.  D(mod) is built once, and in_L
-    (which in_Lo decides on it) is decided once."""
+    dualize the resulting complex back.  The output conditions are checked
+    on the injective side, before the dualization (`dual_image_failure`)."""
+    c_inj = _F_dual_injective(mod, lam, params)
+    why = dual_image_failure(c_inj, params)
+    if why:
+        raise ComplexError(f"projective output conditions failed: {why}")
+    return dualize_complex(c_inj)
+
+
+def _F_dual_injective(mod: GradedModule, lam, params) -> ComplexOfGraded:
+    """F of D(mod) over the opposite of lam: the complex whose graded dual
+    is `equivalence_F_dual(mod, lam, params)`.  D(mod) is built once, and
+    in_L (which in_Lo decides on it) is decided once."""
     from .grmod import in_L
     xd = checked_dual(mod, params)
     if not in_L(xd, params):
         raise ComplexError("module is not in the dual distinguished class")
     _require_u_module(xd)
-    c_inj = _F_of_member(xd, opposite_algebra(lam)[0], params, False)
-    c_proj = dualize_complex(c_inj)
-    # assert the output conditions of the projective picture
-    ok, why = check_Yo_conditions(c_proj, params)
-    if not ok:
-        raise ComplexError(f"projective output conditions failed: {why}")
-    return c_proj
+    return _F_of_member(xd, opposite_algebra(lam)[0], params, False)
 
 
-def check_Yo_conditions(c: ComplexOfGraded, params):
-    """Conditions of the projective essential image: components projective
-    generated in the regraded degrees, and odd kernels inside the radical
-    (first condition only when n = 2)."""
+def dual_image_failure(c_inj: ComplexOfGraded, params) -> str | None:
+    """Why the graded dual of the injective-side complex c_inj fails the
+    conditions of the projective essential image, or None.
+
+    D sends position k to -k, a component almost injective cogenerated in
+    -delta(k) to one projective generated in delta(-k), and, at odd k, a
+    socle inside the image of the incoming differential to a kernel of the
+    transposed differential inside the radical: the annihilator of the socle
+    is the radical, and that of an image the kernel of the transpose.  So
+    the conditions are `_check_conditions_ab` of c_inj, and at n = 2 the
+    certificate alone, as the projective picture asks no kernel condition
+    there."""
     dmap = DegreeMap(params.m, params.n)
-    cert = certify_linear(c, "projective",
-                          degree_of=lambda k: dmap.delta(-k))
-    if cert is None:
-        return False, "a component is not projective at the stated degree"
-    if params.n == 2:
-        return True, ""
-    for k in c.positions():
-        if k % 2 == 0:
-            continue
-        rad = _radical_rrefs(c.modules[k])
-        for d, ker in kernel_bases(c.diff(k)).items():
-            if not rad[d].contains(ker):
-                return False, f"kernel at position {k} escapes the radical"
-    return True, ""
+    cert = (certify_linear(c_inj, degree_of=lambda k: -dmap.delta(k))
+            if params.n == 2 else _check_conditions_ab(c_inj, params))
+    return None if cert is not None else (
+        f"the injective side fails the image conditions at n = {params.n}")
 
 
 def in_Yo(c: ComplexOfGraded, ualg, params) -> bool:
-    """Projective essential-image membership via the duality transport."""
-    if c.is_zero():
-        return True
-    ok, _ = check_Yo_conditions(c, params)
-    if not ok:
-        return False
-    c_inj = dualize_complex(c)
-    op_u = opposite_algebra(ualg)
-    verdict, _ = in_Y(c_inj, op_u[0], params)
-    return verdict
+    """Projective essential-image membership: c is in it exactly when its
+    graded dual, over the opposite algebra, is in the injective one
+    (`in_Y`), whose conditions are the projective ones read through D
+    (`dual_image_failure`)."""
+    return in_Y(dualize_complex(c), opposite_algebra(ualg)[0], params)[0]
 
 
 # -- Hom spaces of complexes -------------------------------------------------

@@ -225,15 +225,38 @@ def test_report_flag_writes_identical_bytes(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["dual", COMMUTATIVE],
                                   ["verify", "--suite", "dimensions"]])
-def test_a_report_path_that_cannot_be_written_exits_2(capsys, tmp_path,
-                                                      argv):
+def test_a_report_path_that_cannot_be_written_exits_2(
+        capsys, monkeypatch, tmp_path, argv):
     """Exit 1 means a verification failed; a report that cannot be written
-    is an input error, refused like an unreadable input."""
-    path = tmp_path / "missing" / "x.json"
-    code, out, err = run(capsys, argv + ["--report", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith(f"input error: cannot write {path}: ")
-    assert "Traceback" not in err
+    is an input error, refused like an unreadable input, and refused before
+    any work: no handler and no suite runs."""
+    from nkoszul import cli, verify
+
+    def forbidden(*args, **kw):
+        raise AssertionError("the command ran before its report was refused")
+    for name, (help_text, options, _) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            (help_text, options, forbidden))
+    monkeypatch.setattr(verify, "run_suite", forbidden)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, argv + ["--report", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot write {path}: ")
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_command_that_fails_leaves_the_report_path_alone(capsys,
+                                                            tmp_path):
+    """The report path is checked, not opened, before the command runs: a
+    command refused afterwards neither creates nor truncates the file."""
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old\n")
+    for path in (fresh, kept):
+        code, out, _ = run(capsys, ["dual", str(tmp_path / "no_input.json"),
+                                    "--report", str(path)])
+        assert (code, out) == (2, "")
+    assert not fresh.exists() and kept.read_text() == "old\n"
 
 
 # sha256 of `nkoszul [CMD] --help` at 80 columns, taken before the parser
