@@ -24,9 +24,19 @@ spelled out as arrays of arrows (what ``basis_paths`` hands out), its action
 slots and its tail together need more than MAX_SLICE_BYTES; so are the
 dense arrays a slice builds on the way.
 
-All algebra flavours expose the same duck-typed surface used by the module
-layer: ``p``, ``nvert``, ``dim(d)``, ``basis_pairs(d)``, ``mult(d1, d2)``,
-``generators()``, ``element_words(d)`` and ``relation_words()``.
+Both algebra flavours, :class:`PathAlgebra` and :class:`USupportAlgebra`,
+derive from :class:`GradedAlgebra`, which holds what they share: ``p``,
+``nvert``, ``quiver``, ``basis_pairs(d)`` read from ``basis_paths(d)``,
+``generators()`` built once, and one memo, ``_memo(key, build)``.  Every
+datum derived from an algebra is kept there, under a key whose first entry
+names it: here the spelled-out basis words, the mult tensors, the
+generators, the ordered orthogonal, the word and relation tables, E and the
+opposite (``opposite_algebra``, each flavour building its own and the pair
+memoized both ways); in the module layer the free-module blocks; among the
+complexes the cofree models, keyed by the algebra's settled top, and the
+path classes of the contraction maps.  The module layer reads ``dim(d)``,
+``basis_pairs(d)``, ``mult(d1, d2)``, ``generators()``,
+``element_words(d)`` and ``relation_words()``.
 """
 from __future__ import annotations
 
@@ -128,14 +138,44 @@ class Generator:
     name: str
 
 
-class PathAlgebra:
+class GradedAlgebra:
+    """The base of the algebra flavours: the field, the quiver, the basis
+    pairs, the generators and one memo of what is derived from the
+    algebra."""
+
+    def __init__(self, quiver: Quiver, p: int):
+        self.p = p
+        self.quiver = quiver
+        self.nvert = quiver.vertex_count
+        self._memos: dict = {}
+
+    def _memo(self, key: tuple, build):
+        """build(), run once per key and kept on the algebra.  What is kept
+        depends only on the algebra's slices, which never change once
+        built, so a kept value never goes stale; callers only read it."""
+        memos = self._memos
+        if key not in memos:
+            memos[key] = build()
+        return memos[key]
+
+    def basis_pairs(self, d: int):
+        """(source, target) of each basis element of degree d."""
+        q = self.quiver
+        return [(pa.source, pa.target_in(q)) for pa in self.basis_paths(d)]
+
+    def generators(self):
+        """The generators of the module actions (`_generators`), as a
+        tuple built once."""
+        return self._memo(("generators",), self._generators)
+
+
+class PathAlgebra(GradedAlgebra):
     """Graded slices of KQ/I within a growable degree window."""
 
     def __init__(self, pres: Presentation):
+        super().__init__(pres.quiver, pres.p)
         self.pres = pres
-        self.p = pres.p
-        self.quiver = q = pres.quiver
-        self.nvert = q.vertex_count
+        q = pres.quiver
         self._src = np.array([q.arrow_source(a) for a in range(q.arrow_count)],
                              dtype=np.intp)
         self._tgt = np.array([q.arrow_target(a) for a in range(q.arrow_count)],
@@ -150,12 +190,6 @@ class PathAlgebra:
         self._slots: list = [None]
         self._tail: list = [None]       # per degree d >= 1: rank x dim A_d
         self._vanished_from: int | None = None
-        self._basis: dict = {}          # per degree: Paths, built on first use
-        self._mult_cache: dict = {}
-        # the free-module blocks of grmod, per (vertex, degree[, generator])
-        self._free_blocks: dict = {}
-        self._dual_data = None  # compute_orthogonal_via_ordering, made once
-        self._gens = None
         self._rels_by_degree: dict = {}
         for r in pres.relations:
             if r.coeffs:
@@ -343,17 +377,12 @@ class PathAlgebra:
         """Coset representatives: the normal words of degree d."""
         if self.dim(d) == 0:
             return []
-        paths = self._basis.get(d)
-        if paths is None:
-            src, arrows = self._spelled(d)
-            paths = self._basis[d] = [
-                Path(s, tuple(w)) for s, w in zip(src.tolist(),
-                                                  arrows.tolist())]
-        return list(paths)
+        return list(self._memo(("basis", d), lambda: self._basis_words(d)))
 
-    def basis_pairs(self, d: int):
-        q = self.quiver
-        return [(pa.source, pa.target_in(q)) for pa in self.basis_paths(d)]
+    def _basis_words(self, d: int) -> list:
+        src, arrows = self._spelled(d)
+        return [Path(s, tuple(w)) for s, w in zip(src.tolist(),
+                                                  arrows.tolist())]
 
     def ideal_rref(self, d: int) -> np.ndarray:
         """The RREF of I_d over the paths of degree d: the identity at the
@@ -372,9 +401,6 @@ class PathAlgebra:
         red[:, nonpiv] = -self.path_classes(
             d, [paths[i] for i in piv]) % self.p
         return red
-
-    def path_count(self, d: int) -> int:
-        return len(enumerate_paths(self.quiver, d))
 
     def is_finite_dimensional(self, probe: int | None = None) -> bool:
         """True if some computed slice vanishes (all higher then vanish)."""
@@ -411,16 +437,15 @@ class PathAlgebra:
     def mult(self, d1: int, d2: int) -> np.ndarray:
         """Tensor T with basis_i(d1) * basis_j(d2) = sum_k T[i,j,k] basis_k:
         row i of the composite action of the word basis_j(d2)."""
-        key = (d1, d2)
-        if key in self._mult_cache:
-            return self._mult_cache[key]
+        return self._memo(("mult", d1, d2), lambda: self._mult_tensor(d1, d2))
+
+    def _mult_tensor(self, d1: int, d2: int) -> np.ndarray:
         t = np.zeros((self.dim(d1), self.dim(d2), self.dim(d1 + d2)),
                      dtype=np.int64)
         if t.size:
             src, words = self._spelled(d2)
             i, j = (self._targets(d1)[:, None] == src).nonzero()
             t[i, j] = self._walk(d1, i, words[j])
-        self._mult_cache[key] = t
         return t
 
     def right_mult_matrix(self, d: int, d_el: int, vec: np.ndarray) -> np.ndarray:
@@ -433,15 +458,11 @@ class PathAlgebra:
 
     # -- generator / word interface -----------------------------------------
 
-    def generators(self):
-        """Degree-1 generators: the arrows (Lambda_1 = KQ_1 always), as a
-        tuple built once."""
-        if self._gens is None:
-            q = self.quiver
-            self._gens = tuple(
-                Generator(1, i, q.arrow_source(i), q.arrow_target(i),
-                          q.arrow_name(i)) for i in range(q.arrow_count))
-        return self._gens
+    def _generators(self) -> tuple:
+        """Degree-1 generators: the arrows (Lambda_1 = KQ_1 always)."""
+        q = self.quiver
+        return tuple(Generator(1, i, q.arrow_source(i), q.arrow_target(i),
+                               q.arrow_name(i)) for i in range(q.arrow_count))
 
     def element_words(self, d: int):
         """Express each basis element of A_d as generator words."""
@@ -458,6 +479,11 @@ class PathAlgebra:
         # any arrow word representing an ideal element of higher slices is a
         # consequence of these via two-sided closure, so this list suffices
         return out
+
+    def _opposite(self):
+        """(KQ^op / I^op, the reversal maps from it, and back)."""
+        op = PathAlgebra(self.pres.opposite())
+        return op, _reversal_corr(op, self), _reversal_corr(self, op)
 
 
 def build_slices(pres: Presentation, window_top: int) -> PathAlgebra:
@@ -532,11 +558,9 @@ def compute_orthogonal_via_ordering(alg: PathAlgebra) -> DualData:
     One RREF of NF_n^T: with lowest-index pivoting its pivot columns are the
     greedy basis of path classes in path order (the r block), and the column
     of an s path holds its coordinates lambda in the r classes.  Computed
-    once per algebra and kept on it, as `yoneda_regrade` keeps E: callers
-    share it and do not change it."""
-    if alg._dual_data is None:
-        alg._dual_data = _ordered_orthogonal(alg)
-    return alg._dual_data
+    once per algebra and kept in its memo: callers share it and do not
+    change it."""
+    return alg._memo(("dual data",), lambda: _ordered_orthogonal(alg))
 
 
 def _ordered_orthogonal(alg: PathAlgebra) -> DualData:
@@ -603,7 +627,7 @@ def _identity(d: int) -> int:
     return d
 
 
-class USupportAlgebra:
+class USupportAlgebra(GradedAlgebra):
     """The dual algebra with components outside U = nZ u (nZ+1) killed, read
     in one of two gradings.
 
@@ -619,11 +643,9 @@ class USupportAlgebra:
     """
 
     def __init__(self, dual: PathAlgebra, n: int, u=None):
+        super().__init__(dual.quiver, dual.p)
         self.dual = dual
         self.n = n
-        self.p = dual.p
-        self.nvert = dual.nvert
-        self.quiver = dual.quiver
         self._support = DegreeMap(0, n)
         if u is None:
             self.u = self
@@ -632,12 +654,6 @@ class USupportAlgebra:
             self.u = u
             self.dual_degree = self._support.delta
             self.own_degree = self._support.inverse
-        self._yoneda = None
-        self._word_cache: dict = {}
-        self._relation_cache = None
-        # the free-module blocks of grmod, per (vertex, degree[, generator])
-        self._free_blocks: dict = {}
-        self._gens = None
 
     # -- in the dual's grading ----------------------------------------------
 
@@ -675,10 +691,6 @@ class USupportAlgebra:
     def dim(self, j: int) -> int:
         return self._dim(self.dual_degree(j))
 
-    def basis_pairs(self, j: int):
-        d = self.dual_degree(j)
-        return self.dual.basis_pairs(d) if self._dim(d) else []
-
     def basis_paths(self, j: int):
         d = self.dual_degree(j)
         return self.dual.basis_paths(d) if self._dim(d) else []
@@ -687,17 +699,15 @@ class USupportAlgebra:
         return self._mult(self.dual_degree(j1), self.dual_degree(j2),
                           self.dual_degree(j1 + j2))
 
-    def generators(self):
+    def _generators(self) -> tuple:
         """The dual's generators, then one per degree-n basis element of the
-        dual; a tuple built once."""
-        if self._gens is None:
-            q = self.quiver
-            paths = self.dual.basis_paths(self.n)
-            deg = self.own_degree(self.n)
-            self._gens = tuple(self.dual.generators()) + tuple(
-                Generator(deg, i, u, v, paths[i].name_in(q))
-                for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)))
-        return self._gens
+        dual."""
+        q = self.quiver
+        paths = self.dual.basis_paths(self.n)
+        deg = self.own_degree(self.n)
+        return tuple(self.dual.generators()) + tuple(
+            Generator(deg, i, u, v, paths[i].name_in(q))
+            for i, (u, v) in enumerate(self.dual.basis_pairs(self.n)))
 
     def element_words(self, j: int):
         """Express the basis of the degree-j component in generator words.
@@ -706,12 +716,12 @@ class USupportAlgebra:
         degree kn+1 appends one degree-1 letter.
         """
         d = self.dual_degree(j)
-        if d in self._word_cache:
-            return self._word_cache[d]
+        return self._memo(("words", d), lambda: self._element_words(d))
+
+    def _element_words(self, d: int) -> list:
         dim = self._dim(d)
         if d < 1 or dim == 0:
-            out = self._word_cache[d] = [[] for _ in range(dim)]
-            return out
+            return [[] for _ in range(dim)]
         narrows = len(self.dual.generators())
         k, rho = divmod(d, self.n)
         words = list(itertools.product(range(narrows, len(self.generators())),
@@ -728,11 +738,9 @@ class USupportAlgebra:
         if sol is None:
             raise AlgebraError(
                 f"a basis element at degree {d} is not a word combination")
-        out = [[(kept[j], int(c)) for j, c in zip(col.nonzero()[0].tolist(),
-                                                  col[col != 0].tolist())]
-               for col in sol.T]
-        self._word_cache[d] = out
-        return out
+        return [[(kept[j], int(c)) for j, c in zip(col.nonzero()[0].tolist(),
+                                                   col[col != 0].tolist())]
+                for col in sol.T]
 
     def relation_words(self):
         """Kernel of the word -> algebra map on short generator words.
@@ -742,8 +750,9 @@ class USupportAlgebra:
         module.  Each relation is labelled with its degree in this
         algebra's grading.
         """
-        if self._relation_cache is not None:
-            return self._relation_cache
+        return self._memo(("relations",), self._relation_words)
+
+    def _relation_words(self) -> list:
         gens = self.generators()
         dual_deg = [self.dual_degree(g.degree) for g in gens]
 
@@ -787,8 +796,18 @@ class USupportAlgebra:
                        if row[j]]
                 out.append((label(rel[0][0]), rel))
         out += [(label(w), [(w, 1)]) for w in mismatched]
-        self._relation_cache = out
         return out
+
+    def _opposite(self):
+        """(the same flavour over the opposite dual, the reversal maps from
+        it, and back), read through the dual degrees: U of the opposite
+        dual, or E of the opposite of U."""
+        op_dual, corr = opposite_algebra(self.dual)
+        back = opposite_algebra(op_dual)[1]
+        op = (USupportAlgebra(op_dual, self.n) if self.u is self
+              else yoneda_regrade(opposite_algebra(self.u)[0]))
+        to_dual = self.dual_degree
+        return op, lambda j: corr(to_dual(j)), lambda j: back(to_dual(j))
 
 
 def in_u_grading(alg) -> bool:
@@ -799,6 +818,36 @@ def in_u_grading(alg) -> bool:
 def yoneda_regrade(ualg: USupportAlgebra) -> USupportAlgebra:
     """E: the support-restricted dual ualg regraded by delta_0, built once
     per ualg."""
-    if ualg._yoneda is None:
-        ualg._yoneda = USupportAlgebra(ualg.dual, ualg.n, ualg)
-    return ualg._yoneda
+    return ualg._memo(("yoneda",),
+                      lambda: USupportAlgebra(ualg.dual, ualg.n, ualg))
+
+
+# -- the opposite algebra ----------------------------------------------------
+
+
+def _reversal_corr(a_from, a_to):
+    """Coordinate map of path reversal: degree-d coordinates of `a_from`
+    to the coordinates of the reversed element in `a_to`."""
+
+    def corr(d: int) -> np.ndarray:
+        return a_to.path_classes(d, [opposite_path(pa, a_from.quiver)
+                                     for pa in a_from.basis_paths(d)])
+
+    return corr
+
+
+def opposite_algebra(alg: GradedAlgebra):
+    """The opposite algebra, paired with the reversal coordinate maps.
+
+    Returns (op_alg, corr) where corr(d) is the matrix sending degree-d
+    coordinates of the opposite algebra to the coordinates of the reversed
+    element in the original algebra.  Each flavour builds its own opposite
+    (`_opposite`); the pair is memoized both ways, so opposing twice gives
+    back the original object.
+    """
+    def build():
+        op, corr, back = alg._opposite()
+        op._memo(("opposite",), lambda: (alg, back))
+        return op, corr
+
+    return alg._memo(("opposite",), build)

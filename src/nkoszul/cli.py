@@ -19,13 +19,14 @@ from . import SUITE_NAMES
 from . import complexes as cpx
 from .algebra import (AlgebraError, USupportAlgebra, build_dual,
                       build_free_opposite, build_slices, compute_orthogonal,
-                      compute_orthogonal_via_ordering, yoneda_regrade)
+                      compute_orthogonal_via_ordering, opposite_algebra,
+                      yoneda_regrade)
 from .docio import (DocumentError, complex_json, dump_report, load_document,
                     module_json, parse_module)
 from .complexes import ComplexError
 from .grmod import (GradedModule, ModuleError, TorsionParams, in_G, in_L,
-                    in_L_E, in_Lo, is_torsionfree, opposite_algebra,
-                    regrade, torsion_submodule)
+                    in_L_E, in_Lo, is_torsionfree, regrade,
+                    torsion_submodule)
 from .linalg import LinAlgError
 from .quiver import QuiverError
 

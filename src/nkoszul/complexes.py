@@ -40,7 +40,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import Subspace, zeros
-from .algebra import DegreeMap, _check_size, compute_orthogonal, in_u_grading
+from .algebra import (DegreeMap, _check_size, compute_orthogonal,
+                      in_u_grading, opposite_algebra)
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -59,7 +60,6 @@ from .grmod import (
     mu1,
     mu1_kernel,
     mu1_preimage,
-    opposite_algebra,
     socle_subspaces,
     stacked_action,
     submodule_from_bases,
@@ -128,19 +128,18 @@ def is_n_complex(c: ComplexOfGraded, n: int) -> bool:
 # -- the two functors --------------------------------------------------------
 
 
-def _require_finite(lam, allow_windowed: bool = False):
-    if not lam.is_finite_dimensional(probe=lam._computed_to()):
-        if not lam.is_finite_dimensional(probe=4 * max(lam.pres.n, 2)):
-            if not allow_windowed:
-                raise ComplexError(
-                    "base algebra is not finite dimensional within the "
-                    "probed window; pass the windowed-dual acknowledgment")
-
-
-def _lam_top(lam) -> int:
-    v = lam.vanishing_degree()
-    if v is not None:
-        return v - 1
+def settled_top(lam, allow_windowed: bool = False) -> int:
+    """The top degree of the base algebra, where the cofree terms end: the
+    last nonzero slice, once the algebra is probed to degree 4 max(n, 2).
+    An algebra whose slices do not vanish by then is refused with a
+    ComplexError, unless `allow_windowed` acknowledges it; its top is then
+    the degree built so far, and what is built on it is cut there."""
+    if lam.is_finite_dimensional(probe=4 * max(lam.pres.n, 2)):
+        return lam.vanishing_degree() - 1
+    if not allow_windowed:
+        raise ComplexError(
+            "base algebra is not finite dimensional within the "
+            "probed window; pass the windowed-dual acknowledgment")
     return lam._computed_to()
 
 
@@ -149,8 +148,7 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
     degree -k, with d(x (x) 1) = sum over arrows of x a^o (x) abar."""
     if not mod.is_valid():
         raise ModuleError("module failed validation")
-    _require_finite(lam, allow_windowed)
-    top = _lam_top(lam)
+    top = settled_top(lam, allow_windowed)
     comps = {}
     for k in mod.degrees():
         vs = mod.verts_at(k)
@@ -206,10 +204,12 @@ def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
 def cofree_index(lam, vlist) -> dict:
     """The basis of `cofree_module(lam, vlist)`: per degree e, the pairs
     (b, x) with b a basis element of Lambda_{-e} ending at the vertex of x,
-    b by b and for one b by ascending x, as a read-only (E, 2) intp array."""
+    b by b and for one b by ascending x, as a read-only (E, 2) intp array.
+    e runs down to minus the settled top (`settled_top`), a windowed
+    algebra's built top included."""
     labels = np.asarray(vlist, dtype=np.intp)
     index = {}
-    for e in range(-_lam_top(lam), 1):
+    for e in range(-settled_top(lam, True), 1):
         ends = np.array([v for _, v in lam.basis_pairs(-e)], dtype=np.intp)
         b, x = np.nonzero(ends[:, None] == labels)
         if b.size:
@@ -225,15 +225,17 @@ def cofree_module(lam, vlist) -> GradedModule:
     action of an arrow precomposes with left multiplication.  `hom_index`
     holds the pairs (`cofree_index`), in the form of `free_index`.
 
-    Built once per (algebra, vertex labels) and memoized on the algebra,
-    keyed by the labels as Python ints, so a model lives and dies with it;
-    callers only read it.
+    Built once per (settled top, vertex labels) and kept in the algebra's
+    memo, keyed by the labels as Python ints, so a model lives and dies
+    with its algebra; callers only read it.  The algebra is probed first
+    (`settled_top`), so a lazily built one, such as the opposite algebra
+    of `dualize_complex`, gets its whole model and not one cut at the
+    degree built so far; a windowed algebra gets a new model once its
+    window grows.
     """
-    models = vars(lam).setdefault("_cofree_models", {})
-    key = tuple(np.asarray(vlist, dtype=np.intp).tolist())
-    if key not in models:
-        models[key] = _build_cofree(lam, key)
-    return models[key]
+    labels = tuple(np.asarray(vlist, dtype=np.intp).tolist())
+    return lam._memo(("cofree", settled_top(lam, True), labels),
+                     lambda: _build_cofree(lam, labels))
 
 
 def _build_cofree(lam, vlist) -> GradedModule:
@@ -267,7 +269,7 @@ def nu(mod: GradedModule, lam, allow_windowed: bool = False,
     """
     if not mod.is_valid():
         raise ModuleError("module failed validation")
-    _require_finite(lam, allow_windowed)
+    settled_top(lam, allow_windowed)
     arrows = range(lam.quiver.arrow_count) if _twist is None else _twist
     return _cofree_complex(mod, lam, lam.pres.n,
                            {d: d for d in mod.degrees()}, arrows)
@@ -474,20 +476,21 @@ def _mu1_data(mod: GradedModule, s: int):
 
 
 def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
-    """Per path p of length n-1 in the base quiver (`_path_classes`): the
-    matrix P such that P @ A is the map X_{s+1} -> X_{s+n} that decomposes
-    y through the degree-1 multiplication mu_1: X_s (x) dual_1 -> X_{s+1}
-    by its canonical preimage pre, then acts by the class of (p alpha)^o.
+    """Per path p of length n-1 in the base quiver (`_path_classes`, kept in
+    the algebra's memo): the matrix P such that P @ A is the map
+    X_{s+1} -> X_{s+n} that decomposes y through the degree-1
+    multiplication mu_1: X_s (x) dual_1 -> X_{s+1} by its canonical
+    preimage pre, then acts by the class of (p alpha)^o.
     A is the stacked degree-n action at s (`grmod.stacked_action`).
 
     The family of p sends arrows a to vectors c_a over the degree-n basis;
     its matrix Z has a row per pair r = (i, a) of mu_1's domain t1, with
     c_a[w] in column w * dim X_s + i, so row r of Z @ A is x_i acted on by
     c_a; P = pre^T Z."""
-    ds = mod.dim(s)
+    ds, ualg = mod.dim(s), mod.algebra
     out = []
-    for fam in _path_classes(mod.algebra):
-        z = zeros(len(t1), mod.algebra.dual.dim(mod.algebra.n) * ds)
+    for fam in ualg._memo(("path classes",), lambda: _path_classes(ualg)):
+        z = zeros(len(t1), ualg.dual.dim(ualg.n) * ds)
         for r, (i, ai) in enumerate(t1):
             if ai in fam:
                 z[r, i::ds] = fam[ai]
@@ -497,16 +500,7 @@ def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
 
 def _path_classes(ualg) -> list:
     """Per path p of length n-1 in the base quiver: the class in the dual
-    of (p alpha)^o = alpha^o p^o for each arrow alpha with t(p) = o(alpha).
-    Built once per algebra and kept on it, as `cofree_module` keeps its
-    models; callers only read it."""
-    cached = getattr(ualg, "_path_class_rows", None)
-    if cached is None:
-        cached = ualg._path_class_rows = _build_path_classes(ualg)
-    return cached
-
-
-def _build_path_classes(ualg) -> list:
+    of (p alpha)^o = alpha^o p^o for each arrow alpha with t(p) = o(alpha)."""
     from .quiver import Path, enumerate_paths
     dual, n = ualg.dual, ualg.n
     q = dual.quiver.opposite()
@@ -557,7 +551,7 @@ def _F_of_member(mod: GradedModule, lam, params,
                  allow_windowed: bool) -> ComplexOfGraded:
     """`equivalence_F` of a module over U already known to be in L: the
     cofree models at the positions of the regrading (`_cofree_complex`)."""
-    _require_finite(lam, allow_windowed)
+    settled_top(lam, allow_windowed)
     dmap = DegreeMap(params.m, params.n)
     return _cofree_complex(
         mod, lam, 2, {dmap.inverse(d): d for d in mod.degrees()
@@ -846,13 +840,10 @@ def in_Y(c: ComplexOfGraded, ualg, params):
 # -- the projective picture via duality --------------------------------------
 
 
-def dualize_complex(c: ComplexOfGraded, op_data=None) -> ComplexOfGraded:
-    """Apply the graded duality componentwise; position j becomes -j and
-    differentials are transposed."""
-    if op_data is None:
-        op_data = opposite_algebra(c.algebra)
-    op_alg, _ = op_data
-    duals = {k: graded_dual(m, op_data) for k, m in c.modules.items()}
+def dualize_complex(c: ComplexOfGraded) -> ComplexOfGraded:
+    """Apply the graded duality componentwise, over the opposite algebra;
+    position j becomes -j and differentials are transposed."""
+    duals = {k: graded_dual(m) for k, m in c.modules.items()}
     comps = {-k: m for k, m in duals.items()}
     diffs = {}
     for k, f in c.diffs.items():
@@ -862,7 +853,8 @@ def dualize_complex(c: ComplexOfGraded, op_data=None) -> ComplexOfGraded:
             continue
         diffs[-k - 1] = GradedMorphism(
             src, tgt, {-d: f.mat(d).T % c.p for d in f.stored_mats()})
-    return ComplexOfGraded(op_alg, c.period, comps, diffs)
+    return ComplexOfGraded(opposite_algebra(c.algebra)[0], c.period, comps,
+                           diffs)
 
 
 def equivalence_F_dual(mod: GradedModule, lam, params) -> ComplexOfGraded:

@@ -20,8 +20,11 @@ degree (kernels, radicals, socles, images, torsion and closures) is a
 ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
 a caller that relabels or copies them.  A builder may leave the actions or
 matrices to be built on first read (`_BuiltOnRead`): `free_module` and
-`cover_on_top` do, and the blocks of the vertex projectives e_v A that free
-modules are made of are cached on the algebra.
+`cover_on_top` do.  The blocks of the vertex projectives e_v A that free
+modules are made of are kept in the algebra's memo (`GradedAlgebra._memo`):
+per degree k the basis indices that start at each vertex ("starting at"),
+and per (v, k, generator) the nonzeros of that generator's action
+("generator block").
 
 Modules and morphisms never change once built.  Every stored array is made
 read-only (a Sparse is read-only already), so `act()`, `mat()` and
@@ -52,8 +55,7 @@ import weakref
 import numpy as np
 
 from . import linalg
-from .algebra import (PathAlgebra, USupportAlgebra, in_u_grading,
-                      yoneda_regrade)
+from .algebra import USupportAlgebra, in_u_grading, opposite_algebra
 from .linalg import Sparse, Subspace, zeros
 
 
@@ -393,39 +395,40 @@ def _groups(key: np.ndarray):
 
 def _starting_at(algebra, k: int, v: int):
     """The basis indices of A_k that start at vertex v, and their targets:
-    read-only intp arrays, cached on the algebra per (v, k) for every
-    vertex at once."""
-    blocks = algebra._free_blocks
-    if (v, k) not in blocks:
-        pairs = np.array(algebra.basis_pairs(k) if k >= 0 else [],
-                         dtype=np.intp).reshape(-1, 2)
-        for w in range(algebra.nvert):
-            at = (pairs[:, 0] == w).nonzero()[0]
-            tgts = pairs[at, 1]
-            at.setflags(write=False)
-            tgts.setflags(write=False)
-            blocks[(w, k)] = (at, tgts)
-    return blocks[(v, k)]
+    read-only intp arrays, kept in the algebra's memo per degree k for
+    every vertex at once."""
+    return algebra._memo(("starting at", k),
+                         lambda: _vertex_blocks(algebra, k))[v]
+
+
+def _vertex_blocks(algebra, k: int) -> list:
+    pairs = np.array(algebra.basis_pairs(k) if k >= 0 else [],
+                     dtype=np.intp).reshape(-1, 2)
+    out = []
+    for w in range(algebra.nvert):
+        at = (pairs[:, 0] == w).nonzero()[0]
+        out.append((_frozen(at), _frozen(pairs[at, 1])))
+    return out
 
 
 def _generator_block(algebra, v: int, k: int, gi: int):
     """The nonzeros (rows, cols, vals) of generator gi acting on e_v A from
     degree k, rows and cols counting the basis elements that start at v
-    (`_starting_at`): cached on the algebra per (v, k, gi)."""
-    blocks = algebra._free_blocks
-    key = (v, k, gi)
-    if key not in blocks:
-        g = algebra.generators()[gi]
-        bis = _starting_at(algebra, k, v)[0]
-        bis2 = _starting_at(algebra, k + g.degree, v)[0]
-        if bis.size and bis2.size:
-            block = algebra.mult(k, g.degree)[bis, g.basis_index][:, bis2]
-            br, bc = np.nonzero(block)
-            blocks[key] = (br, bc, block[br, bc])
-        else:
-            e = np.zeros(0, dtype=np.intp)
-            blocks[key] = (e, e, np.zeros(0, dtype=np.int64))
-    return blocks[key]
+    (`_starting_at`): kept in the algebra's memo per (v, k, gi)."""
+    return algebra._memo(("generator block", v, k, gi),
+                         lambda: _block_nonzeros(algebra, v, k, gi))
+
+
+def _block_nonzeros(algebra, v: int, k: int, gi: int):
+    g = algebra.generators()[gi]
+    bis = _starting_at(algebra, k, v)[0]
+    bis2 = _starting_at(algebra, k + g.degree, v)[0]
+    if bis.size and bis2.size:
+        block = algebra.mult(k, g.degree)[bis, g.basis_index][:, bis2]
+        br, bc = np.nonzero(block)
+        return br, bc, block[br, bc]
+    e = np.zeros(0, dtype=np.intp)
+    return e, e, np.zeros(0, dtype=np.int64)
 
 
 def free_module(algebra, gen_list, hi: int) -> GradedModule:
@@ -585,9 +588,6 @@ class GradedMorphism(_BuiltOnRead):
             return Sparse.zero(self.source.dim(d), self.target.dim(d))
         return m
 
-    def commutes(self) -> bool:
-        return self.noncommuting_degree() is None
-
     def noncommuting_degree(self):
         """The lowest degree from which the action of some generator does
         not commute with the map, or None when the map is a module map.
@@ -621,13 +621,6 @@ class GradedMorphism(_BuiltOnRead):
         """The matrices of `compose`."""
         return {d: linalg.sparse_mul(self._stored(d), other._stored(d), self.p)
                 for d in set(self._mats) | set(other._mats)}
-
-    def is_iso(self) -> bool:
-        try:
-            self.inverse()
-        except (ModuleError, linalg.LinAlgError):
-            return False
-        return True
 
     def inverse(self) -> "GradedMorphism":
         """The inverse, a monomial matrix read off its nonzeros
@@ -1027,52 +1020,11 @@ def presented_in_degrees(mod: GradedModule, degree_set) -> bool:
 # -- duality -----------------------------------------------------------------
 
 
-def _reversal_corr(a_from, a_to):
-    """Coordinate map of path reversal: degree-d coordinates of `a_from`
-    to the coordinates of the reversed element in `a_to`."""
-    from .quiver import opposite_path
-
-    def corr(d: int) -> np.ndarray:
-        return a_to.path_classes(d, [opposite_path(pa, a_from.quiver)
-                                     for pa in a_from.basis_paths(d)])
-
-    return corr
-
-
-def opposite_algebra(algebra):
-    """The opposite algebra, paired with the reversal coordinate maps.
-
-    Returns (op_alg, corr) where corr(d) is the matrix sending degree-d
-    coordinates of the opposite algebra to the coordinates of the reversed
-    element in the original algebra.  Results are memoized both ways, so
-    opposing twice gives back the original object.
-    """
-    cached = getattr(algebra, "_op_data", None)
-    if cached is not None:
-        return cached
-    if isinstance(algebra, USupportAlgebra):
-        op_dual, corr = opposite_algebra(algebra.dual)
-        back = opposite_algebra(op_dual)[1]
-        op = (USupportAlgebra(op_dual, algebra.n) if in_u_grading(algebra)
-              else yoneda_regrade(opposite_algebra(algebra.u)[0]))
-        to_dual = algebra.dual_degree
-        algebra._op_data = (op, lambda j: corr(to_dual(j)))
-        op._op_data = (algebra, lambda j: back(to_dual(j)))
-        return algebra._op_data
-    if not isinstance(algebra, PathAlgebra):
-        raise ModuleError("unsupported algebra flavour for opposition")
-    op = PathAlgebra(algebra.pres.opposite())
-    algebra._op_data = (op, _reversal_corr(op, algebra))
-    op._op_data = (algebra, _reversal_corr(algebra, op))
-    return algebra._op_data
-
-
-def graded_dual(mod: GradedModule, op_data=None) -> GradedModule:
+def graded_dual(mod: GradedModule) -> GradedModule:
     """D(M): degree d holds the dual space of M_{-d}, over the opposite
-    algebra; generator actions are transposed through the reversal map."""
-    if op_data is None:
-        op_data = opposite_algebra(mod.algebra)
-    op_alg, corr = op_data
+    algebra (`algebra.opposite_algebra`); generator actions are transposed
+    through the reversal map."""
+    op_alg, corr = opposite_algebra(mod.algebra)
     verts = {-d: v for d, v in mod.verts.items()}
     actions: dict = {}
     for gi, g in enumerate(op_alg.generators()):

@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DegreeMap
-from .complexes import (
-    ComplexOfGraded,
-    dualize_complex,
-    in_Y,
-    _lam_top,
-    _require_finite,
-)
+from .complexes import ComplexOfGraded, dualize_complex, in_Y, settled_top
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -36,7 +30,6 @@ from .grmod import (
     deferred_differential,
     graded_dual,
     kernel_bases,
-    opposite_algebra,
     submodule_from_bases,
     top_complements,
     zero_module,
@@ -70,10 +63,6 @@ def semisimple_module(lam) -> GradedModule:
     return GradedModule(lam, {0: tuple(range(lam.nvert))}, {})
 
 
-def simple_module(lam, v: int) -> GradedModule:
-    return GradedModule(lam, {0: (v,)}, {})
-
-
 def minimal_projective_resolution(mod: GradedModule,
                                   length: int) -> ResolutionSegment:
     """Iterated minimal covers; exact because free modules are complete.
@@ -84,8 +73,7 @@ def minimal_projective_resolution(mod: GradedModule,
     sparse form of `linalg.Sparse`.
     """
     lam = mod.algebra
-    _require_finite(lam)
-    top = _lam_top(lam)
+    top = settled_top(lam)
     pmods = []
     diffs = []
     gen_lists = []
@@ -149,12 +137,11 @@ def ext_dims(lam, bound: int) -> list:
 def coresolution_complex(mod: GradedModule, bound: int) -> ComplexOfGraded:
     """Minimal almost-injective coresolution of the module, as the dual of
     a projective resolution of its graded dual over the opposite algebra."""
-    op_data = opposite_algebra(mod.algebra)
-    dm = graded_dual(mod, op_data)
+    dm = graded_dual(mod)
     seg = minimal_projective_resolution(dm, bound)
     comps = {-j: m for j, m in enumerate(seg.pmods)}
     diffs = {-j: f for j, f in enumerate(seg.diffs) if j >= 1}
-    deleted = ComplexOfGraded(op_data[0], 2, comps, diffs)
+    deleted = ComplexOfGraded(dm.algebra, 2, comps, diffs)
     return dualize_complex(deleted)
 
 
@@ -165,9 +152,7 @@ def is_n_cokoszul(mod: GradedModule, bound: int) -> bool:
         return True
     if not cogenerated_in_degrees(mod, {0}):
         return False
-    op_data = opposite_algebra(mod.algebra)
-    dm = graded_dual(mod, op_data)
-    seg = minimal_projective_resolution(dm, bound)
+    seg = minimal_projective_resolution(graded_dual(mod), bound)
     return follows_degree_map(seg, mod.algebra.pres.n)
 
 

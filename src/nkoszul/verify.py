@@ -15,12 +15,12 @@ from . import koszul as ko
 from . import linalg
 from .algebra import (DegreeMap, Presentation, USupportAlgebra, build_dual,
                       build_free_opposite, build_slices, compute_orthogonal,
-                      compute_orthogonal_via_ordering, yoneda_regrade)
+                      compute_orthogonal_via_ordering, opposite_algebra,
+                      yoneda_regrade)
 from .docio import complex_json, module_json, presentation_json
 from .grmod import (GradedModule, GradedMorphism, TorsionParams, free_module,
                     graded_dual, hom_space, in_G, in_L, in_L_E, in_Lo,
-                    is_torsionfree, opposite_algebra,
-                    presented_in_degrees, quotient_module, restrict_S,
+                    is_torsionfree, presented_in_degrees, quotient_module, restrict_S,
                     submodule_closure, torsion_submodule)
 from .quiver import Path, PathSpaceElement, Quiver, enumerate_paths
 
@@ -37,36 +37,33 @@ def _all_path_relations(q: Quiver, n: int):
     return [PathSpaceElement(n, {pa: 1}) for pa in enumerate_paths(q, n)]
 
 
+_LOOP = Quiver.make(1, [("x", 0, 0)])
+_LOOPS = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+_TWO_VERTEX = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
+
+# name -> (quiver, n, lam_top, dual_top, relations); None is every path of
+# degree n, the truncated path algebra kQ/J^n
+_CORPUS = {
+    "one_loop_n3": (_LOOP, 3, 12, 26, None),
+    "two_loop_n3": (_LOOPS, 3, 12, 10, None),
+    "commutative_n2": (_LOOPS, 2, 8, 9, [
+        PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 0)): P - 1}),
+        PathSpaceElement(2, {Path(0, (0, 0)): 1}),
+        PathSpaceElement(2, {Path(0, (1, 1)): 1})]),
+    "two_vertex_n3": (_TWO_VERTEX, 3, 12, 26, None),
+    "two_vertex_n4": (_TWO_VERTEX, 4, 12, 21, None),
+}
+
+
 def corpus(name: str) -> dict:
     """A named algebra with its dual and support-restricted dual, cached."""
     if name in _CORPUS_CACHE:
         return _CORPUS_CACHE[name]
-    if name == "one_loop_n3":
-        q = Quiver.make(1, [("x", 0, 0)])
-        n, lam_top, dual_top = 3, 12, 26
-        rels = _all_path_relations(q, n)
-    elif name == "two_loop_n3":
-        q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
-        n, lam_top, dual_top = 3, 12, 10
-        rels = _all_path_relations(q, n)
-    elif name == "commutative_n2":
-        q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
-        n, lam_top, dual_top = 2, 8, 9
-        rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1,
-                                     Path(0, (1, 0)): P - 1}),
-                PathSpaceElement(2, {Path(0, (0, 0)): 1}),
-                PathSpaceElement(2, {Path(0, (1, 1)): 1})]
-    elif name == "two_vertex_n3":
-        q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
-        n, lam_top, dual_top = 3, 12, 26
-        rels = _all_path_relations(q, n)
-    elif name == "two_vertex_n4":
-        q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
-        n, lam_top, dual_top = 4, 12, 21
-        rels = _all_path_relations(q, n)
-    else:
+    if name not in _CORPUS:
         raise ValueError(f"unknown corpus algebra {name!r}")
-    pres = Presentation.make(q, n, rels)
+    q, n, lam_top, dual_top, rels = _CORPUS[name]
+    pres = Presentation.make(q, n, rels if rels is not None
+                             else _all_path_relations(q, n))
     lam = build_slices(pres, lam_top)
     dual = build_dual(lam, dual_top)
     ualg = USupportAlgebra(dual, n)
@@ -649,8 +646,7 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
         if x is None:
             failures.append(_fail_entry(t, "generator-exhausted"))
             continue
-        op_u = opposite_algebra(ualg)
-        dx = graded_dual(x, op_u)
+        dx = graded_dual(x)
         if not in_Lo(dx, params):
             failures.append(_fail_entry(
                 t, "dual-not-member", {"X": module_json(x)}))
@@ -663,7 +659,7 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
             failures.append(_fail_entry(
                 t, "dual-image-conditions", {"X": module_json(x),
                                              "reason": why}))
-        elif not cpx.in_Yo(cpx.dualize_complex(c_inj), op_u[0], params):
+        elif not cpx.in_Yo(cpx.dualize_complex(c_inj), dx.algebra, params):
             failures.append(_fail_entry(
                 t, "dual-image-membership", {"X": module_json(x)}))
     # duality square: D(Hom functor) ~ tensor functor of the dual module
@@ -674,8 +670,7 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
         mod = random_representation(rng, entry["dual"],
                                     range(0, 2 * n + 2), 2)
         d_nu = cpx.dualize_complex(cpx.nu(mod, lam))
-        op_dual = opposite_algebra(entry["dual"])
-        dm = graded_dual(mod, op_dual)
+        dm = graded_dual(mod)
         op_lam = opposite_algebra(lam)[0]
         c_psi = cpx.psi(dm, op_lam)
         bad = _fail_iso(t, "duality-square-mismatch",

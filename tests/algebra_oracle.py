@@ -1,6 +1,7 @@
 """PathAlgebra queries that only the tests ask, as oracles over its public
 surface: the class of a path-space element, left multiplication by an
-element and the ideal slice as a subspace.  Also the word tables of the
+element, the ideal slice as a subspace, the number of paths of a degree
+and the simple module at a vertex.  Also the word tables of the
 support-restricted dual (`USupportAlgebra.element_words` and
 `relation_words`) as they were built before they came from products with
 the mult tensors: one class per word, one product per letter, and one
@@ -11,7 +12,9 @@ import numpy as np
 
 from nkoszul import linalg
 from nkoszul.algebra import AlgebraError
+from nkoszul.grmod import GradedModule
 from nkoszul.linalg import Sparse, Subspace, zeros
+from nkoszul.quiver import enumerate_paths
 
 
 def reduce_path_element(alg, el) -> np.ndarray:
@@ -27,11 +30,21 @@ def left_mult_matrix(alg, d_el: int, vec: np.ndarray, d: int) -> np.ndarray:
                           alg.p).reshape(m1, m2)
 
 
+def path_count(alg, d: int) -> int:
+    """The number of paths of degree d in the algebra's quiver."""
+    return len(enumerate_paths(alg.quiver, d))
+
+
+def simple_module(lam, v: int) -> GradedModule:
+    """The simple module at vertex v, in degree 0."""
+    return GradedModule(lam, {0: (v,)}, {})
+
+
 def ideal_subspace(alg, d: int) -> Subspace:
     """I_d in the coordinates of the paths of degree d, read off the
     stored RREF with no elimination."""
     red = alg.ideal_rref(d)
-    return Subspace(alg.path_count(d), alg.p, Sparse.from_dense(red, alg.p),
+    return Subspace(path_count(alg, d), alg.p, Sparse.from_dense(red, alg.p),
                     np.array([np.flatnonzero(row)[0] for row in red],
                              dtype=np.intp))
 

@@ -28,7 +28,7 @@ import numpy as np
 from nkoszul import complexes as cx
 from nkoszul import linalg
 from nkoszul.algebra import _check_size
-from nkoszul.complexes import _lam_top
+from nkoszul.complexes import settled_top
 from nkoszul.grmod import GradedModule, GradedMorphism, ModuleError
 from nkoszul.linalg import Subspace, zeros
 
@@ -225,7 +225,7 @@ def dense_resolution(mod, length):
     """(pmods, diffs, gen_lists) of `koszul.minimal_projective_resolution`,
     from the dense builders above."""
     lam = mod.algebra
-    top = _lam_top(lam)
+    top = settled_top(lam)
     pmods, diffs, gen_lists = [], [], []
     current, incl = mod, None
     for j in range(length + 1):
@@ -332,7 +332,7 @@ def cofree_index(lam, vlist) -> dict:
     """Per degree e, the pairs (b, x) with b a basis element of
     Lambda_{-e} ending at the vertex of x, as a list of tuples."""
     index = {}
-    for e in range(-_lam_top(lam), 1):
+    for e in range(-settled_top(lam, True), 1):
         pairs = [(bi, xi) for bi, (_, v) in enumerate(lam.basis_pairs(-e))
                  for xi, xv in enumerate(vlist) if xv == v]
         if pairs:

@@ -8,7 +8,8 @@ from nkoszul.algebra import (DegreeMap, Presentation, USupportAlgebra,
                              compute_orthogonal_via_ordering, yoneda_regrade)
 from nkoszul.quiver import (Path, PathSpaceElement, Quiver, enumerate_paths,
                             path_index)
-from algebra_oracle import ideal_subspace, left_mult_matrix, reduce_path_element
+from algebra_oracle import (ideal_subspace, left_mult_matrix, path_count,
+                            reduce_path_element)
 from dense_oracle import word_action
 
 P = 101
@@ -95,7 +96,7 @@ def test_dual_of_truncated_algebras_is_free():
     assert [one.dim(k) for k in range(9)] == [1] * 9
     two = build_dual(truncated_two_loop(), 8)
     assert [two.dim(k) for k in range(9)] == [2 ** k for k in range(9)]
-    assert [two.dim(k) for k in range(9)] == [two.path_count(k)
+    assert [two.dim(k) for k in range(9)] == [path_count(two, k)
                                              for k in range(9)]
 
 
@@ -161,7 +162,7 @@ def test_generators_live_in_degree_one():
 
 def test_ideal_subspace_and_path_count():
     lam = truncated_two_loop()
-    assert lam.path_count(3) == 8
+    assert path_count(lam, 3) == 8
     assert ideal_subspace(lam, 3).dim == 8
     assert lam.dim(3) == 0
 
@@ -211,7 +212,7 @@ def reference_mult(alg, d1, d2):
             for j, pb in enumerate(alg.basis_paths(d2)):
                 if pa.target_in(q) != pb.source:
                     continue
-                v = np.zeros(alg.path_count(d1 + d2), dtype=np.int64)
+                v = np.zeros(path_count(alg, d1 + d2), dtype=np.int64)
                 v[pidx[pa.compose(pb, q)]] = 1
                 t[i, j] = reduce(v)
     return t
@@ -257,7 +258,7 @@ def reference_ordering(alg):
 def assert_normal_form_matches(alg, top):
     for d in range(top + 1):
         nf = alg.normal_form(d)
-        assert nf.shape == (alg.path_count(d), alg.dim(d))
+        assert nf.shape == (path_count(alg, d), alg.dim(d))
         rng = np.random.default_rng(d)
         reduce = reference_reducer(alg, d)
         for i, row in enumerate(nf):
@@ -344,7 +345,7 @@ def test_algebra_products_are_exact_at_large_moduli(p):
     assert [lam.dim(d) for d in range(5)] == [1, 2, 3, 4, 5]
     rng = np.random.default_rng(3)
     for d in range(1, 5):
-        v = rng.integers(p - 1000, p, lam.path_count(d))
+        v = rng.integers(p - 1000, p, path_count(lam, d))
         assert np.array_equal(lam.reduce_vector(v, d),
                               reference_reduce(lam, v, d))
     for d1, d2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:

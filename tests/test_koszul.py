@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from algebra_oracle import simple_module
 from dense_oracle import dense_mats, dense_resolution, label_lists
+from search_oracle import commutes
 
 from nkoszul import koszul as ko
 from nkoszul import verify
@@ -22,7 +24,7 @@ def test_semisimple_and_simple_modules():
     e = verify.corpus("two_vertex_n3")
     sem = ko.semisimple_module(e["lam"])
     assert sem.dim(0) == 2 and sem.total_dim() == 2
-    s0 = ko.simple_module(e["lam"], 0)
+    s0 = simple_module(e["lam"], 0)
     assert s0.verts_at(0) == (0,) and s0.total_dim() == 1
 
 
@@ -35,7 +37,7 @@ def test_minimal_resolution_of_simple_one_loop():
     for j, gens in enumerate(seg.gen_lists):
         assert all(d == dmap.delta(j) for (_, d) in gens)
     for f in seg.diffs[1:]:
-        assert f.commutes()
+        assert commutes(f)
 
 
 def test_truncated_algebras_are_generalized_koszul():
@@ -67,7 +69,7 @@ def ext_dims_table(lam, bound: int) -> list:
     the resolution, from the simples one at a time."""
     out = [dict() for _ in range(bound + 1)]
     for v in range(lam.nvert):
-        seg = ko.minimal_projective_resolution(ko.simple_module(lam, v), bound)
+        seg = ko.minimal_projective_resolution(simple_module(lam, v), bound)
         for j, gens in enumerate(seg.gen_lists):
             for w, _ in gens:
                 out[j][(v, w)] = out[j].get((v, w), 0) + 1
@@ -123,12 +125,12 @@ def test_liftability_baseline_two_vertex():
 def resolution_with_top_syzygy(mod, length):
     """The loop before the top syzygy was dropped: it takes a kernel and
     realizes a syzygy after every cover, the last one included."""
-    from nkoszul.complexes import _lam_top
+    from nkoszul.complexes import settled_top
     from nkoszul.grmod import (GradedMorphism, kernel_bases,
                                projective_cover, submodule_from_bases,
                                top_complements, zero_module)
     lam = mod.algebra
-    top = _lam_top(lam)
+    top = settled_top(lam)
     pmods, diffs, gen_lists = [], [], []
     current, incl = mod, None
     for j in range(length + 1):
@@ -310,7 +312,7 @@ def test_the_last_term_equals_the_eager_loop_whichever_is_read_first(
     assert set(dense_mats(last)) == set(want)
     for d, m in want.items():
         assert np.array_equal(last.mat(d), m)
-    assert last.commutes()
+    assert commutes(last)
 
 
 @pytest.mark.parametrize("bound", [4, 7])
@@ -391,9 +393,9 @@ def test_resolution_equals_the_dense_builders(name, bound):
 def test_resolution_of_a_dense_module_equals_the_dense_builders():
     """A module with dense actions, here the graded dual of a truncated free
     module over commutative_n2, is resolved through the same builders."""
-    from nkoszul.grmod import free_module, graded_dual, opposite_algebra
+    from nkoszul.grmod import free_module, graded_dual
     lam = verify.corpus("commutative_n2")["lam"]
-    dm = graded_dual(free_module(lam, [(0, 0)], 2), opposite_algebra(lam))
+    dm = graded_dual(free_module(lam, [(0, 0)], 2))
     assert all(isinstance(m, np.ndarray)
                for m in dm.stored_actions().values())
     assert_segment_equals_the_dense_one(

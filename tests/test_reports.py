@@ -28,7 +28,12 @@ that its witness is X), were pinned before one in_Y check came to build
 each derived object once.  The benchmark's own reference,
 `perfbench/reference.json`, still holds a digest from before the witness
 was read in the top bases, so this file is the one that pins these
-reports.  Left out: the koszulity suite (4.4 s).
+reports.  One more was re-pinned as a fix of a wrong answer: `check
+inputs/commutative_n2.json --predicate in_Yo --object psi(M)` answered
+false, because the certificate of the graded dual compared its components
+with cofree models cut at the degree the lazily built opposite algebra had
+reached; the algebra's top is now settled before a model is built, and the
+verdict is true.  Left out: the koszulity suite (4.4 s).
 """
 import contextlib
 import hashlib
