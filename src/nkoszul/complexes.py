@@ -309,7 +309,7 @@ def _cofree_complex(mod: GradedModule, lam, period: int, degree_at: dict,
                              bases[k], bases[k + 1])
         else:
             mats = _model_odd_diff(mod, lam, s - 1, bases[k], bases[k + 1])
-        diffs[k] = GradedMorphism._adopt(comps[k], comps[k + 1], mats)
+        diffs[k] = GradedMorphism(comps[k], comps[k + 1], mats)
     return ComplexOfGraded(lam, period, comps, diffs)
 
 
@@ -380,7 +380,7 @@ def _cofree_envelope(comp: GradedModule, want: int):
                          for b in range(comp.algebra.dim(-e))])
         mats[e + want] = acts[pairs[:, 0], :, pairs[:, 1]].T
     mults = [(v, want) for v in comp.verts_at(want).tolist()]
-    return model, GradedMorphism._adopt(comp, model, mats), mults
+    return model, GradedMorphism(comp, model, mats), mults
 
 
 # -- torsion-side predicates on complexes ------------------------------------
@@ -936,10 +936,10 @@ def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
         block = zeros(sum(src.dim(d) * tgt2.dim(d) for d in degs), total)
         for i, f in enumerate(bases.get(k + 1, ())):
             block[:, offs[k + 1] + i] = _stack_entries(c.diff(k).compose(f),
-                                                       degs, src, tgt2)
+                                                       degs)
         for i, f in enumerate(bases.get(k, ())):
             block[:, offs[k] + i] -= _stack_entries(f.compose(c2.diff(k)),
-                                                    degs, src, tgt2)
+                                                    degs)
         if block.any():
             rows.append(block % p)
     ker = linalg.null_space(np.concatenate(rows), p)
@@ -949,13 +949,10 @@ def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
              for k, b in bases.items()} for coef in ker.basis.dense()]
 
 
-def _stack_entries(f: GradedMorphism, degs, src, tgt) -> np.ndarray:
-    parts = []
-    for d in degs:
-        m = f.mat(d)
-        if m.shape != (src.dim(d), tgt.dim(d)):
-            m = zeros(src.dim(d), tgt.dim(d))
-        parts.append(m.reshape(-1))
+def _stack_entries(f: GradedMorphism, degs) -> np.ndarray:
+    """The entries of f's matrices in the degrees degs, one after the
+    other."""
+    parts = [f.mat(d).reshape(-1) for d in degs]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -984,12 +981,11 @@ def chain_iso_failure(c: ComplexOfGraded, c2: ComplexOfGraded, fam: dict):
         a, b = c.modules[k], c2.modules[k]
         f = GradedMorphism(a, b, fam[k].stored_mats() if k in fam else {})
         for d in sorted(set(a.degrees()) | set(b.degrees())):
-            m = f._stored(d)  # densified only when it is not monomial
+            m = f.sparse_mat(d)  # densified only when it is not monomial
             if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
                     or linalg.inverse(m, c.p) is None:
                 return failure("invertible", k, d)
-            r, col = linalg.nonzero(m)
-            if (a.verts_at(d)[r] != b.verts_at(d)[col]).any():
+            if (a.verts_at(d)[m.rows] != b.verts_at(d)[m.cols]).any():
                 return failure("module-map", k, d)
         d = f.noncommuting_degree()
         if d is not None:
@@ -1000,6 +996,6 @@ def chain_iso_failure(c: ComplexOfGraded, c2: ComplexOfGraded, fam: dict):
             lhs = c.diff(k).compose(maps[k + 1])
             rhs = maps[k].compose(c2.diff(k))
             for d in c.modules[k].degrees():
-                if not np.array_equal(lhs.mat(d), rhs.mat(d)):
+                if lhs.sparse_mat(d) != rhs.sparse_mat(d):
                     return failure("differential", k, d)
     return None

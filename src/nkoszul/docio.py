@@ -78,7 +78,7 @@ def parse_relation(q: Quiver, obj, where: str, n: int) -> PathSpaceElement:
         if pa.length() != n:
             _fail(where, f"path {text!r} has length {pa.length()}, "
                          f"relations must be homogeneous of degree {n}")
-        if not isinstance(cv, int):
+        if type(cv) is not int:  # JSON reads true and false as bool
             _fail(where, f"coefficient of {text!r} is not an integer")
         coeffs[pa] = cv
     return PathSpaceElement(n, coeffs)
@@ -93,14 +93,14 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
     if not isinstance(doc, dict):
         _fail("document", "top level must be an object")
     p = doc.get("modulus", default_modulus)
-    if not (isinstance(p, int) and p >= 2):
+    if not (type(p) is int and p >= 2):
         _fail("modulus", "must be an integer >= 2")
     if p >= MODULUS_BOUND:
         _fail("modulus", f"{p} is not below 2**63")
     if not is_prime(p):
         _fail("modulus", f"{p} is not a prime: F_p needs a prime modulus")
     nv = doc.get("vertices")
-    if not (isinstance(nv, int) and nv >= 1):
+    if not (type(nv) is int and nv >= 1):
         _fail("vertices", "must be a positive integer")
     arrows = doc.get("arrows")
     if not isinstance(arrows, list):
@@ -110,27 +110,31 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
         if (not isinstance(a, list) or len(a) != 3
                 or not isinstance(a[0], str)):
             _fail(f"arrows[{i}]", "expected [name, source, target]")
-        if not all(isinstance(v, int) and 0 <= v < nv for v in a[1:]):
-            _fail(f"arrows[{i}]", "vertex out of range")
+        for v in a[1:]:
+            if not (type(v) is int and 0 <= v < nv):
+                _fail(f"arrows[{i}]", f"vertex {v!r} is not an integer in "
+                      f"[0, {nv})")
         specs.append((a[0], a[1], a[2]))
     try:
         q = Quiver.make(nv, specs)
     except Exception as e:
         _fail("arrows", str(e))
     n = doc.get("n")
-    if not (isinstance(n, int) and n >= 2):
+    if not (type(n) is int and n >= 2):
         _fail("n", "must be an integer >= 2")
     rels = [parse_relation(q, r, f"relations[{i}]", n)
             for i, r in enumerate(doc.get("relations", []))]
     window = doc.get("window", [-8 * n, 8 * n])
     if (not isinstance(window, list) or len(window) != 2
-            or not all(isinstance(v, int) for v in window)
+            or not all(type(v) is int for v in window)
             or window[0] > window[1]):
         _fail("window", "must be [lo, hi] with lo <= hi")
     m = doc.get("m", 0)
     r = doc.get("r", 1)
-    if not (isinstance(m, int) and isinstance(r, int) and r >= 1):
-        _fail("m/r", "must be integers with r >= 1")
+    if type(m) is not int:
+        _fail("m", "must be an integer")
+    if not (type(r) is int and r >= 1):
+        _fail("r", "must be an integer >= 1")
     if not isinstance(doc.get("modules") or {}, dict):
         _fail("modules", "must be an object")
     pres = Presentation.make(q, n, rels, p)

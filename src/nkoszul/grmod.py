@@ -6,28 +6,30 @@ honestly finite: a truncation of a free module is the genuine quotient by
 its tail submodule, so predicates quantified "for all degrees" are decided
 exactly on the (finite) support.
 
-An action or a morphism matrix is stored in one of two forms: a dense int64
-array, or a `linalg.Sparse` (row-sorted nonzeros).  Over a monomial algebra
+An action is stored in one of two forms, a dense int64 array or a
+`linalg.Sparse` (row-sorted nonzeros): small modules read from documents
+and the cofree models are dense, and the terms of a resolution sparse.  A
+morphism matrix is stored in one form, a Sparse: over a monomial algebra
 every map of a minimal resolution is combinatorial (Green, Happel &
-Zacharia, Illinois J. Math. 29, 1985), so the resolution path builds the
-sparse form and reads it directly: `free_module`, `cover_on_top`,
-`GradedMorphism.compose` and `submodule_from_bases` make it, and
-`top_complements` and `kernel_bases` eliminate on it.  Every subspace of a
-degree (kernels, radicals, socles, images, torsion and closures) is a
+Zacharia, Illinois J. Math. 29, 1985), and so are the covers, inclusions,
+differentials and envelope maps built here.  `free_module`, `cover_on_top`,
+`GradedMorphism.compose` and `submodule_from_bases` build the sparse form,
+and `top_complements` and `kernel_bases` eliminate on it.  Every subspace
+of a degree (kernels, radicals, socles, images, torsion and closures) is a
 `linalg.Subspace`, a canonical RREF basis stored Sparse.  `act()` and
 `mat()` are the dense accessors, densifying on demand under
 `linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` are the sparse
 ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
 a caller that relabels or copies them.  A builder may leave the actions or
-matrices to be built on first read (`_BuiltOnRead`): `free_module` and
-`cover_on_top` do.  The blocks of the vertex projectives e_v A that free
-modules are made of are kept in the algebra's memo (`GradedAlgebra._memo`):
-per degree k the basis indices that start at each vertex ("starting at"),
-and per (v, k, generator) the nonzeros of that generator's action
-("generator block").
+matrices to be built on first read (`_BuiltOnRead`): `free_module`,
+`cover_on_top` and `compose` do.  The blocks of the vertex projectives e_v A
+that free modules are made of are kept in the algebra's memo
+(`GradedAlgebra._memo`): per degree k the basis indices that start at each
+vertex ("starting at"), and per (v, k, generator) the nonzeros of that
+generator's action ("generator block").
 
 Modules and morphisms never change once built.  Every stored array is made
-read-only (a Sparse is read-only already), so `act()`, `mat()` and
+read-only (a Sparse is read-only already), so `act()` and
 `stored_actions()` hand out the stored arrays themselves, and a module can
 keep what it derives from them (`GradedModule._memo`): its `validate()`
 verdict ("issues"), and per level s the data of mu_1 ("mu1", "mu1
@@ -49,8 +51,6 @@ Row-vector convention throughout: an element x of M_d is a coordinate row
 and x * g = x @ act(g, d).
 """
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -534,55 +534,42 @@ def _free_actions(mod: GradedModule) -> dict:
 class GradedMorphism(_BuiltOnRead):
     """A degree-0 morphism of graded modules: one matrix per degree.
 
-    Owns its matrices as a module owns its actions, each a dense array or a
-    `linalg.Sparse`: the public constructor copies the arrays, the builders
-    of this package hand theirs over by `_adopt`, or a callable that builds
-    them on first read.  `mat` reads a matrix as an array, `sparse_mat` as
-    a Sparse.  `compose` builds the sparse form.
+    Every matrix is stored in one form, a reduced `linalg.Sparse`: the maps
+    built here (covers, inclusions, projections, differentials, envelope
+    maps, chain maps) are monomial or close to it.  The one constructor
+    takes a dict of arrays or Sparse matrices, or a callable that builds
+    one from the morphism on first read, and `_kept` turns each into a
+    reduced Sparse: an array is read into a new one
+    (`linalg.Sparse.from_dense` shares no memory with its input), a Sparse
+    is read-only and is kept.  `sparse_mat` reads a matrix, `mat` densifies
+    it into a new array, under the size cap, and `compose` defers its
+    product like every other build.
     """
 
     _STORE = "_mats"
 
-    def __init__(self, source: GradedModule, target: GradedModule, mats: dict):
-        self._fill(source, target, {d: _owned(m, source.p)
-                                    for d, m in mats.items()})
-
-    @classmethod
-    def _adopt(cls, source: GradedModule, target: GradedModule,
-               mats) -> "GradedMorphism":
-        """A morphism that takes the matrices themselves, or a callable that
-        builds them on first read: only for arrays a builder has just made,
-        int64, reduced and unshared."""
-        f = cls.__new__(cls)
-        f._fill(source, target, mats)
-        return f
-
-    def _fill(self, source: GradedModule, target: GradedModule,
-              mats) -> None:
+    def __init__(self, source: GradedModule, target: GradedModule, mats):
         self.source = source
         self.target = target
         self.p = source.p
         self._store(mats)
 
     def _kept(self, mats: dict) -> dict:
-        return {d: _frozen(m) for d, m in mats.items() if m.size}
+        return {d: m.reduced(self.p) if isinstance(m, Sparse)
+                else Sparse.from_dense(m, self.p)
+                for d, m in mats.items() if m.size}
 
     def stored_mats(self) -> dict:
-        """A new dict of the stored matrices, each in its stored form."""
+        """A new dict of the stored matrices, each a Sparse."""
         return dict(self._mats)
 
     def mat(self, d: int) -> np.ndarray:
-        """The matrix in degree d as an array: the stored one, or a new one
-        densified from the sparse form (not cached), refused above the size
+        """The matrix in degree d as a new array, refused above the size
         cap."""
-        return linalg.dense(self._stored(d))
+        return self.sparse_mat(d).dense()
 
     def sparse_mat(self, d: int) -> Sparse:
-        return linalg.as_sparse(self._stored(d), self.p)
-
-    def _stored(self, d: int):
-        """The matrix in degree d in its stored form, a zero Sparse when
-        none is stored."""
+        """The matrix in degree d, a zero Sparse when none is stored."""
         m = self._mats.get(d)
         if m is None:
             return Sparse.zero(self.source.dim(d), self.target.dim(d))
@@ -603,8 +590,8 @@ class GradedMorphism(_BuiltOnRead):
                     continue
                 lhs = linalg.sparse_mul(
                     np.concatenate([ms.act(gi, d) for gi in gis]),
-                    self._stored(d + e), p)
-                rhs = linalg.sparse_mul(self._stored(d), np.concatenate(
+                    self.sparse_mat(d + e), p)
+                rhs = linalg.sparse_mul(self.sparse_mat(d), np.concatenate(
                     [mt.act(gi, d) for gi in gis], axis=1), p)
                 block, col = np.divmod(rhs.cols, dt)
                 if lhs != Sparse.from_entries(
@@ -613,13 +600,15 @@ class GradedMorphism(_BuiltOnRead):
         return None
 
     def compose(self, other: "GradedMorphism") -> "GradedMorphism":
-        """self then other (source of other = target of self), sparse."""
-        return GradedMorphism._adopt(self.source, other.target,
-                                     self._composed(other))
+        """self then other (source of other = target of self), built on
+        first read (`_composed`)."""
+        return GradedMorphism(self.source, other.target,
+                              lambda f: self._composed(other))
 
     def _composed(self, other: "GradedMorphism") -> dict:
         """The matrices of `compose`."""
-        return {d: linalg.sparse_mul(self._stored(d), other._stored(d), self.p)
+        return {d: linalg.sparse_mul(self.sparse_mat(d), other.sparse_mat(d),
+                                     self.p)
                 for d in set(self._mats) | set(other._mats)}
 
     def inverse(self) -> "GradedMorphism":
@@ -627,11 +616,11 @@ class GradedMorphism(_BuiltOnRead):
         (`linalg.inverse`)."""
         mats = {}
         for d in set(self.source.degrees()) | set(self.target.degrees()):
-            inv = linalg.inverse(self._stored(d), self.p)
+            inv = linalg.inverse(self.sparse_mat(d), self.p)
             if inv is None:
                 raise ModuleError("morphism is not invertible")
             mats[d] = inv
-        return GradedMorphism._adopt(self.target, self.source, mats)
+        return GradedMorphism(self.target, self.source, mats)
 
 
 def hom_space(m: GradedModule, n: GradedModule):
@@ -828,8 +817,8 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
             if coords.any():
                 actions[(gi, d)] = coords
     sub = GradedModule._adopt(mod.algebra, verts, actions)
-    return sub, GradedMorphism._adopt(
-        sub, mod, {d: s.basis for d, s in bases.items()})
+    return sub, GradedMorphism(sub, mod,
+                               {d: s.basis for d, s in bases.items()})
 
 
 def quotient_module(mod: GradedModule, spans: dict):
@@ -866,7 +855,7 @@ def quotient_module(mod: GradedModule, spans: dict):
             if m.any():
                 actions[(gi, d)] = m
     quo = GradedModule._adopt(mod.algebra, verts, actions)
-    return quo, GradedMorphism._adopt(mod, quo, proj)
+    return quo, GradedMorphism(mod, quo, proj)
 
 
 def kernel_bases(f: GradedMorphism) -> dict:
@@ -938,41 +927,8 @@ def cover_on_top(mod: GradedModule, comp: dict, hi: int):
     gen_vert = np.concatenate([mod.verts_at(d)[comp[d]] for d in degs])
     pmod = free_module(mod.algebra, np.stack((gen_vert, gen_deg), axis=1),
                        hi)
-    phi = GradedMorphism._adopt(pmod, mod, lambda f: _cover_mats(f, gen_row))
+    phi = GradedMorphism(pmod, mod, lambda f: _cover_mats(f, gen_row))
     return pmod, phi, list(pmod.free_gens)
-
-
-def deferred_differential(phi: GradedMorphism, incl) -> GradedMorphism:
-    """phi then incl (phi itself when incl is None), for a cover map phi
-    fresh from `cover_on_top`, with its matrices deferred together with the
-    actions of the free module P = phi.source: the first read of either
-    builds both, and the cover map, once.  P holds the differential only
-    by a weak reference, so no reference cycle keeps an unread term
-    alive."""
-    pmod = phi.source
-    diff = phi if incl is None else GradedMorphism._adopt(
-        pmod, incl.target, lambda f: phi._composed(incl))
-    link = weakref.ref(diff)
-    build_actions = pmod._builds[pmod._STORE]
-    build_mats = diff._builds[diff._STORE]
-
-    def actions(mod):
-        _complete(link())
-        return build_actions(mod)
-
-    def mats(f):
-        _complete(pmod)
-        return build_mats(f)
-
-    pmod._defer(pmod._STORE, actions)
-    diff._defer(diff._STORE, mats)
-    return diff
-
-
-def _complete(owner) -> None:
-    """Build the stored matrices of a module or morphism, if deferred."""
-    if owner is not None and owner._deferred(owner._STORE):
-        getattr(owner, owner._STORE)
 
 
 def _cover_mats(phi: GradedMorphism, gen_row) -> dict:

@@ -7,13 +7,15 @@ checkers here build the resolution segment honestly (the base algebra must
 be finite dimensional so free modules are complete), read off generator
 degrees, and reuse the duality and 2-complex machinery for the co-Koszul
 and liftability variants.  A segment of length L builds the covers P_0 ..
-P_{L-1} with their maps and the L syzygies between them.  Of the last term
-P_L it builds only what the generator degrees need: its generators and
-vertex labels.  P_L's actions, its cover map and the last differential are
-built on the first read of P_L's actions or of that differential's
-matrices, so the Koszulity and Ext checkers, which read only generator
-lists, never build them.  The syzygy of P_L is never built, since nothing
-read off the segment depends on it.
+P_{L-1} with their cover maps and the L syzygies between them.  Of the last
+term P_L it builds only what the generator degrees need: its generators and
+vertex labels.  Every other part is built on its own first read, once: the
+actions of a term, the cover map onto a syzygy (which its kernel reads,
+but for P_L), and each differential, composed from its cover map and the
+inclusion of the syzygy.  So a reader of generator lists, such as the
+Koszulity and Ext checkers, builds no differential and nothing of P_L but
+its generators.  The syzygy of P_L is never built, since nothing read off
+the segment depends on it.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .grmod import (
     TorsionParams,
     cogenerated_in_degrees,
     cover_on_top,
-    deferred_differential,
     graded_dual,
     kernel_bases,
     submodule_from_bases,
@@ -43,10 +44,10 @@ class ResolutionSegment:
     ``pmods[j]`` covers the j-th syzygy; ``diffs[0]`` is the augmentation
     onto the resolved module and ``diffs[j]`` maps pmods[j] to pmods[j-1].
     ``gen_lists[j]`` holds the (vertex, degree) generators of pmods[j].
-    The actions of the last term and the matrices of the last differential
-    are built together on the first read of either, once
-    (`grmod.deferred_differential`); the generators, vertex labels and
-    dimensions of every term are built with the segment.
+    The generators, vertex labels and dimensions of every term are built
+    with the segment; the actions of each term and the matrices of each
+    differential are built on their own first read, once, so a reader of
+    generator lists builds no differential.
     """
 
     module: GradedModule
@@ -68,9 +69,10 @@ def minimal_projective_resolution(mod: GradedModule,
     """Iterated minimal covers; exact because free modules are complete.
 
     Takes `length` kernels: the cover of index `length` is the last term,
-    its maps are built on first read and its syzygy is not built.  Every
-    term, cover map, kernel basis, syzygy and differential stays in the
-    sparse form of `linalg.Sparse`.
+    and its syzygy is not built.  Each differential is the cover map then
+    the inclusion of the syzygy, composed on first read.  Every term, cover
+    map, kernel basis, syzygy and differential stays in the sparse form of
+    `linalg.Sparse`.
     """
     lam = mod.algebra
     top = settled_top(lam)
@@ -94,10 +96,9 @@ def minimal_projective_resolution(mod: GradedModule,
         pmod, phi, gen_list = cover_on_top(current, comp, max(comp) + top)
         pmods.append(pmod)
         gen_lists.append(gen_list)
-        if j == length:
-            diffs.append(deferred_differential(phi, incl))
-            break
         diffs.append(phi if incl is None else phi.compose(incl))
+        if j == length:
+            break
         ker = kernel_bases(phi)
         if not ker:
             current = zero_module(lam)

@@ -503,6 +503,25 @@ def test_slices_match_the_stacked_build_on_random_samples(p):
         assert_slices_match_stacked(build_dual(lam, top), top)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_the_double_dual_has_the_slices_of_the_algebra(p):
+    """The dual of the dual algebra is the algebra again: through degree
+    t = n + 2 it has the same quiver, and in each degree the same
+    dimension and the same normal form of every path."""
+    from nkoszul import verify
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        pres = verify.random_presentation(rng)
+        pres = Presentation.make(pres.quiver, pres.n, pres.relations, p)
+        t = pres.n + 2
+        lam = build_slices(pres, t)
+        back = build_dual(build_dual(lam, t), t)
+        assert back.quiver == lam.quiver
+        for k in range(t + 1):
+            assert back.dim(k) == lam.dim(k)
+            assert np.array_equal(back.normal_form(k), lam.normal_form(k))
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_slices_match_the_stacked_build_past_degree_n(p):
     """Relations of degree n, n + 1 and n + 2 over two vertices, the last

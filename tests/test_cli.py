@@ -182,6 +182,33 @@ def test_a_malformed_module_spec_exits_2_naming_the_entry(
     got = json.loads(out)
     assert code == 0 and got.pop("echo") != want.pop("echo") and got == want
 
+@pytest.mark.parametrize("field, value, message", [
+    ("modulus", True, "modulus: must be an integer >= 2"),
+    ("vertices", True, "vertices: must be a positive integer"),
+    ("arrows", [["x", 0, False]],
+     "arrows[0]: vertex False is not an integer in [0, 1)"),
+    ("n", True, "n: must be an integer >= 2"),
+    ("relations", [{"x.x.x": True}],
+     "relations[0]: coefficient of 'x.x.x' is not an integer"),
+    ("window", [False, 10], "window: must be [lo, hi] with lo <= hi"),
+    ("m", True, "m: must be an integer"),
+    ("r", True, "r: must be an integer >= 1"),
+])
+def test_a_boolean_in_an_integer_field_exits_2_naming_the_field(
+        capsys, tmp_path, field, value, message):
+    """JSON reads true and false as bool, which Python counts as an int:
+    every integer field of a document refuses them, as module entries
+    do."""
+    with open(ONE_LOOP) as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dual", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_verify_command(capsys):
     code, rep = run_json(
         capsys, ["verify", "--suite", "dual_agreement", "--trials", "6"])
@@ -533,11 +560,14 @@ def test_in_Y_witness_of_F_is_the_module_at_every_seed(capsys):
 
 def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
     """`check --predicate in_Y --object "F(X)"` on two_loop_n3 at seed 0
-    runs 22 eliminations (`linalg._rref`).  It ran 32 while `null_space`
-    built a basis with the free columns as the identity and
+    runs 18 dense eliminations (`linalg._rref`).  It ran 32 while
+    `null_space` built a basis with the free columns as the identity and
     `Subspace.from_rows` reduced that basis a second time, once for each
     of its 10 null spaces; the canonical basis is now read off the one
-    elimination of the reversed columns."""
+    elimination of the reversed columns.  It ran 22 while a morphism could
+    store a dense matrix: every matrix is now a Sparse, so the images of
+    the differentials (`grmod.morphism_image`) reduce through
+    `linalg.sparse_rref` instead."""
     from nkoszul import linalg
     shapes = []
     real = linalg._rref
@@ -546,7 +576,7 @@ def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
     code, rep = run_json(capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
                                   "--object", "F(X)", "--seed", "0"])
     assert code == 0 and rep["verdict"] is True
-    assert len(shapes) == 22
+    assert len(shapes) == 18
 
 
 def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):

@@ -130,6 +130,35 @@ def test_equivalence_F_image_in_Y_and_round_trip():
     assert stalk_check(witness, x, verify.sorting_witness(x)) is None
 
 
+def test_every_stored_matrix_of_a_morphism_is_sparse():
+    """A morphism stores each matrix in one form, a `linalg.Sparse`: the
+    differentials of F, nu and psi, the maps of a resolution, a basis of a
+    Hom space, the witnesses and envelopes of a certificate, and the
+    composites of each."""
+    from nkoszul import koszul as ko
+    e = entry("two_vertex_n3")
+    lam, params = e["lam"], TorsionParams(e["n"], 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)], 7), e["ualg"], params)
+    m = dual_test_module(e)
+    complexes = [cx.equivalence_F(x, lam, params), cx.nu(m, lam),
+                 cx.psi(m, lam)]
+    seg = ko.minimal_projective_resolution(ko.semisimple_module(lam), 4)
+    cert = cx.certify_linear(complexes[1])
+    kinds = {
+        "differential": [f for c in complexes for f in c.diffs.values()],
+        "resolution": seg.diffs,
+        "hom_space": gm.hom_space(x, x),
+        "certificate": [w[key] for w in cert.values()
+                        for key in ("witness", "envelope")],
+        "compose": [cx.composite_diff(c, k, 2) for c in complexes
+                    for k in c.positions()]
+        + [g.compose(f) for f, g in zip(seg.diffs, seg.diffs[1:])]}
+    for kind, maps in kinds.items():
+        mats = [mat for f in maps for mat in f.stored_mats().values()]
+        assert mats, kind
+        assert all(isinstance(mat, linalg.Sparse) for mat in mats), kind
+
+
 def test_in_Y_rejects_negative_controls():
     e = entry("two_vertex_n3")
     params = TorsionParams(e["n"], 1, 0)

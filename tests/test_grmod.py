@@ -993,11 +993,12 @@ def test_public_constructors_do_not_alias_their_inputs():
 
 
 def test_stored_arrays_are_read_only():
-    """A module or a morphism never changes: `act`, `mat` and the kept
-    action of a basis element hand out read-only arrays, from the public
-    constructors and from the builders alike, so no verdict or product a
-    module keeps can go stale.  The public constructors leave the caller's
-    arrays writable."""
+    """A module or a morphism never changes: `act` and the kept action of a
+    basis element hand out read-only arrays, from the public constructors
+    and from the builders alike, so no verdict or product a module keeps
+    can go stale.  A morphism stores each matrix as a read-only Sparse, and
+    `mat` hands out a new array, whose writes the morphism never sees.  The
+    public constructors leave the caller's arrays writable."""
     lam = entry("two_loop_n3")["lam"]
     f = free_module(lam, [(0, 0)], 6)
     actions = dense_actions(f)
@@ -1008,12 +1009,20 @@ def test_stored_arrays_are_read_only():
     spans = submodule_closure(mod, {1: np.array([[3, 5]], dtype=np.int64)})
     quot, proj = quotient_module(mod, spans)
     arrays = [m.act(*key) for m in (mod, quot) for key in m.stored_actions()]
-    arrays += [g.mat(d) for g in (ident, proj) for d in g.stored_mats()]
     arrays += [mod.act_basis_element(k, 0, 0) for k in range(3)]
-    assert len(arrays) > 10
+    stored = [(g, d, m) for g in (ident, proj)
+              for d, m in g.stored_mats().items()]
+    arrays += [a for _, _, m in stored for a in (m.rows, m.cols, m.vals)]
+    assert len(stored) > 5 and len(arrays) > 10
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1
+            a[0] = a[0]
+    for g, d, m in stored:
+        assert isinstance(m, linalg.Sparse)
+        out = g.mat(d)
+        assert out is not g.mat(d) and not np.may_share_memory(out, m.vals)
+        out[...] = 0
+        assert g.sparse_mat(d) is m and g.mat(d).any()
     for m in list(actions.values()) + list(mats.values()):
         m[0, 0] = m[0, 0]
     assert mod.validate() == [] and quot.validate() == []
@@ -1026,66 +1035,61 @@ def values_of(m):
 
 
 @pytest.fixture
-def adopted(monkeypatch):
-    """The values of every matrix handed to `_adopt` (the array itself, or
-    the values of a Sparse), with the modulus of its owner; a matrix that
-    `_adopt` takes as a deferred build is recorded when the build runs."""
+def stored(monkeypatch):
+    """Every matrix a module or a morphism stores (`_kept`, which both the
+    constructors and the deferred builds store through), with the modulus
+    of its owner, in the order they are stored."""
     seen = []
-    mod_adopt = GradedModule._adopt.__func__
-    mor_adopt = GradedMorphism._adopt.__func__
-
-    def spied(p, mats):
-        if not callable(mats):
-            seen.extend((p, values_of(m)) for m in mats.values())
-            return mats
-
-        def build(owner):
-            out = mats(owner)
-            seen.extend((p, values_of(m)) for m in out.values())
+    for cls in (GradedModule, GradedMorphism):
+        def spy(owner, mats, kept=cls._kept):
+            out = kept(owner, mats)
+            seen.extend((owner.p, m) for m in out.values())
             return out
-        return build
-
-    def mod_spy(cls, algebra, verts, actions):
-        return mod_adopt(cls, algebra, verts, spied(algebra.p, actions))
-
-    def mor_spy(cls, source, target, mats):
-        return mor_adopt(cls, source, target, spied(source.p, mats))
-
-    monkeypatch.setattr(GradedModule, "_adopt", classmethod(mod_spy))
-    monkeypatch.setattr(GradedMorphism, "_adopt", classmethod(mor_spy))
+        monkeypatch.setattr(cls, "_kept", spy)
     return seen
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
-def test_every_adopted_array_is_int64_reduced_and_unshared(adopted, p):
+def test_every_adopted_array_is_int64_reduced_and_unshared(stored, p):
+    """Every matrix a module or a morphism stores is int64 and reduced mod
+    p, a morphism's is a Sparse, and none shares memory with an array the
+    caller handed in or with another stored matrix (a Sparse handed in is
+    read-only, and is kept as it is)."""
     lam = loops_algebra("cycle", p)
     f = free_module(lam, [(0, 0), (1, 1)], 6)
     assert f.verts_at(1).tolist() == [1, 1]
-    spans = submodule_closure(f, {1: np.array([[1, p - 1]])})
+    rows = np.array([[1, p - 1]])
+    spans = submodule_closure(f, {1: rows})
     assert spans[1].dim == 1 and len(spans) > 1
     sub, incl = gm.submodule_from_bases(f, spans)
     quot, proj = quotient_module(f, spans)
     projective_cover(quot)
     _, phi, _ = projective_cover(f)
-    # the caller's subspaces stay the caller's
-    held = [s.basis for s in spans.values()]
     inputs = [values_of(m) for g in (f, sub, quot)
               for m in g.stored_actions().values()]
-    inputs += [values_of(m) for g in (incl, proj)
-               for m in g.stored_mats().values()]
-    before = len(adopted)
-    phi.compose(proj)
-    incl.compose(proj)
-    resolution_maps(lam, 4)
-    assert len(adopted) > before > 0
-    for i, (q, m) in enumerate(adopted):
-        assert q == p and m.dtype == np.int64
-        assert m.min(initial=0) >= 0 and m.max(initial=0) < p
-        for other in held + (inputs if i >= before else []):
-            assert not np.may_share_memory(m, other)
-    for i, (_, m) in enumerate(adopted):
-        for _, other in adopted[i + 1:]:
-            assert not np.may_share_memory(m, other)
+    inputs += [m.vals for g in (incl, proj) for m in g.stored_mats().values()]
+    before = len(stored)
+    mats = np.eye(f.dim(2), dtype=np.int64) * (p + 1)
+    GradedMorphism(f, f, {2: mats}).stored_mats()
+    phi.compose(proj).stored_mats()
+    incl.compose(proj).stored_mats()
+    for g in resolution_maps(lam, 4):
+        g.stored_mats()
+    assert len(stored) > before > 0
+    assert mats[0, 0] == p + 1  # the caller's array is left as it was
+    morphisms = 0
+    for i, (q, m) in enumerate(stored):
+        vals = values_of(m)
+        assert q == p and vals.dtype == np.int64
+        assert vals.min(initial=0) >= 0 and vals.max(initial=0) < p
+        if i >= before:
+            morphisms += isinstance(m, linalg.Sparse)
+        for other in [rows] + (inputs + [mats] if i >= before else []):
+            assert not np.may_share_memory(vals, other)
+    assert morphisms > 10
+    for i, (_, m) in enumerate(stored):
+        for _, other in stored[i + 1:]:
+            assert not np.may_share_memory(values_of(m), values_of(other))
 
 
 def test_stored_actions_carry_a_module_to_the_free_algebra():
