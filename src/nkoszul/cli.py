@@ -6,7 +6,10 @@ documents (see FORMAT.md); reports are JSON, deterministic for a fixed
 2 input error.
 
 Each subcommand is one entry of `COMMANDS`: its help, its options and its
-handler.  Only `verify` loads the property suites, when it runs.
+handler.  A command builds only its own parser; the parser of every
+subcommand is built for `--help`, a missing or unknown command, or an
+argument its own parser leaves over.  Only `verify` loads the property
+suites, when it runs.
 """
 from __future__ import annotations
 
@@ -306,6 +309,13 @@ COMMANDS = {
 }
 
 
+def _add_options(parser: argparse.ArgumentParser,
+                 options) -> argparse.ArgumentParser:
+    for flag, kw in options:
+        parser.add_argument(flag, **kw)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nkoszul",
@@ -313,14 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "path-algebra quotients over a prime field.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, kw in options:
-            p.add_argument(flag, **kw)
+        _add_options(sub.add_parser(name, help=help_text), options)
     return ap
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the parser of the
+    named subcommand.  It is the parser `build_parser` adds for that name,
+    so its help, its errors and its namespace are the same; an argument it
+    leaves over goes to the full parser, whose error names `nkoszul`."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _add_options(argparse.ArgumentParser(prog=f"nkoszul {name}"),
+                              COMMANDS[name][1])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_flags(args)
         handler = COMMANDS[args.command][2]

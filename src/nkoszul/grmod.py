@@ -102,9 +102,6 @@ class _BuiltOnRead:
     def _defer(self, name: str, build) -> None:
         self.__dict__.setdefault("_builds", {})[name] = build
 
-    def _deferred(self, name: str) -> bool:
-        return name in self.__dict__.get("_builds", ())
-
     def __getattr__(self, name):
         build = self.__dict__.get("_builds", {}).pop(name, None)
         if build is None:

@@ -315,6 +315,113 @@ def test_the_help_text_is_unchanged(capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
 
+PARSED = [  # argvs the subcommand's own parser accepts
+    ["dual", COMMUTATIVE],
+    ["dual", COMMUTATIVE, "--window", "-3", "3", "--modulus", "7", "--m",
+     "1", "--r", "2", "--seed", "5", "--report", "out.json",
+     "--allow-windowed-dual"],
+    ["dual", "--win", "1", "2", "--", COMMUTATIVE],
+    ["functor", TWO_LOOP, "--which", "psi", "--module", "M"],
+    ["functor", TWO_LOOP, "--module=M", "--which", "nu", "--seed", "-1"],
+    ["contract", TWO_LOOP, "--complex", "nu(M)"],
+    ["contract", TWO_LOOP, "--complex", "F(X)", "--direction", "G",
+     "--m", "2"],
+    ["check", ONE_LOOP, "--predicate", "in_L", "--object", "X"],
+    ["check", ONE_LOOP, "--object", "F(X)", "--predicate", "in_Y",
+     "--r", "1", "--allow-windowed-dual"],
+    ["verify", "--suite", "dimensions"],
+    ["verify", "--suite", "contraction", "--trials", "3", "--seed", "2",
+     "--report", "out.json"],
+]
+# argvs that end in argparse's exit: (argv, exit code, prog of the usage)
+REFUSED = [
+    ([], 2, "nkoszul"),
+    (["--help"], 0, "nkoszul"),
+    (["bogus", COMMUTATIVE], 2, "nkoszul"),
+    (["--modulus", "7", "dual", COMMUTATIVE], 2, "nkoszul"),
+    (["dual"], 2, "nkoszul dual"),
+    (["functor", TWO_LOOP, "--which", "psi"], 2, "nkoszul functor"),
+    (["dual", COMMUTATIVE, "--modulus", "seven"], 2, "nkoszul dual"),
+    (["dual", COMMUTATIVE, "--window", "1"], 2, "nkoszul dual"),
+    (["functor", TWO_LOOP, "--which", "both", "--module", "M"], 2,
+     "nkoszul functor"),
+    (["contract", TWO_LOOP, "--complex", "nu(M)", "--direction", "K"], 2,
+     "nkoszul contract"),
+    (["verify", "--suite", "bogus"], 2, "nkoszul verify"),
+    (["check", ONE_LOOP, "--predicate", "in_L", "--object", "X", "--bogus",
+      "--window"], 2, "nkoszul check"),
+    # an argument the subcommand's parser leaves over
+    (["dual", COMMUTATIVE, "--bogus"], 2, "nkoszul"),
+    (["dual", COMMUTATIVE, "extra"], 2, "nkoszul"),
+    (["verify", "--suite", "dimensions", "--which", "psi"], 2, "nkoszul"),
+    (["dual", COMMUTATIVE, "-h"], 0, "nkoszul dual"),
+] + [([name, "--help"], 0, f"nkoszul {name}")
+     for name in ("dual", "functor", "contract", "check", "verify")]
+
+
+def argv_id(argv):
+    return " ".join(os.path.basename(a) for a in argv) or "no arguments"
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=argv_id)
+def test_a_command_parses_as_the_full_parser_does(capsys, monkeypatch, argv):
+    """`main` parses with the named subcommand's parser alone; the namespace
+    it hands on is the one the parser of every subcommand gives."""
+    from nkoszul import cli
+    seen = []
+
+    def stop(args):
+        seen.append(args)
+        raise cli.DocumentError("parsed")
+    monkeypatch.setattr(cli, "_check_flags", stop)
+    assert run(capsys, argv) == (2, "", "input error: parsed\n")
+    assert seen == [cli.build_parser().parse_args(argv)]
+
+
+def exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as done:
+        parse(argv)
+    out = capsys.readouterr()
+    return done.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code, prog", REFUSED,
+                         ids=[argv_id(argv) for argv, _, _ in REFUSED])
+def test_a_command_is_refused_as_the_full_parser_refuses_it(
+        capsys, monkeypatch, argv, code, prog):
+    """Help, a missing or unknown command, a missing flag, a bad type or
+    choice, and an argument left over end in the exit code, stdout and
+    stderr of the parser of every subcommand.  Help goes to stdout, an
+    error to stderr alone; an argument left over names `nkoszul` in the
+    usage line, as that parser's error does."""
+    from nkoszul import cli
+    monkeypatch.setenv("COLUMNS", "80")
+    got = exit_of(capsys, main, argv)
+    assert got == exit_of(capsys, cli.build_parser().parse_args, argv)
+    exit_code, out, err = got
+    assert exit_code == code
+    assert (bool(out), bool(err)) == (code == 0, code != 0)
+    assert (out or err).startswith(f"usage: {prog} ")
+
+
+def test_a_command_runs_without_the_parser_of_every_subcommand(
+        capsys, monkeypatch):
+    """A command builds only its own parser; `nkoszul --help` still reaches
+    the parser of every subcommand."""
+    from nkoszul import cli
+
+    def forbidden():
+        raise AssertionError("built the parser of every subcommand")
+    monkeypatch.setattr(cli, "build_parser", forbidden)
+    code, rep = run_json(capsys, ["dual", COMMUTATIVE])
+    assert code == 0 and rep["agreement"] is True
+    code, rep = run_json(capsys, ["check", ONE_LOOP, "--predicate", "in_L",
+                                  "--object", "X"])
+    assert code == 0 and rep["verdict"] is True
+    with pytest.raises(AssertionError, match="built the parser"):
+        main(["--help"])
+
+
 def test_importing_the_cli_leaves_the_suites_unloaded():
     probe = ("import json, sys, nkoszul.cli\n"
              "print(json.dumps([m for m in sys.modules\n"
