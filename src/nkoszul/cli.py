@@ -6,17 +6,21 @@ documents (see FORMAT.md); reports are JSON, deterministic for a fixed
 2 input error.
 
 Each subcommand is one entry of `COMMANDS`: its help, its options and its
-handler.  A command builds only its own parser; the parser of every
-subcommand is built for `--help`, a missing or unknown command, or an
-argument its own parser leaves over.  Only `verify` loads the property
-suites, when it runs.
+handler.  A well-formed command line is read off that table and builds no
+argparse parser; argparse builds the parser of every subcommand only for
+help and for a line it refuses (or takes in a form the table reader
+leaves to it, such as `--opt=value` or an abbreviation), with the same
+exit codes, stdout and stderr.  Only `verify` loads the property suites,
+when it runs.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import cached_property
+from itertools import islice
 
 from . import SUITE_NAMES
 from . import complexes as cpx
@@ -309,13 +313,6 @@ COMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser,
-                 options) -> argparse.ArgumentParser:
-    for flag, kw in options:
-        parser.add_argument(flag, **kw)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nkoszul",
@@ -323,23 +320,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "path-algebra quotients over a prime field.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), options)
+        parser = sub.add_parser(name, help=help_text)
+        for flag, kw in options:
+            parser.add_argument(flag, **kw)
     return ap
 
 
+# argparse reads such a token as a value, since no option string looks
+# like a negative number
+_NEGATIVE_INT = re.compile(r"-\d+")
+
+
+def _is_value(token: str) -> bool:
+    return not token.startswith("-") or bool(_NEGATIVE_INT.fullmatch(token))
+
+
+def _read_command(name: str, tokens: list):
+    """The namespace `build_parser()` gives `nkoszul NAME *tokens`, read off
+    the `COMMANDS` entry of NAME in one pass; None unless the line is exact
+    option strings, each once with its values, and the `input` positional
+    where NAME has one, every required option given and every value of its
+    type and choices."""
+    options = dict(COMMANDS[name][1])
+    read = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag = "input" if _is_value(token) else token
+        kw = options.get(flag)
+        if kw is None or flag in read:  # unknown, twice, or a 2nd positional
+            return None
+        if flag == "input":
+            strings = [token]
+        else:
+            count = (0 if kw.get("action") == "store_true"
+                     else kw.get("nargs", 1))
+            strings = list(islice(tokens, count))
+            if len(strings) < count or not all(map(_is_value, strings)):
+                return None
+        try:
+            values = [kw.get("type", str)(s) for s in strings]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and any(v not in kw["choices"] for v in values):
+            return None
+        read[flag] = (values if "nargs" in kw
+                      else values[0] if values else True)
+    for flag, kw in options.items():
+        if flag not in read:
+            if kw.get("required") or not flag.startswith("-"):
+                return None
+            store_true = kw.get("action") == "store_true"
+            read[flag] = kw.get("default", False if store_true else None)
+    return argparse.Namespace(command=name, **{
+        flag.lstrip("-").replace("-", "_"): v for flag, v in read.items()})
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the parser of the
-    named subcommand.  It is the parser `build_parser` adds for that name,
-    so its help, its errors and its namespace are the same; an argument it
-    leaves over goes to the full parser, whose error names `nkoszul`."""
+    """`build_parser().parse_args(argv)`.  A well-formed command line is read
+    off the `COMMANDS` table and builds no parser; argparse builds one only
+    for help and for a line the table reader does not take, which it
+    reads, or refuses, with its own usage and errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        name = argv[0]
-        parser = _add_options(argparse.ArgumentParser(prog=f"nkoszul {name}"),
-                              COMMANDS[name][1])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = name
+        args = _read_command(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

@@ -122,8 +122,11 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
     n = doc.get("n")
     if not (type(n) is int and n >= 2):
         _fail("n", "must be an integer >= 2")
+    rels = doc.get("relations", [])
+    if not isinstance(rels, list):
+        _fail("relations", "must be a list of relation objects")
     rels = [parse_relation(q, r, f"relations[{i}]", n)
-            for i, r in enumerate(doc.get("relations", []))]
+            for i, r in enumerate(rels)]
     window = doc.get("window", [-8 * n, 8 * n])
     if (not isinstance(window, list) or len(window) != 2
             or not all(type(v) is int for v in window)
@@ -135,21 +138,33 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
         _fail("m", "must be an integer")
     if not (type(r) is int and r >= 1):
         _fail("r", "must be an integer >= 1")
-    if not isinstance(doc.get("modules") or {}, dict):
+    modules = doc.get("modules", {})
+    if not isinstance(modules, dict):
         _fail("modules", "must be an object")
     pres = Presentation.make(q, n, rels, p)
     return {
         "modulus": p, "quiver": q, "n": n, "relations": rels,
         "presentation": pres, "window": tuple(window), "m": m, "r": r,
-        "modules": doc.get("modules", {}) or {},
+        "modules": modules,
         "complexes": doc.get("complexes", {}) or {},
     }
+
+
+def _once_each(pairs: list) -> dict:
+    """A JSON object from its members, refusing a key given twice, which
+    json.load would read as its last value alone."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def load_document(path: str, default_modulus: int = 101) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_once_each)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
@@ -167,12 +182,15 @@ def parse_module(spec, algebra, where: str) -> GradedModule:
     """
     if not isinstance(spec, dict):
         _fail(where, "module spec must be an object")
-    verts = {}
+    verts, keys = {}, {}
     for dk, vs in _members(spec, "verts", where).items():
         try:
             d = int(dk)
         except ValueError:
             _fail(f"{where}.verts", f"bad degree key {dk!r}")
+        if keys.setdefault(d, dk) != dk:
+            _fail(f"{where}.verts", f"keys {keys[d]!r} and {dk!r} name one "
+                                    "degree")
         if not isinstance(vs, list):
             _fail(f"{where}.verts[{dk}]", "expected a list of vertices")
         for i, v in enumerate(vs):
@@ -182,13 +200,16 @@ def parse_module(spec, algebra, where: str) -> GradedModule:
         if vs:
             verts[d] = vs
     gens = {g.name: gi for gi, g in enumerate(algebra.generators())}
-    actions = {}
+    actions, keys = {}, {}
     for key, mat in _members(spec, "actions", where).items():
         try:
             name, dk = key.rsplit("@", 1)
             d = int(dk)
         except ValueError:
             _fail(f"{where}.actions", f"bad action key {key!r}")
+        if keys.setdefault((name, d), key) != key:
+            _fail(f"{where}.actions", f"keys {keys[name, d]!r} and {key!r} "
+                                      "name one action")
         at = f"{where}.actions[{key}]"
         if name not in gens:
             _fail(at, f"unknown generator {name!r}")
@@ -207,7 +228,7 @@ def parse_module(spec, algebra, where: str) -> GradedModule:
 
 def _members(spec: dict, key: str, where: str) -> dict:
     """The object spec[key], empty when absent."""
-    obj = spec.get(key) or {}
+    obj = spec.get(key, {})
     if not isinstance(obj, dict):
         _fail(f"{where}.{key}", "must be an object")
     return obj

@@ -1,10 +1,14 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nkoszul.cli import main
 from nkoszul.linalg import LinAlgError
@@ -158,6 +162,15 @@ def test_bad_input_file_exits_2(capsys, tmp_path):
     # past int64 an entry is still an integer, reduced mod 101 exactly
     ("actions", "x@0", [[1 + 101 * 2 ** 70]], None),
     ("actions", "x@0", [[1 - 101 * 2 ** 70]], None),
+    # a falsy value that is not an object is not read as empty
+    ("verts", None, None, "verts: must be an object"),
+    ("verts", None, [], "verts: must be an object"),
+    ("actions", None, 0, "actions: must be an object"),
+    ("actions", None, "", "actions: must be an object"),
+    # two keys for one entry are not merged
+    ("verts", "00", [0], "verts: keys '0' and '00' name one degree"),
+    ("actions", "x@00", [[1]],
+     "actions: keys 'x@0' and 'x@00' name one action"),
 ])
 def test_a_malformed_module_spec_exits_2_naming_the_entry(
         capsys, tmp_path, field, key, value, message):
@@ -182,6 +195,18 @@ def test_a_malformed_module_spec_exits_2_naming_the_entry(
     got = json.loads(out)
     assert code == 0 and got.pop("echo") != want.pop("echo") and got == want
 
+class Pairs(dict):
+    """A JSON object that json.dumps writes member by member, so that one
+    key can be given twice."""
+
+    def __init__(self, *pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("modulus", True, "modulus: must be an integer >= 2"),
     ("vertices", True, "vertices: must be a positive integer"),
@@ -193,6 +218,16 @@ def test_a_malformed_module_spec_exits_2_naming_the_entry(
     ("window", [False, 10], "window: must be [lo, hi] with lo <= hi"),
     ("m", True, "m: must be an integer"),
     ("r", True, "r: must be an integer >= 1"),
+    # a field that is given is of its kind, even when falsy
+    *[("relations", value, "relations: must be a list of relation objects")
+      for value in (None, 0, True, 5.5, {}, "")],
+    *[("modules", value, "modules: must be an object")
+      for value in (None, [], 0, "")],
+    # json.load would keep the last value of a key given twice
+    ("relations", [Pairs(("x.x.x", 1), ("x.x.x", 2))],
+     "key 'x.x.x' is given twice in one object"),
+    ("modules", Pairs(("M", {}), ("M", {})),
+     "key 'M' is given twice in one object"),
 ])
 def test_a_boolean_in_an_integer_field_exits_2_naming_the_field(
         capsys, tmp_path, field, value, message):
@@ -404,10 +439,92 @@ def test_a_command_is_refused_as_the_full_parser_refuses_it(
     assert (out or err).startswith(f"usage: {prog} ")
 
 
+# tokens that break a line where they stand: an invalid int or choice, a
+# token that starts with "-", help, `--`, an unknown option, and a second
+# positional
+ODD_TOKENS = st.sampled_from(["seven", "1e3", "-1.5", "-x", "-", "--", "-h",
+                              "--help", "--bogus", "both", "K", "bogus",
+                              "extra", ""])
+INTS = st.integers(-30, 30).map(str)
+STRINGS = st.sampled_from(["M", "F(X)", "nu(M)", "out.json", "-7", "", "-x"])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand of `COMMANDS` with its required options, its positional
+    and a random subset of its other options, each with a value of its
+    type or, for a choice, one of its choices or else "K", in random order;
+    then up to two breaks: a value replaced by an odd token, a group
+    dropped, written `--opt=value`, abbreviated or given twice, or an odd
+    token put in."""
+    from nkoszul import cli
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    groups = []
+    for flag, kw in cli.COMMANDS[name][1]:
+        positional = not flag.startswith("-")
+        if not (kw.get("required") or positional or draw(st.booleans())):
+            continue
+        count = (0 if kw.get("action") == "store_true"
+                 else kw.get("nargs", 1))
+        drawn = (INTS if kw.get("type") is int
+                 else st.sampled_from(kw["choices"]) | st.just("K")
+                 if "choices" in kw else STRINGS)
+        values = [draw(drawn) for _ in range(count)]
+        groups.append(values if positional else [flag] + values)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        if not groups:
+            break
+        i = draw(st.integers(0, len(groups) - 1))
+        group = groups[i]
+        flag = group[0] if group[0].startswith("--") else None
+        how = draw(st.sampled_from(["value", "value", "abbrev", "abbrev",
+                                    "drop", "equals", "twice", "insert"]))
+        if how == "value" and len(group) > bool(flag):
+            j = draw(st.integers(bool(flag), len(group) - 1))
+            group[j] = draw(ODD_TOKENS)
+        elif how == "drop":
+            del groups[i]
+        elif how == "equals" and flag and len(group) > 1:
+            groups[i] = [f"{flag}={group[1]}"] + group[2:]
+        elif how == "abbrev" and flag:
+            group[0] = flag[:draw(st.integers(3, 4))]
+        elif how == "twice":
+            groups.append(list(group))
+        elif how == "insert":
+            groups.insert(i, [draw(ODD_TOKENS)])
+    return [name] + [token for group in draw(st.permutations(groups))
+                     for token in group]
+
+
+def parse_outcome(parse, argv):
+    """The namespace parse(argv) gives, or its exit code, stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as done:
+            return done.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_a_drawn_command_line_parses_as_the_full_parser_does(argv):
+    """The table reader, and argparse where it leaves a line to it, give
+    the namespace, or the exit code, stdout and stderr, of the parser of
+    every subcommand."""
+    from nkoszul import cli
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert (parse_outcome(cli._parse_args, argv)
+                == parse_outcome(cli.build_parser().parse_args, argv))
+
+
 def test_a_command_runs_without_the_parser_of_every_subcommand(
         capsys, monkeypatch):
-    """A command builds only its own parser; `nkoszul --help` still reaches
-    the parser of every subcommand."""
+    """A well-formed command line is read off the `COMMANDS` table and
+    builds no argparse parser at all; help, `--opt=value` and an
+    abbreviation still reach argparse."""
+    import argparse
     from nkoszul import cli
 
     def forbidden():
@@ -420,6 +537,23 @@ def test_a_command_runs_without_the_parser_of_every_subcommand(
     assert code == 0 and rep["verdict"] is True
     with pytest.raises(AssertionError, match="built the parser"):
         main(["--help"])
+    monkeypatch.undo()
+
+    def no_parser(*args, **kw):
+        raise AssertionError("built an argparse parser")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
+    for argv in (["dual", COMMUTATIVE, "--window", "-12", "12"],
+                 ["check", TWO_LOOP, "--predicate", "in_Y", "--object",
+                  "F(X)", "--seed", "3"],
+                 ["functor", COMMUTATIVE, "--which", "psi", "--module", "M"],
+                 ["contract", COMMUTATIVE, "--complex", "nu(M)"],
+                 ["verify", "--suite", "dimensions", "--trials", "1"]):
+        assert run(capsys, argv)[0] == 0, argv
+    for argv in (["--help"],
+                 ["functor", COMMUTATIVE, "--which", "psi", "--module=M"],
+                 ["dual", COMMUTATIVE, "--win", "1", "2"]):
+        with pytest.raises(AssertionError, match="built an argparse parser"):
+            main(argv)
 
 
 def test_importing_the_cli_leaves_the_suites_unloaded():
