@@ -88,7 +88,7 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
     """Validate a raw JSON document into domain objects.
 
     Returns a dict with keys modulus, quiver, n, relations, presentation,
-    window, m, r, modules (raw specs), complexes (raw specs).
+    window, m, r, modules (raw specs).
     """
     if not isinstance(doc, dict):
         _fail("document", "top level must be an object")
@@ -146,7 +146,6 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
         "modulus": p, "quiver": q, "n": n, "relations": rels,
         "presentation": pres, "window": tuple(window), "m": m, "r": r,
         "modules": modules,
-        "complexes": doc.get("complexes", {}) or {},
     }
 
 

@@ -3,9 +3,14 @@
 Every suite returns a JSON-ready report dict that is a pure function of
 (seed, trials): generators draw from numpy's PCG64 stream and all dict
 iteration is over sorted keys.  A failing trial ships the serialized
-generating data so the failure can be replayed.
+generating data so the failure can be replayed.  The named algebras are
+the rows of `_CORPUS`, built over F_p once per (name, p) by `corpus`; the
+(name, m) cases each suite's trials take in turn are its rows of `CASES`,
+and a suite reads n and the rest from the entry, never from the name.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -20,57 +25,88 @@ from .algebra import (DegreeMap, Presentation, USupportAlgebra, build_dual,
 from .docio import complex_json, module_json, presentation_json
 from .grmod import (GradedModule, GradedMorphism, TorsionParams, free_module,
                     graded_dual, hom_space, in_G, in_L, in_L_E, in_Lo,
-                    is_torsionfree, presented_in_degrees, quotient_module, restrict_S,
-                    submodule_closure, torsion_submodule)
+                    is_torsionfree, presented_in_degrees, quotient_module,
+                    restrict_S, submodule_closure, torsion_submodule)
 from .quiver import Path, PathSpaceElement, Quiver, enumerate_paths
 
 P = 101
 
 
 # ---------------------------------------------------------------------------
-# fixed corpus algebras
-
-_CORPUS_CACHE: dict = {}
+# fixed corpus algebras and the cases the suites draw from them
 
 
-def _all_path_relations(q: Quiver, n: int):
-    return [PathSpaceElement(n, {pa: 1}) for pa in enumerate_paths(q, n)]
+def _all_path_relations(q: Quiver, n: int, keep=()):
+    """Every path of degree n as a relation, but those whose arrows are in
+    `keep`: with none kept, the truncated path algebra kQ/J^n."""
+    return [PathSpaceElement(n, {pa: 1}) for pa in enumerate_paths(q, n)
+            if pa.arrows not in keep]
 
 
 _LOOP = Quiver.make(1, [("x", 0, 0)])
 _LOOPS = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
 _TWO_VERTEX = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
 
-# name -> (quiver, n, lam_top, dual_top, relations); None is every path of
-# degree n, the truncated path algebra kQ/J^n
+# name -> (quiver, n, lam_top, dual_top, relations); the coefficients are
+# integers, reduced mod p when the algebra is built
 _CORPUS = {
-    "one_loop_n3": (_LOOP, 3, 12, 26, None),
-    "two_loop_n3": (_LOOPS, 3, 12, 10, None),
+    "one_loop_n3": (_LOOP, 3, 12, 26, _all_path_relations(_LOOP, 3)),
+    "two_loop_n3": (_LOOPS, 3, 12, 10, _all_path_relations(_LOOPS, 3)),
     "commutative_n2": (_LOOPS, 2, 8, 9, [
-        PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 0)): P - 1}),
+        PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 0)): -1}),
         PathSpaceElement(2, {Path(0, (0, 0)): 1}),
         PathSpaceElement(2, {Path(0, (1, 1)): 1})]),
-    "two_vertex_n3": (_TWO_VERTEX, 3, 12, 26, None),
-    "two_vertex_n4": (_TWO_VERTEX, 4, 12, 21, None),
+    "two_vertex_n3": (_TWO_VERTEX, 3, 12, 26,
+                      _all_path_relations(_TWO_VERTEX, 3)),
+    "two_vertex_n4": (_TWO_VERTEX, 4, 12, 21,
+                      _all_path_relations(_TWO_VERTEX, 4)),
+    # every cubic path killed but x.y.x: monomial, and not 3-Koszul
+    "cubic_survivor": (_LOOPS, 3, 12, 10,
+                       _all_path_relations(_LOOPS, 3, keep=((0, 1, 0),))),
 }
 
+# a suite (or a part of one) -> its (corpus algebra, m) cases, m the shift
+# of the torsion pair (n, 1, m), 0 where the suite has none
+CASES = {
+    "torsion_classes": [("two_vertex_n3", 0), ("two_vertex_n3", 2),
+                        ("two_vertex_n4", 0), ("two_vertex_n4", 1),
+                        ("commutative_n2", 0)],
+    "torsion_transport": [("one_loop_n3", 0), ("two_vertex_n3", 0)],
+    "contraction": [("one_loop_n3", 0), ("two_vertex_n3", 0),
+                    ("commutative_n2", 0)],
+    "equivalence": [("two_loop_n3", 0)],
+    "even_presentation": [("one_loop_n3", 0), ("two_vertex_n3", 0)],
+    "dual_equivalence": [("one_loop_n3", 0), ("two_vertex_n3", 0)],
+    "koszulity": [("one_loop_n3", 0), ("two_loop_n3", 0)],
+    "koszulity_negatives": [("cubic_survivor", 0)],
+    "dimensions": [("one_loop_n3", 0), ("two_loop_n3", 0)],
+    "lifting_baselines": [("one_loop_n3", 0), ("two_vertex_n3", 0)],
+}
 
-def corpus(name: str) -> dict:
-    """A named algebra with its dual and support-restricted dual, cached."""
-    if name in _CORPUS_CACHE:
-        return _CORPUS_CACHE[name]
-    if name not in _CORPUS:
-        raise ValueError(f"unknown corpus algebra {name!r}")
-    q, n, lam_top, dual_top, rels = _CORPUS[name]
-    pres = Presentation.make(q, n, rels if rels is not None
-                             else _all_path_relations(q, n))
-    lam = build_slices(pres, lam_top)
-    dual = build_dual(lam, dual_top)
-    ualg = USupportAlgebra(dual, n)
-    entry = {"name": name, "n": n, "quiver": q, "pres": pres,
-             "lam": lam, "dual": dual, "ualg": ualg}
-    _CORPUS_CACHE[name] = entry
-    return entry
+_CORPUS_CACHE: dict = {}
+
+
+def corpus(name: str, p: int = P) -> dict:
+    """A named algebra over F_p with its dual and support-restricted dual,
+    built once per (name, p)."""
+    key = (name, p)
+    if key not in _CORPUS_CACHE:
+        if name not in _CORPUS:
+            raise ValueError(f"unknown corpus algebra {name!r}")
+        q, n, lam_top, dual_top, rels = _CORPUS[name]
+        lam = build_slices(Presentation.make(q, n, rels, p), lam_top)
+        dual = build_dual(lam, dual_top)
+        _CORPUS_CACHE[key] = {"name": name, "n": n, "quiver": q,
+                              "pres": lam.pres, "lam": lam, "dual": dual,
+                              "ualg": USupportAlgebra(dual, n)}
+    return _CORPUS_CACHE[key]
+
+
+def _case(suite: str, t: int):
+    """(corpus entry, m) of trial t of a suite: its cases in turn."""
+    cases = CASES[suite]
+    name, m = cases[t % len(cases)]
+    return corpus(name), m
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +131,9 @@ def random_presentation(rng) -> Presentation:
         if not keys:
             break
         grp = groups[keys[int(rng.integers(0, len(keys)))]]
-        coeffs = {pa: int(rng.integers(0, P)) for pa in grp}
-        coeffs = {pa: cv for pa, cv in coeffs.items() if cv}
-        if coeffs:
-            rels.append(PathSpaceElement(n, coeffs))
+        rel = PathSpaceElement(n, {pa: int(rng.integers(0, P)) for pa in grp})
+        if rel.coeffs:
+            rels.append(rel)
     return Presentation.make(q, n, rels)
 
 
@@ -119,10 +154,9 @@ def chain_presentation(rng, full_rank_ok: bool = True):
     nrel = int(rng.integers(0, min(4, hi)))
     rels = []
     for _ in range(nrel):
-        coeffs = {pa: int(rng.integers(0, P)) for pa in paths}
-        coeffs = {pa: cv for pa, cv in coeffs.items() if cv}
-        if coeffs:
-            rels.append(PathSpaceElement(n, coeffs))
+        rel = PathSpaceElement(n, {w: int(rng.integers(0, P)) for w in paths})
+        if rel.coeffs:
+            rels.append(rel)
     return Presentation.make(q, n, rels)
 
 
@@ -139,15 +173,13 @@ def random_representation(rng, alg, degrees, maxdim: int,
                              for _ in range(k))
     actions = {}
     for gi, g in enumerate(alg.generators()):
-        src = q.arrow_source(g.basis_index)
-        tgt = q.arrow_target(g.basis_index)
         for d in sorted(verts):
             if d + 1 not in verts:
                 continue
             m = np.zeros((len(verts[d]), len(verts[d + 1])), dtype=np.int64)
             for i, vi in enumerate(verts[d]):
                 for j, vj in enumerate(verts[d + 1]):
-                    if vi == src and vj == tgt:
+                    if vi == g.source and vj == g.target:
                         m[i, j] = int(rng.integers(0, P))
             if m.any():
                 actions[(gi, d)] = m
@@ -181,10 +213,19 @@ def random_quotient_module(rng, alg, lo: int, hi: int,
                 spans[d] = np.stack(rows, axis=0)
     if not spans:
         return f
-    closed = submodule_closure(f, {d: np.asarray(s, dtype=np.int64)
-                                   for d, s in spans.items()})
-    quo, _ = quotient_module(f, closed)
+    quo, _ = quotient_module(f, submodule_closure(f, spans))
     return quo
+
+
+def random_dual_module(rng, entry: dict, degrees: range, maxdim: int,
+                       hi: int) -> GradedModule:
+    """A random module over the dual of a corpus entry: a representation on
+    `degrees` if the dual has no relations (a representation need not
+    respect them), else a quotient of projectives from degrees.start to hi."""
+    dual = entry["dual"]
+    if dual.pres.relations:
+        return random_quotient_module(rng, dual, degrees.start, hi)
+    return random_representation(rng, dual, degrees, maxdim)
 
 
 def random_distinguished_module(rng, entry: dict, params: TorsionParams,
@@ -216,11 +257,9 @@ def _is_torsion(mod: GradedModule, params: TorsionParams) -> bool:
                for d in mod.degrees())
 
 
+@functools.cache
 def _free_op_algebra(q: Quiver, n: int, top: int):
-    key = (q, n, top)
-    if key not in _CORPUS_CACHE:
-        _CORPUS_CACHE[key] = build_free_opposite(q, n, top, P)
-    return _CORPUS_CACHE[key]
+    return build_free_opposite(q, n, top, P)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +267,9 @@ def _free_op_algebra(q: Quiver, n: int, top: int):
 
 def _report(suite: str, seed: int, trials, failures, counts=None,
             tables=None) -> dict:
-    return {
-        "suite": suite,
-        "seed": int(seed),
-        "trials": trials,
-        "passed": not failures,
-        "failures": failures,
-        "counts": counts or {},
-        "tables": tables or {},
-    }
+    return {"suite": suite, "seed": int(seed), "trials": trials,
+            "passed": not failures, "failures": failures,
+            "counts": counts or {}, "tables": tables or {}}
 
 
 def _fail_entry(trial: int, kind: str, data=None) -> dict:
@@ -319,23 +352,21 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0,
     n_ann = n_free = 0
     for t in range(trials):
         want_ann = (t % 2 == 0)
-        pres = lam = None
-        mod = None
+        pres = lam = mod = None
         for _ in range(8):
             pres = chain_presentation(rng, full_rank_ok=want_ann)
             lam = build_slices(pres, pres.n + 2)
             n = pres.n
+            freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
             if want_ann:
                 dual = build_dual(lam, 3 * n + 2)
                 dm = random_quotient_module(rng, dual, 0, 3 * n)
-                freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
                 mod = GradedModule(freeop, dict(dm.verts),
                                    dm.stored_actions())
                 ann = cpx.annihilates_orthogonal(mod, lam)
                 break
             if compute_orthogonal(lam).dim == 0:
                 continue
-            freeop = _free_op_algebra(pres.quiver, n, 3 * n + 2)
             cand = random_representation(rng, freeop, range(0, 3 * n + 1), 3,
                                          mindim=1)
             if not cpx.annihilates_orthogonal(cand, lam):
@@ -343,7 +374,6 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0,
                 break
         if mod is None:
             continue
-        n = pres.n
         n_ann += ann
         n_free += not ann
         v_psi = cpx.is_n_complex(cpx.psi(mod, lam), n)
@@ -365,29 +395,17 @@ def suite_functor_oracle(trials: int = 60, seed: int = 0,
                            "mutated": bool(mutate)})
 
 
-_TORSION_SETTINGS = [
-    ("two_vertex_n3", 3, 1, 0),
-    ("two_vertex_n3", 3, 1, 2),
-    ("two_vertex_n4", 4, 1, 0),
-    ("two_vertex_n4", 4, 1, 1),
-    ("commutative_n2", 2, 1, 0),
-]
-
-
 def suite_torsion_classes(trials: int = 50, seed: int = 0) -> dict:
     """is_torsionfree agrees with vanishing of the torsion submodule."""
     rng = np.random.default_rng(seed)
     failures = []
     free_count = torsion_count = 0
     for t in range(trials):
-        name, n, r, m = _TORSION_SETTINGS[t % len(_TORSION_SETTINGS)]
-        entry = corpus(name)
-        params = TorsionParams(n, r, m)
-        if name == "commutative_n2":
-            mod = random_quotient_module(rng, entry["dual"], 0, 2 * n + 2)
-        else:
-            mod = random_representation(rng, entry["dual"],
-                                        range(0, 2 * n + 3), 3)
+        entry, m = _case("torsion_classes", t)
+        n = entry["n"]
+        params = TorsionParams(n, 1, m)
+        mod = random_dual_module(rng, entry, range(0, 2 * n + 3), 3,
+                                 2 * n + 2)
         tf = is_torsionfree(mod, params)
         tsub = torsion_submodule(mod, params)
         zero_torsion = not tsub
@@ -396,7 +414,7 @@ def suite_torsion_classes(trials: int = 50, seed: int = 0) -> dict:
         if tf != zero_torsion:
             failures.append(_fail_entry(
                 t, "torsion-mismatch",
-                {"algebra": name, "params": [n, r, m],
+                {"algebra": entry["name"], "params": [n, 1, m],
                  "module": module_json(mod),
                  "is_torsionfree": bool(tf),
                  "torsion_dims": {str(d): int(s.dim)
@@ -411,17 +429,14 @@ def suite_torsion_transport(trials: int = 30, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     failures = []
     counts = {"in_G": 0, "torsion": 0, "neither": 0}
-    names = ["one_loop_n3", "two_vertex_n3"]
     for t in range(trials):
-        entry = corpus(names[t % len(names)])
+        entry, m = _case("torsion_transport", t)
         lam, n = entry["lam"], entry["n"]
-        params = TorsionParams(n, 1, 0)
+        params = TorsionParams(n, 1, m)
+        degrees = range(m, m + 2 * n + 2)
         if t % 3 == 2:
             # supported off S: a torsion instance by construction
-            degrees = [d for d in range(0, 2 * n + 2)
-                       if not params.in_s(d)]
-        else:
-            degrees = range(0, 2 * n + 2)
+            degrees = [d for d in degrees if not params.in_s(d)]
         mod = random_representation(rng, entry["dual"], degrees, 2)
         c = cpx.nu(mod, lam)
         g = in_G(mod, params)
@@ -446,15 +461,11 @@ def suite_contraction(trials: int = 16, seed: int = 0) -> dict:
     isomorphism onto the contracted complex."""
     rng = np.random.default_rng(seed)
     failures = []
-    names = ["one_loop_n3", "two_vertex_n3", "commutative_n2"]
     for t in range(trials):
-        entry = corpus(names[t % len(names)])
+        entry, _ = _case("contraction", t)
         lam, n = entry["lam"], entry["n"]
-        if entry["name"] == "commutative_n2":
-            mod = random_quotient_module(rng, entry["dual"], 0, 2 * n + 2)
-        else:
-            mod = random_representation(rng, entry["dual"],
-                                        range(0, 2 * n + 2), 2)
+        mod = random_dual_module(rng, entry, range(0, 2 * n + 2), 2,
+                                 2 * n + 2)
         c = cpx.nu(mod, lam)
         cp = cpx.psi(mod, lam)
         for m in (0, 1):
@@ -471,8 +482,9 @@ def suite_contraction(trials: int = 16, seed: int = 0) -> dict:
                 t, "n2-contraction-not-identity",
                 {"algebra": entry["name"], "module": module_json(mod)},
                 h0, c, identity_witness(h0, c))
-    z = cpx.contract_H(cpx.zero_complex(corpus("one_loop_n3")["lam"], 3),
-                       0, 3)
+    first, _ = _case("contraction", 0)
+    z = cpx.contract_H(cpx.zero_complex(first["lam"], first["n"]), 0,
+                       first["n"])
     if not z.is_zero():
         failures.append(_fail_entry(-1, "zero-not-preserved"))
     return _report("contraction", seed, trials, failures)
@@ -495,14 +507,10 @@ def negative_control_complexes(c, count: int = 5):
     for k in positions:
         mods = dict(c.modules)
         mods[k] = c.component(k).shift(1)
-        diffs = {}
-        for j in sorted(c.diffs):
-            if j == k or j + 1 == k:
-                diffs[j] = GradedMorphism(
-                    mods.get(j, c.component(j)),
-                    mods.get(j + 1, c.component(j + 1)), {})
-            else:
-                diffs[j] = c.diffs[j]
+        # the maps into and out of the shifted component become zero
+        diffs = {j: GradedMorphism(mods.get(j, c.component(j)),
+                                   mods.get(j + 1, c.component(j + 1)), {})
+                 if k in (j, j + 1) else c.diffs[j] for j in sorted(c.diffs)}
         out.append(cpx.ComplexOfGraded(c.algebra, 2, mods, diffs))
         if len(out) >= count:
             return out
@@ -510,7 +518,7 @@ def negative_control_complexes(c, count: int = 5):
 
 
 def suite_equivalence(trials: int = 15, seed: int = 0,
-                controls: int = 5) -> dict:
+                      controls: int = 5) -> dict:
     """Full faithfulness and essential image of the equivalence: Hom
     dimensions match, round trips are isomorphisms, and perturbed
     complexes are rejected.  The round trips are checked on their known
@@ -518,12 +526,12 @@ def suite_equivalence(trials: int = 15, seed: int = 0,
     that sorting carries F of it onto F(X)."""
     rng = np.random.default_rng(seed)
     failures = []
-    entry = corpus("two_loop_n3")
-    lam, ualg, n = entry["lam"], entry["ualg"], entry["n"]
-    params = TorsionParams(n, 1, 0)
     hom_dims = []
     first_image = None
     for t in range(trials):
+        entry, m = _case("equivalence", t)
+        lam, ualg = entry["lam"], entry["ualg"]
+        params = TorsionParams(entry["n"], 1, m)
         x = random_distinguished_module(rng, entry, params)
         x2 = random_distinguished_module(rng, entry, params)
         if x is None or x2 is None:
@@ -532,7 +540,7 @@ def suite_equivalence(trials: int = 15, seed: int = 0,
         fx = cpx.equivalence_F(x, lam, params)
         fx2 = cpx.equivalence_F(x2, lam, params)
         if first_image is None:
-            first_image = fx
+            first_image = fx, ualg, params
         d_mod = len(hom_space(x, x2))
         d_cpx = len(cpx.hom_complexes(fx, fx2))
         hom_dims.append([d_mod, d_cpx])
@@ -559,8 +567,8 @@ def suite_equivalence(trials: int = 15, seed: int = 0,
                                                             params))
     rejected = 0
     if first_image is not None:
-        for i, bad in enumerate(
-                negative_control_complexes(first_image, controls)):
+        fx, ualg, params = first_image
+        for i, bad in enumerate(negative_control_complexes(fx, controls)):
             ok, _ = cpx.in_Y(bad, ualg, params)
             if ok:
                 failures.append(_fail_entry(
@@ -579,9 +587,8 @@ def suite_even_presentation(trials: int = 13, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     failures = []
     n_even = n_odd_fail = 0
-    names = ["one_loop_n3", "two_vertex_n3"]
     for t in range(trials):
-        entry = corpus(names[t % len(names)])
+        entry, _ = _case("even_presentation", t)
         ealg = yoneda_regrade(entry["ualg"])
         odd_case = (t % 4 == 3)
         if odd_case:
@@ -627,8 +634,8 @@ def suite_even_presentation(trials: int = 13, seed: int = 0) -> dict:
                            "odd_rejections": n_odd_fail})
 
 
-def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int = 20,
-                ) -> dict:
+def suite_dual_equivalence(trials: int = 15, seed: int = 0,
+                           duality_trials: int = 20) -> dict:
     """The dual-side equivalence: outputs satisfy the dual image
     conditions (checked on the injective side, before the complex is
     dualized), membership transports through vector-space duality, and
@@ -636,12 +643,11 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
     checked as an isomorphism of complexes."""
     rng = np.random.default_rng(seed)
     failures = []
-    names = ["one_loop_n3", "two_vertex_n3"]
     lo_members = 0
     for t in range(trials):
-        entry = corpus(names[t % len(names)])
-        lam, ualg, n = entry["lam"], entry["ualg"], entry["n"]
-        params = TorsionParams(n, 1, 0)
+        entry, m = _case("dual_equivalence", t)
+        lam = entry["lam"]
+        params = TorsionParams(entry["n"], 1, m)
         x = random_distinguished_module(rng, entry, params)
         if x is None:
             failures.append(_fail_entry(t, "generator-exhausted"))
@@ -665,7 +671,7 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0, duality_trials: int 
     # duality square: D(Hom functor) ~ tensor functor of the dual module
     iso_count = 0
     for t in range(duality_trials):
-        entry = corpus(names[t % len(names)])
+        entry, _ = _case("dual_equivalence", t)
         lam, n = entry["lam"], entry["n"]
         mod = random_representation(rng, entry["dual"],
                                     range(0, 2 * n + 2), 2)
@@ -691,7 +697,7 @@ def suite_koszulity(seed: int = 0, bound: int = 6) -> dict:
     monomial algebra with a surviving degree-3 path is the negative."""
     failures = []
     tables = {}
-    for name in ("one_loop_n3", "two_loop_n3"):
+    for name, _ in CASES["koszulity"]:
         entry = corpus(name)
         lam, dual, n = entry["lam"], entry["dual"], entry["n"]
         dmap = DegreeMap(0, n)
@@ -706,18 +712,15 @@ def suite_koszulity(seed: int = 0, bound: int = 6) -> dict:
         if ext != want:
             failures.append(_fail_entry(
                 0, f"{name}-ext-dimension-mismatch", tables[name]))
-    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
-    keep = (0, 1, 0)
-    rels = [PathSpaceElement(3, {pa: 1}) for pa in enumerate_paths(q, 3)
-            if pa.arrows != keep]
-    lam_bad = build_slices(Presentation.make(q, 3, rels), 12)
-    seg_bad = ko.minimal_projective_resolution(ko.semisimple_module(lam_bad),
-                                               5)
-    if ko.follows_degree_map(seg_bad, lam_bad.pres.n):
-        failures.append(_fail_entry(0, "monomial-negative-accepted"))
-    tables["cubic_survivor"] = {"ext_dims": ko.segment_ext_dims(seg_bad),
-                                "is_n_koszul": False}
-    return _report("koszulity", seed, 3, failures, tables=tables)
+    for name, _ in CASES["koszulity_negatives"]:
+        entry = corpus(name)
+        seg = ko.minimal_projective_resolution(
+            ko.semisimple_module(entry["lam"]), 5)
+        if ko.follows_degree_map(seg, entry["n"]):
+            failures.append(_fail_entry(0, "monomial-negative-accepted"))
+        tables[name] = {"ext_dims": ko.segment_ext_dims(seg),
+                        "is_n_koszul": False}
+    return _report("koszulity", seed, len(tables), failures, tables=tables)
 
 
 def suite_dimensions(seed: int = 0) -> dict:
@@ -725,7 +728,7 @@ def suite_dimensions(seed: int = 0) -> dict:
     asserted) lifting baselines for minimal coresolutions."""
     failures = []
     tables = {}
-    for name in ("one_loop_n3", "two_loop_n3"):
+    for name, _ in CASES["dimensions"]:
         entry = corpus(name)
         dual, q, n = entry["dual"], entry["quiver"], entry["n"]
         dual_dims = [dual.dim(k) for k in range(9)]
@@ -734,28 +737,25 @@ def suite_dimensions(seed: int = 0) -> dict:
         ealg = yoneda_regrade(entry["ualg"])
         e_dims = [ealg.dim(j) for j in range(6)]
         want_e = [dual.dim(dmap.delta(j)) for j in range(6)]
-        tables[name] = {"dual_dims": dual_dims,
-                        "path_counts": path_counts,
-                        "yoneda_dims": e_dims,
-                        "dual_dims_at_delta": want_e}
+        tables[name] = {"dual_dims": dual_dims, "path_counts": path_counts,
+                        "yoneda_dims": e_dims, "dual_dims_at_delta": want_e}
         if dual_dims != path_counts:
             failures.append(_fail_entry(0, f"{name}-dual-dims", tables[name]))
         if e_dims != want_e:
             failures.append(_fail_entry(0, f"{name}-yoneda-dims",
                                         tables[name]))
     baselines = {}
-    for name in ("one_loop_n3", "two_vertex_n3"):
+    for name, _ in CASES["lifting_baselines"]:
         entry = corpus(name)
         sem = ko.semisimple_module(entry["lam"])
         cok = ko.is_n_cokoszul(sem, 5)
         ok, wit = ko.is_H0_liftable_resolution(sem, entry["ualg"], 5)
         baselines[name] = {
-            "is_n_cokoszul": bool(cok),
-            "lift_exists": bool(ok),
-            "witness_total_dim": int(wit.total_dim()) if ok else None,
-        }
+            "is_n_cokoszul": bool(cok), "lift_exists": bool(ok),
+            "witness_total_dim": int(wit.total_dim()) if ok else None}
     tables["lifting_baselines"] = baselines
-    return _report("dimensions", seed, 2, failures, tables=tables)
+    return _report("dimensions", seed, len(CASES["dimensions"]), failures,
+                   tables=tables)
 
 
 # suite_NAME for each NAME of SUITE_NAMES, in that order

@@ -83,7 +83,7 @@ def test_05_torsionfree_iff_no_torsion_50_modules_5_settings():
     assert rep["trials"] >= 50
     assert rep["counts"]["torsionfree"] >= 1
     assert rep["counts"]["with_torsion"] >= 1
-    assert len(verify._TORSION_SETTINGS) == 5
+    assert len(verify.CASES["torsion_classes"]) == 5
 
 
 def test_06_torsion_pair_transport_30_modules():

@@ -475,17 +475,11 @@ def test_word_tables_match_the_per_word_oracle(source):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_slices_match_the_stacked_build_on_the_corpus_at_small_primes(p):
-    """The corpus presentations, whose coefficients are 1 and -1, over F_p."""
+    """The corpus algebras, whose relations are written over Z, over F_p."""
     from nkoszul import verify
     for name in CORPUS:
-        pres = verify.corpus(name)["pres"]
-        rels = [PathSpaceElement(r.degree, {pa: 1 if c == 1 else p - 1
-                                            for pa, c in r.coeffs.items()})
-                for r in pres.relations]
-        assert all(set(r.coeffs.values()) <= {1, P - 1}
-                   for r in pres.relations)
-        lam = build_slices(Presentation.make(pres.quiver, pres.n, rels, p), 8)
-        for alg in (lam, build_dual(lam, 8)):
+        e = verify.corpus(name, p)
+        for alg in (e["lam"], e["dual"]):
             assert alg.p == p
             assert_slices_match_stacked(alg, 8)
 
@@ -596,18 +590,14 @@ FLAVOUR_CASES = ["one_loop_n3", "two_loop_n3", "commutative_n2",
 
 
 def flavour_dual(case):
-    """(dual, n) of a corpus algebra, or of two loops at a vertex or a
-    two-vertex cycle with all paths of length 3 as relations over F_p, for
-    a case written kind@p."""
+    """(dual, n) of a corpus algebra, named or written kind@p for two loops
+    at a vertex or a two-vertex cycle, with all paths of length 3 as
+    relations, over F_p."""
     from nkoszul import verify
-    if "@" not in case:
-        e = verify.corpus(case)
-        return e["dual"], e["n"]
-    kind, p = case.split("@")
-    q = (Quiver.make(1, [("x", 0, 0), ("y", 0, 0)]) if kind == "loops"
-         else Quiver.make(2, [("a", 0, 1), ("b", 1, 0)]))
-    pres = Presentation.make(q, 3, verify._all_path_relations(q, 3), p=int(p))
-    return build_dual(build_slices(pres, 8), 8), 3
+    name, _, p = case.partition("@")
+    name = {"loops": "two_loop_n3", "cycle": "two_vertex_n3"}.get(name, name)
+    e = verify.corpus(name, int(p or P))
+    return e["dual"], e["n"]
 
 
 @pytest.mark.parametrize("case", FLAVOUR_CASES)

@@ -594,6 +594,24 @@ def test_the_functor_oracle_reads_the_document_modulus(capsys, tmp_path):
         assert rep["is_n_complex"] is rep["orthogonal_annihilates"] is True
 
 
+def test_a_document_carrying_complexes_parses_to_the_same_report(
+        capsys, tmp_path):
+    """No command reads a "complexes" field: a document that carries one
+    parses to the same keys and gives the same report."""
+    from nkoszul.docio import parse_document
+    with open(COMMUTATIVE) as fh:
+        doc = json.load(fh)
+    carried = dict(doc, complexes={"C": "nu(M)"})
+    assert parse_document(carried).keys() == parse_document(doc).keys()
+    path = tmp_path / "doc.json"
+    reports = []
+    for d in (doc, carried):
+        path.write_text(json.dumps(d))
+        reports.append(run(capsys, ["check", str(path), "--predicate",
+                                    "in_L", "--object", "M"]))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
 def test_windowed_dual_gate(capsys, tmp_path):
     doc = {
         "vertices": 1,

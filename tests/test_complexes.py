@@ -663,33 +663,30 @@ def reference_degree_one(c, models, dmap, ualg):
     return actions
 
 
-def small_entry(kind, p):
-    """A corpus-like algebra over F_p whose relations are all paths of
-    length n: two loops at one vertex (n = 3, or n = 2 for "loops_n2"), or
-    two vertices with an arrow each way (n = 3).  The duals are
-    relation-free."""
+def loops_n2(p):
+    """Two loops at one vertex with every path of length 2 a relation, over
+    F_p: an algebra outside the corpus.  Its dual is relation-free."""
     from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
                                  build_slices)
     from nkoszul.quiver import Quiver
-    if kind == "cycle":
-        q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
-    else:
-        q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
-    n = 2 if kind == "loops_n2" else 3
-    pres = Presentation.make(q, n, verify._all_path_relations(q, n), p=p)
+    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    pres = Presentation.make(q, 2, verify._all_path_relations(q, 2), p=p)
     lam = build_slices(pres, 12)
     dual = build_dual(lam, 10)
-    return {"n": n, "lam": lam, "dual": dual,
-            "ualg": USupportAlgebra(dual, n)}
+    return {"n": 2, "lam": lam, "dual": dual,
+            "ualg": USupportAlgebra(dual, 2)}
 
 
-SMALL = [(kind, p) for p in (2, 3, 5) for kind in ("loops", "cycle")]
+# the cases at small primes: two loops at one vertex, and two vertices with
+# an arrow each way, with every path of length 3 a relation
+SMALL_NAMES = {"loops": "two_loop_n3", "cycle": "two_vertex_n3"}
+SMALL = [(kind, p) for p in (2, 3, 5) for kind in SMALL_NAMES]
 
 
 def case_entry(key, p):
-    if key in ("loops", "cycle", "loops_n2"):
-        return small_entry(key, p)
-    return verify.corpus(key)
+    if key == "loops_n2":
+        return loops_n2(p)
+    return verify.corpus(SMALL_NAMES.get(key, key), p)
 
 
 def assert_same_mats(got: dict, want: dict, where: str):
@@ -1171,7 +1168,7 @@ def test_injective_certificate_refuses_what_is_not_cofree(monkeypatch):
 def test_in_Y_reads_three_copies_back_over_F2(monkeypatch):
     """Three copies of the free dual module over two loops at p = 2: the
     search solved a Hom system of 46080 x 48384 entries here."""
-    e = small_entry("loops", 2)
+    e = verify.corpus("two_loop_n3", 2)
     params = TorsionParams(3, 1, 0)
     x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, 4), e["ualg"],
                       params)
@@ -1187,7 +1184,7 @@ def test_in_Y_reads_three_copies_back_over_F2(monkeypatch):
 def truncated_free_F(t):
     """Three copies of the free dual module over two loops at n = 3 and
     p = 2, restricted to S and truncated at t; with F of it."""
-    e = small_entry("loops", 2)
+    e = verify.corpus("two_loop_n3", 2)
     params = TorsionParams(3, 1, 0)
     x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, t), e["ualg"],
                       params)
@@ -1301,7 +1298,7 @@ def stalk_check(w, x, mats):
 
 @pytest.mark.parametrize("kind,p", SMALL)
 def test_known_witnesses_pass_the_check_at_small_primes(kind, p):
-    e = small_entry(kind, p)
+    e = case_entry(kind, p)
     params = TorsionParams(e["n"], 1, 0)
     rng = np.random.default_rng(p)
     squares = 0
@@ -1319,7 +1316,7 @@ def test_known_witnesses_pass_the_check_at_small_primes(kind, p):
 @pytest.mark.parametrize("kind,p", SMALL)
 def test_mutated_witnesses_are_reported_where_they_fail(kind, p):
     from nkoszul.algebra import DegreeMap
-    e = small_entry(kind, p)
+    e = case_entry(kind, p)
     params = TorsionParams(e["n"], 1, 0)
     rng = np.random.default_rng(p)
     for _ in range(10):
@@ -1417,33 +1414,16 @@ def test_chain_iso_failure_names_missing_positions_and_maps():
 # -- labels and pair indices as read-only arrays -----------------------------
 
 
-def corpus_lam_at(name, p):
-    """The base algebra of a corpus entry, rebuilt over F_p to the same
-    degree."""
-    from nkoszul.algebra import Presentation, build_slices
-    from nkoszul.quiver import Path, PathSpaceElement
-    e = entry(name)
-    q, n = e["quiver"], e["n"]
-    rels = verify._all_path_relations(q, n)
-    if name == "commutative_n2":
-        rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1,
-                                     Path(0, (1, 0)): p - 1}),
-                PathSpaceElement(2, {Path(0, (0, 0)): 1}),
-                PathSpaceElement(2, {Path(0, (1, 1)): 1})]
-    return build_slices(Presentation.make(q, n, rels, p=p),
-                        e["lam"]._computed_to())
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_cofree_index_matches_the_pair_loop(p):
-    """On every corpus algebra rebuilt over F_p, the (E, 2) array index of
+    """On every corpus algebra over F_p, the (E, 2) array index of
     the cofree basis lists the pairs of the double loop it replaced, in
     its order, for labels in any order, repeated, or none; and the model
     is memoized on the labels whatever sequence holds them."""
     rng = np.random.default_rng(p)
     for name in ("one_loop_n3", "two_loop_n3", "commutative_n2",
                  "two_vertex_n3", "two_vertex_n4"):
-        lam = corpus_lam_at(name, p)
+        lam = verify.corpus(name, p)["lam"]
         nv = lam.nvert
         vlists = [[], list(range(nv)), [nv - 1] * 3, list(range(nv))[::-1]]
         vlists += [rng.integers(0, nv, size=int(rng.integers(1, 8))).tolist()
@@ -1464,20 +1444,18 @@ def test_cofree_index_matches_the_pair_loop(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_one_word_chain_matches_the_dense_products(p):
-    """On every corpus algebra rebuilt over F_p, free modules over the
-    dual, U and E, stored Sparse and stored dense, act by every basis
-    element (the vertex idempotents of the two-vertex algebras included)
-    as the dense letter products of the oracle do: on every row, as
-    `act_basis_element` keeps it, and on the rows of each vertex block,
-    as the cover maps read it."""
-    from nkoszul.algebra import USupportAlgebra, build_dual, yoneda_regrade
+    """On every corpus algebra over F_p, free modules over the dual, U and
+    E, stored Sparse and stored dense, act by every basis element (the
+    vertex idempotents of the two-vertex algebras included) as the dense
+    letter products of the oracle do: on every row, as `act_basis_element`
+    keeps it, and on the rows of each vertex block, as the cover maps read
+    it."""
+    from nkoszul.algebra import yoneda_regrade
     checked = 0
     for name in ("one_loop_n3", "two_loop_n3", "commutative_n2",
                  "two_vertex_n3", "two_vertex_n4"):
-        lam = corpus_lam_at(name, p)
-        n = lam.pres.n
-        dual = build_dual(lam, 3 * n)
-        ualg = USupportAlgebra(dual, n)
+        e = verify.corpus(name, p)
+        dual, ualg, n = e["dual"], e["ualg"], e["n"]
         for alg, hi in ((dual, 2 * n), (ualg, 2 * n),
                         (yoneda_regrade(ualg), 4)):
             f = free_module(alg, [(v, 0) for v in range(alg.nvert)]

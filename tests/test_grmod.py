@@ -321,18 +321,6 @@ def test_in_Lo_of_dualized_member():
     assert gm.in_Lo(dx, params)
 
 
-def all_paths_ualg(name, p):
-    """A corpus quiver with every degree-n path a relation, over F_p: its
-    dual (relation-free) and the support-restricted dual."""
-    from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
-                                 build_slices)
-    e = entry(name)
-    n = e["n"]
-    pres = Presentation.make(e["quiver"], n, e["pres"].relations, p)
-    dual = build_dual(build_slices(pres, n), 3 * n + 2)
-    return dual, USupportAlgebra(dual, n)
-
-
 def degree_n_only_module(rng, ualg, params):
     """A module over ualg in degrees m and m + n on which only the degree-n
     generators act: it is generated in m + nZ, and it breaks the kernel
@@ -359,8 +347,8 @@ def test_in_Lo_through_the_dual_matches_the_comultiplication_square(p):
     square_only = 0
     for name in ("one_loop_n3", "two_loop_n3", "two_vertex_n3",
                  "two_vertex_n4"):
-        dual, ualg = all_paths_ualg(name, p)
-        n = ualg.n
+        e = verify.corpus(name, p)
+        dual, ualg, n = e["dual"], e["ualg"], e["n"]
         for m in range(n):
             for r in (0, 1):
                 params = TorsionParams(n, r, m)
@@ -398,8 +386,8 @@ def test_in_L_as_one_product_matches_the_null_space_containment(p):
     kernel_only = 0
     for name in ("one_loop_n3", "two_loop_n3", "two_vertex_n3",
                  "two_vertex_n4"):
-        dual, ualg = all_paths_ualg(name, p)
-        n = ualg.n
+        e = verify.corpus(name, p)
+        dual, ualg, n = e["dual"], e["ualg"], e["n"]
         for m in range(n):
             for r in (0, 1):
                 params = TorsionParams(n, r, m)
@@ -609,16 +597,15 @@ def test_combine_mats_is_exact_at_every_accepted_modulus(p):
 
 
 def loops_algebra(kind, p):
-    """All length-3 paths killed, over two loops, a 2-cycle or a fork (a
-    loop at each of two vertices and an arrow between them), at p."""
+    """All length-3 paths killed, over two loops or a 2-cycle (the corpus
+    two_loop_n3 and two_vertex_n3), or over a fork (a loop at each of two
+    vertices and an arrow between them), at p."""
     from nkoszul.algebra import Presentation, build_slices
     from nkoszul.quiver import Quiver
-    if kind == "cycle":
-        q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
-    elif kind == "fork":
-        q = Quiver.make(2, [("x", 0, 0), ("y", 0, 1), ("z", 1, 1)])
-    else:
-        q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
+    if kind != "fork":
+        name = {"loops": "two_loop_n3", "cycle": "two_vertex_n3"}[kind]
+        return verify.corpus(name, p)["lam"]
+    q = Quiver.make(2, [("x", 0, 0), ("y", 0, 1), ("z", 1, 1)])
     return build_slices(
         Presentation.make(q, 3, verify._all_path_relations(q, 3), p=p), 12)
 
@@ -838,34 +825,25 @@ def test_free_module_matches_the_entry_loop():
         assert_free_module_matches_the_entry_loop(algebra, gens, hi)
 
 
-def commutative_tower(p):
-    """k<x, y>/(xy - yx, xx, yy) at p, with a coefficient p - 1 in its
-    relations; its dual k[x, y] to degree 6; the support-restricted dual."""
-    from nkoszul.algebra import (Path, PathSpaceElement, Presentation,
-                                 USupportAlgebra, build_dual, build_slices)
-    from nkoszul.quiver import Quiver
-    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
-    rels = [PathSpaceElement(2, {Path(0, (0, 1)): 1, Path(0, (1, 0)): p - 1}),
-            PathSpaceElement(2, {Path(0, (0, 0)): 1}),
-            PathSpaceElement(2, {Path(0, (1, 1)): 1})]
-    lam = build_slices(Presentation.make(q, 2, rels, p=p), 8)
-    dual = build_dual(lam, 6)
-    return lam, dual, USupportAlgebra(dual, 2)
+def tower(name, p):
+    """A corpus algebra over F_p, its dual, and the support-restricted
+    dual."""
+    e = verify.corpus(name, p)
+    return e["lam"], e["dual"], e["ualg"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_free_module_matches_the_entry_loop_at_small_primes(p):
-    from nkoszul.algebra import USupportAlgebra, build_dual, yoneda_regrade
-    lam, dual, ualg = commutative_tower(p)
-    cycle = loops_algebra("cycle", p)
-    cycle_dual = build_dual(cycle, 8)
+    from nkoszul.algebra import yoneda_regrade
+    lam, dual, ualg = tower("commutative_n2", p)
+    cycle, cycle_dual, cycle_ualg = tower("two_vertex_n3", p)
     cases = [(lam, [(0, 0), (0, 2), (0, 1), (0, 0)], 4),
              (dual, [(0, -1), (0, 0), (0, 0)], 4),
              (ualg, [(0, 0), (0, 1)], 5),
              (yoneda_regrade(ualg), [(0, 0), (0, 1), (0, 0)], 4),
              (cycle, [(1, 0), (0, 3), (1, 0), (0, 1)], 6),
              (cycle_dual, [(0, 0), (1, 2), (1, -1)], 5),
-             (USupportAlgebra(cycle_dual, 3), [(1, 0), (0, 1), (1, 1)], 6),
+             (cycle_ualg, [(1, 0), (0, 1), (1, 1)], 6),
              (loops_algebra("loops", p), [(0, 1), (0, 0), (0, 1)], 5),
              (loops_algebra("fork", p), [(1, 0), (0, 1), (0, 0), (0, 1)], 6),
              # no generators; generators above the truncation
@@ -901,7 +879,7 @@ def test_projective_cover_matches_the_entry_loop():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_projective_cover_matches_the_entry_loop_at_small_primes(p):
-    lam, dual, _ = commutative_tower(p)
+    lam, dual, _ = tower("commutative_n2", p)
     rng = np.random.default_rng(p)
     mods = []
     for algebra in (lam, dual):
@@ -920,20 +898,6 @@ def test_projective_cover_matches_the_entry_loop_at_small_primes(p):
 # -- free modules against the builder before the block cache ----------------
 
 
-def two_vertex_tower(n, p):
-    """Arrows a: 0 -> 1 and b: 1 -> 0 with every length-n path killed, at
-    p; its dual, and the support-restricted dual U."""
-    from nkoszul.algebra import (Presentation, USupportAlgebra, build_dual,
-                                 build_slices)
-    from nkoszul.quiver import Quiver
-    q = Quiver.make(2, [("a", 0, 1), ("b", 1, 0)])
-    lam = build_slices(
-        Presentation.make(q, n, verify._all_path_relations(q, n), p=p),
-        2 * n)
-    dual = build_dual(lam, 2 * n + 2)
-    return lam, dual, USupportAlgebra(dual, n)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_free_module_equals_the_builder_before_the_block_cache(p):
     """Over the two-vertex towers at n = 3 and 4, k<x, y>/(xy - yx, xx, yy)
@@ -943,14 +907,14 @@ def test_free_module_equals_the_builder_before_the_block_cache(p):
     from nkoszul.algebra import yoneda_regrade
     cases = []
     for n in (3, 4):
-        lam, dual, ualg = two_vertex_tower(n, p)
+        lam, dual, ualg = tower(f"two_vertex_n{n}", p)
         cases += [
             (lam, [(0, 0), (1, 0), (0, 2), (1, 1), (0, 0), (1, 1)], n + 2),
             (dual, [(1, -1), (0, 0), (1, 0), (0, 2), (1, -1)], n + 2),
             (ualg, [(0, 0), (1, 1), (0, n), (1, 0), (1, 1)], 2 * n + 1),
             (yoneda_regrade(ualg), [(0, 0), (1, 1), (1, 2), (0, 0)], 4),
             (lam, [(0, 0), (1, 5), (1, 1), (0, 9)], 4)]
-    lam, dual, ualg = commutative_tower(p)
+    lam, dual, ualg = tower("commutative_n2", p)
     cases += [(lam, [(0, 1), (0, 0), (0, 1)], 4),
               (yoneda_regrade(ualg), [(0, 0), (0, 1), (0, 0)], 4),
               (loops_algebra("fork", p), [(1, 0), (0, 1), (0, 0), (0, 1)], 6),
@@ -1133,7 +1097,7 @@ def test_noncommuting_degree_matches_the_per_generator_loop(p):
     U, where they have degrees 1 and n."""
     import dense_oracle
     rng = np.random.default_rng(p)
-    lam, dual, ualg = two_vertex_tower(3, p)
+    lam, dual, ualg = tower("two_vertex_n3", p)
     x = gm.restrict_S(free_module(dual, [(0, 0), (1, 0)], 7), ualg,
                       TorsionParams(3, 1, 0))
     f = free_module(lam, [(0, 0), (1, 1)], 5)

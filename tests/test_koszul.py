@@ -6,18 +6,9 @@ from search_oracle import commutes
 
 from nkoszul import koszul as ko
 from nkoszul import verify
-from nkoszul.algebra import DegreeMap, Presentation, build_slices
-from nkoszul.quiver import PathSpaceElement, Quiver, enumerate_paths
+from nkoszul.algebra import DegreeMap
 
 P = 101
-
-
-def cubic_survivor(top=12):
-    """Monomial quotient killing every cubic path except x.y.x."""
-    q = Quiver.make(1, [("x", 0, 0), ("y", 0, 0)])
-    rels = [PathSpaceElement(3, {pa: 1}) for pa in enumerate_paths(q, 3)
-            if pa.arrows != (0, 1, 0)]
-    return build_slices(Presentation.make(q, 3, rels), top)
 
 
 def test_semisimple_and_simple_modules():
@@ -89,7 +80,7 @@ def test_ext_dims_table_two_vertex():
 
 
 def test_cubic_survivor_is_not_generalized_koszul():
-    lam = cubic_survivor()
+    lam = verify.corpus("cubic_survivor")["lam"]
     assert not ko.is_n_koszul(lam, 5)
     assert ko.ext_dims(lam, 5) == [1, 2, 7, 16, 53, 130]
 
@@ -158,8 +149,7 @@ def resolution_with_top_syzygy(mod, length):
                                         ("one_loop_n3", 6),
                                         ("cubic_survivor", 4)])
 def test_segment_equals_the_loop_with_the_top_syzygy(name, bound):
-    lam = cubic_survivor() if name == "cubic_survivor" \
-        else verify.corpus(name)["lam"]
+    lam = verify.corpus(name)["lam"]
     sem = ko.semisimple_module(lam)
     seg = ko.minimal_projective_resolution(sem, bound)
     ref = resolution_with_top_syzygy(sem, bound)
@@ -195,13 +185,12 @@ def test_a_segment_of_length_L_takes_L_kernels(monkeypatch, name, bound):
 def test_koszulity_and_ext_dims_share_one_segment():
     """The suite's verdict and Ext dimensions, read off one segment, equal
     the public is_n_koszul and ext_dims."""
-    for lam, bound in [(verify.corpus("two_vertex_n3")["lam"], 5),
-                       (cubic_survivor(), 5)]:
-        seg = ko.minimal_projective_resolution(ko.semisimple_module(lam),
-                                               bound)
+    for name in ("two_vertex_n3", "cubic_survivor"):
+        lam = verify.corpus(name)["lam"]
+        seg = ko.minimal_projective_resolution(ko.semisimple_module(lam), 5)
         assert ko.follows_degree_map(seg, lam.pres.n) == \
-            ko.is_n_koszul(lam, bound)
-        assert ko.segment_ext_dims(seg) == ko.ext_dims(lam, bound)
+            ko.is_n_koszul(lam, 5)
+        assert ko.segment_ext_dims(seg) == ko.ext_dims(lam, 5)
 
 
 def test_resolution_reduces_each_radical_once(monkeypatch):
@@ -283,8 +272,7 @@ def built_for(seen, mod) -> list:
                                         ("cubic_survivor", 4)])
 def test_the_last_term_equals_the_eager_loop_whichever_is_read_first(
         builds, first, name, bound):
-    lam = cubic_survivor() if name == "cubic_survivor" \
-        else verify.corpus(name)["lam"]
+    lam = verify.corpus(name)["lam"]
     sem = ko.semisimple_module(lam)
     seg = ko.minimal_projective_resolution(sem, bound)
     top, last = seg.pmods[-1], seg.diffs[-1]
@@ -383,8 +371,7 @@ def assert_segment_equals_the_dense_one(seg, ref):
     ("commutative_n2", 5), ("two_vertex_n3", 5), ("two_vertex_n4", 5),
     ("cubic_survivor", 5)])
 def test_resolution_equals_the_dense_builders(name, bound):
-    lam = cubic_survivor() if name == "cubic_survivor" \
-        else verify.corpus(name)["lam"]
+    lam = verify.corpus(name)["lam"]
     sem = ko.semisimple_module(lam)
     assert_segment_equals_the_dense_one(
         ko.minimal_projective_resolution(sem, bound),

@@ -53,3 +53,20 @@ def test_reports_are_json_serializable():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.run_suite("nope")
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_an_algebra_joins_the_suites_as_one_corpus_row_and_its_cases(
+        monkeypatch, m):
+    """kQ/J^5 on one loop, at each shift m in [0, 5): a row of the corpus
+    and a case of each suite are all it takes, since a suite reads n and
+    the draws from the entry."""
+    q = verify._CORPUS["one_loop_n3"][0]
+    monkeypatch.setitem(verify._CORPUS, "one_loop_n5",
+                        (q, 5, 12, 26, verify._all_path_relations(q, 5)))
+    monkeypatch.setattr(verify, "_CORPUS_CACHE", dict(verify._CORPUS_CACHE))
+    for suite in ("torsion_transport", "equivalence"):
+        monkeypatch.setitem(verify.CASES, suite, [("one_loop_n5", m)])
+        rep = verify.run_suite(suite, trials=2, seed=0)
+        assert rep["passed"], rep["failures"][:2]
+    assert verify.corpus("one_loop_n5")["lam"].vanishing_degree() == 5
