@@ -6,9 +6,10 @@ flavour, almost injective terms), the one (injective) linearity
 certificate, the contraction of n-complexes to 2-complexes, the explicit
 equivalence between the distinguished module subcategory and the liftable
 2-complexes, module extraction back out of a 2-complex, Hom spaces of
-complexes, and the check that a given family of maps is an isomorphism of
-complexes.  No isomorphism is searched for: the callers know their
-witnesses.
+complexes (solved as one sparse system with the differentials as links,
+the builder of module Hom spaces), and the check that a given family of
+maps is an isomorphism of complexes.  No isomorphism is searched for: the
+callers know their witnesses.
 
 The projective picture is read through the graded duality D and nothing
 is certified on its side: its equivalence is D of the injective one over
@@ -47,8 +48,8 @@ from .grmod import (
     GradedMorphism,
     ModuleError,
     _frozen,
+    _hom_families,
     checked_dual,
-    combine_mats,
     free_module,
     generators_of_degree,
     graded_dual,
@@ -912,48 +913,16 @@ def in_Yo(c: ComplexOfGraded, ualg, params) -> bool:
 
 
 def hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
-    """Canonical basis of the chain maps c -> c2 (degree-0 everywhere)."""
+    """Canonical basis of the chain maps c -> c2 (degree-0 everywhere), the
+    RREF over their matrix entries, as families {position: map} with a map
+    at every position of either complex: one `grmod._hom_families` system
+    over the components at every position, the differentials its links."""
     if c.period != c2.period:
         raise ComplexError("period mismatch")
     positions = sorted(set(c.positions()) | set(c2.positions()))
-    bases = {}
-    offs = {}
-    total = 0
-    for k in positions:
-        b = hom_space(c.component(k), c2.component(k))
-        if b:
-            bases[k] = b
-            offs[k] = total
-            total += len(b)
-    if total == 0:
-        return []
-    p = c.p
-    rows = [zeros(0, total)]
-    for k in positions:
-        src, tgt2 = c.component(k), c2.component(k + 1)
-        degs = sorted(set(src.degrees()) | set(tgt2.degrees()))
-        # column j: the chain condition d f_{k+1} - f_k d' of basis map j
-        block = zeros(sum(src.dim(d) * tgt2.dim(d) for d in degs), total)
-        for i, f in enumerate(bases.get(k + 1, ())):
-            block[:, offs[k + 1] + i] = _stack_entries(c.diff(k).compose(f),
-                                                       degs)
-        for i, f in enumerate(bases.get(k, ())):
-            block[:, offs[k] + i] -= _stack_entries(f.compose(c2.diff(k)),
-                                                    degs)
-        if block.any():
-            rows.append(block % p)
-    ker = linalg.null_space(np.concatenate(rows), p)
-    return [{k: GradedMorphism(c.component(k), c2.component(k),
-                               combine_mats(coef[offs[k]: offs[k] + len(b)],
-                                            [f.stored_mats() for f in b], p))
-             for k, b in bases.items()} for coef in ker.basis.dense()]
-
-
-def _stack_entries(f: GradedMorphism, degs) -> np.ndarray:
-    """The entries of f's matrices in the degrees degs, one after the
-    other."""
-    parts = [f.mat(d).reshape(-1) for d in degs]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return _hom_families(
+        {k: (c.component(k), c2.component(k)) for k in positions},
+        [(k, c.diff(k), c2.diff(k)) for k in positions])
 
 
 # -- isomorphisms of complexes, checked on a known witness -------------------

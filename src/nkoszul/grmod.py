@@ -621,72 +621,89 @@ class GradedMorphism(_BuiltOnRead):
 
 
 def hom_space(m: GradedModule, n: GradedModule):
-    """Canonical basis of the degree-0 graded morphisms m -> n.
+    """Canonical basis of the degree-0 graded morphisms m -> n: the
+    one-pair call of `_hom_families`."""
+    return [fam[0] for fam in _hom_families({0: (m, n)}, ())]
 
-    Solved as one linear system, built in one preallocated matrix: the
-    unknowns are the matrix entries per degree whose row and column sit at
-    the same vertex (A_0-linearity forces the others to zero), the
-    constraints are commutation with every generator.
-    """
-    if m.p != n.p:
-        raise ModuleError("hom between modules over different fields")
-    p = m.p
-    degs = sorted(set(m.degrees()) | set(n.degrees()))
-    # per degree: the unknown's column for each matrix entry, or -1
-    cols = {}
-    total = 0
-    for d in degs:
-        match = np.equal.outer(m.verts_at(d), n.verts_at(d))
-        cols[d] = np.full(match.shape, -1, dtype=np.intp)
-        cols[d][match] = np.arange(total, total + match.sum())
-        total += int(match.sum())
-    if total == 0:
-        return []
-    blocks = [(gi, d, d + g.degree) for gi, g in enumerate(m.gens)
-              for d in degs if m.dim(d) and n.dim(d + g.degree)
-              and (m.act(gi, d).any() or n.act(gi, d).any())]
-    eq = np.zeros((sum(m.dim(d) * n.dim(d2) for _, d, d2 in blocks), total),
-                  dtype=np.int64)
-    top = 0
-    for gi, d, d2 in blocks:
-        a = m.act(gi, d)          # r1 x r2
-        b = n.act(gi, d)          # c1 x c2
-        r1, c2 = a.shape[0], b.shape[1]
-        rows = eq[top: top + r1 * c2]
-        top += r1 * c2
-        # row i * c2 + j of a f_{d2} - f_d b: the unknown f_{d2}[k, j]
-        # enters with a[i, k] and the unknown f_d[i, k] with -b[k, j]
-        k, j = np.nonzero(cols[d2] >= 0)
-        rows[np.arange(r1)[:, None] * c2 + j, cols[d2][k, j]] = a[:, k]
-        i, k = np.nonzero(cols[d] >= 0)
-        rows[i * c2 + np.arange(c2)[:, None], cols[d][i, k]] = -b[k].T % p
-    out = []
-    for vec in linalg.null_space(eq, p).basis.dense():
-        mats = {}
-        for d in degs:
-            if cols[d].size:
-                mat = zeros(*cols[d].shape)
-                kept = cols[d] >= 0
-                mat[kept] = vec[cols[d][kept]]
-                mats[d] = mat
-        out.append(GradedMorphism(m, n, mats))
+
+def _equations(a: Sparse, fa, fb, b: Sparse, top, p: int) -> list:
+    """The entries (unknown, equation, value) of a fa - fb b = 0, for a and
+    b of shapes r1 x r2 and c1 x c2; entry (i, j) is equation
+    top + i * c2 + j.  The matrices fa (r2 x c2) and fb (r1 x c1) are given
+    by the unknown at each entry, or -1 (None when they have no entries).
+    A nonzero a[i, l] meets the unknowns in row l of fa, and a nonzero
+    b[l, j] those in column l of fb."""
+    c2, out = b.shape[1], []
+    if fa is not None and a.nnz:
+        at = fa[a.cols]
+        t, j = np.nonzero(at >= 0)
+        out.append((at[t, j], top + a.rows[t] * c2 + j, a.vals[t]))
+    if fb is not None and b.nnz:
+        at = fb[:, b.rows]
+        i, t = np.nonzero(at >= 0)
+        out.append((at[i, t], top + i * c2 + b.cols[t], p - b.vals[t]))
     return out
 
 
-def combine_mats(coef, mats_list, p: int) -> dict:
-    """Per degree, sum_i coef[i] * mats_list[i][d] mod p: the matrices of a
-    linear combination of morphisms, each given by its per-degree matrices.
+def _hom_families(pairs: dict, links) -> list:
+    """Canonical basis of the families {k: f_k}, for pairs = {k: (M_k, N_k)},
+    of degree-0 graded morphisms f_k: M_k -> N_k such that each link
+    (k, a, b), with a: M_k -> M_{k+1} and b: N_k -> N_{k+1}, has
+    a_d f_{k+1} = f_k b_d in every degree d.  It is the one system behind
+    the Hom spaces of modules (`hom_space`) and of complexes
+    (`complexes.hom_complexes`, the differentials as links).
 
-    One `_combine` per degree, so it is exact at every p < 2**63: an array
-    when every term there is one, else a Sparse.  A degree is kept when a
-    term with a nonzero coefficient has a matrix there.
+    The unknowns are the matrix entries whose row and column sit at the
+    same vertex (A_0-linearity forces the others to zero), by k, degree and
+    row-major entry.  The equations, commutation with every generator's
+    action and the links, are built from the stored nonzeros (`sparse_act`,
+    `sparse_mat`, `_equations`) into one `linalg.Sparse`, transposed, and
+    solved by `linalg.sparse_left_kernel`, whose basis is the canonical
+    RREF over the unknowns: what the dense system gave, without it.  A
+    family holds a matrix in every degree where both modules are nonzero.
     """
-    terms = [(int(ci), mats) for ci, mats in zip(coef, mats_list) if ci]
-    out = {}
-    for d in sorted({d for _, mats in terms for d in mats}):
-        have = [(ci, mats[d]) for ci, mats in terms if d in mats]
-        out[d] = _combine([ci for ci, _ in have], [m for _, m in have],
-                          have[0][1].shape, p)
+    if len({mod.p for pair in pairs.values() for mod in pair}) > 1:
+        raise ModuleError("hom between modules over different fields")
+    lay = {}  # (k, d) -> the unknown at each entry of f_k in degree d, or -1
+    ends, total = [], 0
+    for k, (m, n) in sorted(pairs.items()):
+        for d in sorted(set(m.degrees()) & set(n.degrees())):
+            match = np.equal.outer(m.verts_at(d), n.verts_at(d))
+            lay[k, d] = np.full(match.shape, -1, dtype=np.int64)
+            lay[k, d][match] = np.arange(total, total + match.sum())
+            total += int(match.sum())
+            ends.append(total)
+    if total == 0:
+        return []
+    p = m.p
+    blocks = [(m.sparse_act(gi, d), (k, d + g.degree), (k, d),
+               n.sparse_act(gi, d)) for k, (m, n) in pairs.items()
+              for gi, g in enumerate(m.gens) for d in m.degrees()
+              if n.dim(d + g.degree)]
+    blocks += [(a.sparse_mat(d), (k + 1, d), (k, d), b.sparse_mat(d))
+               for k, a, b in links for d in a.source.degrees()
+               if b.target.dim(d)]
+    tops = np.cumsum([0] + [a.shape[0] * b.shape[1] for a, *_, b in blocks])
+    parts = [(_NO_LABELS,) * 3]
+    for (a, ka, kb, b), top in zip(blocks, tops):
+        parts += _equations(a, lay.get(ka), lay.get(kb), b, top, p)
+    ker = linalg.sparse_left_kernel(Sparse.from_entries(
+        (total, int(tops[-1])), *(np.concatenate(x) for x in zip(*parts)),
+        p), p).basis
+    # the kernel's entries run by family, then by unknown, so by matrix
+    keys = list(lay)
+    ui, uj = (np.concatenate(x)[ker.cols] for x in zip(
+        *(np.nonzero(lay[key] >= 0) for key in keys)))
+    at = np.searchsorted(ends, ker.cols, side="right")
+    cut = np.searchsorted(ker.rows * len(keys) + at,
+                          np.arange(ker.shape[0] * len(keys) + 1))
+    out = []
+    for r in range(ker.shape[0]):
+        mats = {k: {} for k in pairs}
+        for i, (k, d) in enumerate(keys, r * len(keys)):
+            s = slice(cut[i], cut[i + 1])
+            mats[k][d] = Sparse(lay[k, d].shape, ui[s], uj[s], ker.vals[s])
+        out.append({k: GradedMorphism(*pairs[k], mats[k]) for k in pairs})
     return out
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from nkoszul.grmod import TorsionParams, free_module, graded_dual
 from algebra_oracle import left_mult_matrix, reduce_path_element
 import dense_oracle
 from dense_oracle import dense_actions, dense_mats
-from search_oracle import commutes, is_iso, iso_complexes, iso_modules
+from search_oracle import (commutes, is_iso, iso_complexes, iso_modules,
+                           reference_hom_complexes)
 from projective_oracle import check_Yo_conditions, projective_certificate
 import projective_oracle
 
@@ -371,6 +374,83 @@ def test_hom_complexes_contains_identity():
     homs = cx.hom_complexes(c, c)
     assert homs
     assert cx.chain_iso_failure(c, c, verify.identity_witness(c, c)) is None
+
+
+# The cases of the full-faithfulness check: at seed 0 every pair that
+# `suite_equivalence` draws has Hom dimension 0, so these draw their own.
+FAITHFUL_CASES = [("two_loop_n3", 0), ("one_loop_n3", 0), ("one_loop_n3", 1),
+                  ("two_vertex_n3", 0), ("two_vertex_n3", 2),
+                  ("two_vertex_n4", 1)]
+
+
+@functools.cache
+def distinguished_images(name, m):
+    """Three random distinguished modules X at level m over a corpus
+    algebra, drawn with default_rng(7), each with its complex F X."""
+    e = entry(name)
+    params = TorsionParams(e["n"], 1, m)
+    rng = np.random.default_rng(7)
+    xs = [verify.random_distinguished_module(rng, e, params)
+          for _ in range(3)]
+    return [(x, cx.equivalence_F(x, e["lam"], params)) for x in xs]
+
+
+def assert_chain_map(c, c2, fam):
+    """fam holds a module map c_k -> c2_k at every position, and they
+    commute with the differentials."""
+    positions = sorted(set(c.positions()) | set(c2.positions()))
+    assert sorted(fam) == positions
+    for k in positions:
+        assert commutes(fam[k])
+        if k + 1 in fam:
+            lhs = c.diff(k).compose(fam[k + 1])
+            rhs = fam[k].compose(c2.diff(k))
+            for d in c.component(k).degrees():
+                assert lhs.sparse_mat(d) == rhs.sparse_mat(d)
+
+
+def test_F_is_full_and_faithful_on_pairs_with_nonzero_hom():
+    """dim Hom(X, Y) = dim Hom(F X, F Y) on all nine ordered pairs of each
+    case, some of them of dimension 2 or more, and every basis family is a
+    chain map."""
+    dims = []
+    for name, m in FAITHFUL_CASES:
+        images = distinguished_images(name, m)
+        for x, fx in images:
+            for y, fy in images:
+                fams = cx.hom_complexes(fx, fy)
+                assert len(fams) == len(gm.hom_space(x, y)), (name, m)
+                for fam in fams:
+                    assert_chain_map(fx, fy, fam)
+                dims.append(len(fams))
+    assert max(dims) >= 2
+
+
+def stacked_span(c, c2, fams):
+    """The span of the families' entries, stacked by position, degree and
+    row-major entry; a position a family leaves out reads as zero."""
+    p = c.p
+    blocks = [(k, d, c.component(k).dim(d), c2.component(k).dim(d))
+              for k in sorted(set(c.positions()) | set(c2.positions()))
+              for d in sorted(set(c.component(k).degrees())
+                              | set(c2.component(k).degrees()))]
+    rows = [np.concatenate([fam[k].mat(d).reshape(-1) if k in fam
+                            else np.zeros(r * s, dtype=np.int64)
+                            for k, d, r, s in blocks]) for fam in fams]
+    ambient = sum(r * s for _, _, r, s in blocks)
+    return linalg.Subspace.from_rows(
+        ambient, np.array(rows, dtype=np.int64).reshape(-1, ambient), p)
+
+
+@pytest.mark.parametrize("name, m", FAITHFUL_CASES)
+def test_hom_complexes_spans_what_the_replaced_construction_spans(name, m):
+    images = distinguished_images(name, m)
+    for _, fx in images:
+        for _, fy in images:
+            got, want = cx.hom_complexes(fx, fy), reference_hom_complexes(fx,
+                                                                          fy)
+            assert len(got) == len(want)
+            assert stacked_span(fx, fy, got) == stacked_span(fx, fy, want)
 
 
 def test_composite_diff_vanishes_at_n():
