@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .linalg import Subspace, zeros
+from .linalg import Sparse, Subspace, zeros
 from .algebra import (DegreeMap, _check_size, compute_orthogonal,
                       in_u_grading, opposite_algebra)
 from .grmod import (
@@ -49,6 +49,7 @@ from .grmod import (
     ModuleError,
     _frozen,
     _hom_families,
+    _rows_times_basis_element,
     checked_dual,
     free_module,
     generators_of_degree,
@@ -252,10 +253,11 @@ def _build_cofree(lam, vlist) -> GradedModule:
                 continue
             # arrow times Lam_{-e-1} -> Lam_{-e}, read backwards
             lmul = lam.mult(1, -e - 1)[g.basis_index]
-            m = _pair_matrix(rows, cols, [(lmul.T, ident)], lam.p)
+            m = Sparse.from_dense(
+                _pair_matrix(rows, cols, [(lmul.T, ident)], lam.p), lam.p)
             if m.any():
                 actions[(gi, e)] = m
-    out = GradedModule._adopt(lam, verts, actions)
+    out = GradedModule(lam, verts, actions)
     out.hom_index = index
     return out
 
@@ -372,14 +374,21 @@ def _cofree_envelope(comp: GradedModule, want: int):
     """The cofree model I on the top of a component ending in degree
     `want`, the envelope map comp -> I, m -> (b -> the top part of m.b), and
     the top's (vertex, degree) pairs.  Entry (r, (b, x)) in degree d is
-    coordinate x of comp_d[r] times the basis element b of Lam_{want-d}."""
+    coordinate x of comp_d[r] times the basis element b of Lam_{want-d}:
+    column x of b's action (`grmod._rows_times_basis_element`)."""
     base = cofree_module(comp.algebra, comp.verts_at(want))
     model = base.shift(-want)
     mats = {}
     for e, pairs in base.hom_index.items():
-        acts = np.stack([comp.act_basis_element(-e, b, e + want)
-                         for b in range(comp.algebra.dim(-e))])
-        mats[e + want] = acts[pairs[:, 0], :, pairs[:, 1]].T
+        d, products = e + want, {}  # word products from degree d alone
+        # the pairs (b, x) run b by b, and for one b by ascending x
+        cut = np.searchsorted(pairs[:, 0], np.arange(comp.algebra.dim(-e) + 1))
+        parts = [(_rows_times_basis_element(comp, None, -e, b, d, products)
+                  .take_cols(pairs[lo:hi, 1]), lo) for b, (lo, hi)
+                 in enumerate(zip(cut.tolist(), cut[1:].tolist())) if hi > lo]
+        mats[d] = Sparse.from_entries((comp.dim(d), len(pairs)), *(
+            np.concatenate(x) for x in zip(*((m.rows, m.cols + lo, m.vals)
+                                             for m, lo in parts))), comp.p)
     mults = [(v, want) for v in comp.verts_at(want).tolist()]
     return model, GradedMorphism(comp, model, mats), mults
 
@@ -716,7 +725,8 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
     n, m = params.n, params.m
     dual = ualg.dual
     nd = dual.dim(n)
-    prov = GradedModule(ualg, verts, dict(actions))
+    prov = GradedModule(ualg, verts, actions)
+    actions.update(prov.stored_actions())  # later modules keep these
     for k in c.positions():
         if k % 2 == 0 or (k + 1) not in models:
             continue
@@ -739,7 +749,8 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
     # is prov's.
     dmap = DegreeMap(m, n)
     levels = sorted({m + ((dmap.delta(k) - m) // n) * n for k in c.positions()})
-    cur_mod = GradedModule(ualg, verts, dict(actions))
+    cur_mod = GradedModule(ualg, verts, actions)
+    actions.update(cur_mod.stored_actions())
     for s in levels:
         if cur_mod.dim(s + 1) == 0 or cur_mod.dim(s + 1 + n) == 0:
             continue
@@ -853,7 +864,7 @@ def dualize_complex(c: ComplexOfGraded) -> ComplexOfGraded:
         if src is None or tgt is None:
             continue
         diffs[-k - 1] = GradedMorphism(
-            src, tgt, {-d: f.mat(d).T % c.p for d in f.stored_mats()})
+            src, tgt, {-d: m.transpose() for d, m in f.stored_mats().items()})
     return ComplexOfGraded(opposite_algebra(c.algebra)[0], c.period, comps,
                            diffs)
 

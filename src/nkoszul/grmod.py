@@ -6,21 +6,18 @@ honestly finite: a truncation of a free module is the genuine quotient by
 its tail submodule, so predicates quantified "for all degrees" are decided
 exactly on the (finite) support.
 
-An action is stored in one of two forms, a dense int64 array or a
-`linalg.Sparse` (row-sorted nonzeros): small modules read from documents
-and the cofree models are dense, and the terms of a resolution sparse.  A
-morphism matrix is stored in one form, a Sparse: over a monomial algebra
-every map of a minimal resolution is combinatorial (Green, Happel &
-Zacharia, Illinois J. Math. 29, 1985), and so are the covers, inclusions,
-differentials and envelope maps built here.  `free_module`, `cover_on_top`,
-`GradedMorphism.compose` and `submodule_from_bases` build the sparse form,
-and `top_complements` and `kernel_bases` eliminate on it.  Every subspace
-of a degree (kernels, radicals, socles, images, torsion and closures) is a
-`linalg.Subspace`, a canonical RREF basis stored Sparse.  `act()` and
-`mat()` are the dense accessors, densifying on demand under
-`linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` are the sparse
-ones; `stored_actions()` and `stored_mats()` hand over the stored forms, for
-a caller that relabels or copies them.  A builder may leave the actions or
+Every action and every morphism matrix is stored in one form, a reduced
+`linalg.Sparse` (row-sorted nonzeros): over a monomial algebra every map
+of a minimal resolution is combinatorial (Green, Happel & Zacharia,
+Illinois J. Math. 29, 1985), and so are the free and cofree actions and
+the covers, inclusions, differentials and envelope maps built here.
+`top_complements` and `kernel_bases` eliminate on that form.  Every
+subspace of a degree (kernels, radicals, socles, images, torsion and
+closures) is a `linalg.Subspace`, a canonical RREF basis stored Sparse.
+`act()` and `mat()` densify into a new array, under
+`linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` read the stored
+matrix; `stored_actions()` and `stored_mats()` hand them all over, for a
+caller that relabels or copies them.  A builder may leave the actions or
 matrices to be built on first read (`_BuiltOnRead`): `free_module`,
 `cover_on_top` and `compose` do.  The blocks of the vertex projectives e_v A
 that free modules are made of are kept in the algebra's memo
@@ -28,10 +25,8 @@ that free modules are made of are kept in the algebra's memo
 vertex ("starting at"), and per (v, k, generator) the nonzeros of that
 generator's action ("generator block").
 
-Modules and morphisms never change once built.  Every stored array is made
-read-only (a Sparse is read-only already), so `act()` and
-`stored_actions()` hand out the stored arrays themselves, and a module can
-keep what it derives from them (`GradedModule._memo`): its `validate()`
+Modules and morphisms never change once built, so a module can keep what
+it derives from its actions (`GradedModule._memo`): its `validate()`
 verdict ("issues"), and per level s the data of mu_1 ("mu1", "mu1
 kernel", "mu1 preimage"), the stacked degree-n action ("stacked action")
 and the verdict of the kernel condition ("kernel condition").  So `in_L`,
@@ -40,12 +35,11 @@ share one build of each, and a second `validate()` of a module costs
 nothing.
 
 An algebra element acts along one word chain, `_rows_times_word`: rows
-of M_d times a generator word, from the first letter's rows in their
-stored form, by `linalg.mat_mul` while both factors are arrays and by
-`linalg.sparse_mul` otherwise.  `_rows_times_basis_element` keeps the rows
-at a vertex idempotent's vertex and combines any other element's words by
-`_combine`; `act_basis_element`, `_relation_issues` and the cover maps
-read it.
+of M_d times a generator word, by `linalg.sparse_mul` from the first
+letter's rows.  `_rows_times_basis_element` keeps the rows at a vertex
+idempotent's vertex and combines any other element's words by
+`linalg.sparse_combine`; `act_basis_element`, `_relation_issues`, the
+cover maps and the envelope maps of `complexes` read it.
 
 Row-vector convention throughout: an element x of M_d is a coordinate row
 and x * g = x @ act(g, d).
@@ -63,14 +57,6 @@ class ModuleError(ValueError):
     pass
 
 
-def _owned(m, p: int):
-    """A reduced matrix no caller shares: an array is copied; a Sparse is
-    read-only, so it is kept."""
-    if isinstance(m, Sparse):
-        return m.reduced(p)
-    return linalg.reduced_copy(m, p)
-
-
 def _frozen(m):
     """m, made read-only if it is an array (a Sparse is read-only
     already)."""
@@ -82,14 +68,25 @@ def _frozen(m):
 _NO_LABELS = _frozen(np.zeros(0, dtype=np.intp))  # of an absent degree
 
 
+def _labels(v) -> np.ndarray:
+    """Vertex labels as a read-only intp array: a read-only one is kept
+    (another module's, in `shift`), anything else is copied."""
+    a = np.asarray(v, dtype=np.intp)
+    return a if a is v and not a.flags.writeable else _frozen(np.array(a))
+
+
 class _BuiltOnRead:
-    """Attributes that a builder may defer.  `_defer(name, build)` has the
+    """Attributes that a builder may defer, and the one stored form of the
+    matrices of modules and morphisms.  `_defer(name, build)` has the
     attribute `name` built by `build(owner)` on its first read, once
     (`__getattr__` is reached only while the attribute is unset); the build
     is dropped before it runs.  A build takes the owner as its argument,
     so it need not hold the owner: a deferred attribute makes no reference
     cycle.  `_store` takes the stored matrices, named by `_STORE`, as a
-    dict or as a callable that returns one from the owner."""
+    dict or as a callable that returns one from the owner, and `_kept`
+    turns each into a reduced `linalg.Sparse`: an array is read into a new
+    one (`linalg.Sparse.from_dense` shares no memory with its input), a
+    Sparse is read-only and is kept."""
 
     _STORE = ""
 
@@ -98,6 +95,11 @@ class _BuiltOnRead:
             self._defer(self._STORE, lambda owner: owner._kept(mats(owner)))
         else:
             setattr(self, self._STORE, self._kept(mats))
+
+    def _kept(self, mats: dict) -> dict:
+        kept = {key: linalg.as_sparse(m, self.p).reduced(self.p)
+                for key, m in mats.items()}
+        return {key: m for key, m in kept.items() if m.size}
 
     def _defer(self, name: str, build) -> None:
         self.__dict__.setdefault("_builds", {})[name] = build
@@ -117,51 +119,26 @@ class _BuiltOnRead:
 class GradedModule(_BuiltOnRead):
     """A finitely supported graded right module over a graded algebra.
 
-    A module owns its action matrices, each a dense array or a
-    `linalg.Sparse`.  The public constructor copies each array (reduced mod
-    p), so no caller ever shares an array with a module; a Sparse is
-    read-only and is kept as it is.  The builders of this package
-    (`free_module`, `quotient_module`, ...) hand over the matrices they have
-    just built, int64, reduced and held by no one else, through `_adopt`,
-    which takes them as they are, or a callable that builds them on first
-    read.  `act` reads an action as an array, `sparse_act` as a Sparse,
-    whichever form it is stored in.  A module never changes: every stored
-    array is made read-only, so `act` hands out the stored array itself.
+    The one constructor takes the vertex labels and the action matrices,
+    each an array or a `linalg.Sparse`, or a callable that builds them from
+    the module on first read, and stores each action as a reduced Sparse
+    (`_BuiltOnRead._kept`).  `sparse_act` reads an action, `act` densifies
+    it into a new array, under the size cap.
 
     `verts[d]` holds the vertex labels of the basis of degree d, one
-    read-only intp array per nonzero degree; `verts_at(d)` reads it, or an
-    empty one.  The public constructor copies any sequence of ints; `_adopt`
-    takes a builder's arrays as they are, or another module's (`shift`).
+    read-only intp array per nonzero degree (`_labels`); `verts_at(d)`
+    reads it, or an empty one.
     """
 
     _STORE = "_actions"
 
-    def __init__(self, algebra, verts: dict, actions: dict):
-        self._fill(algebra, {d: np.array(v, dtype=np.intp)
-                             for d, v in verts.items()},
-                   {k: _owned(m, algebra.p) for k, m in actions.items()})
-
-    @classmethod
-    def _adopt(cls, algebra, verts: dict, actions) -> "GradedModule":
-        """A module that takes the intp label arrays and the action
-        matrices themselves, or a callable that builds the matrices on
-        first read: only for what a builder has just made (matrices int64,
-        reduced and unshared), or what another module stores (`shift`)."""
-        mod = cls.__new__(cls)
-        mod._fill(algebra, verts, actions)
-        return mod
-
-    def _fill(self, algebra, verts: dict, actions) -> None:
+    def __init__(self, algebra, verts: dict, actions):
         self.algebra = algebra
         self.p = algebra.p
-        self.verts = {d: _frozen(v) for d, v in verts.items() if v.size}
+        self.verts = {d: _labels(v) for d, v in verts.items() if len(v)}
         self.gens = algebra.generators()
         self._store(actions)
         self._memos: dict = {}
-
-    def _kept(self, actions: dict) -> dict:
-        return {(gi, d): _frozen(m) for (gi, d), m in actions.items()
-                if d in self.verts and m.size}
 
     def _memo(self, key: tuple, build):
         """build(), run once per key and kept, made read-only if it is an
@@ -173,9 +150,8 @@ class GradedModule(_BuiltOnRead):
         return memos[key]
 
     def stored_actions(self) -> dict:
-        """A new dict of the stored actions, each in its stored form (an
-        array or a Sparse), for a caller that relabels or copies them; the
-        constructor takes either form."""
+        """A new dict of the stored actions, each a Sparse, for a caller
+        that relabels or copies them."""
         return dict(self._actions)
 
     # -- structure ----------------------------------------------------------
@@ -199,17 +175,13 @@ class GradedModule(_BuiltOnRead):
         return max(self.verts) if self.verts else None
 
     def act(self, gi: int, d: int) -> np.ndarray:
-        """The action as an array: the stored one, read-only, or a new one
-        densified from the sparse form (not cached), refused above the size
-        cap."""
-        return linalg.dense(self._stored_action(gi, d))
+        """The action as a new array, densified from the stored Sparse (not
+        cached), refused above the size cap."""
+        return self.sparse_act(gi, d).dense()
 
     def sparse_act(self, gi: int, d: int) -> Sparse:
-        return linalg.as_sparse(self._stored_action(gi, d), self.p)
-
-    def _stored_action(self, gi: int, d: int):
-        """The action of generator gi from degree d in its stored form, a
-        zero Sparse when none is stored."""
+        """The stored action of generator gi from degree d, a zero Sparse
+        when none is stored."""
         shape = (self.dim(d), self.dim(d + self.gens[gi].degree))
         m = self._actions.get((gi, d))
         if m is None:
@@ -221,21 +193,16 @@ class GradedModule(_BuiltOnRead):
         return m
 
     def act_basis_element(self, d_el: int, b_index: int, d: int) -> np.ndarray:
-        """Action matrix of the b-th algebra basis element of degree d_el,
-        read-only, built by `_rows_times_basis_element` on each call: a
+        """Action matrix of the b-th algebra basis element of degree d_el, a
+        new array built by `_rows_times_basis_element` on each call: a
         caller that reads it again keeps it."""
-        return _frozen(linalg.dense(_rows_times_basis_element(
-            self, None, d_el, b_index, d, {})))
+        return _rows_times_basis_element(self, None, d_el, b_index, d,
+                                         {}).dense()
 
     def act_element(self, d_el: int, vec, d: int) -> np.ndarray:
-        """Action matrix of a general homogeneous algebra element: its
-        basis elements' actions, from one word chain, combined."""
-        vec = np.asarray(vec, dtype=np.int64) % self.p
-        nz = vec.nonzero()[0].tolist()
-        products: dict = {}
-        return _combine(vec[nz], [linalg.dense(_rows_times_basis_element(
-            self, None, d_el, b, d, products)) for b in nz],
-                        (self.dim(d), self.dim(d + d_el)), self.p)
+        """Action matrix of a general homogeneous algebra element, a new
+        array (`_element_action`)."""
+        return _element_action(self, d_el, vec, d).dense()
 
     # -- validation ---------------------------------------------------------
 
@@ -253,12 +220,11 @@ class GradedModule(_BuiltOnRead):
                     f"generator {g.name} at degree {d}: shape {m.shape}")
                 continue
             # the nonzeros, row by row
-            r, c = linalg.nonzero(m)
-            off = ((self.verts_at(d)[r] != g.source)
-                   | (self.verts_at(d + g.degree)[c] != g.target))
+            off = ((self.verts_at(d)[m.rows] != g.source)
+                   | (self.verts_at(d + g.degree)[m.cols] != g.target))
             issues += [f"generator {g.name} at degree {d}: entry ({i},{j}) "
                        "breaks the vertex block structure"
-                       for i, j in zip(r[off], c[off])]
+                       for i, j in zip(m.rows[off], m.cols[off])]
         return issues or _relation_issues(self)
 
     def is_valid(self) -> bool:
@@ -271,7 +237,7 @@ class GradedModule(_BuiltOnRead):
         never change."""
         verts = {d - s: v for d, v in self.verts.items()}
         actions = {(gi, d - s): m for (gi, d), m in self._actions.items()}
-        return GradedModule._adopt(self.algebra, verts, actions)
+        return GradedModule(self.algebra, verts, actions)
 
 
 def zero_module(algebra) -> GradedModule:
@@ -288,7 +254,7 @@ def generators_of_degree(algebra, e: int) -> dict:
 def _relation_issues(mod: GradedModule) -> list:
     """One issue per relation of the algebra and degree d of the module from
     which the relation acts nontrivially, in relation order.  The relations
-    of one degree are checked together, by one product of their
+    of one degree are checked together, by one sparse product of their
     coefficient rows with the stacked actions of their words, read from
     one word chain per degree d (`_rows_times_word`)."""
     rels = mod.algebra.relation_words()
@@ -310,11 +276,17 @@ def _relation_issues(mod: GradedModule) -> list:
         for rdeg, which, words, coef in groups:
             if mod.dim(d + rdeg) == 0:
                 continue
-            stacked = np.stack([
-                linalg.dense(_rows_times_word(mod, None, w, d, products))
-                .reshape(-1) for w in words])
-            acts = linalg.mat_mul(coef, stacked, p).any(axis=1)
-            failed.update((i, d) for i, bad in zip(which, acts) if bad)
+            prods = [_rows_times_word(mod, None, w, d, products)
+                     for w in words]
+            # row k holds the product of word k, read row by row
+            cols = mod.dim(d + rdeg)
+            stacked = Sparse(
+                (len(prods), mod.dim(d) * cols),
+                np.repeat(np.arange(len(prods)), [m.nnz for m in prods]),
+                np.concatenate([m.rows * cols + m.cols for m in prods]),
+                np.concatenate([m.vals for m in prods]))
+            bad = linalg.sparse_mul(coef, stacked, p).rows
+            failed.update((which[k], d) for k in bad.tolist())
     return [f"relation of degree {rdeg} acts nontrivially from degree {d}"
             for i, (rdeg, _) in enumerate(rels) for d in mod.degrees()
             if (i, d) in failed]
@@ -331,52 +303,43 @@ def _rows_times_basis_element(mod: GradedModule, rows, d_el: int,
         return Sparse((at.size, mod.dim(d)), keep, at[keep],
                       np.ones(keep.size, dtype=np.int64))
     terms = mod.algebra.element_words(d_el)[b_index]
-    mats = [_rows_times_word(mod, rows, tuple(w), d, products)
-            for w, _ in terms]
-    if len(mats) == 1 and terms[0][1] % mod.p == 1:
-        return mats[0]  # a path: no combination
-    return _combine([c for _, c in terms], mats, mats[0].shape, mod.p)
+    return linalg.sparse_combine([c for _, c in terms], [
+        _rows_times_word(mod, rows, tuple(w), d, products) for w, _ in terms],
+                                 mod.p)
+
+
+def _element_action(mod: GradedModule, d_el: int, vec, d: int) -> Sparse:
+    """The action from degree d of the algebra element with coordinates vec
+    in degree d_el: its basis elements' actions, from one word chain,
+    combined."""
+    vec = np.asarray(vec, dtype=np.int64) % mod.p
+    nz = vec.nonzero()[0].tolist()
+    if not nz:
+        return Sparse.zero(mod.dim(d), mod.dim(d + d_el))
+    products: dict = {}
+    return linalg.sparse_combine(vec[nz], [_rows_times_basis_element(
+        mod, None, d_el, b, d, products) for b in nz], mod.p)
 
 
 def _rows_times_word(mod: GradedModule, rows, word: tuple, d: int,
-                     products: dict):
+                     products: dict) -> Sparse:
     """Rows `rows` of M_d (every row when None) times a generator word:
     the rows times the word without its last letter, memoized in
-    `products` by word, times that letter's action.  A last letter with no
-    stored action gives the zero product in the form of the head."""
+    `products` by word, times that letter's action."""
     if word not in products:
         if len(word) == 1:
-            out = mod._stored_action(word[0], d)
+            out = mod.sparse_act(word[0], d)
             if rows is not None:
-                out = (out.take_rows(rows) if isinstance(out, Sparse)
-                       else out[rows])
+                out = out.take_rows(rows)
         else:
             head = _rows_times_word(mod, rows, word[:-1], d, products)
             at = d + sum(mod.gens[gi].degree for gi in word[:-1])
-            last = mod._stored_action(word[-1], at)
-            if (word[-1], at) not in mod._actions:
-                shape = (head.shape[0], last.shape[1])
-                out = (zeros(*shape) if isinstance(head, np.ndarray)
-                       else Sparse.zero(*shape))
-            else:
-                mul = (linalg.mat_mul if isinstance(head, np.ndarray)
-                       and isinstance(last, np.ndarray)
-                       else linalg.sparse_mul)
-                out = mul(head, last, mod.p)
+            last = mod.sparse_act(word[-1], at)
+            out = (linalg.sparse_mul(head, last, mod.p)
+                   if head.any() and last.any()
+                   else Sparse.zero(head.shape[0], last.shape[1]))
         products[word] = out
     return products[word]
-
-
-def _combine(coeffs, mats, shape, p: int):
-    """sum_k coeffs[k] * mats[k] mod p, for matrices of one shape: an array
-    by one product of the coefficient row with the stacked matrices when
-    all are arrays (or none is given), else a Sparse."""
-    if all(isinstance(m, np.ndarray) for m in mats):
-        stacked = np.reshape(mats, (len(mats), shape[0] * shape[1]))
-        return linalg.mat_mul(np.reshape(coeffs, (1, len(mats))), stacked,
-                              p).reshape(shape)
-    return linalg.sparse_combine(coeffs, [linalg.as_sparse(m, p)
-                                          for m in mats], p)
 
 
 def _groups(key: np.ndarray):
@@ -471,8 +434,8 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
                 first = offs[gs]
                 vs[first[:, None] + np.arange(bis.size)] = tgts
                 layout[d].append((c, first, bis))
-        verts[d] = vs
-    mod = GradedModule._adopt(algebra, verts, _free_actions)
+        verts[d] = _frozen(vs)  # read-only: the module keeps it uncopied
+    mod = GradedModule(algebra, verts, _free_actions)
     mod._defer("free_index", _free_index)
     mod.free_classes = classes
     mod.free_layout = layout
@@ -535,10 +498,8 @@ class GradedMorphism(_BuiltOnRead):
     built here (covers, inclusions, projections, differentials, envelope
     maps, chain maps) are monomial or close to it.  The one constructor
     takes a dict of arrays or Sparse matrices, or a callable that builds
-    one from the morphism on first read, and `_kept` turns each into a
-    reduced Sparse: an array is read into a new one
-    (`linalg.Sparse.from_dense` shares no memory with its input), a Sparse
-    is read-only and is kept.  `sparse_mat` reads a matrix, `mat` densifies
+    one from the morphism on first read, and stores each as a reduced Sparse
+    (`_BuiltOnRead._kept`).  `sparse_mat` reads a matrix, `mat` densifies
     it into a new array, under the size cap, and `compose` defers its
     product like every other build.
     """
@@ -550,11 +511,6 @@ class GradedMorphism(_BuiltOnRead):
         self.target = target
         self.p = source.p
         self._store(mats)
-
-    def _kept(self, mats: dict) -> dict:
-        return {d: m.reduced(self.p) if isinstance(m, Sparse)
-                else Sparse.from_dense(m, self.p)
-                for d, m in mats.items() if m.size}
 
     def stored_mats(self) -> dict:
         """A new dict of the stored matrices, each a Sparse."""
@@ -774,7 +730,7 @@ def submodule_closure(mod: GradedModule, spans: dict) -> dict:
                 d2 = d + g.degree
                 if mod.dim(d2) == 0:
                     continue
-                img = linalg.sparse_mul(sub.basis, mod._stored_action(gi, d),
+                img = linalg.sparse_mul(sub.basis, mod.sparse_act(gi, d),
                                         mod.p)
                 tgt = cur.get(d2, Subspace.zero(mod.dim(d2), mod.p))
                 new = linalg.sparse_rref(
@@ -830,7 +786,7 @@ def submodule_from_bases(mod: GradedModule, bases: dict):
                 raise ModuleError("family is not closed under the action")
             if coords.any():
                 actions[(gi, d)] = coords
-    sub = GradedModule._adopt(mod.algebra, verts, actions)
+    sub = GradedModule(mod.algebra, verts, actions)
     return sub, GradedMorphism(sub, mod,
                                {d: s.basis for d, s in bases.items()})
 
@@ -853,22 +809,22 @@ def quotient_module(mod: GradedModule, spans: dict):
         comp[d] = keep
         verts[d] = mod.verts_at(d)[keep]
         # projection: kill pivot coordinates via the RREF rows
-        pr = zeros(mod.dim(d), keep.size)
-        pr[keep, np.arange(keep.size)] = 1
         rest = sub.basis.take_cols(keep)
-        pr[sub.pivots[rest.rows], rest.cols] = (-rest.vals) % mod.p
-        proj[d] = pr
+        proj[d] = Sparse.from_entries(
+            (mod.dim(d), keep.size), np.append(keep, sub.pivots[rest.rows]),
+            np.append(np.arange(keep.size), rest.cols),
+            np.append(np.ones_like(keep), mod.p - rest.vals), mod.p)
     actions = {}
     for d, keep in comp.items():
         for gi, g in enumerate(mod.gens):
             d2 = d + g.degree
             if d2 not in comp:
                 continue
-            a = mod.act(gi, d)[keep, :]
-            m = linalg.mat_mul(a, proj[d2], mod.p)
+            m = linalg.sparse_mul(mod.sparse_act(gi, d).take_rows(keep),
+                                  proj[d2], mod.p)
             if m.any():
                 actions[(gi, d)] = m
-    quo = GradedModule._adopt(mod.algebra, verts, actions)
+    quo = GradedModule(mod.algebra, verts, actions)
     return quo, GradedMorphism(mod, quo, proj)
 
 
@@ -960,8 +916,8 @@ def _cover_mats(phi: GradedMorphism, gen_row) -> dict:
             _, e, gs = pmod.free_classes[c]
             rows = gen_row[gs]
             for t, bi in enumerate(bis.tolist()):
-                g = linalg.as_sparse(_rows_times_basis_element(
-                    mod, rows, d - e, bi, e, products[c]), mod.p)
+                g = _rows_times_basis_element(mod, rows, d - e, bi, e,
+                                              products[c])
                 parts.append((first[g.rows] + t, g.cols, g.vals))
         mats[d] = Sparse.from_entries(
             (pmod.dim(d), mod.dim(d)),
@@ -1004,9 +960,9 @@ def graded_dual(mod: GradedModule) -> GradedModule:
             e = -d - g.degree
             if mod.dim(e) == 0 or mod.dim(-d) == 0:
                 continue
-            a = mod.act_element(g.degree, vec, e)  # M_e -> M_{e+gdeg} = M_{-d}
+            a = _element_action(mod, g.degree, vec, e)  # M_e -> M_{-d}
             if a.any():
-                actions[(gi, d)] = a.T % mod.p
+                actions[(gi, d)] = a.transpose()
     return GradedModule(op_alg, verts, actions)
 
 
@@ -1113,12 +1069,14 @@ def restrict_S(mod: GradedModule, ualg, params: TorsionParams) -> GradedModule:
     """(-)_S: keep the S-degree components; module over the support-
     restricted algebra, with degree-1 and degree-n generator actions."""
     verts = {d: v for d, v in mod.verts.items() if params.in_s(d)}
+    products = {d: {} for d in verts}  # per degree: {word: its action}
     actions: dict = {}
     for gi, g in enumerate(ualg.generators()):
         for d in verts:
             if d + g.degree not in verts:
                 continue
-            a = mod.act_basis_element(g.degree, g.basis_index, d)
+            a = _rows_times_basis_element(mod, None, g.degree, g.basis_index,
+                                          d, products[d])
             if a.any():
                 actions[(gi, d)] = a
     return GradedModule(ualg, verts, actions)

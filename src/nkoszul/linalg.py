@@ -624,6 +624,13 @@ class Sparse:
         return Sparse.from_entries(self.shape, self.rows, self.cols,
                                    self.vals, p)
 
+    def transpose(self) -> "Sparse":
+        """The transpose: the entries sorted by column, stably, so by row
+        within a column."""
+        order = np.argsort(self.cols, kind="stable")
+        return Sparse(self.shape[::-1], self.cols[order], self.rows[order],
+                      self.vals[order])
+
     def row_starts(self) -> np.ndarray:
         """Row i holds the entries row_starts[i] up to row_starts[i + 1]."""
         out = np.zeros(self.shape[0] + 1, dtype=np.int64)
@@ -692,8 +699,8 @@ def sparse_mul(a, b, p: int) -> Sparse:
     with no position twice.  As in `mat_mul`, a product of at most
     _SMALL_PRODUCT multiply-adds, of factors of at most as many entries, is
     one int64 product of the dense factors (numpy's per-call cost, not
-    arithmetic, rules there), and two arrays are multiplied by `mat_mul`;
-    only the product's nonzeros are kept.
+    arithmetic, rules there; `_small_dense`), and two arrays are multiplied
+    by `mat_mul`; only the product's nonzeros are kept.
     """
     if a.shape[1] != b.shape[0]:
         raise LinAlgError(f"mat_mul of shapes {a.shape} and {b.shape}")
@@ -701,10 +708,10 @@ def sparse_mul(a, b, p: int) -> Sparse:
     if (shape[0] * a.shape[1] * shape[1] <= _SMALL_PRODUCT
             and max(a.size, b.size) <= _SMALL_PRODUCT
             and a.shape[1] * (p - 1) ** 2 <= _INT64_MAX):
-        out = (_reduced(np.asarray(dense(a), dtype=np.int64), p)
-               @ _reduced(np.asarray(dense(b), dtype=np.int64), p))
+        out = _small_dense(a, p) @ _small_dense(b, p)
         out %= p
-        return Sparse.from_dense(out, p)
+        r, c = np.nonzero(out)  # reduced already, row by row
+        return Sparse(shape, r, c, out[r, c])
     if not (isinstance(a, Sparse) or isinstance(b, Sparse)):
         return Sparse.from_dense(mat_mul(a, b, p), p)
     a, b = as_sparse(a, p), as_sparse(b, p)
@@ -719,8 +726,22 @@ def sparse_mul(a, b, p: int) -> Sparse:
     return Sparse.from_entries(shape, rows, b.cols[at], vals, p)
 
 
+def _small_dense(m, p: int) -> np.ndarray:
+    """A factor of `sparse_mul`'s small-product path as a reduced int64
+    array: a Sparse, whose values lie in [1, p) and which has at most
+    _SMALL_PRODUCT entries, is scattered with no cap check."""
+    if isinstance(m, Sparse):
+        out = np.zeros(m.shape, dtype=np.int64)
+        out[m.rows, m.cols] = m.vals
+        return out
+    return _reduced(np.asarray(m, dtype=np.int64), p)
+
+
 def sparse_combine(coefs, mats, p: int) -> Sparse:
-    """sum_k coefs[k] * mats[k] mod p, for matrices of one shape."""
+    """sum_k coefs[k] * mats[k] mod p, for matrices of one shape: one matrix
+    with coefficient 1 is itself."""
+    if len(mats) == 1 and int(coefs[0]) % p == 1:
+        return mats[0]
     vals = [_mul_mod(m.vals, np.full(m.nnz, int(c) % p, dtype=np.int64), p)
             for c, m in zip(coefs, mats)]
     return Sparse.from_entries(mats[0].shape,

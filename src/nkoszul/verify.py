@@ -694,7 +694,8 @@ def suite_dual_equivalence(trials: int = 15, seed: int = 0,
 def suite_koszulity(seed: int = 0, bound: int = 6) -> dict:
     """Yoneda dimensions of the truncated corpus algebras match the dual
     algebra dimensions along the alternating degree map; the cubic
-    monomial algebra with a surviving degree-3 path is the negative."""
+    monomial algebra with a surviving degree-3 path is the negative,
+    resolved one step short of `bound`."""
     failures = []
     tables = {}
     for name, _ in CASES["koszulity"]:
@@ -715,7 +716,7 @@ def suite_koszulity(seed: int = 0, bound: int = 6) -> dict:
     for name, _ in CASES["koszulity_negatives"]:
         entry = corpus(name)
         seg = ko.minimal_projective_resolution(
-            ko.semisimple_module(entry["lam"]), 5)
+            ko.semisimple_module(entry["lam"]), bound - 1)
         if ko.follows_degree_map(seg, entry["n"]):
             failures.append(_fail_entry(0, "monomial-negative-accepted"))
         tables[name] = {"ext_dims": ko.segment_ext_dims(seg),

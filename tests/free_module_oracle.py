@@ -76,7 +76,7 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
                 actions[(gi, d)] = Sparse.from_entries(
                     (len(index[d]), len(index[d2])),
                     *(np.concatenate(x) for x in zip(*parts)), p)
-    mod = GradedModule._adopt(algebra, verts, actions)
+    mod = GradedModule(algebra, verts, actions)
     mod.free_index = index
     mod.free_gens = list(zip(gv.tolist(), gd.tolist()))
     return mod

@@ -15,9 +15,20 @@ import numpy as np
 
 from nkoszul import linalg
 from nkoszul.complexes import ComplexError, ComplexOfGraded, hom_complexes
-from nkoszul.grmod import (GradedModule, GradedMorphism, ModuleError,
-                           _combine, hom_space)
+from nkoszul.grmod import GradedModule, GradedMorphism, ModuleError, hom_space
 from nkoszul.linalg import zeros
+
+
+def _combine(coeffs, mats, shape, p: int):
+    """sum_k coeffs[k] * mats[k] mod p, for matrices of one shape: an array
+    by one product of the coefficient row with the stacked matrices when
+    all are arrays, else a Sparse (`linalg.sparse_combine`)."""
+    if all(isinstance(m, np.ndarray) for m in mats):
+        stacked = np.reshape(mats, (len(mats), shape[0] * shape[1]))
+        return linalg.mat_mul(np.reshape(coeffs, (1, len(mats))), stacked,
+                              p).reshape(shape)
+    return linalg.sparse_combine(coeffs, [linalg.as_sparse(m, p)
+                                          for m in mats], p)
 
 
 def combine_mats(coef, mats_list, p: int) -> dict:

@@ -133,6 +133,28 @@ def test_equivalence_F_image_in_Y_and_round_trip():
     assert stalk_check(witness, x, verify.sorting_witness(x)) is None
 
 
+def test_F_of_a_657_dimensional_module_holds_under_4_mib():
+    """Three copies of the free dual module over two_loop_n3 at p = 2,
+    truncated at 7 and restricted to S: F of it stores every cofree action
+    as a Sparse, and holds about 0.7 MiB once built.  With those actions
+    stored dense it held 29 MiB."""
+    import tracemalloc
+    e = verify.corpus("two_loop_n3", 2)
+    params = TorsionParams(e["n"], 1, 0)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, 7), e["ualg"],
+                      params)
+    assert x.total_dim() == 657
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fx = cx.equivalence_F(x, e["lam"], params)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2 ** 20
+    assert cx.in_Y(fx, e["ualg"], params)[0]
+
+
 def test_every_stored_matrix_of_a_morphism_is_sparse():
     """A morphism stores each matrix in one form, a `linalg.Sparse`: the
     differentials of F, nu and psi, the maps of a resolution, a basis of a

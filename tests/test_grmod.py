@@ -500,6 +500,20 @@ def test_hom_space_matches_the_identity_row_construction(name, p):
     assert mismatches or e["quiver"].vertex_count == 1
 
 
+def test_relations_are_checked_on_the_stored_sparse_actions(monkeypatch):
+    """`validate` reads the relations off the Sparse word-chain products,
+    with no dense copy of an action or of their stack: three copies of the
+    free dual module over two_loop_n3 at p = 2, truncated at 7 and
+    restricted to S, pass under a cap of 4 KiB on dense arrays.  Stacked
+    dense, the check was refused over the real cap from truncation 12 on."""
+    e = verify.corpus("two_loop_n3", 2)
+    x = gm.restrict_S(free_module(e["dual"], [(0, 0)] * 3, 7), e["ualg"],
+                      TorsionParams(3, 1, 0))
+    assert x.total_dim() == 657
+    monkeypatch.setattr(linalg, "MAX_SLICE_BYTES", 1 << 12)
+    assert x.validate() == []
+
+
 def test_hom_space_of_a_255_dimensional_free_module_stays_small(
         monkeypatch):
     """The endomorphisms of this free module, truncated at degree 7, have
@@ -985,12 +999,12 @@ def test_public_constructors_do_not_alias_their_inputs():
 
 
 def test_stored_arrays_are_read_only():
-    """A module or a morphism never changes: `act` and the kept action of a
-    basis element hand out read-only arrays, from the public constructors
-    and from the builders alike, so no verdict or product a module keeps
-    can go stale.  A morphism stores each matrix as a read-only Sparse, and
-    `mat` hands out a new array, whose writes the morphism never sees.  The
-    public constructors leave the caller's arrays writable."""
+    """A module or a morphism never changes: each stores every matrix as a
+    read-only Sparse, from the public constructors and from the builders
+    alike, so no verdict or product a module keeps can go stale.  `act`,
+    `act_basis_element` and `mat` hand out new arrays, whose writes the
+    module or the morphism never sees.  The public constructors leave the
+    caller's arrays writable."""
     lam = entry("two_loop_n3")["lam"]
     f = free_module(lam, [(0, 0)], 6)
     actions = dense_actions(f)
@@ -1000,53 +1014,53 @@ def test_stored_arrays_are_read_only():
     assert mod.is_valid()
     spans = submodule_closure(mod, {1: np.array([[3, 5]], dtype=np.int64)})
     quot, proj = quotient_module(mod, spans)
-    arrays = [m.act(*key) for m in (mod, quot) for key in m.stored_actions()]
-    arrays += [mod.act_basis_element(k, 0, 0) for k in range(3)]
-    stored = [(g, d, m) for g in (ident, proj)
-              for d, m in g.stored_mats().items()]
-    arrays += [a for _, _, m in stored for a in (m.rows, m.cols, m.vals)]
+    stored = [(m.act, key, s) for m in (mod, quot)
+              for key, s in m.stored_actions().items()]
+    stored += [(g.mat, (d,), m) for g in (ident, proj)
+               for d, m in g.stored_mats().items()]
+    arrays = [a for _, _, m in stored for a in (m.rows, m.cols, m.vals)]
     assert len(stored) > 5 and len(arrays) > 10
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    for g, d, m in stored:
+    for read, key, m in stored:
         assert isinstance(m, linalg.Sparse)
-        out = g.mat(d)
-        assert out is not g.mat(d) and not np.may_share_memory(out, m.vals)
+        out = read(*key)
+        assert out is not read(*key) and not np.may_share_memory(out, m.vals)
         out[...] = 0
-        assert g.sparse_mat(d) is m and g.mat(d).any()
+        assert read(*key).any()
+    for k in range(3):
+        out = mod.act_basis_element(k, 0, 0)
+        out[...] = 0
+        assert mod.act_basis_element(k, 0, 0).any()
     for m in list(actions.values()) + list(mats.values()):
         m[0, 0] = m[0, 0]
     assert mod.validate() == [] and quot.validate() == []
     assert commutes(ident) and commutes(proj)
 
 
-def values_of(m):
-    """The value array of a matrix in either stored form."""
-    return m.vals if isinstance(m, linalg.Sparse) else m
-
-
 @pytest.fixture
 def stored(monkeypatch):
-    """Every matrix a module or a morphism stores (`_kept`, which both the
-    constructors and the deferred builds store through), with the modulus
-    of its owner, in the order they are stored."""
+    """Every matrix a module or a morphism stores (`_kept`, which both
+    classes, their constructors and their deferred builds store through),
+    with the modulus of its owner, in the order they are stored."""
     seen = []
-    for cls in (GradedModule, GradedMorphism):
-        def spy(owner, mats, kept=cls._kept):
-            out = kept(owner, mats)
-            seen.extend((owner.p, m) for m in out.values())
-            return out
-        monkeypatch.setattr(cls, "_kept", spy)
+    kept = gm._BuiltOnRead._kept
+
+    def spy(owner, mats):
+        out = kept(owner, mats)
+        seen.extend((owner.p, m) for m in out.values())
+        return out
+    monkeypatch.setattr(gm._BuiltOnRead, "_kept", spy)
     return seen
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_every_adopted_array_is_int64_reduced_and_unshared(stored, p):
-    """Every matrix a module or a morphism stores is int64 and reduced mod
-    p, a morphism's is a Sparse, and none shares memory with an array the
-    caller handed in or with another stored matrix (a Sparse handed in is
-    read-only, and is kept as it is)."""
+    """Every matrix a module or a morphism stores is a Sparse, int64 and
+    reduced mod p, and none shares memory with an array the caller handed
+    in or with another stored matrix (a Sparse handed in is read-only, and
+    is kept as it is)."""
     lam = loops_algebra("cycle", p)
     f = free_module(lam, [(0, 0), (1, 1)], 6)
     assert f.verts_at(1).tolist() == [1, 1]
@@ -1057,7 +1071,7 @@ def test_every_adopted_array_is_int64_reduced_and_unshared(stored, p):
     quot, proj = quotient_module(f, spans)
     projective_cover(quot)
     _, phi, _ = projective_cover(f)
-    inputs = [values_of(m) for g in (f, sub, quot)
+    inputs = [m.vals for g in (f, sub, quot)
               for m in g.stored_actions().values()]
     inputs += [m.vals for g in (incl, proj) for m in g.stored_mats().values()]
     before = len(stored)
@@ -1069,27 +1083,25 @@ def test_every_adopted_array_is_int64_reduced_and_unshared(stored, p):
         g.stored_mats()
     assert len(stored) > before > 0
     assert mats[0, 0] == p + 1  # the caller's array is left as it was
-    morphisms = 0
+    assert len(stored) - before > 10
     for i, (q, m) in enumerate(stored):
-        vals = values_of(m)
-        assert q == p and vals.dtype == np.int64
-        assert vals.min(initial=0) >= 0 and vals.max(initial=0) < p
-        if i >= before:
-            morphisms += isinstance(m, linalg.Sparse)
+        assert isinstance(m, linalg.Sparse)
+        assert q == p and m.vals.dtype == np.int64
+        assert m.vals.min(initial=0) >= 0 and m.vals.max(initial=0) < p
         for other in [rows] + (inputs + [mats] if i >= before else []):
-            assert not np.may_share_memory(vals, other)
-    assert morphisms > 10
+            assert not np.may_share_memory(m.vals, other)
     for i, (_, m) in enumerate(stored):
         for _, other in stored[i + 1:]:
-            assert not np.may_share_memory(values_of(m), values_of(other))
+            assert not np.may_share_memory(m.vals, other.vals)
 
 
 def test_stored_actions_carry_a_module_to_the_free_algebra():
     """The copy sites of the CLI's functor command and of verify's functor
     oracle: a module over the dual rebuilt over the free algebra from its
-    stored actions, dense (a quotient) or sparse (a free module).  Arrays
-    are copied, read-only Sparse matrices are kept, every action reads the
-    same, and the orthogonal oracle answers alike on both."""
+    stored actions (a quotient's, or a free module's).  The stored Sparse
+    matrices are read-only and are kept, every action reads the same, and
+    the orthogonal oracle answers alike on the copy and on one rebuilt
+    from the densified actions."""
     e = entry("two_loop_n3")
     lam, dual = e["lam"], e["dual"]
     freeop = verify._free_op_algebra(lam.quiver, e["n"], 3 * e["n"] + 2)
@@ -1097,19 +1109,17 @@ def test_stored_actions_carry_a_module_to_the_free_algebra():
     for mod in (verify.random_quotient_module(rng, dual, 0, 6),
                 free_module(dual, [(0, 0), (0, 2)], 6)):
         stored = mod.stored_actions()
+        assert stored
         copy = GradedModule(freeop, dict(mod.verts), stored)
         kept = copy.stored_actions()
         assert set(kept) == set(stored)
         for key, m in stored.items():
-            if isinstance(m, linalg.Sparse):
-                assert kept[key] is m
-            else:
-                assert not np.may_share_memory(kept[key], m)
+            assert isinstance(m, linalg.Sparse) and kept[key] is m
             assert np.array_equal(copy.act(*key), mod.act(*key))
         dense_copy = GradedModule(freeop, dict(mod.verts), dense_actions(mod))
+        assert dense_copy.stored_actions() == kept
         assert cx.annihilates_orthogonal(copy, lam) \
             == cx.annihilates_orthogonal(dense_copy, lam)
-    assert any(isinstance(m, linalg.Sparse) for m in stored.values())
 
 
 # -- module maps checked by one product per side and generator degree --------

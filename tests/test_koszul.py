@@ -379,13 +379,15 @@ def test_resolution_equals_the_dense_builders(name, bound):
 
 
 def test_resolution_of_a_dense_module_equals_the_dense_builders():
-    """A module with dense actions, here the graded dual of a truncated free
-    module over commutative_n2, is resolved through the same builders."""
-    from nkoszul.grmod import free_module, graded_dual
+    """A module handed in as dense arrays, here the graded dual of a
+    truncated free module over commutative_n2 rebuilt from its densified
+    actions, is resolved through the same builders."""
+    from nkoszul.grmod import GradedModule, free_module, graded_dual
     lam = verify.corpus("commutative_n2")["lam"]
-    dm = graded_dual(free_module(lam, [(0, 0)], 2))
-    assert all(isinstance(m, np.ndarray)
-               for m in dm.stored_actions().values())
+    d = graded_dual(free_module(lam, [(0, 0)], 2))
+    dm = GradedModule(d.algebra, d.verts, {key: d.act(*key)
+                                           for key in d.stored_actions()})
+    assert dm.stored_actions() == d.stored_actions()
     assert_segment_equals_the_dense_one(
         ko.minimal_projective_resolution(dm, 4), dense_resolution(dm, 4))
 

@@ -28,6 +28,21 @@ def test_suite_passes_small_scale(name):
     assert rep["seed"] == 0
 
 
+@pytest.mark.parametrize("bound", [4, 6])
+def test_koszulity_negatives_are_resolved_one_step_short_of_bound(bound):
+    """The negatives of the koszulity suite follow `bound`: resolved to
+    bound - 1, their Ext table has `bound` entries, and the cubic survivor
+    leaves the degree map at j = 3, so it is still rejected at bound 4."""
+    rep = verify.run_suite("koszulity", seed=0, bound=bound)
+    assert rep["passed"], rep["failures"][:2]
+    negatives = [name for name, _ in verify.CASES["koszulity_negatives"]]
+    assert negatives
+    for name in negatives:
+        table = rep["tables"][name]
+        assert len(table["ext_dims"]) == bound
+        assert table["is_n_koszul"] is False
+
+
 def test_mutated_functor_suite_fails():
     rep = verify.run_suite("functor_oracle", trials=30, seed=0, mutate=True)
     assert not rep["passed"]
