@@ -660,8 +660,9 @@ def _extract(c: ComplexOfGraded, ualg, params):
         for d in verts:
             if d + 2 not in verts:
                 continue
+            products: dict = {}  # word products from degree d alone
             for w, gi in n_gens.items():
-                a = prov.act_basis_element(2, w, d)
+                a = _rows_times_basis_element(prov, None, 2, w, d, products)
                 if a.any():
                     actions[(gi, d)] = a
     else:
@@ -696,6 +697,8 @@ def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
     """
     one_gens = generators_of_degree(ualg, 1)
     q = ualg.dual.quiver.opposite()
+    sources = np.array([q.arrow_source(ai) for ai in range(q.arrow_count)],
+                       dtype=np.intp)
     actions = {}
     for k in c.positions():
         s = dmap.delta(k)
@@ -705,13 +708,16 @@ def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
         if rows is None:
             continue
         cols = models[k + 1][0].hom_index[0]   # (vertex, x2)
-        mat = _transported_diff(c, k, models).mat(-s - 1)
+        mat = _transported_diff(c, k, models).sparse_mat(-s - 1)
+        arrow = rows[mat.rows, 0]
+        kept = cols[mat.cols, 0] == sources[arrow]
+        shape = (len(models[k][2]), len(models[k + 1][2]))
         for ai in range(q.arrow_count):
-            r, cx = rows[:, 0] == ai, cols[:, 0] == q.arrow_source(ai)
-            a = zeros(len(models[k][2]), len(models[k + 1][2]))
-            a[np.ix_(rows[r, 1], cols[cx, 1])] = mat[np.ix_(r, cx)]
-            if a.any():
-                actions[(one_gens[ai], s)] = a
+            at = kept & (arrow == ai)
+            if at.any():
+                actions[(one_gens[ai], s)] = Sparse.from_entries(
+                    shape, rows[mat.rows[at], 1], cols[mat.cols[at], 1],
+                    mat.vals[at], c.p)
     return actions
 
 
@@ -726,7 +732,6 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
     dual = ualg.dual
     nd = dual.dim(n)
     prov = GradedModule(ualg, verts, actions)
-    actions.update(prov.stored_actions())  # later modules keep these
     for k in c.positions():
         if k % 2 == 0 or (k + 1) not in models:
             continue
@@ -741,7 +746,7 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
                 f"position {k}")
         for w, a in enumerate(sol.reshape(nd, dim_s, dim_sn)):
             if a.any():
-                actions[(n_gens[w], s)] = a
+                actions[(n_gens[w], s)] = Sparse.from_dense(a, p)
     # the degree-n action one step above each level is forced by the
     # relations: for y = sum of x_a acted by arrows, y * w decomposes
     # through the degree-(n+1) component.  y reads the degree-n actions at
@@ -750,7 +755,6 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
     dmap = DegreeMap(m, n)
     levels = sorted({m + ((dmap.delta(k) - m) // n) * n for k in c.positions()})
     cur_mod = GradedModule(ualg, verts, actions)
-    actions.update(cur_mod.stored_actions())
     for s in levels:
         if cur_mod.dim(s + 1) == 0 or cur_mod.dim(s + 1 + n) == 0:
             continue

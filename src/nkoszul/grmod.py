@@ -69,10 +69,9 @@ _NO_LABELS = _frozen(np.zeros(0, dtype=np.intp))  # of an absent degree
 
 
 def _labels(v) -> np.ndarray:
-    """Vertex labels as a read-only intp array: a read-only one is kept
-    (another module's, in `shift`), anything else is copied."""
-    a = np.asarray(v, dtype=np.intp)
-    return a if a is v and not a.flags.writeable else _frozen(np.array(a))
+    """Vertex labels as a new read-only intp array, shared with no
+    caller."""
+    return _frozen(np.array(v, dtype=np.intp))
 
 
 class _BuiltOnRead:
@@ -126,8 +125,9 @@ class GradedModule(_BuiltOnRead):
     it into a new array, under the size cap.
 
     `verts[d]` holds the vertex labels of the basis of degree d, one
-    read-only intp array per nonzero degree (`_labels`); `verts_at(d)`
-    reads it, or an empty one.
+    read-only intp array per nonzero degree, copied from the caller's
+    labels (`_labels`) and shared only by `shift`; `verts_at(d)` reads it,
+    or an empty one.
     """
 
     _STORE = "_actions"
@@ -233,11 +233,12 @@ class GradedModule(_BuiltOnRead):
     # -- constructions ------------------------------------------------------
 
     def shift(self, s: int) -> "GradedModule":
-        """M[s] with M[s]_d = M_{d+s}, sharing the stored matrices, which
-        never change."""
-        verts = {d - s: v for d, v in self.verts.items()}
+        """M[s] with M[s]_d = M_{d+s}, sharing the label arrays and the
+        stored matrices, which never change."""
         actions = {(gi, d - s): m for (gi, d), m in self._actions.items()}
-        return GradedModule(self.algebra, verts, actions)
+        out = GradedModule(self.algebra, {}, actions)
+        out.verts = {d - s: v for d, v in self.verts.items()}
+        return out
 
 
 def zero_module(algebra) -> GradedModule:

@@ -996,6 +996,18 @@ def test_public_constructors_do_not_alias_their_inputs():
     for d in f.degrees():
         assert np.array_equal(ident.mat(d), np.eye(f.dim(d)))
     assert mod.is_valid() and commutes(ident)
+    # a read-only label array is copied too: its owner may make it writable
+    labels = {d: np.array(v) for d, v in f.verts.items()}
+    for v in labels.values():
+        v.setflags(write=False)
+    mod = GradedModule(lam, labels, dense_actions(f))
+    assert mod.is_valid()
+    for v in labels.values():
+        v.setflags(write=True)
+        v[...] = 1 - v
+    assert all(np.array_equal(mod.verts_at(d), v)
+               for d, v in f.verts.items())
+    assert mod.validate() == [] and mod.is_valid()
 
 
 def test_stored_arrays_are_read_only():
@@ -1014,21 +1026,21 @@ def test_stored_arrays_are_read_only():
     assert mod.is_valid()
     spans = submodule_closure(mod, {1: np.array([[3, 5]], dtype=np.int64)})
     quot, proj = quotient_module(mod, spans)
-    stored = [(m.act, key, s) for m in (mod, quot)
+    stored = [(m.act, m.sparse_act, key, s) for m in (mod, quot)
               for key, s in m.stored_actions().items()]
-    stored += [(g.mat, (d,), m) for g in (ident, proj)
+    stored += [(g.mat, g.sparse_mat, (d,), m) for g in (ident, proj)
                for d, m in g.stored_mats().items()]
-    arrays = [a for _, _, m in stored for a in (m.rows, m.cols, m.vals)]
+    arrays = [a for *_, m in stored for a in (m.rows, m.cols, m.vals)]
     assert len(stored) > 5 and len(arrays) > 10
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    for read, key, m in stored:
+    for read, sparse_read, key, m in stored:
         assert isinstance(m, linalg.Sparse)
         out = read(*key)
         assert out is not read(*key) and not np.may_share_memory(out, m.vals)
         out[...] = 0
-        assert read(*key).any()
+        assert sparse_read(*key) is m and read(*key).any()
     for k in range(3):
         out = mod.act_basis_element(k, 0, 0)
         out[...] = 0
