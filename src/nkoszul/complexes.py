@@ -49,6 +49,7 @@ from .grmod import (
     ModuleError,
     _frozen,
     _hom_families,
+    _element_action,
     _rows_times_basis_element,
     checked_dual,
     free_module,
@@ -200,7 +201,7 @@ def _pair_matrix(src_pairs, tgt_pairs, terms, p: int) -> np.ndarray:
 def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
     """The actions M_d -> M_{d+1} of the given arrows, in that order."""
     gen_of = generators_of_degree(mod.algebra, 1)
-    return [mod.act(gen_of[ai], d) for ai in arrows]
+    return [mod.sparse_act(gen_of[ai], d).dense() for ai in arrows]
 
 
 def cofree_index(lam, vlist) -> dict:
@@ -288,8 +289,9 @@ def annihilates_orthogonal(mod: GradedModule, lam) -> bool:
     for d in mod.degrees():
         if not read or not mod.dim(d + n):
             continue
-        acts = np.stack([mod.act_basis_element(n, b, d).reshape(-1)
-                         for b in read])
+        products: dict = {}  # word products from degree d alone
+        acts = np.stack([_rows_times_basis_element(
+            mod, None, n, b, d, products).dense().reshape(-1) for b in read])
         if linalg.mat_mul(orth[:, read], acts, mod.p).any():
             return False
     return True
@@ -536,7 +538,7 @@ def _xi_matrices(mod: GradedModule, s: int) -> list:
             f"level {s}: contraction map depends on the chosen "
             "decomposition (kernel condition fails)")
     acts = stacked_action(mod, s)
-    return [linalg.mat_mul(pz, acts, mod.p)
+    return [linalg.sparse_mul(pz, acts, mod.p).dense()
             for pz in _mu1_pullbacks(mod, s, t1, pre)]
 
 
@@ -579,7 +581,7 @@ def equivalence_F_map(f: GradedMorphism, fw: ComplexOfGraded,
     fam = {}
     for k, comp in fw.modules.items():
         s = dmap.delta(k)
-        mat = f.mat(s)
+        mat = f.sparse_mat(s).dense()
         rows = cofree_module(lam, f.source.verts_at(s)).hom_index
         cols = cofree_module(lam, f.target.verts_at(s)).hom_index
         fam[k] = GradedMorphism(comp, fx.component(k), {
@@ -764,7 +766,8 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
             for _, ai in t1:
                 if ai not in acts:
                     vec = ualg.mult(1, n)[ai, w]
-                    acts[ai] = cur_mod.act_element(n + 1, vec, s)
+                    acts[ai] = _element_action(cur_mod, n + 1, vec,
+                                               s).dense()
             # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
             y = np.stack([acts[ai][i] for i, ai in t1])
             if linalg.sparse_mul(ker.basis, y, p).any():
@@ -795,7 +798,7 @@ def _odd_solution(c: ComplexOfGraded, models, prov: GradedModule, k: int,
     t1, pre, ker = _mu1_data(prov, s)
     coefs = _mu1_pullbacks(prov, s, t1, pre)
     t = _transported_diff(c, k, models)
-    steps = [(d, rows, cols, lefts, t.mat(d))
+    steps = [(d, rows, cols, lefts, t.sparse_mat(d).dense())
              for d, rows, cols, lefts in _odd_steps(
                  lam, ualg, s, models[k][0], models[k + 1][0])]
     cond = l_condition(prov, s, t1, ker)

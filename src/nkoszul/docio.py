@@ -250,13 +250,14 @@ def module_json(mod: GradedModule) -> dict:
     return {
         "verts": {str(d): mod.verts_at(d).tolist()
                   for d in sorted(mod.degrees())},
-        "actions": {f"{gens[gi].name}@{d}": mod.act(gi, d).tolist()
-                    for (gi, d) in sorted(mod.stored_actions())},
+        "actions": {f"{gens[gi].name}@{d}": m.dense().tolist()
+                    for (gi, d), m in sorted(mod.stored_actions().items())},
     }
 
 
 def morphism_json(f: GradedMorphism) -> dict:
-    return {str(d): f.mat(d).tolist() for d in sorted(f.stored_mats())}
+    return {str(d): m.dense().tolist()
+            for d, m in sorted(f.stored_mats().items())}
 
 
 def complex_json(c) -> dict:

@@ -14,10 +14,11 @@ the covers, inclusions, differentials and envelope maps built here.
 `top_complements` and `kernel_bases` eliminate on that form.  Every
 subspace of a degree (kernels, radicals, socles, images, torsion and
 closures) is a `linalg.Subspace`, a canonical RREF basis stored Sparse.
-`act()` and `mat()` densify into a new array, under
-`linalg.MAX_SLICE_BYTES`; `sparse_act()` and `sparse_mat()` read the stored
-matrix; `stored_actions()` and `stored_mats()` hand them all over, for a
-caller that relabels or copies them.  A builder may leave the actions or
+`sparse_act()` and `sparse_mat()` read the stored matrix, the one read
+form, and every reader here stacks, multiplies and eliminates it; a caller
+that needs an array calls its `.dense()`, under `linalg.MAX_SLICE_BYTES`.
+`stored_actions()` and `stored_mats()` hand them all over.  A builder may
+leave the actions or
 matrices to be built on first read (`_BuiltOnRead`): `free_module`,
 `cover_on_top` and `compose` do.  The blocks of the vertex projectives e_v A
 that free modules are made of are kept in the algebra's memo
@@ -38,11 +39,11 @@ An algebra element acts along one word chain, `_rows_times_word`: rows
 of M_d times a generator word, by `linalg.sparse_mul` from the first
 letter's rows.  `_rows_times_basis_element` keeps the rows at a vertex
 idempotent's vertex and combines any other element's words by
-`linalg.sparse_combine`; `act_basis_element`, `_relation_issues`, the
-cover maps and the envelope maps of `complexes` read it.
+`linalg.sparse_combine`; `_element_action`, `_relation_issues`, the cover
+maps and the envelope maps and action checks of `complexes` read it.
 
 Row-vector convention throughout: an element x of M_d is a coordinate row
-and x * g = x @ act(g, d).
+and x * g = x @ sparse_act(g, d).
 """
 from __future__ import annotations
 
@@ -121,8 +122,8 @@ class GradedModule(_BuiltOnRead):
     The one constructor takes the vertex labels and the action matrices,
     each an array or a `linalg.Sparse`, or a callable that builds them from
     the module on first read, and stores each action as a reduced Sparse
-    (`_BuiltOnRead._kept`).  `sparse_act` reads an action, `act` densifies
-    it into a new array, under the size cap.
+    (`_BuiltOnRead._kept`).  `sparse_act` reads an action in that one
+    form; a caller that needs an array calls its `.dense()`.
 
     `verts[d]` holds the vertex labels of the basis of degree d, one
     read-only intp array per nonzero degree, copied from the caller's
@@ -174,11 +175,6 @@ class GradedModule(_BuiltOnRead):
     def support_top(self):
         return max(self.verts) if self.verts else None
 
-    def act(self, gi: int, d: int) -> np.ndarray:
-        """The action as a new array, densified from the stored Sparse (not
-        cached), refused above the size cap."""
-        return self.sparse_act(gi, d).dense()
-
     def sparse_act(self, gi: int, d: int) -> Sparse:
         """The stored action of generator gi from degree d, a zero Sparse
         when none is stored."""
@@ -191,18 +187,6 @@ class GradedModule(_BuiltOnRead):
                 f"action matrix for generator {gi} at degree {d} has shape "
                 f"{m.shape}, expected {shape}")
         return m
-
-    def act_basis_element(self, d_el: int, b_index: int, d: int) -> np.ndarray:
-        """Action matrix of the b-th algebra basis element of degree d_el, a
-        new array built by `_rows_times_basis_element` on each call: a
-        caller that reads it again keeps it."""
-        return _rows_times_basis_element(self, None, d_el, b_index, d,
-                                         {}).dense()
-
-    def act_element(self, d_el: int, vec, d: int) -> np.ndarray:
-        """Action matrix of a general homogeneous algebra element, a new
-        array (`_element_action`)."""
-        return _element_action(self, d_el, vec, d).dense()
 
     # -- validation ---------------------------------------------------------
 
@@ -500,9 +484,9 @@ class GradedMorphism(_BuiltOnRead):
     maps, chain maps) are monomial or close to it.  The one constructor
     takes a dict of arrays or Sparse matrices, or a callable that builds
     one from the morphism on first read, and stores each as a reduced Sparse
-    (`_BuiltOnRead._kept`).  `sparse_mat` reads a matrix, `mat` densifies
-    it into a new array, under the size cap, and `compose` defers its
-    product like every other build.
+    (`_BuiltOnRead._kept`).  `sparse_mat` reads a matrix in that one form
+    (a caller that needs an array calls its `.dense()`), and `compose`
+    defers its product like every other build.
     """
 
     _STORE = "_mats"
@@ -516,11 +500,6 @@ class GradedMorphism(_BuiltOnRead):
     def stored_mats(self) -> dict:
         """A new dict of the stored matrices, each a Sparse."""
         return dict(self._mats)
-
-    def mat(self, d: int) -> np.ndarray:
-        """The matrix in degree d as a new array, refused above the size
-        cap."""
-        return self.sparse_mat(d).dense()
 
     def sparse_mat(self, d: int) -> Sparse:
         """The matrix in degree d, a zero Sparse when none is stored."""
@@ -542,11 +521,11 @@ class GradedMorphism(_BuiltOnRead):
                 ds, dt = ms.dim(d), mt.dim(d + e)
                 if not (ds and dt):
                     continue
-                lhs = linalg.sparse_mul(
-                    np.concatenate([ms.act(gi, d) for gi in gis]),
+                lhs = linalg.sparse_mul(Sparse.vstack(
+                    [ms.sparse_act(gi, d) for gi in gis], ms.dim(d + e)),
                     self.sparse_mat(d + e), p)
-                rhs = linalg.sparse_mul(self.sparse_mat(d), np.concatenate(
-                    [mt.act(gi, d) for gi in gis], axis=1), p)
+                rhs = linalg.sparse_mul(self.sparse_mat(d), Sparse.hstack(
+                    [mt.sparse_act(gi, d) for gi in gis], mt.dim(d)), p)
                 block, col = np.divmod(rhs.cols, dt)
                 if lhs != Sparse.from_entries(
                         lhs.shape, block * ds + rhs.rows, col, rhs.vals, p):
@@ -668,13 +647,11 @@ def _hom_families(pairs: dict, links) -> list:
 
 
 def socle_subspaces(mod: GradedModule) -> dict:
-    """Per degree: the joint kernel of all positive-degree generator actions."""
-    out = {}
-    for d in mod.degrees():
-        acts = [mod.act(gi, d) for gi in range(len(mod.gens))]
-        acts = [a for a in acts if a.shape[1]]
-        out[d] = (linalg.left_null_space(np.concatenate(acts, axis=1), mod.p)
-                  if acts else Subspace.full(mod.dim(d), mod.p))
+    """Per degree: the joint kernel of all positive-degree generator
+    actions, the left kernel of the actions side by side."""
+    out = {d: linalg.sparse_left_kernel(Sparse.hstack(
+        [mod.sparse_act(gi, d) for gi in range(len(mod.gens))], mod.dim(d)),
+        mod.p) for d in mod.degrees()}
     return {d: s for d, s in out.items() if s.dim}
 
 
@@ -1023,20 +1000,19 @@ def torsion_submodule(mod: GradedModule, params: TorsionParams) -> dict:
 
 def _restrict_stable(mod, cur, d, sub: Subspace) -> Subspace:
     """{x in sub : x g lies in cur[d + deg g] for every generator g}."""
-    keep = sub
+    keep, p = sub, mod.p
     for gi, g in enumerate(mod.gens):
         d2 = d + g.degree
         if mod.dim(d2) == 0:
             continue
-        tgt = cur.get(d2, Subspace.zero(mod.dim(d2), mod.p))
-        # x = u @ keep stays iff x g = v @ tgt for some v: a null space
-        # over (u, v)
-        img = linalg.mat_mul(keep.basis.dense(), mod.act(gi, d), mod.p)
-        ker = linalg.null_space(np.concatenate(
-            [img.T, (-tgt.basis.dense().T) % mod.p], axis=1), mod.p)
+        tgt = cur.get(d2, Subspace.zero(mod.dim(d2), p))
+        # x = u @ keep stays iff y = x g equals y[pivots] @ tgt, as in
+        # `Subspace.contains`: a left kernel over u
+        img = linalg.sparse_mul(keep.basis, mod.sparse_act(gi, d), p)
+        off = linalg.sparse_combine([1, -1], [img, linalg.sparse_mul(
+            img.take_cols(tgt.pivots), tgt.basis, p)], p)
         keep = linalg.sparse_rref(linalg.sparse_mul(
-            ker.basis.take_cols(np.arange(keep.dim)), keep.basis, mod.p),
-            mod.p)
+            linalg.sparse_left_kernel(off, p).basis, keep.basis, p), p)
         if keep.dim == 0:
             break
     return keep
@@ -1050,10 +1026,10 @@ def is_torsionfree(mod: GradedModule, params: TorsionParams) -> bool:
     for d in mod.degrees():
         if params.in_s(d):
             continue
-        deg1 = [mod.act(gi, d) for gi, g in enumerate(mod.gens)
-                if g.degree == 1 and mod.dim(d + 1)]
-        if not deg1 or linalg.left_null_space(np.concatenate(deg1, axis=1),
-                                              mod.p).dim:
+        deg1 = Sparse.hstack([mod.sparse_act(gi, d) for gi, g
+                              in enumerate(mod.gens) if g.degree == 1],
+                             mod.dim(d))
+        if linalg.sparse_left_kernel(deg1, mod.p).dim:
             return False
     return True
 
@@ -1092,51 +1068,49 @@ def multiplication_map(mod: GradedModule, s: int):
 
     Returns (pairs, matrix).  The pairs (i, j), with the vertex of x_i equal
     to the source of y_j, are the vertex-matched basis of the tensor
-    product; the matrix has one row per pair.  `mu1` keeps them on the
-    module."""
+    product; the matrix, a Sparse, has one row per pair, gathered from the
+    degree-1 actions stacked.  `mu1` keeps them on the module."""
     srcs = np.array([src for src, _ in mod.algebra.dual.basis_pairs(1)],
                     dtype=np.intp)
     i, j = np.nonzero(mod.verts_at(s)[:, None] == srcs)
     gens = generators_of_degree(mod.algebra, 1)
-    mu = zeros(i.size, mod.dim(s + 1))
-    if mu.size:
-        mu = np.stack([mod.act(gens[a], s) for a in range(srcs.size)])[j, i]
-    return list(zip(i.tolist(), j.tolist())), mu
+    stack = Sparse.vstack([mod.sparse_act(gens[a], s)
+                           for a in range(srcs.size)], mod.dim(s + 1))
+    return (list(zip(i.tolist(), j.tolist())),
+            stack.take_rows(j * mod.dim(s) + i))
 
 
 def mu1(mod: GradedModule, s: int):
     """`multiplication_map(mod, s)`, built once per module and level."""
-    def build():
-        pairs, mu = multiplication_map(mod, s)
-        return pairs, _frozen(mu)
-    return mod._memo(("mu1", s), build)
+    return mod._memo(("mu1", s), lambda: multiplication_map(mod, s))
 
 
 def mu1_kernel(mod: GradedModule, s: int) -> Subspace:
     """Ker(mu_1) at level s, over the pairs of `mu1`: built once per module
     and level."""
-    return mod._memo(("mu1 kernel", s), lambda: linalg.left_null_space(
+    return mod._memo(("mu1 kernel", s), lambda: linalg.sparse_left_kernel(
         mu1(mod, s)[1], mod.p))
 
 
 def mu1_preimage(mod: GradedModule, s: int):
     """The canonical preimage of X_{s+1} under mu_1 at level s, a matrix P
     with P^T mu_1 = I (column y of P over the pairs of `mu1`), or None when
-    mu_1 is not onto: decided once per module and level."""
+    mu_1 is not onto: decided once per module and level, by one dense solve
+    under the size cap."""
     return mod._memo(("mu1 preimage", s), lambda: linalg.solve_matrix(
-        mu1(mod, s)[1].T, linalg.eye(mod.dim(s + 1)), mod.p))
+        mu1(mod, s)[1].dense().T, linalg.eye(mod.dim(s + 1)), mod.p))
 
 
-def stacked_action(mod: GradedModule, s: int) -> np.ndarray:
-    """The degree-n action at s as one matrix A: row w * dim X_s + i is x_i
+def stacked_action(mod: GradedModule, s: int) -> Sparse:
+    """The degree-n action at s as one Sparse A: row w * dim X_s + i is x_i
     acted on by the w-th degree-n generator.  Built once per module and
     level."""
     def build():
         n = mod.algebra.n
         gens = generators_of_degree(mod.algebra, n)
-        return np.concatenate(
-            [zeros(0, mod.dim(s + n))]
-            + [mod.act(gens[w], s) for w in range(mod.algebra.dual.dim(n))])
+        return Sparse.vstack([mod.sparse_act(gens[w], s)
+                              for w in range(mod.algebra.dual.dim(n))],
+                             mod.dim(s + n))
     return mod._memo(("stacked action", s), build)
 
 
@@ -1151,15 +1125,17 @@ def l_condition(mod: GradedModule, s: int, t1, ker) -> np.ndarray:
     b-th basis element of dual_{n-1}: with t = mult(1, n - 1),
     (x_i (x) y_j) y_b = x_i (x) sum_w t[j, b, w] y_w, and x_i (x) y_w acts
     as row w * dim X_s + i of A.  One product of the coefficients, regrouped
-    by x_i, with the tensor."""
+    by x_i, with the tensor.  The coefficients and the product are dense,
+    each refused above the size cap before it is allocated."""
     alg = mod.algebra
     t_mul = alg.dual.mult(1, alg.n - 1)
     nv, nx, (nj, nb, nw) = ker.dim, mod.dim(s), t_mul.shape
-    coef = np.zeros((nv, nx, nj), dtype=np.int64)
+    coef = linalg.dense_zeros(nv * nx, nj).reshape(nv, nx, nj)
     if t1:
         i, j = np.asarray(t1, dtype=np.intp).T
         b = ker.basis
         coef[b.rows, i[b.cols], j[b.cols]] = b.vals
+    linalg._check_dense(nv * nx, nb * nw)
     prod = linalg.mat_mul(coef.reshape(nv * nx, nj),
                           t_mul.reshape(nj, nb * nw), mod.p)
     return prod.reshape(nv, nx, nb, nw).transpose(0, 2, 3, 1).reshape(
@@ -1181,7 +1157,7 @@ def kernel_condition_holds(mod: GradedModule, s: int) -> bool:
     decided once per module and level."""
     def check():
         ker = mu1_kernel(mod, s)
-        return not (ker.dim and linalg.mat_mul(
+        return not (ker.dim and linalg.sparse_mul(
             l_condition(mod, s, mu1(mod, s)[0], ker), stacked_action(mod, s),
             mod.p).any())
     return mod._memo(("kernel condition", s), check)

@@ -89,7 +89,10 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 
 def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+    """The identity, refused above the cap before it is allocated."""
+    out = dense_zeros(n, n)
+    np.fill_diagonal(out, 1)
+    return out
 
 
 # Every integer of magnitude up to these is exact in the dtype.
@@ -329,10 +332,12 @@ def solve(a, b, p: int):
 
 
 def solve_matrix(a, b, p: int):
-    """Some X with a @ X = b for matrix right-hand side, or None."""
+    """Some X with a @ X = b for matrix right-hand side, or None.  The
+    system [a | b] is refused above the cap before it is built."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     b = np.atleast_2d(np.asarray(b, dtype=np.int64))
     n = a.shape[1]
+    _check_dense(a.shape[0], n + b.shape[1])
     red, pivots, r = _rref(np.concatenate([a, b], axis=1), p)
     if r and pivots[-1] >= n:
         return None
@@ -599,6 +604,12 @@ class Sparse:
         return Sparse((sum(heights), cols), cat(rows),
                       cat([m.cols for m in parts]),
                       cat([m.vals for m in parts]))
+
+    @staticmethod
+    def hstack(parts, rows: int) -> "Sparse":
+        """The matrices side by side: their transposes stacked, transposed
+        (`transpose` sorts stably, so by column within a row)."""
+        return Sparse.vstack([m.transpose() for m in parts], rows).transpose()
 
     @property
     def size(self) -> int:

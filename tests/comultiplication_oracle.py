@@ -6,7 +6,8 @@ import numpy as np
 
 from nkoszul import linalg
 from nkoszul.grmod import (GradedModule, ModuleError, TorsionParams,
-                           _require_u_grading, socle_subspaces)
+                           _element_action, _require_u_grading,
+                           socle_subspaces)
 from nkoszul.linalg import zeros
 from nkoszul.quiver import Path, enumerate_paths, opposite_path
 
@@ -28,7 +29,8 @@ def comultiplication(mod: GradedModule, s: int, u: int) -> np.ndarray:
     q = ualg.dual.quiver.opposite()
     classes = ualg.dual.path_classes(u, [opposite_path(pa, q) for pa in plist])
     for c, (i, pi) in enumerate(pairs):
-        a = mod.act_element(u, classes[pi], -s - u)  # X_{-s-u} -> X_{-s}
+        # X_{-s-u} -> X_{-s}
+        a = _element_action(mod, u, classes[pi], -s - u).dense()
         if a.size:
             out[:, c] = (out[:, c] + a[:, i]) % mod.p
     return out

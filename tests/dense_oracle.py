@@ -21,7 +21,10 @@ idempotent as a diagonal projection, before the module read them off one
 word chain (`grmod._rows_times_basis_element`).  `F_at_n2` is F at n = 2
 as it was built before `nu` and F came from one builder: the module copied
 onto the dual, nu of the copy by nu's own loop, every position shifted by
--m.
+-m.  `socle_subspaces`, `restrict_stable`, `is_torsionfree` and
+`multiplication_map` are the readers of socles, torsion and mu_1 on the
+densified actions, with the dense null spaces they used, before they read
+the stored Sparse actions.
 """
 import numpy as np
 
@@ -29,7 +32,8 @@ from nkoszul import complexes as cx
 from nkoszul import linalg
 from nkoszul.algebra import _check_size
 from nkoszul.complexes import settled_top
-from nkoszul.grmod import GradedModule, GradedMorphism, ModuleError
+from nkoszul.grmod import (GradedModule, GradedMorphism, ModuleError,
+                           _rows_times_basis_element)
 from nkoszul.linalg import Subspace, zeros
 
 
@@ -110,7 +114,8 @@ def top_complements(mod):
     """`grmod.top_complements` by one dense rref of the stacked actions."""
     out = {}
     for d in mod.degrees():
-        rows = [mod.act(gi, d - g.degree) for gi, g in enumerate(mod.gens)
+        rows = [mod.sparse_act(gi, d - g.degree).dense()
+                for gi, g in enumerate(mod.gens)
                 if (gi, d - g.degree) in mod.stored_actions()]
         rows = [a for a in rows if a.any()]
         if not rows:
@@ -143,7 +148,8 @@ def cover_on_top(mod, comp, hi):
         degs = gen_deg[gnos]
         for gd, bi in sorted(set(zip(degs.tolist(), bis.tolist()))):
             rows = ((degs == gd) & (bis == bi)).nonzero()[0]
-            a = mod.act_basis_element(d - gd, bi, gd)
+            a = _rows_times_basis_element(mod, None, d - gd, bi, gd,
+                                          {}).dense()
             if a.size:
                 m[rows] = a[gen_row[gnos[rows]]]
         mats[d] = m
@@ -152,7 +158,8 @@ def cover_on_top(mod, comp, hi):
 
 def compose(f, g):
     """`GradedMorphism.compose` as one dense product per degree."""
-    mats = {d: linalg.mat_mul(f.mat(d), g.mat(d), f.p)
+    mats = {d: linalg.mat_mul(f.sparse_mat(d).dense(),
+                              g.sparse_mat(d).dense(), f.p)
             for d in set(f.stored_mats()) | set(g.stored_mats())}
     return GradedMorphism(f.source, g.target, mats)
 
@@ -163,7 +170,7 @@ def morphism_kernel(f):
     m = f.source
     out = {}
     for d in m.degrees():
-        mat = f.mat(d)
+        mat = f.sparse_mat(d).dense()
         sv = np.asarray(m.verts_at(d))
         blocks = []
         for v in sorted(set(m.verts_at(d))):
@@ -205,7 +212,7 @@ def submodule_as_module(mod, spans):
             d2 = d + g.degree
             if mod.dim(d2) == 0:
                 continue
-            img = linalg.mat_mul(b, mod.act(gi, d), mod.p)
+            img = linalg.mat_mul(b, mod.sparse_act(gi, d).dense(), mod.p)
             if d2 not in bases:
                 if img.any():
                     raise ModuleError("family is not closed under the action")
@@ -253,12 +260,12 @@ def dense_resolution(mod, length):
 
 def dense_actions(mod):
     """The stored actions of a module, each densified."""
-    return {key: mod.act(*key) for key in mod.stored_actions()}
+    return {key: mod.sparse_act(*key).dense() for key in mod.stored_actions()}
 
 
 def dense_mats(f):
     """The stored matrices of a morphism, each densified."""
-    return {d: f.mat(d) for d in f.stored_mats()}
+    return {d: f.sparse_mat(d).dense() for d in f.stored_mats()}
 
 
 def word_action(mod, word, d: int) -> np.ndarray:
@@ -266,7 +273,7 @@ def word_action(mod, word, d: int) -> np.ndarray:
     actions multiplied in order, the identity for the empty word."""
     out = linalg.eye(mod.dim(d))
     for gi in word:
-        out = linalg.mat_mul(out, mod.act(gi, d), mod.p)
+        out = linalg.mat_mul(out, mod.sparse_act(gi, d).dense(), mod.p)
         d += mod.gens[gi].degree
     return out
 
@@ -320,7 +327,7 @@ def odd_system(c, models, prov, k, s):
         hit = np.asarray([x2 for _, x2 in cols])[:, None] == np.arange(dim_sn)
         blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
                        * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
-        rhs.append(t.mat(d).reshape(-1))
+        rhs.append(t.sparse_mat(d).dense().reshape(-1))
     cond = cx.l_condition(prov, s, t1, ker)
     cond = cond[cond.any(axis=1)]
     blocks.append(np.kron(cond, linalg.eye(dim_sn)))
@@ -346,8 +353,10 @@ def noncommuting_degree(f):
     ms, mt = f.source, f.target
     for d in sorted(set(ms.degrees()) | set(mt.degrees())):
         for gi, g in enumerate(ms.gens):
-            lhs = linalg.mat_mul(ms.act(gi, d), f.mat(d + g.degree), f.p)
-            rhs = linalg.mat_mul(f.mat(d), mt.act(gi, d), f.p)
+            lhs = linalg.mat_mul(ms.sparse_act(gi, d).dense(),
+                                 f.sparse_mat(d + g.degree).dense(), f.p)
+            rhs = linalg.mat_mul(f.sparse_mat(d).dense(),
+                                 mt.sparse_act(gi, d).dense(), f.p)
             if not np.array_equal(lhs, rhs):
                 return d
     return None
@@ -369,7 +378,7 @@ def chain_iso_failure(c, c2, fam: dict):
         a, b = c.modules[k], c2.modules[k]
         f = GradedMorphism(a, b, fam[k].stored_mats() if k in fam else {})
         for d in sorted(set(a.degrees()) | set(b.degrees())):
-            m = f.mat(d)
+            m = f.sparse_mat(d).dense()
             if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
                     or linalg.inverse(m, c.p) is None:
                 return failure("invertible", k, d)
@@ -384,7 +393,8 @@ def chain_iso_failure(c, c2, fam: dict):
             lhs = c.diff(k).compose(maps[k + 1])
             rhs = maps[k].compose(c2.diff(k))
             for d in c.modules[k].degrees():
-                if not np.array_equal(lhs.mat(d), rhs.mat(d)):
+                if not np.array_equal(lhs.sparse_mat(d).dense(),
+                                      rhs.sparse_mat(d).dense()):
                     return failure("differential", k, d)
     return None
 
@@ -411,3 +421,66 @@ def F_at_n2(mod, lam, m: int):
                 comps[j - m], comps[j + 1 - m],
                 cx._hom_step(lam, acts, j, bases[j], bases[j + 1]))
     return cx.ComplexOfGraded(lam, 2, comps, diffs)
+
+
+def socle_subspaces(mod) -> dict:
+    """`grmod.socle_subspaces` as the dense left null space of the actions
+    side by side."""
+    out = {}
+    for d in mod.degrees():
+        acts = [mod.sparse_act(gi, d).dense() for gi in range(len(mod.gens))]
+        acts = [a for a in acts if a.shape[1]]
+        out[d] = (linalg.left_null_space(np.concatenate(acts, axis=1), mod.p)
+                  if acts else Subspace.full(mod.dim(d), mod.p))
+    return {d: s for d, s in out.items() if s.dim}
+
+
+def restrict_stable(mod, cur, d, sub: Subspace) -> Subspace:
+    """`grmod._restrict_stable` as one dense null space per generator: x =
+    u @ keep stays iff x g = v @ tgt for some v, a null space over
+    (u, v)."""
+    keep = sub
+    for gi, g in enumerate(mod.gens):
+        d2 = d + g.degree
+        if mod.dim(d2) == 0:
+            continue
+        tgt = cur.get(d2, Subspace.zero(mod.dim(d2), mod.p))
+        img = linalg.mat_mul(keep.basis.dense(), mod.sparse_act(gi, d).dense(),
+                             mod.p)
+        ker = linalg.null_space(np.concatenate(
+            [img.T, (-tgt.basis.dense().T) % mod.p], axis=1), mod.p)
+        keep = linalg.sparse_rref(linalg.sparse_mul(
+            ker.basis.take_cols(np.arange(keep.dim)), keep.basis, mod.p),
+            mod.p)
+        if keep.dim == 0:
+            break
+    return keep
+
+
+def is_torsionfree(mod, params) -> bool:
+    """`grmod.is_torsionfree` by a dense left null space of the degree-1
+    actions side by side, per degree off S."""
+    for d in mod.degrees():
+        if params.in_s(d):
+            continue
+        deg1 = [mod.sparse_act(gi, d).dense() for gi, g in enumerate(mod.gens)
+                if g.degree == 1 and mod.dim(d + 1)]
+        if not deg1 or linalg.left_null_space(np.concatenate(deg1, axis=1),
+                                              mod.p).dim:
+            return False
+    return True
+
+
+def multiplication_map(mod, s: int):
+    """`grmod.multiplication_map` with mu_1 a dense array, gathered from
+    the densified degree-1 actions stacked."""
+    srcs = np.array([src for src, _ in mod.algebra.dual.basis_pairs(1)],
+                    dtype=np.intp)
+    i, j = np.nonzero(mod.verts_at(s)[:, None] == srcs)
+    gens = {g.basis_index: gi for gi, g in enumerate(mod.gens)
+            if g.degree == 1}
+    mu = zeros(i.size, mod.dim(s + 1))
+    if mu.size:
+        mu = np.stack([mod.sparse_act(gens[a], s).dense()
+                       for a in range(srcs.size)])[j, i]
+    return list(zip(i.tolist(), j.tolist())), mu

@@ -22,7 +22,7 @@ def multiplication_map(mod: GradedModule, s: int, k: int):
             if g.degree == k}
     mu = zeros(len(pairs), mod.dim(s + k))
     for r, (i, j) in enumerate(pairs):
-        a = mod.act(gens[j], s)
+        a = mod.sparse_act(gens[j], s).dense()
         if a.size:
             mu[r] = a[i]
     return pairs, mu

@@ -92,7 +92,7 @@ def reference_hom_complexes(c: ComplexOfGraded, c2: ComplexOfGraded):
 def stack_entries(f: GradedMorphism, degs) -> np.ndarray:
     """The entries of f's matrices in the degrees degs, one after the
     other."""
-    parts = [f.mat(d).reshape(-1) for d in degs]
+    parts = [f.sparse_mat(d).dense().reshape(-1) for d in degs]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nkoszul import algebra as al
+from nkoszul import grmod as gm
 from nkoszul import linalg
 from nkoszul.algebra import (DegreeMap, Presentation, USupportAlgebra,
                              build_dual, build_slices, compute_orthogonal,
@@ -360,15 +361,18 @@ def test_algebra_products_are_exact_at_large_moduli(p):
     mod = free_module(lam, [(0, 0)], 5)
     for d_el, d in [(1, 0), (2, 1), (3, 1)]:
         vec = rng.integers(p - 1000, p, lam.dim(d_el))
-        mats = [mod.act_basis_element(d_el, b, d) for b in range(len(vec))]
-        assert np.array_equal(mod.act_element(d_el, vec, d),
+        mats = [gm._rows_times_basis_element(mod, None, d_el, b, d,
+                                             {}).dense()
+                for b in range(len(vec))]
+        assert np.array_equal(gm._element_action(mod, d_el, vec, d).dense(),
                               py_combination(p, vec, mats))
     ualg = USupportAlgebra(build_dual(lam, 5), 2)
     umod = free_module(ualg, [(0, 0)], 5)
     for d_el in (2, 3, 4):
         for b, words in enumerate(ualg.element_words(d_el)):
             mats = [word_action(umod, w, 0) for w, _ in words]
-            assert np.array_equal(umod.act_basis_element(d_el, b, 0),
+            assert np.array_equal(gm._rows_times_basis_element(
+                umod, None, d_el, b, 0, {}).dense(),
                                   py_combination(p, [c for _, c in words],
                                                  mats))
 

@@ -744,6 +744,59 @@ def test_memory_and_kernel_errors_exit_2(capsys, monkeypatch, error):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+def test_the_kernel_condition_refuses_its_dense_blocks_above_the_cap(
+        capsys, monkeypatch, tmp_path):
+    """The product of `grmod.l_condition` and the solve system of
+    `grmod.mu1_preimage` (`linalg.solve_matrix`) are dense.  With the cap
+    just below either, in_L and the preimage raise before the product or
+    the solve runs, and `check --predicate in_L` exits 2 with the
+    refusal."""
+    import numpy as np
+    from nkoszul import grmod as gm, linalg, verify
+    from nkoszul.docio import module_json
+    e = verify.corpus("two_loop_n3")
+    params = gm.TorsionParams(3, 1, 0)
+    rep = verify.random_representation(np.random.default_rng(0), e["dual"],
+                                       range(8), 6, mindim=3)
+    x = gm.restrict_S(rep, e["ualg"], params)
+    spec = module_json(x)
+    # the largest product, at level 3, is refused; the one at level 0 and
+    # every other dense block of the command stay under the cap
+    rows = max(gm.mu1_kernel(x, s).dim * x.dim(s) for s in (0, 3))
+    cols = e["dual"].dim(2) * e["dual"].dim(3)
+    assert gm.in_L(x, params) and (rows, cols) == (42, 32)
+    products = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b, p: products.append(
+        (np.shape(a)[0], np.shape(b)[1])) or mat_mul(a, b, p))
+    monkeypatch.setattr(linalg, "MAX_SLICE_BYTES", rows * cols * 8 - 1)
+    with pytest.raises(LinAlgError, match=f"a dense {rows}x{cols} matrix"):
+        gm.in_L(gm.restrict_S(rep, e["ualg"], params), params)
+    assert (rows, cols) not in products
+    x = gm.restrict_S(rep, e["ualg"], params)  # with nothing kept
+    pairs, dim1 = len(gm.mu1(x, 0)[0]), x.dim(1)
+
+    def unreached(*args):
+        raise AssertionError("the solve ran")
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "MAX_SLICE_BYTES", dim1 * (pairs + dim1) * 8
+                      - 1)
+        patch.setattr(linalg, "_rref", unreached)
+        with pytest.raises(LinAlgError,
+                           match=f"a dense {dim1}x{pairs + dim1} "):
+            gm.mu1_preimage(x, 0)
+    monkeypatch.setattr(linalg, "MAX_SLICE_BYTES", rows * cols * 8 - 1)
+    with open(TWO_LOOP) as fh:
+        doc = json.load(fh)
+    doc["modules"] = {"X": {"over": "u", **spec}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check", str(path), "--predicate", "in_L",
+                                  "--object", "X"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"input error: a dense {rows}x{cols} matrix")
+
+
 def test_a_window_past_the_slice_cap_exits_2_naming_the_degree():
     """The dual of two_loop_n3 is free: degree d has 2**d normal words.  At
     window 40 the state of degree 21 (its words spelled out, its arrow
@@ -819,7 +872,11 @@ def test_in_Y_witness_of_F_is_the_module_at_every_seed(capsys):
 
 def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
     """`check --predicate in_Y --object "F(X)"` on two_loop_n3 at seed 0
-    runs 18 dense eliminations (`linalg._rref`).  It ran 32 while
+    runs 11 dense eliminations (`linalg._rref`).  It ran 18 while the
+    kernels of mu_1 (3) and the socles (4) were dense null spaces of the
+    densified actions: they are now `linalg.sparse_left_kernel`s of the
+    stored Sparse actions, whose structured elimination settles them with
+    no dense block left over.  It ran 32 while
     `null_space` built a basis with the free columns as the identity and
     `Subspace.from_rows` reduced that basis a second time, once for each
     of its 10 null spaces; the canonical basis is now read off the one
@@ -835,7 +892,7 @@ def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
     code, rep = run_json(capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
                                   "--object", "F(X)", "--seed", "0"])
     assert code == 0 and rep["verdict"] is True
-    assert len(shapes) == 18
+    assert len(shapes) == 11
 
 
 def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):

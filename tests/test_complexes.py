@@ -292,12 +292,13 @@ def dense_Yo_escape(c):
             continue
         comp, f = c.modules[k], c.diff(k)
         for d in comp.degrees():
-            images = [comp.act(gi, d - g.degree)
+            images = [comp.sparse_act(gi, d - g.degree).dense()
                       for gi, g in enumerate(comp.gens)]
             rad = linalg.Subspace.from_rows(
                 comp.dim(d), np.concatenate(
                     [linalg.zeros(0, comp.dim(d))] + images), c.p)
-            if not rad.contains(linalg.null_space(f.mat(d).T, c.p)):
+            if not rad.contains(linalg.null_space(f.sparse_mat(d).dense().T,
+                                                  c.p)):
                 return k
     return None
 
@@ -456,7 +457,8 @@ def stacked_span(c, c2, fams):
               for k in sorted(set(c.positions()) | set(c2.positions()))
               for d in sorted(set(c.component(k).degrees())
                               | set(c2.component(k).degrees()))]
-    rows = [np.concatenate([fam[k].mat(d).reshape(-1) if k in fam
+    rows = [np.concatenate([fam[k].sparse_mat(d).dense().reshape(-1)
+                            if k in fam
                             else np.zeros(r * s, dtype=np.int64)
                             for k, d, r, s in blocks]) for fam in fams]
     ambient = sum(r * s for _, _, r, s in blocks)
@@ -543,7 +545,7 @@ def reference_psi_mats(mod, lam, k, src, tgt):
         pos2 = {tuple(row): c for c, row in enumerate(tgt.free_index[d])}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for ai in range(lam.quiver.arrow_count):
-            a_act = mod.act(arrow_gens[ai], k)
+            a_act = mod.sparse_act(arrow_gens[ai], k).dense()
             vec = np.zeros(lam.dim(1), dtype=np.int64)
             vec[ai] = 1
             lmul = left_mult_matrix(lam, 1, vec, e1)
@@ -631,7 +633,8 @@ def reference_xi(mod, s):
             cls = dual.reduce_vector(v, n)
             act = np.zeros((mod.dim(s), mod.dim(s + n)), dtype=np.int64)
             for w in np.nonzero(cls)[0]:
-                act = (act + int(cls[w]) * mod.act(n_gens[int(w)], s)) % p
+                act = (act + int(cls[w])
+                       * mod.sparse_act(n_gens[int(w)], s).dense()) % p
             for col in range(mod.dim(s + 1)):
                 if pre[r, col]:
                     mat[col] = (mat[col] + int(pre[r, col]) * act[i]) % p
@@ -710,9 +713,9 @@ def reference_odd_system(c, models, prov, k, s):
         cols.append((model_diff({**dense_actions(prov), (n_gen_pos[w], s): unit})
                      - off) % p)
     a_mat = np.stack(cols, axis=1)
-    rhs = (flatten({d: t.mat(d) for d in degs}) - off) % p
+    rhs = (flatten({d: t.sparse_mat(d).dense() for d in degs}) - off) % p
     t1, mu1 = gm.multiplication_map(prov, s)
-    kerz = linalg.null_space(mu1.T, p)
+    kerz = linalg.null_space(mu1.dense().T, p)
     mu_un = dual.mult(1, n - 1)
     extra = []
     for z in kerz.basis.dense():
@@ -748,7 +751,7 @@ def reference_degree_one(c, models, dmap, ualg):
         s = dmap.delta(k)
         if k + 1 not in models or dmap.delta(k + 1) != s + 1:
             continue
-        mat = cx._transported_diff(c, k, models).mat(-s - 1)
+        mat = cx._transported_diff(c, k, models).sparse_mat(-s - 1).dense()
         rows = models[k][0].hom_index.get(-1, [])
         cols = models[k + 1][0].hom_index.get(0, [])
         for ai in range(q.arrow_count):
@@ -1302,6 +1305,16 @@ def test_in_Y_of_F_answers_past_truncation_5():
     assert cx.in_Y(c, e["ualg"], params)[0]
 
 
+def test_membership_reads_the_stored_actions_under_a_small_cap(monkeypatch):
+    """With F built and the dense cap at 1 MiB, in_Y of F and in_L of the
+    module read back answer: the socles, the commutation checks and mu_1
+    read the stored Sparse actions, where densifying them needs 9 MiB."""
+    e, params, c = truncated_free_F(7)
+    monkeypatch.setattr(linalg, "MAX_SLICE_BYTES", 1 << 20)
+    ok, x = cx.in_Y(c, e["ualg"], params)
+    assert ok and gm.in_L(x, params)
+
+
 def test_degree_n_system_is_refused_before_it_is_allocated(monkeypatch):
     """With the slice cap below one vertex block's system, the cap refuses
     the block before its matrix is built, and in_Y passes the refusal on
@@ -1550,8 +1563,8 @@ def test_one_word_chain_matches_the_dense_products(p):
     """On every corpus algebra over F_p, free modules over the dual, U and
     E, stored Sparse and stored dense, act by every basis element (the
     vertex idempotents of the two-vertex algebras included) as the dense
-    letter products of the oracle do: on every row, as `act_basis_element`
-    keeps it, and on the rows of each vertex block, as the cover maps read
+    letter products of the oracle do: on every row, as `_element_action`
+    reads it, and on the rows of each vertex block, as the cover maps read
     it."""
     from nkoszul.algebra import yoneda_regrade
     checked = 0
@@ -1573,7 +1586,8 @@ def test_one_word_chain_matches_the_dense_products(p):
                             want = dense_oracle.basis_element_action(
                                 mod, d_el, b, d)
                             assert np.array_equal(
-                                mod.act_basis_element(d_el, b, d), want)
+                                gm._rows_times_basis_element(
+                                    mod, None, d_el, b, d, {}).dense(), want)
                             for rows in blocks:
                                 got = gm._rows_times_basis_element(
                                     mod, rows, d_el, b, d, {})

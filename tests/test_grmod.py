@@ -9,6 +9,7 @@ from nkoszul.grmod import (GradedModule, GradedMorphism, TorsionParams,
                            free_module, graded_dual, hom_space,
                            projective_cover, quotient_module,
                            submodule_closure, zero_module)
+import dense_oracle
 from dense_oracle import dense_actions, dense_mats, label_lists
 from search_oracle import combine_mats, commutes, is_iso, iso_modules
 
@@ -193,7 +194,7 @@ def test_quotient_projection_matches_the_loop_construction():
         for r, row in zip(pivots, red):
             for c, i in enumerate(keep):
                 want[r, c] = (want[r, c] - row[i]) % P
-        assert np.array_equal(proj.mat(d), want)
+        assert np.array_equal(proj.sparse_mat(d).dense(), want)
         checked += 1
     assert checked
 
@@ -257,6 +258,51 @@ def test_torsion_detects_off_support_part():
     tors = gm.torsion_submodule(stalk, params)
     assert 2 in tors and tors[2].dim == 1
     assert not gm.is_torsionfree(stalk, params)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_sparse_readers_match_the_dense_ones(p, monkeypatch):
+    """On random quotient and representation modules over the corpus duals,
+    the socles, the torsion submodule (each step of its fixpoint), the
+    torsionfree verdict and mu_1 of the restriction to S read off the
+    stored Sparse actions equal those of the dense readers they replaced
+    (`dense_oracle`).  Some draws have torsion, some steps cut the
+    subspace, and some draws are torsionfree and some not."""
+    rng = np.random.default_rng(p)
+    seen = dict.fromkeys(("torsion", "cut", "free", "not free", "mu1"), 0)
+    restrict = gm._restrict_stable
+
+    def both(mod, cur, d, sub):
+        got = restrict(mod, cur, d, sub)
+        assert got == dense_oracle.restrict_stable(mod, cur, d, sub)
+        seen["cut"] += got.dim < sub.dim
+        return got
+    monkeypatch.setattr(gm, "_restrict_stable", both)
+    for name in ("one_loop_n3", "two_loop_n3", "commutative_n2",
+                 "two_vertex_n3", "two_vertex_n4"):
+        e = verify.corpus(name, p)
+        dual, n = e["dual"], e["n"]
+        mods = [verify.random_quotient_module(rng, dual, 0, 2 * n + 1)
+                for _ in range(3)]
+        if name != "commutative_n2":  # its dual has relations
+            mods += [verify.random_representation(
+                rng, dual, range(2 * n + 2), 2) for _ in range(3)]
+        for mod in mods:
+            params = TorsionParams(n, 1, int(rng.integers(n)))
+            assert gm.socle_subspaces(mod) == \
+                dense_oracle.socle_subspaces(mod)
+            free = gm.is_torsionfree(mod, params)
+            assert free == dense_oracle.is_torsionfree(mod, params)
+            seen["free" if free else "not free"] += 1
+            seen["torsion"] += bool(gm.torsion_submodule(mod, params))
+            x = gm.restrict_S(mod, e["ualg"], params)
+            for s in x.degrees():
+                pairs, mu = gm.multiplication_map(x, s)
+                want_pairs, want_mu = dense_oracle.multiplication_map(x, s)
+                assert pairs == want_pairs
+                assert np.array_equal(mu.dense(), want_mu)
+                seen["mu1"] += mu.any()
+    assert all(seen.values()), seen
 
 
 def test_restrict_S_of_free_dual_is_in_L():
@@ -404,7 +450,7 @@ def test_in_L_as_one_product_matches_the_null_space_containment(p):
                         pairs, mu = gm.multiplication_map(x, s)
                         want_pairs, want_mu = multiplication_map(x, s, 1)
                         assert pairs == want_pairs
-                        assert np.array_equal(mu, want_mu)
+                        assert np.array_equal(mu.dense(), want_mu)
                     got = gm.in_L(x, params)
                     assert got == containment_in_L(x, params), (name, m, r)
                     verdicts.append(got)
@@ -443,7 +489,7 @@ def reference_hom_space(m, n):
             r1, c1, c2 = m.dim(d), n.dim(d), n.dim(d2)
             if r1 == 0 or c2 == 0:
                 continue
-            a, b = m.act(gi, d), n.act(gi, d)
+            a, b = m.sparse_act(gi, d).dense(), n.sparse_act(gi, d).dense()
             block = np.zeros((r1 * c2, total), dtype=np.int64)
             if d2 in offs and a.size:
                 block[:, offs[d2]: offs[d2] + a.shape[1] * c2] = \
@@ -670,7 +716,7 @@ def reference_submodule_as_module(mod, spans):
         for gi, g in enumerate(mod.gens):
             if d + g.degree not in bases:
                 continue
-            img = linalg.mat_mul(b, mod.act(gi, d), mod.p)
+            img = linalg.mat_mul(b, mod.sparse_act(gi, d).dense(), mod.p)
             coords = linalg.solve_matrix(bases[d + g.degree].T, img.T, mod.p)
             if coords is None:
                 raise gm.ModuleError("family is not closed under the action")
@@ -689,7 +735,7 @@ def reference_kernel(f):
         sv = m.verts_at(d)
         for v in sorted(set(sv)):
             idx = [i for i, w in enumerate(sv) if w == v]
-            for row in linalg.null_space(f.mat(d)[idx, :].T,
+            for row in linalg.null_space(f.sparse_mat(d).dense()[idx, :].T,
                                          m.p).basis.dense():
                 full = np.zeros(m.dim(d), dtype=np.int64)
                 full[idx] = row
@@ -742,10 +788,10 @@ def test_submodule_as_module_matches_the_solve():
         assert label_lists(sub.verts) == label_lists(verts)
         assert set(sub.stored_actions()) == set(actions)
         for key, m in actions.items():
-            assert np.array_equal(sub.act(*key), m)
+            assert np.array_equal(sub.sparse_act(*key).dense(), m)
         assert set(incl.stored_mats()) == set(bases)
         for d, b in bases.items():
-            assert np.array_equal(incl.mat(d), b)
+            assert np.array_equal(incl.sparse_mat(d).dense(), b)
         assert sub.is_valid() and commutes(incl)
 
 
@@ -809,7 +855,8 @@ def reference_cover_mats(mod, pmod, gen_list):
         m = np.zeros((len(entries), mod.dim(d)), dtype=np.int64)
         for r, (gno, bi) in enumerate(entries):
             gd, gidx = reps[gno]
-            a = mod.act_basis_element(d - gd, bi, gd)
+            a = gm._rows_times_basis_element(mod, None, d - gd, bi, gd,
+                                             {}).dense()
             if a.size:
                 m[r] = a[gidx]
         out[d] = m
@@ -845,7 +892,7 @@ def assert_free_module_matches_the_entry_loop(algebra, gens, hi):
     want = reference_free_actions(algebra, f)
     assert set(f.stored_actions()) == set(want)
     for key, m in want.items():
-        assert np.array_equal(f.act(*key), m)
+        assert np.array_equal(f.sparse_act(*key).dense(), m)
     assert f.is_valid()
 
 
@@ -901,7 +948,7 @@ def assert_cover_matches_the_entry_loop(mod, hi=None):
     want = reference_cover_mats(mod, pmod, gen_list)
     assert set(phi.stored_mats()) <= set(want)
     for d, m in want.items():
-        assert np.array_equal(phi.mat(d), m)
+        assert np.array_equal(phi.sparse_mat(d).dense(), m)
     return phi
 
 
@@ -992,9 +1039,9 @@ def test_public_constructors_do_not_alias_their_inputs():
     for m in list(actions.values()) + list(mats.values()):
         m += 1
     for key, m in dense_actions(f).items():
-        assert np.array_equal(mod.act(*key), m)
+        assert np.array_equal(mod.sparse_act(*key).dense(), m)
     for d in f.degrees():
-        assert np.array_equal(ident.mat(d), np.eye(f.dim(d)))
+        assert np.array_equal(ident.sparse_mat(d).dense(), np.eye(f.dim(d)))
     assert mod.is_valid() and commutes(ident)
     # a read-only label array is copied too: its owner may make it writable
     labels = {d: np.array(v) for d, v in f.verts.items()}
@@ -1013,9 +1060,11 @@ def test_public_constructors_do_not_alias_their_inputs():
 def test_stored_arrays_are_read_only():
     """A module or a morphism never changes: each stores every matrix as a
     read-only Sparse, from the public constructors and from the builders
-    alike, so no verdict or product a module keeps can go stale.  `act`,
-    `act_basis_element` and `mat` hand out new arrays, whose writes the
-    module or the morphism never sees.  The public constructors leave the
+    alike, so no verdict or product a module keeps can go stale.
+    `sparse_act` and `sparse_mat` hand out the stored Sparse itself, and
+    its `.dense()` a new array, whose writes the module or the morphism
+    never sees; so does an algebra element's action
+    (`_rows_times_basis_element`).  The public constructors leave the
     caller's arrays writable."""
     lam = entry("two_loop_n3")["lam"]
     f = free_module(lam, [(0, 0)], 6)
@@ -1026,25 +1075,25 @@ def test_stored_arrays_are_read_only():
     assert mod.is_valid()
     spans = submodule_closure(mod, {1: np.array([[3, 5]], dtype=np.int64)})
     quot, proj = quotient_module(mod, spans)
-    stored = [(m.act, m.sparse_act, key, s) for m in (mod, quot)
+    stored = [(m.sparse_act, key, s) for m in (mod, quot)
               for key, s in m.stored_actions().items()]
-    stored += [(g.mat, g.sparse_mat, (d,), m) for g in (ident, proj)
+    stored += [(g.sparse_mat, (d,), m) for g in (ident, proj)
                for d, m in g.stored_mats().items()]
     arrays = [a for *_, m in stored for a in (m.rows, m.cols, m.vals)]
     assert len(stored) > 5 and len(arrays) > 10
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    for read, sparse_read, key, m in stored:
+    for read, key, m in stored:
         assert isinstance(m, linalg.Sparse)
-        out = read(*key)
-        assert out is not read(*key) and not np.may_share_memory(out, m.vals)
+        out = read(*key).dense()
+        assert not np.may_share_memory(out, m.vals)
         out[...] = 0
-        assert sparse_read(*key) is m and read(*key).any()
+        assert read(*key) is m and read(*key).dense().any()
     for k in range(3):
-        out = mod.act_basis_element(k, 0, 0)
+        out = gm._rows_times_basis_element(mod, None, k, 0, 0, {}).dense()
         out[...] = 0
-        assert mod.act_basis_element(k, 0, 0).any()
+        assert gm._rows_times_basis_element(mod, None, k, 0, 0, {}).any()
     for m in list(actions.values()) + list(mats.values()):
         m[0, 0] = m[0, 0]
     assert mod.validate() == [] and quot.validate() == []
@@ -1127,7 +1176,8 @@ def test_stored_actions_carry_a_module_to_the_free_algebra():
         assert set(kept) == set(stored)
         for key, m in stored.items():
             assert isinstance(m, linalg.Sparse) and kept[key] is m
-            assert np.array_equal(copy.act(*key), mod.act(*key))
+            assert np.array_equal(copy.sparse_act(*key).dense(),
+                                  mod.sparse_act(*key).dense())
         dense_copy = GradedModule(freeop, dict(mod.verts), dense_actions(mod))
         assert dense_copy.stored_actions() == kept
         assert cx.annihilates_orthogonal(copy, lam) \

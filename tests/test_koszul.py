@@ -295,11 +295,12 @@ def test_the_last_term_equals_the_eager_loop_whichever_is_read_first(
     want_actions = ref.pmods[-1].stored_actions()
     assert set(got_actions) == set(want_actions)
     for key, m in want_actions.items():
-        assert np.array_equal(top.act(*key), ref.pmods[-1].act(*key))
+        assert np.array_equal(top.sparse_act(*key).dense(),
+                              ref.pmods[-1].sparse_act(*key).dense())
     want = dense_mats(ref.diffs[-1])
     assert set(dense_mats(last)) == set(want)
     for d, m in want.items():
-        assert np.array_equal(last.mat(d), m)
+        assert np.array_equal(last.sparse_mat(d).dense(), m)
     assert commutes(last)
 
 
@@ -359,11 +360,13 @@ def assert_segment_equals_the_dense_one(seg, ref):
         assert label_lists(got.verts) == label_lists(want.verts)
         assert set(got.stored_actions()) == set(want.stored_actions())
         for key in want.stored_actions():
-            assert np.array_equal(got.act(*key), want.act(*key))
+            assert np.array_equal(got.sparse_act(*key).dense(),
+                                  want.sparse_act(*key).dense())
     for got, want in zip(seg.diffs, diffs):
         assert set(got.stored_mats()) == set(want.stored_mats())
         for d in want.stored_mats():
-            assert np.array_equal(got.mat(d), want.mat(d))
+            assert np.array_equal(got.sparse_mat(d).dense(),
+                                  want.sparse_mat(d).dense())
 
 
 @pytest.mark.parametrize("name,bound", [
@@ -385,7 +388,7 @@ def test_resolution_of_a_dense_module_equals_the_dense_builders():
     from nkoszul.grmod import GradedModule, free_module, graded_dual
     lam = verify.corpus("commutative_n2")["lam"]
     d = graded_dual(free_module(lam, [(0, 0)], 2))
-    dm = GradedModule(d.algebra, d.verts, {key: d.act(*key)
+    dm = GradedModule(d.algebra, d.verts, {key: d.sparse_act(*key).dense()
                                            for key in d.stored_actions()})
     assert dm.stored_actions() == d.stored_actions()
     assert_segment_equals_the_dense_one(
@@ -444,9 +447,9 @@ def test_act_refuses_an_over_cap_sparse_action_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(linalg.LinAlgError, match="over the .* cap"):
-            top.act(0, 14)
+            top.sparse_act(0, 14).dense()
         with pytest.raises(linalg.LinAlgError, match="over the .* cap"):
-            seg.diffs[9].mat(14)
+            seg.diffs[9].sparse_mat(14).dense()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -609,6 +609,25 @@ def test_sparse_entries_gathers_and_stacks():
     assert not s.vals.flags.writeable
 
 
+@pytest.mark.parametrize("p", [2, 101])
+def test_hstack_matches_the_dense_concatenation(p):
+    """`Sparse.hstack` is the matrices side by side, in the canonical
+    row-sorted form, with empty and zero-width parts among them."""
+    rng = np.random.default_rng(p)
+    for rows in (0, 1, 5):
+        widths = [0, 3, 0, 1, 4, 2]
+        dense = [rng.integers(0, p, (rows, w)) * (rng.random((rows, w)) < 0.4)
+                 for w in widths]
+        dense[3] = np.zeros((rows, 1), dtype=np.int64)  # a part with no entry
+        parts = [linalg.Sparse.from_dense(a, p) for a in dense]
+        want = linalg.Sparse.from_dense(np.concatenate(dense, axis=1), p)
+        assert linalg.Sparse.hstack(parts, rows) == want
+        assert linalg.Sparse.hstack(parts[1:2], rows) == parts[1]
+        for none in ([], parts[:1], [parts[0], parts[2]]):
+            assert linalg.Sparse.hstack(none, rows) == \
+                linalg.Sparse.zero(rows, 0)
+
+
 def test_densifying_an_over_cap_sparse_refuses_before_allocating():
     import tracemalloc
     n = 1 << 16  # 2**32 entries, 32 GiB dense
