@@ -3,7 +3,7 @@
 Subcommands: dual, functor, contract, check, verify.  Inputs are JSON
 documents (see FORMAT.md); reports are JSON, deterministic for a fixed
 (input, seed) pair.  Exit codes: 0 success, 1 verification failure,
-2 input error.
+2 input error, or a report that could not be written to stdout.
 
 Each subcommand is one entry of `COMMANDS`: its help, its options and its
 handler.  A well-formed command line is read off that table and builds no
@@ -405,7 +405,17 @@ def main(argv=None) -> int:
         print("input error: out of memory; try a smaller window",
               file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as e:
+        # a closed pipe: the interpreter flushes stdout again at exit, so
+        # point it at the null device, where that flush cannot fail
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"output error: {e}", file=sys.stderr)
+        return 2
     return code
 
 

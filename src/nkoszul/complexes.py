@@ -5,11 +5,13 @@ modules over the base algebra (tensor flavour, projective terms; Hom
 flavour, almost injective terms), the one (injective) linearity
 certificate, the contraction of n-complexes to 2-complexes, the explicit
 equivalence between the distinguished module subcategory and the liftable
-2-complexes, module extraction back out of a 2-complex, Hom spaces of
-complexes (solved as one sparse system with the differentials as links,
-the builder of module Hom spaces), and the check that a given family of
-maps is an isomorphism of complexes.  No isomorphism is searched for: the
-callers know their witnesses.
+2-complexes, module extraction back out of a 2-complex (the degree-1
+action read off the even differentials, the degree-n action off the odd
+ones, nothing solved), Hom spaces of complexes (solved as one sparse
+system with the differentials as links, the builder of module Hom
+spaces), and the check that a given family of maps is an isomorphism of
+complexes.  No isomorphism is searched for: the callers know their
+witnesses.
 
 The projective picture is read through the graded duality D and nothing
 is certified on its side: its equivalence is D of the injective one over
@@ -41,15 +43,15 @@ import numpy as np
 
 from . import linalg
 from .linalg import Sparse, Subspace, zeros
-from .algebra import (DegreeMap, _check_size, compute_orthogonal,
-                      in_u_grading, opposite_algebra)
+from .algebra import (DegreeMap, compute_orthogonal, in_u_grading,
+                      opposite_algebra)
 from .grmod import (
     GradedModule,
     GradedMorphism,
     ModuleError,
     _frozen,
+    _groups,
     _hom_families,
-    _element_action,
     _rows_times_basis_element,
     checked_dual,
     free_module,
@@ -58,7 +60,6 @@ from .grmod import (
     hom_space,
     kernel_bases,
     kernel_condition_holds,
-    l_condition,
     morphism_image,
     mu1,
     mu1_kernel,
@@ -639,14 +640,19 @@ def _check_conditions_ab(c: ComplexOfGraded, params):
 def extract_module(c: ComplexOfGraded, ualg, params) -> GradedModule:
     """Recover the distinguished module from a 2-complex in the essential
     image: the tops give the components, the even differentials give the
-    degree-1 action, and the odd differentials determine the degree-n
-    action by an exact linear solve."""
+    degree-1 action, and the odd differentials give the degree-n action,
+    read off one block of each (`_degree_n_actions`), not solved for.
+
+    For c in the image, c = F(x) through the witnesses of its certificate,
+    the module is x.  Outside the image it raises, or returns a module
+    whose F is not c: `in_Y` decides membership by the round trip."""
     return _extract(c, ualg, params)[0]
 
 
 def _extract(c: ComplexOfGraded, ualg, params):
     """`extract_module`, and the models it read the module through
-    (`_models`)."""
+    (`_models`).  Every action is a block of a transported differential,
+    or at n > 2 a product of two such blocks: no system is solved."""
     n = params.n
     dmap = DegreeMap(params.m, n)
     cert = _check_conditions_ab(c, params)
@@ -668,7 +674,7 @@ def _extract(c: ComplexOfGraded, ualg, params):
                 if a.any():
                     actions[(gi, d)] = a
     else:
-        _degree_n_actions(c, models, ualg, params, verts, actions, n_gens)
+        _degree_n_actions(c, models, ualg, params, actions, n_gens)
     out = GradedModule(ualg, verts, actions)
     bad = out.validate()
     if bad:
@@ -723,107 +729,73 @@ def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
     return actions
 
 
-def _degree_n_actions(c: ComplexOfGraded, models, ualg, params, verts,
+def _degree_n_actions(c: ComplexOfGraded, models, ualg, params,
                       actions: dict, n_gens: dict) -> None:
-    """Add the degree-n actions (n > 2) to `actions`: at each level s by an
-    exact linear solve against the odd differential, and one degree above
-    it as forced by the relations."""
-    lam = c.algebra
-    p = lam.p
-    n, m = params.n, params.m
-    dual = ualg.dual
-    nd = dual.dim(n)
-    prov = GradedModule(ualg, verts, actions)
+    """Add the degree-n actions (n > 2) to `actions`, read off the odd
+    differentials as the degree-1 actions are read off the even ones.
+
+    Odd position k holds X_{s+1}, s = m + (k - 1)/2 n, and k + 1 holds
+    X_{s+n}.  In base degree 1 - n of its source model the transported
+    differential at k has the rows (p, y), p a path of length n - 1 in the
+    base quiver (a basis element of Lambda_{n-1}, which has no relations)
+    and y in X_{s+1}, and the columns (vertex, x2), x2 in X_{s+n}.  There
+    the left factor of F's odd differential (`_odd_steps`) is right
+    multiplication by p out of Lambda_0, so the rows of p are xi_p
+    (`_xi_matrices`), its columns read by x2.  A basis element w of dual_n
+    is a normal word a_1 ... a_n, its arrows numbered as in the base
+    quiver; then x w = xi_p(x a_1) with p^o = a_2 ... a_n, and
+    y w = xi_p'(y) a_n with p'^o = a_1 ... a_{n-1}: one product each of a
+    degree-1 action, read already, and a block of xi.
+
+    For c = F(x) through the witnesses of its certificate, x in L, xi_p(y)
+    does not depend on how y decomposes through mu_1 (the kernel
+    condition), so these products are the actions of x: the unique
+    solution of the odd differential and the kernel condition at s, and
+    at s + 1 the action sum_i pre x_i (a w) forced by the relations, which
+    is (y p'^o) a_n.  For any other c the products are some module, or
+    none that validates, and `in_Y` answers no all the same: F refuses a
+    module outside L, and the round trip compares F of the module with c
+    in every degree."""
+    lam, p, n = c.algebra, c.p, params.n
+    one_gens = generators_of_degree(ualg, 1)
+    words = [pa.arrows for pa in ualg.dual.basis_paths(n)]
+    path_at = {pa.arrows: b for b, pa in enumerate(lam.basis_paths(n - 1))}
     for k in c.positions():
         if k % 2 == 0 or (k + 1) not in models:
             continue
-        s = m + (k - 1) // 2 * n
-        dim_s, dim_sn = prov.dim(s), len(models[k + 1][2])
-        if prov.dim(s + 1) == 0 or nd * dim_s * dim_sn == 0:
-            continue
-        sol = _odd_solution(c, models, prov, k, s)
-        if sol is None:
-            raise ComplexError(
-                f"no degree-{n} action matches the odd differential at "
-                f"position {k}")
-        for w, a in enumerate(sol.reshape(nd, dim_s, dim_sn)):
-            if a.any():
-                actions[(n_gens[w], s)] = Sparse.from_dense(a, p)
-    # the degree-n action one step above each level is forced by the
-    # relations: for y = sum of x_a acted by arrows, y * w decomposes
-    # through the degree-(n+1) component.  y reads the degree-n actions at
-    # the levels, found above; mu_1 reads the degree-1 actions alone, so it
-    # is prov's.
-    dmap = DegreeMap(m, n)
-    levels = sorted({m + ((dmap.delta(k) - m) // n) * n for k in c.positions()})
-    cur_mod = GradedModule(ualg, verts, actions)
-    for s in levels:
-        if cur_mod.dim(s + 1) == 0 or cur_mod.dim(s + 1 + n) == 0:
-            continue
-        t1, pre, ker = _mu1_data(prov, s)
-        for w in range(nd):
-            acts = {}
-            for _, ai in t1:
-                if ai not in acts:
-                    vec = ualg.mult(1, n)[ai, w]
-                    acts[ai] = _element_action(cur_mod, n + 1, vec,
-                                               s).dense()
-            # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
-            y = np.stack([acts[ai][i] for i, ai in t1])
-            if linalg.sparse_mul(ker.basis, y, p).any():
-                raise ComplexError(
-                    f"level {s}: induced degree-{n} action is not "
-                    "well defined")
-            amat = linalg.mat_mul(pre.T, y, p)
-            if amat.any():
-                actions[(n_gens[w], s + 1)] = amat
+        s = params.m + (k - 1) // 2 * n
+        xi = _xi_blocks(c, k, models, n, s)
+        for w, word in enumerate(words):
+            # x w = xi_p(x a_1) at s, y w = xi_p'(y) a_n at s + 1
+            for d, left, right in (
+                    (s, actions.get((one_gens[word[0]], s)),
+                     xi.get(path_at[word[:0:-1]])),
+                    (s + 1, xi.get(path_at[word[-2::-1]]),
+                     actions.get((one_gens[word[-1]], s + n)))):
+                if left is not None and right is not None:
+                    a = linalg.sparse_mul(left, right, p)
+                    if a.any():
+                        actions[(n_gens[w], d)] = a
 
 
-def _odd_solution(c: ComplexOfGraded, models, prov: GradedModule, k: int,
-                  s: int):
-    """The stacked degree-n action A at level s (`grmod.stacked_action`)
-    that the odd differential at position k asks for, or None if none does.
-
-    Entry ((b, x), (a, x2)) of the differential in degree d is the sum over
-    wi of S[(b, x), (a, wi)] * A[wi, x2] (see _mu1_pullbacks), and for all
-    x2 at one vertex v the pairs (a, x2) run over the same a.  So the
-    columns A_v of A at v solve [C; S_v] @ A_v = [0; T_v], one right-hand
-    side per x2, where C @ A = 0 is the kernel condition
-    (`grmod.l_condition`).  Free unknowns are 0, as in one solve over every
-    entry of A, whose unknowns split into these blocks in the same order."""
-    lam, ualg = c.algebra, prov.algebra
-    p, dual = lam.p, ualg.dual
-    nwi = dual.dim(ualg.n) * prov.dim(s)
-    x2_vert = models[k + 1][2]
-    t1, pre, ker = _mu1_data(prov, s)
-    coefs = _mu1_pullbacks(prov, s, t1, pre)
-    t = _transported_diff(c, k, models)
-    steps = [(d, rows, cols, lefts, t.sparse_mat(d).dense())
-             for d, rows, cols, lefts in _odd_steps(
-                 lam, ualg, s, models[k][0], models[k + 1][0])]
-    cond = l_condition(prov, s, t1, ker)
-    cond = cond[cond.any(axis=1)]
-    out = zeros(nwi, x2_vert.size)
-    for v in np.flatnonzero(np.bincount(x2_vert)).tolist():
-        at = np.flatnonzero(x2_vert == v)
-        lhs, rhs, size = [cond], [zeros(len(cond), at.size)], 0
-        for d, rows, cols, lefts, mat in steps:
-            # the pairs (a, x2) come a by a, and for one a by ascending x2
-            grid = np.flatnonzero(x2_vert[cols[:, 1]] == v).reshape(-1,
-                                                                    at.size)
-            size += len(rows) * grid.shape[0] * (nwi + at.size)
-            _check_size(size, "degree-n system", d)
-            a = cols[grid[:, 0], 0]
-            lhs.append(_pair_matrix(
-                rows, np.stack((np.repeat(a, nwi),
-                                np.tile(np.arange(nwi), a.size)), 1),
-                list(zip(lefts, coefs)), p).reshape(-1, nwi))
-            rhs.append(mat[:, grid].reshape(-1, at.size))
-        sol = linalg.solve_matrix(np.concatenate(lhs), np.concatenate(rhs), p)
-        if sol is None:
-            return None
-        out[:, at] = sol
-    return out
+def _xi_blocks(c: ComplexOfGraded, k: int, models, n: int, s: int) -> dict:
+    """{basis index of p in Lambda_{n-1}: xi_p}, each a Sparse
+    X_{s+1} -> X_{s+n} read off the transported odd differential at k in
+    base degree 1 - n of its source model (`_degree_n_actions`); a p with
+    no nonzero is left out."""
+    rows = models[k][0].hom_index.get(1 - n)  # (p, y)
+    if rows is None:
+        return {}
+    cols = models[k + 1][0].hom_index[0]      # (vertex, x2)
+    mat = _transported_diff(c, k, models).sparse_mat(-n - s)
+    shape = (len(models[k][2]), len(models[k + 1][2]))
+    paths, order, bounds = _groups(rows[mat.rows, 0])
+    xi = {}
+    for b, lo, hi in zip(paths.tolist(), bounds, bounds[1:]):
+        at = order[lo:hi]
+        xi[b] = Sparse.from_entries(shape, rows[mat.rows[at], 1],
+                                    cols[mat.cols[at], 1], mat.vals[at], c.p)
+    return xi
 
 
 def _transported_diff(c: ComplexOfGraded, k: int, models) -> GradedMorphism:
@@ -840,10 +812,12 @@ def in_Y(c: ComplexOfGraded, ualg, params):
 
     The conditions are certified once, inside the extraction, whose
     witnesses (inverse envelope maps) carry the cofree models F(x) is built
-    on onto c.  So the round trip needs no search: c is in the image
-    exactly when those witnesses form an isomorphism of complexes
-    F(x) -> c.  x is read in the top bases, so F(x) gives back x, sorted by
-    vertex."""
+    on onto c.  x is read off the differentials, the degree-n action off
+    the odd ones (`_degree_n_actions`), so it exists for some c outside
+    the image too; the round trip needs no search all the same: c is in
+    the image exactly when x is in L and those witnesses form an
+    isomorphism of complexes F(x) -> c.  x is read in the top bases, so
+    F(x) gives back x, sorted by vertex."""
     if c.is_zero():
         return True, zero_module(ualg)
     try:

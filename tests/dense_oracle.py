@@ -7,9 +7,13 @@ dense eliminations they used; `dense_resolution` chains them as
 `koszul.minimal_projective_resolution` does.  Tests compare the library's
 output, densified, with theirs array by array.  `null_space` is the null
 space as it was built with two eliminations, before `linalg.null_space`
-read the canonical basis off one, and `odd_system` the extraction's
-degree-n system over every entry of the action at once, before
-`complexes._odd_solution` solved it per vertex block.  `cofree_index` is
+read the canonical basis off one.  `odd_system` is the extraction's
+degree-n system over every entry of the action at once, and
+`induced_degree_n` the induction through the canonical preimage of mu_1
+that gave the action one degree above each level: the extraction once
+solved the one and ran the other, and they are now the references that
+the actions it reads off the odd differential are compared with.
+`cofree_index` is
 the cofree basis as a list of (b, x) pairs from a double loop, before it
 became an (E, 2) array, and `noncommuting_degree` and `chain_iso_failure`
 are the checks of a module map and of a chain isomorphism on dense copies
@@ -33,7 +37,8 @@ from nkoszul import linalg
 from nkoszul.algebra import _check_size
 from nkoszul.complexes import settled_top
 from nkoszul.grmod import (GradedModule, GradedMorphism, ModuleError,
-                           _rows_times_basis_element)
+                           _element_action, _rows_times_basis_element,
+                           l_condition)
 from nkoszul.linalg import Subspace, zeros
 
 
@@ -328,11 +333,35 @@ def odd_system(c, models, prov, k, s):
         blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
                        * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
         rhs.append(t.sparse_mat(d).dense().reshape(-1))
-    cond = cx.l_condition(prov, s, t1, ker)
+    cond = l_condition(prov, s, t1, ker)
     cond = cond[cond.any(axis=1)]
     blocks.append(np.kron(cond, linalg.eye(dim_sn)))
     rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))
     return np.concatenate(blocks), np.concatenate(rhs)
+
+
+def induced_degree_n(mod, s):
+    """The degree-n actions at s + 1 forced by the relations, one dense
+    matrix per degree-n basis element w: y = sum_i pre x_i a (pre the
+    canonical preimage of mu_1 at s) acts by w as sum_i pre x_i (a w),
+    x_i (a w) the degree-(n+1) action from s.  `mod` holds the degree-1
+    actions and the degree-n action at s; the result is asserted well
+    defined (the kernel of mu_1 sends it to 0)."""
+    ualg, p = mod.algebra, mod.p
+    n = ualg.n
+    t1, pre, ker = cx._mu1_data(mod, s)
+    out = []
+    for w in range(ualg.dual.dim(n)):
+        acts = {}
+        for _, ai in t1:
+            if ai not in acts:
+                acts[ai] = _element_action(mod, n + 1, ualg.mult(1, n)[ai, w],
+                                           s).dense()
+        # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
+        y = np.stack([acts[ai][i] for i, ai in t1])
+        assert not linalg.sparse_mul(ker.basis, y, p).any()
+        out.append(linalg.mat_mul(pre.T, y, p))
+    return out
 
 
 def cofree_index(lam, vlist) -> dict:

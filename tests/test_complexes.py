@@ -885,38 +885,74 @@ def test_equivalence_and_extraction_match_the_replaced_loops(key, p):
             assert not off.any()  # linear in the action, no offset
             assert np.array_equal(a_mat, ref_a)
             assert np.array_equal(rhs, ref_rhs)
-            # solved per vertex block, the same solution as the whole system
-            want = linalg.solve(a_mat, rhs, lam.p)
-            got = cx._odd_solution(c, models, prov, k, s)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert np.array_equal(got.reshape(-1), want)
             systems += 1
+        if n > 2:
+            assert_degree_n_matches_the_references(
+                c, models, prov, cx.extract_module(c, ualg, params), params)
         assert_round_trip(c, x, ualg, params)
     assert systems or n == 2
 
 
-def test_odd_solution_matches_the_whole_system_on_the_suite_trials(
-        monkeypatch):
-    """On every degree-n extraction that the seed-0 equivalence suites run,
-    the action solved per vertex block is the solution of the system over
-    every entry of the action at once (`dense_oracle.odd_system`)."""
-    real = cx._odd_solution
-    checked = []
-
-    def compared(c, models, prov, k, s):
-        got = real(c, models, prov, k, s)
+def assert_degree_n_matches_the_references(c, models, prov, got, params):
+    """The degree-n actions of `got`, read off the odd differentials of c,
+    are at each level s the solution of the system over every entry of the
+    action at once (`dense_oracle.odd_system`), and at s + 1 the induction
+    through mu_1 (`dense_oracle.induced_degree_n`) from that solution.
+    `prov` holds the degree-1 actions alone, and c is in the image.
+    Returns the number of levels compared."""
+    from nkoszul.algebra import DegreeMap
+    ualg, n = prov.algebra, params.n
+    n_gens = gm.generators_of_degree(ualg, n)
+    dmap = DegreeMap(params.m, n)
+    levels = 0
+    for k in c.positions():
+        s = dmap.delta(k) - 1
+        if k % 2 == 0 or k + 1 not in models \
+                or not prov.dim(s) or not prov.dim(s + 1):
+            continue
         want = linalg.solve(*dense_oracle.odd_system(c, models, prov, k, s),
                             c.p)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got.reshape(-1), want)
-        checked.append(got is not None)
-        return got
-    monkeypatch.setattr(cx, "_odd_solution", compared)
+        assert want is not None
+        assert np.array_equal(gm.stacked_action(got, s).dense().reshape(-1),
+                              want)
+        if got.dim(s + 1 + n):
+            solved = want.reshape(len(n_gens), prov.dim(s), -1)
+            level = gm.GradedModule(ualg, prov.verts, {
+                **prov.stored_actions(),
+                **{(n_gens[w], s): a for w, a in enumerate(solved)}})
+            for w, a in enumerate(dense_oracle.induced_degree_n(level, s)):
+                assert np.array_equal(
+                    got.sparse_act(n_gens[w], s + 1).dense(), a)
+        levels += 1
+    return levels
+
+
+def test_odd_solution_matches_the_whole_system_on_the_suite_trials(
+        monkeypatch):
+    """On every degree-n extraction that the seed-0 equivalence suites run
+    on a complex in the image, the actions read off the odd differentials
+    are the solution of the system over every entry of the action at once,
+    and one degree above each level the induction through mu_1
+    (`assert_degree_n_matches_the_references`)."""
+    from nkoszul.algebra import DegreeMap
+    real, runs = cx._degree_n_actions, []
+
+    def recorded(c, models, ualg, params, actions, n_gens):
+        dmap = DegreeMap(params.m, params.n)
+        verts = {dmap.delta(k): models[k][2] for k in c.positions()}
+        prov = gm.GradedModule(ualg, verts, actions)
+        real(c, models, ualg, params, actions, n_gens)
+        runs.append((c, models, ualg, params, prov,
+                     gm.GradedModule(ualg, verts, actions)))
+    monkeypatch.setattr(cx, "_degree_n_actions", recorded)
     for name in ("equivalence", "dual_equivalence"):
         assert verify.run_suite(name, seed=0)["passed"]
-    assert any(checked)
+    monkeypatch.undo()
+    levels = [assert_degree_n_matches_the_references(c, models, prov, got,
+                                                     params)
+              for c, models, ualg, params, prov, got in runs
+              if cx.in_Y(c, ualg, params)[0]]
+    assert sum(levels)
 
 
 def python_pair_matrix(src_pairs, tgt_pairs, terms, p):
@@ -1045,6 +1081,51 @@ def test_in_Y_matches_the_search_it_replaced_at_n_2(key, p):
         for bad in verify.negative_control_complexes(c, 2):
             assert not assert_in_Y_matches_reference(bad, e["ualg"], params)
     assert True in verdicts
+
+
+def perturbed(c, k, d, p):
+    """c with the first nonzero of its differential at k in degree d
+    raised by 1 mod p."""
+    f = c.diffs[k]
+    entries = f.sparse_mat(d)
+    mat = entries.dense()
+    mat[entries.rows[0], entries.cols[0]] += 1
+    return cx.ComplexOfGraded(c.algebra, c.period, c.modules, {
+        **c.diffs, k: gm.GradedMorphism(f.source, f.target,
+                                        {**f.stored_mats(), d: mat % p})})
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_a_perturbed_odd_differential_is_read_or_refused_by_its_block(m):
+    """cubic_survivor's base algebra has top 3 = n, so F's odd differential
+    at level s has two degree blocks: base degree 1 - n of its source
+    model (component degree -n - s), where the degree-n action is read,
+    and base degree -n.  One entry perturbed in the read block is F of the
+    module read back; perturbed in the other, the complex is in no image,
+    and the round trip refuses it, as the search does."""
+    from nkoszul.algebra import DegreeMap
+    e = verify.corpus("cubic_survivor", 101)
+    lam, ualg, n = e["lam"], e["ualg"], e["n"]
+    params = TorsionParams(n, 1, m)
+    dmap = DegreeMap(m, n)
+    x = gm.restrict_S(free_module(e["dual"], [(0, m)], 7), ualg, params)
+    c = cx.equivalence_F(x, lam, params)
+    verdicts = {True: 0, False: 0}
+    for k in c.diffs:
+        if k % 2 == 0:
+            continue
+        s = dmap.delta(k) - 1
+        assert sorted(c.diffs[k].stored_mats()) == [-n - s - 1, -n - s]
+        for d in (-n - s, -n - s - 1):
+            bad = perturbed(c, k, d, lam.p)
+            verdict, wit = cx.in_Y(bad, ualg, params)
+            assert verdict == (d == -n - s)
+            assert verdict == assert_in_Y_matches_reference(bad, ualg,
+                                                            params)
+            if verdict:
+                assert iso_complexes(bad, cx.equivalence_F(wit, lam, params))
+            verdicts[verdict] += 1
+    assert verdicts[True] == verdicts[False] > 1
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -1315,26 +1396,24 @@ def test_membership_reads_the_stored_actions_under_a_small_cap(monkeypatch):
     assert ok and gm.in_L(x, params)
 
 
-def test_degree_n_system_is_refused_before_it_is_allocated(monkeypatch):
-    """With the slice cap below one vertex block's system, the cap refuses
-    the block before its matrix is built, and in_Y passes the refusal on
-    rather than answering no."""
+def test_extraction_solves_nothing_under_a_small_cap(monkeypatch):
+    """With the slice cap at 64 KiB, in_Y of F answers: the degree-n action
+    is read off the odd differential, where a solve against it needed a
+    system of 73728 entries for one vertex block, above the cap.  The
+    extraction builds no pair matrix and solves no system."""
     from nkoszul import algebra
-    from nkoszul.algebra import AlgebraError
     e, params, c = truncated_free_F(7)
-    cap = 1 << 16
-    monkeypatch.setattr(algebra, "MAX_SLICE_BYTES", cap)
-    built = []
-    pair_matrix = cx._pair_matrix
+    monkeypatch.setattr(algebra, "MAX_SLICE_BYTES", 1 << 16)
+    ok, x = cx.in_Y(c, e["ualg"], params)
+    assert ok
 
-    def recorded(*args):
-        out = pair_matrix(*args)
-        built.append(out.nbytes)
-        return out
-    monkeypatch.setattr(cx, "_pair_matrix", recorded)
-    with pytest.raises(AlgebraError, match="degree-n system"):
-        cx.in_Y(c, e["ualg"], params)
-    assert built and max(built) <= cap
+    def unreached(*args):
+        raise AssertionError("the extraction built a system")
+    for owner, name in [(cx, "_pair_matrix"), (cx, "mu1_preimage"),
+                        (linalg, "solve_matrix")]:
+        monkeypatch.setattr(owner, name, unreached)
+    got = cx._extract(c, e["ualg"], params)[0]
+    assert verify.module_json(got) == verify.module_json(x)
 
 
 def test_repinned_in_Y_witness_is_isomorphic_to_the_searched_one(monkeypatch):

@@ -210,23 +210,44 @@ def test_resolution_reduces_each_radical_once(monkeypatch):
     assert len(calls) == 7
 
 
-def test_resolution_does_not_import_numpy_ma():
-    """np.unique imports numpy.ma (about 40 ms) on first use."""
+def imports_numpy_ma(code: str) -> bool:
+    """Whether a fresh interpreter that runs `code` has numpy.ma loaded."""
     import os
     import subprocess
     import sys
     import nkoszul
-    code = ("import sys\n"
-            "from nkoszul import koszul, verify\n"
-            "lam = verify.corpus('two_loop_n3')['lam']\n"
-            "koszul.minimal_projective_resolution("
-            "koszul.semisimple_module(lam), 6)\n"
-            "print('numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(nkoszul.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print('numpy.ma' in sys.modules)\n"], env=env,
+        capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_resolution_does_not_import_numpy_ma():
+    """np.unique imports numpy.ma (about 40 ms) on first use."""
+    assert not imports_numpy_ma(
+        "from nkoszul import koszul, verify\n"
+        "lam = verify.corpus('two_loop_n3')['lam']\n"
+        "koszul.minimal_projective_resolution("
+        "koszul.semisimple_module(lam), 6)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "two_loop_n3.json", "--predicate", "in_Y", "--object", "F(X)"],
+    ["dual", "commutative_n2.json", "--window", "-12", "12"]])
+def test_the_timed_cli_commands_do_not_import_numpy_ma(argv):
+    """The membership and slices benchmark commands time one run each, in
+    which a first np.unique would import numpy.ma."""
+    import os
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = [argv[0], os.path.join(here, "inputs", argv[1])] + argv[2:]
+    assert not imports_numpy_ma(
+        "import contextlib, io\n"
+        "from nkoszul.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0")
 
 
 # -- the last term, built on first read ---------------------------------------
