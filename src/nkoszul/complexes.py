@@ -23,19 +23,20 @@ base algebra and each differential a degree-0 morphism to the next
 position.  Complexes built here have honestly finite components, so the
 d^n = 0 and d^2 = 0 conditions are checked exactly.
 
-Every differential between (co)free modules here (the functors psi and nu,
-both differentials of the equivalence F, and the arrow actions of the
-cofree modules) is built by one helper, `_pair_matrix`.  The bases of such
-modules are indexed by pairs (u, v): an element of the base algebra and a
-basis element of a module component.  A differential is a sum of terms
-L (x) R, multiplication in the base algebra tensored with a module action,
-pulled back through the pair indices.  The complexes of cofree models,
-nu and F at every n, are laid out by one builder, `_cofree_complex`:
-position k holds the cofree model on the module's labels in degree s_k
-(k for nu, delta(k) for F), shifted to s_k, and the differential to k + 1
-is the Hom step when s_{k+1} = s_k + 1, else F's odd differential through
-xi from level s_k - 1.  So at n = 2, where delta(k) = m + k, every step of
-F is a Hom step.
+Every map between (co)free modules here (the functors psi and nu, both
+differentials of the equivalence F and its maps of modules, the arrow
+actions of the cofree modules) is built by one helper, `_pair_map`, as a
+reduced Sparse.  The bases of such modules are indexed by pairs (u, v): an
+element of the base algebra and a basis element of a module component.  A
+differential is a sum of terms L (x) R, multiplication in the base algebra
+tensored with a module action, and each nonzero of L meets each nonzero of
+R on the pair indices: no block is sized by them.  The complexes of cofree
+models, nu and F at every n, are laid out by one builder,
+`_cofree_complex`: position k holds the cofree model on the module's
+labels in degree s_k (k for nu, delta(k) for F), shifted to s_k, and the
+differential to k + 1 is the Hom step when s_{k+1} = s_k + 1, else F's odd
+differential through xi from level s_k - 1.  So at n = 2, where
+delta(k) = m + k, every step of F is a Hom step.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from . import linalg
 from .linalg import Sparse, Subspace, zeros
 from .algebra import (DegreeMap, compute_orthogonal, in_u_grading,
                       opposite_algebra)
+from .quiver import Path, enumerate_paths
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -73,6 +75,10 @@ from .grmod import (
 
 class ComplexError(ValueError):
     pass
+
+
+class WindowError(ComplexError):
+    """An algebra not finite within the probed window: never a verdict."""
 
 
 class ComplexOfGraded:
@@ -141,7 +147,7 @@ def settled_top(lam, allow_windowed: bool = False) -> int:
     if lam.is_finite_dimensional(probe=4 * max(lam.pres.n, 2)):
         return lam.vanishing_degree() - 1
     if not allow_windowed:
-        raise ComplexError(
+        raise WindowError(
             "base algebra is not finite dimensional within the "
             "probed window; pass the windowed-dual acknowledgment")
     return lam._computed_to()
@@ -162,47 +168,59 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
     for k in mod.degrees():
         if (k + 1) not in comps:
             continue
-        src, tgt = comps[k], comps[k + 1]
         acts = _arrow_acts(mod, k, range(lam.quiver.arrow_count))
-        mats = {}
-        for d, rows in src.free_index.items():
-            cols = tgt.free_index.get(d)
-            if cols is None:
-                continue
-            lmul = lam.mult(1, d + k)  # lmul[a]: Lam_{d+k} -> Lam_{d+k+1}
-            m = _pair_matrix(rows, cols,
-                             [(act, lmul[ai]) for ai, act in enumerate(acts)],
-                             lam.p)
-            if m.any():
-                mats[d] = m
-        diffs[k] = GradedMorphism(src, tgt, mats)
+        # lam.mult(1, d + k)[a]: Lam_{d+k} -> Lam_{d+k+1}
+        diffs[k] = GradedMorphism(comps[k], comps[k + 1], _pair_maps(
+            comps[k].free_index, comps[k + 1].free_index, 0, 0,
+            lambda d: list(zip(acts, lam.mult(1, d + k))), lam.p))
     return ComplexOfGraded(lam, lam.pres.n, comps, diffs)
 
 
-def _pair_matrix(src_pairs, tgt_pairs, terms, p: int) -> np.ndarray:
-    """The matrix of a map between spaces whose bases are indexed by pairs.
-
-    The pairs are (E, 2) intp arrays (`free_index`, `hom_index`): row r
-    is the pair (u_r, v_r) and column c the pair (u'_c, v'_c); entry (r, c)
-    is the sum over (L, R) in `terms` of L[u_r, u'_c] * R[v_r, v'_c] mod p,
-    one gather of each factor per term.  The sum runs in int64 while
-    p*(p-1) <= 2**63 - 1, the bound of `linalg.rref` and `linalg.mat_mul`,
-    and on Python integers above it, so it is exact at every p < 2**63.
-    """
-    u, v = src_pairs.T
-    u2, v2 = tgt_pairs.T
-    dtype = np.int64 if p * (p - 1) <= linalg._INT64_MAX else object
-    out = np.zeros((u.size, u2.size), dtype=dtype)
+def _pair_map(src_pairs, tgt_pairs, terms, p: int) -> Sparse:
+    """The map between spaces whose bases are indexed by pairs, as a reduced
+    Sparse.  The pairs are (E, 2) intp arrays (`free_index`, `hom_index`):
+    row r is (u_r, v_r), column c is (u'_c, v'_c), and entry (r, c) is the
+    sum over (L, R) in `terms`, factors in either form, of
+    L[u_r, u'_c] * R[v_r, v'_c] mod p.  Each nonzero of L meets each one of
+    R, the row and column of the meeting are read off a grid over the
+    factors' indices, and the products that land on both are summed once
+    (`Sparse.from_entries`), exactly at every p < 2**63."""
+    shape = (len(src_pairs), len(tgt_pairs))
+    if not terms:
+        return Sparse.zero(*shape)
+    (left, right), at = terms[0], []
+    for k, pairs in enumerate((src_pairs, tgt_pairs)):
+        at.append(np.full((left.shape[k], right.shape[k]), -1, dtype=np.intp))
+        at[k][pairs[:, 0], pairs[:, 1]] = np.arange(len(pairs))
+    parts = []
     for left, right in terms:
-        out = (out + left[np.ix_(u, u2)].astype(dtype, copy=False)
-               * right[np.ix_(v, v2)].astype(dtype, copy=False)) % p
-    return out.astype(np.int64)
+        lf, rt = linalg.as_sparse(left, p), linalg.as_sparse(right, p)
+        r = at[0][lf.rows[:, None], rt.rows]
+        c = at[1][lf.cols[:, None], rt.cols]
+        i, j = np.nonzero((r >= 0) & (c >= 0))
+        parts.append((r[i, j], c[i, j],
+                      linalg._mul_mod(lf.vals[i], rt.vals[j], p)))
+    return Sparse.from_entries(shape, *map(np.concatenate, zip(*parts)), p)
+
+
+def _pair_maps(src: dict, tgt: dict, step: int, shift: int, terms_of,
+               p: int) -> dict:
+    """Per degree e of the pair index `src` with e + step in `tgt`: the map
+    from src[e] to tgt[e + step] with the terms terms_of(e) (`_pair_map`),
+    keyed by e + shift, when it is not zero."""
+    mats = {}
+    for e, rows in src.items():
+        if e + step in tgt:
+            m = _pair_map(rows, tgt[e + step], terms_of(e), p)
+            if m.any():
+                mats[e + shift] = m
+    return mats
 
 
 def _arrow_acts(mod: GradedModule, d: int, arrows) -> list:
     """The actions M_d -> M_{d+1} of the given arrows, in that order."""
     gen_of = generators_of_degree(mod.algebra, 1)
-    return [mod.sparse_act(gen_of[ai], d).dense() for ai in arrows]
+    return [mod.sparse_act(gen_of[ai], d) for ai in arrows]
 
 
 def cofree_index(lam, vlist) -> dict:
@@ -247,18 +265,12 @@ def _build_cofree(lam, vlist) -> GradedModule:
     verts = {e: np.array([u for u, _ in lam.basis_pairs(-e)], dtype=np.intp)
              [pairs[:, 0]] for e, pairs in index.items()}
     actions = {}
-    ident = linalg.eye(len(vlist))
+    ident = Sparse.identity(len(vlist))
     for gi, g in enumerate(lam.generators()):
-        for e, rows in index.items():
-            cols = index.get(e + 1)
-            if cols is None:
-                continue
-            # arrow times Lam_{-e-1} -> Lam_{-e}, read backwards
-            lmul = lam.mult(1, -e - 1)[g.basis_index]
-            m = Sparse.from_dense(
-                _pair_matrix(rows, cols, [(lmul.T, ident)], lam.p), lam.p)
-            if m.any():
-                actions[(gi, e)] = m
+        # arrow times Lam_{-e-1} -> Lam_{-e}, read backwards
+        maps = _pair_maps(index, index, 1, 0, lambda e: [
+            (lam.mult(1, -e - 1)[g.basis_index].T, ident)], lam.p)
+        actions.update(((gi, e), m) for e, m in maps.items())
     out = GradedModule(lam, verts, actions)
     out.hom_index = index
     return out
@@ -323,18 +335,9 @@ def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
     """The single Hom-functor step from the cofree model bsrc placed at s to
     btgt placed at s + 1: (df)(a) = sum over arrows of f(a abar) acted on by
     the arrow's action in `acts`.  Per-degree matrices."""
-    mats = {}
-    for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
-        cols = btgt.hom_index.get(e1 + 1)
-        if cols is None:
-            continue
-        rmul = lam.mult(-e1 - 1, 1)  # rmul[:, a]: Lam_{-e1-1} -> Lam_{-e1}
-        m = _pair_matrix(rows, cols,
-                         [(rmul[:, ai].T, act) for ai, act in enumerate(acts)],
-                         lam.p)
-        if m.any():
-            mats[e1 - s] = m
-    return mats
+    # base degree e holds Lam_{-e}; lam.mult(-e - 1, 1)[:, a] maps into it
+    return _pair_maps(bsrc.hom_index, btgt.hom_index, 1, -s, lambda e: list(
+        zip(lam.mult(-e - 1, 1).transpose(1, 2, 0), acts)), lam.p)
 
 
 # -- linearity certificates --------------------------------------------------
@@ -496,34 +499,36 @@ def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
     preimage pre, then acts by the class of (p alpha)^o.
     A is the stacked degree-n action at s (`grmod.stacked_action`).
 
-    The family of p sends arrows a to vectors c_a over the degree-n basis;
-    its matrix Z has a row per pair r = (i, a) of mu_1's domain t1, with
-    c_a[w] in column w * dim X_s + i, so row r of Z @ A is x_i acted on by
-    c_a; P = pre^T Z."""
+    The family of p sends arrows a to vectors c_a over the degree-n basis,
+    the rows of C.  Z is the pair map C (x) I from the pairs r = (i, a) of
+    mu_1's domain t1 to the pairs (w, i'), at w * dim X_s + i': row r of
+    Z @ A is x_i acted on by c_a, and P = pre^T Z."""
     ds, ualg = mod.dim(s), mod.algebra
+    rows = np.asarray(t1, dtype=np.intp).reshape(-1, 2)[:, ::-1]  # (a, i)
+    cols = np.stack(np.divmod(np.arange(ualg.dual.dim(ualg.n) * ds), ds), 1)
+    pre_t, ident = linalg.as_sparse(pre.T, mod.p), Sparse.identity(ds)
     out = []
-    for fam in ualg._memo(("path classes",), lambda: _path_classes(ualg)):
-        z = zeros(len(t1), ualg.dual.dim(ualg.n) * ds)
-        for r, (i, ai) in enumerate(t1):
-            if ai in fam:
-                z[r, i::ds] = fam[ai]
-        out.append(linalg.mat_mul(pre.T, z, mod.p))
+    for coef in ualg._memo(("path classes",), lambda: _path_classes(ualg)):
+        z = _pair_map(rows, cols, [(coef, ident)], mod.p)
+        out.append(linalg.sparse_mul(pre_t, z, mod.p))
     return out
 
 
 def _path_classes(ualg) -> list:
-    """Per path p of length n-1 in the base quiver: the class in the dual
-    of (p alpha)^o = alpha^o p^o for each arrow alpha with t(p) = o(alpha)."""
-    from .quiver import Path, enumerate_paths
+    """Per path p of length n-1 in the base quiver: the matrix C whose row
+    alpha is the class in the dual of (p alpha)^o = alpha^o p^o for each
+    arrow alpha with t(p) = o(alpha), and zero for every other arrow."""
     dual, n = ualg.dual, ualg.n
     q = dual.quiver.opposite()
     out = []
     for pa in enumerate_paths(q, n - 1):
         arrows = [ai for ai in range(q.arrow_count)
                   if q.arrow_source(ai) == pa.target_in(q)]
-        out.append(dict(zip(arrows, dual.path_classes(n, [
+        coef = zeros(q.arrow_count, dual.dim(n))
+        coef[arrows] = dual.path_classes(n, [
             Path(q.arrow_target(ai), (ai,) + tuple(reversed(pa.arrows)))
-            for ai in arrows]))))
+            for ai in arrows])
+        out.append(coef)
     return out
 
 
@@ -539,7 +544,7 @@ def _xi_matrices(mod: GradedModule, s: int) -> list:
             f"level {s}: contraction map depends on the chosen "
             "decomposition (kernel condition fails)")
     acts = stacked_action(mod, s)
-    return [linalg.sparse_mul(pz, acts, mod.p).dense()
+    return [linalg.sparse_mul(pz, acts, mod.p)
             for pz in _mu1_pullbacks(mod, s, t1, pre)]
 
 
@@ -582,42 +587,28 @@ def equivalence_F_map(f: GradedMorphism, fw: ComplexOfGraded,
     fam = {}
     for k, comp in fw.modules.items():
         s = dmap.delta(k)
-        mat = f.sparse_mat(s).dense()
-        rows = cofree_module(lam, f.source.verts_at(s)).hom_index
-        cols = cofree_module(lam, f.target.verts_at(s)).hom_index
-        fam[k] = GradedMorphism(comp, fx.component(k), {
-            e - s: _pair_matrix(pairs, cols[e],
-                                [(linalg.eye(lam.dim(-e)), mat)], lam.p)
-            for e, pairs in rows.items() if e in cols})
+        fam[k] = GradedMorphism(comp, fx.component(k), _pair_maps(
+            cofree_module(lam, f.source.verts_at(s)).hom_index,
+            cofree_module(lam, f.target.verts_at(s)).hom_index, 0, -s,
+            lambda e: [(Sparse.identity(lam.dim(-e)), f.sparse_mat(s))],
+            lam.p))
     return fam
 
 
 def _model_odd_diff(mod: GradedModule, lam, s: int, bsrc, btgt) -> dict:
     """The odd differential of the explicit equivalence at level s, between
-    the given model spaces, as plain per-degree matrices."""
-    xi = _xi_matrices(mod, s)
-    mats = {}
-    for d, rows, cols, lefts in _odd_steps(lam, mod.algebra, s, bsrc, btgt):
-        m = _pair_matrix(rows, cols, list(zip(lefts, xi)), lam.p)
-        if m.any():
-            mats[d] = m
-    return mats
-
-
-def _odd_steps(lam, ualg, s: int, bsrc, btgt):
-    """Per degree d of the odd differential at level s between the cofree
-    models: d, the row and column pairs, and per path p of length n-1 in
-    the base quiver the transpose of right multiplication by p."""
-    from .quiver import enumerate_paths
+    the given model spaces, as plain per-degree matrices: from base degree
+    e, the sum over the paths p of length n-1 in the base quiver of the
+    transpose of right multiplication by p out of Lam_{-e-n+1}, tensored
+    with xi_p (`_xi_matrices`)."""
+    ualg, xi = mod.algebra, _xi_matrices(mod, s)
     n = ualg.n
     classes = lam.path_classes(
         n - 1, enumerate_paths(ualg.dual.quiver.opposite(), n - 1))
-    for e1, rows in bsrc.hom_index.items():  # base degree e holds Lam_{-e}
-        cols = btgt.hom_index.get(e1 + n - 1)
-        if cols is not None:
-            yield e1 - s - 1, rows, cols, [
-                lam.right_mult_matrix(-e1 - n + 1, n - 1, cls).T
-                for cls in classes]
+    return _pair_maps(bsrc.hom_index, btgt.hom_index, n - 1, -s - 1,
+                      lambda e: [(lam.right_mult_matrix(-e - n + 1, n - 1,
+                                                        cls).T, x)
+                                 for cls, x in zip(classes, xi)], lam.p)
 
 
 # -- extraction (inverse direction) ------------------------------------------
@@ -652,7 +643,7 @@ def extract_module(c: ComplexOfGraded, ualg, params) -> GradedModule:
 def _extract(c: ComplexOfGraded, ualg, params):
     """`extract_module`, and the models it read the module through
     (`_models`).  Every action is a block of a transported differential,
-    or at n > 2 a product of two such blocks: no system is solved."""
+    or a product of two such blocks: no system is solved."""
     n = params.n
     dmap = DegreeMap(params.m, n)
     cert = _check_conditions_ab(c, params)
@@ -661,20 +652,8 @@ def _extract(c: ComplexOfGraded, ualg, params):
     models = _models(c, cert)
     verts = {dmap.delta(k): models[k][2] for k in c.positions()}
     actions = _degree_one_actions(c, models, dmap, ualg)
-    n_gens = generators_of_degree(ualg, n)
-    if n == 2:
-        # the degree-2 generator actions are the induced products
-        prov = GradedModule(ualg.dual, verts, actions)
-        for d in verts:
-            if d + 2 not in verts:
-                continue
-            products: dict = {}  # word products from degree d alone
-            for w, gi in n_gens.items():
-                a = _rows_times_basis_element(prov, None, 2, w, d, products)
-                if a.any():
-                    actions[(gi, d)] = a
-    else:
-        _degree_n_actions(c, models, ualg, params, actions, n_gens)
+    _degree_n_actions(c, models, ualg, params, actions,
+                      generators_of_degree(ualg, n))
     out = GradedModule(ualg, verts, actions)
     bad = out.validate()
     if bad:
@@ -731,7 +710,7 @@ def _degree_one_actions(c: ComplexOfGraded, models, dmap, ualg) -> dict:
 
 def _degree_n_actions(c: ComplexOfGraded, models, ualg, params,
                       actions: dict, n_gens: dict) -> None:
-    """Add the degree-n actions (n > 2) to `actions`, read off the odd
+    """Add the degree-n actions (any n >= 2) to `actions`, read off the odd
     differentials as the degree-1 actions are read off the even ones.
 
     Odd position k holds X_{s+1}, s = m + (k - 1)/2 n, and k + 1 holds
@@ -739,7 +718,7 @@ def _degree_n_actions(c: ComplexOfGraded, models, ualg, params,
     differential at k has the rows (p, y), p a path of length n - 1 in the
     base quiver (a basis element of Lambda_{n-1}, which has no relations)
     and y in X_{s+1}, and the columns (vertex, x2), x2 in X_{s+n}.  There
-    the left factor of F's odd differential (`_odd_steps`) is right
+    the left factor of F's odd differential (`_model_odd_diff`) is right
     multiplication by p out of Lambda_0, so the rows of p are xi_p
     (`_xi_matrices`), its columns read by x2.  A basis element w of dual_n
     is a normal word a_1 ... a_n, its arrows numbered as in the base
@@ -817,12 +796,15 @@ def in_Y(c: ComplexOfGraded, ualg, params):
     the image too; the round trip needs no search all the same: c is in
     the image exactly when x is in L and those witnesses form an
     isomorphism of complexes F(x) -> c.  x is read in the top bases, so
-    F(x) gives back x, sorted by vertex."""
+    F(x) gives back x, sorted by vertex; it is built on c's window, and a
+    `WindowError`, a refusal, propagates."""
     if c.is_zero():
         return True, zero_module(ualg)
     try:
         x, models = _extract(c, ualg, params)
-        fx = equivalence_F(x, c.algebra, params)
+        fx = equivalence_F(x, c.algebra, params, allow_windowed=True)
+    except WindowError:
+        raise
     except (ComplexError, ModuleError):
         return False, None
     if chain_iso_failure(fx, c, {k: w for k, (_, w, _, _) in models.items()}):

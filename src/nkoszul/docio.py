@@ -25,6 +25,9 @@ def _fail(where: str, msg: str):
     raise DocumentError(f"{where}: {msg}")
 
 
+# The top-level keys of a document; any other is refused (FORMAT.md).
+DOCUMENT_KEYS = ("modulus", "vertices", "arrows", "n", "relations", "window",
+                 "m", "r", "modules")
 # The kernels are exact for every prime modulus below this bound.
 MODULUS_BOUND = 2 ** 63
 # Miller-Rabin with these bases decides primality of every n below
@@ -92,6 +95,10 @@ def parse_document(doc: dict, default_modulus: int = 101) -> dict:
     """
     if not isinstance(doc, dict):
         _fail("document", "top level must be an object")
+    for key in doc:
+        if key not in DOCUMENT_KEYS:
+            _fail("document", f"unknown key {key!r}; the keys are "
+                  + ", ".join(DOCUMENT_KEYS))
     p = doc.get("modulus", default_modulus)
     if not (type(p) is int and p >= 2):
         _fail("modulus", "must be an integer >= 2")

@@ -15,8 +15,9 @@ the covers, inclusions, differentials and envelope maps built here.
 subspace of a degree (kernels, radicals, socles, images, torsion and
 closures) is a `linalg.Subspace`, a canonical RREF basis stored Sparse.
 `sparse_act()` and `sparse_mat()` read the stored matrix, the one read
-form, and every reader here stacks, multiplies and eliminates it; a caller
-that needs an array calls its `.dense()`, under `linalg.MAX_SLICE_BYTES`.
+form, which every reader here and F's differentials (`complexes._pair_map`)
+take as it is; a caller that needs an array, a report or a dense solve,
+calls its `.dense()`, under `linalg.MAX_SLICE_BYTES`.
 `stored_actions()` and `stored_mats()` hand them all over.  A builder may
 leave the actions or
 matrices to be built on first read (`_BuiltOnRead`): `free_module`,
@@ -1114,7 +1115,7 @@ def stacked_action(mod: GradedModule, s: int) -> Sparse:
     return mod._memo(("stacked action", s), build)
 
 
-def l_condition(mod: GradedModule, s: int, t1, ker) -> np.ndarray:
+def l_condition(mod: GradedModule, s: int, t1, ker) -> Sparse:
     """The kernel condition of the distinguished subcategory at level s
     (each product of Ker(mu_1) with dual_{n-1}, in X_s (x) dual_n, goes to
     zero in X_{s+n}) as a matrix C over the stacked action A
@@ -1124,22 +1125,21 @@ def l_condition(mod: GradedModule, s: int, t1, ker) -> np.ndarray:
     Row v * dim dual_{n-1} + b of C is the v-th basis vector times y_b, the
     b-th basis element of dual_{n-1}: with t = mult(1, n - 1),
     (x_i (x) y_j) y_b = x_i (x) sum_w t[j, b, w] y_w, and x_i (x) y_w acts
-    as row w * dim X_s + i of A.  One product of the coefficients, regrouped
-    by x_i, with the tensor.  The coefficients and the product are dense,
-    each refused above the size cap before it is allocated."""
-    alg = mod.algebra
+    as row w * dim X_s + i of A.  One sparse product of the coefficients,
+    row v * dim X_s + i and column j, with the tensor, its entries then
+    moved from (v, i, b, w) to row (v, b) and column (w, i)."""
+    alg, p = mod.algebra, mod.p
     t_mul = alg.dual.mult(1, alg.n - 1)
     nv, nx, (nj, nb, nw) = ker.dim, mod.dim(s), t_mul.shape
-    coef = linalg.dense_zeros(nv * nx, nj).reshape(nv, nx, nj)
-    if t1:
-        i, j = np.asarray(t1, dtype=np.intp).T
-        b = ker.basis
-        coef[b.rows, i[b.cols], j[b.cols]] = b.vals
-    linalg._check_dense(nv * nx, nb * nw)
-    prod = linalg.mat_mul(coef.reshape(nv * nx, nj),
-                          t_mul.reshape(nj, nb * nw), mod.p)
-    return prod.reshape(nv, nx, nb, nw).transpose(0, 2, 3, 1).reshape(
-        nv * nb, nw * nx)
+    i, j = np.asarray(t1, dtype=np.int64).reshape(-1, 2).T
+    b = ker.basis
+    coef = Sparse.from_entries((nv * nx, nj), b.rows * nx + i[b.cols],
+                               j[b.cols], b.vals, p)
+    prod = linalg.sparse_mul(coef, t_mul.reshape(nj, nb * nw), p)
+    v, x = np.divmod(prod.rows, nx)
+    bb, w = np.divmod(prod.cols, nw)
+    return Sparse.from_entries((nv * nb, nw * nx), v * nb + bb, w * nx + x,
+                               prod.vals, p)
 
 
 def _require_u_grading(mod: GradedModule, pred: str, n: int) -> None:

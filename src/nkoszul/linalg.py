@@ -90,7 +90,8 @@ def zeros(rows: int, cols: int) -> np.ndarray:
 
 def eye(n: int) -> np.ndarray:
     """The identity, refused above the cap before it is allocated."""
-    out = dense_zeros(n, n)
+    _check_dense(n, n)
+    out = zeros(n, n)
     np.fill_diagonal(out, 1)
     return out
 
@@ -555,6 +556,11 @@ class Sparse:
         return Sparse((rows, cols), e, e, e)
 
     @staticmethod
+    def identity(n: int) -> "Sparse":
+        d = np.arange(n, dtype=np.int64)
+        return Sparse((n, n), d, d, np.ones(n, dtype=np.int64))
+
+    @staticmethod
     def from_dense(a, p: int) -> "Sparse":
         a = _reduced(np.asarray(a, dtype=np.int64), p)
         if a.ndim != 2:
@@ -625,7 +631,8 @@ class Sparse:
     def dense(self) -> np.ndarray:
         """The matrix as a new int64 array; refused above the cap before
         anything is allocated."""
-        out = dense_zeros(*self.shape)
+        _check_dense(*self.shape)
+        out = zeros(*self.shape)
         out[self.rows, self.cols] = self.vals
         return out
 
@@ -676,12 +683,6 @@ class Sparse:
                 and np.array_equal(self.vals, other.vals))
 
     __hash__ = None
-
-
-def dense_zeros(rows: int, cols: int) -> np.ndarray:
-    """`zeros`, refused above the cap before anything is allocated."""
-    _check_dense(rows, cols)
-    return zeros(rows, cols)
 
 
 def nonzero(m):

@@ -315,8 +315,8 @@ def pairing_witness(d_nu, c_psi, mod, lam) -> dict:
         rows = cpx.cofree_module(lam, mod.verts_at(-k)).hom_index
         tgt = c_psi.modules[k]
         fam[k] = GradedMorphism(d_nu.modules[k], tgt, {
-            dd: cpx._pair_matrix(rows[-dd - k], cols[:, ::-1], [
-                (corr(dd + k), linalg.eye(mod.dim(-k)))], lam.p)
+            dd: cpx._pair_map(rows[-dd - k], cols[:, ::-1], [
+                (corr(dd + k), linalg.Sparse.identity(mod.dim(-k)))], lam.p)
             for dd, cols in tgt.free_index.items() if -dd - k in rows})
     return fam
 

@@ -13,6 +13,9 @@ degree-n system over every entry of the action at once, and
 that gave the action one degree above each level: the extraction once
 solved the one and ran the other, and they are now the references that
 the actions it reads off the odd differential are compared with.
+`pair_matrix` is the dense block of a pair-indexed map (a differential of
+psi, nu or F, a cofree action), built by gathers on the pair indices before
+the Sparse builder joined the factors' nonzeros.
 `cofree_index` is
 the cofree basis as a list of (b, x) pairs from a double loop, before it
 became an (E, 2) array, and `noncommuting_degree` and `chain_iso_failure`
@@ -40,6 +43,7 @@ from nkoszul.grmod import (GradedModule, GradedMorphism, ModuleError,
                            _element_action, _rows_times_basis_element,
                            l_condition)
 from nkoszul.linalg import Subspace, zeros
+from nkoszul.quiver import enumerate_paths
 
 
 def null_space(m, p: int) -> np.ndarray:
@@ -302,6 +306,23 @@ def label_lists(verts: dict) -> dict:
     return {d: np.asarray(v).tolist() for d, v in verts.items()}
 
 
+def pair_matrix(src_pairs, tgt_pairs, terms, p: int) -> np.ndarray:
+    """The map between spaces whose bases are indexed by pairs as one dense
+    block, as `complexes` built it before its one Sparse builder
+    (`complexes._pair_map`): entry (r, c) is the sum over (L, R) in `terms`
+    of L[u_r, u'_c] * R[v_r, v'_c] mod p, one gather of each array factor
+    per term, in int64 while p*(p-1) <= 2**63 - 1 and on Python integers
+    above it."""
+    u, v = np.asarray(src_pairs, dtype=np.intp).reshape(-1, 2).T
+    u2, v2 = np.asarray(tgt_pairs, dtype=np.intp).reshape(-1, 2).T
+    dtype = np.int64 if p * (p - 1) <= linalg._INT64_MAX else object
+    out = np.zeros((u.size, u2.size), dtype=dtype)
+    for left, right in terms:
+        out = (out + left[np.ix_(u, u2)].astype(dtype, copy=False)
+               * right[np.ix_(v, v2)].astype(dtype, copy=False)) % p
+    return out.astype(np.int64)
+
+
 def odd_system(c, models, prov, k, s):
     """The linear system (matrix, right-hand side) for the degree-n action
     at level s, from the odd differential at position k, over every entry
@@ -321,19 +342,26 @@ def odd_system(c, models, prov, k, s):
     coefs = cx._mu1_pullbacks(prov, s, t1, pre)
     t = cx._transported_diff(c, k, models)
     blocks, rhs = [zeros(0, nwi * dim_sn)], [np.zeros(0, dtype=np.int64)]
-    for d, rows, cols, lefts in cx._odd_steps(lam, ualg, s, models[k][0],
-                                               models[k + 1][0]):
+    classes = lam.path_classes(
+        n - 1, enumerate_paths(dual.quiver.opposite(), n - 1))
+    for e1, rows in models[k][0].hom_index.items():
+        cols = models[k + 1][0].hom_index.get(e1 + n - 1)
+        if cols is None:
+            continue
+        d = e1 - s - 1
+        lefts = [lam.right_mult_matrix(-e1 - n + 1, n - 1, cls).T
+                 for cls in classes]
         _check_size(len(rows) * len(cols) * nwi * dim_sn, "degree-n system",
                     d)
-        spread = cx._pair_matrix(
+        spread = pair_matrix(
             rows, np.array([(a, wi) for a, _ in cols.tolist()
                             for wi in range(nwi)]).reshape(-1, 2),
-            list(zip(lefts, coefs)), p)
+            [(left, coef.dense()) for left, coef in zip(lefts, coefs)], p)
         hit = np.asarray([x2 for _, x2 in cols])[:, None] == np.arange(dim_sn)
         blocks.append((spread.reshape(len(rows), len(cols), nwi, 1)
                        * hit[None, :, None, :]).reshape(-1, nwi * dim_sn))
         rhs.append(t.sparse_mat(d).dense().reshape(-1))
-    cond = l_condition(prov, s, t1, ker)
+    cond = l_condition(prov, s, t1, ker).dense()
     cond = cond[cond.any(axis=1)]
     blocks.append(np.kron(cond, linalg.eye(dim_sn)))
     rhs.append(np.zeros(len(cond) * dim_sn, dtype=np.int64))

@@ -526,7 +526,7 @@ def test_one_membership_check_builds_each_cofree_model_once(monkeypatch):
 
 # -- the replaced per-entry loops, kept as reference oracles -----------------
 # Each builds a differential entry by entry through a dict of target pairs;
-# the code under test builds the same matrices with cx._pair_matrix.
+# the code under test builds the same matrices with cx._pair_map.
 
 
 def pair_keys(pairs):
@@ -595,7 +595,7 @@ def reference_hom_mats(lam, s, bsrc, btgt, acts):
         e1, e2 = d + s, d + s + 1
         pos2 = {key: c for c, key in enumerate(pair_keys(btgt.hom_index[e2]))}
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
-        for ai, a_act in enumerate(acts):
+        for ai, a_act in enumerate(a.dense() for a in acts):
             vec = np.zeros(lam.dim(1), dtype=np.int64)
             vec[ai] = 1
             rmul = lam.right_mult_matrix(-e2, 1, vec)
@@ -961,9 +961,14 @@ def python_pair_matrix(src_pairs, tgt_pairs, terms, p):
                     dtype=np.int64).reshape(len(src_pairs), len(tgt_pairs))
 
 
-@pytest.mark.parametrize("p", [2, 101, 3037000493, 4611686018427388039])
+@pytest.mark.parametrize("p", [2, 3, 101, 3037000493, 4611686018427388039])
 def test_pair_matrix_is_exact_at_every_accepted_modulus(p):
+    """`cx._pair_map` against a loop on Python integers and the dense block
+    it replaced (`dense_oracle.pair_matrix`), with each factor given as an
+    array and as a Sparse."""
     rng = np.random.default_rng(p % 1000)
+    src = [(u, v) for u in range(4) for v in range(3) if (u + v) % 3]
+    tgt = [(u, v) for u in range(5) for v in range(6) if (u * v) % 4 != 1]
     for fill in ("random", "top"):
         terms = []
         for _ in range(3):
@@ -974,13 +979,17 @@ def test_pair_matrix_is_exact_at_every_accepted_modulus(p):
             else:
                 terms.append(tuple(np.full(sh, p - 1, dtype=np.int64)
                                    for sh in shapes))
-        src = [(u, v) for u in range(4) for v in range(3) if (u + v) % 3]
-        tgt = [(u, v) for u in range(5) for v in range(6) if (u * v) % 4 != 1]
-        got = cx._pair_matrix(np.array(src), np.array(tgt), terms, p)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, python_pair_matrix(src, tgt, terms, p))
-    assert cx._pair_matrix(np.zeros((0, 2), dtype=np.intp), np.array([(0, 0)]),
-                           terms, p).shape == (0, 1)
+        want = python_pair_matrix(src, tgt, terms, p)
+        assert np.array_equal(dense_oracle.pair_matrix(src, tgt, terms, p),
+                              want)
+        sparse = linalg.Sparse.from_dense
+        for form in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            mixed = [tuple(sparse(f, p) if s else f for f, s in zip(t, form))
+                     for t in terms]
+            got = cx._pair_map(np.array(src), np.array(tgt), mixed, p)
+            assert got == sparse(want, p)
+    assert cx._pair_map(np.zeros((0, 2), dtype=np.intp), np.array([(0, 0)]),
+                        terms, p) == linalg.Sparse.zero(0, 1)
 
 
 # -- membership by an exact round trip, against the search it replaced ------
@@ -1409,7 +1418,7 @@ def test_extraction_solves_nothing_under_a_small_cap(monkeypatch):
 
     def unreached(*args):
         raise AssertionError("the extraction built a system")
-    for owner, name in [(cx, "_pair_matrix"), (cx, "mu1_preimage"),
+    for owner, name in [(cx, "_pair_map"), (cx, "mu1_preimage"),
                         (linalg, "solve_matrix")]:
         monkeypatch.setattr(owner, name, unreached)
     got = cx._extract(c, e["ualg"], params)[0]

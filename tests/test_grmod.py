@@ -649,8 +649,8 @@ def test_in_L_products_are_exact_at_large_moduli(p):
     assert ker.dim == 4 and ker.basis.vals.max() > p // 4
     got = gm.l_condition(mod, 0, t1, ker)
     assert got.shape == (ker.dim * dual.dim(2), dual.dim(3) * nx)
-    assert np.array_equal(got, py_l_condition(ker.basis.dense(), nx, t1,
-                                              t_mul, p))
+    assert np.array_equal(got.dense(), py_l_condition(ker.basis.dense(), nx,
+                                                      t1, t_mul, p))
     # no pair of X_0 (x) A_1: no product, and no failure
     none = gm.l_condition(mod, 0, [], linalg.Subspace.zero(0, p))
     assert none.shape == (0, dual.dim(3) * nx)
