@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import MAX_SLICE_BYTES, Subspace, zeros
+from .linalg import MAX_SLICE_BYTES, Sparse, Subspace, zeros
 from .quiver import (
     Path,
     PathSpaceElement,
@@ -728,19 +728,17 @@ class USupportAlgebra(GradedAlgebra):
                                        repeat=k))
         if rho == 1:
             words = [w + (a,) for w in words for a in range(narrows)]
-        cls = self._word_classes([self.n] * k + [1] * rho)
-        live = cls.any(axis=1)
-        if not live.any():
+        cls = Sparse.from_dense(self._word_classes([self.n] * k + [1] * rho),
+                                self.p)
+        # row i: the coefficients of the words in basis element i
+        left = linalg.left_inverse(cls, self.p)
+        if left is None:
             raise AlgebraError(f"degree {d} not spanned by generator words")
-        kept = [w for w, on in zip(words, live.tolist()) if on]
-        # column i: the coefficients of the kept words in basis element i
-        sol = linalg.solve_matrix(cls[live].T, linalg.eye(dim), self.p)
-        if sol is None:
-            raise AlgebraError(
-                f"a basis element at degree {d} is not a word combination")
-        return [[(kept[j], int(c)) for j, c in zip(col.nonzero()[0].tolist(),
-                                                   col[col != 0].tolist())]
-                for col in sol.T]
+        out = [[] for _ in range(dim)]
+        for i, j, c in zip(left.rows.tolist(), left.cols.tolist(),
+                           left.vals.tolist()):
+            out[i].append((words[j], c))
+        return out
 
     def relation_words(self):
         """Kernel of the word -> algebra map on short generator words.

@@ -481,9 +481,9 @@ def _contract(c: ComplexOfGraded, n: int, src_of) -> ComplexOfGraded:
 
 def _mu1_data(mod: GradedModule, s: int):
     """The multiplication mu_1: X_s (x) dual_1 -> X_{s+1}: the pairs of its
-    domain, a canonical preimage matrix for its targets and a basis of its
-    kernel, as the module keeps them (`grmod.mu1`).  Raises unless mu_1 is
-    surjective."""
+    domain, its canonical left inverse L (row y the preimage of y over the
+    pairs, `grmod.mu1_preimage`) and a basis of its kernel, as the module
+    keeps them (`grmod.mu1`).  Raises unless mu_1 is surjective."""
     pre = mu1_preimage(mod, s)
     if pre is None:
         raise ComplexError(
@@ -491,26 +491,26 @@ def _mu1_data(mod: GradedModule, s: int):
     return mu1(mod, s)[0], pre, mu1_kernel(mod, s)
 
 
-def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre) -> list:
+def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre: Sparse) -> list:
     """Per path p of length n-1 in the base quiver (`_path_classes`, kept in
     the algebra's memo): the matrix P such that P @ A is the map
     X_{s+1} -> X_{s+n} that decomposes y through the degree-1
     multiplication mu_1: X_s (x) dual_1 -> X_{s+1} by its canonical
-    preimage pre, then acts by the class of (p alpha)^o.
+    left inverse L = pre, then acts by the class of (p alpha)^o.
     A is the stacked degree-n action at s (`grmod.stacked_action`).
 
     The family of p sends arrows a to vectors c_a over the degree-n basis,
     the rows of C.  Z is the pair map C (x) I from the pairs r = (i, a) of
     mu_1's domain t1 to the pairs (w, i'), at w * dim X_s + i': row r of
-    Z @ A is x_i acted on by c_a, and P = pre^T Z."""
+    Z @ A is x_i acted on by c_a, and P = L Z."""
     ds, ualg = mod.dim(s), mod.algebra
     rows = np.asarray(t1, dtype=np.intp).reshape(-1, 2)[:, ::-1]  # (a, i)
     cols = np.stack(np.divmod(np.arange(ualg.dual.dim(ualg.n) * ds), ds), 1)
-    pre_t, ident = linalg.as_sparse(pre.T, mod.p), Sparse.identity(ds)
+    ident = Sparse.identity(ds)
     out = []
     for coef in ualg._memo(("path classes",), lambda: _path_classes(ualg)):
         z = _pair_map(rows, cols, [(coef, ident)], mod.p)
-        out.append(linalg.sparse_mul(pre_t, z, mod.p))
+        out.append(linalg.sparse_mul(pre, z, mod.p))
     return out
 
 
@@ -924,9 +924,9 @@ def chain_iso_failure(c: ComplexOfGraded, c2: ComplexOfGraded, fam: dict):
         a, b = c.modules[k], c2.modules[k]
         f = GradedMorphism(a, b, fam[k].stored_mats() if k in fam else {})
         for d in sorted(set(a.degrees()) | set(b.degrees())):
-            m = f.sparse_mat(d)  # densified only when it is not monomial
+            m = f.sparse_mat(d)  # inverted from its nonzeros if monomial
             if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
-                    or linalg.inverse(m, c.p) is None:
+                    or linalg.left_inverse(m, c.p) is None:
                 return failure("invertible", k, d)
             if (a.verts_at(d)[m.rows] != b.verts_at(d)[m.cols]).any():
                 return failure("module-map", k, d)

@@ -16,8 +16,8 @@ subspace of a degree (kernels, radicals, socles, images, torsion and
 closures) is a `linalg.Subspace`, a canonical RREF basis stored Sparse.
 `sparse_act()` and `sparse_mat()` read the stored matrix, the one read
 form, which every reader here and F's differentials (`complexes._pair_map`)
-take as it is; a caller that needs an array, a report or a dense solve,
-calls its `.dense()`, under `linalg.MAX_SLICE_BYTES`.
+take as it is, and so does `linalg.left_inverse`; a caller that needs an
+array or a report calls its `.dense()`, under `linalg.MAX_SLICE_BYTES`.
 `stored_actions()` and `stored_mats()` hand them all over.  A builder may
 leave the actions or
 matrices to be built on first read (`_BuiltOnRead`): `free_module`,
@@ -546,12 +546,14 @@ class GradedMorphism(_BuiltOnRead):
                 for d in set(self._mats) | set(other._mats)}
 
     def inverse(self) -> "GradedMorphism":
-        """The inverse, a monomial matrix read off its nonzeros
-        (`linalg.inverse`)."""
+        """The inverse: in each degree the left inverse of a square matrix
+        (`linalg.left_inverse`), read off the nonzeros of a monomial one, as
+        of an envelope map.  A tall matrix's has the other shape."""
         mats = {}
         for d in set(self.source.degrees()) | set(self.target.degrees()):
-            inv = linalg.inverse(self.sparse_mat(d), self.p)
-            if inv is None:
+            m = self.sparse_mat(d)
+            inv = linalg.left_inverse(m, self.p)
+            if inv is None or inv.shape != m.shape:
                 raise ModuleError("morphism is not invertible")
             mats[d] = inv
         return GradedMorphism(self.target, self.source, mats)
@@ -1094,12 +1096,12 @@ def mu1_kernel(mod: GradedModule, s: int) -> Subspace:
 
 
 def mu1_preimage(mod: GradedModule, s: int):
-    """The canonical preimage of X_{s+1} under mu_1 at level s, a matrix P
-    with P^T mu_1 = I (column y of P over the pairs of `mu1`), or None when
-    mu_1 is not onto: decided once per module and level, by one dense solve
-    under the size cap."""
-    return mod._memo(("mu1 preimage", s), lambda: linalg.solve_matrix(
-        mu1(mod, s)[1].dense().T, linalg.eye(mod.dim(s + 1)), mod.p))
+    """The canonical preimage of X_{s+1} under mu_1 at level s, the Sparse
+    L = `linalg.left_inverse` of mu_1 with L mu_1 = I (row y of L over the
+    pairs of `mu1`), or None when mu_1 is not onto: decided once per module
+    and level."""
+    return mod._memo(("mu1 preimage", s), lambda: linalg.left_inverse(
+        mu1(mod, s)[1], mod.p))
 
 
 def stacked_action(mod: GradedModule, s: int) -> Sparse:

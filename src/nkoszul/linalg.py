@@ -1,7 +1,7 @@
 """Exact linear algebra over a prime field F_p.
 
 Everything downstream reduces to the handful of primitives in this module:
-reduced row echelon form, null spaces, linear solves and canonical
+reduced row echelon form, null spaces, left inverses and canonical
 subspaces.  A matrix is a numpy int64 array with entries in [0, p), or a
 `Sparse` held by its nonzeros.  The reduction is Gauss-Jordan with
 lowest-index pivoting, so the RREF is unique and serves as a canonical form.
@@ -15,6 +15,10 @@ x = x[pivots] @ basis, which is how `Subspace.contains` decides.  Dense
 arrays are used only inside an elimination, and where a reader multiplies
 a basis through `Sparse.dense`, which refuses before it allocates more
 than MAX_SLICE_BYTES.
+
+Every solve is the canonical left inverse L of a Sparse m (`left_inverse`):
+the inverse of m's lowest-index independent rows, read off the nonzeros of
+a monomial block and eliminated beside an identity otherwise.
 
 `rref` eliminates the columns in panels of 64, and it is the kernel of every
 elimination.  While a panel is eliminated only the rows with a nonzero in it
@@ -313,40 +317,6 @@ def rank(m, p: int) -> int:
     return rref(m, p)[2]
 
 
-def solve(a, b, p: int):
-    """Some x with a @ x = b (mod p), or None if inconsistent.
-
-    Free variables are set to 0 under canonical pivoting, so the choice is
-    deterministic.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    bv = np.asarray(b, dtype=np.int64).reshape(-1, 1)
-    if bv.shape[0] != a.shape[0]:
-        raise LinAlgError("incompatible shapes in solve")
-    n = a.shape[1]
-    red, pivots, r = _rref(np.concatenate([a, bv], axis=1), p)
-    if r and pivots[-1] == n:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    x[pivots] = red[:r, n]
-    return x
-
-
-def solve_matrix(a, b, p: int):
-    """Some X with a @ X = b for matrix right-hand side, or None.  The
-    system [a | b] is refused above the cap before it is built."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.int64))
-    n = a.shape[1]
-    _check_dense(a.shape[0], n + b.shape[1])
-    red, pivots, r = _rref(np.concatenate([a, b], axis=1), p)
-    if r and pivots[-1] >= n:
-        return None
-    x = zeros(n, b.shape[1])
-    x[pivots] = red[:r, n:]
-    return x
-
-
 def null_space(m, p: int) -> "Subspace":
     """{x : m @ x = 0} as a Subspace of F_p^cols."""
     return _null_space(as_matrix(m, p), p)
@@ -388,29 +358,6 @@ def _row_space(a: np.ndarray, p: int) -> "Subspace":
     red, pivots, r = _rref(a, p)
     return Subspace(a.shape[1], p, Sparse.from_dense(red[:r], p),
                     np.asarray(pivots, dtype=np.intp))
-
-
-def inverse(m, p: int):
-    """Inverse of a square matrix in either form, or None if singular.
-
-    A monomial matrix, one nonzero in each row and in each column (a
-    permutation matrix scaled row by row, as the envelope maps of cofree
-    models are), is inverted from its nonzeros, as a Sparse: entry
-    (r, c) = v becomes entry (c, r) = 1/v.  Any other is densified, under
-    the cap, and eliminated."""
-    a = m if isinstance(m, Sparse) else as_matrix(m, p)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise LinAlgError("inverse of non-square matrix")
-    r, c = nonzero(a)
-    if not (r.size == n and (np.bincount(r, minlength=n) == 1).all()
-            and (np.bincount(c, minlength=n) == 1).all()):
-        return solve_matrix(dense(a), eye(n), p)
-    vals = a.vals if isinstance(a, Sparse) else a[r, c]
-    at = np.empty_like(c)  # the nonzero in each column
-    at[c] = np.arange(n)
-    return Sparse(a.shape, np.arange(n), r[at], np.array(
-        [pow(v, -1, p) for v in vals[at].tolist()], dtype=np.int64))
 
 
 class Subspace:
@@ -685,18 +632,6 @@ class Sparse:
     __hash__ = None
 
 
-def nonzero(m):
-    """(rows, cols) of the nonzeros of a matrix in either form, row by
-    row."""
-    return (m.rows, m.cols) if isinstance(m, Sparse) else np.nonzero(m)
-
-
-def dense(m) -> np.ndarray:
-    """A matrix in either form as an array: an array as it is, a Sparse
-    densified under the cap."""
-    return m.dense() if isinstance(m, Sparse) else m
-
-
 def as_sparse(m, p: int) -> Sparse:
     """A matrix in either form as a Sparse."""
     return m if isinstance(m, Sparse) else Sparse.from_dense(m, p)
@@ -863,3 +798,48 @@ def sparse_left_kernel(m: Sparse, p: int) -> Subspace:
     block, keep_r, _ = _compact(r, c, v, nrows, m.shape[1], True)
     return disjoint_sum([units, _null_space(block, p).embed(keep_r, nrows)],
                         nrows, p)
+
+
+def left_inverse(m: Sparse, p: int):
+    """The canonical L with L @ m = I, a Sparse, or None when the columns
+    of m are dependent.
+
+    L is zero outside the columns piv, the lowest-index independent rows of
+    m (the pivots of `sparse_rref` of m^T; a square m is its own pivot
+    block), and L[:, piv] = m[piv]^-1: the solve of m^T X = I with the free
+    variables at 0, transposed.  A monomial block (one nonzero in each row
+    and column, as mu_1 of a free module and envelope maps are) is inverted
+    from its nonzeros, (r, c) = v becoming (c, r) = 1/v; any other goes to
+    `_dense_inverse`."""
+    rows, n = m.shape
+    if rows != n:
+        piv = sparse_rref(m.transpose(), p).pivots
+        if piv.size < n:
+            return None
+        m = m.take_rows(piv)
+    if np.array_equal(m.rows, np.arange(n)) \
+            and (np.bincount(m.cols, minlength=n) == 1).all():
+        at = np.empty_like(m.cols)  # the row of the nonzero in each column
+        at[m.cols] = np.arange(n)
+        inv = Sparse((n, n), np.arange(n), at, np.array(
+            [pow(v, -1, p) for v in m.vals[at].tolist()], dtype=np.int64))
+    else:
+        inv = _dense_inverse(m, p)
+    if inv is None or rows == n:
+        return inv
+    return Sparse((n, rows), inv.rows, piv[inv.cols], inv.vals)
+
+
+def _dense_inverse(b: Sparse, p: int):
+    """The inverse of a square b as a Sparse, or None when b is singular:
+    one elimination of [b | I], refused above the cap before it is
+    built."""
+    n = b.shape[0]
+    _check_dense(n, 2 * n)
+    a = zeros(n, 2 * n)
+    a[b.rows, b.cols] = b.vals
+    a[np.arange(n), np.arange(n, 2 * n)] = 1
+    red, pivots, _ = _rref(a, p)
+    if n and pivots[-1] >= n:
+        return None
+    return Sparse.from_dense(red[:, n:], p)

@@ -15,6 +15,7 @@ from nkoszul.algebra import AlgebraError
 from nkoszul.grmod import GradedModule
 from nkoszul.linalg import Sparse, Subspace, zeros
 from nkoszul.quiver import enumerate_paths
+from dense_oracle import solve
 
 
 def reduce_path_element(alg, el) -> np.ndarray:
@@ -88,7 +89,7 @@ def element_words(ualg, j: int) -> list:
     pm = np.stack(prods, axis=0)  # |words| x dim
     out = []
     for i, e in enumerate(linalg.eye(dim)):
-        sol = linalg.solve(pm.T, e, ualg.p)
+        sol = solve(pm.T, e, ualg.p)
         if sol is None:
             raise AlgebraError(
                 f"basis element {i} at degree {d} not a word combination")

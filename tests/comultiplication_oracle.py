@@ -10,6 +10,7 @@ from nkoszul.grmod import (GradedModule, ModuleError, TorsionParams,
                            socle_subspaces)
 from nkoszul.linalg import zeros
 from nkoszul.quiver import Path, enumerate_paths, opposite_path
+from dense_oracle import solve_matrix
 
 
 def comultiplication(mod: GradedModule, s: int, u: int) -> np.ndarray:
@@ -114,6 +115,6 @@ def in_Lo(mod: GradedModule, params: TorsionParams) -> bool:
                     col = tgt_index[key]
                     lhs[r, col] = (lhs[r, col] + coef) % p
         # solvability of F @ lhs = rhs row by row
-        if linalg.solve_matrix(lhs.T, rhs.T, p) is None:
+        if solve_matrix(lhs.T, rhs.T, p) is None:
             return False
     return True

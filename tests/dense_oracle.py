@@ -15,7 +15,11 @@ solved the one and ran the other, and they are now the references that
 the actions it reads off the odd differential are compared with.
 `pair_matrix` is the dense block of a pair-indexed map (a differential of
 psi, nu or F, a cofree action), built by gathers on the pair indices before
-the Sparse builder joined the factors' nonzeros.
+the Sparse builder joined the factors' nonzeros.  `solve` and
+`solve_matrix` are the dense solves of [a | b] with the free variables at
+0, before every solve became one canonical left inverse
+(`linalg.left_inverse`); the inverses, the preimages of mu_1 and the word
+coefficients are compared with theirs.
 `cofree_index` is
 the cofree basis as a list of (b, x) pairs from a double loop, before it
 became an (E, 2) array, and `noncommuting_degree` and `chain_iso_failure`
@@ -60,6 +64,34 @@ def null_space(m, p: int) -> np.ndarray:
     basis[:, pivots] = (-red[:r, free].T) % p
     red, _, r = linalg.rref(basis, p)
     return red[:r]
+
+
+def solve(a, b, p: int):
+    """Some x with a @ x = b (mod p), or None if inconsistent: the free
+    variables are 0, so the choice is canonical."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    bv = np.asarray(b, dtype=np.int64).reshape(-1, 1)
+    n = a.shape[1]
+    red, pivots, r = linalg.rref(np.concatenate([a, bv], axis=1), p)
+    if r and pivots[-1] == n:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[pivots] = red[:r, n]
+    return x
+
+
+def solve_matrix(a, b, p: int):
+    """`solve` for a matrix right-hand side: some X with a @ X = b, or
+    None."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.int64))
+    n = a.shape[1]
+    red, pivots, r = linalg.rref(np.concatenate([a, b], axis=1), p)
+    if r and pivots[-1] >= n:
+        return None
+    x = zeros(n, b.shape[1])
+    x[pivots] = red[:r, n:]
+    return x
 
 
 def free_module(algebra, gen_list, hi):
@@ -385,10 +417,11 @@ def induced_degree_n(mod, s):
             if ai not in acts:
                 acts[ai] = _element_action(mod, n + 1, ualg.mult(1, n)[ai, w],
                                            s).dense()
-        # row r = (i, a) holds x_i a w; pre^T sends it through mu_1
+        # row r = (i, a) holds x_i a w; the left inverse of mu_1 sends it
+        # through mu_1
         y = np.stack([acts[ai][i] for i, ai in t1])
         assert not linalg.sparse_mul(ker.basis, y, p).any()
-        out.append(linalg.mat_mul(pre.T, y, p))
+        out.append(linalg.mat_mul(pre.dense(), y, p))
     return out
 
 
@@ -437,7 +470,7 @@ def chain_iso_failure(c, c2, fam: dict):
         for d in sorted(set(a.degrees()) | set(b.degrees())):
             m = f.sparse_mat(d).dense()
             if a.dim(d) != b.dim(d) or m.shape != (a.dim(d), b.dim(d)) \
-                    or linalg.inverse(m, c.p) is None:
+                    or solve_matrix(m, linalg.eye(len(m)), c.p) is None:
                 return failure("invertible", k, d)
             if m[np.not_equal.outer(a.verts_at(d), b.verts_at(d))].any():
                 return failure("module-map", k, d)

@@ -9,6 +9,7 @@ import numpy as np
 
 from nkoszul import linalg
 from nkoszul.algebra import AlgebraError, DegreeMap, Generator
+from dense_oracle import solve
 
 
 def in_support_u(d: int, n: int) -> bool:
@@ -121,7 +122,7 @@ class USupportAlgebra:
         for i in range(self.dim(d)):
             e = np.zeros(self.dim(d), dtype=np.int64)
             e[i] = 1
-            sol = linalg.solve(pm.T, e, self.p)
+            sol = solve(pm.T, e, self.p)
             if sol is None:
                 raise AlgebraError(
                     f"basis element {i} at degree {d} not a word combination")

@@ -11,7 +11,7 @@ from nkoszul.quiver import (Path, PathSpaceElement, Quiver, enumerate_paths,
                             path_index)
 from algebra_oracle import (ideal_subspace, left_mult_matrix, path_count,
                             reduce_path_element)
-from dense_oracle import word_action
+from dense_oracle import solve, word_action
 
 P = 101
 
@@ -243,7 +243,7 @@ def reference_ordering(alg):
             s_block.append(i)
     lam = linalg.zeros(len(r_block), len(s_block))
     for jj, j in enumerate(s_block):
-        lam[:, jj] = linalg.solve(basis_mat.T, images[j], p)
+        lam[:, jj] = solve(basis_mat.T, images[j], p)
     h_basis = []
     for ii, i in enumerate(r_block):
         coeffs = {opposite_path(paths[i], q): 1}

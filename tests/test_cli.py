@@ -776,15 +776,17 @@ def test_memory_and_kernel_errors_exit_2(capsys, monkeypatch, error):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
-def test_the_kernel_condition_is_sparse_and_the_preimage_solve_is_capped(
+def test_the_kernel_condition_and_the_preimage_answer_under_the_old_caps(
         capsys, monkeypatch, tmp_path):
-    """The product of `grmod.l_condition` is one Sparse product; the solve
-    system of `grmod.mu1_preimage` (`linalg.solve_matrix`) is dense.  With
-    the cap just below the dense product the kernel condition once built,
-    in_L still answers and `check --predicate in_L` exits 0; with the cap
-    just below the solve system, the preimage raises before the solve
-    runs."""
+    """The product of `grmod.l_condition` is one Sparse product, and the
+    preimage of `grmod.mu1_preimage` is one left inverse of the Sparse
+    mu_1 (`linalg.left_inverse`).  With the cap just below the dense
+    product the kernel condition once built, in_L still answers and
+    `check --predicate in_L` exits 0; with the cap just below the dense
+    solve system [mu_1^T | I] the preimage once needed, the preimage
+    answers and is the dense solve's, transposed."""
     import numpy as np
+    import dense_oracle
     from nkoszul import grmod as gm, linalg, verify
     from nkoszul.docio import module_json
     e = verify.corpus("two_loop_n3")
@@ -805,17 +807,15 @@ def test_the_kernel_condition_is_sparse_and_the_preimage_solve_is_capped(
     assert gm.in_L(gm.restrict_S(rep, e["ualg"], params), params)
     assert (rows, cols) not in products
     x = gm.restrict_S(rep, e["ualg"], params)  # with nothing kept
-    pairs, dim1 = len(gm.mu1(x, 0)[0]), x.dim(1)
-
-    def unreached(*args):
-        raise AssertionError("the solve ran")
+    mu = gm.mu1(x, 0)[1]
+    pairs, dim1 = mu.shape
+    assert pairs > dim1
+    want = dense_oracle.solve_matrix(mu.dense().T, linalg.eye(dim1), x.p)
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "MAX_SLICE_BYTES", dim1 * (pairs + dim1) * 8
                       - 1)
-        patch.setattr(linalg, "_rref", unreached)
-        with pytest.raises(LinAlgError,
-                           match=f"a dense {dim1}x{pairs + dim1} "):
-            gm.mu1_preimage(x, 0)
+        got = gm.mu1_preimage(x, 0)
+    assert want is not None and np.array_equal(got.dense(), want.T)
     with open(TWO_LOOP) as fh:
         doc = json.load(fh)
     doc["modules"] = {"X": {"over": "u", **spec}}
@@ -920,7 +920,10 @@ def test_in_Y_witness_of_F_is_the_module_at_every_seed(capsys):
 
 def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
     """`check --predicate in_Y --object "F(X)"` on two_loop_n3 at seed 0
-    runs 8 dense eliminations (`linalg._rref`).  It ran 11 while the
+    runs 6 dense eliminations (`linalg._rref`).  It ran 8 while mu_1's
+    canonical preimage was a dense solve of [mu_1^T | I], a 2 x 4 system on
+    each of the two modules: mu_1 is a monomial bijection there, and its
+    left inverse is read off its nonzeros.  It ran 11 while the
     extraction, at its one level, solved for the degree-n action against
     the odd differential, built mu_1's canonical preimage on its
     provisional module, and induced the action one degree above through
@@ -945,7 +948,7 @@ def test_one_in_Y_of_F_eliminates_each_null_space_once(capsys, monkeypatch):
     code, rep = run_json(capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
                                   "--object", "F(X)", "--seed", "0"])
     assert code == 0 and rep["verdict"] is True
-    assert len(shapes) == 8
+    assert len(shapes) == 6
 
 
 def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):
@@ -958,10 +961,11 @@ def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):
     was solved for, is gone, with its mu_1.  mu_1 is built once
     per module and level; the only morphisms inverted are the four
     envelope maps of the certificate, one per position; the chain
-    isomorphism is checked once; and the word tables of the algebra are
-    solved with no per-element solve."""
+    isomorphism is checked once; and each word table of the algebra is one
+    left inverse, with no per-element solve."""
     import sys
-    from nkoszul import complexes as cx, grmod as gm, linalg
+    from nkoszul import complexes as cx, grmod as gm, linalg, verify
+    from nkoszul.algebra import USupportAlgebra
     calls: dict = {}
 
     def count(owner, name):
@@ -985,12 +989,12 @@ def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):
         return real_memo(mod, key, build)
     monkeypatch.setattr(gm.GradedModule, "_memo", memo)
     solved_in = []
-    real_solve = linalg.solve
+    real_solve = linalg.left_inverse
 
     def solve(*args, **kw):
         solved_in.append(sys._getframe(1).f_code.co_name)
         return real_solve(*args, **kw)
-    monkeypatch.setattr(linalg, "solve", solve)
+    monkeypatch.setattr(linalg, "left_inverse", solve)
     code, rep = run_json(capsys, ["check", TWO_LOOP, "--predicate", "in_Y",
                                   "--object", "F(X)", "--seed", "0"])
     assert code == 0 and rep["verdict"] is True
@@ -1007,4 +1011,12 @@ def test_one_in_Y_of_F_builds_each_derived_object_once(capsys, monkeypatch):
     assert len(built) <= 4 and len(set(built)) == len(built)
     assert len(calls["inverse"]) == 4
     assert len(calls["chain_iso_failure"]) == 1
+    # the word tables, which in_Y does not read, on an algebra that has
+    # built none: one left inverse per table, not one per element
+    ualg = USupportAlgebra(verify.corpus("two_loop_n3")["dual"], 3)
+    dims = []
+    for j in range(1, 8):
+        if ualg.dim(j):
+            dims.append(len(ualg.element_words(j)))
     assert "element_words" not in solved_in
+    assert solved_in.count("_element_words") == len(dims) < sum(dims)

@@ -717,7 +717,8 @@ def reference_submodule_as_module(mod, spans):
             if d + g.degree not in bases:
                 continue
             img = linalg.mat_mul(b, mod.sparse_act(gi, d).dense(), mod.p)
-            coords = linalg.solve_matrix(bases[d + g.degree].T, img.T, mod.p)
+            coords = dense_oracle.solve_matrix(bases[d + g.degree].T, img.T,
+                                               mod.p)
             if coords is None:
                 raise gm.ModuleError("family is not closed under the action")
             if coords.any():

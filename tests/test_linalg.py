@@ -56,10 +56,11 @@ def test_left_null_space_annihilates(m):
 @settings(max_examples=40, deadline=None)
 @given(matrices(max_dim=5), st.integers(0, 10 ** 6))
 def test_solve_consistent_system(m, seed):
+    """The dense solve that the left inverse is checked against."""
     rng = np.random.default_rng(seed)
     x = rng.integers(0, P, size=m.shape[1])
     b = (m @ x) % P
-    sol = linalg.solve(m, b, P)
+    sol = dense_oracle.solve(m, b, P)
     assert sol is not None
     assert np.array_equal((m @ sol) % P, b)
 
@@ -67,15 +68,41 @@ def test_solve_consistent_system(m, seed):
 def test_solve_inconsistent_system():
     a = np.array([[1, 0], [2, 0]], dtype=np.int64)
     b = np.array([1, 3], dtype=np.int64)
-    assert linalg.solve(a, b, P) is None
+    assert dense_oracle.solve(a, b, P) is None
 
 
 def test_solve_is_deterministic_free_vars_zero():
     # one equation, two unknowns: the canonical solution zeroes the free one
     a = np.array([[1, 1]], dtype=np.int64)
     b = np.array([5], dtype=np.int64)
-    sol = linalg.solve(a.T.T, b, P)
+    sol = dense_oracle.solve(a.T.T, b, P)
     assert sol is not None and sol[1] == 0 and sol[0] == 5
+
+
+def left_inverse_of(m, p):
+    """`linalg.left_inverse` of an array, checked to be a reduced Sparse
+    with L @ m = I, densified; None when it is None."""
+    got = linalg.left_inverse(linalg.Sparse.from_dense(m, p), p)
+    if got is None:
+        return None
+    assert got.shape == m.shape[::-1]
+    assert got == linalg.Sparse.from_entries(got.shape, got.rows, got.cols,
+                                             got.vals, p)
+    got = got.dense()
+    assert np.array_equal(linalg.mat_mul(got, m, p), linalg.eye(m.shape[1]))
+    return got
+
+
+def assert_left_inverse_is_the_dense_solve(m, p):
+    """The left inverse of m is the transposed solve of m^T X = I, both
+    None when the columns of m are dependent.  Returns whether it is."""
+    want = dense_oracle.solve_matrix(m.T, linalg.eye(m.shape[1]), p)
+    got = left_inverse_of(m, p)
+    if want is None:
+        assert got is None
+        return False
+    assert np.array_equal(got, want.T)
+    return True
 
 
 def test_inverse_round_trip():
@@ -84,35 +111,125 @@ def test_inverse_round_trip():
         m = rand_matrix(rng, 4, 4)
         if linalg.rank(m, P) < 4:
             continue
-        inv = linalg.inverse(m, P)
+        inv = left_inverse_of(m, P)
         assert np.array_equal(linalg.mat_mul(m, inv, P), linalg.eye(4))
 
 
+def monomial_block(rng, n, p):
+    """A random n x n permutation matrix scaled row by row, mod p."""
+    m = np.zeros((n, n), dtype=np.int64)
+    m[np.arange(n), rng.permutation(n)] = rng.integers(1, min(p, 2**62),
+                                                       size=n)
+    return m
+
+
 @pytest.mark.parametrize("p", [2, 3, 101, 3037000493, 4611686018427388039])
-def test_inverse_of_a_monomial_matrix_is_the_solved_one(p):
-    """A monomial matrix, dense or Sparse, is inverted with no elimination,
-    as a Sparse; the inverse is the one the elimination gives, and a matrix
-    one entry away from monomial, singular or not, still goes through the
-    elimination."""
+def test_inverse_of_a_monomial_matrix_is_the_solved_one(monkeypatch, p):
+    """A monomial matrix is inverted with no elimination; the inverse is
+    the one the elimination gives, and a matrix one entry away from
+    monomial, singular or not, still goes through the elimination."""
     rng = np.random.default_rng(p % 997)
+    eliminated = []
+    dense_inverse = linalg._dense_inverse
+    monkeypatch.setattr(linalg, "_dense_inverse", lambda b, p: (
+        eliminated.append(b.shape) or dense_inverse(b, p)))
     for n in (1, 2, 5, 9):
-        m = np.zeros((n, n), dtype=np.int64)
-        m[np.arange(n), rng.permutation(n)] = rng.integers(1, min(p, 2**62),
-                                                           size=n)
-        inv = linalg.inverse(m, p)
-        assert isinstance(inv, linalg.Sparse)
-        assert inv == linalg.inverse(linalg.Sparse.from_dense(m, p), p)
-        inv = inv.dense()
-        assert np.array_equal(inv, linalg.solve_matrix(m, linalg.eye(n), p))
-        assert np.array_equal(linalg.mat_mul(m, inv, p), linalg.eye(n))
+        m = monomial_block(rng, n, p)
+        assert assert_left_inverse_is_the_dense_solve(m, p)
+        assert not eliminated
         if n > 1:
             two = m.copy()
-            two[0] += m[1]  # two nonzeros in row 0: still invertible
-            assert np.array_equal(linalg.inverse(two, p), linalg.solve_matrix(
-                two, linalg.eye(n), p))
+            two[0] = (m[0] + m[1]) % p  # two nonzeros in row 0: invertible
+            assert assert_left_inverse_is_the_dense_solve(two, p)
             two[1] = 0  # a zero row: singular
-            assert linalg.inverse(two, p) is None
-    assert linalg.inverse(np.zeros((0, 0), dtype=np.int64), p).shape == (0, 0)
+            assert not assert_left_inverse_is_the_dense_solve(two, p)
+            assert eliminated == [(n, n)] * 2
+            eliminated.clear()
+    assert left_inverse_of(np.zeros((0, 0), dtype=np.int64), p).shape == \
+        (0, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 3037000493, 4611686018427388039])
+def test_left_inverse_is_the_transposed_dense_solve(p):
+    """On tall, square and wide matrices, singular ones, ones with a zero
+    column and ones with no column, with monomial pivot blocks and dense
+    ones, the left inverse is the solve of m^T X = I, transposed."""
+    rng = np.random.default_rng(p % 1009)
+    top = min(p, 2**62)
+    seen = set()
+    for rows, cols in [(7, 3), (4, 4), (6, 6), (2, 5), (3, 0), (0, 0)]:
+        for kind in ("dense", "sparse", "monomial"):
+            for zero_column in (False, True):
+                m = rng.integers(0, top, size=(rows, cols))
+                if kind == "sparse":
+                    m *= rng.random((rows, cols)) < 0.3
+                if kind == "monomial":
+                    block = monomial_block(rng, cols, p)
+                    # the pivot block under a zero and a dependent row
+                    m = block if rows == cols else np.concatenate([
+                        np.zeros((1, cols), dtype=np.int64),
+                        block[:1] * 2 % p, block, m])
+                if zero_column and cols:
+                    m[:, rng.integers(0, cols)] = 0
+                shape = "tall" if len(m) > cols else \
+                    "square" if len(m) == cols else "wide"
+                seen.add((shape, cols > 0,
+                          assert_left_inverse_is_the_dense_solve(m, p)))
+    assert seen == {("tall", True, True), ("tall", True, False),
+                    ("square", True, True), ("square", True, False),
+                    ("wide", True, False), ("tall", False, True),
+                    ("square", False, True)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_left_inverse_is_the_dense_solve_on_every_mu1_level(p):
+    """mu_1 at every level of seeded distinguished modules over the corpus,
+    and the word-class systems of every corpus algebra, in both gradings."""
+    from nkoszul import grmod as gm, verify
+    from nkoszul.algebra import yoneda_regrade
+    levels = words = 0
+    for name in ("one_loop_n3", "two_loop_n3", "commutative_n2",
+                 "two_vertex_n3", "two_vertex_n4"):
+        e = verify.corpus(name, p)
+        params = gm.TorsionParams(e["n"], 1, 0)
+        rng = np.random.default_rng(p)
+        for _ in range(3):
+            x = verify.random_distinguished_module(rng, e, params)
+            for s in x.degrees():
+                mu = gm.mu1(x, s)[1]
+                levels += assert_left_inverse_is_the_dense_solve(mu.dense(),
+                                                                 p)
+        for alg in (e["ualg"], yoneda_regrade(e["ualg"])):
+            n = alg.n
+            for d in range(1, 2 * n + 2):
+                k, rho = divmod(d, n)
+                if rho < 2 and alg._dim(d):
+                    cls = alg._word_classes([n] * k + [1] * rho)
+                    words += assert_left_inverse_is_the_dense_solve(cls, p)
+    assert levels > 30 and words > 20
+
+
+def test_a_dense_block_over_the_cap_is_refused_before_it_is_built(
+        monkeypatch):
+    """A block that is not monomial is eliminated beside an identity, whose
+    size is checked first; a monomial one is read off its nonzeros at any
+    cap."""
+    import tracemalloc
+    n = 64
+    rng = np.random.default_rng(5)
+    m = linalg.Sparse.from_dense(rng.integers(0, P, size=(n, n)), P)
+    mono = linalg.Sparse.from_dense(monomial_block(rng, 4 * n, P), P)
+    monkeypatch.setattr(linalg, "MAX_SLICE_BYTES", n * 2 * n * 8 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.LinAlgError, match=f"a dense {n}x{2 * n} "):
+            linalg.left_inverse(m, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    got = linalg.left_inverse(mono, P)
+    assert linalg.sparse_mul(got, mono, P) == linalg.Sparse.identity(4 * n)
 
 
 def test_mat_mul_matches_numpy_mod():
@@ -323,8 +440,8 @@ def test_subspace_contains_matches_the_per_vector_oracle(p):
         else:
             rows = rng.integers(0, p, size=(int(rng.integers(0, 4)), n))
         small = Subspace.from_rows(n, rows, p)
-        want = all(linalg.solve(big.basis.dense().T, row, p) is not None
-                   for row in small.basis.dense())
+        want = all(dense_oracle.solve(big.basis.dense().T, row, p)
+                   is not None for row in small.basis.dense())
         assert big.contains(small) == want
         seen.add(want)
     assert seen == {True, False}
