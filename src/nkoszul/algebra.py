@@ -11,8 +11,9 @@ the degree's tail, the classes of the words w.a that are pivots.  Degree k
 is built from degree k - 1 as a small cokernel in A_{k-1} (x) V whose
 columns are the words w.a; no degree enumerates its paths to do so.  The
 class of a path is its source vertex acted on by its arrows in turn
-(``path_classes``), and the multiplication tensors are rows of the composite
-actions of the basis words.  Only degree n, where the orthogonal pairs with
+(``path_classes``).  The products of two degrees (``mult``) are one reduced
+Sparse, a row per pair of basis elements: the rows of the composite actions
+of the basis words.  Only degree n, where the orthogonal pairs with
 all of KQ_n, enumerates paths: NF_n (``normal_form``, row i the class of
 path i) and the RREF of I_n (``ideal_rref``).  On top sit the orthogonal of
 the degree-n relation space (computed two ways), the dual algebra, and
@@ -29,14 +30,18 @@ derive from :class:`GradedAlgebra`, which holds what they share: ``p``,
 ``nvert``, ``quiver``, ``basis_pairs(d)`` read from ``basis_paths(d)``,
 ``generators()`` built once, and one memo, ``_memo(key, build)``.  Every
 datum derived from an algebra is kept there, under a key whose first entry
-names it: here the spelled-out basis words, the mult tensors, the
-generators, the ordered orthogonal, the word and relation tables, E and the
-opposite (``opposite_algebra``, each flavour building its own and the pair
-memoized both ways); in the module layer the free-module blocks; among the
-complexes the cofree models, keyed by the algebra's settled top, and the
-path classes of the contraction maps.  The module layer reads ``dim(d)``,
-``basis_pairs(d)``, ``mult(d1, d2)``, ``generators()``,
-``element_words(d)`` and ``relation_words()``.
+names it: here the spelled-out basis words, the products and the rows of
+them that multiply by one basis element on the right or the left
+(``right_mult``, ``left_mult``), the generators, the ordered orthogonal,
+the word and relation tables, E and the opposite (``opposite_algebra``,
+each flavour building its own and the pair memoized both ways); in the
+module layer the free-module blocks; among the complexes the cofree
+models, keyed by the algebra's settled top, and the path classes of the
+contraction maps.  The module layer and the complexes read ``dim(d)``,
+``basis_pairs(d)``, ``generators()``, ``element_words(d)``,
+``relation_words()`` and the products in their one Sparse form, as they
+are: ``right_mult`` and ``left_mult`` for the free and cofree actions and
+the differentials, ``mult(1, n - 1)`` for the kernel condition.
 """
 from __future__ import annotations
 
@@ -167,6 +172,18 @@ class GradedAlgebra:
         """The generators of the module actions (`_generators`), as a
         tuple built once."""
         return self._memo(("generators",), self._generators)
+
+    def right_mult(self, d: int, d_el: int, b: int) -> Sparse:
+        """x -> x * basis_b(d_el) from degree d to d + d_el, one row per
+        basis element of degree d: the rows (i, b) of `mult(d, d_el)`."""
+        return self._memo(("right mult", d, d_el, b), lambda: self.mult(
+            d, d_el).take_rows(np.arange(self.dim(d)) * self.dim(d_el) + b))
+
+    def left_mult(self, d_el: int, b: int, d: int) -> Sparse:
+        """x -> basis_b(d_el) * x from degree d to d_el + d, one row per
+        basis element of degree d: the rows (b, j) of `mult(d_el, d)`."""
+        return self._memo(("left mult", d_el, b, d), lambda: self.mult(
+            d_el, d).take_rows(b * self.dim(d) + np.arange(self.dim(d))))
 
 
 class PathAlgebra(GradedAlgebra):
@@ -434,27 +451,20 @@ class PathAlgebra(GradedAlgebra):
         return linalg.mat_mul(np.reshape(v, (1, -1)), self.normal_form(d),
                               self.p)[0]
 
-    def mult(self, d1: int, d2: int) -> np.ndarray:
-        """Tensor T with basis_i(d1) * basis_j(d2) = sum_k T[i,j,k] basis_k:
-        row i of the composite action of the word basis_j(d2)."""
-        return self._memo(("mult", d1, d2), lambda: self._mult_tensor(d1, d2))
+    def mult(self, d1: int, d2: int) -> Sparse:
+        """The products of degrees d1 and d2, one row per pair: row
+        i * dim(d2) + j is the class of basis_i(d1) * basis_j(d2), row i of
+        the composite action of the word basis_j(d2) (`_walk`)."""
+        return self._memo(("mult", d1, d2), lambda: self._products(d1, d2))
 
-    def _mult_tensor(self, d1: int, d2: int) -> np.ndarray:
-        t = np.zeros((self.dim(d1), self.dim(d2), self.dim(d1 + d2)),
-                     dtype=np.int64)
-        if t.size:
-            src, words = self._spelled(d2)
-            i, j = (self._targets(d1)[:, None] == src).nonzero()
-            t[i, j] = self._walk(d1, i, words[j])
-        return t
-
-    def right_mult_matrix(self, d: int, d_el: int, vec: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x * el from A_d to A_{d + d_el} (rows = A_d basis)."""
-        t = self.mult(d, d_el)
-        m1, k, m2 = t.shape
-        return linalg.mat_mul(np.reshape(vec, (1, k)),
-                              t.transpose(1, 0, 2).reshape(k, m1 * m2),
-                              self.p).reshape(m1, m2)
+    def _products(self, d1: int, d2: int) -> Sparse:
+        m1, m2, m = self.dim(d1), self.dim(d2), self.dim(d1 + d2)
+        if not (m1 and m2 and m):
+            return Sparse.zero(m1 * m2, m)
+        src, words = self._spelled(d2)
+        i, j = (self._targets(d1)[:, None] == src).nonzero()
+        c = Sparse.from_dense(self._walk(d1, i, words[j]), self.p)
+        return Sparse((m1 * m2, m), (i * m2 + j)[c.rows], c.cols, c.vals)
 
     # -- generator / word interface -----------------------------------------
 
@@ -662,27 +672,27 @@ class USupportAlgebra(GradedAlgebra):
             return 0
         return self.dual.dim(d)
 
-    def _mult(self, d1: int, d2: int, d3: int) -> np.ndarray:
-        """The product of dual degrees d1 and d2 into dual degree d3.  A
-        regrading is additive exactly where the restricted product is
-        nonzero, so the product is the restricted product or zero."""
+    def _mult(self, d1: int, d2: int, d3: int) -> Sparse:
+        """The product of dual degrees d1 and d2 into dual degree d3, as
+        `mult`.  A regrading is additive exactly where the restricted
+        product is nonzero, so the product is the restricted one or zero."""
         if d1 + d2 == d3 and all(map(self._support.in_image, (d1, d2, d3))):
             return self.dual.mult(d1, d2)
-        return np.zeros((self._dim(d1), self._dim(d2), self._dim(d3)),
-                        dtype=np.int64)
+        return Sparse.zero(self._dim(d1) * self._dim(d2), self._dim(d3))
 
-    def _word_classes(self, steps) -> np.ndarray:
+    def _word_classes(self, steps) -> Sparse:
         """The classes in the dual of all words whose letters have the dual
         degrees `steps` in turn, one row per word, in itertools.product
         order of the generators of each degree.  A first letter's class is
         its basis element, and each later letter takes one product with the
-        mult tensor of its degree."""
-        cls = linalg.eye(self._dim(steps[0]))
+        products of its degree, one row per left factor (`Sparse.reshape`)."""
+        cls = Sparse.identity(self._dim(steps[0]))
         deg = steps[0]
         for e in steps[1:]:
-            t = self._mult(deg, e, deg + e)
-            cls = linalg.mat_mul(cls, t.reshape(t.shape[0], -1),
-                                 self.p).reshape(-1, t.shape[2])
+            m2, m3 = self._dim(e), self._dim(deg + e)
+            t = self._mult(deg, e, deg + e).reshape(cls.shape[1], m2 * m3)
+            cls = linalg.sparse_mul(cls, t, self.p).reshape(
+                cls.shape[0] * m2, m3)
             deg += e
         return cls
 
@@ -695,7 +705,7 @@ class USupportAlgebra(GradedAlgebra):
         d = self.dual_degree(j)
         return self.dual.basis_paths(d) if self._dim(d) else []
 
-    def mult(self, j1: int, j2: int) -> np.ndarray:
+    def mult(self, j1: int, j2: int) -> Sparse:
         return self._mult(self.dual_degree(j1), self.dual_degree(j2),
                           self.dual_degree(j1 + j2))
 
@@ -728,8 +738,7 @@ class USupportAlgebra(GradedAlgebra):
                                        repeat=k))
         if rho == 1:
             words = [w + (a,) for w in words for a in range(narrows)]
-        cls = Sparse.from_dense(self._word_classes([self.n] * k + [1] * rho),
-                                self.p)
+        cls = self._word_classes([self.n] * k + [1] * rho)
         # row i: the coefficients of the words in basis element i
         left = linalg.left_inverse(cls, self.p)
         if left is None:
@@ -775,21 +784,24 @@ class USupportAlgebra(GradedAlgebra):
             if self._dim(deg) == 0:
                 out += [(label(w), [(w, 1)]) for w in words]
                 continue
-            # a letter's class is its basis element, a pair's a gather from
-            # the mult tensor of its letters' degrees
-            mat = zeros(len(words), self._dim(deg))
-            pairs: dict = {}  # letter degrees -> [(row, basis indices)]
+            # a letter's class is its row of the identity, a pair's its
+            # row of the products of its letters' degrees: one gather each
+            at: dict = {}  # letter degrees -> [(row, class row)]
             for r, w in enumerate(words):
-                if len(w) == 1:
-                    mat[r, gens[w[0]].basis_index] = 1
-                else:
-                    pairs.setdefault((dual_deg[w[0]], dual_deg[w[1]]),
-                                     []).append((r, gens[w[0]].basis_index,
-                                                 gens[w[1]].basis_index))
-            for (e1, e2), at in pairs.items():
-                rows, b1, b2 = np.array(at, dtype=np.intp).T
-                mat[rows] = self._mult(e1, e2, deg)[b1, b2]
-            for row in linalg.left_null_space(mat, self.p).basis.dense():
+                es = tuple(dual_deg[i] for i in w)
+                b = gens[w[0]].basis_index
+                if len(w) == 2:
+                    b = b * self._dim(es[1]) + gens[w[1]].basis_index
+                at.setdefault(es, []).append((r, b))
+            parts = []
+            for es, rb in at.items():
+                rows, b = np.array(rb, dtype=np.int64).T
+                got = (self._mult(*es, deg) if len(es) == 2 else
+                       Sparse.identity(self._dim(deg))).take_rows(b)
+                parts.append((rows[got.rows], got.cols, got.vals))
+            mat = Sparse.from_entries((len(words), self._dim(deg)), *map(
+                np.concatenate, zip(*parts)), self.p)
+            for row in linalg.sparse_left_kernel(mat, self.p).basis.dense():
                 rel = [(words[j], int(row[j])) for j in range(len(words))
                        if row[j]]
                 out.append((label(rel[0][0]), rel))

@@ -43,10 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .linalg import Sparse, Subspace, zeros
+from .linalg import Sparse, Subspace
 from .algebra import (DegreeMap, compute_orthogonal, in_u_grading,
-                      opposite_algebra)
-from .quiver import Path, enumerate_paths
+                      opposite_algebra, opposite_permutation)
 from .grmod import (
     GradedModule,
     GradedMorphism,
@@ -169,10 +168,11 @@ def psi(mod: GradedModule, lam, allow_windowed: bool = False) -> ComplexOfGraded
         if (k + 1) not in comps:
             continue
         acts = _arrow_acts(mod, k, range(lam.quiver.arrow_count))
-        # lam.mult(1, d + k)[a]: Lam_{d+k} -> Lam_{d+k+1}
+        # left multiplication by arrow a: Lam_{d+k} -> Lam_{d+k+1}
         diffs[k] = GradedMorphism(comps[k], comps[k + 1], _pair_maps(
             comps[k].free_index, comps[k + 1].free_index, 0, 0,
-            lambda d: list(zip(acts, lam.mult(1, d + k))), lam.p))
+            lambda d: [(act, lam.left_mult(1, a, d + k))
+                       for a, act in enumerate(acts)], lam.p))
     return ComplexOfGraded(lam, lam.pres.n, comps, diffs)
 
 
@@ -269,7 +269,8 @@ def _build_cofree(lam, vlist) -> GradedModule:
     for gi, g in enumerate(lam.generators()):
         # arrow times Lam_{-e-1} -> Lam_{-e}, read backwards
         maps = _pair_maps(index, index, 1, 0, lambda e: [
-            (lam.mult(1, -e - 1)[g.basis_index].T, ident)], lam.p)
+            (lam.left_mult(1, g.basis_index, -e - 1).transpose(), ident)],
+            lam.p)
         actions.update(((gi, e), m) for e, m in maps.items())
     out = GradedModule(lam, verts, actions)
     out.hom_index = index
@@ -335,9 +336,10 @@ def _hom_step(lam, acts, s: int, bsrc, btgt) -> dict:
     """The single Hom-functor step from the cofree model bsrc placed at s to
     btgt placed at s + 1: (df)(a) = sum over arrows of f(a abar) acted on by
     the arrow's action in `acts`.  Per-degree matrices."""
-    # base degree e holds Lam_{-e}; lam.mult(-e - 1, 1)[:, a] maps into it
-    return _pair_maps(bsrc.hom_index, btgt.hom_index, 1, -s, lambda e: list(
-        zip(lam.mult(-e - 1, 1).transpose(1, 2, 0), acts)), lam.p)
+    # base degree e holds Lam_{-e}; right_mult by arrow a maps into it
+    return _pair_maps(bsrc.hom_index, btgt.hom_index, 1, -s, lambda e: [
+        (lam.right_mult(-e - 1, 1, a).transpose(), act)
+        for a, act in enumerate(acts)], lam.p)
 
 
 # -- linearity certificates --------------------------------------------------
@@ -516,20 +518,13 @@ def _mu1_pullbacks(mod: GradedModule, s: int, t1, pre: Sparse) -> list:
 
 def _path_classes(ualg) -> list:
     """Per path p of length n-1 in the base quiver: the matrix C whose row
-    alpha is the class in the dual of (p alpha)^o = alpha^o p^o for each
-    arrow alpha with t(p) = o(alpha), and zero for every other arrow."""
+    alpha is the class in the dual of (p alpha)^o = alpha^o p^o, zero
+    unless t(p) = o(alpha): right multiplication by p^o out of the dual's
+    arrows.  The dual has no relations below degree n, so p^o is its basis
+    element of degree n - 1 at the index `opposite_permutation` gives."""
     dual, n = ualg.dual, ualg.n
-    q = dual.quiver.opposite()
-    out = []
-    for pa in enumerate_paths(q, n - 1):
-        arrows = [ai for ai in range(q.arrow_count)
-                  if q.arrow_source(ai) == pa.target_in(q)]
-        coef = zeros(q.arrow_count, dual.dim(n))
-        coef[arrows] = dual.path_classes(n, [
-            Path(q.arrow_target(ai), (ai,) + tuple(reversed(pa.arrows)))
-            for ai in arrows])
-        out.append(coef)
-    return out
+    sigma = opposite_permutation(dual.quiver.opposite(), n - 1)
+    return [dual.right_mult(1, n - 1, b) for b in sigma.tolist()]
 
 
 def _xi_matrices(mod: GradedModule, s: int) -> list:
@@ -600,15 +595,13 @@ def _model_odd_diff(mod: GradedModule, lam, s: int, bsrc, btgt) -> dict:
     the given model spaces, as plain per-degree matrices: from base degree
     e, the sum over the paths p of length n-1 in the base quiver of the
     transpose of right multiplication by p out of Lam_{-e-n+1}, tensored
-    with xi_p (`_xi_matrices`)."""
-    ualg, xi = mod.algebra, _xi_matrices(mod, s)
-    n = ualg.n
-    classes = lam.path_classes(
-        n - 1, enumerate_paths(ualg.dual.quiver.opposite(), n - 1))
+    with xi_p (`_xi_matrices`).  Lambda has no relations below degree n,
+    so the b-th path in path order, as the xi_p come, is basis element b."""
+    xi, n = _xi_matrices(mod, s), mod.algebra.n
     return _pair_maps(bsrc.hom_index, btgt.hom_index, n - 1, -s - 1,
-                      lambda e: [(lam.right_mult_matrix(-e - n + 1, n - 1,
-                                                        cls).T, x)
-                                 for cls, x in zip(classes, xi)], lam.p)
+                      lambda e: [(lam.right_mult(-e - n + 1, n - 1,
+                                                 b).transpose(), x)
+                                 for b, x in enumerate(xi)], lam.p)
 
 
 # -- extraction (inverse direction) ------------------------------------------

@@ -24,8 +24,8 @@ matrices to be built on first read (`_BuiltOnRead`): `free_module`,
 `cover_on_top` and `compose` do.  The blocks of the vertex projectives e_v A
 that free modules are made of are kept in the algebra's memo
 (`GradedAlgebra._memo`): per degree k the basis indices that start at each
-vertex ("starting at"), and per (v, k, generator) the nonzeros of that
-generator's action ("generator block").
+vertex ("starting at"), and per (v, k, generator) that generator's action,
+a block of `GradedAlgebra.right_mult` ("generator block").
 
 Modules and morphisms never change once built, so a module can keep what
 it derives from its actions (`GradedModule._memo`): its `validate()`
@@ -357,24 +357,16 @@ def _vertex_blocks(algebra, k: int) -> list:
     return out
 
 
-def _generator_block(algebra, v: int, k: int, gi: int):
-    """The nonzeros (rows, cols, vals) of generator gi acting on e_v A from
-    degree k, rows and cols counting the basis elements that start at v
-    (`_starting_at`): kept in the algebra's memo per (v, k, gi)."""
-    return algebra._memo(("generator block", v, k, gi),
-                         lambda: _block_nonzeros(algebra, v, k, gi))
-
-
-def _block_nonzeros(algebra, v: int, k: int, gi: int):
-    g = algebra.generators()[gi]
-    bis = _starting_at(algebra, k, v)[0]
-    bis2 = _starting_at(algebra, k + g.degree, v)[0]
-    if bis.size and bis2.size:
-        block = algebra.mult(k, g.degree)[bis, g.basis_index][:, bis2]
-        br, bc = np.nonzero(block)
-        return br, bc, block[br, bc]
-    e = np.zeros(0, dtype=np.intp)
-    return e, e, np.zeros(0, dtype=np.int64)
+def _generator_block(algebra, v: int, k: int, gi: int) -> Sparse:
+    """Generator gi acting on e_v A from degree k, rows and cols counting
+    the basis elements that start at v (`_starting_at`): the block of right
+    multiplication by it, kept in the algebra's memo per (v, k, gi)."""
+    def build():
+        g = algebra.generators()[gi]
+        return algebra.right_mult(k, g.degree, g.basis_index).take_rows(
+            _starting_at(algebra, k, v)[0]).take_cols(
+            _starting_at(algebra, k + g.degree, v)[0])
+    return algebra._memo(("generator block", v, k, gi), build)
 
 
 def free_module(algebra, gen_list, hi: int) -> GradedModule:
@@ -465,11 +457,11 @@ def _free_actions(mod: GradedModule) -> dict:
                 if c not in first2:
                     continue
                 v, e, gs = classes[c]
-                br, bc, vals = _generator_block(algebra, v, d - e, gi)
-                if br.size:
-                    parts.append(((first[:, None] + br).ravel(),
-                                  (first2[c][:, None] + bc).ravel(),
-                                  np.tile(vals, gs.size)))
+                block = _generator_block(algebra, v, d - e, gi)
+                if block.any():
+                    parts.append(((first[:, None] + block.rows).ravel(),
+                                  (first2[c][:, None] + block.cols).ravel(),
+                                  np.tile(block.vals, gs.size)))
             if parts:
                 actions[(gi, d)] = Sparse.from_entries(
                     (mod.dim(d), mod.dim(d2)),
@@ -1125,19 +1117,21 @@ def l_condition(mod: GradedModule, s: int, t1, ker) -> Sparse:
 
     `ker` is Ker(mu_1), a Subspace over its pairs t1 (`multiplication_map`).
     Row v * dim dual_{n-1} + b of C is the v-th basis vector times y_b, the
-    b-th basis element of dual_{n-1}: with t = mult(1, n - 1),
-    (x_i (x) y_j) y_b = x_i (x) sum_w t[j, b, w] y_w, and x_i (x) y_w acts
-    as row w * dim X_s + i of A.  One sparse product of the coefficients,
-    row v * dim X_s + i and column j, with the tensor, its entries then
+    b-th basis element of dual_{n-1}: (x_i (x) y_j) y_b = x_i (x) sum_w
+    t[j * dim dual_{n-1} + b, w] y_w, t = mult(1, n - 1) the products one
+    row per pair, and x_i (x) y_w acts as row w * dim X_s + i of A.  One
+    sparse product of the coefficients, row v * dim X_s + i and column j,
+    with t read as one row per j (`Sparse.reshape`), its entries then
     moved from (v, i, b, w) to row (v, b) and column (w, i)."""
     alg, p = mod.algebra, mod.p
-    t_mul = alg.dual.mult(1, alg.n - 1)
-    nv, nx, (nj, nb, nw) = ker.dim, mod.dim(s), t_mul.shape
+    dual, n = alg.dual, alg.n
+    nv, nx, (nj, nb, nw) = ker.dim, mod.dim(s), map(dual.dim, (1, n - 1, n))
     i, j = np.asarray(t1, dtype=np.int64).reshape(-1, 2).T
     b = ker.basis
     coef = Sparse.from_entries((nv * nx, nj), b.rows * nx + i[b.cols],
                                j[b.cols], b.vals, p)
-    prod = linalg.sparse_mul(coef, t_mul.reshape(nj, nb * nw), p)
+    prod = linalg.sparse_mul(coef, dual.mult(1, n - 1).reshape(nj, nb * nw),
+                             p)
     v, x = np.divmod(prod.rows, nx)
     bb, w = np.divmod(prod.cols, nw)
     return Sparse.from_entries((nv * nb, nw * nx), v * nb + bb, w * nx + x,

@@ -9,8 +9,8 @@ lowest-index pivoting, so the RREF is unique and serves as a canonical form.
 A subspace has one form, :class:`Subspace`: its canonical basis, the rows of
 its RREF stored as a `Sparse`, and the pivot columns that the elimination
 found.  Each producer makes it from one elimination: `Subspace.from_rows`
-and `sparse_rref` (row spaces), `null_space`, `left_null_space` and
-`sparse_left_kernel` (kernels).  A row x lies in a subspace exactly when
+and `sparse_rref` (row spaces), `null_space` and `sparse_left_kernel`
+(kernels).  A row x lies in a subspace exactly when
 x = x[pivots] @ basis, which is how `Subspace.contains` decides.  Dense
 arrays are used only inside an elimination, and where a reader multiplies
 a basis through `Sparse.dense`, which refuses before it allocates more
@@ -313,10 +313,6 @@ def _move_rows_to_front(a: np.ndarray, order: list) -> None:
         a[i] = saved
 
 
-def rank(m, p: int) -> int:
-    return rref(m, p)[2]
-
-
 def null_space(m, p: int) -> "Subspace":
     """{x : m @ x = 0} as a Subspace of F_p^cols."""
     return _null_space(as_matrix(m, p), p)
@@ -346,11 +342,6 @@ def _null_space(a: np.ndarray, p: int) -> "Subspace":
     at[~lead] = cols - 1 - np.asarray(pivots, dtype=np.intp)[r - j[~lead]]
     return Subspace(cols, p, Sparse((free.size, cols), k, at, rows[k, j]),
                     cols - 1 - free)
-
-
-def left_null_space(m, p: int) -> "Subspace":
-    """{x : x @ m = 0}, of row vectors, as a Subspace."""
-    return null_space(as_matrix(m, p).T, p)
 
 
 def _row_space(a: np.ndarray, p: int) -> "Subspace":
@@ -582,6 +573,14 @@ class Sparse:
         out = zeros(*self.shape)
         out[self.rows, self.cols] = self.vals
         return out
+
+    def reshape(self, rows: int, cols: int) -> "Sparse":
+        """The entries read in row-major order as a rows x cols matrix, as
+        numpy reshapes an array; their order is kept."""
+        if rows * cols != self.size:
+            raise LinAlgError(f"cannot reshape {self.shape} to {rows}x{cols}")
+        r, c = np.divmod(self.rows * self.shape[1] + self.cols, max(cols, 1))
+        return Sparse((rows, cols), r, c, self.vals)
 
     def reduced(self, p: int) -> "Sparse":
         if not self.vals.size or self.vals.max() < p:

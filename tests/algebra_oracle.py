@@ -4,8 +4,9 @@ element, the ideal slice as a subspace, the number of paths of a degree
 and the simple module at a vertex.  Also the word tables of the
 support-restricted dual (`USupportAlgebra.element_words` and
 `relation_words`) as they were built before they came from products with
-the mult tensors: one class per word, one product per letter, and one
-solve per basis element."""
+the algebra's products: one class per word, one product per letter (read
+off the dense tensor of `dense_oracle.mult_tensor`), and one solve per
+basis element."""
 import itertools
 
 import numpy as np
@@ -15,7 +16,7 @@ from nkoszul.algebra import AlgebraError
 from nkoszul.grmod import GradedModule
 from nkoszul.linalg import Sparse, Subspace, zeros
 from nkoszul.quiver import enumerate_paths
-from dense_oracle import solve
+from dense_oracle import mult_tensor, solve
 
 
 def reduce_path_element(alg, el) -> np.ndarray:
@@ -25,7 +26,7 @@ def reduce_path_element(alg, el) -> np.ndarray:
 
 def left_mult_matrix(alg, d_el: int, vec: np.ndarray, d: int) -> np.ndarray:
     """Matrix of x -> el * x from A_d to A_{d_el + d} (rows = A_d basis)."""
-    t = alg.mult(d_el, d)
+    t = mult_tensor(alg, d_el, d)
     k, m1, m2 = t.shape
     return linalg.mat_mul(np.reshape(vec, (1, k)), t.reshape(k, m1 * m2),
                           alg.p).reshape(m1, m2)
@@ -61,7 +62,7 @@ def word_product(ualg, word) -> np.ndarray:
         g = gens[gi]
         e = ualg.dual_degree(g.degree)
         vec = linalg.mat_mul(
-            vec, ualg._mult(deg, e, deg + e)[:, g.basis_index], ualg.p)
+            vec, mult_tensor(ualg.u, deg, e)[:, g.basis_index], ualg.p)
         deg += e
     return vec[0]
 
@@ -125,7 +126,7 @@ def relation_words(ualg) -> list:
             out += [(label(w), [(w, 1)]) for w in words]
             continue
         mat = np.stack([word_product(ualg, w) for w in words], axis=0)
-        for row in linalg.left_null_space(mat, ualg.p).basis.dense():
+        for row in linalg.null_space(mat.T, ualg.p).basis.dense():
             rel = [(words[j], int(row[j])) for j in range(len(words))
                    if row[j]]
             out.append((label(rel[0][0]), rel))

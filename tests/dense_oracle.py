@@ -35,7 +35,13 @@ onto the dual, nu of the copy by nu's own loop, every position shifted by
 -m.  `socle_subspaces`, `restrict_stable`, `is_torsionfree` and
 `multiplication_map` are the readers of socles, torsion and mu_1 on the
 densified actions, with the dense null spaces they used, before they read
-the stored Sparse actions.
+the stored Sparse actions.  `mult_tensor` is an algebra's products as
+the dense 3-tensor that `mult` handed out before it became one Sparse row
+per pair of basis elements, the form the oracles read; `right_mult_matrix`
+is right multiplication by an element as one product with that tensor,
+and `path_classes` the classes of the contraction maps of F as they were
+built from the classes of paths, before they were read off the dual's
+products.
 """
 import numpy as np
 
@@ -47,7 +53,7 @@ from nkoszul.grmod import (GradedModule, GradedMorphism, ModuleError,
                            _element_action, _rows_times_basis_element,
                            l_condition)
 from nkoszul.linalg import Subspace, zeros
-from nkoszul.quiver import enumerate_paths
+from nkoszul.quiver import Path, enumerate_paths
 
 
 def null_space(m, p: int) -> np.ndarray:
@@ -94,6 +100,45 @@ def solve_matrix(a, b, p: int):
     return x
 
 
+def mult_tensor(alg, d1: int, d2: int) -> np.ndarray:
+    """The products of degrees d1 and d2 as the dense 3-tensor T the
+    algebra once handed out, basis_i(d1) * basis_j(d2) = sum_k T[i, j, k]
+    basis_k: `alg.mult(d1, d2)`, one row per pair, densified."""
+    return alg.mult(d1, d2).dense().reshape(alg.dim(d1), alg.dim(d2),
+                                            alg.dim(d1 + d2))
+
+
+def right_mult_matrix(alg, d: int, d_el: int, vec) -> np.ndarray:
+    """Matrix of x -> x * el from A_d to A_{d + d_el} (rows = A_d basis),
+    el the element of degree d_el with coordinates vec: one product with
+    the tensor."""
+    t = mult_tensor(alg, d, d_el)
+    m1, k, m2 = t.shape
+    return linalg.mat_mul(np.reshape(vec, (1, k)),
+                          t.transpose(1, 0, 2).reshape(k, m1 * m2),
+                          alg.p).reshape(m1, m2)
+
+
+def path_classes(ualg) -> list:
+    """`complexes._path_classes` as it was built before it read the
+    dual's products: per path p of length n-1 in the base quiver, the
+    dense matrix C whose row alpha is the class in the dual of the path
+    alpha^o p^o of Q^op, for each arrow alpha with t(p) = o(alpha), and
+    zero for every other arrow."""
+    dual, n = ualg.dual, ualg.n
+    q = dual.quiver.opposite()
+    out = []
+    for pa in enumerate_paths(q, n - 1):
+        arrows = [ai for ai in range(q.arrow_count)
+                  if q.arrow_source(ai) == pa.target_in(q)]
+        coef = zeros(q.arrow_count, dual.dim(n))
+        coef[arrows] = dual.path_classes(n, [
+            Path(q.arrow_target(ai), (ai,) + tuple(reversed(pa.arrows)))
+            for ai in arrows])
+        out.append(coef)
+    return out
+
+
 def free_module(algebra, gen_list, hi):
     """`grmod.free_module` with dense actions: each action one array."""
     index, verts, offsets = {}, {}, {}
@@ -137,7 +182,7 @@ def free_module(algebra, gen_list, hi):
                 rows, cols = starting_at(d - e, v)[0], starting_at(d2 - e, v)[0]
                 if not (rows.size and cols.size):
                     continue
-                t = algebra.mult(d - e, g.degree)
+                t = mult_tensor(algebra, d - e, g.degree)
                 if t.size == 0:
                     continue
                 block = t[np.ix_(rows, [g.basis_index], cols)][:, 0, :]
@@ -381,7 +426,7 @@ def odd_system(c, models, prov, k, s):
         if cols is None:
             continue
         d = e1 - s - 1
-        lefts = [lam.right_mult_matrix(-e1 - n + 1, n - 1, cls).T
+        lefts = [right_mult_matrix(lam, -e1 - n + 1, n - 1, cls).T
                  for cls in classes]
         _check_size(len(rows) * len(cols) * nwi * dim_sn, "degree-n system",
                     d)
@@ -410,13 +455,13 @@ def induced_degree_n(mod, s):
     ualg, p = mod.algebra, mod.p
     n = ualg.n
     t1, pre, ker = cx._mu1_data(mod, s)
+    t = mult_tensor(ualg, 1, n)
     out = []
     for w in range(ualg.dual.dim(n)):
         acts = {}
         for _, ai in t1:
             if ai not in acts:
-                acts[ai] = _element_action(mod, n + 1, ualg.mult(1, n)[ai, w],
-                                           s).dense()
+                acts[ai] = _element_action(mod, n + 1, t[ai, w], s).dense()
         # row r = (i, a) holds x_i a w; the left inverse of mu_1 sends it
         # through mu_1
         y = np.stack([acts[ai][i] for i, ai in t1])
@@ -520,7 +565,7 @@ def socle_subspaces(mod) -> dict:
     for d in mod.degrees():
         acts = [mod.sparse_act(gi, d).dense() for gi in range(len(mod.gens))]
         acts = [a for a in acts if a.shape[1]]
-        out[d] = (linalg.left_null_space(np.concatenate(acts, axis=1), mod.p)
+        out[d] = (linalg.null_space(np.concatenate(acts, axis=1).T, mod.p)
                   if acts else Subspace.full(mod.dim(d), mod.p))
     return {d: s for d, s in out.items() if s.dim}
 
@@ -555,8 +600,8 @@ def is_torsionfree(mod, params) -> bool:
             continue
         deg1 = [mod.sparse_act(gi, d).dense() for gi, g in enumerate(mod.gens)
                 if g.degree == 1 and mod.dim(d + 1)]
-        if not deg1 or linalg.left_null_space(np.concatenate(deg1, axis=1),
-                                              mod.p).dim:
+        if not deg1 or linalg.null_space(np.concatenate(deg1, axis=1).T,
+                                         mod.p).dim:
             return False
     return True
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from nkoszul import linalg
 from nkoszul.algebra import AlgebraError, DegreeMap, Generator
-from dense_oracle import solve
+from dense_oracle import mult_tensor, solve
 
 
 def in_support_u(d: int, n: int) -> bool:
@@ -53,7 +53,7 @@ class USupportAlgebra:
         if not (in_support_u(d1, self.n) and in_support_u(d2, self.n)
                 and in_support_u(d1 + d2, self.n)):
             return np.zeros((m1, m2, m3), dtype=np.int64)
-        return self.dual.mult(d1, d2)
+        return mult_tensor(self.dual, d1, d2)
 
     def generators(self):
         """The dual's generators, then one per degree-n basis element; a
@@ -166,7 +166,7 @@ class USupportAlgebra:
                     out.append((deg, [(w, 1)]))
                 continue
             mat = np.stack(vecs, axis=0)
-            ker = linalg.left_null_space(mat, self.p)
+            ker = linalg.null_space(mat.T, self.p)
             for row in ker.basis.dense():
                 rel = [(words[j], int(row[j])) for j in range(len(words))
                        if row[j]]

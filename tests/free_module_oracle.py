@@ -7,6 +7,7 @@ import numpy as np
 
 from nkoszul.grmod import GradedModule, _groups
 from nkoszul.linalg import Sparse
+from dense_oracle import mult_tensor
 
 
 def free_module(algebra, gen_list, hi: int) -> GradedModule:
@@ -63,7 +64,7 @@ def free_module(algebra, gen_list, hi: int) -> GradedModule:
                                              class_bases[d2]):
                 if not (bis.size and bis2.size):
                     continue
-                t = algebra.mult(d - e, g.degree)
+                t = mult_tensor(algebra, d - e, g.degree)
                 if t.size == 0:
                     continue
                 block = t[bis, g.basis_index][:, bis2]

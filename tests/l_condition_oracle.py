@@ -9,6 +9,7 @@ from nkoszul import linalg
 from nkoszul.grmod import (GradedModule, ModuleError, TorsionParams,
                            _require_u_grading, top_dims)
 from nkoszul.linalg import Subspace, zeros
+from dense_oracle import mult_tensor
 
 
 def multiplication_map(mod: GradedModule, s: int, k: int):
@@ -73,7 +74,7 @@ def in_L(mod: GradedModule, params: TorsionParams) -> bool:
             continue
         tn, mun = multiplication_map(mod, s, n)
         prod_rows = times_right(ker1.basis.dense(), mod.dim(s), t1, tn,
-                                dual.mult(1, n - 1), p)
+                                mult_tensor(dual, 1, n - 1), p)
         if not prod_rows.any():
             continue
         prod = Subspace.from_rows(len(tn), prod_rows, p)

@@ -11,7 +11,7 @@ from nkoszul.quiver import (Path, PathSpaceElement, Quiver, enumerate_paths,
                             path_index)
 from algebra_oracle import (ideal_subspace, left_mult_matrix, path_count,
                             reduce_path_element)
-from dense_oracle import solve, word_action
+from dense_oracle import mult_tensor, right_mult_matrix, solve, word_action
 
 P = 101
 
@@ -62,9 +62,9 @@ def test_commutative_dimensions_and_reduction():
 
 def test_multiplication_associativity():
     lam = square_zero_commutative()
-    m11 = lam.mult(1, 1)
-    m12 = lam.mult(1, 2)
-    m21 = lam.mult(2, 1)
+    m11 = mult_tensor(lam, 1, 1)
+    m12 = mult_tensor(lam, 1, 2)
+    m21 = mult_tensor(lam, 2, 1)
     d1, d2, d3 = lam.dim(1), lam.dim(2), lam.dim(3)
     for a in range(d1):
         for b in range(d1):
@@ -236,7 +236,7 @@ def reference_ordering(alg):
             t_block.append(i)
             continue
         cand = np.concatenate([basis_mat, img.reshape(1, -1)], axis=0)
-        if linalg.rank(cand, p) > len(r_block):
+        if linalg.rref(cand, p)[2] > len(r_block):
             r_block.append(i)
             basis_mat = cand
         else:
@@ -271,7 +271,8 @@ def assert_normal_form_matches(alg, top):
                               reduce(v))
     for d1 in range(top + 1):
         for d2 in range(top + 1 - d1):
-            assert np.array_equal(alg.mult(d1, d2), reference_mult(alg, d1, d2))
+            assert np.array_equal(mult_tensor(alg, d1, d2),
+                                  reference_mult(alg, d1, d2))
     got, want = compute_orthogonal_via_ordering(alg), reference_ordering(alg)
     assert (got.r_block, got.s_block, got.t_block) == (
         want.r_block, want.s_block, want.t_block)
@@ -350,13 +351,13 @@ def test_algebra_products_are_exact_at_large_moduli(p):
         assert np.array_equal(lam.reduce_vector(v, d),
                               reference_reduce(lam, v, d))
     for d1, d2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
-        t = lam.mult(d1, d2)
+        t = mult_tensor(lam, d1, d2)
         assert np.array_equal(t, reference_mult(lam, d1, d2))
         v1 = rng.integers(p - 1000, p, lam.dim(d1))
         v2 = rng.integers(p - 1000, p, lam.dim(d2))
         assert np.array_equal(left_mult_matrix(lam, d1, v1, d2),
                               py_combination(p, v1, t))
-        assert np.array_equal(lam.right_mult_matrix(d1, d2, v2),
+        assert np.array_equal(right_mult_matrix(lam, d1, d2, v2),
                               py_combination(p, v2, t.transpose(1, 0, 2)))
     mod = free_module(lam, [(0, 0)], 5)
     for d_el, d in [(1, 0), (2, 1), (3, 1)]:
@@ -455,7 +456,7 @@ INPUTS = ["commutative_n2.json", "one_loop_n3.json", "two_loop_n3.json"]
 
 @pytest.mark.parametrize("source", CORPUS + INPUTS)
 def test_word_tables_match_the_per_word_oracle(source):
-    """U's and E's element and relation words, from the mult tensors and
+    """U's and E's element and relation words, from the products and
     one solve per degree, equal the tables built word by word with one
     solve per basis element, on every corpus algebra and every input."""
     import os
@@ -621,5 +622,85 @@ def test_one_support_class_reads_as_the_u_and_e_classes(case):
             if j >= 0:
                 assert new.element_words(j) == old.element_words(j)
             for j2 in range(-1, top - max(j, 0)):
-                t, t_old = new.mult(j, j2), old.mult(j, j2)
+                t, t_old = mult_tensor(new, j, j2), old.mult(j, j2)
                 assert t.shape == t_old.shape and np.array_equal(t, t_old)
+
+
+# -- the products, one Sparse row per pair, against the mult loop ----------
+
+
+def reference_products(alg, j1, j2, cache):
+    """`reference_mult` read through the flavour: a PathAlgebra's own, and
+    U's or E's the dual's product where the dual degrees of j1, j2 and
+    j1 + j2 lie in U and add up, zero elsewhere.  The dual's references
+    are kept in `cache`."""
+    shape = (alg.dim(j1), alg.dim(j2), alg.dim(j1 + j2))
+    if not isinstance(alg, USupportAlgebra):
+        return reference_mult(alg, j1, j2)
+    d1, d2, d3 = map(alg.dual_degree, (j1, j2, j1 + j2))
+    if d1 + d2 != d3 or not all(d >= 0 and d % alg.n in (0, 1)
+                                for d in (d1, d2, d3)):
+        return np.zeros(shape, dtype=np.int64)
+    if (d1, d2) not in cache:
+        cache[(d1, d2)] = reference_mult(alg.dual, d1, d2)
+    return cache[(d1, d2)]
+
+
+def assert_products_match(alg, top, cache):
+    """`mult`, `right_mult` and `left_mult` of alg at every pair of degrees
+    from -2 with sum at most top equal the reference, as reduced Sparse
+    matrices: one row per pair, and the rows of one factor."""
+    p = alg.p
+    for j1 in range(-2, top + 1):
+        for j2 in range(-2, top + 1 - max(j1, 0)):
+            want = reference_products(alg, j1, j2, cache)
+            m1, m2, m3 = want.shape
+            got = alg.mult(j1, j2)
+            assert isinstance(got, linalg.Sparse)
+            assert got == linalg.Sparse.from_dense(
+                want.reshape(m1 * m2, m3), p)
+            for b in range(m2):
+                assert alg.right_mult(j1, j2, b) == linalg.Sparse.from_dense(
+                    want[:, b], p)
+            for b in range(m1):
+                assert alg.left_mult(j1, b, j2) == linalg.Sparse.from_dense(
+                    want[b], p)
+
+
+def flavours(lam, dual, n):
+    """The algebra, its dual, U and E."""
+    ualg = USupportAlgebra(dual, n)
+    return [lam, dual, ualg, yoneda_regrade(ualg)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name", CORPUS + ["cubic_survivor"])
+def test_products_match_the_mult_loop_on_the_corpus(name, p):
+    """On every corpus algebra, its dual, U and E: the products off U are
+    zero, and a negative degree or an empty slice gives an empty matrix
+    of the right shape."""
+    from nkoszul import verify
+    e = verify.corpus(name, p)
+    cache: dict = {}
+    for alg in flavours(e["lam"], e["dual"], e["n"]):
+        assert_products_match(alg, 4, cache)
+
+
+@pytest.mark.parametrize("p", [101, 3037000493, 4611686018427388039])
+def test_products_match_the_mult_loop_at_large_moduli(p):
+    lam = big_coefficient_algebra(p)
+    cache: dict = {}
+    for alg in flavours(lam, build_dual(lam, 5), 2):
+        assert_products_match(alg, 5, cache)
+
+
+def test_the_basis_below_n_is_the_paths_in_path_order():
+    """An algebra and its dual have no relations below degree n, so their
+    basis in degree n - 1 is the paths of that length in path order: the
+    contraction maps of F read the path p as basis element b."""
+    from nkoszul import verify
+    for name in CORPUS + ["cubic_survivor"]:
+        e = verify.corpus(name)
+        for alg in (e["lam"], e["dual"]):
+            assert alg.basis_paths(e["n"] - 1) == enumerate_paths(
+                alg.quiver, e["n"] - 1)

@@ -598,7 +598,7 @@ def reference_hom_mats(lam, s, bsrc, btgt, acts):
         for ai, a_act in enumerate(a.dense() for a in acts):
             vec = np.zeros(lam.dim(1), dtype=np.int64)
             vec[ai] = 1
-            rmul = lam.right_mult_matrix(-e2, 1, vec)
+            rmul = dense_oracle.right_mult_matrix(lam, -e2, 1, vec)
             for r, (b, x) in enumerate(pair_keys(bsrc.hom_index[e1])):
                 for a in np.nonzero(rmul[:, b])[0]:
                     for x2 in np.nonzero(a_act[x])[0]:
@@ -663,7 +663,7 @@ def reference_odd_mats(mod, lam, s, bsrc, btgt):
         m = np.zeros((src.dim(d), tgt.dim(d)), dtype=np.int64)
         for pa, ximat in zip(paths, xi):
             cls = reduce_path_element(lam, _path_elem(pa, n - 1))
-            rmul = lam.right_mult_matrix(-e2, n - 1, cls)
+            rmul = dense_oracle.right_mult_matrix(lam, -e2, n - 1, cls)
             for r, (b, x) in enumerate(pair_keys(bsrc.hom_index[e1])):
                 for a in np.nonzero(rmul[:, b])[0]:
                     for x2 in np.nonzero(ximat[x])[0]:
@@ -717,7 +717,7 @@ def reference_odd_system(c, models, prov, k, s):
     rhs = (flatten({d: t.sparse_mat(d).dense() for d in degs}) - off) % p
     t1, mu1 = gm.multiplication_map(prov, s)
     kerz = linalg.null_space(mu1.dense().T, p)
-    mu_un = dual.mult(1, n - 1)
+    mu_un = dense_oracle.mult_tensor(dual, 1, n - 1)
     extra = []
     for z in kerz.basis.dense():
         for ui in range(dual.dim(n - 1)):
@@ -1391,6 +1391,38 @@ def truncated_free_F(t):
     """`truncated_free` with F of it."""
     e, params, x = truncated_free(t)
     return e, params, cx.equivalence_F(x, e["lam"], params)
+
+
+def test_restricting_to_S_holds_no_dense_product(monkeypatch):
+    """`truncated_free(11)` on a newly built corpus entry: the free actions
+    are read off the dual's products, one Sparse row per pair, and all it
+    builds holds about 1.7 MiB.  With the products stored as dense
+    tensors in the dual's memo it held 44 MiB, 42.7 MiB of them the
+    tensors (mult(10, 1) alone is 1024 x 2 x 2048 entries)."""
+    import tracemalloc
+    monkeypatch.setattr(verify, "_CORPUS_CACHE", {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        e, _, x = truncated_free(11)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    products = [v for k, v in e["dual"]._memos.items() if k[0] == "mult"]
+    assert products and not any(isinstance(v, np.ndarray) for v in products)
+    assert x.total_dim() == 5265 and held < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_path_classes_match_the_dense_construction(p):
+    """The matrices C of the contraction maps, read off the dual's right
+    multiplication by p^o, equal the classes of the paths alpha^o p^o that
+    built them (`dense_oracle.path_classes`) on every corpus algebra."""
+    for name in verify._CORPUS:
+        ualg = verify.corpus(name, p)["ualg"]
+        assert cx._path_classes(ualg) == [
+            linalg.Sparse.from_dense(c, p)
+            for c in dense_oracle.path_classes(ualg)]
 
 
 def test_in_Y_of_F_answers_past_truncation_5():

@@ -635,7 +635,7 @@ def test_in_L_products_are_exact_at_large_moduli(p):
     lam = build_slices(Presentation.make(q, 3, rels, p), 4)
     dual = build_dual(lam, 4)
     ualg = USupportAlgebra(dual, 3)
-    t_mul = dual.mult(1, 2)
+    t_mul = dense_oracle.mult_tensor(dual, 1, 2)
     assert t_mul.max() > p // 4
     # X_0 over one vertex of dimension 3; the pairs x_i (x) a_j, some left
     # out as vertex matching leaves them out
@@ -833,7 +833,8 @@ def reference_free_actions(algebra, mod):
                     for c, row in enumerate(index[d + g.degree])}
             m = np.zeros((len(entries), len(pos2)), dtype=np.int64)
             for r, (gno, bi) in enumerate(entries):
-                t = algebra.mult(d - gen_list[gno][1], g.degree)
+                t = dense_oracle.mult_tensor(algebra, d - gen_list[gno][1],
+                                             g.degree)
                 if t.size == 0:
                     continue
                 row = t[bi, g.basis_index]

@@ -37,7 +37,7 @@ def test_rref_is_idempotent(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
-    rk = linalg.rank(m, P)
+    rk = linalg.rref(m, P)[2]
     ns = linalg.null_space(m, P)
     assert rk + ns.dim == m.shape[1]
     for v in ns.basis.dense():
@@ -47,8 +47,9 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_left_null_space_annihilates(m):
-    ns = linalg.left_null_space(m, P)
-    assert ns.dim == m.shape[0] - linalg.rank(m, P)
+    ns = linalg.sparse_left_kernel(linalg.Sparse.from_dense(m, P), P)
+    assert ns == linalg.null_space(m.T, P)
+    assert ns.dim == m.shape[0] - linalg.rref(m, P)[2]
     for v in ns.basis.dense():
         assert not ((v @ m) % P).any()
 
@@ -109,7 +110,7 @@ def test_inverse_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(10):
         m = rand_matrix(rng, 4, 4)
-        if linalg.rank(m, P) < 4:
+        if linalg.rref(m, P)[2] < 4:
             continue
         inv = left_inverse_of(m, P)
         assert np.array_equal(linalg.mat_mul(m, inv, P), linalg.eye(4))
@@ -204,7 +205,7 @@ def test_left_inverse_is_the_dense_solve_on_every_mu1_level(p):
             for d in range(1, 2 * n + 2):
                 k, rho = divmod(d, n)
                 if rho < 2 and alg._dim(d):
-                    cls = alg._word_classes([n] * k + [1] * rho)
+                    cls = alg._word_classes([n] * k + [1] * rho).dense()
                     words += assert_left_inverse_is_the_dense_solve(cls, p)
     assert levels > 30 and words > 20
 
@@ -743,6 +744,24 @@ def test_hstack_matches_the_dense_concatenation(p):
         for none in ([], parts[:1], [parts[0], parts[2]]):
             assert linalg.Sparse.hstack(none, rows) == \
                 linalg.Sparse.zero(rows, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_reshape_matches_numpy(m):
+    """`Sparse.reshape` reads the entries in row-major order as numpy's
+    reshape of the dense matrix does, into every shape of the same size
+    (zero-width ones among them), and refuses any other size."""
+    sp = linalg.Sparse.from_dense(m, P)
+    size = m.size
+    shapes = ([(r, size // r) for r in range(1, size + 1) if size % r == 0]
+              if size else [(0, 0), (0, 5), (4, 0), (1, 0), (0, 1)])
+    for rows, cols in shapes:
+        got = sp.reshape(rows, cols)
+        assert got == linalg.Sparse.from_dense(m.reshape(rows, cols), P)
+        assert got.shape == (rows, cols)
+    with pytest.raises(linalg.LinAlgError, match="cannot reshape"):
+        sp.reshape(size + 1, 1)
 
 
 def test_densifying_an_over_cap_sparse_refuses_before_allocating():
